@@ -19,9 +19,10 @@ from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
 from .conformal import (Dilation, Domain, Inversion, Jet2, KelvinProbeReport,
                         MetricTerms, MobiusMap, Rotation, ScalarField,
                         Translation, constant_field, eigenvalues_wrt,
-                        jacobian_det, kelvin_regularity_probe, kelvin_transform,
-                        mobius_apply, random_mobius_map, schouten_conformal_change,
-                        schouten_flat, schouten_spectrum, transform_field)
+                        kelvin_regularity_probe, kelvin_transform,
+                        random_mobius_map, random_mobius_map_avoiding,
+                        schouten_conformal_change, schouten_flat,
+                        schouten_spectrum, transform_field)
 from .continuation import (BvpSpec, ContinuationTrace, TRecord,
                            assemble_jacobian, assemble_residual, continue_path,
                            initial_guess, newton_solve)

@@ -19,17 +19,15 @@ supremum as a lower bound for the sharp constant, with no sharpness claim.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ScalarField, Domain, MobiusMap, random_mobius_map, \
-    schouten_flat, transform_field
-from .errors import PositivityError
+from .conformal import ScalarField, Domain, _checked_jets, _schouten_batch, \
+    random_mobius_map_avoiding, transform_field
+from .errors import ConfigError, PositivityError
 from .halton import box_points, sphere_directions
-from .symfun import _esym_all, _esym_all_batch
+from .symfun import _cone_margin, _esym_all_batch
 
 __all__ = [
     "BubbleSpec",
@@ -68,14 +66,14 @@ class BubbleSpec:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError(f"dimension n={self.n} must be >= 3")
+            raise ConfigError(f"dimension n={self.n} must be >= 3")
         if not 1 <= self.k <= self.n:
-            raise ValueError(f"cone index k={self.k} outside 1..{self.n}")
+            raise ConfigError(f"cone index k={self.k} outside 1..{self.n}")
         if not self.a > 0.0:
-            raise ValueError(f"scale a={self.a} must be positive")
+            raise ConfigError(f"scale a={self.a} must be positive")
         c = np.zeros(self.n) if self.center is None else np.asarray(self.center, dtype=float)
         if c.shape != (self.n,):
-            raise ValueError(f"center must have shape ({self.n},)")
+            raise ConfigError(f"center must have shape ({self.n},)")
         object.__setattr__(self, "center", c)
 
 
@@ -85,24 +83,22 @@ def bubble_field(spec: BubbleSpec) -> ScalarField:
     m = (n - 2.0) / 2.0
     amp = c_constant(n, spec.k) * a ** m
 
-    def evaluator(x):
-        d = x - x0
-        w = 1.0 + a * a * float(d @ d)
+    def jets(X, order):
+        d = X - x0
+        w = 1.0 + a * a * np.einsum("ij,ij->i", d, d)
         val = amp * w ** (-m)
+        if not order:
+            return val, None, None
         # u' factors: grad = -2 m a^2 amp w^{-m-1} d
         f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
-        grad = f1 * d
-        hess = f1 * np.eye(n) \
-            + (4.0 * m * (m + 1.0) * a ** 4 * amp * w ** (-m - 2.0)) * np.outer(d, d)
+        grad = f1[:, None] * d
+        f2 = 4.0 * m * (m + 1.0) * a ** 4 * amp * w ** (-m - 2.0)
+        hess = f1[:, None, None] * np.eye(n) \
+            + f2[:, None, None] * (d[:, :, None] * d[:, None, :])
         return val, grad, hess
 
-    def batch(pts):
-        d = np.asarray(pts, dtype=float) - x0
-        w = 1.0 + a * a * np.einsum("ij,ij->i", d, d)
-        return amp * w ** (-m)
-
     tag = f"bubble(n={n},k={spec.k},a={a:g})"
-    return ScalarField(n, evaluator, domain=Domain(), tag=tag, batch_values=batch)
+    return ScalarField(n, domain=Domain(), tag=tag, jets=jets)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,9 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
     """Check |sigma_k(lambda(A(u))) - rhs| and the Gamma_k margin pointwise.
 
     Samples default to a Halton set in a centered box, so reports are
-    reproducible bit for bit. All jets are analytic; no differencing.
+    reproducible bit for bit. All jets are analytic; no differencing. Ties
+    go to the first sample: for the worst residual, the smallest margin and
+    the first violation alike.
     """
     if u.n != n:
         raise ValueError(f"field dimension {u.n} does not match n={n}")
@@ -143,28 +141,18 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
     if sample_points is None:
         sample_points = box_points(n_samples, n, halfwidth=box_halfwidth, center=center)
     pts = np.asarray(sample_points, dtype=float)
-    max_res = -1.0
-    worst = pts[0]
-    min_margin = math.inf
-    margin_pt = pts[0]
-    violations = 0
-    first_violation = None
-    for x in pts:
-        jet = u.jet(x)
-        lam = np.linalg.eigvalsh(schouten_flat(jet))
-        e = _esym_all(lam)
-        res = abs(float(e[k]) - rhs)
-        margin = float(np.min(e[1:k + 1]))
-        if res > max_res:
-            max_res, worst = res, x
-        if margin < min_margin:
-            min_margin, margin_pt = margin, x
-        if margin <= 0.0:
-            violations += 1
-            if first_violation is None:
-                first_violation = x
-    return SolutionReport(n, k, len(pts), max_res, worst, min_margin,
-                          margin_pt, violations, first_violation)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ConfigError("verification needs a nonempty (N, n) sample set")
+    lam = np.linalg.eigvalsh(_schouten_batch(*_checked_jets(pts, *u.jets(pts, 2))))
+    e = _esym_all_batch(lam)
+    res = np.abs(e[:, k] - rhs)
+    margin = _cone_margin(e, k)
+    worst = int(np.argmax(res))
+    low = int(np.argmin(margin))
+    violations = np.flatnonzero(margin <= 0.0)
+    return SolutionReport(n, k, len(pts), float(res[worst]), pts[worst],
+                          float(margin[low]), pts[low], int(violations.size),
+                          pts[violations[0]] if violations.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +188,6 @@ def _ball_extremum(u: ScalarField, center: np.ndarray, radius: float,
     pts = (center[None, None, :] + radii[:, None, None] * dirs[None, :, :])
     pts = pts.reshape(-1, center.size)
     vals = u.values(pts)
-    if np.any(vals <= 0.0):
-        bad = pts[int(np.argmin(vals))]
-        raise PositivityError(f"nonpositive sample inside ball at {bad}", where=bad)
     idx = int(np.argmax(vals)) if mode == "max" else int(np.argmin(vals))
     x_best, v_best = pts[idx], float(vals[idx])
     if polish:
@@ -243,7 +228,9 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     non-solution is not bounded by anything.
     """
     if not R > 0.0:
-        raise ValueError(f"radius R={R} must be positive")
+        raise ConfigError(f"radius R={R} must be positive")
+    if n_radial < 1:
+        raise ConfigError(f"n_radial={n_radial} must be >= 1")
     n = u.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     axes = np.vstack([np.eye(n), -np.eye(n)])
@@ -278,19 +265,16 @@ class SweepRow:
 
 def harnack_sweep(n: int, k: int, a_grid, R_grid, *, center=None,
                   n_radial: int = 64, n_angular: int = 64,
-                  mobius_words: int = 0, seed: int = 0,
-                  threads: int | None = None) -> list[SweepRow]:
+                  mobius_words: int = 0, seed: int = 0) -> list[SweepRow]:
     """Harnack products over the (a, R) grid of centered family members.
 
     With mobius_words > 0, additional rows sweep random word images of the
-    a = 1 member; words whose poles land inside B_{3R} of the probe center
-    are redrawn, since the product is only meaningful for fields that are
-    smooth and positive on the full ball. Rows come back in fixed order
-    (label-major, then a-major), and the empirical supremum is a lower
-    bound for the sharp constant. Empty grids give an empty list.
-
-    Cell evaluations are independent; SIGMAK_THREADS (or the threads
-    argument) caps the worker pool and results merge in index order.
+    a = 1 member; words whose poles land inside B_{3R+1/2} of the probe
+    center, R the largest radius, are redrawn, since the product is only
+    meaningful for fields that are smooth and positive on the full ball.
+    Rows come back in fixed order (label-major, then a-major, then R), and
+    the empirical supremum is a lower bound for the sharp constant. Empty
+    grids give an empty list.
     """
     a_vals = [float(a) for a in np.atleast_1d(np.asarray(a_grid, dtype=float))] \
         if np.size(a_grid) else []
@@ -301,40 +285,22 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *, center=None,
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     fields = [("bubble", None)]
-    if mobius_words > 0:
-        rng = np.random.default_rng(seed)
-        r_max = max(r_vals)
-        drawn = 0
-        while drawn < mobius_words:
-            psi = random_mobius_map(rng, n)
-            poles = psi.poles(n)
-            if any(float(np.linalg.norm(p - center)) <= 3.0 * r_max + 0.5 for p in poles):
-                continue
-            fields.append((f"mobius{drawn}", psi))
-            drawn += 1
+    rng = np.random.default_rng(seed)
+    clearance = 3.0 * max(r_vals) + 0.5
+    for j in range(mobius_words):
+        fields.append((f"mobius{j}",
+                       random_mobius_map_avoiding(rng, n, center, clearance)))
 
-    tasks = []
+    rows = []
     for label, psi in fields:
         for a in a_vals:
             base = bubble_field(BubbleSpec(n, k, a, center=center))
             fld = base if psi is None else transform_field(base, psi)
             for R in r_vals:
-                tasks.append((label, a, R, fld))
-
-    def run(task):
-        label, a, R, fld = task
-        rep = harnack_product(fld, R, center=center,
-                              n_radial=n_radial, n_angular=n_angular)
-        return SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br,
-                        rep.product_scaled)
-
-    if threads is None:
-        threads = int(os.environ.get("SIGMAK_THREADS", os.cpu_count() or 1))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+                rep = harnack_product(fld, R, center=center,
+                                      n_radial=n_radial, n_angular=n_angular)
+                rows.append(SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br,
+                                     rep.product_scaled))
     return rows
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bubbles, continuation, radial
-from .conformal import random_mobius_map, transform_field
+from .conformal import random_mobius_map_avoiding, transform_field
 from .errors import ConfigError, SigmakLabError
 from .halton import box_points
 
@@ -86,25 +86,23 @@ def cmd_verify_bubble(args) -> int:
         raise ConfigError(f"scale a={args.a} must be positive")
     if args.tol <= 0.0:
         raise ConfigError("tolerance must be positive")
+    if args.samples < 1:
+        raise ConfigError(f"samples={args.samples} must be >= 1")
+    if not args.box > 0.0:
+        raise ConfigError(f"box half-width {args.box} must be positive")
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
     base = bubbles.bubble_field(spec)
     pts = box_points(args.samples, args.n, halfwidth=args.box)
-    fields = [("bubble", base, pts)]
     rng = np.random.default_rng(args.seed)
-    drawn = 0
-    while drawn < args.images:
-        psi = random_mobius_map(rng, args.n)
-        poles = psi.poles(args.n)
-        # keep every sample point clear of the word's poles
-        if poles and min(float(np.min(np.linalg.norm(pts - p, axis=1)))
-                         for p in poles) < 1e-2:
-            continue
-        fields.append((f"mobius{drawn}", transform_field(base, psi), pts))
-        drawn += 1
+    # every sample point stays clear of the words' poles
+    fields = [("bubble", base)] + [
+        (f"mobius{j}", transform_field(
+            base, random_mobius_map_avoiding(rng, args.n, pts, 1e-2)))
+        for j in range(args.images)]
     rows = []
     ok = True
-    for label, fld, sample in fields:
-        rep = bubbles.verify_solution(fld, args.n, args.k, sample_points=sample)
+    for label, fld in fields:
+        rep = bubbles.verify_solution(fld, args.n, args.k, sample_points=pts)
         rows.append((label, rep))
         if rep.max_residual > args.tol or rep.min_margin <= 0.0:
             ok = False
@@ -261,7 +259,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--u0", type=float, default=None)
     p.add_argument("--rmax", type=float, default=10.0)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_solve_radial)
 
@@ -278,7 +275,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ub", type=float, default=None,
                    help="explicit boundary value (overrides --a)")
     p.add_argument("--kth-root", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", type=str, default=None)
     p.add_argument("--profile", type=str, default=None)
     p.set_defaults(func=cmd_homotopy)

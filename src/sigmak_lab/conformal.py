@@ -1,4 +1,4 @@
-"""Pointwise conformal geometry over a flat background.
+"""Conformal geometry over a flat background, evaluated on batches of points.
 
 The central object is the symmetric matrix built from the 2-jet of a
 positive factor u on R^n (n >= 3):
@@ -17,6 +17,10 @@ and the spectrum of A is equivariant under that action: the eigenvalues of
 A(u_psi) at x equal those of A(u) at psi(x). Jets of transformed fields are
 propagated analytically, one chain-rule step per generator; finite
 differences appear only in tests.
+
+Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
+`MobiusMap._walk`, `_schouten_batch`); the per-point calls are its N = 1
+case.
 
 The Kelvin transform (pure inversion word) encodes behavior at infinity as
 behavior at the origin; `kelvin_regularity_probe` collects numerical
@@ -51,9 +55,8 @@ __all__ = [
     "schouten_spectrum",
     "schouten_conformal_change",
     "eigenvalues_wrt",
-    "mobius_apply",
-    "jacobian_det",
     "random_mobius_map",
+    "random_mobius_map_avoiding",
     "transform_field",
     "kelvin_transform",
     "kelvin_regularity_probe",
@@ -64,6 +67,36 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # jets and the flat Schouten matrix
 # ---------------------------------------------------------------------------
+
+def _checked_jets(points, u, grad, hess):
+    """Validate a stack of N 2-jets and return (u, grad, symmetrized hess).
+
+    Shapes must be (N, n), (N,), (N, n) and (N, n, n); u must be positive
+    and every hessian symmetric to 1e-12 relative. Errors name the first
+    offending point.
+    """
+    points = np.asarray(points, dtype=float)
+    u = np.asarray(u, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    npts, n = points.shape
+    if u.shape != (npts,) or grad.shape != (npts, n) or hess.shape != (npts, n, n):
+        raise ValueError("jet component shapes do not match the point dimension")
+    bad = np.flatnonzero(~(u > 0.0))
+    if bad.size:
+        i = bad[0]
+        raise PositivityError(f"jet value u={u[i]} is not positive at {points[i]}",
+                              where=points[i], value=u[i])
+    hess_t = hess.swapaxes(1, 2)
+    asym = np.abs(hess - hess_t).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, np.abs(hess).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(asym > 1e-12 * scale)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"hessian asymmetry {asym[i]:.3e} exceeds tolerance "
+                         f"at {points[i]}")
+    return u, grad, 0.5 * (hess + hess_t)
+
 
 @dataclass
 class Jet2:
@@ -76,42 +109,41 @@ class Jet2:
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
-        self.grad = np.asarray(self.grad, dtype=float)
-        hess = np.asarray(self.hess, dtype=float)
-        n = self.point.size
-        if self.grad.shape != (n,) or hess.shape != (n, n):
-            raise ValueError("jet component shapes do not match the point dimension")
-        if not self.u > 0.0:
-            raise PositivityError(f"jet value u={self.u} is not positive",
-                                  where=self.point, value=self.u)
-        asym = float(np.max(np.abs(hess - hess.T)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(hess)))):
-            raise ValueError(f"hessian asymmetry {asym:.3e} exceeds tolerance")
-        self.hess = 0.5 * (hess + hess.T)
+        _, grad, hess = _checked_jets(self.point[None], [self.u],
+                                      np.asarray(self.grad)[None],
+                                      np.asarray(self.hess)[None])
+        self.grad, self.hess = grad[0], hess[0]
 
 
-def schouten_flat(jet: Jet2, n: int | None = None) -> np.ndarray:
-    """Schouten-type matrix A(u) of a 2-jet over the flat background.
+def _schouten_batch(u, g, h) -> np.ndarray:
+    """Flat Schouten matrices A(u) of N 2-jets, shape (N, n, n).
 
-    The result is exactly symmetric: every term is assembled from the
-    symmetrized hessian, an outer product, and a multiple of the identity.
+    The jets must have passed `_checked_jets`. Each result is exactly
+    symmetric: every term is assembled from the symmetrized hessian, an
+    outer product, and a multiple of the identity.
     """
-    if n is None:
-        n = jet.point.size
-    elif n != jet.point.size:
-        raise ValueError(f"dimension tag {n} does not match the jet point")
+    n = g.shape[1]
     if n < 3:
         raise ValueError(f"dimension n={n} must be >= 3")
-    if not jet.u > 0.0:
-        raise PositivityError("schouten_flat requires u > 0", where=jet.point, value=jet.u)
-    u, g, h = jet.u, jet.grad, jet.hess
     q1 = u ** (-(n + 2.0) / (n - 2.0))
     q2 = u ** (-2.0 * n / (n - 2.0))
     c1 = 2.0 / (n - 2.0)
     c2 = 2.0 * n / (n - 2.0) ** 2
     c3 = 2.0 / (n - 2.0) ** 2
-    return (-c1 * q1) * h + (c2 * q2) * np.outer(g, g) \
-        - (c3 * q2 * float(g @ g)) * np.eye(n)
+    gg = np.einsum("ij,ij->i", g, g)
+    return (-c1 * q1)[:, None, None] * h \
+        + (c2 * q2)[:, None, None] * (g[:, :, None] * g[:, None, :]) \
+        - (c3 * q2 * gg)[:, None, None] * np.eye(n)
+
+
+def schouten_flat(jet: Jet2, n: int | None = None) -> np.ndarray:
+    """Schouten-type matrix A(u) of a 2-jet over the flat background."""
+    if n is not None and n != jet.point.size:
+        raise ValueError(f"dimension tag {n} does not match the jet point")
+    if not jet.u > 0.0:
+        raise PositivityError("schouten_flat requires u > 0", where=jet.point, value=jet.u)
+    return _schouten_batch(np.array([jet.u], dtype=float), jet.grad[None],
+                           jet.hess[None])[0]
 
 
 def schouten_spectrum(jet: Jet2, n: int | None = None) -> np.ndarray:
@@ -227,34 +259,17 @@ _Atom = Translation | Rotation | Dilation | Inversion
 
 @dataclass(frozen=True)
 class _TransportState:
-    """Jet of a partial word: image point, its first/second derivatives
-    w.r.t. the original coordinates, and the log |Jacobian| with its
-    first/second derivatives."""
+    """Jet of a word at N points: image points and log |Jacobian|, and at
+    order 2 also the first/second derivatives of both w.r.t. the original
+    coordinates. MobiusMap.jet returns the one-point slice, without the
+    leading axis."""
 
     y: np.ndarray
-    jac: np.ndarray
-    hess: np.ndarray          # hess[i, j, k] = d^2 y_i / dx_j dx_k
-    log_det: float
-    grad_log_det: np.ndarray
-    hess_log_det: np.ndarray
-
-
-def _inversion_local(y: np.ndarray):
-    """Value, Jacobian, second derivative and log-det data of the inversion at y."""
-    r2 = float(y @ y)
-    if r2 == 0.0:
-        raise PoleError("inversion evaluated at its pole")
-    n = y.size
-    eye = np.eye(n)
-    a = (eye - 2.0 * np.outer(y, y) / r2) / r2
-    b = (-2.0 / r2 ** 2) * (np.einsum("ij,k->ijk", eye, y)
-                            + np.einsum("ik,j->ijk", eye, y)
-                            + np.einsum("jk,i->ijk", eye, y)) \
-        + (8.0 / r2 ** 3) * np.einsum("i,j,k->ijk", y, y, y)
-    log_det = -n * math.log(r2)
-    g = (-2.0 * n / r2) * y
-    big_g = (-2.0 * n) * (eye / r2 - 2.0 * np.outer(y, y) / r2 ** 2)
-    return y / r2, a, b, log_det, g, big_g
+    log_det: np.ndarray
+    jac: np.ndarray | None = None
+    hess: np.ndarray | None = None       # hess[..., i, j, k] = d^2 y_i / dx_j dx_k
+    grad_log_det: np.ndarray | None = None
+    hess_log_det: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -270,86 +285,87 @@ class MobiusMap:
                 raise ValueError(f"unsupported atom {atom!r}")
         object.__setattr__(self, "word", word)
 
-    # -- basic action ------------------------------------------------------
+    def _walk(self, X, order: int = 0) -> _TransportState:
+        """Carry the rows of X (N, n) through the word.
+
+        order=0 tracks the image points and log |det J|; order=2 adds the
+        Jacobian, the second derivatives of the word and the gradient and
+        hessian of log |det J|, as needed to chain-rule a 2-jet.
+        """
+        if order not in (0, 2):
+            raise ValueError(f"transport order must be 0 or 2, got {order}")
+        y = np.array(X, dtype=float)
+        npts, n = y.shape
+        log_det = np.zeros(npts)
+        if order:
+            jac = np.tile(np.eye(n), (npts, 1, 1))
+            hess = np.zeros((npts, n, n, n))
+            gld = np.zeros((npts, n))
+            hld = np.zeros((npts, n, n))
+        for atom in self.word:
+            if isinstance(atom, Translation):
+                y = y + atom.b
+            elif isinstance(atom, Rotation):
+                y = y @ atom.mat.T
+                if order:
+                    jac = atom.mat @ jac
+                    hess = np.einsum("ia,najk->nijk", atom.mat, hess)
+            elif isinstance(atom, Dilation):
+                y = atom.s * y
+                log_det += n * math.log(atom.s)
+                if order:
+                    jac = atom.s * jac
+                    hess = atom.s * hess
+            else:
+                r2 = np.einsum("ij,ij->i", y, y)
+                if np.any(r2 == 0.0):
+                    raise PoleError("mobius word hit an inversion pole")
+                log_det -= n * np.log(r2)
+                if order:
+                    # with q = 1/r2, w = J^T y, M = J^T J and Y = y . d^2y
+                    # (J, d^2y of the partial word), the chain rule through
+                    # the inversion gives, in this order:
+                    #   grad log|det| += -2n q w
+                    #   hess log|det| += -2n q (M + Y - 2q w w^T)
+                    #   d^2y_ijk <- q (d^2y_ijk + 8q^2 y_i w_j w_k
+                    #                  - 2q (y_i (Y + M)_jk + J_ij w_k + w_j J_ik))
+                    #   J <- q (J - 2q y w^T)
+                    q = 1.0 / r2
+                    q1, q2, q3 = q[:, None], q[:, None, None], q[:, None, None, None]
+                    w = np.einsum("na,naj->nj", y, jac)
+                    big_y = np.einsum("na,najk->njk", y, hess)
+                    jtj = np.einsum("naj,nak->njk", jac, jac)
+                    ww = w[:, :, None] * w[:, None, :]
+                    gld = gld - (2.0 * n) * q1 * w
+                    hld = hld - (2.0 * n) * q2 * (jtj + big_y - 2.0 * q2 * ww)
+                    hess = q3 * (
+                        hess + 8.0 * q3 * q3 * y[:, :, None, None] * ww[:, None]
+                        - 2.0 * q3 * (y[:, :, None, None] * (big_y + jtj)[:, None]
+                                      + jac[:, :, :, None] * w[:, None, None, :]
+                                      + w[:, None, :, None] * jac[:, :, None, :]))
+                    jac = q2 * (jac - 2.0 * q2 * y[:, :, None] * w[:, None, :])
+                y = y / r2[:, None]
+        if not order:
+            return _TransportState(y, log_det)
+        return _TransportState(y, log_det, jac, hess, gld, hld)
+
+    # -- the action at a point or on the rows of a batch -------------------
 
     def apply(self, x) -> np.ndarray:
-        y = np.asarray(x, dtype=float).copy()
-        for atom in self.word:
-            if isinstance(atom, Translation):
-                y = y + atom.b
-            elif isinstance(atom, Rotation):
-                y = atom.mat @ y
-            elif isinstance(atom, Dilation):
-                y = atom.s * y
-            else:
-                r2 = float(y @ y)
-                if r2 == 0.0:
-                    raise PoleError("mobius word hit an inversion pole")
-                y = y / r2
-        return y
+        """Image of a point (n,), or of each row of a batch (N, n)."""
+        x = np.asarray(x, dtype=float)
+        return self._walk(np.atleast_2d(x)).y.reshape(x.shape)
 
-    def apply_batch(self, pts: np.ndarray) -> np.ndarray:
-        y = np.asarray(pts, dtype=float).copy()
-        for atom in self.word:
-            if isinstance(atom, Translation):
-                y = y + atom.b
-            elif isinstance(atom, Rotation):
-                y = y @ atom.mat.T
-            elif isinstance(atom, Dilation):
-                y = atom.s * y
-            else:
-                r2 = np.einsum("ij,ij->i", y, y)
-                if np.any(r2 == 0.0):
-                    raise PoleError("mobius word hit an inversion pole")
-                y = y / r2[:, None]
-        return y
-
-    def jacobian_det(self, x) -> float:
-        """|det J| at x, as the exact product of the atom contributions."""
-        y = np.asarray(x, dtype=float).copy()
-        n = y.size
-        det = 1.0
-        for atom in self.word:
-            if isinstance(atom, Translation):
-                y = y + atom.b
-            elif isinstance(atom, Rotation):
-                y = atom.mat @ y
-            elif isinstance(atom, Dilation):
-                det *= atom.s ** n
-                y = atom.s * y
-            else:
-                r2 = float(y @ y)
-                if r2 == 0.0:
-                    raise PoleError("mobius word hit an inversion pole")
-                det *= r2 ** (-n)
-                y = y / r2
-        return det
-
-    def log_det_batch(self, pts: np.ndarray) -> np.ndarray:
-        y = np.asarray(pts, dtype=float).copy()
-        n = y.shape[1]
-        logdet = np.zeros(y.shape[0])
-        for atom in self.word:
-            if isinstance(atom, Translation):
-                y = y + atom.b
-            elif isinstance(atom, Rotation):
-                y = y @ atom.mat.T
-            elif isinstance(atom, Dilation):
-                logdet += n * math.log(atom.s)
-                y = atom.s * y
-            else:
-                r2 = np.einsum("ij,ij->i", y, y)
-                if np.any(r2 == 0.0):
-                    raise PoleError("mobius word hit an inversion pole")
-                logdet -= n * np.log(r2)
-                y = y / r2[:, None]
-        return logdet
-
-    # -- transported jets --------------------------------------------------
+    def jacobian_det(self, x):
+        """|det J| at a point (a float), or at each row of a batch (N, n)."""
+        x = np.asarray(x, dtype=float)
+        det = np.exp(self._walk(np.atleast_2d(x)).log_det)
+        return float(det[0]) if x.ndim == 1 else det
 
     def jet(self, x) -> _TransportState:
         """Image point with all derivatives needed to chain-rule a 2-jet."""
-        return _mobius_jet(self.word, np.asarray(x, dtype=float))
+        st = self._walk(np.asarray(x, dtype=float)[None], 2)
+        return _TransportState(*(field[0] for field in vars(st).values()))
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian matrix of the word at x."""
@@ -389,49 +405,6 @@ class MobiusMap:
         return out
 
 
-def _mobius_jet(word: tuple, x: np.ndarray) -> _TransportState:
-    y = np.asarray(x, dtype=float).copy()
-    n = y.size
-    jac = np.eye(n)
-    hess = np.zeros((n, n, n))
-    log_det = 0.0
-    grad_ld = np.zeros(n)
-    hess_ld = np.zeros((n, n))
-    for atom in word:
-        if isinstance(atom, Translation):
-            y = y + atom.b
-        elif isinstance(atom, Rotation):
-            jac = atom.mat @ jac
-            hess = np.tensordot(atom.mat, hess, axes=(1, 0))
-            y = atom.mat @ y
-        elif isinstance(atom, Dilation):
-            jac = atom.s * jac
-            hess = atom.s * hess
-            log_det += n * math.log(atom.s)
-            y = atom.s * y
-        else:
-            ynew, a, b, ld, g, big_g = _inversion_local(y)
-            # order matters: every update uses the jet of the partial word
-            grad_ld = grad_ld + jac.T @ g
-            hess_ld = hess_ld + jac.T @ big_g @ jac + np.einsum("a,ajk->jk", g, hess)
-            hess = np.einsum("iab,aj,bk->ijk", b, jac, jac) \
-                + np.tensordot(a, hess, axes=(1, 0))
-            jac = a @ jac
-            log_det += ld
-            y = ynew
-    return _TransportState(y, jac, hess, log_det, grad_ld, hess_ld)
-
-
-def mobius_apply(psi: MobiusMap, x) -> np.ndarray:
-    """Apply the word to a point."""
-    return psi.apply(x)
-
-
-def jacobian_det(psi: MobiusMap, x) -> float:
-    """Magnitude of the Jacobian determinant of the word at x."""
-    return psi.jacobian_det(x)
-
-
 def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3, *,
                       translation_scale: float = 1.0,
                       dilation_range: tuple[float, float] = (0.5, 2.0),
@@ -454,6 +427,18 @@ def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3, *,
     return MobiusMap(tuple(atoms))
 
 
+def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
+                               clearance: float) -> MobiusMap:
+    """Draw random words (default parameters) until one has every pole
+    farther than clearance from every row of points; return that word."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    while True:
+        psi = random_mobius_map(rng, n)
+        if all(float(np.min(np.linalg.norm(points - p, axis=1))) > clearance
+               for p in psi.poles(n)):
+            return psi
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -467,78 +452,122 @@ class Domain:
     r_inner: float = 0.0
     r_outer: float = math.inf
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x):
+        """Membership of a point (n,), or of each row of a batch (N, n)."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "rn":
-            return True
-        c = self.center if self.center is not None else np.zeros(x.size)
-        r = float(np.linalg.norm(np.asarray(x, dtype=float) - c))
+            return np.full(x.shape[:-1], True)
+        c = self.center if self.center is not None else np.zeros(x.shape[-1])
+        r = np.linalg.norm(x - c, axis=-1)
         if self.kind == "ball":
             return r <= self.r_outer
         if self.kind == "annulus":
-            return self.r_inner <= r <= self.r_outer
+            return (self.r_inner <= r) & (r <= self.r_outer)
         if self.kind == "exterior":
             return r >= self.r_inner
         raise ValueError(f"unknown domain kind {self.kind!r}")
 
 
-class ScalarField:
-    """A positive C^2 field given by an analytic 2-jet evaluator.
+def _lift(evaluator: Callable, n: int) -> Callable:
+    """Batch form of a per-point evaluator x -> (u, grad, hess), by a loop."""
+    def jets(X, order):
+        u = np.empty(len(X))
+        grad = np.empty((len(X), n))
+        hess = np.empty((len(X), n, n))
+        for i, x in enumerate(X):
+            u[i], grad[i], hess[i] = evaluator(x)
+        return (u, grad, hess) if order else (u, None, None)
+    return jets
 
-    evaluator(x) must return (u, grad, hess) at a point of the domain.
-    Evaluators must be safe to call from multiple threads; fields carry no
-    mutable state. batch_values, when provided, evaluates many points at
-    once and is used by grid searches.
+
+class ScalarField:
+    """A positive C^2 field on a domain, evaluated through one batch evaluator.
+
+    jets(X, order) receives the rows of X (N, n), all inside the domain,
+    and returns (u[N], grad[N, n], hess[N, n, n]); with order=0 it returns
+    (u[N], None, None) and may skip the derivatives. A per-point evaluator
+    x -> (u, grad, hess), passed positionally instead, is lifted into that
+    form by a loop. Fields carry no mutable state. Every other method is a
+    slice of `jets`: `values` is its order-0 part, `raw_jet`, `jet` and
+    `value` its one-row case.
     """
 
-    def __init__(self, n: int, evaluator: Callable, domain: Domain | None = None,
-                 tag: str | None = None, batch_values: Callable | None = None):
+    def __init__(self, n: int, evaluator: Callable | None = None,
+                 domain: Domain | None = None, tag: str | None = None,
+                 jets: Callable | None = None):
         if n < 3:
             raise ValueError(f"dimension n={n} must be >= 3")
+        if (evaluator is None) == (jets is None):
+            raise ValueError("give exactly one of evaluator and jets")
         self.n = n
-        self._evaluator = evaluator
+        self._jets = jets if jets is not None else _lift(evaluator, n)
         self.domain = domain if domain is not None else Domain()
         self.tag = tag
-        self._batch_values = batch_values
 
-    def raw_jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+    def jets(self, X, order: int = 2):
+        """(u, grad, hess) at the rows of X (N, n); order=0 gives (u, None, None).
+
+        Raises DomainError or PositivityError naming the first point
+        outside the domain or with a nonpositive value.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"points must have shape (N, {self.n})")
+        if order not in (0, 2):
+            raise ValueError(f"jet order must be 0 or 2, got {order}")
+        outside = np.flatnonzero(~self.domain.contains(X))
+        if outside.size:
+            x = X[outside[0]]
+            raise DomainError(f"point {x} outside field domain ({self.domain.kind})")
+        u, grad, hess = self._jets(X, order)
+        u = np.asarray(u, dtype=float)
+        if u.shape != (len(X),):
+            raise ValueError("field values do not match the number of points")
+        bad = np.flatnonzero(~(u > 0.0))
+        if bad.size:
+            x, val = X[bad[0]], u[bad[0]]
+            raise PositivityError(f"field value {val} is not positive at {x}",
+                                  where=x, value=val)
+        if order:
+            grad = np.asarray(grad, dtype=float)
+            hess = np.asarray(hess, dtype=float)
+            if grad.shape != X.shape or hess.shape != X.shape + (self.n,):
+                raise ValueError("jet component shapes do not match the point dimension")
+        return u, grad, hess
+
+    def _row(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point must have shape ({self.n},)")
-        if not self.domain.contains(x):
-            raise DomainError(f"point {x} outside field domain ({self.domain.kind})")
-        u, grad, hess = self._evaluator(x)
-        u = float(u)
-        if not u > 0.0:
-            raise PositivityError(f"field value {u} is not positive at {x}",
-                                  where=x, value=u)
-        return u, np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
+        return x[None]
+
+    def raw_jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        u, grad, hess = self.jets(self._row(x), 2)
+        return float(u[0]), grad[0], hess[0]
 
     def jet(self, x) -> Jet2:
         u, grad, hess = self.raw_jet(x)
         return Jet2(np.asarray(x, dtype=float), u, grad, hess)
 
     def value(self, x) -> float:
-        return self.raw_jet(x)[0]
+        return float(self.jets(self._row(x), 0)[0][0])
 
     def values(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self._batch_values is not None:
-            return np.asarray(self._batch_values(pts), dtype=float)
-        return np.array([self.raw_jet(p)[0] for p in pts])
+        return self.jets(pts, 0)[0]
 
 
 def constant_field(value: float, n: int) -> ScalarField:
     """The constant positive field; its Schouten matrix vanishes."""
     if not value > 0.0:
         raise PositivityError(f"constant field value {value} must be positive")
-    zero_g = np.zeros(n)
-    zero_h = np.zeros((n, n))
 
-    def evaluator(x):
-        return value, zero_g, zero_h
+    def jets(X, order):
+        u = np.full(len(X), float(value))
+        if not order:
+            return u, None, None
+        return u, np.zeros((len(X), n)), np.zeros((len(X), n, n))
 
-    return ScalarField(n, evaluator, tag=f"const({value})",
-                       batch_values=lambda pts: np.full(len(pts), float(value)))
+    return ScalarField(n, tag=f"const({value})", jets=jets)
 
 
 def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
@@ -551,32 +580,29 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
     n = u.n
     p = (n - 2.0) / (2.0 * n)
 
-    def evaluator(x):
-        st = _mobius_jet(psi.word, np.asarray(x, dtype=float))
-        uy, gy, hy = u.raw_jet(st.y)
-        jac, hword = st.jac, st.hess
+    def jets(X, order):
+        st = psi._walk(X, order)
+        uy, gy, hy = u.jets(st.y, order)
+        # conformal factor c = |J|^p
+        c = np.exp(p * st.log_det)
+        if not order:
+            return c * uy, None, None
+        jac, hword, gld = st.jac, st.hess, st.grad_log_det
         # v = u o psi and its jet
-        gv = jac.T @ gy
-        hv = jac.T @ hy @ jac + np.einsum("a,ajk->jk", gy, hword)
-        # conformal factor c = |J|^p and its jet
-        c = math.exp(p * st.log_det)
-        gc = (p * c) * st.grad_log_det
-        hc = c * (p * st.hess_log_det
-                  + (p * p) * np.outer(st.grad_log_det, st.grad_log_det))
-        val = c * uy
-        grad = c * gv + uy * gc
-        hess = c * hv + np.outer(gc, gv) + np.outer(gv, gc) + uy * hc
-        return val, grad, hess
-
-    batch = None
-    if u._batch_values is not None:
-        def batch(pts):
-            pts = np.asarray(pts, dtype=float)
-            images = psi.apply_batch(pts)
-            return np.exp(p * psi.log_det_batch(pts)) * u.values(images)
+        jac_t = jac.swapaxes(1, 2)
+        gv = (jac_t @ gy[:, :, None])[:, :, 0]
+        hv = jac_t @ hy @ jac + np.einsum("na,najk->njk", gy, hword)
+        # the jet of c
+        gc = (p * c)[:, None] * gld
+        hc = c[:, None, None] * (p * st.hess_log_det
+                                 + (p * p) * (gld[:, :, None] * gld[:, None, :]))
+        grad = c[:, None] * gv + uy[:, None] * gc
+        hess = c[:, None, None] * hv + gc[:, :, None] * gv[:, None, :] \
+            + gv[:, :, None] * gc[:, None, :] + uy[:, None, None] * hc
+        return c * uy, grad, hess
 
     tag = f"mobius*{u.tag}" if u.tag else "mobius"
-    return ScalarField(n, evaluator, domain=Domain(), tag=tag, batch_values=batch)
+    return ScalarField(n, domain=Domain(), tag=tag, jets=jets)
 
 
 def kelvin_transform(u: ScalarField) -> ScalarField:
@@ -625,20 +651,13 @@ def kelvin_regularity_probe(u: ScalarField, radius_sequence=None,
         raise ValueError("radius sequence must be strictly decreasing with >= 2 entries")
     v = kelvin_transform(u)
     dirs = sphere_directions(n_directions, u.n)
-    sup_v = np.empty(radii.size)
-    inf_v = np.empty(radii.size)
-    max_sg = np.empty(radii.size)
-    for i, rho in enumerate(radii):
-        vals = []
-        sgs = []
-        for d in dirs:
-            x = rho * d
-            val, grad, _ = v.raw_jet(x)
-            vals.append(val)
-            sgs.append(rho * float(np.linalg.norm(grad)))
-        sup_v[i] = max(vals)
-        inf_v[i] = min(vals)
-        max_sg[i] = max(sgs)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, u.n)
+    vals, grads, _ = v.jets(pts, 2)
+    vals = vals.reshape(radii.size, -1)
+    scaled = radii[:, None] * np.linalg.norm(grads, axis=1).reshape(radii.size, -1)
+    sup_v = vals.max(axis=1)
+    inf_v = vals.min(axis=1)
+    max_sg = scaled.max(axis=1)
     positive = bool(np.all(inf_v > 0.0))
     # absolute floor keeps rounding noise on exactly-constant images from
     # breaking the decrease test

@@ -29,7 +29,7 @@ from .bubbles import c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError
 from .radial import RadialProfile, _coeffs
-from .symfun import OperatorSpec, _esym_all_batch, _esym_gradient_batch
+from .symfun import OperatorSpec, _cone_margin, _esym_all_batch, _esym_gradient_batch
 
 __all__ = [
     "BvpSpec",
@@ -166,7 +166,7 @@ class _NodeState:
         self.q1, self.q2, self.lam_tan, self.lam_rad = q1, q2, lam_tan, lam_rad
         self.mixed, self.esym = mixed, e
         self.f = e[:, k].copy()
-        self.margins = e[:, 1:k + 1].min(axis=1)
+        self.margins = _cone_margin(e, k)
 
     def residual(self) -> np.ndarray:
         spec, h = self.spec, self.spec.h

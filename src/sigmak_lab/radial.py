@@ -98,15 +98,20 @@ def radial_eigenvalues(u: float, du: float, d2u: float, r: float, n: int) -> Eig
     return EigenPair(lam_rad, lam_tan)
 
 
-def _pair_margin(lam_rad: float, lam_tan: float, n: int, k: int) -> float:
-    """min over j = 1..k of sigma_j(lam_rad, lam_tan x (n-1)), in closed form."""
+def _pair_sigma(lam_rad: float, lam_tan: float, n: int, k: int) -> tuple[float, float]:
+    """sigma_j(lam_rad, lam_tan x (n-1)) in closed form, for j = 1..k.
+
+    Returns (min over j, the cone margin; the j = k value, sigma_k).
+    """
     margin = math.inf
+    c_prev = 1  # C(n-1, j-1)
     for j in range(1, k + 1):
-        s = math.comb(n - 1, j) * lam_tan ** j \
-            + math.comb(n - 1, j - 1) * lam_tan ** (j - 1) * lam_rad
+        c = math.comb(n - 1, j)
+        s = c * lam_tan ** j + c_prev * lam_tan ** (j - 1) * lam_rad
         if s < margin:
             margin = s
-    return margin
+        c_prev = c
+    return margin, s
 
 
 def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
@@ -137,7 +142,7 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
                                   "isotropic state", margin=rhs)
         lam0 = (rhs / math.comb(n, k)) ** (1.0 / k)
         d2u = -lam0 / (b * q1)
-        return d2u, _pair_margin(lam0, lam0, n, k)
+        return d2u, _pair_sigma(lam0, lam0, n, k)[0]
     lam_tan = -b * q1 * (du / r) - d * q2 * du * du
     coeff = math.comb(n - 1, k - 1) * lam_tan ** (k - 1)
     if abs(coeff) < 1e-14 * max(1.0, abs(rhs)):
@@ -146,7 +151,7 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
             f"for u'' at r={r}", margin=lam_tan, where=r)
     lam_rad = (rhs - math.comb(n - 1, k) * lam_tan ** k) / coeff
     d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
-    margin = _pair_margin(lam_rad, lam_tan, n, k)
+    margin, _ = _pair_sigma(lam_rad, lam_tan, n, k)
     if margin < 0.0:
         raise ConeDomainError(
             f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
@@ -478,8 +483,7 @@ def write_profile_csv(profile: RadialProfile, path, rhs: float = 1.0):
         try:
             d2u, margin = solve_for_u2(u, du, r, n, k, rhs)
             pair = radial_eigenvalues(u, du, d2u, r, n)
-            sig = _pair_sigma_k(pair, n, k)
-            res = abs(sig - rhs)
+            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, n, k)[1] - rhs)
         except (ConeDomainError, PositivityError) as exc:
             res = float("nan")
             margin = getattr(exc, "margin", float("nan"))
@@ -488,7 +492,3 @@ def write_profile_csv(profile: RadialProfile, path, rhs: float = 1.0):
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def _pair_sigma_k(pair: EigenPair, n: int, k: int) -> float:
-    return math.comb(n - 1, k) * pair.lam_tan ** k \
-        + math.comb(n - 1, k - 1) * pair.lam_tan ** (k - 1) * pair.lam_rad

@@ -72,20 +72,8 @@ def _check_cone_index(k: int, n: int):
         raise ValueError(f"cone index k={k} outside 1..{n}")
 
 
-def _esym_all(lam: np.ndarray) -> np.ndarray:
-    """All elementary symmetric values e_0..e_n of lam (e_0 = 1)."""
-    n = lam.size
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for m in range(1, n + 1):
-        x = lam[m - 1]
-        for j in range(m, 0, -1):
-            e[j] += x * e[j - 1]
-    return e
-
-
 def _esym_all_batch(lams: np.ndarray) -> np.ndarray:
-    """Row-wise e_0..e_n for a (N, n) batch; returns shape (N, n+1)."""
+    """Row-wise e_0..e_n (e_0 = 1) for a (N, n) batch; returns shape (N, n+1)."""
     lams = np.asarray(lams, dtype=float)
     npts, n = lams.shape
     e = np.zeros((npts, n + 1))
@@ -95,6 +83,11 @@ def _esym_all_batch(lams: np.ndarray) -> np.ndarray:
         for j in range(m, 0, -1):
             e[:, j] += x * e[:, j - 1]
     return e
+
+
+def _cone_margin(e: np.ndarray, k: int):
+    """Gamma_k margin min_{j=1..k} e_j from e_0..e_n along the last axis."""
+    return e[..., 1:k + 1].min(axis=-1)
 
 
 def _esym_gradient_batch(lams: np.ndarray, k: int) -> np.ndarray:
@@ -133,7 +126,7 @@ def sigma(lam, k: int) -> float:
     if k == 0:
         return 1.0
     _check_cone_index(k, n)
-    return float(_esym_all(lam)[k])
+    return float(_esym_all_batch(lam[None])[0, k])
 
 
 def sigma_gradient(lam, k: int) -> np.ndarray:
@@ -153,8 +146,7 @@ def in_gamma_k(lam, k: int) -> ConeMembership:
     """
     lam = _as_lambda(lam)
     _check_cone_index(k, lam.size)
-    e = _esym_all(lam)
-    margin = float(np.min(e[1:k + 1]))
+    margin = float(_cone_margin(_esym_all_batch(lam[None])[0], k))
     return ConeMembership(margin > 0.0, margin)
 
 
@@ -199,11 +191,23 @@ def homotopy_vector(lam, spec: OperatorSpec) -> np.ndarray:
     return spec.t * lam + (1.0 - spec.t) * float(lam.sum()) * spec.weight
 
 
+def _mixed_esym(lam, spec: OperatorSpec, check_domain: bool):
+    """The mixed vector and its e_0..e_n; with check_domain, ConeDomainError
+    (carrying the margin) when lam lies outside (Gamma_k)_t."""
+    mixed = homotopy_vector(lam, spec)
+    e = _esym_all_batch(mixed[None])[0]
+    if check_domain:
+        margin = float(_cone_margin(e, spec.k))
+        if margin <= 0.0:
+            raise ConeDomainError(
+                f"argument outside (Gamma_{spec.k})_t at t={spec.t}",
+                margin=margin, where=np.asarray(lam, dtype=float))
+    return mixed, e
+
+
 def in_gamma_t(lam, spec: OperatorSpec) -> ConeMembership:
     """Membership of lam in (Gamma_k)_t, i.e. of the mixed vector in Gamma_k."""
-    mixed = homotopy_vector(lam, spec)
-    e = _esym_all(mixed)
-    margin = float(np.min(e[1:spec.k + 1]))
+    margin = float(_cone_margin(_mixed_esym(lam, spec, False)[1], spec.k))
     return ConeMembership(margin > 0.0, margin)
 
 
@@ -215,15 +219,7 @@ def f_homotopy(lam, spec: OperatorSpec, check_domain: bool = True) -> float:
     argument must lie in (Gamma_k)_t, otherwise ConeDomainError is raised
     with the violating margin attached.
     """
-    mixed = homotopy_vector(lam, spec)
-    e = _esym_all(mixed)
-    if check_domain:
-        margin = float(np.min(e[1:spec.k + 1]))
-        if margin <= 0.0:
-            raise ConeDomainError(
-                f"argument outside (Gamma_{spec.k})_t at t={spec.t}",
-                margin=margin, where=np.asarray(lam, dtype=float))
-    return float(e[spec.k])
+    return float(_mixed_esym(lam, spec, check_domain)[1][spec.k])
 
 
 def f_homotopy_gradient(lam, spec: OperatorSpec, check_domain: bool = True) -> np.ndarray:
@@ -232,14 +228,7 @@ def f_homotopy_gradient(lam, spec: OperatorSpec, check_domain: bool = True) -> n
     Chain rule through the mix: d f_t / d lam_i = t g_i + (1-t) <g, w>,
     where g is the sigma_k gradient at the mixed vector.
     """
-    mixed = homotopy_vector(lam, spec)
-    if check_domain:
-        e = _esym_all(mixed)
-        margin = float(np.min(e[1:spec.k + 1]))
-        if margin <= 0.0:
-            raise ConeDomainError(
-                f"argument outside (Gamma_{spec.k})_t at t={spec.t}",
-                margin=margin, where=np.asarray(lam, dtype=float))
+    mixed, _ = _mixed_esym(lam, spec, check_domain)
     g = _esym_gradient_batch(mixed[None, :], spec.k)[0]
     return spec.t * g + (1.0 - spec.t) * float(g @ spec.weight)
 

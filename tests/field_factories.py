@@ -19,24 +19,25 @@ def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,
     betas = rng.uniform(0.3, 1.5, size=n_bumps)
     centers = rng.normal(scale=1.2, size=(n_bumps, n))
 
-    def evaluator(x):
-        val = base
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
+    def jets(X, order):
+        val = np.full(len(X), base)
+        grad = np.zeros((len(X), n))
+        hess = np.zeros((len(X), n, n))
         for g, v, d in zip(gammas, vs, ds):
-            lin = float(v @ x) + d
+            lin = X @ v + d
             val += g * lin * lin
-            grad += 2.0 * g * lin * v
+            grad += (2.0 * g * lin)[:, None] * v
             hess += 2.0 * g * np.outer(v, v)
         for a, b, c in zip(alphas, betas, centers):
-            dx = x - c
-            e = a * np.exp(-b * float(dx @ dx))
+            dx = X - c
+            e = a * np.exp(-b * np.einsum("ij,ij->i", dx, dx))
             val += e
-            grad += -2.0 * b * e * dx
-            hess += e * (4.0 * b * b * np.outer(dx, dx) - 2.0 * b * np.eye(n))
-        return val, grad, hess
+            grad += (-2.0 * b * e)[:, None] * dx
+            hess += e[:, None, None] * (4.0 * b * b * (dx[:, :, None] * dx[:, None, :])
+                                        - 2.0 * b * np.eye(n))
+        return (val, grad, hess) if order else (val, None, None)
 
-    return ScalarField(n, evaluator, tag="poly+gauss")
+    return ScalarField(n, tag="poly+gauss", jets=jets)
 
 
 def radial_power_field(n: int, r_inner: float = 0.4) -> ScalarField:

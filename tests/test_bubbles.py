@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
-from sigmak_lab.errors import PositivityError
+from sigmak_lab.errors import ConfigError, PositivityError
 
 from fd_oracles import fd_jet_of_field
 
@@ -252,3 +252,34 @@ def test_sweep_deterministic_order():
     assert rows_a == rows_b
     assert [(r.a, r.R) for r in rows_a] == [(0.5, 1.0), (0.5, 2.0),
                                             (1.0, 1.0), (1.0, 2.0)]
+
+
+def test_verify_rejects_empty_sample_set():
+    u = sl.bubble_field(sl.BubbleSpec(3, 1, 1.0))
+    with pytest.raises(ConfigError):
+        sl.verify_solution(u, 3, 1, sample_points=np.empty((0, 3)))
+    with pytest.raises(ConfigError):
+        sl.verify_solution(u, 3, 1, n_samples=0)
+
+
+def test_verify_ties_go_to_the_first_sample():
+    # a constant field has the same residual and a zero margin everywhere
+    pts = sl.halton.box_points(20, 3)
+    rep = sl.verify_solution(sl.constant_field(1.0, 3), 3, 2, sample_points=pts)
+    for where in (rep.worst_point, rep.margin_point, rep.first_violation):
+        np.testing.assert_array_equal(where, pts[0])
+
+
+def test_verify_matches_a_per_point_reference_loop():
+    rng = np.random.default_rng(47)
+    pts = sl.halton.box_points(60, 4, halfwidth=2.0)
+    u = sl.bubble_field(sl.BubbleSpec(4, 3, 0.8))
+    psi = sl.random_mobius_map_avoiding(rng, 4, pts, 0.1)
+    v = sl.transform_field(u, psi)
+    rep = sl.verify_solution(v, 4, 3, sample_points=pts)
+    lams = [sl.schouten_spectrum(v.jet(x)) for x in pts]
+    res = [abs(sl.sigma(lam, 3) - 1.0) for lam in lams]
+    margins = [sl.in_gamma_k(lam, 3).margin for lam in lams]
+    assert rep.max_residual == pytest.approx(max(res), abs=1e-13)
+    assert rep.min_margin == pytest.approx(min(margins), rel=1e-12)
+    assert rep.cone_violations == 0 and rep.first_violation is None

@@ -178,3 +178,26 @@ def test_harnack_sweep_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# configuration errors exit 1, never as an unexpected failure
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bubble", "--n", "3", "--k", "1", "--samples", "0"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--box", "0"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--nrad", "0"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--R", "-1"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--a", "0"],
+])
+def test_bad_sizes_are_configuration_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("command", ["solve-radial", "homotopy"])
+def test_seed_flag_only_where_words_are_drawn(command, capsys):
+    assert main([command, "--n", "3", "--k", "1", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

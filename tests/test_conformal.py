@@ -309,3 +309,83 @@ def test_probe_rejects_nonpositive_fields():
     bad = sl.ScalarField(n, evaluator)
     with pytest.raises(PositivityError):
         sl.kelvin_regularity_probe(bad)
+
+
+# ---------------------------------------------------------------------------
+# per-point calls are the one-row case of the batch path
+# ---------------------------------------------------------------------------
+
+def _lifted_test_field(n, rng):
+    """random_test_field behind a per-point evaluator, lifted by ScalarField."""
+    batch = random_test_field(n, rng)
+
+    def evaluator(x):
+        u, g, h = batch.jets(x[None], 2)
+        return u[0], g[0], h[0]
+
+    return sl.ScalarField(n, evaluator, tag="lifted")
+
+
+def test_single_point_calls_match_batch_rows():
+    rng = np.random.default_rng(61)
+    n = 4
+    psi = sl.MobiusMap((sl.Translation(np.array([0.4, -0.2, 0.1, 0.3])),
+                        sl.Inversion(), sl.Dilation(1.7),
+                        sl.Rotation(np.linalg.qr(rng.normal(size=(n, n)))[0]),
+                        sl.Translation(np.array([-0.5, 0.3, 0.6, 0.0])),
+                        sl.Inversion()))
+    pts = rng.normal(scale=1.5, size=(200, n))
+    bubble = sl.bubble_field(sl.BubbleSpec(n, 2, 1.3))
+    fields = [bubble, sl.transform_field(bubble, psi), sl.constant_field(2.5, n),
+              _lifted_test_field(n, rng),
+              sl.transform_field(random_test_field(n, rng), psi)]
+    rtol = 1e-12
+    for field in fields:
+        u, grad, hess = field.jets(pts, 2)
+        np.testing.assert_array_equal(field.values(pts), u)
+        for i in (0, 57, 199):
+            val, g1, h1 = field.raw_jet(pts[i])
+            assert val == pytest.approx(u[i], rel=rtol)
+            assert field.value(pts[i]) == pytest.approx(u[i], rel=rtol)
+            np.testing.assert_allclose(g1, grad[i], rtol=rtol,
+                                       atol=rtol * np.abs(grad[i]).max())
+            np.testing.assert_allclose(h1, hess[i], rtol=rtol,
+                                       atol=rtol * np.abs(hess[i]).max())
+    images = psi.apply(pts)
+    dets = psi.jacobian_det(pts)
+    assert images.shape == pts.shape and dets.shape == (200,)
+    full = psi._walk(pts, 2)
+    for i in (0, 57, 199):
+        np.testing.assert_allclose(psi.apply(pts[i]), images[i], rtol=rtol)
+        assert psi.jacobian_det(pts[i]) == pytest.approx(dets[i], rel=rtol)
+        st = psi.jet(pts[i])
+        for name in ("y", "jac", "hess", "grad_log_det", "hess_log_det"):
+            one, row = getattr(st, name), getattr(full, name)[i]
+            np.testing.assert_allclose(one, row, rtol=rtol,
+                                       atol=rtol * np.abs(row).max())
+        assert st.log_det == pytest.approx(full.log_det[i], rel=rtol, abs=1e-15)
+
+
+def test_batch_checks_name_the_first_bad_point():
+    n = 3
+
+    def evaluator(x):
+        val = 0.5 - float(x @ x)
+        return val, -2.0 * x, -2.0 * np.eye(n)
+
+    field = sl.ScalarField(n, evaluator)
+    pts = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(PositivityError) as err:
+        field.values(pts)
+    np.testing.assert_array_equal(err.value.where, pts[1])
+    with pytest.raises(ValueError):
+        field.jets(pts[:, :2])
+    ball = sl.ScalarField(n, evaluator, domain=sl.Domain(kind="ball", r_outer=0.5))
+    with pytest.raises(sl.DomainError, match=r"\[1\. 0\. 0\.\]"):
+        ball.jets(pts)
+    skew = sl.ScalarField(n, lambda x: (1.0, np.zeros(n),
+                                        np.array([[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])))
+    with pytest.raises(ValueError, match="asymmetry"):
+        sl.verify_solution(skew, n, 1, sample_points=pts)
+    with pytest.raises(PoleError):
+        sl.kelvin_transform(sl.constant_field(1.0, n)).values(np.vstack([pts, np.zeros(n)]))

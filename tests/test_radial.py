@@ -7,7 +7,7 @@ import pytest
 
 import sigmak_lab as sl
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, PositivityError
-from sigmak_lab.radial import _pair_sigma_k
+from sigmak_lab.radial import _pair_sigma
 
 
 def _bubble_r(n, k, a, r):
@@ -273,6 +273,7 @@ def test_pair_sigma_closed_form_matches_generic():
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, n + 1))
         pair = sl.EigenPair(float(rng.normal()), float(rng.normal()))
-        generic = sl.sigma(pair.vector(n), k)
-        assert _pair_sigma_k(pair, n, k) == pytest.approx(generic, rel=1e-12,
-                                                          abs=1e-12)
+        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, n, k)
+        generic = [sl.sigma(pair.vector(n), j) for j in range(1, k + 1)]
+        assert sigma_k == pytest.approx(generic[-1], rel=1e-12, abs=1e-12)
+        assert margin == pytest.approx(min(generic), rel=1e-12, abs=1e-12)
