@@ -18,6 +18,7 @@ supremum as a lower bound for the sharp constant, with no sharpness claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,11 +126,10 @@ class SolutionReport:
 
 
 def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
-                    n_samples: int = 1000, box_halfwidth: float = 3.0,
-                    center=None, rhs: float = 1.0) -> SolutionReport:
-    """Check |sigma_k(lambda(A(u))) - rhs| and the Gamma_k margin pointwise.
+                    n_samples: int = 1000) -> SolutionReport:
+    """Check |sigma_k(lambda(A(u))) - 1| and the Gamma_k margin pointwise.
 
-    Samples default to a Halton set in a centered box, so reports are
+    Samples default to a Halton set in the box [-3, 3]^n, so reports are
     reproducible bit for bit. All jets are analytic; no differencing. Ties
     go to the first sample: for the worst residual, the smallest margin and
     the first violation alike.
@@ -139,13 +139,13 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} outside 1..{n}")
     if sample_points is None:
-        sample_points = box_points(n_samples, n, halfwidth=box_halfwidth, center=center)
+        sample_points = box_points(n_samples, n, halfwidth=3.0)
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise ConfigError("verification needs a nonempty (N, n) sample set")
     lam = np.linalg.eigvalsh(_schouten_batch(*_checked_jets(pts, *u.jets(pts, 2))))
     e = _esym_all_batch(lam)
-    res = np.abs(e[:, k] - rhs)
+    res = np.abs(e[:, k] - 1.0)
     margin = _cone_margin(e, k)
     worst = int(np.argmax(res))
     low = int(np.argmin(margin))
@@ -182,50 +182,64 @@ class HarnackReport:
             raise PositivityError("Harnack report entries must all be positive")
 
 
-def _ball_extremum(u: ScalarField, center: np.ndarray, radius: float,
-                   dirs: np.ndarray, n_radial: int, mode: str, polish: bool):
-    radii = np.linspace(0.0, radius, n_radial)
-    pts = (center[None, None, :] + radii[:, None, None] * dirs[None, :, :])
-    pts = pts.reshape(-1, center.size)
-    vals = u.values(pts)
-    idx = int(np.argmax(vals)) if mode == "max" else int(np.argmin(vals))
-    x_best, v_best = pts[idx], float(vals[idx])
-    if polish:
-        # one Newton step from the best grid point, projected into the ball
-        try:
-            _, grad, hess = u.raw_jet(x_best)
-            step = -np.linalg.solve(hess, grad)
-        except Exception:
-            step = None
-        if step is not None and np.all(np.isfinite(step)):
-            x_try = x_best + step
-            offset = x_try - center
-            dist = float(np.linalg.norm(offset))
-            if dist > radius:
-                x_try = center + offset * (radius / dist)
-            try:
-                v_try = u.value(x_try)
-            except Exception:
-                v_try = None
-            if v_try is not None:
-                better = v_try > v_best if mode == "max" else v_try < v_best
-                if better:
-                    x_best, v_best = x_try, v_try
+@functools.lru_cache
+def _grid_directions(n: int, n_angular: int) -> np.ndarray:
+    """Read-only grid directions: the 2n axes, then n_angular*(n-1) Halton ones
+    stepped inward to a computed norm <= 1 (a shell 2R = 2 fits a ball of radius 2)."""
+    dirs = np.vstack([np.eye(n), -np.eye(n),
+                      sphere_directions(max(1, n_angular * (n - 1)), n)])
+    while (over := np.linalg.norm(dirs, axis=1) > 1.0).any():
+        dirs[over] = np.nextafter(dirs[over], 0.0)
+    dirs.flags.writeable = False
+    return dirs
+
+
+def _harnack_cell(u: ScalarField, center: np.ndarray, R: float, n_radial: int,
+                  n_angular: int):
+    """Points (argmax over B_R, argmin over B_2R) and their values (max, min):
+    one grid of shells for both balls, scaled exactly by 2 for B_2R, and a
+    Newton step from each best grid point, projected into its ball, that
+    wins where strictly better."""
+    sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
+    dirs = _grid_directions(center.size, n_angular)
+    shell = (np.linspace(0.0, R, n_radial)[:, None, None] * dirs).reshape(-1, center.size)
+    pts = center + np.array([1.0, 2.0])[:, None, None] * shell
+    vals = u.values(pts.reshape(-1, center.size)).reshape(2, -1)
+    idx = np.argmax(sign[:, None] * vals, axis=1)
+    x_best, v_best = pts[[0, 1], idx], vals[[0, 1], idx]
+    _, grad, hess = u.jets(x_best, 2)
+    try:
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return x_best, v_best
+    rows = np.flatnonzero(np.isfinite(step).all(axis=1))
+    x_try = x_best[rows] + step[rows]
+    offset, limit = x_try - center, radius[rows]
+    dist = np.linalg.norm(offset, axis=1)
+    out = dist > limit
+    x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
+    inside = u.domain.contains(x_try)
+    rows, x_try = rows[inside], x_try[inside]
+    if rows.size:
+        v_try = u.values(x_try)
+        better = sign[rows] * v_try > sign[rows] * v_best[rows]
+        x_best[rows[better]], v_best[rows[better]] = x_try[better], v_try[better]
     return x_best, v_best
 
 
 def harnack_product(u: ScalarField, R: float, center=None, *,
                     n_radial: int = 64, n_angular: int = 64,
-                    polish: bool = True, residual_check: int | None = None) -> HarnackReport:
+                    residual_check: int | None = None) -> HarnackReport:
     """Scaled Harnack product of u around a center.
 
-    Extrema are located on a deterministic radial-by-angular product grid
-    (n_radial shells, n_angular*(n-1) directions) with one Newton polish
-    step from the best grid cell; stochastic optimizers are deliberately
-    avoided so reports are reproducible. With residual_check=k, the
-    sigma_k residual of u is spot-checked on a few interior points and the
-    report flags whether u looks like a solution at all; the product of a
-    non-solution is not bounded by anything.
+    Extrema come from one batch evaluation of a deterministic grid (n_radial
+    shells times the 2n axes and n_angular*(n-1) Halton directions) over B_R
+    and, scaled by 2, over B_{2R}, then one batched polish step. A singular
+    hessian (LinAlgError, the only error caught) keeps both grid extrema; a
+    trial point with a non-finite Newton step or outside u's domain keeps
+    its grid value. With residual_check=k, the sigma_k residual of u is
+    spot-checked on a few points and the report flags whether u looks like
+    a solution at all; the product of a non-solution is bounded by nothing.
     """
     if not R > 0.0:
         raise ConfigError(f"radius R={R} must be positive")
@@ -233,18 +247,14 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
     n = u.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    axes = np.vstack([np.eye(n), -np.eye(n)])
-    dirs = np.vstack([axes, sphere_directions(max(1, n_angular * (n - 1)), n)])
-    argmax, max_br = _ball_extremum(u, center, R, dirs, n_radial, "max", polish)
-    argmin, min_2br = _ball_extremum(u, center, 2.0 * R, dirs, n_radial, "min", polish)
-    residual = None
-    looks_like = None
+    (argmax, argmin), vals = _harnack_cell(u, center, R, n_radial, n_angular)
+    max_br, min_2br = map(float, vals)
+    residual = looks_like = None
     if residual_check is not None:
-        k = int(residual_check)
         spots = box_points(8, n, halfwidth=R, center=center, start=57)
-        rep = verify_solution(u, n, k, sample_points=spots)
+        rep = verify_solution(u, n, int(residual_check), sample_points=spots)
         residual = rep.max_residual
-        looks_like = rep.max_residual <= 1e-6 and rep.min_margin > 0.0
+        looks_like = residual <= 1e-6 and rep.min_margin > 0.0
     return HarnackReport(R, max_br, min_2br, max_br * min_2br * R ** (n - 2.0),
                          argmax, argmin, residual, looks_like)
 
@@ -276,20 +286,17 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *, center=None,
     the empirical supremum is a lower bound for the sharp constant. Empty
     grids give an empty list.
     """
-    a_vals = [float(a) for a in np.atleast_1d(np.asarray(a_grid, dtype=float))] \
-        if np.size(a_grid) else []
-    r_vals = [float(r) for r in np.atleast_1d(np.asarray(R_grid, dtype=float))] \
-        if np.size(R_grid) else []
+    a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
+    r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
     if not a_vals or not r_vals:
         return []
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
-    fields = [("bubble", None)]
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_vals) + 0.5
-    for j in range(mobius_words):
-        fields.append((f"mobius{j}",
-                       random_mobius_map_avoiding(rng, n, center, clearance)))
+    fields = [("bubble", None)] + [
+        (f"mobius{j}", random_mobius_map_avoiding(rng, n, center, clearance))
+        for j in range(mobius_words)]
 
     rows = []
     for label, psi in fields:

@@ -405,21 +405,19 @@ class MobiusMap:
         return out
 
 
-def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3, *,
-                      translation_scale: float = 1.0,
-                      dilation_range: tuple[float, float] = (0.5, 2.0),
-                      p_inversion: float = 0.35) -> MobiusMap:
-    """Draw a random word of generators with bounded parameters."""
+def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3) -> MobiusMap:
+    """Draw a random word of n_atoms generators: each is an inversion with
+    probability 0.35, a standard normal translation or a log-uniform
+    dilation in [1/2, 2] with 0.25 each, and otherwise a random rotation."""
     atoms = []
     for _ in range(n_atoms):
         u = rng.uniform()
-        if u < p_inversion:
+        if u < 0.35:
             atoms.append(Inversion())
-        elif u < p_inversion + 0.25:
-            atoms.append(Translation(rng.normal(scale=translation_scale, size=n)))
-        elif u < p_inversion + 0.5:
-            lo, hi = dilation_range
-            atoms.append(Dilation(float(np.exp(rng.uniform(np.log(lo), np.log(hi))))))
+        elif u < 0.35 + 0.25:
+            atoms.append(Translation(rng.normal(size=n)))
+        elif u < 0.35 + 0.5:
+            atoms.append(Dilation(float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))))
         else:
             q, r = np.linalg.qr(rng.normal(size=(n, n)))
             q = q * np.sign(np.diag(r))
@@ -634,23 +632,17 @@ class KelvinProbeReport:
     plausible: bool
 
 
-def kelvin_regularity_probe(u: ScalarField, radius_sequence=None,
-                            n_directions: int = 16,
-                            grad_threshold: float = 1e-3) -> KelvinProbeReport:
-    """Probe the Kelvin image of u on a shrinking radius sequence.
+def kelvin_regularity_probe(u: ScalarField) -> KelvinProbeReport:
+    """Probe the Kelvin image of u on 12 radii from 0.5 down to 1e-3.
 
     u must be defined outside a compact set (probing v at radius rho reads
-    u at radius 1/rho). The decision threshold on |x||grad v| at the
-    smallest radius is configurable; the default 1e-3 is a pragmatic
-    cutoff, not a theorem.
+    u at radius 1/rho). Each radius is probed in 16 Halton directions. The
+    decision threshold 1e-3 on |x||grad v| at the smallest radius is a
+    pragmatic cutoff, not a theorem.
     """
-    if radius_sequence is None:
-        radius_sequence = np.geomspace(0.5, 1e-3, 12)
-    radii = np.asarray(radius_sequence, dtype=float)
-    if radii.size < 2 or np.any(np.diff(radii) >= 0.0):
-        raise ValueError("radius sequence must be strictly decreasing with >= 2 entries")
+    radii = np.geomspace(0.5, 1e-3, 12)
     v = kelvin_transform(u)
-    dirs = sphere_directions(n_directions, u.n)
+    dirs = sphere_directions(16, u.n)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, u.n)
     vals, grads, _ = v.jets(pts, 2)
     vals = vals.reshape(radii.size, -1)
@@ -662,6 +654,6 @@ def kelvin_regularity_probe(u: ScalarField, radius_sequence=None,
     # absolute floor keeps rounding noise on exactly-constant images from
     # breaking the decrease test
     monotone = bool(np.all(max_sg[1:] <= max_sg[:-1] * (1.0 + 1e-9) + 1e-12))
-    below = bool(max_sg[-1] < grad_threshold)
+    below = bool(max_sg[-1] < 1e-3)
     return KelvinProbeReport(radii, sup_v, inf_v, max_sg, positive, monotone,
                              below, positive and monotone and below)

@@ -42,6 +42,10 @@ __all__ = [
     "initial_guess",
 ]
 
+_NEWTON_TOL = 1e-10     # residual infinity norm at which Newton stops
+_MAX_NEWTON_ITER = 30   # Newton iterations per solve
+_MAX_BISECT = 10        # t-step bisections before continuation gives up
+
 
 @dataclass(frozen=True)
 class BvpSpec:
@@ -61,10 +65,6 @@ class BvpSpec:
     u_b: float
     m: int = 256
     t_path: np.ndarray | None = None
-    weight: np.ndarray | None = None
-    newton_tol: float = 1e-10
-    max_newton_iter: int = 30
-    max_bisect: int = 10
     use_kth_root: bool = False
     a_init: float | None = None
 
@@ -85,8 +85,6 @@ class BvpSpec:
                 or np.any(np.diff(path) <= 0.0):
             raise ConfigError("t_path must increase strictly from 0 to 1")
         object.__setattr__(self, "t_path", path)
-        if self.newton_tol <= 0.0:
-            raise ConfigError("newton_tol must be positive")
 
     @property
     def mesh(self) -> np.ndarray:
@@ -97,7 +95,7 @@ class BvpSpec:
         return self.r_b / self.m
 
     def operator(self, t: float) -> OperatorSpec:
-        return OperatorSpec(self.n, self.k, t, weight=self.weight)
+        return OperatorSpec(self.n, self.k, t)
 
 
 @dataclass
@@ -277,7 +275,7 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
 
     The line search halves the step on positivity loss, cone-margin loss,
     or a non-decreasing residual norm. Converges when the residual
-    infinity norm drops below spec.newton_tol, or below the float-lattice
+    infinity norm drops below _NEWTON_TOL, or below the float-lattice
     resolution of the residual (on fine meshes the 1/h^2 stencil amplifies
     one ulp of u past any fixed tolerance; see _attainable_residual).
     Raises NewtonError on an inadmissible initial state, a singular
@@ -299,11 +297,11 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     iters = 0
     while True:
         ab = state.jacobian_banded()
-        tol = max(spec.newton_tol, _attainable_residual(ab, x))
+        tol = max(_NEWTON_TOL, _attainable_residual(ab, x))
         if rnorm < tol:
             break
-        if iters >= spec.max_newton_iter:
-            raise NewtonError(f"Newton did not converge in {spec.max_newton_iter} "
+        if iters >= _MAX_NEWTON_ITER:
+            raise NewtonError(f"Newton did not converge in {_MAX_NEWTON_ITER} "
                               f"iterations (residual {rnorm:.3e})",
                               iterations=iters, residual=rnorm)
         try:
@@ -370,7 +368,7 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     """March the t-path from the sigma_1-type endpoint to pure sigma_k.
 
     Each converged solution seeds the next solve. A failed solve bisects
-    the current t-step, up to spec.max_bisect times; exhaustion raises
+    the current t-step, up to _MAX_BISECT times; exhaustion raises
     PathError carrying the last good t. Returns the t = 1 profile and the
     full trace (failed attempts included).
     """
@@ -399,10 +397,10 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
                                          else float("nan"),
                                          float("nan"), float("nan")))
             depth += 1
-            if depth > spec.max_bisect:
+            if depth > _MAX_BISECT:
                 raise PathError(
                     f"continuation stalled between t={cur_t} and t={tgt} "
-                    f"after {spec.max_bisect} bisections",
+                    f"after {_MAX_BISECT} bisections",
                     last_good_t=cur_t, trace=trace) from exc
             targets.insert(0, 0.5 * (cur_t + tgt))
             continue

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
+_MAX_STEPS = 200000  # step budget of one shot
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
     Returns (u'', cone margin of the resulting pair). A vanishing linear
     coefficient (lam_tan^{k-1} = 0 with k >= 2) is a cone-boundary failure;
     a solved pair with strictly negative margin means the demanded value
-    sits on an inadmissible branch, and both raise ConeDomainError. A zero
-    margin (boundary) is returned, not raised.
+    sits on an inadmissible branch; these and a float overflow raise
+    ConeDomainError. A zero margin (boundary) is returned, not raised.
     """
     if n < 3:
         raise ValueError(f"dimension n={n} must be >= 3")
@@ -131,31 +132,34 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
     if not u > 0.0:
         raise PositivityError(f"radial value u={u} not positive at r={r}",
                               where=r, value=u)
-    b, d, e1, e2 = _coeffs(n)
-    q1 = u ** e1
-    q2 = u ** e2
-    if r == 0.0:
-        if abs(du) > 1e-9:
-            raise ValueError(f"du={du} must vanish at the origin")
-        if rhs < 0.0:
-            raise ConeDomainError("negative right-hand side has no admissible "
-                                  "isotropic state", margin=rhs)
-        lam0 = (rhs / math.comb(n, k)) ** (1.0 / k)
-        d2u = -lam0 / (b * q1)
-        return d2u, _pair_sigma(lam0, lam0, n, k)[0]
-    lam_tan = -b * q1 * (du / r) - d * q2 * du * du
-    coeff = math.comb(n - 1, k - 1) * lam_tan ** (k - 1)
-    if abs(coeff) < 1e-14 * max(1.0, abs(rhs)):
-        raise ConeDomainError(
-            f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
-            f"for u'' at r={r}", margin=lam_tan, where=r)
-    lam_rad = (rhs - math.comb(n - 1, k) * lam_tan ** k) / coeff
-    d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
-    margin, _ = _pair_sigma(lam_rad, lam_tan, n, k)
-    if margin < 0.0:
-        raise ConeDomainError(
-            f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
-    return d2u, margin
+    try:
+        b, d, e1, e2 = _coeffs(n)
+        q1 = u ** e1
+        q2 = u ** e2
+        if r == 0.0:
+            if abs(du) > 1e-9:
+                raise ValueError(f"du={du} must vanish at the origin")
+            if rhs < 0.0:
+                raise ConeDomainError("negative right-hand side has no admissible "
+                                      "isotropic state", margin=rhs)
+            lam0 = (rhs / math.comb(n, k)) ** (1.0 / k)
+            d2u = -lam0 / (b * q1)
+            return d2u, _pair_sigma(lam0, lam0, n, k)[0]
+        lam_tan = -b * q1 * (du / r) - d * q2 * du * du
+        coeff = math.comb(n - 1, k - 1) * lam_tan ** (k - 1)
+        if abs(coeff) < 1e-14 * max(1.0, abs(rhs)):
+            raise ConeDomainError(
+                f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
+                f"for u'' at r={r}", margin=lam_tan, where=r)
+        lam_rad = (rhs - math.comb(n - 1, k) * lam_tan ** k) / coeff
+        d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
+        margin, _ = _pair_sigma(lam_rad, lam_tan, n, k)
+        if margin < 0.0:
+            raise ConeDomainError(
+                f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
+        return d2u, margin
+    except OverflowError as exc:  # a power of u or lam_tan left the float range
+        raise ConeDomainError(f"eigenvalue powers overflow at r={r}", where=r) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +210,7 @@ def _rk4_step(g, r, u, p, h):
 
 
 def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
-          tol: float = 1e-12, h_init: float = 1e-3, h_max: float | None = None,
-          fixed_step: float | None = None, max_steps: int = 200000) -> RadialProfile:
+          tol: float = 1e-12, fixed_step: float | None = None) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
     Starts from u(0) = u0, u'(0) = 0 with the curvature solving the
@@ -242,9 +245,8 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
         raise ConeBoundaryError("cone margin vanishes already at the origin",
                                 r=0.0, margin=margin0)
 
-    h = fixed_step if fixed_step is not None else h_init
-    if h_max is None:
-        h_max = max(r_max / 50.0, h)
+    h = fixed_step if fixed_step is not None else 1e-3
+    h_max = max(r_max / 50.0, h)
     r1 = min(h, r_max)
     u1 = u0 + 0.5 * u2_0 * r1 * r1 + u4_0 * r1 ** 4 / 24.0
     p1 = u2_0 * r1 + u4_0 * r1 ** 3 / 6.0
@@ -255,8 +257,8 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
     r, u, p = r1, u1, p1
     steps = 0
     while r < r_max * (1.0 - 1e-14):
-        if steps >= max_steps:
-            raise SigmakLabError(f"step budget {max_steps} exhausted at r={r}")
+        if steps >= _MAX_STEPS:
+            raise SigmakLabError(f"step budget {_MAX_STEPS} exhausted at r={r}")
         steps += 1
         h = min(h, r_max - r)
         try:

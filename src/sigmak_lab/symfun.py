@@ -247,10 +247,10 @@ def check_ellipticity(spec: OperatorSpec, lam) -> float:
     return float(np.min(f_homotopy_gradient(lam, spec, check_domain=False)))
 
 
-def check_concavity(k: int, lam, mu, slack: float = 1e-12) -> bool:
+def check_concavity(k: int, lam, mu) -> bool:
     """Midpoint concavity of sigma_k^{1/k} on the segment [lam, mu] in Gamma_k.
 
-    Verifies sigma_k^{1/k}((lam+mu)/2) >= (sigma_k^{1/k}(lam) + sigma_k^{1/k}(mu))/2 - slack.
+    Verifies sigma_k^{1/k}((lam+mu)/2) >= (sigma_k^{1/k}(lam) + sigma_k^{1/k}(mu))/2 - 1e-12.
     Both endpoints must lie in Gamma_k.
     """
     lam = _as_lambda(lam)
@@ -265,4 +265,4 @@ def check_concavity(k: int, lam, mu, slack: float = 1e-12) -> bool:
     root = 1.0 / k
     mid = sigma(0.5 * (lam + mu), k) ** root
     avg = 0.5 * (sigma(lam, k) ** root + sigma(mu, k) ** root)
-    return bool(mid >= avg - slack)
+    return bool(mid >= avg - 1e-12)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
+from sigmak_lab import bubbles
 from sigmak_lab.errors import ConfigError, PositivityError
+from sigmak_lab.halton import sphere_directions
 
 from fd_oracles import fd_jet_of_field
 
@@ -206,6 +208,75 @@ def test_harnack_rejects_nonpositive_fields():
     u = sl.ScalarField(n, evaluator)
     with pytest.raises(PositivityError):
         sl.harnack_product(u, 1.0)
+
+
+def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
+    bubbles._grid_directions.cache_clear()
+    calls = []
+
+    def counting(count, dim):
+        calls.append((count, dim))
+        return sphere_directions(count, dim)
+
+    monkeypatch.setattr(bubbles, "sphere_directions", counting)
+    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, 25), [1.0],
+                            n_radial=8, n_angular=4)
+    assert len(rows) == 25
+    assert calls == [(8, 3)]
+    bubbles._grid_directions.cache_clear()
+
+
+def test_harnack_grid_directions_are_read_only():
+    dirs = bubbles._grid_directions(4, 6)
+    assert dirs.shape == (2 * 4 + 6 * 3, 4)
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 2.0
+
+
+def test_harnack_polish_keeps_grid_value_outside_the_domain():
+    # u = 1 + |x - p|^2 / 2: every Newton step lands on p, which projects
+    # onto 2 p_hat, the exact minimum over B_2. A ball domain shifted
+    # against p_hat holds every grid point but not 2 p_hat.
+    n = 3
+    p_hat = np.ones(n) / math.sqrt(n)
+    p = 10.0 * p_hat
+
+    def jets(X, order):
+        d = X - p
+        val = 1.0 + 0.5 * np.einsum("ij,ij->i", d, d)
+        if not order:
+            return val, None, None
+        return val, d, np.broadcast_to(np.eye(n), (len(X), n, n))
+
+    shift = -0.5 * p_hat
+    grid = 2.0 * np.linspace(0.0, 1.0, 3)[:, None, None] \
+        * bubbles._grid_directions(n, 2)[None]
+    reach = np.linalg.norm(grid.reshape(-1, n) - shift, axis=1).max()
+    rho = 0.5 * (reach + 2.5)
+    assert reach < rho < 2.5
+    grid_min = 1.0 + 0.5 * np.min(np.sum((grid.reshape(-1, n) - p) ** 2, axis=1))
+    exact_min = 1.0 + 0.5 * 8.0 ** 2
+
+    whole = sl.ScalarField(n, jets=jets)
+    rep = sl.harnack_product(whole, 1.0, n_radial=3, n_angular=2)
+    assert rep.min_2br == pytest.approx(exact_min, rel=1e-14)
+    assert rep.min_2br < grid_min
+
+    shifted = sl.ScalarField(n, jets=jets, domain=sl.Domain(
+        kind="ball", center=shift, r_outer=rho))
+    rep = sl.harnack_product(shifted, 1.0, n_radial=3, n_angular=2)
+    assert rep.min_2br == pytest.approx(grid_min, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 2), (5, 3)])
+def test_harnack_of_a_profile_on_exactly_the_double_ball(n, k):
+    # the reconstructed field's domain is exactly B_2R: the grid's outer
+    # shell and the polish trial points projected onto it sit on its edge
+    c = sl.c_constant(n, k)
+    field = sl.profile_to_field(sl.shoot(c, n, k, 2.0))
+    rep = sl.harnack_product(field, 1.0)
+    exact = _bubble_value(n, k, 1.0, 0.0) * _bubble_value(n, k, 1.0, 2.0)
+    assert rep.product_scaled == pytest.approx(exact, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

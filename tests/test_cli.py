@@ -93,6 +93,14 @@ def test_solve_radial_short_domain_flags_tail(capsys):
     assert "insufficient tail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", ["20", "40"])
+def test_solve_radial_power_overflow_is_a_numerical_failure(k, capsys):
+    # lam_tan^(k-1) overflows a float during the integration at n = 40
+    assert main(["solve-radial", "--n", "40", "--k", k]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "unexpected failure" not in err
+
+
 # ---------------------------------------------------------------------------
 # homotopy
 # ---------------------------------------------------------------------------
