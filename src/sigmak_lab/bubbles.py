@@ -26,8 +26,8 @@ import numpy as np
 
 from .conformal import ScalarField, Domain, _checked_jets, _schouten_batch, \
     random_mobius_map_avoiding, transform_field
-from .errors import ConfigError, PositivityError
-from .halton import box_points, sphere_directions
+from .errors import ConfigError, PositivityError, check_positive
+from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
 __all__ = [
@@ -70,8 +70,7 @@ class BubbleSpec:
             raise ConfigError(f"dimension n={self.n} must be >= 3")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"cone index k={self.k} outside 1..{self.n}")
-        if not self.a > 0.0:
-            raise ConfigError(f"scale a={self.a} must be positive")
+        check_positive("scale a", self.a)
         c = np.zeros(self.n) if self.center is None else np.asarray(self.center, dtype=float)
         if c.shape != (self.n,):
             raise ConfigError(f"center must have shape ({self.n},)")
@@ -125,11 +124,11 @@ class SolutionReport:
     first_violation: np.ndarray | None
 
 
-def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
-                    n_samples: int = 1000) -> SolutionReport:
-    """Check |sigma_k(lambda(A(u))) - 1| and the Gamma_k margin pointwise.
+def verify_solution(u: ScalarField, n: int, k: int, sample_points) -> SolutionReport:
+    """Check |sigma_k(lambda(A(u))) - 1| and the Gamma_k margin at each row of
+    sample_points (N, n).
 
-    Samples default to a Halton set in the box [-3, 3]^n, so reports are
+    Deterministic samples (such as `halton.box_points`) make reports
     reproducible bit for bit. All jets are analytic; no differencing. Ties
     go to the first sample: for the worst residual, the smallest margin and
     the first violation alike.
@@ -138,8 +137,6 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points=None, *,
         raise ValueError(f"field dimension {u.n} does not match n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} outside 1..{n}")
-    if sample_points is None:
-        sample_points = box_points(n_samples, n, halfwidth=3.0)
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise ConfigError("verification needs a nonempty (N, n) sample set")
@@ -173,8 +170,6 @@ class HarnackReport:
     product_scaled: float
     argmax: np.ndarray
     argmin: np.ndarray
-    equation_residual: float | None = None
-    solution_like: bool | None = None
 
     def __post_init__(self):
         if not (self.R > 0.0 and self.max_br > 0.0 and self.min_2br > 0.0
@@ -184,12 +179,9 @@ class HarnackReport:
 
 @functools.lru_cache
 def _grid_directions(n: int, n_angular: int) -> np.ndarray:
-    """Read-only grid directions: the 2n axes, then n_angular*(n-1) Halton ones
-    stepped inward to a computed norm <= 1 (a shell 2R = 2 fits a ball of radius 2)."""
+    """Read-only grid directions: the 2n axes, then n_angular*(n-1) Halton ones."""
     dirs = np.vstack([np.eye(n), -np.eye(n),
                       sphere_directions(max(1, n_angular * (n - 1)), n)])
-    while (over := np.linalg.norm(dirs, axis=1) > 1.0).any():
-        dirs[over] = np.nextafter(dirs[over], 0.0)
     dirs.flags.writeable = False
     return dirs
 
@@ -228,35 +220,26 @@ def _harnack_cell(u: ScalarField, center: np.ndarray, R: float, n_radial: int,
 
 
 def harnack_product(u: ScalarField, R: float, center=None, *,
-                    n_radial: int = 64, n_angular: int = 64,
-                    residual_check: int | None = None) -> HarnackReport:
-    """Scaled Harnack product of u around a center.
+                    n_radial: int = 64, n_angular: int = 64) -> HarnackReport:
+    """Scaled Harnack product of u around a center (the origin if None).
 
     Extrema come from one batch evaluation of a deterministic grid (n_radial
     shells times the 2n axes and n_angular*(n-1) Halton directions) over B_R
     and, scaled by 2, over B_{2R}, then one batched polish step. A singular
     hessian (LinAlgError, the only error caught) keeps both grid extrema; a
     trial point with a non-finite Newton step or outside u's domain keeps
-    its grid value. With residual_check=k, the sigma_k residual of u is
-    spot-checked on a few points and the report flags whether u looks like
-    a solution at all; the product of a non-solution is bounded by nothing.
+    its grid value. The product is bounded only on solutions; whether u is
+    one is for `verify_solution` to say.
     """
-    if not R > 0.0:
-        raise ConfigError(f"radius R={R} must be positive")
+    check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
     n = u.n
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     (argmax, argmin), vals = _harnack_cell(u, center, R, n_radial, n_angular)
     max_br, min_2br = map(float, vals)
-    residual = looks_like = None
-    if residual_check is not None:
-        spots = box_points(8, n, halfwidth=R, center=center, start=57)
-        rep = verify_solution(u, n, int(residual_check), sample_points=spots)
-        residual = rep.max_residual
-        looks_like = residual <= 1e-6 and rep.min_margin > 0.0
     return HarnackReport(R, max_br, min_2br, max_br * min_2br * R ** (n - 2.0),
-                         argmax, argmin, residual, looks_like)
+                         argmax, argmin)
 
 
 @dataclass(frozen=True)
@@ -273,14 +256,15 @@ class SweepRow:
     product_scaled: float
 
 
-def harnack_sweep(n: int, k: int, a_grid, R_grid, *, center=None,
+def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
                   n_radial: int = 64, n_angular: int = 64,
                   mobius_words: int = 0, seed: int = 0) -> list[SweepRow]:
-    """Harnack products over the (a, R) grid of centered family members.
+    """Harnack products over the (a, R) grid of family members centered at
+    the origin, around the origin.
 
-    With mobius_words > 0, additional rows sweep random word images of the
-    a = 1 member; words whose poles land inside B_{3R+1/2} of the probe
-    center, R the largest radius, are redrawn, since the product is only
+    With mobius_words > 0, additional rows sweep random word images of
+    each member; words whose poles land inside B_{3R+1/2} of the origin,
+    R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
     Rows come back in fixed order (label-major, then a-major, then R), and
     the empirical supremum is a lower bound for the sharp constant. Empty
@@ -290,22 +274,19 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *, center=None,
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
     if not a_vals or not r_vals:
         return []
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_vals) + 0.5
     fields = [("bubble", None)] + [
-        (f"mobius{j}", random_mobius_map_avoiding(rng, n, center, clearance))
+        (f"mobius{j}", random_mobius_map_avoiding(rng, n, np.zeros(n), clearance))
         for j in range(mobius_words)]
 
     rows = []
     for label, psi in fields:
         for a in a_vals:
-            base = bubble_field(BubbleSpec(n, k, a, center=center))
+            base = bubble_field(BubbleSpec(n, k, a))
             fld = base if psi is None else transform_field(base, psi)
             for R in r_vals:
-                rep = harnack_product(fld, R, center=center,
-                                      n_radial=n_radial, n_angular=n_angular)
+                rep = harnack_product(fld, R, n_radial=n_radial, n_angular=n_angular)
                 rows.append(SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br,
                                      rep.product_scaled))
     return rows

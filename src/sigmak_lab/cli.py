@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding, transform_field
-from .errors import ConfigError, SigmakLabError
+from .errors import ConfigError, SigmakLabError, check_positive
 from .halton import box_points
 
 CSV_HEADER = "# sigmak-lab v1"
@@ -39,16 +39,18 @@ def _parse_grid(text: str) -> np.ndarray:
     if not text:
         return np.empty(0)
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"bad grid spec {text!r} (want start:stop:count[log])")
-    start, stop = float(parts[0]), float(parts[1])
-    count_text = parts[2]
-    log = count_text.endswith("log")
-    if log:
-        count_text = count_text[:-3]
-    count = int(count_text)
+    try:
+        if len(parts) == 1:
+            return np.array([float(parts[0])])
+        start, stop = float(parts[0]), float(parts[1])
+        log = parts[2].endswith("log")
+        count = int(parts[2].removesuffix("log"))
+    except ValueError as exc:
+        raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
+    if not np.isfinite([start, stop]).all():
+        raise ConfigError(f"grid endpoints in {text!r} must be finite")
     if count <= 0:
         return np.empty(0)
     if count == 1:
@@ -82,14 +84,10 @@ def _csv(lines: list[str]) -> str:
 
 def cmd_verify_bubble(args) -> int:
     _check_nk(args.n, args.k)
-    if args.a <= 0.0:
-        raise ConfigError(f"scale a={args.a} must be positive")
-    if args.tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
-    if not args.box > 0.0:
-        raise ConfigError(f"box half-width {args.box} must be positive")
+    check_positive("--box", args.box)
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
     base = bubbles.bubble_field(spec)
     pts = box_points(args.samples, args.n, halfwidth=args.box)
@@ -134,12 +132,9 @@ def cmd_verify_bubble(args) -> int:
 
 def cmd_solve_radial(args) -> int:
     _check_nk(args.n, args.k)
-    if args.u0 is not None and args.u0 <= 0.0:
-        raise ConfigError(f"initial value u0={args.u0} must be positive")
-    if args.rmax <= 0.0:
-        raise ConfigError(f"rmax={args.rmax} must be positive")
-    if args.tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    if args.u0 is not None:
+        check_positive("--u0", args.u0)
+    check_positive("--tol", args.tol)
     u0 = args.u0 if args.u0 is not None else bubbles.c_constant(args.n, args.k)
     profile = radial.shoot(u0, args.n, args.k, args.rmax, tol=args.tol)
     report = radial.liouville_report(profile)
@@ -165,8 +160,7 @@ def cmd_homotopy(args) -> int:
     _check_nk(args.n, args.k)
     if args.steps < 1:
         raise ConfigError(f"steps={args.steps} must be >= 1")
-    if args.a <= 0.0:
-        raise ConfigError(f"target scale a={args.a} must be positive")
+    check_positive("--a", args.a)
     m_exp = (args.n - 2.0) / 2.0
     u_b = args.ub if args.ub is not None else \
         bubbles.c_constant(args.n, args.k) \

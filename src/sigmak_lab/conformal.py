@@ -136,19 +136,17 @@ def _schouten_batch(u, g, h) -> np.ndarray:
         - (c3 * q2 * gg)[:, None, None] * np.eye(n)
 
 
-def schouten_flat(jet: Jet2, n: int | None = None) -> np.ndarray:
+def schouten_flat(jet: Jet2) -> np.ndarray:
     """Schouten-type matrix A(u) of a 2-jet over the flat background."""
-    if n is not None and n != jet.point.size:
-        raise ValueError(f"dimension tag {n} does not match the jet point")
     if not jet.u > 0.0:
         raise PositivityError("schouten_flat requires u > 0", where=jet.point, value=jet.u)
     return _schouten_batch(np.array([jet.u], dtype=float), jet.grad[None],
                            jet.hess[None])[0]
 
 
-def schouten_spectrum(jet: Jet2, n: int | None = None) -> np.ndarray:
+def schouten_spectrum(jet: Jet2) -> np.ndarray:
     """Ascending eigenvalues of the flat Schouten matrix at a jet."""
-    return np.linalg.eigvalsh(schouten_flat(jet, n))
+    return np.linalg.eigvalsh(schouten_flat(jet))
 
 
 @dataclass
@@ -441,9 +439,15 @@ def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
 # scalar fields
 # ---------------------------------------------------------------------------
 
+_RADIUS_SLACK = 1e-12  # relative tolerance of Domain radii
+
+
 @dataclass(frozen=True)
 class Domain:
-    """Where a field is defined: all of R^n, a ball, an annulus, or an exterior."""
+    """Where a field is defined: all of R^n ("rn"), a closed ball ("ball",
+    |x - center| <= r_outer) or an exterior ("exterior", |x - center| >=
+    r_inner). Radii are matched within a relative 1e-12, so a point built
+    as fl(R * direction) on the boundary sphere counts as inside."""
 
     kind: str = "rn"
     center: np.ndarray | None = None
@@ -458,11 +462,9 @@ class Domain:
         c = self.center if self.center is not None else np.zeros(x.shape[-1])
         r = np.linalg.norm(x - c, axis=-1)
         if self.kind == "ball":
-            return r <= self.r_outer
-        if self.kind == "annulus":
-            return (self.r_inner <= r) & (r <= self.r_outer)
+            return r <= self.r_outer * (1.0 + _RADIUS_SLACK)
         if self.kind == "exterior":
-            return r >= self.r_inner
+            return r >= self.r_inner * (1.0 - _RADIUS_SLACK)
         raise ValueError(f"unknown domain kind {self.kind!r}")
 
 

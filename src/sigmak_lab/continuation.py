@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .bubbles import c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
-    PositivityError
+    PositivityError, check_positive
 from .radial import RadialProfile, _coeffs
-from .symfun import OperatorSpec, _cone_margin, _esym_all_batch, _esym_gradient_batch
+from .symfun import OperatorSpec, _cone_margin, _esym_all_batch, _esym_gradient_batch, \
+    _uniform_chain, _uniform_mix
 
 __all__ = [
     "BvpSpec",
@@ -73,10 +74,8 @@ class BvpSpec:
             raise ConfigError(f"dimension n={self.n} must be >= 3")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"cone index k={self.k} outside 1..{self.n}")
-        if not self.r_b > 0.0:
-            raise ConfigError(f"domain radius r_b={self.r_b} must be positive")
-        if not self.u_b > 0.0:
-            raise ConfigError(f"boundary value u_b={self.u_b} must be positive")
+        check_positive("domain radius r_b", self.r_b)
+        check_positive("boundary value u_b", self.u_b)
         if self.m < 16:
             raise ConfigError(f"mesh size m={self.m} must be >= 16")
         path = np.linspace(0.0, 1.0, 11) if self.t_path is None \
@@ -117,16 +116,7 @@ class ContinuationTrace:
     records: list[TRecord] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = [{"t": r.t, "converged": r.converged, "iters": r.iters,
-                    "residual": r.residual, "cone_margin": r.cone_margin,
-                    "ellipticity": r.ellipticity} for r in self.records]
-        return json.dumps(payload, indent=2) + "\n"
-
-
-def _values_from(initial) -> np.ndarray:
-    if isinstance(initial, RadialProfile):
-        return np.array(initial.u, dtype=float)
-    return np.array(initial, dtype=float)
+        return json.dumps([asdict(r) for r in self.records], indent=2) + "\n"
 
 
 class _NodeState:
@@ -140,7 +130,7 @@ class _NodeState:
             bad = int(np.argmin(u))
             raise PositivityError(f"nonpositive node value u[{bad}]={u[bad]}",
                                   where=bad, value=float(u[bad]))
-        op = spec.operator(t)
+        spec.operator(t)  # validates t
         r = spec.mesh[1:-1]
         ui = u[1:-1]
         up = (u[2:] - u[:-2]) / (2.0 * h)
@@ -156,10 +146,9 @@ class _NodeState:
         lam = np.empty((r.size, n))
         lam[:, 0] = lam_rad
         lam[:, 1:] = lam_tan[:, None]
-        w = op.weight
-        mixed = t * lam + (1.0 - t) * lam.sum(axis=1)[:, None] * w[None, :]
+        mixed = _uniform_mix(lam, t)
         e = _esym_all_batch(mixed)
-        self.spec, self.t, self.op = spec, t, op
+        self.spec, self.t = spec, t
         self.u, self.r, self.ui, self.up, self.upp = u, r, ui, up, upp
         self.q1, self.q2, self.lam_tan, self.lam_rad = q1, q2, lam_tan, lam_rad
         self.mixed, self.esym = mixed, e
@@ -181,9 +170,7 @@ class _NodeState:
 
     def df_dlam(self) -> np.ndarray:
         """Row-wise gradient of f_t w.r.t. the eigenvalue vector."""
-        op = self.op
-        g = _esym_gradient_batch(self.mixed, op.k)
-        return op.t * g + (1.0 - op.t) * (g @ op.weight)[:, None]
+        return _uniform_chain(_esym_gradient_batch(self.mixed, self.spec.k), self.t)
 
     def ellipticity(self) -> float:
         return float(self.df_dlam().min())
@@ -252,7 +239,7 @@ def _attainable_residual(ab: np.ndarray, u: np.ndarray) -> float:
 def assemble_residual(initial, spec: BvpSpec, t: float) -> np.ndarray:
     """Discrete residual of a nodal state: u'(0) row, interior equation rows,
     boundary row. Raises ConeDomainError when a node leaves (Gamma_k)_t."""
-    state = _NodeState(_values_from(initial), spec, t)
+    state = _NodeState(np.array(initial, dtype=float), spec, t)
     worst = float(state.margins.min())
     if worst <= 0.0:
         node = int(np.argmin(state.margins)) + 1
@@ -263,7 +250,7 @@ def assemble_residual(initial, spec: BvpSpec, t: float) -> np.ndarray:
 
 def assemble_jacobian(initial, spec: BvpSpec, t: float) -> np.ndarray:
     """Dense Jacobian of the discrete residual (for verification)."""
-    state = _NodeState(_values_from(initial), spec, t)
+    state = _NodeState(np.array(initial, dtype=float), spec, t)
     if float(state.margins.min()) <= 0.0:
         raise ConeDomainError(f"state outside (Gamma_{spec.k})_t",
                               margin=float(state.margins.min()))
@@ -281,7 +268,7 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     Raises NewtonError on an inadmissible initial state, a singular
     Jacobian, a stalled line search, or iteration exhaustion.
     """
-    x = _values_from(initial)
+    x = np.array(initial, dtype=float)
     try:
         state = _NodeState(x, spec, t)
     except PositivityError as exc:
@@ -374,18 +361,8 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     """
     trace = ContinuationTrace()
     x = initial_guess(spec)
-    path = list(spec.t_path)
-    cur_t = path[0]
-    try:
-        x, rec = newton_solve(x, spec, cur_t)
-        trace.records.append(rec)
-    except NewtonError as exc:
-        trace.records.append(TRecord(cur_t, False, exc.iterations or 0,
-                                     exc.residual if exc.residual is not None
-                                     else float("nan"), float("nan"), float("nan")))
-        raise PathError(f"no solution at the starting parameter t={cur_t}",
-                        last_good_t=None, trace=trace) from exc
-    targets = path[1:]
+    targets = list(spec.t_path)
+    cur_t = None  # no solve has converged yet
     depth = 0
     while targets:
         tgt = targets[0]
@@ -396,6 +373,9 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
                                          exc.residual if exc.residual is not None
                                          else float("nan"),
                                          float("nan"), float("nan")))
+            if cur_t is None:
+                raise PathError(f"no solution at the starting parameter t={tgt}",
+                                last_good_t=None, trace=trace) from exc
             depth += 1
             if depth > _MAX_BISECT:
                 raise PathError(
@@ -404,8 +384,7 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
                     last_good_t=cur_t, trace=trace) from exc
             targets.insert(0, 0.5 * (cur_t + tgt))
             continue
-        x = x_new
-        cur_t = tgt
+        x, cur_t = x_new, tgt
         targets.pop(0)
         depth = 0
         trace.records.append(rec)

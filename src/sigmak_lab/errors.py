@@ -13,6 +13,12 @@ class ConfigError(SigmakLabError, ValueError):
     """Invalid user-facing configuration (CLI flags, spec fields)."""
 
 
+def check_positive(name: str, value) -> None:
+    """ConfigError unless 0 < value < inf (nan fails both comparisons)."""
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{name}={value!r} must be positive and finite")
+
+
 class PositivityError(SigmakLabError, ValueError):
     """A quantity that must stay strictly positive failed to."""
 

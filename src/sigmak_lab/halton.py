@@ -8,6 +8,8 @@ than from a stateful RNG.
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ConfigError
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -29,9 +31,9 @@ def halton_sequence(count: int, dim: int, start: int = 20) -> np.ndarray:
     sequence are badly correlated across bases.
     """
     if dim > len(_PRIMES):
-        raise ValueError(f"halton sampling supports dim <= {len(_PRIMES)}")
+        raise ConfigError(f"halton sampling supports dim <= {len(_PRIMES)}")
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise ConfigError("count must be nonnegative")
     pts = np.empty((count, dim))
     for j in range(dim):
         base = _PRIMES[j]
@@ -39,23 +41,18 @@ def halton_sequence(count: int, dim: int, start: int = 20) -> np.ndarray:
     return pts
 
 
-def box_points(count: int, dim: int, halfwidth: float = 3.0, center=None,
-               start: int = 20) -> np.ndarray:
-    """Halton points mapped affinely into the cube center +- halfwidth."""
-    pts = halton_sequence(count, dim, start=start)
-    pts = (2.0 * pts - 1.0) * halfwidth
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+def box_points(count: int, dim: int, halfwidth: float = 3.0) -> np.ndarray:
+    """Halton points mapped affinely into the cube [-halfwidth, halfwidth]^dim."""
+    return (2.0 * halton_sequence(count, dim) - 1.0) * halfwidth
 
 
-def sphere_directions(count: int, dim: int, start: int = 101) -> np.ndarray:
+def sphere_directions(count: int, dim: int) -> np.ndarray:
     """Deterministic, roughly equidistributed unit vectors.
 
     Halton points are pushed through the normal quantile and normalized;
     the image of a spherically symmetric law is uniform on the sphere.
     """
-    u = halton_sequence(count, dim, start=start)
+    u = halton_sequence(count, dim, start=101)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     # a zero row cannot occur after clipping, but guard the division anyway

@@ -19,8 +19,10 @@ sigma_k of the pair is linear in lam_rad,
 
     sigma_k = C(n-1, k-1) lam_tan^{k-1} lam_rad + C(n-1, k) lam_tan^k,
 
-so the curvature u'' demanded by sigma_k = rhs is a linear solve and no
-root-branch ambiguity exists: shooting suffices. Integration uses a
+so the curvature u'' demanded by sigma_k = 1 is a linear solve and no
+root-branch ambiguity exists: shooting suffices. A constant right-hand side
+c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
+solves sigma_k = c exactly when u solves sigma_k = 1. Integration uses a
 classic fourth-order Runge-Kutta scheme, adaptive by step doubling, with a
 series start at the origin (u'/r is not directly evaluable there). The
 run aborts cleanly when positivity or the cone margin is lost; past the
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import BubbleSpec, bubble_field, c_constant
+from .bubbles import c_constant
 from .conformal import Domain, ScalarField
 from .errors import ConeBoundaryError, ConeDomainError, PositivityError, \
-    SigmakLabError, StepUnderflowError
+    SigmakLabError, StepUnderflowError, check_positive
 
 __all__ = [
     "EigenPair",
@@ -55,6 +57,7 @@ __all__ = [
 
 _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
 _MAX_STEPS = 200000  # step budget of one shot
+_TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,8 @@ def _pair_sigma(lam_rad: float, lam_tan: float, n: int, k: int) -> tuple[float, 
     return margin, s
 
 
-def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
-                 rhs: float = 1.0) -> tuple[float, float]:
-    """The unique u'' making sigma_k of the radial eigenpair equal rhs.
+def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, float]:
+    """The unique u'' making sigma_k of the radial eigenpair equal 1.
 
     Returns (u'', cone margin of the resulting pair). A vanishing linear
     coefficient (lam_tan^{k-1} = 0 with k >= 2) is a cone-boundary failure;
@@ -139,19 +141,16 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int,
         if r == 0.0:
             if abs(du) > 1e-9:
                 raise ValueError(f"du={du} must vanish at the origin")
-            if rhs < 0.0:
-                raise ConeDomainError("negative right-hand side has no admissible "
-                                      "isotropic state", margin=rhs)
-            lam0 = (rhs / math.comb(n, k)) ** (1.0 / k)
+            lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
             d2u = -lam0 / (b * q1)
             return d2u, _pair_sigma(lam0, lam0, n, k)[0]
         lam_tan = -b * q1 * (du / r) - d * q2 * du * du
         coeff = math.comb(n - 1, k - 1) * lam_tan ** (k - 1)
-        if abs(coeff) < 1e-14 * max(1.0, abs(rhs)):
+        if abs(coeff) < 1e-14:
             raise ConeDomainError(
                 f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
                 f"for u'' at r={r}", margin=lam_tan, where=r)
-        lam_rad = (rhs - math.comb(n - 1, k) * lam_tan ** k) / coeff
+        lam_rad = (1.0 - math.comb(n - 1, k) * lam_tan ** k) / coeff
         d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
         margin, _ = _pair_sigma(lam_rad, lam_tan, n, k)
         if margin < 0.0:
@@ -209,7 +208,7 @@ def _rk4_step(g, r, u, p, h):
             p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
 
-def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
+def shoot(u0: float, n: int, k: int, r_max: float, *,
           tol: float = 1e-12, fixed_step: float | None = None) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
@@ -223,27 +222,25 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
 
     Aborts with ConeBoundaryError when the cone margin falls below 1e-10,
     PositivityError when u does, StepUnderflowError when no admissible
-    step remains.
+    step remains. The isotropic start has margin 1 (its sigma_j is
+    C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j),
+    so the origin itself is never at the boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
-    if not r_max > 0.0:
-        raise ValueError(f"r_max={r_max} must be positive")
+    check_positive("initial value u0", u0)
+    check_positive("r_max", r_max)
     if n < 3 or not 1 <= k <= n:
         raise ValueError(f"bad (n, k) = ({n}, {k})")
 
     def g(r, u, p):
-        return solve_for_u2(u, p, r, n, k, rhs)[0]
+        return solve_for_u2(u, p, r, n, k)[0]
 
     # series start: u ~ u0 + u2 r^2/2 + u4 r^4/24, odd terms vanish
-    u2_0, margin0 = solve_for_u2(u0, 0.0, 0.0, n, k, rhs)
+    u2_0, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
     delta = 1e-3
     g_probe = g(delta, u0 + 0.5 * u2_0 * delta * delta, u2_0 * delta)
     u4_0 = 2.0 * (g_probe - u2_0) / (delta * delta)
-
-    if margin0 < _MARGIN_FLOOR:
-        raise ConeBoundaryError("cone margin vanishes already at the origin",
-                                r=0.0, margin=margin0)
 
     h = fixed_step if fixed_step is not None else 1e-3
     h_max = max(r_max / 50.0, h)
@@ -294,7 +291,7 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, rhs: float = 1.0,
         r, u, p = r + h, u_new, p_new
         if not u > 0.0:
             raise PositivityError(f"positivity lost at r={r}", where=r, value=u)
-        _, margin = solve_for_u2(u, p, r, n, k, rhs)
+        _, margin = solve_for_u2(u, p, r, n, k)
         if margin < _MARGIN_FLOOR:
             raise ConeBoundaryError(f"cone margin {margin:.3e} below floor at r={r}",
                                     r=r, margin=margin)
@@ -337,15 +334,15 @@ class LiouvilleReport:
     tail: TailEvidence
 
 
-def _tail_evidence(profile: RadialProfile, max_points: int = 12) -> TailEvidence:
+def _tail_evidence(profile: RadialProfile) -> TailEvidence:
     n = profile.n
     mask = profile.r >= 2.0
     idx = np.nonzero(mask)[0]
     if idx.size < 4:
         empty = np.empty(0)
         return TailEvidence(empty, empty, empty, False, False)
-    if idx.size > max_points:
-        take = np.unique(np.geomspace(idx[0] + 1, idx[-1] + 1, max_points).astype(int) - 1)
+    if idx.size > _TAIL_POINTS:
+        take = np.unique(np.geomspace(idx[0] + 1, idx[-1] + 1, _TAIL_POINTS).astype(int) - 1)
     else:
         take = idx
     r = profile.r[take]
@@ -358,18 +355,18 @@ def _tail_evidence(profile: RadialProfile, max_points: int = 12) -> TailEvidence
     return TailEvidence(rho, v, scaled, monotone, True)
 
 
-def liouville_report(profile: RadialProfile, rhs: float = 1.0) -> LiouvilleReport:
+def liouville_report(profile: RadialProfile) -> LiouvilleReport:
     """Fit the family scale from u(0) and report the worst relative deviation.
 
-    The scale is a = (u(0) / c_eff)^{2/(n-2)} where c_eff absorbs a
-    non-unit right-hand side. Tail evidence for regularity at infinity is
-    computed directly from the stored (r, u, u') samples.
+    The scale is a = (u(0) / c(n, k))^{2/(n-2)}. Tail evidence for
+    regularity at infinity is computed directly from the stored (r, u, u')
+    samples.
     """
     n, k = profile.n, profile.k
-    c_eff = c_constant(n, k) * rhs ** (-(n - 2.0) / (4.0 * k))
-    a = float((profile.u[0] / c_eff) ** (2.0 / (n - 2.0)))
+    c = c_constant(n, k)
+    a = float((profile.u[0] / c) ** (2.0 / (n - 2.0)))
     w = 1.0 + (a * profile.r) ** 2
-    model = c_eff * a ** ((n - 2.0) / 2.0) * w ** (-(n - 2.0) / 2.0)
+    model = c * a ** ((n - 2.0) / 2.0) * w ** (-(n - 2.0) / 2.0)
     rel = np.abs(profile.u - model) / model
     worst = int(np.argmax(rel))
     return LiouvilleReport(a, float(rel[worst]), float(profile.r[worst]),
@@ -380,8 +377,14 @@ def liouville_report(profile: RadialProfile, rhs: float = 1.0) -> LiouvilleRepor
 # reconstruction and serialization
 # ---------------------------------------------------------------------------
 
-def _hermite5(s, h, f0, g0, c0, f1, g1, c1):
-    """Two-point quintic Hermite matching value, slope and curvature."""
+def _hermite5(s, h, left, right, order):
+    """Two-point quintic Hermite matching value, slope and curvature.
+
+    left and right hold (value, slope, curvature) at the ends of intervals
+    of length h; s in [0, 1] is the position inside. Returns (value, slope,
+    curvature), or (value, None, None) for order 0.
+    """
+    (f0, g0, c0), (f1, g1, c1) = left, right
     s2, s3 = s * s, s * s * s
     s4, s5 = s3 * s, s3 * s * s
     phi0 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5
@@ -392,6 +395,8 @@ def _hermite5(s, h, f0, g0, c0, f1, g1, c1):
     psi2 = 0.5 * s3 - s4 + 0.5 * s5
     val = f0 * phi0 + h * g0 * phi1 + h * h * c0 * phi2 \
         + f1 * psi0 + h * g1 * psi1 + h * h * c1 * psi2
+    if not order:
+        return val, None, None
     dphi0 = -30.0 * s2 + 60.0 * s3 - 30.0 * s4
     dphi1 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
     dphi2 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
@@ -411,14 +416,14 @@ def _hermite5(s, h, f0, g0, c0, f1, g1, c1):
     return val, der, cur
 
 
-def _node_curvatures(profile: RadialProfile, rhs: float) -> np.ndarray:
+def _node_curvatures(profile: RadialProfile) -> np.ndarray:
     """u'' at the mesh nodes from the equation, finite differences as fallback."""
     r, u, du = profile.r, profile.u, profile.du
     out = np.empty_like(r)
     for i in range(r.size):
         try:
             out[i], _ = solve_for_u2(u[i], du[i] if i else 0.0, r[i],
-                                     profile.n, profile.k, rhs)
+                                     profile.n, profile.k)
         except (ConeDomainError, PositivityError):
             if 0 < i < r.size - 1:
                 h1, h2 = r[i] - r[i - 1], r[i + 1] - r[i]
@@ -430,45 +435,47 @@ def _node_curvatures(profile: RadialProfile, rhs: float) -> np.ndarray:
     return out
 
 
-def profile_to_field(profile: RadialProfile, rhs: float = 1.0) -> ScalarField:
+def profile_to_field(profile: RadialProfile) -> ScalarField:
     """C^2 radial field reconstructed from a profile by quintic interpolation.
 
     Node curvatures come from the equation itself, so at mesh radii the
     reconstructed jet reproduces the integrator's state exactly; between
-    nodes the interpolation error is the only addition.
+    nodes the interpolation error is the only addition. Points within
+    1e-12 of the origin get the origin's jet.
     """
     n = profile.n
-    r_nodes = profile.r
-    u_nodes = profile.u
-    du_nodes = profile.du
-    d2u_nodes = _node_curvatures(profile, rhs)
+    r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
+    d2u_nodes = _node_curvatures(profile)
+    eye = np.eye(n)
 
-    def radial_jet(r):
-        # domain checks already capped r at r_max; clamp the interval index
-        i = int(np.searchsorted(r_nodes, r, side="right")) - 1
-        i = min(max(i, 0), r_nodes.size - 2)
+    def jets(X, order):
+        rr = np.linalg.norm(X, axis=1)
+        # the domain check capped rr near r_max; clamp the interval index
+        i = np.clip(np.searchsorted(r_nodes, rr, side="right") - 1, 0, r_nodes.size - 2)
         h = r_nodes[i + 1] - r_nodes[i]
-        s = (r - r_nodes[i]) / h
-        return _hermite5(s, h, u_nodes[i], du_nodes[i], d2u_nodes[i],
-                         u_nodes[i + 1], du_nodes[i + 1], d2u_nodes[i + 1])
-
-    def evaluator(x):
-        rr = float(np.linalg.norm(x))
-        if rr < 1e-12:
-            return u_nodes[0], np.zeros(n), d2u_nodes[0] * np.eye(n)
-        val, der, cur = radial_jet(rr)
-        xhat = x / rr
-        proj = np.outer(xhat, xhat)
-        grad = der * xhat
-        hess = cur * proj + (der / rr) * (np.eye(n) - proj)
+        val, der, cur = _hermite5((rr - r_nodes[i]) / h, h,
+                                  (u_nodes[i], du_nodes[i], d2u_nodes[i]),
+                                  (u_nodes[i + 1], du_nodes[i + 1], d2u_nodes[i + 1]),
+                                  order)
+        origin = rr < 1e-12
+        val[origin] = u_nodes[0]
+        if not order:
+            return val, None, None
+        rr[origin] = 1.0  # any nonzero radius; these rows are overwritten below
+        xhat = X / rr[:, None]
+        proj = xhat[:, :, None] * xhat[:, None, :]
+        grad = der[:, None] * xhat
+        hess = cur[:, None, None] * proj + (der / rr)[:, None, None] * (eye - proj)
+        grad[origin] = 0.0
+        hess[origin] = d2u_nodes[0] * eye
         return val, grad, hess
 
     dom = Domain(kind="ball", center=np.zeros(n), r_outer=profile.r_max)
-    return ScalarField(n, evaluator, domain=dom,
-                       tag=f"radial-profile(n={n},k={profile.k})")
+    return ScalarField(n, domain=dom, tag=f"radial-profile(n={n},k={profile.k})",
+                       jets=jets)
 
 
-def write_profile_csv(profile: RadialProfile, path, rhs: float = 1.0):
+def write_profile_csv(profile: RadialProfile, path):
     """Serialize a profile with per-node residual and cone margin columns.
 
     sigma_residual measures how exactly the equation's curvature solve
@@ -483,9 +490,9 @@ def write_profile_csv(profile: RadialProfile, path, rhs: float = 1.0):
         u = float(profile.u[i])
         du = float(profile.du[i]) if i else 0.0
         try:
-            d2u, margin = solve_for_u2(u, du, r, n, k, rhs)
+            d2u, margin = solve_for_u2(u, du, r, n, k)
             pair = radial_eigenvalues(u, du, d2u, r, n)
-            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, n, k)[1] - rhs)
+            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, n, k)[1] - 1.0)
         except (ConeDomainError, PositivityError) as exc:
             res = float("nan")
             margin = getattr(exc, "margin", float("nan"))

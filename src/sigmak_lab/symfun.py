@@ -7,8 +7,10 @@ positive; it is the ellipticity domain of the sigma_k operator. The family
     f_t(lam) = sigma_k(t lam + (1 - t) sigma_1(lam) w),    t in [0, 1],
 
 interpolates between a sigma_1-type operator at t = 0 and pure sigma_k at
-t = 1. The mixing weight w is a positive vector summing to one (uniform by
-default); its domain (Gamma_k)_t is the pullback of Gamma_k under the mix.
+t = 1. The mixing weight w is the uniform vector (1/n, ..., 1/n), which
+makes the isotropic ray a fixed point of the mix, so one family of model
+solutions serves every t. The domain (Gamma_k)_t of f_t is the pullback of
+Gamma_k under the mix.
 
 Everything here is a pure function of small dense vectors. sigma is
 evaluated through the characteristic-polynomial recurrence
@@ -20,7 +22,6 @@ which involves no divisions and stays well behaved next to cone boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,17 +153,11 @@ def in_gamma_k(lam, k: int) -> ConeMembership:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Parameters of the interpolating operator family f_t.
-
-    weight is the positive mixing vector (entries sum to one); the uniform
-    default makes the isotropic ray a fixed point of the mix, so one family
-    of model solutions serves every t.
-    """
+    """Parameters (n, k, t) of the interpolating operator family f_t."""
 
     n: int
     k: int
     t: float
-    weight: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 3:
@@ -170,25 +165,27 @@ class OperatorSpec:
         _check_cone_index(self.k, self.n)
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"homotopy parameter t={self.t} outside [0, 1]")
-        if self.weight is None:
-            w = np.full(self.n, 1.0 / self.n)
-        else:
-            w = np.asarray(self.weight, dtype=float)
-            if w.shape != (self.n,):
-                raise ValueError(f"weight must have shape ({self.n},)")
-            if np.any(w <= 0.0):
-                raise ValueError("weight entries must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("weight entries must sum to 1 within 1e-12")
-        object.__setattr__(self, "weight", w)
+
+
+def _uniform_mix(lams: np.ndarray, t: float) -> np.ndarray:
+    """t*lam + (1-t)*sigma_1(lam)/n for a vector (n,) or each row of (N, n)."""
+    n = lams.shape[-1]
+    return t * lams + ((1.0 - t) * lams.sum(axis=-1) * (1.0 / n))[..., None]
+
+
+def _uniform_chain(g: np.ndarray, t: float) -> np.ndarray:
+    """Gradient t g_i + (1-t) <g, w> of f_t, w the uniform vector, from the
+    sigma_k gradient g at the mixed vector (n,) or at each row of (N, n)."""
+    n = g.shape[-1]
+    return t * g + (1.0 - t) * (g @ np.full(n, 1.0 / n))[..., None]
 
 
 def homotopy_vector(lam, spec: OperatorSpec) -> np.ndarray:
-    """The mixed argument t*lam + (1-t)*sigma_1(lam)*weight."""
+    """The mixed argument t*lam + (1-t)*sigma_1(lam)/n."""
     lam = _as_lambda(lam)
     if lam.size != spec.n:
         raise ValueError(f"vector has dimension {lam.size}, spec expects {spec.n}")
-    return spec.t * lam + (1.0 - spec.t) * float(lam.sum()) * spec.weight
+    return _uniform_mix(lam, spec.t)
 
 
 def _mixed_esym(lam, spec: OperatorSpec, check_domain: bool):
@@ -214,10 +211,10 @@ def in_gamma_t(lam, spec: OperatorSpec) -> ConeMembership:
 def f_homotopy(lam, spec: OperatorSpec, check_domain: bool = True) -> float:
     """Evaluate f_t(lam) = sigma_k of the mixed vector.
 
-    At t = 1 this is sigma_k(lam) exactly; at t = 0 with the uniform weight
-    it collapses to C(n,k) (sigma_1(lam)/n)^k. With check_domain the
-    argument must lie in (Gamma_k)_t, otherwise ConeDomainError is raised
-    with the violating margin attached.
+    At t = 1 this is sigma_k(lam) exactly; at t = 0 it collapses to
+    C(n,k) (sigma_1(lam)/n)^k. With check_domain the argument must lie in
+    (Gamma_k)_t, otherwise ConeDomainError is raised with the violating
+    margin attached.
     """
     return float(_mixed_esym(lam, spec, check_domain)[1][spec.k])
 
@@ -226,11 +223,11 @@ def f_homotopy_gradient(lam, spec: OperatorSpec, check_domain: bool = True) -> n
     """Gradient of f_t with respect to lam.
 
     Chain rule through the mix: d f_t / d lam_i = t g_i + (1-t) <g, w>,
-    where g is the sigma_k gradient at the mixed vector.
+    where g is the sigma_k gradient at the mixed vector and w the uniform
+    weight.
     """
     mixed, _ = _mixed_esym(lam, spec, check_domain)
-    g = _esym_gradient_batch(mixed[None, :], spec.k)[0]
-    return spec.t * g + (1.0 - spec.t) * float(g @ spec.weight)
+    return _uniform_chain(_esym_gradient_batch(mixed[None, :], spec.k)[0], spec.t)
 
 
 def check_ellipticity(spec: OperatorSpec, lam) -> float:

@@ -8,7 +8,7 @@ import pytest
 import sigmak_lab as sl
 from sigmak_lab import bubbles
 from sigmak_lab.errors import ConfigError, PositivityError
-from sigmak_lab.halton import sphere_directions
+from sigmak_lab.halton import box_points, sphere_directions
 
 from fd_oracles import fd_jet_of_field
 
@@ -92,7 +92,7 @@ def test_verify_bubble_residual_floor():
     for n in (3, 5):
         for k in (1, n):
             u = sl.bubble_field(sl.BubbleSpec(n, k, 1.2))
-            rep = sl.verify_solution(u, n, k)
+            rep = sl.verify_solution(u, n, k, box_points(1000, n))
             assert rep.max_residual <= 1e-8
             assert rep.min_margin > 0.0
             assert rep.cone_violations == 0
@@ -109,7 +109,7 @@ def test_verify_far_samples():
 
 def test_verify_constant_field_boundary_case():
     u = sl.constant_field(1.0, 3)
-    rep = sl.verify_solution(u, 3, 2, n_samples=50)
+    rep = sl.verify_solution(u, 3, 2, box_points(50, 3))
     assert rep.max_residual == pytest.approx(1.0)
     assert rep.min_margin == 0.0
     assert rep.cone_violations == 50
@@ -133,8 +133,8 @@ def test_verify_mobius_image_of_bubble():
 
 def test_verify_reports_are_reproducible():
     u = sl.bubble_field(sl.BubbleSpec(3, 1, 2.0))
-    r1 = sl.verify_solution(u, 3, 1, n_samples=100)
-    r2 = sl.verify_solution(u, 3, 1, n_samples=100)
+    r1 = sl.verify_solution(u, 3, 1, box_points(100, 3))
+    r2 = sl.verify_solution(u, 3, 1, box_points(100, 3))
     assert r1.max_residual == r2.max_residual
     np.testing.assert_array_equal(r1.worst_point, r2.worst_point)
 
@@ -180,11 +180,12 @@ def test_harnack_limit_at_large_scale():
 
 def test_harnack_constant_field_flagged_as_non_solution():
     u = sl.constant_field(3.0, 3)
-    rep = sl.harnack_product(u, 2.0, residual_check=1)
+    rep = sl.harnack_product(u, 2.0)
     assert rep.product_scaled == pytest.approx(9.0 * 2.0)
-    assert rep.solution_like is False
+    # the report holds no verdict; the residual check flags the field
+    assert sl.verify_solution(u, 3, 1, box_points(8, 3, halfwidth=2.0)).max_residual > 1e-6
     # and the product grows with R, unlike for solutions
-    rep2 = sl.harnack_product(u, 4.0, residual_check=1)
+    rep2 = sl.harnack_product(u, 4.0)
     assert rep2.product_scaled > rep.product_scaled
 
 
@@ -268,14 +269,21 @@ def test_harnack_polish_keeps_grid_value_outside_the_domain():
     assert rep.min_2br == pytest.approx(grid_min, rel=1e-14)
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 2), (5, 3)])
-def test_harnack_of_a_profile_on_exactly_the_double_ball(n, k):
+_DOUBLE_BALL_CASES = [(3, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0)] + [
+    (n, k, R) for R in (0.75, 1.25, 1.5) for n, k in [(3, 1), (4, 2), (5, 3)]]
+
+
+@pytest.mark.parametrize("n,k,R", _DOUBLE_BALL_CASES, ids=[
+    f"{n}-{k}" if R == 1.0 else f"{n}-{k}-R{R}" for n, k, R in _DOUBLE_BALL_CASES])
+def test_harnack_of_a_profile_on_exactly_the_double_ball(n, k, R):
     # the reconstructed field's domain is exactly B_2R: the grid's outer
-    # shell and the polish trial points projected onto it sit on its edge
+    # shell, fl(2 fl(R d)), and the polish trial points projected onto it
+    # sit on its edge, a few ulps to either side
     c = sl.c_constant(n, k)
-    field = sl.profile_to_field(sl.shoot(c, n, k, 2.0))
-    rep = sl.harnack_product(field, 1.0)
-    exact = _bubble_value(n, k, 1.0, 0.0) * _bubble_value(n, k, 1.0, 2.0)
+    field = sl.profile_to_field(sl.shoot(c, n, k, 2.0 * R))
+    rep = sl.harnack_product(field, R)
+    exact = _bubble_value(n, k, 1.0, 0.0) * _bubble_value(n, k, 1.0, 2.0 * R) \
+        * R ** (n - 2.0)
     assert rep.product_scaled == pytest.approx(exact, rel=1e-9)
 
 
@@ -330,7 +338,7 @@ def test_verify_rejects_empty_sample_set():
     with pytest.raises(ConfigError):
         sl.verify_solution(u, 3, 1, sample_points=np.empty((0, 3)))
     with pytest.raises(ConfigError):
-        sl.verify_solution(u, 3, 1, n_samples=0)
+        sl.verify_solution(u, 3, 1, box_points(0, 3))
 
 
 def test_verify_ties_go_to_the_first_sample():

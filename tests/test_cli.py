@@ -198,6 +198,15 @@ def test_harnack_sweep_deterministic_bytes(tmp_path):
     ["harnack-sweep", "--n", "3", "--k", "1", "--nrad", "0"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--R", "-1"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "0"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--tol", "nan"],
+    ["solve-radial", "--n", "3", "--k", "1", "--rmax", "nan"],
+    ["solve-radial", "--n", "3", "--k", "1", "--u0", "inf"],
+    ["solve-radial", "--n", "3", "--k", "1", "--u0", "nan"],
+    ["verify-bubble", "--n", "16", "--k", "1"],
+    ["harnack-sweep", "--n", "16", "--k", "1"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:3x"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--a", "inf"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--box", "inf"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
+from sigmak_lab import radial
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, PositivityError
 from sigmak_lab.radial import _pair_sigma
 
@@ -99,21 +100,10 @@ def test_solve_for_u2_linear_case_matches_semilinear_form():
         u = float(rng.uniform(0.3, 2.0))
         du = float(rng.uniform(-1.0, 1.0))
         r = float(rng.uniform(0.1, 4.0))
-        d2u, _ = sl.solve_for_u2(u, du, r, n, 1, rhs=1.0)
+        d2u, _ = sl.solve_for_u2(u, du, r, n, 1)
         lap = d2u + (n - 1.0) * du / r
         assert -lap == pytest.approx((n - 2.0) / 2.0 * u ** ((n + 2.0) / (n - 2.0)),
                                      rel=1e-12)
-
-
-def test_solve_for_u2_zero_rhs_lands_on_boundary_for_top_cone():
-    n = 4
-    k = n
-    u, du, r = 1.0, -0.2, 1.5
-    d2u, margin = sl.solve_for_u2(u, du, r, n, k, rhs=0.0)
-    pair = sl.radial_eigenvalues(u, du, d2u, r, n)
-    ratio = -math.comb(n - 1, k) / math.comb(n - 1, k - 1)  # zero here: comb=0
-    assert pair.lam_rad == pytest.approx(ratio * pair.lam_tan, abs=1e-13)
-    assert margin == pytest.approx(0.0, abs=1e-13)
 
 
 def test_solve_for_u2_degenerate_coefficient():
@@ -196,10 +186,11 @@ def test_shoot_adaptive_tolerance_tracks_error():
     assert dev[2] < dev[1] < dev[0]
 
 
-def test_shoot_cone_boundary_abort():
-    # forcing sigma_k = 0 puts the isotropic origin state on the boundary
-    with pytest.raises((ConeBoundaryError, ConeDomainError)):
-        sl.shoot(1.0, 3, 3, 5.0, rhs=0.0)
+def test_shoot_cone_boundary_abort(monkeypatch):
+    # the isotropic start has margin 1; a floor above it stops the first step
+    monkeypatch.setattr(radial, "_MARGIN_FLOOR", 2.0)
+    with pytest.raises(ConeBoundaryError):
+        sl.shoot(1.0, 3, 3, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +242,41 @@ def test_profile_field_reproduces_nodes_and_midpoints():
     rep = sl.verify_solution(field, n, k, sample_points=pts)
     assert rep.max_residual <= 1e-7
     assert rep.min_margin > 0.0
+
+
+def test_profile_field_matches_a_per_point_reference_loop():
+    n, k = 4, 2
+    profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
+    field = sl.profile_to_field(profile)
+    r_nodes, d2u = profile.r, radial._node_curvatures(profile)
+
+    def reference(x):
+        # the batch's norm: the 1-D one may differ by an ulp, which the
+        # curvature's O(1/h^2) terms amplify
+        rr = float(np.linalg.norm(x[None], axis=1)[0])
+        if rr < 1e-12:
+            return profile.u[0], np.zeros(n), d2u[0] * np.eye(n)
+        i = int(np.searchsorted(r_nodes, rr, side="right")) - 1
+        i = min(max(i, 0), r_nodes.size - 2)
+        h = r_nodes[i + 1] - r_nodes[i]
+        val, der, cur = radial._hermite5(
+            (rr - r_nodes[i]) / h, h, (profile.u[i], profile.du[i], d2u[i]),
+            (profile.u[i + 1], profile.du[i + 1], d2u[i + 1]), 2)
+        xhat = x / rr
+        proj = np.outer(xhat, xhat)
+        return val, der * xhat, cur * proj + (der / rr) * (np.eye(n) - proj)
+
+    rng = np.random.default_rng(73)
+    pts = rng.normal(size=(60, n))
+    pts *= (rng.uniform(0.0, 2.0, 60) / np.linalg.norm(pts, axis=1))[:, None]
+    pts[0], pts[1], pts[2] = 0.0, [1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]
+    u, grad, hess = field.jets(pts, 2)
+    np.testing.assert_array_equal(field.values(pts), u)
+    for i, x in enumerate(pts):
+        val, g, hs = reference(x)
+        assert u[i] == pytest.approx(val, rel=1e-15)
+        np.testing.assert_allclose(grad[i], g, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(hess[i], hs, rtol=1e-15, atol=1e-15)
 
 
 def test_profile_csv_schema(tmp_path):

@@ -168,12 +168,6 @@ def test_operator_spec_validation():
         sl.OperatorSpec(3, 2, 1.5)
     with pytest.raises(ValueError):
         sl.OperatorSpec(3, 4, 0.5)
-    with pytest.raises(ValueError):
-        sl.OperatorSpec(3, 2, 0.5, weight=np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        sl.OperatorSpec(3, 2, 0.5, weight=np.array([1.0, 0.0, 0.0]))
-    spec = sl.OperatorSpec(4, 2, 0.3)
-    np.testing.assert_allclose(spec.weight, 0.25)
 
 
 def test_f_homotopy_endpoints():
