@@ -26,7 +26,7 @@ import numpy as np
 
 from .conformal import ScalarField, Domain, _checked_jets, _schouten_batch, \
     random_mobius_map_avoiding, transform_field
-from .errors import ConfigError, PositivityError, check_positive
+from .errors import ConfigError, PositivityError, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
@@ -66,10 +66,7 @@ class BubbleSpec:
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ConfigError(f"dimension n={self.n} must be >= 3")
-        if not 1 <= self.k <= self.n:
-            raise ConfigError(f"cone index k={self.k} outside 1..{self.n}")
+        check_nk(self.n, self.k)
         check_positive("scale a", self.a)
         c = np.zeros(self.n) if self.center is None else np.asarray(self.center, dtype=float)
         if c.shape != (self.n,):

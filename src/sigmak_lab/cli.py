@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding, transform_field
-from .errors import ConfigError, SigmakLabError, check_positive
+from .errors import ConfigError, SigmakLabError, check_nk, check_positive
 from .halton import box_points
 
 CSV_HEADER = "# sigmak-lab v1"
@@ -62,13 +62,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _check_nk(n: int, k: int):
-    if n < 3:
-        raise ConfigError(f"dimension n={n} must be >= 3")
-    if not 1 <= k <= n:
-        raise ConfigError(f"cone index k={k} outside 1..{n}")
-
-
 def _write_text(path: str, text: str):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -83,7 +76,7 @@ def _csv(lines: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_bubble(args) -> int:
-    _check_nk(args.n, args.k)
+    check_nk(args.n, args.k)
     check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
@@ -131,7 +124,7 @@ def cmd_verify_bubble(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_radial(args) -> int:
-    _check_nk(args.n, args.k)
+    check_nk(args.n, args.k)
     if args.u0 is not None:
         check_positive("--u0", args.u0)
     check_positive("--tol", args.tol)
@@ -157,7 +150,7 @@ def cmd_solve_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homotopy(args) -> int:
-    _check_nk(args.n, args.k)
+    check_nk(args.n, args.k)
     if args.steps < 1:
         raise ConfigError(f"steps={args.steps} must be >= 1")
     check_positive("--a", args.a)
@@ -203,7 +196,7 @@ def cmd_homotopy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_harnack_sweep(args) -> int:
-    _check_nk(args.n, args.k)
+    check_nk(args.n, args.k)
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
     if a_grid.size == 0 or r_grid.size == 0:

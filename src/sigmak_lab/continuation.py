@@ -7,7 +7,10 @@ one-sided stencil enforcing u'(0) = 0, and a Dirichlet value at R_b. The
 nonlinear system f_t(lambda(A(u))) = 1 is solved by damped Newton with an
 analytically assembled Jacobian; the matrix is banded (one sub-diagonal,
 two super-diagonals, the extra one coming from the u'(0) row) and is
-factored with a banded LU.
+factored with a banded LU. The node state is a closed-form pair: each node
+has lam_rad once and lam_tan n-1 times, so has the uniform mix (a, b), and
+e_1..e_k of the mix and the two distinct partials of f_t come from the
+pair formula (radial._pair_sigma), with no (nodes x n) eigenvalue matrix.
 
 Continuation marches t from 0 (a sigma_1-type equation) to 1 (pure
 sigma_k), reusing each converged solution as the next initial guess and
@@ -27,10 +30,9 @@ import scipy.linalg
 
 from .bubbles import c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
-    PositivityError, check_positive
-from .radial import RadialProfile, _coeffs
-from .symfun import OperatorSpec, _cone_margin, _esym_all_batch, _esym_gradient_batch, \
-    _uniform_chain, _uniform_mix
+    PositivityError, check_nk, check_positive
+from .radial import RadialProfile, _coeffs, _pair_sigma
+from .symfun import OperatorSpec
 
 __all__ = [
     "BvpSpec",
@@ -70,10 +72,7 @@ class BvpSpec:
     a_init: float | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ConfigError(f"dimension n={self.n} must be >= 3")
-        if not 1 <= self.k <= self.n:
-            raise ConfigError(f"cone index k={self.k} outside 1..{self.n}")
+        check_nk(self.n, self.k)
         check_positive("domain radius r_b", self.r_b)
         check_positive("boundary value u_b", self.u_b)
         if self.m < 16:
@@ -120,7 +119,8 @@ class ContinuationTrace:
 
 
 class _NodeState:
-    """Interior-node quantities shared by residual and Jacobian assembly."""
+    """Interior-node quantities shared by residual and Jacobian assembly, on
+    the closed-form pair: see the module docstring."""
 
     def __init__(self, u: np.ndarray, spec: BvpSpec, t: float):
         n, k, h = spec.n, spec.k, spec.h
@@ -143,17 +143,20 @@ class _NodeState:
         q2 = ui ** e2
         lam_tan = -b * q1 * up / r - d * q2 * up ** 2
         lam_rad = -b * q1 * upp + (n - 1.0) * d * q2 * up ** 2
-        lam = np.empty((r.size, n))
-        lam[:, 0] = lam_rad
-        lam[:, 1:] = lam_tan[:, None]
-        mixed = _uniform_mix(lam, t)
-        e = _esym_all_batch(mixed)
+        mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
+        a, bt = t * lam_rad + mix, t * lam_tan + mix
+        self.margins, self.f = _pair_sigma(
+            a, bt, [math.comb(n - 1, j) for j in range(k + 1)], np.minimum)
+        # sigma_k partials: e_{k-1} of (bt x n-1), radial, and of (a, bt x n-2), tangential
+        g_rad = math.comb(n - 1, k - 1) * bt ** (k - 1)
+        g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)],
+                            np.minimum)[1] if k > 1 else 1.0
+        mean = (g_rad + (n - 1.0) * g_tan) * (1.0 / n)
+        self.f_rad = t * g_rad + (1.0 - t) * mean
+        self.f_tan = t * g_tan + (1.0 - t) * mean
         self.spec, self.t = spec, t
         self.u, self.r, self.ui, self.up, self.upp = u, r, ui, up, upp
-        self.q1, self.q2, self.lam_tan, self.lam_rad = q1, q2, lam_tan, lam_rad
-        self.mixed, self.esym = mixed, e
-        self.f = e[:, k].copy()
-        self.margins = _cone_margin(e, k)
+        self.q1, self.q2 = q1, q2
 
     def residual(self) -> np.ndarray:
         spec, h = self.spec, self.spec.h
@@ -168,12 +171,9 @@ class _NodeState:
         res[-1] = u[-1] - spec.u_b
         return res
 
-    def df_dlam(self) -> np.ndarray:
-        """Row-wise gradient of f_t w.r.t. the eigenvalue vector."""
-        return _uniform_chain(_esym_gradient_batch(self.mixed, self.spec.k), self.t)
-
     def ellipticity(self) -> float:
-        return float(self.df_dlam().min())
+        """Smallest partial of f_t over the nodes (the n-1 tangential ones are equal)."""
+        return float(min(self.f_rad.min(), self.f_tan.min()))
 
     def jacobian_banded(self) -> np.ndarray:
         spec = self.spec
@@ -188,9 +188,7 @@ class _NodeState:
         dlr_du = -b * dq1 * upp + (n - 1.0) * d * dq2 * up ** 2
         dlr_dp = 2.0 * (n - 1.0) * d * q2 * up
         dlr_ds = -b * q1
-        dfl = self.df_dlam()
-        f_rad = dfl[:, 0]
-        f_tan = dfl[:, 1:].sum(axis=1)
+        f_rad, f_tan = self.f_rad, (n - 1.0) * self.f_tan
         du_ = f_rad * dlr_du + f_tan * dlt_du
         dp_ = f_rad * dlr_dp + f_tan * dlt_dp
         ds_ = f_rad * dlr_ds

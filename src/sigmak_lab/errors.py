@@ -19,6 +19,14 @@ def check_positive(name: str, value) -> None:
         raise ConfigError(f"{name}={value!r} must be positive and finite")
 
 
+def check_nk(n: int, k: int) -> None:
+    """ConfigError unless n >= 3 and 1 <= k <= n."""
+    if n < 3:
+        raise ConfigError(f"dimension n={n} must be >= 3")
+    if not 1 <= k <= n:
+        raise ConfigError(f"cone index k={k} outside 1..{n}")
+
+
 class PositivityError(SigmakLabError, ValueError):
     """A quantity that must stay strictly positive failed to."""
 

@@ -24,14 +24,17 @@ root-branch ambiguity exists: shooting suffices. A constant right-hand side
 c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
 solves sigma_k = c exactly when u solves sigma_k = 1. Integration uses a
 classic fourth-order Runge-Kutta scheme, adaptive by step doubling, with a
-series start at the origin (u'/r is not directly evaluable there). The
-run aborts cleanly when positivity or the cone margin is lost; past the
-cone boundary the operator is no longer elliptic and the computed branch
-is meaningless.
+series start at the origin (u'/r is not directly evaluable there). Away
+from the origin every solve goes through `_u2_kernel(n, k)`, built once per
+(n, k); a step reuses its k1 for the half step, and the solve for the
+margin at an accepted node is the next step's k1. The run aborts cleanly
+when positivity or the cone margin is lost; past the cone boundary the
+operator is no longer elliptic and the computed branch is meaningless.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +42,8 @@ import numpy as np
 
 from .bubbles import c_constant
 from .conformal import Domain, ScalarField
-from .errors import ConeBoundaryError, ConeDomainError, PositivityError, \
-    SigmakLabError, StepUnderflowError, check_positive
+from .errors import ConeBoundaryError, ConeDomainError, ConfigError, PositivityError, \
+    SigmakLabError, StepUnderflowError, check_nk, check_positive
 
 __all__ = [
     "EigenPair",
@@ -89,7 +92,7 @@ def radial_eigenvalues(u: float, du: float, d2u: float, r: float, n: int) -> Eig
     profiles have du = 0 there).
     """
     if n < 3:
-        raise ValueError(f"dimension n={n} must be >= 3")
+        raise ConfigError(f"dimension n={n} must be >= 3")
     if not u > 0.0:
         raise PositivityError(f"radial value u={u} not positive at r={r}",
                               where=r, value=u)
@@ -102,20 +105,51 @@ def radial_eigenvalues(u: float, du: float, d2u: float, r: float, n: int) -> Eig
     return EigenPair(lam_rad, lam_tan)
 
 
-def _pair_sigma(lam_rad: float, lam_tan: float, n: int, k: int) -> tuple[float, float]:
-    """sigma_j(lam_rad, lam_tan x (n-1)) in closed form, for j = 1..k.
-
-    Returns (min over j, the cone margin; the j = k value, sigma_k).
-    """
+def _pair_sigma(lam_rad, lam_tan, combs, minimum):
+    """(min_j e_j, e_k) of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
+    e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad; minimum is the
+    builtin min for floats, np.minimum for arrays."""
     margin = math.inf
-    c_prev = 1  # C(n-1, j-1)
-    for j in range(1, k + 1):
-        c = math.comb(n - 1, j)
-        s = c * lam_tan ** j + c_prev * lam_tan ** (j - 1) * lam_rad
-        if s < margin:
-            margin = s
-        c_prev = c
+    for j in range(1, len(combs)):
+        s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
+        margin = minimum(margin, s)
     return margin, s
+
+
+@functools.lru_cache(maxsize=None)
+def _u2_kernel(n: int, k: int):
+    """kernel(u, du, r) -> (u'', margin): solve_for_u2 at r > 0 for a valid
+    (n, k), its constants and binomials computed once."""
+    b, d, e1, e2 = _coeffs(n)
+    combs = tuple(math.comb(n - 1, j) for j in range(k + 1))
+    c_lin, c_top = combs[k - 1], combs[k]
+
+    def kernel(u, du, r):
+        if not u > 0.0:
+            raise PositivityError(f"radial value u={u} not positive at r={r}",
+                                  where=r, value=u)
+        try:
+            q1, q2 = u ** e1, u ** e2
+            lam_tan = -b * q1 * (du / r) - d * q2 * du * du
+            coeff = c_lin * lam_tan ** (k - 1)
+            if abs(coeff) < 1e-14:
+                raise ConeDomainError(
+                    f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
+                    f"for u'' at r={r}", margin=lam_tan, where=r)
+            lam_rad = (1.0 - c_top * lam_tan ** k) / coeff
+            d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
+            margin = math.inf  # _pair_sigma's float case, inlined: it is the hot loop
+            for j in range(1, k + 1):
+                s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
+                if s < margin:
+                    margin = s
+            if margin < 0.0:
+                raise ConeDomainError(
+                    f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
+            return d2u, margin
+        except OverflowError as exc:  # a power of u or lam_tan left the float range
+            raise ConeDomainError(f"eigenvalue powers overflow at r={r}", where=r) from exc
+    return kernel
 
 
 def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, float]:
@@ -126,39 +160,24 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, 
     a solved pair with strictly negative margin means the demanded value
     sits on an inadmissible branch; these and a float overflow raise
     ConeDomainError. A zero margin (boundary) is returned, not raised.
+    Away from the origin this is the (n, k) kernel of `_u2_kernel`.
     """
-    if n < 3:
-        raise ValueError(f"dimension n={n} must be >= 3")
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} outside 1..{n}")
+    check_nk(n, k)
+    if r != 0.0:
+        return _u2_kernel(n, k)(u, du, r)
     if not u > 0.0:
         raise PositivityError(f"radial value u={u} not positive at r={r}",
                               where=r, value=u)
+    if abs(du) > 1e-9:
+        raise ValueError(f"du={du} must vanish at the origin")
+    b, _, e1, _ = _coeffs(n)
+    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
     try:
-        b, d, e1, e2 = _coeffs(n)
-        q1 = u ** e1
-        q2 = u ** e2
-        if r == 0.0:
-            if abs(du) > 1e-9:
-                raise ValueError(f"du={du} must vanish at the origin")
-            lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
-            d2u = -lam0 / (b * q1)
-            return d2u, _pair_sigma(lam0, lam0, n, k)[0]
-        lam_tan = -b * q1 * (du / r) - d * q2 * du * du
-        coeff = math.comb(n - 1, k - 1) * lam_tan ** (k - 1)
-        if abs(coeff) < 1e-14:
-            raise ConeDomainError(
-                f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
-                f"for u'' at r={r}", margin=lam_tan, where=r)
-        lam_rad = (1.0 - math.comb(n - 1, k) * lam_tan ** k) / coeff
-        d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
-        margin, _ = _pair_sigma(lam_rad, lam_tan, n, k)
-        if margin < 0.0:
-            raise ConeDomainError(
-                f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
-        return d2u, margin
-    except OverflowError as exc:  # a power of u or lam_tan left the float range
+        d2u = -lam0 / (b * u ** e1)
+    except OverflowError as exc:
         raise ConeDomainError(f"eigenvalue powers overflow at r={r}", where=r) from exc
+    combs = [math.comb(n - 1, j) for j in range(k + 1)]
+    return d2u, _pair_sigma(lam0, lam0, combs, min)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +214,15 @@ class RadialProfile:
         return float(self.r[-1])
 
 
-def _rk4_step(g, r, u, p, h):
+def _rk4_step(kernel, r, u, p, k1p, h):
+    """Classic RK4 step of (u, p)' = (p, kernel(u, p, r)[0]); k1p is u'' at (r, u, p)."""
     k1u = p
-    k1p = g(r, u, p)
     k2u = p + 0.5 * h * k1p
-    k2p = g(r + 0.5 * h, u + 0.5 * h * k1u, k2u)
+    k2p = kernel(u + 0.5 * h * k1u, k2u, r + 0.5 * h)[0]
     k3u = p + 0.5 * h * k2p
-    k3p = g(r + 0.5 * h, u + 0.5 * h * k2u, k3u)
+    k3p = kernel(u + 0.5 * h * k2u, k3u, r + 0.5 * h)[0]
     k4u = p + h * k3p
-    k4p = g(r + h, u + h * k3u, k4u)
+    k4p = kernel(u + h * k3u, k4u, r + h)[0]
     return (u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
             p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
@@ -218,28 +237,34 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     equation itself), every later node from fourth-order Runge-Kutta. With
     fixed_step set, the mesh is uniform and no error control runs, which
     is what the convergence-order study wants; otherwise steps adapt by
-    step doubling against tol.
+    step doubling against tol (k1 reused, see the module docstring).
 
-    Aborts with ConeBoundaryError when the cone margin falls below 1e-10,
-    PositivityError when u does, StepUnderflowError when no admissible
-    step remains. The isotropic start has margin 1 (its sigma_j is
-    C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j),
-    so the origin itself is never at the boundary.
+    Aborts with ConeBoundaryError (carrying r and the margin) when the cone
+    margin falls below 1e-10 or a node has no admissible solve,
+    PositivityError when u stops being positive, StepUnderflowError when
+    no admissible step remains; a bad (n, k) is a ConfigError. The
+    isotropic start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1
+    for j <= k, as C(n,j)^{1/j} falls with j), so the origin itself is
+    never at the boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
     check_positive("initial value u0", u0)
     check_positive("r_max", r_max)
-    if n < 3 or not 1 <= k <= n:
-        raise ValueError(f"bad (n, k) = ({n}, {k})")
+    check_nk(n, k)
+    kernel = _u2_kernel(n, k)
 
-    def g(r, u, p):
-        return solve_for_u2(u, p, r, n, k)[0]
+    def node_solve(r, u, p):  # (u'', margin) at a node; no solve is a boundary hit
+        try:
+            return kernel(u, p, r)
+        except ConeDomainError as exc:
+            raise ConeBoundaryError(f"cone boundary reached: {exc}",
+                                    r=r, margin=exc.margin) from exc
 
     # series start: u ~ u0 + u2 r^2/2 + u4 r^4/24, odd terms vanish
     u2_0, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
     delta = 1e-3
-    g_probe = g(delta, u0 + 0.5 * u2_0 * delta * delta, u2_0 * delta)
+    g_probe, _ = node_solve(delta, u0 + 0.5 * u2_0 * delta * delta, u2_0 * delta)
     u4_0 = 2.0 * (g_probe - u2_0) / (delta * delta)
 
     h = fixed_step if fixed_step is not None else 1e-3
@@ -252,6 +277,7 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     us = [u0, u1]
     ps = [0.0, p1]
     r, u, p = r1, u1, p1
+    k1, _ = node_solve(r, u, p)
     steps = 0
     while r < r_max * (1.0 - 1e-14):
         if steps >= _MAX_STEPS:
@@ -260,12 +286,14 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
         h = min(h, r_max - r)
         try:
             if fixed_step is not None:
-                u_new, p_new = _rk4_step(g, r, u, p, h)
+                u_new, p_new = _rk4_step(kernel, r, u, p, k1, h)
                 accept = True
             else:
-                u_full, p_full = _rk4_step(g, r, u, p, h)
-                u_h, p_h = _rk4_step(g, r, u, p, 0.5 * h)
-                u_new, p_new = _rk4_step(g, r + 0.5 * h, u_h, p_h, 0.5 * h)
+                u_full, p_full = _rk4_step(kernel, r, u, p, k1, h)
+                u_h, p_h = _rk4_step(kernel, r, u, p, k1, 0.5 * h)
+                r_h = r + 0.5 * h
+                u_new, p_new = _rk4_step(kernel, r_h, u_h, p_h, kernel(u_h, p_h, r_h)[0],
+                                         0.5 * h)
                 su = abs(u) + abs(h * p) + 1e-12 * us[0]
                 sp = abs(p) + abs(h * u2_0) + 1e-12
                 est = max(abs(u_new - u_full) / su, abs(p_new - p_full) / sp) / 15.0
@@ -291,7 +319,7 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
         r, u, p = r + h, u_new, p_new
         if not u > 0.0:
             raise PositivityError(f"positivity lost at r={r}", where=r, value=u)
-        _, margin = solve_for_u2(u, p, r, n, k)
+        k1, margin = node_solve(r, u, p)
         if margin < _MARGIN_FLOOR:
             raise ConeBoundaryError(f"cone margin {margin:.3e} below floor at r={r}",
                                     r=r, margin=margin)
@@ -382,48 +410,48 @@ def _hermite5(s, h, left, right, order):
 
     left and right hold (value, slope, curvature) at the ends of intervals
     of length h; s in [0, 1] is the position inside. Returns (value, slope,
-    curvature), or (value, None, None) for order 0.
+    curvature), or (value, None, None) for order 0. The values enter through
+    their difference f1 - f0 (the value basis is 1 - psi0 and psi0), so the
+    1/h^2 of the curvature scales terms of size O(h), not O(1).
     """
     (f0, g0, c0), (f1, g1, c1) = left, right
+    df = f1 - f0
     s2, s3 = s * s, s * s * s
     s4, s5 = s3 * s, s3 * s * s
-    phi0 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5
+    psi0 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
     phi1 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5
     phi2 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
-    psi0 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
     psi1 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5
     psi2 = 0.5 * s3 - s4 + 0.5 * s5
-    val = f0 * phi0 + h * g0 * phi1 + h * h * c0 * phi2 \
-        + f1 * psi0 + h * g1 * psi1 + h * h * c1 * psi2
+    val = f0 + df * psi0 + h * (g0 * phi1 + g1 * psi1) + h * h * (c0 * phi2 + c1 * psi2)
     if not order:
         return val, None, None
-    dphi0 = -30.0 * s2 + 60.0 * s3 - 30.0 * s4
+    dpsi0 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
     dphi1 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
     dphi2 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
-    dpsi0 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
     dpsi1 = -12.0 * s2 + 28.0 * s3 - 15.0 * s4
     dpsi2 = 1.5 * s2 - 4.0 * s3 + 2.5 * s4
-    der = (f0 * dphi0 + h * g0 * dphi1 + h * h * c0 * dphi2
-           + f1 * dpsi0 + h * g1 * dpsi1 + h * h * c1 * dpsi2) / h
-    d2phi0 = -60.0 * s + 180.0 * s2 - 120.0 * s3
+    der = (df * dpsi0 + h * (g0 * dphi1 + g1 * dpsi1)
+           + h * h * (c0 * dphi2 + c1 * dpsi2)) / h
+    d2psi0 = 60.0 * s - 180.0 * s2 + 120.0 * s3
     d2phi1 = -36.0 * s + 96.0 * s2 - 60.0 * s3
     d2phi2 = 1.0 - 9.0 * s + 18.0 * s2 - 10.0 * s3
-    d2psi0 = 60.0 * s - 180.0 * s2 + 120.0 * s3
     d2psi1 = -24.0 * s + 84.0 * s2 - 60.0 * s3
     d2psi2 = 3.0 * s - 12.0 * s2 + 10.0 * s3
-    cur = (f0 * d2phi0 + h * g0 * d2phi1 + h * h * c0 * d2phi2
-           + f1 * d2psi0 + h * g1 * d2psi1 + h * h * c1 * d2psi2) / (h * h)
+    cur = (df * d2psi0 + h * (g0 * d2phi1 + g1 * d2psi1)
+           + h * h * (c0 * d2phi2 + c1 * d2psi2)) / (h * h)
     return val, der, cur
 
 
 def _node_curvatures(profile: RadialProfile) -> np.ndarray:
     """u'' at the mesh nodes from the equation, finite differences as fallback."""
     r, u, du = profile.r, profile.u, profile.du
+    n, k = profile.n, profile.k
+    kernel = _u2_kernel(n, k)
     out = np.empty_like(r)
-    for i in range(r.size):
+    for i, (ri, ui, dui) in enumerate(zip(r.tolist(), u.tolist(), du.tolist())):
         try:
-            out[i], _ = solve_for_u2(u[i], du[i] if i else 0.0, r[i],
-                                     profile.n, profile.k)
+            out[i], _ = kernel(ui, dui, ri) if i else solve_for_u2(ui, 0.0, ri, n, k)
         except (ConeDomainError, PositivityError):
             if 0 < i < r.size - 1:
                 h1, h2 = r[i] - r[i - 1], r[i + 1] - r[i]
@@ -485,14 +513,15 @@ def write_profile_csv(profile: RadialProfile, path):
     """
     lines = ["# sigmak-lab v1", "r,u,du,sigma_residual,cone_margin"]
     n, k = profile.n, profile.k
-    for i in range(profile.r.size):
-        r = float(profile.r[i])
-        u = float(profile.u[i])
-        du = float(profile.du[i]) if i else 0.0
+    kernel = _u2_kernel(n, k)
+    combs = [math.comb(n - 1, j) for j in range(k + 1)]
+    for i, (r, u, du) in enumerate(zip(profile.r.tolist(), profile.u.tolist(),
+                                       profile.du.tolist())):
+        du = du if i else 0.0
         try:
-            d2u, margin = solve_for_u2(u, du, r, n, k)
+            d2u, margin = kernel(u, du, r) if i else solve_for_u2(u, du, r, n, k)
             pair = radial_eigenvalues(u, du, d2u, r, n)
-            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, n, k)[1] - 1.0)
+            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, combs, min)[1] - 1.0)
         except (ConeDomainError, PositivityError) as exc:
             res = float("nan")
             margin = getattr(exc, "margin", float("nan"))

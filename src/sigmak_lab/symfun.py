@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConeDomainError
+from .errors import ConeDomainError, ConfigError
 
 __all__ = [
     "ConeMembership",
@@ -68,9 +68,9 @@ def _as_lambda(values) -> np.ndarray:
 
 def _check_cone_index(k: int, n: int):
     if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"cone index must be an integer, got {k!r}")
+        raise ConfigError(f"cone index must be an integer, got {k!r}")
     if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} outside 1..{n}")
+        raise ConfigError(f"cone index k={k} outside 1..{n}")
 
 
 def _esym_all_batch(lams: np.ndarray) -> np.ndarray:
@@ -161,10 +161,10 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError(f"dimension n={self.n} must be >= 3")
+            raise ConfigError(f"dimension n={self.n} must be >= 3")
         _check_cone_index(self.k, self.n)
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"homotopy parameter t={self.t} outside [0, 1]")
+            raise ConfigError(f"homotopy parameter t={self.t} outside [0, 1]")
 
 
 def _uniform_mix(lams: np.ndarray, t: float) -> np.ndarray:

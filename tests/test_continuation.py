@@ -100,6 +100,47 @@ def test_residual_constant_profile_is_minus_one_inside():
     assert float(state.margins.min()) == 0.0
 
 
+def _generic_node_quantities(u, spec, t):
+    """f_t, margins and the f_t gradient from the full (N, n) eigenvalue
+    matrix through the generic esym kernels: the oracle for the pair form."""
+    from sigmak_lab.symfun import _cone_margin, _esym_all_batch, _esym_gradient_batch, \
+        _uniform_chain, _uniform_mix
+    n, k, h = spec.n, spec.k, spec.h
+    r = spec.mesh[1:-1]
+    up = (u[2:] - u[:-2]) / (2.0 * h)
+    upp = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / h ** 2
+    lam = np.array([sl.radial_eigenvalues(float(u[i + 1]), float(up[i]), float(upp[i]),
+                                          float(r[i]), n).vector(n)
+                    for i in range(r.size)])
+    mixed = _uniform_mix(lam, t)
+    e = _esym_all_batch(mixed)
+    grad = _uniform_chain(_esym_gradient_batch(mixed, k), t)
+    return e[:, k], _cone_margin(e, k), grad
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_node_state_pair_form_matches_the_full_matrix_oracle(t):
+    from sigmak_lab.continuation import _NodeState
+    for n in range(3, 9):
+        for k in range(1, n + 1):
+            spec = _spec(n, k, m=32, r_b=3.0)
+            u = initial_guess(spec) * (1.0 + 0.02 * np.sin(2.0 * spec.mesh))
+            state = _NodeState(u, spec, t)
+            f, margins, grad = _generic_node_quantities(u, spec, t)
+            np.testing.assert_allclose(state.residual()[1:-1], f - 1.0, rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose(state.margins, margins, rtol=1e-12)
+            assert state.ellipticity() == pytest.approx(float(grad.min()), rel=1e-12)
+            # every tangential partial is the same; the Jacobian reads one of them
+            np.testing.assert_allclose(grad[:, 1:], grad[:, 1:2] * np.ones(n - 1),
+                                       rtol=1e-12)
+            jac = state.jacobian_banded()
+            state.f_rad = grad[:, 0]
+            state.f_tan = grad[:, 1:].sum(axis=1) / (n - 1.0)
+            np.testing.assert_allclose(jac, state.jacobian_banded(), rtol=1e-12,
+                                       atol=1e-12 * float(np.abs(jac).max()))
+
+
 def test_jacobian_matches_finite_differences():
     # the wobble stays tiny: (Gamma_k)_t margins shrink about 25-fold
     # faster than multiplicative perturbations of u for n = 3

@@ -7,7 +7,8 @@ import pytest
 
 import sigmak_lab as sl
 from sigmak_lab import radial
-from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, PositivityError
+from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
+    PositivityError
 from sigmak_lab.radial import _pair_sigma
 
 
@@ -118,6 +119,16 @@ def test_solve_for_u2_rejects_nonpositive_u():
         sl.solve_for_u2(0.0, 0.1, 1.0, 3, 1)
 
 
+def test_bad_dimension_or_cone_index_is_a_configuration_error():
+    with pytest.raises(ConfigError):
+        sl.radial_eigenvalues(1.0, -0.1, -0.2, 1.0, 2)
+    for n, k in [(2, 1), (4, 0), (4, 5)]:
+        with pytest.raises(ConfigError):
+            sl.solve_for_u2(1.0, -0.1, 1.0, n, k)
+        with pytest.raises(ConfigError):
+            sl.shoot(1.0, n, k, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # shooting
 # ---------------------------------------------------------------------------
@@ -191,6 +202,45 @@ def test_shoot_cone_boundary_abort(monkeypatch):
     monkeypatch.setattr(radial, "_MARGIN_FLOOR", 2.0)
     with pytest.raises(ConeBoundaryError):
         sl.shoot(1.0, 3, 3, 5.0)
+
+
+@pytest.mark.parametrize("n, k, r_max, r_exit", [(6, 2, 100.0, 83.15), (4, 2, 300.0, 242.6)])
+def test_shoot_inadmissible_accepted_node_is_a_boundary_error(n, k, r_max, r_exit):
+    # the step is accepted, then the equation at its end node has no
+    # admissible solve: a documented ConeBoundaryError with r and the margin
+    with pytest.raises(ConeBoundaryError) as info:
+        sl.shoot(sl.c_constant(n, k), n, k, r_max)
+    assert info.value.r == pytest.approx(r_exit, abs=0.05)
+    assert info.value.margin < 0.0
+
+
+def test_shoot_reuses_k1(monkeypatch):
+    # per attempted step: 3 + 3 + 4 right-hand sides (the full step and the
+    # first half step share k1), plus 1 per accepted node for its margin,
+    # which is the next step's k1; a few more start the series
+    calls = [0]
+    steps = [0]
+    real_kernel, real_step = radial._u2_kernel, radial._rk4_step
+
+    def counting_kernel(n, k):
+        kernel = real_kernel(n, k)
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+        return counted
+
+    def counting_step(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(radial, "_u2_kernel", counting_kernel)
+    monkeypatch.setattr(radial, "_rk4_step", counting_step)
+    profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 8.0)
+    assert steps[0] % 3 == 0  # no attempt was cut short by a cone exit
+    attempted, accepted = steps[0] // 3, profile.r.size - 2
+    assert attempted >= accepted > 100
+    assert calls[0] <= 10 * attempted + accepted + 3
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +329,20 @@ def test_profile_field_matches_a_per_point_reference_loop():
         np.testing.assert_allclose(hess[i], hs, rtol=1e-15, atol=1e-15)
 
 
+def test_profile_field_hessian_is_stable_under_one_ulp_of_radius():
+    # the curvature's 1/h^2 multiplies node differences, not node values,
+    # so an ulp of |x| (h = 1e-3 at the first nodes) barely moves it
+    n, k = 4, 2
+    field = sl.profile_to_field(sl.shoot(sl.c_constant(n, k), n, k, 2.0))
+    rng = np.random.default_rng(79)
+    pts = rng.normal(size=(2000, n))
+    radii = np.concatenate([rng.uniform(0.0, 0.02, 1000), rng.uniform(0.0, 1.99, 1000)])
+    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+    _, _, hess = field.jets(pts, 2)
+    _, _, moved = field.jets(pts * (1.0 + 2.0 ** -52), 2)
+    assert float(np.abs(moved - hess).max()) <= 1e-10
+
+
 def test_profile_csv_schema(tmp_path):
     profile = sl.shoot(sl.c_constant(3, 1), 3, 1, 3.0)
     path = tmp_path / "profile.csv"
@@ -299,7 +363,13 @@ def test_pair_sigma_closed_form_matches_generic():
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, n + 1))
         pair = sl.EigenPair(float(rng.normal()), float(rng.normal()))
-        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, n, k)
+        combs = [math.comb(n - 1, j) for j in range(k + 1)]
+        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, combs, min)
         generic = [sl.sigma(pair.vector(n), j) for j in range(1, k + 1)]
         assert sigma_k == pytest.approx(generic[-1], rel=1e-12, abs=1e-12)
         assert margin == pytest.approx(min(generic), rel=1e-12, abs=1e-12)
+        # the array form agrees with the float form (numpy powers may differ by an ulp)
+        arr = _pair_sigma(np.array([pair.lam_rad]), np.array([pair.lam_tan]), combs,
+                          np.minimum)
+        assert arr[0][0] == pytest.approx(margin, rel=1e-14, abs=1e-15)
+        assert arr[1][0] == pytest.approx(sigma_k, rel=1e-14, abs=1e-15)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
-from sigmak_lab.errors import ConeDomainError
+from sigmak_lab.errors import ConeDomainError, ConfigError
 
 from fd_oracles import esym_by_enumeration, fd_gradient, sample_gamma_k
 
@@ -168,6 +168,17 @@ def test_operator_spec_validation():
         sl.OperatorSpec(3, 2, 1.5)
     with pytest.raises(ValueError):
         sl.OperatorSpec(3, 4, 0.5)
+
+
+def test_bad_parameters_are_configuration_errors():
+    for args in [(2, 1, 0.5), (3, 0, 0.5), (3, 4, 0.5), (3, 2.0, 0.5), (3, 2, -0.1)]:
+        with pytest.raises(ConfigError):
+            sl.OperatorSpec(*args)
+    for k in (-1, 4, 1.0):  # sigma_0 = 1 is defined
+        with pytest.raises(ConfigError):
+            sl.sigma([1.0, 2.0, 3.0], k)
+        with pytest.raises(ConfigError):
+            sl.in_gamma_k([1.0, 2.0, 3.0], k)
 
 
 def test_f_homotopy_endpoints():
