@@ -49,10 +49,7 @@ def c_constant(n: int, k: int) -> float:
 
     At k = 1 this reduces to (2n)^{(n-2)/4}.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise ValueError(f"dimension n={n!r} must be an integer >= 3")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
-        raise ValueError(f"cone index k={k!r} outside 1..{n}")
+    check_nk(n, k)
     return 2.0 ** ((n - 2.0) / 4.0) * math.comb(n, k) ** ((n - 2.0) / (4.0 * k))
 
 
@@ -132,8 +129,7 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points) -> SolutionRe
     """
     if u.n != n:
         raise ValueError(f"field dimension {u.n} does not match n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} outside 1..{n}")
+    check_nk(n, k)
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise ConfigError("verification needs a nonempty (N, n) sample set")

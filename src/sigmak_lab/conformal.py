@@ -365,10 +365,6 @@ class MobiusMap:
         st = self._walk(np.asarray(x, dtype=float)[None], 2)
         return _TransportState(*(field[0] for field in vars(st).values()))
 
-    def jacobian(self, x) -> np.ndarray:
-        """Jacobian matrix of the word at x."""
-        return self.jet(x).jac
-
     # -- group structure ---------------------------------------------------
 
     def then(self, other: "MobiusMap") -> "MobiusMap":

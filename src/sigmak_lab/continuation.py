@@ -8,9 +8,10 @@ nonlinear system f_t(lambda(A(u))) = 1 is solved by damped Newton with an
 analytically assembled Jacobian; the matrix is banded (one sub-diagonal,
 two super-diagonals, the extra one coming from the u'(0) row) and is
 factored with a banded LU. The node state is a closed-form pair: each node
-has lam_rad once and lam_tan n-1 times, so has the uniform mix (a, b), and
-e_1..e_k of the mix and the two distinct partials of f_t come from the
-pair formula (radial._pair_sigma), with no (nodes x n) eigenvalue matrix.
+has lam_rad once and lam_tan n-1 times, taken for all interior nodes at
+once from `radial.radial_eigenvalues`, so has the uniform mix (a, b), and
+e_1..e_k of the mix and the two distinct partials of f_t come from
+`radial._pair_sigma`, with no (nodes x n) eigenvalue matrix.
 
 Continuation marches t from 0 (a sigma_1-type equation) to 1 (pure
 sigma_k), reusing each converged solution as the next initial guess and
@@ -31,8 +32,7 @@ import scipy.linalg
 from .bubbles import c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError, check_nk, check_positive
-from .radial import RadialProfile, _coeffs, _pair_sigma
-from .symfun import OperatorSpec
+from .radial import RadialProfile, _coeffs, _pair_sigma, radial_eigenvalues
 
 __all__ = [
     "BvpSpec",
@@ -92,9 +92,6 @@ class BvpSpec:
     def h(self) -> float:
         return self.r_b / self.m
 
-    def operator(self, t: float) -> OperatorSpec:
-        return OperatorSpec(self.n, self.k, t)
-
 
 @dataclass
 class TRecord:
@@ -130,7 +127,8 @@ class _NodeState:
             bad = int(np.argmin(u))
             raise PositivityError(f"nonpositive node value u[{bad}]={u[bad]}",
                                   where=bad, value=float(u[bad]))
-        spec.operator(t)  # validates t
+        if not 0.0 <= t <= 1.0:
+            raise ConfigError(f"homotopy parameter t={t} outside [0, 1]")
         r = spec.mesh[1:-1]
         ui = u[1:-1]
         up = (u[2:] - u[:-2]) / (2.0 * h)
@@ -138,11 +136,7 @@ class _NodeState:
         # eps |u| / h^2, which would put the 1e-10 residual target out of
         # reach on fine meshes once u^{-(n+2)/(n-2)} amplifies it
         upp = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / h ** 2
-        b, d, e1, e2 = _coeffs(n)
-        q1 = ui ** e1
-        q2 = ui ** e2
-        lam_tan = -b * q1 * up / r - d * q2 * up ** 2
-        lam_rad = -b * q1 * upp + (n - 1.0) * d * q2 * up ** 2
+        lam_rad, lam_tan = radial_eigenvalues(ui, up, upp, r, n)
         mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
         a, bt = t * lam_rad + mix, t * lam_tan + mix
         self.margins, self.f = _pair_sigma(
@@ -156,7 +150,6 @@ class _NodeState:
         self.f_tan = t * g_tan + (1.0 - t) * mean
         self.spec, self.t = spec, t
         self.u, self.r, self.ui, self.up, self.upp = u, r, ui, up, upp
-        self.q1, self.q2 = q1, q2
 
     def residual(self) -> np.ndarray:
         spec, h = self.spec, self.spec.h
@@ -180,7 +173,7 @@ class _NodeState:
         n, k, h = spec.n, spec.k, spec.h
         b, d, e1, e2 = _coeffs(n)
         ui, up, upp, r = self.ui, self.up, self.upp, self.r
-        q1, q2 = self.q1, self.q2
+        q1, q2 = ui ** e1, ui ** e2
         dq1 = e1 * ui ** (e1 - 1.0)
         dq2 = e2 * ui ** (e2 - 1.0)
         dlt_du = -b * dq1 * up / r - d * dq2 * up ** 2

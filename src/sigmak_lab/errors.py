@@ -4,6 +4,8 @@ All errors derive from SigmakLabError. The numeric ones double as
 ValueError/RuntimeError so generic callers can catch the builtin types.
 """
 
+from numbers import Integral
+
 
 class SigmakLabError(Exception):
     """Base class for every error raised by this package."""
@@ -20,7 +22,10 @@ def check_positive(name: str, value) -> None:
 
 
 def check_nk(n: int, k: int) -> None:
-    """ConfigError unless n >= 3 and 1 <= k <= n."""
+    """ConfigError unless n and k are integers, n >= 3 and 1 <= k <= n."""
+    for name, value in (("dimension n", n), ("cone index k", k)):
+        if not isinstance(value, Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 3:
         raise ConfigError(f"dimension n={n} must be >= 3")
     if not 1 <= k <= n:

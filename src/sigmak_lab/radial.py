@@ -24,12 +24,14 @@ root-branch ambiguity exists: shooting suffices. A constant right-hand side
 c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
 solves sigma_k = c exactly when u solves sigma_k = 1. Integration uses a
 classic fourth-order Runge-Kutta scheme, adaptive by step doubling, with a
-series start at the origin (u'/r is not directly evaluable there). Away
-from the origin every solve goes through `_u2_kernel(n, k)`, built once per
-(n, k); a step reuses its k1 for the half step, and the solve for the
-margin at an accepted node is the next step's k1. The run aborts cleanly
-when positivity or the cone margin is lost; past the cone boundary the
-operator is no longer elliptic and the computed branch is meaningless.
+series start at the origin (u'/r is not directly evaluable there). The
+pair is formed by `radial_eigenvalues` (floats or arrays of nodes) and by
+`_u2_kernel(n, k)`, the scalar solve of each sequential RK stage; a step
+reuses its k1 for the half step, and the margin solve at an accepted node
+is the next step's k1. A finished profile's nodes are solved in one array
+pass, `_node_solves`. The run aborts cleanly when positivity or the cone
+margin is lost; past the cone boundary the operator is no longer elliptic
+and the computed branch is meaningless.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,18 +66,15 @@ _MAX_STEPS = 200000  # step budget of one shot
 _TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """The two eigenvalues of the radial Schouten matrix."""
+class EigenPair(NamedTuple):
+    """The two eigenvalues of the radial Schouten matrix (floats, or arrays)."""
 
-    lam_rad: float
-    lam_tan: float
+    lam_rad: float | np.ndarray
+    lam_tan: float | np.ndarray
 
     def vector(self, n: int) -> np.ndarray:
-        """Full eigenvalue vector (lam_rad once, lam_tan with multiplicity n-1)."""
-        out = np.full(n, self.lam_tan)
-        out[0] = self.lam_rad
-        return out
+        """lam_rad once and lam_tan n-1 times, along the last axis."""
+        return np.stack([self.lam_rad] + [self.lam_tan] * (n - 1), axis=-1)
 
 
 def _coeffs(n: int):
@@ -85,24 +85,29 @@ def _coeffs(n: int):
     return b, d, e1, e2
 
 
-def radial_eigenvalues(u: float, du: float, d2u: float, r: float, n: int) -> EigenPair:
+def radial_eigenvalues(u, du, d2u, r, n: int) -> EigenPair:
     """Eigenvalue pair of the Schouten matrix for radial data at radius r.
 
-    At r = 0 the tangential slope u'/r is replaced by d2u (smooth radial
-    profiles have du = 0 there).
+    u, du, d2u and r are floats, giving a pair of floats, or arrays of one
+    shape, giving a pair of arrays. Where r = 0 the tangential slope u'/r
+    is replaced by d2u (smooth radial profiles have du = 0 there). A
+    non-positive u raises PositivityError naming the first such node.
     """
-    if n < 3:
-        raise ConfigError(f"dimension n={n} must be >= 3")
-    if not u > 0.0:
-        raise PositivityError(f"radial value u={u} not positive at r={r}",
-                              where=r, value=u)
+    check_nk(n, 1)
+    u, du, d2u, r = (np.asarray(a, dtype=float) for a in (u, du, d2u, r))
+    if not u.min(initial=math.inf) > 0.0:
+        bad = np.argmin(u > 0.0)  # the first node that is not positive
+        u0, r0 = float(u.flat[bad]), float(r.flat[bad])
+        raise PositivityError(f"radial value u={u0} not positive at r={r0}",
+                              where=r0, value=u0)
     b, d, e1, e2 = _coeffs(n)
     q1 = u ** e1
     q2 = u ** e2
-    slope = d2u if r == 0.0 else du / r
+    slope = np.divide(du, r, out=d2u.copy(), where=r != 0.0)
     lam_tan = -b * q1 * slope - d * q2 * du * du
     lam_rad = -b * q1 * d2u + (n - 1.0) * d * q2 * du * du
-    return EigenPair(lam_rad, lam_tan)
+    pair = EigenPair(lam_rad, lam_tan)
+    return EigenPair(*map(float, pair)) if u.ndim == 0 else pair
 
 
 def _pair_sigma(lam_rad, lam_tan, combs, minimum):
@@ -169,7 +174,7 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, 
         raise PositivityError(f"radial value u={u} not positive at r={r}",
                               where=r, value=u)
     if abs(du) > 1e-9:
-        raise ValueError(f"du={du} must vanish at the origin")
+        raise ConfigError(f"du={du} must vanish at the origin")
     b, _, e1, _ = _coeffs(n)
     lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
     try:
@@ -199,15 +204,15 @@ class RadialProfile:
         self.u = np.asarray(self.u, dtype=float)
         self.du = np.asarray(self.du, dtype=float)
         if not (self.r.shape == self.u.shape == self.du.shape):
-            raise ValueError("mesh, values and derivatives must share a shape")
+            raise ConfigError("mesh, values and derivatives must share a shape")
         if self.r[0] != 0.0:
-            raise ValueError("mesh must start at r = 0")
+            raise ConfigError("mesh must start at r = 0")
         if np.any(np.diff(self.r) <= 0.0):
-            raise ValueError("mesh must be strictly increasing")
-        if np.any(self.u <= 0.0):
+            raise ConfigError("mesh must be strictly increasing")
+        if not np.all(self.u > 0.0):
             raise PositivityError("profile values must be positive")
         if self.du[0] != 0.0:
-            raise ValueError("smoothness at the origin requires du[0] = 0")
+            raise ConfigError("smoothness at the origin requires du[0] = 0")
 
     @property
     def r_max(self) -> float:
@@ -443,24 +448,38 @@ def _hermite5(s, h, left, right, order):
     return val, der, cur
 
 
-def _node_curvatures(profile: RadialProfile) -> np.ndarray:
-    """u'' at the mesh nodes from the equation, finite differences as fallback."""
+def _node_solves(profile: RadialProfile):
+    """(u'', cone margin, sigma_k residual) at every node, in one array pass.
+
+    u'' solves sigma_k = 1 as `_u2_kernel` does (isotropically at the
+    origin); the residual is |sigma_k - 1| of `radial_eigenvalues` at it.
+    A node with no admissible solve gets u'' and residual nan, and as margin
+    lam_tan if the linear coefficient degenerates, the negative margin if
+    the pair leaves Gamma_k, nan if the result is not finite.
+    """
     r, u, du = profile.r, profile.u, profile.du
     n, k = profile.n, profile.k
-    kernel = _u2_kernel(n, k)
-    out = np.empty_like(r)
-    for i, (ri, ui, dui) in enumerate(zip(r.tolist(), u.tolist(), du.tolist())):
-        try:
-            out[i], _ = kernel(ui, dui, ri) if i else solve_for_u2(ui, 0.0, ri, n, k)
-        except (ConeDomainError, PositivityError):
-            if 0 < i < r.size - 1:
-                h1, h2 = r[i] - r[i - 1], r[i + 1] - r[i]
-                out[i] = 2.0 * (h1 * u[i + 1] - (h1 + h2) * u[i] + h2 * u[i - 1]) \
-                    / (h1 * h2 * (h1 + h2))
-            else:
-                j = min(max(i, 1), r.size - 2)
-                out[i] = (du[j + 1] - du[j - 1]) / (r[j + 1] - r[j - 1])
-    return out
+    b, _, e1, _ = _coeffs(n)
+    combs = [math.comb(n - 1, j) for j in range(k + 1)]
+    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
+    with np.errstate(all="ignore"):
+        # lam_rad is affine in u'' with slope -b u^e1; lam_tan is free of it for r > 0
+        lam_rad0, lam_tan = radial_eigenvalues(u, du, np.zeros_like(r), r, n)
+        lam_tan[0] = lam0  # the isotropic origin
+        coeff = combs[k - 1] * lam_tan ** (k - 1)
+        lam_rad = (1.0 - combs[k] * lam_tan ** k) / coeff
+        lam_rad[0] = lam0
+        d2u = (lam_rad0 - lam_rad) / (b * u ** e1)
+        margin = _pair_sigma(lam_rad, lam_tan, combs, np.minimum)[0]
+        degenerate = np.abs(coeff) < 1e-14
+        finite = np.isfinite(d2u) & np.isfinite(margin)
+        margin = np.where(degenerate, lam_tan, np.where(finite, margin, np.nan))
+        ok = ~degenerate & finite & (margin >= 0.0)
+        d2u = np.where(ok, d2u, np.nan)
+        pair = radial_eigenvalues(u[ok], du[ok], d2u[ok], r[ok], n)
+        res = np.full_like(r, np.nan)
+        res[ok] = np.abs(_pair_sigma(*pair, combs, np.minimum)[1] - 1.0)
+    return d2u, margin, res
 
 
 def profile_to_field(profile: RadialProfile) -> ScalarField:
@@ -473,7 +492,16 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
     """
     n = profile.n
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u_nodes = _node_curvatures(profile)
+    d2u_nodes = _node_solves(profile)[0]
+    # nodes with no admissible solve: three-point u'' inside, central du' at the ends
+    bad = np.flatnonzero(np.isnan(d2u_nodes))
+    i = bad[(bad > 0) & (bad < r_nodes.size - 1)]
+    h1, h2 = r_nodes[i] - r_nodes[i - 1], r_nodes[i + 1] - r_nodes[i]
+    d2u_nodes[i] = 2.0 * (h1 * u_nodes[i + 1] - (h1 + h2) * u_nodes[i] + h2 * u_nodes[i - 1]) \
+        / (h1 * h2 * (h1 + h2))
+    i = bad[(bad == 0) | (bad == r_nodes.size - 1)]
+    j = np.clip(i, 1, r_nodes.size - 2)
+    d2u_nodes[i] = (du_nodes[j + 1] - du_nodes[j - 1]) / (r_nodes[j + 1] - r_nodes[j - 1])
     eye = np.eye(n)
 
     def jets(X, order):
@@ -509,24 +537,12 @@ def write_profile_csv(profile: RadialProfile, path):
     sigma_residual measures how exactly the equation's curvature solve
     closes at each node (machine-level along shot profiles); cone_margin
     is the Gamma_k margin of the node's eigenpair. Nodes where the solve
-    fails get nan residual and the failing margin.
+    fails get nan residual and the failing margin (see `_node_solves`).
     """
+    _, margin, res = _node_solves(profile)
+    du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
+    rows = zip(profile.r.tolist(), profile.u.tolist(), du, res.tolist(), margin.tolist())
     lines = ["# sigmak-lab v1", "r,u,du,sigma_residual,cone_margin"]
-    n, k = profile.n, profile.k
-    kernel = _u2_kernel(n, k)
-    combs = [math.comb(n - 1, j) for j in range(k + 1)]
-    for i, (r, u, du) in enumerate(zip(profile.r.tolist(), profile.u.tolist(),
-                                       profile.du.tolist())):
-        du = du if i else 0.0
-        try:
-            d2u, margin = kernel(u, du, r) if i else solve_for_u2(u, du, r, n, k)
-            pair = radial_eigenvalues(u, du, d2u, r, n)
-            res = abs(_pair_sigma(pair.lam_rad, pair.lam_tan, combs, min)[1] - 1.0)
-        except (ConeDomainError, PositivityError) as exc:
-            res = float("nan")
-            margin = getattr(exc, "margin", float("nan"))
-            margin = float("nan") if margin is None else float(margin)
-        lines.append(f"{r!r},{u!r},{du!r},{res!r},{margin!r}")
+    lines += [f"{r!r},{u!r},{du!r},{res!r},{margin!r}" for r, u, du, res, margin in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-

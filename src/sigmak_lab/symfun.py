@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConeDomainError, ConfigError
+from .errors import ConeDomainError, ConfigError, check_nk
 
 __all__ = [
     "ConeMembership",
@@ -64,13 +64,6 @@ def _as_lambda(values) -> np.ndarray:
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalue vector has non-finite entries")
     return lam
-
-
-def _check_cone_index(k: int, n: int):
-    if not isinstance(k, (int, np.integer)):
-        raise ConfigError(f"cone index must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise ConfigError(f"cone index k={k} outside 1..{n}")
 
 
 def _esym_all_batch(lams: np.ndarray) -> np.ndarray:
@@ -126,7 +119,7 @@ def sigma(lam, k: int) -> float:
     n = lam.size
     if k == 0:
         return 1.0
-    _check_cone_index(k, n)
+    check_nk(n, k)
     return float(_esym_all_batch(lam[None])[0, k])
 
 
@@ -134,7 +127,7 @@ def sigma_gradient(lam, k: int) -> np.ndarray:
     """Gradient of sigma_k: component i is sigma_{k-1} of lam with entry i deleted."""
     lam = _as_lambda(lam)
     n = lam.size
-    _check_cone_index(k, n)
+    check_nk(n, k)
     return _esym_gradient_batch(lam[None, :], k)[0]
 
 
@@ -146,7 +139,7 @@ def in_gamma_k(lam, k: int) -> ConeMembership:
     the criterion adopted throughout the package.
     """
     lam = _as_lambda(lam)
-    _check_cone_index(k, lam.size)
+    check_nk(lam.size, k)
     margin = float(_cone_margin(_esym_all_batch(lam[None])[0], k))
     return ConeMembership(margin > 0.0, margin)
 
@@ -160,9 +153,7 @@ class OperatorSpec:
     t: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ConfigError(f"dimension n={self.n} must be >= 3")
-        _check_cone_index(self.k, self.n)
+        check_nk(self.n, self.k)
         if not 0.0 <= self.t <= 1.0:
             raise ConfigError(f"homotopy parameter t={self.t} outside [0, 1]")
 

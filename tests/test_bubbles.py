@@ -34,8 +34,8 @@ def test_c_constant_values():
 
 
 def test_c_constant_validation():
-    for n, k in [(2, 1), (4, 0), (4, 5)]:
-        with pytest.raises(ValueError):
+    for n, k in [(2, 1), (4, 0), (4, 5), (4.0, 2), (4, 2.0)]:
+        with pytest.raises(ConfigError):
             sl.c_constant(n, k)
 
 

@@ -52,6 +52,15 @@ def test_initial_guess_branches():
         initial_guess(sl.BvpSpec(3, 2, 5.0, 10.0, m=64))
 
 
+def test_homotopy_parameter_outside_the_unit_interval_is_a_configuration_error():
+    spec = _spec(3, 2)
+    u = initial_guess(spec)
+    with pytest.raises(ConfigError):
+        sl.assemble_residual(u, spec, 1.5)
+    with pytest.raises(ConfigError):
+        sl.newton_solve(u, spec, -0.1)
+
+
 # ---------------------------------------------------------------------------
 # residual assembly
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import sigmak_lab as sl
 from sigmak_lab import radial
+from sigmak_lab.conformal import _checked_jets, _schouten_batch
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
     PositivityError
 from sigmak_lab.radial import _pair_sigma
@@ -52,25 +53,54 @@ def test_bubble_profile_is_isotropic():
 
 
 def test_pair_matches_full_matrix_oracle():
-    # the stated invariant: 1e4 random states against the dense path; the
-    # 1e-11 tolerance is per unit of spectral radius, since dense solves
-    # carry eps * |lam| rounding and some sampled states reach |lam| ~ 1e4
+    # the stated invariant: 1e4 random states against the dense path, run
+    # as one batch per n; the 1e-11 tolerance is per unit of spectral
+    # radius, since dense solves carry eps * |lam| rounding and some sampled
+    # states reach |lam| ~ 1e4
     rng = np.random.default_rng(53)
-    worst = 0.0
+    states = []
     for _ in range(10000):
         n = int(rng.integers(3, 7))
         u = float(rng.uniform(0.3, 3.0))
         du = float(rng.uniform(-2.0, 2.0))
         d2u = float(rng.uniform(-3.0, 3.0))
         r = float(rng.uniform(0.05, 5.0))
-        pair = sl.radial_eigenvalues(u, du, d2u, r, n)
         e = rng.normal(size=n)
-        e /= np.linalg.norm(e)
-        hess = d2u * np.outer(e, e) + (du / r) * (np.eye(n) - np.outer(e, e))
-        lam = sl.schouten_spectrum(sl.Jet2(r * e, u, du * e, hess))
-        err = float(np.max(np.abs(np.sort(pair.vector(n)) - lam)))
-        worst = max(worst, err / max(1.0, float(np.max(np.abs(lam)))))
+        states.append((n, u, du, d2u, r, e / np.linalg.norm(e)))
+    worst = 0.0
+    for n in range(3, 7):
+        rows = [s for s in states if s[0] == n]
+        u, du, d2u, r = (np.array([s[i] for s in rows]) for i in range(1, 5))
+        e = np.array([s[5] for s in rows])
+        proj = e[:, :, None] * e[:, None, :]
+        hess = d2u[:, None, None] * proj + (du / r)[:, None, None] * (np.eye(n) - proj)
+        jets = _checked_jets(r[:, None] * e, u, du[:, None] * e, hess)
+        lam = np.linalg.eigvalsh(_schouten_batch(*jets))
+        pair = sl.radial_eigenvalues(u, du, d2u, r, n)
+        err = np.abs(np.sort(pair.vector(n), axis=-1) - lam).max(axis=1)
+        worst = max(worst, float((err / np.maximum(1.0, np.abs(lam).max(axis=1))).max()))
     assert worst <= 1e-11
+
+
+def test_pair_array_form_matches_the_float_form():
+    rng = np.random.default_rng(83)
+    u, du, d2u = rng.uniform(0.3, 3.0, 50), rng.uniform(-2.0, 2.0, 50), rng.normal(size=50)
+    r = np.concatenate([[0.0], rng.uniform(0.05, 5.0, 49)])
+    du[0] = 0.0
+    pair = sl.radial_eigenvalues(u, du, d2u, r, 5)
+    assert pair.lam_rad.shape == pair.lam_tan.shape == (50,)
+    assert pair.lam_rad[0] == pair.lam_tan[0]  # the origin row takes d2u as its slope
+    for i in range(50):
+        one = sl.radial_eigenvalues(float(u[i]), float(du[i]), float(d2u[i]), float(r[i]), 5)
+        assert type(one.lam_rad) is float and type(one.lam_tan) is float
+        assert one.lam_rad == pytest.approx(pair.lam_rad[i], rel=1e-14, abs=1e-15)
+        assert one.lam_tan == pytest.approx(pair.lam_tan[i], rel=1e-14, abs=1e-15)
+    np.testing.assert_array_equal(pair.vector(5)[7], sl.EigenPair(
+        float(pair.lam_rad[7]), float(pair.lam_tan[7])).vector(5))
+    u[[4, 9]] = [0.0, -1.0]
+    with pytest.raises(PositivityError) as info:
+        sl.radial_eigenvalues(u, du, d2u, r, 5)
+    assert info.value.where == r[4] and info.value.value == 0.0
 
 
 def test_origin_limit_uses_curvature():
@@ -127,6 +157,27 @@ def test_bad_dimension_or_cone_index_is_a_configuration_error():
             sl.solve_for_u2(1.0, -0.1, 1.0, n, k)
         with pytest.raises(ConfigError):
             sl.shoot(1.0, n, k, 2.0)
+
+
+@pytest.mark.parametrize("r, u, du", [
+    ([0.0, 1.0], [1.0, 1.0], [0.0, 0.0, 0.0]),   # shapes differ
+    ([0.5, 1.0], [1.0, 1.0], [0.0, 0.0]),        # mesh not starting at 0
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),  # not strictly increasing
+    ([0.0, 1.0], [1.0, 1.0], [0.1, 0.0]),        # du[0] != 0
+])
+def test_bad_radial_profile_is_a_configuration_error(r, u, du):
+    with pytest.raises(ConfigError):
+        sl.RadialProfile(r, u, du, 3, 1)
+
+
+def test_radial_profile_rejects_nan_values():
+    with pytest.raises(PositivityError):
+        sl.RadialProfile([0.0, 1.0], [1.0, np.nan], [0.0, 0.0], 3, 1)
+
+
+def test_solve_for_u2_slope_at_the_origin_is_a_configuration_error():
+    with pytest.raises(ConfigError):
+        sl.solve_for_u2(1.0, 1e-3, 0.0, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +349,8 @@ def test_profile_field_matches_a_per_point_reference_loop():
     n, k = 4, 2
     profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
     field = sl.profile_to_field(profile)
-    r_nodes, d2u = profile.r, radial._node_curvatures(profile)
+    r_nodes, d2u = profile.r, radial._node_solves(profile)[0]
+    assert not np.any(np.isnan(d2u))  # every node solves, so no fallback runs
 
     def reference(x):
         # the batch's norm: the 1-D one may differ by an ulp, which the
@@ -355,6 +407,60 @@ def test_profile_csv_schema(tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[3]) <= 1e-12          # solve closes at machine level
     assert float(first[4]) > 0.0
+
+
+def test_node_solves_match_the_per_node_solve():
+    # the array pass against solve_for_u2, its N = 1 case, node by node;
+    # numpy's and libm's pow may differ by an ulp, which the solve for u''
+    # amplifies to ~1e-13 relative
+    for n, k in [(3, 1), (4, 2), (5, 3), (6, 6)]:
+        profile = sl.shoot(sl.c_constant(n, k), n, k, 10.0)
+        d2u, margin, res = radial._node_solves(profile)
+        ref = np.array([sl.solve_for_u2(u, du, r, n, k) for r, u, du in zip(
+            profile.r.tolist(), profile.u.tolist(), profile.du.tolist())])
+        np.testing.assert_allclose(d2u, ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(margin, ref[:, 1], rtol=1e-14)
+        assert np.all(res <= 1e-11)
+
+
+def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
+    # the first 8 nodes of a shot profile with four nodes that have no
+    # admissible solve: du = 0 degenerates the linear coefficient (nodes 3
+    # and 7, the last), du = +0.5 solves onto a negative margin (node 5),
+    # u = 1e-100 overflows u^{-2n/(n-2)} (node 6); the pinned figures are
+    # what a node-by-node loop through the scalar kernel writes
+    shot = sl.shoot(sl.c_constant(4, 2), 4, 2, 2.0)
+    r, u, du = shot.r[:8].copy(), shot.u[:8].copy(), shot.du[:8].copy()
+    du[3] = du[7] = 0.0
+    du[5] = 0.5
+    u[6] = 1e-100
+    profile = sl.RadialProfile(r, u, du, 4, 2)
+    path = tmp_path / "profile.csv"
+    sl.write_profile_csv(profile, path)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[2:]])
+    np.testing.assert_array_equal(rows[:, 0], profile.r)
+    np.testing.assert_array_equal(rows[:, 1], profile.u)
+    np.testing.assert_array_equal(rows[:, 2], profile.du)
+    res, margin = rows[:, 3], rows[:, 4]
+    failed = [3, 5, 6, 7]
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(res)), failed)
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(margin)), [6])
+    assert np.all(res[[0, 1, 2, 4]] <= 1e-15)
+    np.testing.assert_allclose(margin[[0, 1, 2, 4]], 1.0, rtol=1e-14)
+    # the degenerate rows report lam_tan, which is -0.0 at du = 0
+    for i in (3, 7):
+        assert margin[i] == 0.0 and math.copysign(1.0, margin[i]) == -1.0
+    assert margin[5] == pytest.approx(-68.95529100709922, rel=1e-14)
+    # failed rows fall back to finite differences: three-point u in the
+    # interior, the central du difference at the last node
+    field = sl.profile_to_field(profile)
+    x = np.zeros((len(failed), 4))
+    x[:, 0] = profile.r[failed]
+    curvature = field.jets(x, 2)[2][:, 0, 0]
+    np.testing.assert_allclose(curvature, [-4.4267063464889205, -219359385.00868365,
+                                           385847365.17519605, -2331.9837500367566],
+                               rtol=1e-14)
 
 
 def test_pair_sigma_closed_form_matches_generic():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
-from sigmak_lab.errors import ConeDomainError, ConfigError
+from sigmak_lab.errors import ConeDomainError, ConfigError, check_nk
 
 from fd_oracles import esym_by_enumeration, fd_gradient, sample_gamma_k
 
@@ -179,6 +179,16 @@ def test_bad_parameters_are_configuration_errors():
             sl.sigma([1.0, 2.0, 3.0], k)
         with pytest.raises(ConfigError):
             sl.in_gamma_k([1.0, 2.0, 3.0], k)
+
+
+def test_one_dimension_and_cone_index_check():
+    check_nk(np.int64(4), np.int32(2))  # numpy integers are integers
+    for n, k in [(4.0, 2), (4, 2.0), ("4", 2), (2, 1), (4, 0), (4, 5)]:
+        with pytest.raises(ConfigError):
+            check_nk(n, k)
+    field = sl.bubble_field(sl.BubbleSpec(3, 2, 1.0))
+    with pytest.raises(ConfigError):
+        sl.verify_solution(field, 3, 2.0, np.ones((4, 3)))
 
 
 def test_f_homotopy_endpoints():
