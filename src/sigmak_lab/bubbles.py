@@ -18,14 +18,15 @@ supremum as a lower bound for the sharp constant, with no sharpness claim.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ScalarField, Domain, _checked_jets, _schouten_batch, \
-    random_mobius_map_avoiding, transform_field
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
+    _require_positive, _schouten_batch, random_mobius_map_avoiding
 from .errors import ConfigError, PositivityError, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
@@ -71,28 +72,30 @@ class BubbleSpec:
         object.__setattr__(self, "center", c)
 
 
+def _bubble_jets(n: int, k: int, a, center, X, order: int):
+    """Jets of the family member of scale a and center at the rows of X
+    (..., n); an array a broadcasts against the leading axes of X."""
+    m = (n - 2.0) / 2.0
+    d = X - center
+    amp = c_constant(n, k) * a ** m
+    w = 1.0 + a * a * np.einsum("...j,...j->...", d, d)
+    val = amp * w ** (-m)
+    if not order:
+        return val, None, None
+    # u' factors: grad = -2 m a^2 amp w^{-m-1} d
+    f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
+    grad = f1[..., None] * d
+    f2 = 4.0 * m * (m + 1.0) * a ** 4 * amp * w ** (-m - 2.0)
+    hess = f1[..., None, None] * np.eye(n) \
+        + f2[..., None, None] * (d[..., :, None] * d[..., None, :])
+    return val, grad, hess
+
+
 def bubble_field(spec: BubbleSpec) -> ScalarField:
     """The closed-form field with analytic first and second derivatives."""
-    n, a, x0 = spec.n, spec.a, spec.center
-    m = (n - 2.0) / 2.0
-    amp = c_constant(n, spec.k) * a ** m
-
-    def jets(X, order):
-        d = X - x0
-        w = 1.0 + a * a * np.einsum("ij,ij->i", d, d)
-        val = amp * w ** (-m)
-        if not order:
-            return val, None, None
-        # u' factors: grad = -2 m a^2 amp w^{-m-1} d
-        f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
-        grad = f1[:, None] * d
-        f2 = 4.0 * m * (m + 1.0) * a ** 4 * amp * w ** (-m - 2.0)
-        hess = f1[:, None, None] * np.eye(n) \
-            + f2[:, None, None] * (d[:, :, None] * d[:, None, :])
-        return val, grad, hess
-
-    tag = f"bubble(n={n},k={spec.k},a={a:g})"
-    return ScalarField(n, domain=Domain(), tag=tag, jets=jets)
+    jets = functools.partial(_bubble_jets, spec.n, spec.k, spec.a, spec.center)
+    tag = f"bubble(n={spec.n},k={spec.k},a={spec.a:g})"
+    return ScalarField(spec.n, domain=Domain(), tag=tag, jets=jets)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +131,7 @@ def verify_solution(u: ScalarField, n: int, k: int, sample_points) -> SolutionRe
     the first violation alike.
     """
     if u.n != n:
-        raise ValueError(f"field dimension {u.n} does not match n={n}")
+        raise ConfigError(f"field dimension {u.n} does not match n={n}")
     check_nk(n, k)
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -170,6 +173,9 @@ class HarnackReport:
             raise PositivityError("Harnack report entries must all be positive")
 
 
+_BLOCK_VALUES = 2 ** 15  # grid values of the family held at once by a sweep
+
+
 @functools.lru_cache
 def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     """Read-only grid directions: the 2n axes, then n_angular*(n-1) Halton ones."""
@@ -179,60 +185,74 @@ def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     return dirs
 
 
-def _harnack_cell(u: ScalarField, center: np.ndarray, R: float, n_radial: int,
-                  n_angular: int):
-    """Points (argmax over B_R, argmin over B_2R) and their values (max, min):
-    one grid of shells for both balls, scaled exactly by 2 for B_2R, and a
-    Newton step from each best grid point, projected into its ball, that
-    wins where strictly better."""
+def _harnack_cells(grid_values, jets, domain: Domain, center: np.ndarray,
+                   R: float, n_radial: int, n_angular: int):
+    """Harnack reports of a stack of fields (cells) around a center.
+
+    grid_values(X) yields the values of consecutive cells at the rows of X
+    (N, n) in blocks (B, N); jets(X, order, cells) gives the jets of cell
+    cells[i] at row i. One grid of shells (n_radial radii times the 2n axes
+    and n_angular*(n-1) Halton directions), scaled exactly by 2 for B_2R,
+    serves every cell. From the best grid points one stacked Newton step,
+    projected into its ball, wins where strictly better. A singular hessian
+    (LinAlgError, the only error caught) keeps both grid extrema of its own
+    cell; a trial point with a non-finite step or outside the domain keeps
+    its grid value.
+    """
+    check_positive("radius R", R)
+    if n_radial < 1:
+        raise ConfigError(f"n_radial={n_radial} must be >= 1")
+    n = center.size
     sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
-    dirs = _grid_directions(center.size, n_angular)
-    shell = (np.linspace(0.0, R, n_radial)[:, None, None] * dirs).reshape(-1, center.size)
-    pts = center + np.array([1.0, 2.0])[:, None, None] * shell
-    vals = u.values(pts.reshape(-1, center.size)).reshape(2, -1)
-    idx = np.argmax(sign[:, None] * vals, axis=1)
-    x_best, v_best = pts[[0, 1], idx], vals[[0, 1], idx]
-    _, grad, hess = u.jets(x_best, 2)
+    shell = (np.linspace(0.0, R, n_radial)[:, None, None]
+             * _grid_directions(n, n_angular)).reshape(-1, n)
+    pts = (center + np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
+    idx, v = [], []
+    for vals in grid_values(pts):
+        vals = vals.reshape(-1, 2, len(shell))
+        idx.append(np.argmax(sign[:, None] * vals, axis=2) + [0, len(shell)])
+        v.append(np.take_along_axis(vals.reshape(len(vals), -1), idx[-1], axis=1))
+    x, v = pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+    cells, ball = np.divmod(np.arange(len(x)), 2)
+    _, grad, hess = jets(x, 2, cells)
+    grad, hess = grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
     try:
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        step = -np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
-        return x_best, v_best
+        step = np.full_like(grad, np.nan)
+        for c in range(len(hess)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[c] = -np.linalg.solve(hess[c], grad[c])
+    step = step.reshape(-1, n)
     rows = np.flatnonzero(np.isfinite(step).all(axis=1))
-    x_try = x_best[rows] + step[rows]
-    offset, limit = x_try - center, radius[rows]
+    x_try = x[rows] + step[rows]
+    offset, limit = x_try - center, radius[ball[rows]]
     dist = np.linalg.norm(offset, axis=1)
     out = dist > limit
     x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
-    inside = u.domain.contains(x_try)
+    inside = domain.contains(x_try)
     rows, x_try = rows[inside], x_try[inside]
     if rows.size:
-        v_try = u.values(x_try)
-        better = sign[rows] * v_try > sign[rows] * v_best[rows]
-        x_best[rows[better]], v_best[rows[better]] = x_try[better], v_try[better]
-    return x_best, v_best
+        v_try = jets(x_try, 0, cells[rows])[0]
+        better = sign[ball[rows]] * v_try > sign[ball[rows]] * v[rows]
+        x[rows[better]], v[rows[better]] = x_try[better], v_try[better]
+    return [HarnackReport(R, hi, lo, hi * lo * R ** (n - 2.0), xa, xb)
+            for (xa, xb), (hi, lo) in zip(x.reshape(-1, 2, n), v.reshape(-1, 2).tolist())]
 
 
 def harnack_product(u: ScalarField, R: float, center=None, *,
                     n_radial: int = 64, n_angular: int = 64) -> HarnackReport:
     """Scaled Harnack product of u around a center (the origin if None).
 
-    Extrema come from one batch evaluation of a deterministic grid (n_radial
-    shells times the 2n axes and n_angular*(n-1) Halton directions) over B_R
-    and, scaled by 2, over B_{2R}, then one batched polish step. A singular
-    hessian (LinAlgError, the only error caught) keeps both grid extrema; a
-    trial point with a non-finite Newton step or outside u's domain keeps
-    its grid value. The product is bounded only on solutions; whether u is
-    one is for `verify_solution` to say.
+    The one-cell case of `_harnack_cells`: one batch evaluation of the grid
+    over B_R and B_2R, then one batched polish step, under its rules. The
+    product is bounded only on solutions; whether u is one is for
+    `verify_solution` to say.
     """
-    check_positive("radius R", R)
-    if n_radial < 1:
-        raise ConfigError(f"n_radial={n_radial} must be >= 1")
-    n = u.n
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    (argmax, argmin), vals = _harnack_cell(u, center, R, n_radial, n_angular)
-    max_br, min_2br = map(float, vals)
-    return HarnackReport(R, max_br, min_2br, max_br * min_2br * R ** (n - 2.0),
-                         argmax, argmin)
+    center = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
+    return _harnack_cells(lambda X: [u.values(X)[None]],
+                          lambda X, order, cells: u.jets(X, order),
+                          u.domain, center, R, n_radial, n_angular)[0]
 
 
 @dataclass(frozen=True)
@@ -249,6 +269,25 @@ class SweepRow:
     product_scaled: float
 
 
+def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
+    """(grid_values, jets) for `_harnack_cells` of the word images
+    |J_psi|^p (u_a o psi) of the centered family over the scales a: the word
+    walks the grid once, and the closed form is broadcast over blocks of
+    scales holding at most _BLOCK_VALUES grid values."""
+    def pulled(st, X, order, a):
+        u, grad, hess = _pullback(st, *_bubble_jets(n, k, a, 0.0, st.y, order))
+        return _require_positive(X, u), grad, hess
+
+    def grid_values(X):
+        st, block = psi._walk(X, 0), max(1, _BLOCK_VALUES // len(X))
+        for lo in range(0, scales.size, block):
+            yield pulled(st, X, 0, scales[lo:lo + block, None])[0]
+
+    def jets(X, order, cells):
+        return pulled(psi._walk(X, order), X, order, scales[cells])
+    return grid_values, jets
+
+
 def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
                   n_radial: int = 64, n_angular: int = 64,
                   mobius_words: int = 0, seed: int = 0) -> list[SweepRow]:
@@ -259,29 +298,30 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     each member; words whose poles land inside B_{3R+1/2} of the origin,
     R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
-    Rows come back in fixed order (label-major, then a-major, then R), and
-    the empirical supremum is a lower bound for the sharp constant. Empty
-    grids give an empty list.
+    Each (word, R) pair is one `_harnack_cells` stack over all scales
+    (`_family`), the bubble rows that of the empty word. Rows come back in
+    fixed order (label-major, then a-major, then R), and the empirical
+    supremum is a lower bound for the sharp constant. Empty grids give an
+    empty list.
     """
     a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
     if not a_vals or not r_vals:
         return []
+    for a in a_vals:
+        check_positive("scale a", a)
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_vals) + 0.5
-    fields = [("bubble", None)] + [
+    words = [("bubble", MobiusMap(()))] + [
         (f"mobius{j}", random_mobius_map_avoiding(rng, n, np.zeros(n), clearance))
         for j in range(mobius_words)]
-
     rows = []
-    for label, psi in fields:
-        for a in a_vals:
-            base = bubble_field(BubbleSpec(n, k, a))
-            fld = base if psi is None else transform_field(base, psi)
-            for R in r_vals:
-                rep = harnack_product(fld, R, n_radial=n_radial, n_angular=n_angular)
-                rows.append(SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br,
-                                     rep.product_scaled))
+    for label, psi in words:
+        family = _family(n, k, np.array(a_vals), psi)
+        reps = [_harnack_cells(*family, Domain(), np.zeros(n), R, n_radial, n_angular)
+                for R in r_vals]
+        rows += [SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br, rep.product_scaled)
+                 for a, by_r in zip(a_vals, zip(*reps)) for R, rep in zip(r_vals, by_r)]
     return rows
 
 

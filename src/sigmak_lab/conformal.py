@@ -68,6 +68,16 @@ __all__ = [
 # jets and the flat Schouten matrix
 # ---------------------------------------------------------------------------
 
+def _require_positive(X, u):
+    """u, once every entry is checked positive; u's last axis runs over the
+    rows of X (N, n), and the PositivityError names the first bad point."""
+    bad = np.flatnonzero(~(u > 0.0))
+    if bad.size:
+        x, val = X[bad[0] % len(X)], u.flat[bad[0]]
+        raise PositivityError(f"value {val} is not positive at {x}", where=x, value=val)
+    return u
+
+
 def _checked_jets(points, u, grad, hess):
     """Validate a stack of N 2-jets and return (u, grad, symmetrized hess).
 
@@ -82,11 +92,7 @@ def _checked_jets(points, u, grad, hess):
     npts, n = points.shape
     if u.shape != (npts,) or grad.shape != (npts, n) or hess.shape != (npts, n, n):
         raise ValueError("jet component shapes do not match the point dimension")
-    bad = np.flatnonzero(~(u > 0.0))
-    if bad.size:
-        i = bad[0]
-        raise PositivityError(f"jet value u={u[i]} is not positive at {points[i]}",
-                              where=points[i], value=u[i])
+    _require_positive(points, u)
     hess_t = hess.swapaxes(1, 2)
     asym = np.abs(hess - hess_t).max(axis=(1, 2), initial=0.0)
     scale = np.maximum(1.0, np.abs(hess).max(axis=(1, 2), initial=0.0))
@@ -519,11 +525,7 @@ class ScalarField:
         u = np.asarray(u, dtype=float)
         if u.shape != (len(X),):
             raise ValueError("field values do not match the number of points")
-        bad = np.flatnonzero(~(u > 0.0))
-        if bad.size:
-            x, val = X[bad[0]], u[bad[0]]
-            raise PositivityError(f"field value {val} is not positive at {x}",
-                                  where=x, value=val)
+        _require_positive(X, u)
         if order:
             grad = np.asarray(grad, dtype=float)
             hess = np.asarray(hess, dtype=float)
@@ -566,39 +568,45 @@ def constant_field(value: float, n: int) -> ScalarField:
     return ScalarField(n, tag=f"const({value})", jets=jets)
 
 
+def _pullback(st: _TransportState, uy, gy, hy):
+    """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
+    jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
+    order 0 only the values come back; uy may then stack several fields on
+    leading axes, and the conformal factor broadcasts over them."""
+    n = st.y.shape[1]
+    p = (n - 2.0) / (2.0 * n)
+    # conformal factor c = |J|^p
+    c = np.exp(p * st.log_det)
+    if st.jac is None:
+        return c * uy, None, None
+    jac, hword, gld = st.jac, st.hess, st.grad_log_det
+    # v = u o psi and its jet
+    jac_t = jac.swapaxes(1, 2)
+    gv = (jac_t @ gy[:, :, None])[:, :, 0]
+    hv = jac_t @ hy @ jac + np.einsum("na,najk->njk", gy, hword)
+    # the jet of c
+    gc = (p * c)[:, None] * gld
+    hc = c[:, None, None] * (p * st.hess_log_det
+                             + (p * p) * (gld[:, :, None] * gld[:, None, :]))
+    grad = c[:, None] * gv + uy[:, None] * gc
+    hess = c[:, None, None] * hv + gc[:, :, None] * gv[:, None, :] \
+        + gv[:, :, None] * gc[:, None, :] + uy[:, None, None] * hc
+    return c * uy, grad, hess
+
+
 def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
     """The conformal pullback |J_psi|^{(n-2)/(2n)} (u o psi) with analytic jets.
 
     First and second derivatives are chain-ruled through the transported
-    word jet, so the returned field is exactly as smooth as u away from the
-    word's poles.
+    word jet (`_pullback`), so the returned field is exactly as smooth as u
+    away from the word's poles.
     """
-    n = u.n
-    p = (n - 2.0) / (2.0 * n)
-
     def jets(X, order):
         st = psi._walk(X, order)
-        uy, gy, hy = u.jets(st.y, order)
-        # conformal factor c = |J|^p
-        c = np.exp(p * st.log_det)
-        if not order:
-            return c * uy, None, None
-        jac, hword, gld = st.jac, st.hess, st.grad_log_det
-        # v = u o psi and its jet
-        jac_t = jac.swapaxes(1, 2)
-        gv = (jac_t @ gy[:, :, None])[:, :, 0]
-        hv = jac_t @ hy @ jac + np.einsum("na,najk->njk", gy, hword)
-        # the jet of c
-        gc = (p * c)[:, None] * gld
-        hc = c[:, None, None] * (p * st.hess_log_det
-                                 + (p * p) * (gld[:, :, None] * gld[:, None, :]))
-        grad = c[:, None] * gv + uy[:, None] * gc
-        hess = c[:, None, None] * hv + gc[:, :, None] * gv[:, None, :] \
-            + gv[:, :, None] * gc[:, None, :] + uy[:, None, None] * hc
-        return c * uy, grad, hess
+        return _pullback(st, *u.jets(st.y, order))
 
     tag = f"mobius*{u.tag}" if u.tag else "mobius"
-    return ScalarField(n, domain=Domain(), tag=tag, jets=jets)
+    return ScalarField(u.n, domain=Domain(), tag=tag, jets=jets)
 
 
 def kelvin_transform(u: ScalarField) -> ScalarField:

@@ -23,6 +23,7 @@ which involves no divisions and stays well behaved next to cone boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -112,14 +113,13 @@ def _esym_gradient_batch(lams: np.ndarray, k: int) -> np.ndarray:
 def sigma(lam, k: int) -> float:
     """k-th elementary symmetric function of the entries of lam.
 
-    sigma_0 is 1 by convention. Raises ValueError when k is outside
-    0..len(lam) or the vector is malformed.
+    sigma_0 is 1 by convention. Raises ConfigError when k is not an integer
+    in 0..len(lam), ValueError when the vector is malformed.
     """
     lam = _as_lambda(lam)
-    n = lam.size
-    if k == 0:
+    if isinstance(k, Integral) and k == 0:
         return 1.0
-    check_nk(n, k)
+    check_nk(lam.size, k)
     return float(_esym_all_batch(lam[None])[0, k])
 
 

@@ -227,6 +227,90 @@ def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
     bubbles._grid_directions.cache_clear()
 
 
+def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
+    # per (word, R): the grid at order 0, the polish points at order 2 and
+    # the trial points at order 0, however many scales share the word; at
+    # the default grid size each scale is a block of its own
+    orders = []
+    walk = sl.MobiusMap._walk
+
+    def counting(self, X, order=0):
+        orders.append(order)
+        return walk(self, X, order)
+
+    monkeypatch.setattr(sl.MobiusMap, "_walk", counting)
+
+    def walks(a_count):
+        orders.clear()
+        rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
+                                mobius_words=2)
+        assert len(rows) == 3 * 2 * a_count
+        return list(orders)
+
+    many = walks(25)
+    assert many == walks(2)
+    assert many.count(2) == 3 * 2
+
+
+def _polish_rule_fields(n):
+    # u = 1 + |x - p|^2 / 2: every Newton step lands on p, which projects
+    # onto 2 p_hat, the exact minimum over B_2 and no grid point
+    p = 10.0 * np.ones(n) / math.sqrt(n)
+
+    def quadratic(X, order):
+        d = X - p
+        val = 1.0 + 0.5 * np.einsum("ij,ij->i", d, d)
+        if not order:
+            return val, None, None
+        return val, d, np.broadcast_to(np.eye(n), (len(X), n, n))
+
+    def overflowing(X, order):
+        # u = 2 + x_0 / 10 with a hessian so small that the step overflows
+        val = 2.0 + 0.1 * X[:, 0]
+        if not order:
+            return val, None, None
+        return val, np.tile(np.eye(n)[0] * 0.1, (len(X), 1)), \
+            np.broadcast_to(1e-320 * np.eye(n), (len(X), n, n))
+
+    exact_min = 1.0 + 0.5 * 8.0 ** 2
+    return [sl.constant_field(2.0, n), sl.ScalarField(n, jets=overflowing),
+            sl.ScalarField(n, jets=quadratic)], exact_min
+
+
+def test_harnack_singular_hessian_stays_in_its_cell():
+    # the constant cell's hessian is singular, so the stacked solve raises;
+    # that cell keeps its grid extrema, the cell with a non-finite step
+    # keeps its grid values, and the polished cell is as if alone
+    n, R, n_radial, n_angular = 3, 1.0, 3, 2
+    fields, exact_min = _polish_rule_fields(n)
+
+    def grid_values(X):
+        yield np.stack([f.values(X) for f in fields])
+
+    def jets(X, order, cells):
+        parts = [f.jets(X, order) for f in fields]
+        rows = np.arange(len(X))
+        return tuple(None if parts[0][j] is None
+                     else np.stack([part[j] for part in parts])[cells, rows]
+                     for j in range(3))
+
+    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(), np.zeros(n), R,
+                                  n_radial, n_angular)
+    assert (reps[0].max_br, reps[0].min_2br) == (2.0, 2.0)
+    np.testing.assert_array_equal(reps[0].argmax, np.zeros(n))
+    np.testing.assert_array_equal(reps[0].argmin, np.zeros(n))
+    assert reps[2].min_2br == pytest.approx(exact_min, rel=1e-14)
+    for rep, field in zip(reps, fields):
+        alone = sl.harnack_product(field, R, n_radial=n_radial, n_angular=n_angular)
+        assert (rep.max_br, rep.min_2br, rep.product_scaled) \
+            == (alone.max_br, alone.min_2br, alone.product_scaled)
+        np.testing.assert_array_equal(rep.argmax, alone.argmax)
+        np.testing.assert_array_equal(rep.argmin, alone.argmin)
+    # the overflowing cell's extrema are grid points: R e_0 and -2R e_0
+    np.testing.assert_array_equal(reps[1].argmax, R * np.eye(n)[0])
+    np.testing.assert_array_equal(reps[1].argmin, -2.0 * R * np.eye(n)[0])
+
+
 def test_harnack_grid_directions_are_read_only():
     dirs = bubbles._grid_directions(4, 6)
     assert dirs.shape == (2 * 4 + 6 * 3, 4)
@@ -331,6 +415,42 @@ def test_sweep_deterministic_order():
     assert rows_a == rows_b
     assert [(r.a, r.R) for r in rows_a] == [(0.5, 1.0), (0.5, 2.0),
                                             (1.0, 1.0), (1.0, 2.0)]
+
+
+# grid sizes giving one scale per block of grid values (the defaults), two
+# (11,008 values per scale: blocks of 2 and 1) and all three in one block
+_ORACLE_CASES = [(3, 2, 64, 64), (5, 3, 64, 64), (3, 2, 64, 40), (5, 3, 12, 6)]
+
+
+@pytest.mark.parametrize("n,k,n_radial,n_angular", _ORACLE_CASES)
+def test_sweep_rows_match_per_cell_harnack_products(n, k, n_radial, n_angular):
+    # the independent reference: one transformed field and one
+    # harnack_product per cell; the bubble rows use the untransformed field
+    a_grid, r_grid, seed = [0.3, 1.0, 40.0], [0.75, 1.0], 11
+    sizes = dict(n_radial=n_radial, n_angular=n_angular)
+    rows = sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=2, seed=seed, **sizes)
+    rng = np.random.default_rng(seed)
+    clearance = 3.0 * max(r_grid) + 0.5
+    words = [None] + [sl.random_mobius_map_avoiding(rng, n, np.zeros(n), clearance)
+                      for _ in range(2)]
+    assert len(rows) == len(words) * len(a_grid) * len(r_grid)
+    cells = iter(rows)
+    for psi in words:
+        for a in a_grid:
+            u = sl.bubble_field(sl.BubbleSpec(n, k, a))
+            fld = u if psi is None else sl.transform_field(u, psi)
+            for R in r_grid:
+                row, rep = next(cells), sl.harnack_product(fld, R, **sizes)
+                assert (row.a, row.R) == (a, R)
+                for got, want in ((row.max_br, rep.max_br), (row.min_2br, rep.min_2br),
+                                  (row.product_scaled, rep.product_scaled)):
+                    assert abs(got - want) <= 2e-15 * want
+
+
+def test_verify_dimension_mismatch_is_a_configuration_error():
+    u = sl.bubble_field(sl.BubbleSpec(3, 2, 1.0))
+    with pytest.raises(ConfigError, match="field dimension 3 does not match n=4"):
+        sl.verify_solution(u, 4, 2, np.ones((2, 4)))
 
 
 def test_verify_rejects_empty_sample_set():

@@ -62,6 +62,13 @@ def test_sigma_validation():
         sl.sigma([1.0, np.inf, 3.0], 1)
 
 
+def test_sigma_zero_index_must_be_an_integer():
+    lam = [1.0, 2.0, 3.0]
+    assert sl.sigma(lam, 0) == 1.0
+    with pytest.raises(ConfigError):
+        sl.sigma(lam, 0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 8), st.data())
 def test_sigma_permutation_invariance(n, data):
