@@ -11,6 +11,7 @@ fixed command line produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding, transform_field
-from .errors import ConfigError, SigmakLabError, check_nk, check_positive
+from .errors import ConfigError, PathError, SigmakLabError, check_positive
 from .halton import box_points
 
 CSV_HEADER = "# sigmak-lab v1"
@@ -76,7 +77,6 @@ def _csv(lines: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_bubble(args) -> int:
-    check_nk(args.n, args.k)
     check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
@@ -124,10 +124,8 @@ def cmd_verify_bubble(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_radial(args) -> int:
-    check_nk(args.n, args.k)
     if args.u0 is not None:
         check_positive("--u0", args.u0)
-    check_positive("--tol", args.tol)
     u0 = args.u0 if args.u0 is not None else bubbles.c_constant(args.n, args.k)
     profile = radial.shoot(u0, args.n, args.k, args.rmax, tol=args.tol)
     report = radial.liouville_report(profile)
@@ -150,28 +148,23 @@ def cmd_solve_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homotopy(args) -> int:
-    check_nk(args.n, args.k)
     if args.steps < 1:
         raise ConfigError(f"steps={args.steps} must be >= 1")
     check_positive("--a", args.a)
-    m_exp = (args.n - 2.0) / 2.0
-    u_b = args.ub if args.ub is not None else \
-        bubbles.c_constant(args.n, args.k) \
-        * (args.a / (1.0 + args.a ** 2 * args.rb ** 2)) ** m_exp
+    u_b = args.ub if args.ub is not None else float(
+        bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])
     spec = continuation.BvpSpec(
         args.n, args.k, args.rb, u_b, m=args.m,
         t_path=np.linspace(0.0, 1.0, args.steps + 1),
         use_kth_root=args.kth_root, a_init=args.a if args.ub is None else None)
     try:
         profile, trace = continuation.continue_path(spec)
-    except SigmakLabError as exc:
-        last = getattr(exc, "last_good_t", None)
-        trace = getattr(exc, "trace", None)
+    except PathError as exc:
         print(f"homotopy failed: {exc}")
-        if last is not None:
-            print(f"last good t = {last!r}")
-        if args.trace and trace is not None:
-            _write_text(args.trace, trace.to_json())
+        if exc.last_good_t is not None:
+            print(f"last good t = {exc.last_good_t!r}")
+        if args.trace:
+            _write_text(args.trace, exc.trace.to_json())
         return 2
     solved = [r for r in trace.records if r.converged]
     print(f"reached t = 1 in {len(solved)} solves "
@@ -180,8 +173,7 @@ def cmd_homotopy(args) -> int:
           f"cone margin = {solved[-1].cone_margin:.3e}, "
           f"ellipticity = {solved[-1].ellipticity:.3e}")
     if args.ub is None:
-        w = 1.0 + (args.a * profile.r) ** 2
-        model = bubbles.c_constant(args.n, args.k) * (args.a / w) ** m_exp
+        model = bubbles._bubble_jets(args.n, args.k, args.a, 0.0, profile.r[:, None], 0)[0]
         dev = float(np.max(np.abs(profile.u - model) / model))
         print(f"max relative deviation from the target profile = {dev:.3e}")
     if args.trace:
@@ -196,7 +188,6 @@ def cmd_homotopy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_harnack_sweep(args) -> int:
-    check_nk(args.n, args.k)
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
     if a_grid.size == 0 or r_grid.size == 0:
@@ -220,6 +211,7 @@ def cmd_harnack_sweep(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sigmak-lab",
                      description="Numerical lab for sigma_k Schouten operators.")
@@ -294,9 +286,6 @@ def main(argv=None) -> int:
         return 1
     except SigmakLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        last = getattr(exc, "last_good_t", None)
-        if last is not None:
-            print(f"last good t = {last!r}", file=sys.stderr)
         return 2
     except Exception as exc:  # the contract forbids raw tracebacks
         print(f"unexpected failure: {exc}", file=sys.stderr)

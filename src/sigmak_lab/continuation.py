@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .bubbles import c_constant
+from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError, check_nk, check_positive
 from .radial import RadialProfile, _coeffs, _pair_sigma, radial_eigenvalues
@@ -75,6 +75,8 @@ class BvpSpec:
         check_nk(self.n, self.k)
         check_positive("domain radius r_b", self.r_b)
         check_positive("boundary value u_b", self.u_b)
+        if self.a_init is not None:
+            check_positive("family scale a_init", self.a_init)
         if self.m < 16:
             raise ConfigError(f"mesh size m={self.m} must be >= 16")
         path = np.linspace(0.0, 1.0, 11) if self.t_path is None \
@@ -122,7 +124,7 @@ class _NodeState:
     def __init__(self, u: np.ndarray, spec: BvpSpec, t: float):
         n, k, h = spec.n, spec.k, spec.h
         if u.shape != (spec.m + 1,):
-            raise ValueError(f"state vector must have {spec.m + 1} nodes")
+            raise ConfigError(f"state vector must have {spec.m + 1} nodes")
         if np.any(u <= 0.0):
             bad = int(np.argmin(u))
             raise PositivityError(f"nonpositive node value u[{bad}]={u[bad]}",
@@ -139,12 +141,11 @@ class _NodeState:
         lam_rad, lam_tan = radial_eigenvalues(ui, up, upp, r, n)
         mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
         a, bt = t * lam_rad + mix, t * lam_tan + mix
-        self.margins, self.f = _pair_sigma(
-            a, bt, [math.comb(n - 1, j) for j in range(k + 1)], np.minimum)
+        self.margins, self.f = _pair_sigma(a, bt, [math.comb(n - 1, j) for j in range(k + 1)])
         # sigma_k partials: e_{k-1} of (bt x n-1), radial, and of (a, bt x n-2), tangential
         g_rad = math.comb(n - 1, k - 1) * bt ** (k - 1)
-        g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)],
-                            np.minimum)[1] if k > 1 else 1.0
+        g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)])[1] \
+            if k > 1 else 1.0
         mean = (g_rad + (n - 1.0) * g_tan) * (1.0 / n)
         self.f_rad = t * g_rad + (1.0 - t) * mean
         self.f_tan = t * g_tan + (1.0 - t) * mean
@@ -227,25 +228,26 @@ def _attainable_residual(ab: np.ndarray, u: np.ndarray) -> float:
     return 2.0 * float(np.finfo(float).eps) * float(s.max())
 
 
+def _admissible_state(u, spec: BvpSpec, t: float) -> _NodeState:
+    """The node state of u, raising ConeDomainError at the first node whose
+    (Gamma_k)_t margin is not positive."""
+    state = _NodeState(np.array(u, dtype=float), spec, t)
+    if not np.all(state.margins > 0.0):
+        node = int(np.argmin(state.margins > 0.0)) + 1
+        raise ConeDomainError(f"node {node} left (Gamma_{spec.k})_t at t={t}",
+                              margin=float(state.margins[node - 1]), where=node)
+    return state
+
+
 def assemble_residual(initial, spec: BvpSpec, t: float) -> np.ndarray:
     """Discrete residual of a nodal state: u'(0) row, interior equation rows,
     boundary row. Raises ConeDomainError when a node leaves (Gamma_k)_t."""
-    state = _NodeState(np.array(initial, dtype=float), spec, t)
-    worst = float(state.margins.min())
-    if worst <= 0.0:
-        node = int(np.argmin(state.margins)) + 1
-        raise ConeDomainError(f"node {node} left (Gamma_{spec.k})_t at t={t}",
-                              margin=worst, where=node)
-    return state.residual()
+    return _admissible_state(initial, spec, t).residual()
 
 
 def assemble_jacobian(initial, spec: BvpSpec, t: float) -> np.ndarray:
-    """Dense Jacobian of the discrete residual (for verification)."""
-    state = _NodeState(np.array(initial, dtype=float), spec, t)
-    if float(state.margins.min()) <= 0.0:
-        raise ConeDomainError(f"state outside (Gamma_{spec.k})_t",
-                              margin=float(state.margins.min()))
-    return state.jacobian_dense()
+    """Dense Jacobian of the discrete residual (for verification); raises as above."""
+    return _admissible_state(initial, spec, t).jacobian_dense()
 
 
 def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]:
@@ -261,12 +263,9 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     """
     x = np.array(initial, dtype=float)
     try:
-        state = _NodeState(x, spec, t)
-    except PositivityError as exc:
+        state = _admissible_state(x, spec, t)
+    except (PositivityError, ConeDomainError) as exc:
         raise NewtonError(f"inadmissible initial state: {exc}") from exc
-    if float(state.margins.min()) <= 0.0:
-        raise NewtonError("inadmissible initial state: cone margin "
-                          f"{float(state.margins.min()):.3e} not positive")
     if state.ellipticity() <= 0.0:
         raise NewtonError("inadmissible initial state: no ellipticity certificate")
 
@@ -295,11 +294,8 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
         while alpha >= 2.0 ** -30:
             trial = x + alpha * step
             try:
-                cand = _NodeState(trial, spec, t)
-            except PositivityError:
-                alpha *= 0.5
-                continue
-            if float(cand.margins.min()) <= 0.0:
+                cand = _admissible_state(trial, spec, t)
+            except (PositivityError, ConeDomainError):
                 alpha *= 0.5
                 continue
             cand_res = cand.residual()
@@ -337,9 +333,7 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
                 f"boundary value u_b={spec.u_b} exceeds every family member "
                 f"on a domain of radius {spec.r_b}")
         a = (1.0 - math.sqrt(disc)) / (2.0 * spec.r_b ** 2 * q)
-    m_exp = (n - 2.0) / 2.0
-    r = spec.mesh
-    return c_constant(n, k) * (a / (1.0 + a * a * r * r)) ** m_exp
+    return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
 
 
 def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:

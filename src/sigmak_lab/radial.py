@@ -25,13 +25,14 @@ c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
 solves sigma_k = c exactly when u solves sigma_k = 1. Integration uses a
 classic fourth-order Runge-Kutta scheme, adaptive by step doubling, with a
 series start at the origin (u'/r is not directly evaluable there). The
-pair is formed by `radial_eigenvalues` (floats or arrays of nodes) and by
-`_u2_kernel(n, k)`, the scalar solve of each sequential RK stage; a step
-reuses its k1 for the half step, and the margin solve at an accepted node
-is the next step's k1. A finished profile's nodes are solved in one array
-pass, `_node_solves`. The run aborts cleanly when positivity or the cone
-margin is lost; past the cone boundary the operator is no longer elliptic
-and the computed branch is meaningless.
+solve has two forms. `_node_solves` solves an array of nodes in one pass,
+isotropically where r = 0, on the pair of `radial_eigenvalues`: a finished
+profile's nodes, or the single node of `solve_for_u2`. `_u2_kernel(n, k)`
+is its scalar form for the sequential RK stages; a step reuses its k1 for
+the half step, and the margin solve at an accepted node is the next
+step's k1. The run aborts cleanly when positivity or the cone margin is
+lost; past the cone boundary the operator is no longer elliptic and the
+computed branch is meaningless.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bubbles import c_constant
+from .bubbles import _bubble_jets, c_constant
 from .conformal import Domain, ScalarField
 from .errors import ConeBoundaryError, ConeDomainError, ConfigError, PositivityError, \
     SigmakLabError, StepUnderflowError, check_nk, check_positive
@@ -110,21 +111,21 @@ def radial_eigenvalues(u, du, d2u, r, n: int) -> EigenPair:
     return EigenPair(*map(float, pair)) if u.ndim == 0 else pair
 
 
-def _pair_sigma(lam_rad, lam_tan, combs, minimum):
+def _pair_sigma(lam_rad, lam_tan, combs):
     """(min_j e_j, e_k) of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
-    e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad; minimum is the
-    builtin min for floats, np.minimum for arrays."""
+    e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad."""
     margin = math.inf
     for j in range(1, len(combs)):
         s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
-        margin = minimum(margin, s)
+        margin = np.minimum(margin, s)
     return margin, s
 
 
 @functools.lru_cache(maxsize=None)
 def _u2_kernel(n: int, k: int):
-    """kernel(u, du, r) -> (u'', margin): solve_for_u2 at r > 0 for a valid
-    (n, k), its constants and binomials computed once."""
+    """kernel(u, du, r) -> (u'', margin): `solve_for_u2` at r > 0 for a
+    valid (n, k) in scalar arithmetic, its constants and binomials computed
+    once, for the sequential RK stages."""
     b, d, e1, e2 = _coeffs(n)
     combs = tuple(math.comb(n - 1, j) for j in range(k + 1))
     c_lin, c_top = combs[k - 1], combs[k]
@@ -143,7 +144,7 @@ def _u2_kernel(n: int, k: int):
                     f"for u'' at r={r}", margin=lam_tan, where=r)
             lam_rad = (1.0 - c_top * lam_tan ** k) / coeff
             d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
-            margin = math.inf  # _pair_sigma's float case, inlined: it is the hot loop
+            margin = math.inf  # _pair_sigma in scalar arithmetic, inlined: it is the hot loop
             for j in range(1, k + 1):
                 s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
                 if s < margin:
@@ -157,32 +158,57 @@ def _u2_kernel(n: int, k: int):
     return kernel
 
 
+def _node_solves(r, u, du, n: int, k: int):
+    """(u'', cone margin, sigma_k residual) at nodes (r, u, du), in one array pass.
+
+    u'' solves sigma_k = 1 as `_u2_kernel` does, isotropically where r = 0;
+    the residual is |sigma_k - 1| of `radial_eigenvalues` at it. A node with
+    no admissible solve gets u'' and residual nan, and as margin lam_tan if
+    the linear coefficient degenerates, the negative margin if the pair
+    leaves Gamma_k, nan if the result is not finite.
+    """
+    b, _, e1, _ = _coeffs(n)
+    combs = [math.comb(n - 1, j) for j in range(k + 1)]
+    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)  # the isotropic pair at the origin
+    origin = r == 0.0
+    with np.errstate(all="ignore"):
+        # lam_rad is affine in u'' with slope -b u^e1; lam_tan is free of it for r > 0
+        lam_rad0, lam_tan = radial_eigenvalues(u, du, np.zeros_like(r), r, n)
+        lam_tan = np.where(origin, lam0, lam_tan)
+        coeff = combs[k - 1] * lam_tan ** (k - 1)
+        lam_rad = np.where(origin, lam0, (1.0 - combs[k] * lam_tan ** k) / coeff)
+        d2u = (lam_rad0 - lam_rad) / (b * u ** e1)
+        margin = _pair_sigma(lam_rad, lam_tan, combs)[0]
+        degenerate = np.abs(coeff) < 1e-14
+        finite = np.isfinite(d2u) & np.isfinite(margin)
+        margin = np.where(degenerate, lam_tan, np.where(finite, margin, np.nan))
+        ok = ~degenerate & finite & (margin >= 0.0)
+        d2u = np.where(ok, d2u, np.nan)
+        pair = radial_eigenvalues(u[ok], du[ok], d2u[ok], r[ok], n)
+        res = np.full_like(r, np.nan)
+        res[ok] = np.abs(_pair_sigma(*pair, combs)[1] - 1.0)
+    return d2u, margin, res
+
+
 def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, float]:
     """The unique u'' making sigma_k of the radial eigenpair equal 1.
 
-    Returns (u'', cone margin of the resulting pair). A vanishing linear
-    coefficient (lam_tan^{k-1} = 0 with k >= 2) is a cone-boundary failure;
-    a solved pair with strictly negative margin means the demanded value
-    sits on an inadmissible branch; these and a float overflow raise
-    ConeDomainError. A zero margin (boundary) is returned, not raised.
-    Away from the origin this is the (n, k) kernel of `_u2_kernel`.
+    Returns (u'', cone margin of the resulting pair): the one-node case of
+    `_node_solves`. A node with no admissible solve (a vanishing linear
+    coefficient lam_tan^{k-1} = 0 with k >= 2, a solved pair with strictly
+    negative margin, or a result that is not finite) raises
+    ConeDomainError carrying the margin `_node_solves` reports. A zero
+    margin (boundary) is returned, not raised. A nonzero du at the origin
+    is a ConfigError.
     """
     check_nk(n, k)
-    if r != 0.0:
-        return _u2_kernel(n, k)(u, du, r)
-    if not u > 0.0:
-        raise PositivityError(f"radial value u={u} not positive at r={r}",
-                              where=r, value=u)
-    if abs(du) > 1e-9:
+    if r == 0.0 and abs(du) > 1e-9:
         raise ConfigError(f"du={du} must vanish at the origin")
-    b, _, e1, _ = _coeffs(n)
-    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
-    try:
-        d2u = -lam0 / (b * u ** e1)
-    except OverflowError as exc:
-        raise ConeDomainError(f"eigenvalue powers overflow at r={r}", where=r) from exc
-    combs = [math.comb(n - 1, j) for j in range(k + 1)]
-    return d2u, _pair_sigma(lam0, lam0, combs, min)[0]
+    d2u, margin, _ = (float(v[0]) for v in _node_solves(
+        *np.array([[r], [u], [du]], dtype=float), n, k))
+    if math.isnan(d2u):
+        raise ConeDomainError(f"no admissible solve for u'' at r={r}", margin=margin, where=r)
+    return d2u, margin
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +273,18 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     Aborts with ConeBoundaryError (carrying r and the margin) when the cone
     margin falls below 1e-10 or a node has no admissible solve,
     PositivityError when u stops being positive, StepUnderflowError when
-    no admissible step remains; a bad (n, k) is a ConfigError. The
-    isotropic start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1
-    for j <= k, as C(n,j)^{1/j} falls with j), so the origin itself is
-    never at the boundary.
+    no admissible step remains; a bad (n, k), tol or fixed_step is a
+    ConfigError. The isotropic start has margin 1 (its sigma_j is
+    C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j), so
+    the origin itself is never at the boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
     check_positive("initial value u0", u0)
     check_positive("r_max", r_max)
+    check_positive("tol", tol)
+    if fixed_step is not None:
+        check_positive("fixed_step", fixed_step)
     check_nk(n, k)
     kernel = _u2_kernel(n, k)
 
@@ -396,10 +425,8 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
     samples.
     """
     n, k = profile.n, profile.k
-    c = c_constant(n, k)
-    a = float((profile.u[0] / c) ** (2.0 / (n - 2.0)))
-    w = 1.0 + (a * profile.r) ** 2
-    model = c * a ** ((n - 2.0) / 2.0) * w ** (-(n - 2.0) / 2.0)
+    a = float((profile.u[0] / c_constant(n, k)) ** (2.0 / (n - 2.0)))
+    model = _bubble_jets(n, k, a, 0.0, profile.r[:, None], 0)[0]
     rel = np.abs(profile.u - model) / model
     worst = int(np.argmax(rel))
     return LiouvilleReport(a, float(rel[worst]), float(profile.r[worst]),
@@ -448,40 +475,6 @@ def _hermite5(s, h, left, right, order):
     return val, der, cur
 
 
-def _node_solves(profile: RadialProfile):
-    """(u'', cone margin, sigma_k residual) at every node, in one array pass.
-
-    u'' solves sigma_k = 1 as `_u2_kernel` does (isotropically at the
-    origin); the residual is |sigma_k - 1| of `radial_eigenvalues` at it.
-    A node with no admissible solve gets u'' and residual nan, and as margin
-    lam_tan if the linear coefficient degenerates, the negative margin if
-    the pair leaves Gamma_k, nan if the result is not finite.
-    """
-    r, u, du = profile.r, profile.u, profile.du
-    n, k = profile.n, profile.k
-    b, _, e1, _ = _coeffs(n)
-    combs = [math.comb(n - 1, j) for j in range(k + 1)]
-    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)
-    with np.errstate(all="ignore"):
-        # lam_rad is affine in u'' with slope -b u^e1; lam_tan is free of it for r > 0
-        lam_rad0, lam_tan = radial_eigenvalues(u, du, np.zeros_like(r), r, n)
-        lam_tan[0] = lam0  # the isotropic origin
-        coeff = combs[k - 1] * lam_tan ** (k - 1)
-        lam_rad = (1.0 - combs[k] * lam_tan ** k) / coeff
-        lam_rad[0] = lam0
-        d2u = (lam_rad0 - lam_rad) / (b * u ** e1)
-        margin = _pair_sigma(lam_rad, lam_tan, combs, np.minimum)[0]
-        degenerate = np.abs(coeff) < 1e-14
-        finite = np.isfinite(d2u) & np.isfinite(margin)
-        margin = np.where(degenerate, lam_tan, np.where(finite, margin, np.nan))
-        ok = ~degenerate & finite & (margin >= 0.0)
-        d2u = np.where(ok, d2u, np.nan)
-        pair = radial_eigenvalues(u[ok], du[ok], d2u[ok], r[ok], n)
-        res = np.full_like(r, np.nan)
-        res[ok] = np.abs(_pair_sigma(*pair, combs, np.minimum)[1] - 1.0)
-    return d2u, margin, res
-
-
 def profile_to_field(profile: RadialProfile) -> ScalarField:
     """C^2 radial field reconstructed from a profile by quintic interpolation.
 
@@ -492,7 +485,7 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
     """
     n = profile.n
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u_nodes = _node_solves(profile)[0]
+    d2u_nodes = _node_solves(r_nodes, u_nodes, du_nodes, n, profile.k)[0]
     # nodes with no admissible solve: three-point u'' inside, central du' at the ends
     bad = np.flatnonzero(np.isnan(d2u_nodes))
     i = bad[(bad > 0) & (bad < r_nodes.size - 1)]
@@ -539,7 +532,7 @@ def write_profile_csv(profile: RadialProfile, path):
     is the Gamma_k margin of the node's eigenpair. Nodes where the solve
     fails get nan residual and the failing margin (see `_node_solves`).
     """
-    _, margin, res = _node_solves(profile)
+    _, margin, res = _node_solves(profile.r, profile.u, profile.du, profile.n, profile.k)
     du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
     rows = zip(profile.r.tolist(), profile.u.tolist(), du, res.tolist(), margin.tolist())
     lines = ["# sigmak-lab v1", "r,u,du,sigma_residual,cone_margin"]

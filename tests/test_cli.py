@@ -188,6 +188,18 @@ def test_harnack_sweep_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process; a harnack-sweep between two
+    # identical verify-bubble calls leaves the second one's output unchanged
+    verify = ["verify-bubble", "--n", "3", "--k", "2", "--samples", "50", "--seed", "3"]
+    out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
+    assert main(verify + ["--out", str(out1)]) == 0
+    assert main(["harnack-sweep", "--n", "4", "--k", "2", "--a", "0.5:2:3", "--nrad", "8",
+                 "--nang", "4", "--images", "1", "--seed", "5"]) == 0
+    assert main(verify + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # configuration errors exit 1, never as an unexpected failure
 # ---------------------------------------------------------------------------
@@ -207,6 +219,12 @@ def test_harnack_sweep_deterministic_bytes(tmp_path):
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:3x"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "inf"],
     ["verify-bubble", "--n", "3", "--k", "1", "--box", "inf"],
+    ["solve-radial", "--n", "3", "--k", "1", "--tol", "nan"],
+    ["harnack-sweep", "--n", "2", "--k", "1"],
+    ["homotopy", "--n", "3", "--k", "0"],
+    ["solve-radial", "--n", "2", "--k", "1"],
+    ["verify-bubble", "--n", "3", "--k", "4"],
+    ["homotopy", "--n", "3", "--k", "2", "--ub", "100"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1

@@ -36,6 +36,10 @@ def test_bvp_spec_validation():
         sl.BvpSpec(3, 2, 5.0, 0.5, t_path=np.array([0.0, 0.5]))
     with pytest.raises(ConfigError):
         sl.BvpSpec(3, 2, 5.0, 0.5, t_path=np.array([0.0, 0.6, 0.4, 1.0]))
+    with pytest.raises(ConfigError):  # no family member has a scale <= 0
+        sl.BvpSpec(3, 2, 5.0, 0.5, a_init=-1.0)
+    with pytest.raises(ConfigError):  # a state vector of the wrong length
+        sl.assemble_residual(np.ones(5), sl.BvpSpec(3, 2, 5.0, 0.5), 1.0)
 
 
 def test_initial_guess_branches():
@@ -107,6 +111,23 @@ def test_residual_constant_profile_is_minus_one_inside():
     state = _NodeState(values, spec, 1.0)
     np.testing.assert_allclose(state.residual()[1:-1], -1.0, atol=1e-14)
     assert float(state.margins.min()) == 0.0
+
+
+def test_cone_exit_names_the_first_bad_node():
+    # a bump that leaves the cone over a run of nodes, deepest well past the
+    # first: residual and Jacobian name the same first node, Newton refuses
+    from sigmak_lab.continuation import _NodeState
+    spec = _spec(3, 2, m=128)
+    u = initial_guess(spec) * (1.0 + 0.05 * np.exp(-(((spec.mesh - 2.0) / 2.0) ** 2)))
+    margins = _NodeState(u, spec, 1.0).margins
+    first = int(np.flatnonzero(margins <= 0.0)[0]) + 1
+    assert first < int(np.argmin(margins)) + 1
+    for assemble in (sl.assemble_residual, sl.assemble_jacobian):
+        with pytest.raises(ConeDomainError) as info:
+            assemble(u, spec, 1.0)
+        assert info.value.where == first and info.value.margin == margins[first - 1]
+    with pytest.raises(NewtonError):
+        sl.newton_solve(u, spec, 1.0)
 
 
 def _generic_node_quantities(u, spec, t):

@@ -191,6 +191,15 @@ def test_shoot_rejects_bad_inputs():
         sl.shoot(1.0, 3, 1, -2.0)
 
 
+@pytest.mark.parametrize("option", [
+    {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0},
+    {"fixed_step": 0.0}, {"fixed_step": -0.1}, {"fixed_step": math.inf},
+])
+def test_shoot_rejects_a_bad_tolerance_or_step(option):
+    with pytest.raises(ConfigError):
+        sl.shoot(1.0, 3, 1, 5.0, **option)
+
+
 def test_shoot_reproduces_family_members():
     for n, k in [(3, 1), (3, 2), (5, 4)]:
         u0 = sl.c_constant(n, k)  # scale a = 1
@@ -349,7 +358,7 @@ def test_profile_field_matches_a_per_point_reference_loop():
     n, k = 4, 2
     profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
     field = sl.profile_to_field(profile)
-    r_nodes, d2u = profile.r, radial._node_solves(profile)[0]
+    r_nodes, d2u = profile.r, radial._node_solves(profile.r, profile.u, profile.du, n, k)[0]
     assert not np.any(np.isnan(d2u))  # every node solves, so no fallback runs
 
     def reference(x):
@@ -410,17 +419,40 @@ def test_profile_csv_schema(tmp_path):
 
 
 def test_node_solves_match_the_per_node_solve():
-    # the array pass against solve_for_u2, its N = 1 case, node by node;
-    # numpy's and libm's pow may differ by an ulp, which the solve for u''
-    # amplifies to ~1e-13 relative
+    # the array pass against the scalar RK kernel node by node, and against
+    # the isotropic solve u'' = -lam0 / (b u^e1), lam0 = C(n,k)^{-1/k}, at
+    # the origin; numpy's and libm's pow may differ by an ulp, which the
+    # solve for u'' amplifies to ~1e-13 relative
     for n, k in [(3, 1), (4, 2), (5, 3), (6, 6)]:
         profile = sl.shoot(sl.c_constant(n, k), n, k, 10.0)
-        d2u, margin, res = radial._node_solves(profile)
-        ref = np.array([sl.solve_for_u2(u, du, r, n, k) for r, u, du in zip(
-            profile.r.tolist(), profile.u.tolist(), profile.du.tolist())])
-        np.testing.assert_allclose(d2u, ref[:, 0], rtol=1e-12)
-        np.testing.assert_allclose(margin, ref[:, 1], rtol=1e-14)
+        d2u, margin, res = radial._node_solves(profile.r, profile.u, profile.du, n, k)
+        kernel = radial._u2_kernel(n, k)
+        ref = np.array([kernel(u, du, r) for r, u, du in zip(
+            profile.r.tolist()[1:], profile.u.tolist()[1:], profile.du.tolist()[1:])])
+        np.testing.assert_allclose(d2u[1:], ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(margin[1:], ref[:, 1], rtol=1e-14)
+        lam0 = math.comb(n, k) ** (-1.0 / k)
+        b, e1 = 2.0 / (n - 2.0), -(n + 2.0) / (n - 2.0)
+        assert d2u[0] == pytest.approx(-lam0 / (b * profile.u[0] ** e1), rel=1e-12)
+        isotropic = min(sl.sigma(np.full(n, lam0), j) for j in range(1, k + 1))
+        assert margin[0] == pytest.approx(isotropic, rel=1e-14)
         assert np.all(res <= 1e-11)
+
+
+def test_solve_for_u2_raises_on_the_rows_with_no_admissible_solve():
+    # the failure rows pinned below, one node at a time: the one-node case
+    # raises with the margin the array pass writes
+    shot = sl.shoot(sl.c_constant(4, 2), 4, 2, 2.0)
+    r, u, du = shot.r.tolist(), shot.u.tolist(), shot.du.tolist()
+    with pytest.raises(ConeDomainError) as info:
+        sl.solve_for_u2(u[3], 0.0, r[3], 4, 2)
+    assert info.value.margin == 0.0 and math.copysign(1.0, info.value.margin) == -1.0
+    assert info.value.where == r[3]
+    with pytest.raises(ConeDomainError) as info:
+        sl.solve_for_u2(u[5], 0.5, r[5], 4, 2)
+    assert info.value.margin == pytest.approx(-68.95529100709922, rel=1e-14)
+    with pytest.raises(ConeDomainError):
+        sl.solve_for_u2(1e-100, du[6], r[6], 4, 2)
 
 
 def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
@@ -470,12 +502,11 @@ def test_pair_sigma_closed_form_matches_generic():
         k = int(rng.integers(1, n + 1))
         pair = sl.EigenPair(float(rng.normal()), float(rng.normal()))
         combs = [math.comb(n - 1, j) for j in range(k + 1)]
-        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, combs, min)
+        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, combs)
         generic = [sl.sigma(pair.vector(n), j) for j in range(1, k + 1)]
         assert sigma_k == pytest.approx(generic[-1], rel=1e-12, abs=1e-12)
         assert margin == pytest.approx(min(generic), rel=1e-12, abs=1e-12)
         # the array form agrees with the float form (numpy powers may differ by an ulp)
-        arr = _pair_sigma(np.array([pair.lam_rad]), np.array([pair.lam_tan]), combs,
-                          np.minimum)
+        arr = _pair_sigma(np.array([pair.lam_rad]), np.array([pair.lam_tan]), combs)
         assert arr[0][0] == pytest.approx(margin, rel=1e-14, abs=1e-15)
         assert arr[1][0] == pytest.approx(sigma_k, rel=1e-14, abs=1e-15)
