@@ -22,17 +22,36 @@ sigma_k of the pair is linear in lam_rad,
 so the curvature u'' demanded by sigma_k = 1 is a linear solve and no
 root-branch ambiguity exists: shooting suffices. A constant right-hand side
 c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
-solves sigma_k = c exactly when u solves sigma_k = 1. Integration uses a
-classic fourth-order Runge-Kutta scheme, adaptive by step doubling, with a
-series start at the origin (u'/r is not directly evaluable there). The
-solve has two forms. `_node_solves` solves an array of nodes in one pass,
-isotropically where r = 0, on the pair of `radial_eigenvalues`: a finished
-profile's nodes, or the single node of `solve_for_u2`. `_u2_kernel(n, k)`
-is its scalar form for the sequential RK stages; a step reuses its k1 for
-the half step, and the margin solve at an accepted node is the next
-step's k1. The run aborts cleanly when positivity or the cone margin is
-lost; past the cone boundary the operator is no longer elliptic and the
-computed branch is meaningless.
+solves sigma_k = c exactly when u solves sigma_k = 1. `_node_solves` solves
+an array of nodes (r, u, u') in one pass, isotropically where r = 0;
+`solve_for_u2` is its one-node case.
+
+Shooting integrates in the log-cylinder chart t = log r, e^xi = r u^{2/(n-2)}
+(the variable of Caffarelli, Gidas and Spruck; the reduction of Chang, Han
+and Yang), where xi' = dxi/dt = 1 + (2/(n-2)) r u'/u and the pair reads
+
+    lam_tan = e^{-2 xi} A / 2,    lam_rad = e^{-2 xi} (-xi'' - A / 2),    A = 1 - xi'^2.
+
+sigma_k = 1 is the autonomous equation
+
+    xi'' = (n - 2k)/(2k) A - 2^{k-1} e^{2 xi} (e^{2 xi} / A)^{k-1} / C(n-1, k-1)
+
+with the first integral H = e^{(n-2k) xi} A^k - (2^k / C(n,k)) e^{n xi}
+= 2^k e^{n xi} (lam_tan^k - lam0^k), lam0 = C(n,k)^{-1/k}. Every solution
+regular at the origin has H = 0, since H -> 0 as r -> 0: lam_tan = lam0,
+and with it lam_rad = lam0, along the whole profile. The entire solution is
+the H = 0 separatrix, and drift off it reaches the cone boundary at a
+finite radius, so past the turning point, where xi' <= -1/2, each accepted
+node is projected back onto H = 0 by resetting xi' (Hairer, Lubich and
+Wanner, Geometric Numerical Integration, IV.4). The state is (xi, s) with
+s the small factor of A = s (2 - s): s = 1 - xi' up to the turning point
+xi' = 0 and s = 1 + xi' past it, so A keeps its digits both near the
+origin (xi' -> 1) and far out (xi' -> -1). Steps use the embedded
+8(5,3) Dormand-Prince pair DOP853 of Hairer, Norsett and Wanner, whose
+tableau is kept below. Every node is mapped back to (r, u, u'), and
+`profile_to_field` interpolates in the same chart. The run aborts cleanly
+when the cone margin is lost; past the cone boundary the operator is no
+longer elliptic and the computed branch is meaningless.
 """
 
 from __future__ import annotations
@@ -40,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +84,8 @@ __all__ = [
 
 _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
 _MAX_STEPS = 200000  # step budget of one shot
+_R_START = 1e-3  # the series start's node at scale a <= 1, where the t chart begins
+_DT_MAX = 0.04  # node spacing cap in t at tol = 1e-12 (see shoot)
 _TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
 
 
@@ -111,6 +133,11 @@ def radial_eigenvalues(u, du, d2u, r, n: int) -> EigenPair:
     return EigenPair(*map(float, pair)) if u.ndim == 0 else pair
 
 
+def _lam0(n: int, k: int) -> float:
+    """C(n,k)^{-1/k}: both eigenvalues of every member of the family."""
+    return (1.0 / math.comb(n, k)) ** (1.0 / k)
+
+
 def _pair_sigma(lam_rad, lam_tan, combs):
     """(min_j e_j, e_k) of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
     e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad."""
@@ -121,55 +148,19 @@ def _pair_sigma(lam_rad, lam_tan, combs):
     return margin, s
 
 
-@functools.lru_cache(maxsize=None)
-def _u2_kernel(n: int, k: int):
-    """kernel(u, du, r) -> (u'', margin): `solve_for_u2` at r > 0 for a
-    valid (n, k) in scalar arithmetic, its constants and binomials computed
-    once, for the sequential RK stages."""
-    b, d, e1, e2 = _coeffs(n)
-    combs = tuple(math.comb(n - 1, j) for j in range(k + 1))
-    c_lin, c_top = combs[k - 1], combs[k]
-
-    def kernel(u, du, r):
-        if not u > 0.0:
-            raise PositivityError(f"radial value u={u} not positive at r={r}",
-                                  where=r, value=u)
-        try:
-            q1, q2 = u ** e1, u ** e2
-            lam_tan = -b * q1 * (du / r) - d * q2 * du * du
-            coeff = c_lin * lam_tan ** (k - 1)
-            if abs(coeff) < 1e-14:
-                raise ConeDomainError(
-                    f"tangential eigenvalue {lam_tan:.3e} degenerates the linear solve "
-                    f"for u'' at r={r}", margin=lam_tan, where=r)
-            lam_rad = (1.0 - c_top * lam_tan ** k) / coeff
-            d2u = ((n - 1.0) * d * q2 * du * du - lam_rad) / (b * q1)
-            margin = math.inf  # _pair_sigma in scalar arithmetic, inlined: it is the hot loop
-            for j in range(1, k + 1):
-                s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
-                if s < margin:
-                    margin = s
-            if margin < 0.0:
-                raise ConeDomainError(
-                    f"solved eigenpair leaves Gamma_{k} at r={r}", margin=margin, where=r)
-            return d2u, margin
-        except OverflowError as exc:  # a power of u or lam_tan left the float range
-            raise ConeDomainError(f"eigenvalue powers overflow at r={r}", where=r) from exc
-    return kernel
-
-
 def _node_solves(r, u, du, n: int, k: int):
     """(u'', cone margin, sigma_k residual) at nodes (r, u, du), in one array pass.
 
-    u'' solves sigma_k = 1 as `_u2_kernel` does, isotropically where r = 0;
-    the residual is |sigma_k - 1| of `radial_eigenvalues` at it. A node with
-    no admissible solve gets u'' and residual nan, and as margin lam_tan if
-    the linear coefficient degenerates, the negative margin if the pair
-    leaves Gamma_k, nan if the result is not finite.
+    u'' solves sigma_k = 1 by the linear solve of the module docstring,
+    isotropically where r = 0; the residual is |sigma_k - 1| of
+    `radial_eigenvalues` at it. A node with no admissible solve gets u''
+    and residual nan, and as margin lam_tan if the linear coefficient
+    degenerates, the negative margin if the pair leaves Gamma_k, nan if the
+    result is not finite.
     """
     b, _, e1, _ = _coeffs(n)
     combs = [math.comb(n - 1, j) for j in range(k + 1)]
-    lam0 = (1.0 / math.comb(n, k)) ** (1.0 / k)  # the isotropic pair at the origin
+    lam0 = _lam0(n, k)  # the isotropic pair at the origin
     origin = r == 0.0
     with np.errstate(all="ignore"):
         # lam_rad is affine in u'' with slope -b u^e1; lam_tan is free of it for r > 0
@@ -245,38 +236,151 @@ class RadialProfile:
         return float(self.r[-1])
 
 
-def _rk4_step(kernel, r, u, p, k1p, h):
-    """Classic RK4 step of (u, p)' = (p, kernel(u, p, r)[0]); k1p is u'' at (r, u, p)."""
-    k1u = p
-    k2u = p + 0.5 * h * k1p
-    k2p = kernel(u + 0.5 * h * k1u, k2u, r + 0.5 * h)[0]
-    k3u = p + 0.5 * h * k2p
-    k3p = kernel(u + 0.5 * h * k2u, k3u, r + 0.5 * h)[0]
-    k4u = p + h * k3p
-    k4p = kernel(u + h * k3u, k4u, r + h)[0]
-    return (u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-            p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5): the stage rows
+# a_{i,0..i-1} for i = 1..11, the 8th-order weights, and the weights of the
+# 5th-order error estimate and of the 3rd-order one, b - bhh
+_DOP_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_DOP_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+          4.45031289275240888144113950566, 1.89151789931450038304281599044,
+          -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+          -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+          4.47106157277725905176885569043e-2)
+_DOP_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+           -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+           0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+           0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+           -0.2235530786388629525884427845e-1)
+_DOP_E3 = tuple(b - bhh for b, bhh in zip(_DOP_B, (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _t_kernel(n: int, k: int):
+    """rhs(xi, s, side) -> (xi', s') of sigma_k = 1 in the t chart for a
+    valid (n, k), its constants computed once. side is +1 where s = 1 - xi'
+    and -1 where s = 1 + xi', so xi' = side (1 - s) and s' = -side xi''.
+    A stage with no admissible value (A <= 0 for k >= 2, an overflow or a
+    result that is not finite) raises ConeDomainError, which the shooter
+    answers by halving the step."""
+    g1 = (n - 2.0 * k) / (2.0 * k)
+    g2 = 2.0 ** (k - 1) / math.comb(n - 1, k - 1)
+
+    def rhs(xi, s, side):
+        a = s * (2.0 - s)
+        try:
+            y = math.exp(2.0 * xi)
+            if k == 1:
+                xi2 = g1 * a - g2 * y
+            elif a > 0.0:
+                xi2 = g1 * a - g2 * y * (y / a) ** (k - 1)
+            else:
+                raise ConeDomainError(f"lam_tan = {0.5 * a / y:.3e} left the cone at xi={xi}",
+                                      margin=0.5 * a / y)
+        except ArithmeticError as exc:  # e^{2 xi} or a power left the float range
+            raise ConeDomainError(f"t-chart powers leave the float range at xi={xi}") from exc
+        if not -math.inf < xi2 < math.inf:
+            raise ConeDomainError(f"t-chart curvature {xi2} not finite at xi={xi}")
+        return side * (1.0 - s), -side * xi2
+    return rhs
+
+
+def _dop853_step(rhs, xi, s, side, f, h):
+    """One DOP853 step of length h from (xi, s), f = rhs(xi, s, side).
+
+    Returns (xi, s) of the 8th-order solution and the two error vectors
+    (e5, e3) of Hairer's estimate, each a pair over (xi, s) still to be
+    scaled by h. Eleven right-hand sides: the first stage is f.
+    """
+    kx, ks = [f[0]], [f[1]]
+    for row in _DOP_A:
+        fx, fs = rhs(xi + h * sum(map(mul, row, kx)), s + h * sum(map(mul, row, ks)), side)
+        kx.append(fx)
+        ks.append(fs)
+    return (xi + h * sum(map(mul, _DOP_B, kx)), s + h * sum(map(mul, _DOP_B, ks)),
+            (sum(map(mul, _DOP_E5, kx)), sum(map(mul, _DOP_E5, ks))),
+            (sum(map(mul, _DOP_E3, kx)), sum(map(mul, _DOP_E3, ks))))
+
+
+def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float]:
+    """(u2, u4) of u = u0 + u2 r^2/2 + u4 r^4/24 + O(r^6), the solution regular at the origin.
+
+    u2 solves the isotropic equation at the origin. u4 = 3 n u2^2 / ((n-2) u0)
+    makes the order-r^2 term of sigma_k = 1 vanish: every eigenvalue starts
+    at lam0, sigma_k is symmetric, so that term is proportional to
+    dlam_rad + (n-1) dlam_tan = -b u0^{-(n+2)/(n-2)} ((n+2) u4 / 6
+    - n (n+2) u2^2 / (2 (n-2) u0)), free of k (checked with sympy for
+    3 <= n <= 6). A coefficient that leaves the float range is a
+    ConeDomainError.
+    """
+    u2, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
+    u4 = 3.0 * n * u2 * (u2 / u0) / (n - 2.0)
+    if not abs(u4) < math.inf:
+        raise ConeDomainError(f"series coefficient u4={u4} of u0={u0} overflows", where=0.0)
+    return u2, u4
 
 
 def shoot(u0: float, n: int, k: int, r_max: float, *,
           tol: float = 1e-12, fixed_step: float | None = None) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
-    Starts from u(0) = u0, u'(0) = 0 with the curvature solving the
-    isotropic equation at the origin. The first node comes from the
-    quartic Taylor expansion (the fourth derivative is recovered from the
-    equation itself), every later node from fourth-order Runge-Kutta. With
-    fixed_step set, the mesh is uniform and no error control runs, which
-    is what the convergence-order study wants; otherwise steps adapt by
-    step doubling against tol (k1 reused, see the module docstring).
+    Starts from u(0) = u0, u'(0) = 0. The node r_s = 1e-3 / max(1, a), a
+    the scale of the family member through u0, comes from the quartic
+    Taylor expansion of `_series_coefficients`. Past r_s the state (xi, s)
+    of the t = log r chart (see the module docstring) is advanced by the
+    DOP853 pair, and past the turning point every accepted node with
+    xi' <= -1/2 is projected onto the first integral H = 0 by resetting s
+    from xi. Each node is stored as (r, u, u'); the last lies at r_max
+    exactly.
 
-    Aborts with ConeBoundaryError (carrying r and the margin) when the cone
-    margin falls below 1e-10 or a node has no admissible solve,
-    PositivityError when u stops being positive, StepUnderflowError when
-    no admissible step remains; a bad (n, k), tol or fixed_step is a
-    ConfigError. The isotropic start has margin 1 (its sigma_j is
-    C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j), so
-    the origin itself is never at the boundary.
+    tol is the accuracy asked of the profile. A step is accepted when
+    Hairer's error estimate is at most tol, absolute in xi (relative in u)
+    and relative in s. Node spacing in t is capped at
+    0.04 (tol / 1e-12)^{1/6}: at the default tol the cap keeps the midpoint
+    sigma_k residual of `profile_to_field` below 1e-7, and it follows the
+    h^6 value error of that quintic reconstruction for other tol.
+    With fixed_step set, the step is a uniform dt = fixed_step in t (the
+    last one is shortened to end at r_max) and no error control runs,
+    which is what the convergence-order study wants.
+
+    Aborts with ConeBoundaryError (carrying r and the margin) when a node's
+    cone margin falls below 1e-10, and when halving cannot get a step past
+    stages with no admissible value; StepUnderflowError when the error
+    control shrinks the step below 1e-12 in t; a bad (n, k), tol or
+    fixed_step is a ConfigError, a bad u0 a PositivityError, and a u0 whose
+    series coefficients leave the float range a ConeDomainError. The isotropic
+    start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1 for
+    j <= k, as C(n,j)^{1/j} falls with j), so the origin itself is never at
+    the boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
@@ -286,83 +390,89 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     if fixed_step is not None:
         check_positive("fixed_step", fixed_step)
     check_nk(n, k)
-    kernel = _u2_kernel(n, k)
+    u0, r_max = float(u0), float(r_max)
+    m = (n - 2.0) / 2.0
+    lam0 = _lam0(n, k)
+    combs = [math.comb(n - 1, j) for j in range(k + 1)]
+    rhs = _t_kernel(n, k)
 
-    def node_solve(r, u, p):  # (u'', margin) at a node; no solve is a boundary hit
+    u2, u4 = _series_coefficients(u0, n, k)
+    # the series runs in powers of (a r)^2, a^2 = -u2 / ((n-2) u0) the family's scale
+    r1 = min(_R_START / max(1.0, math.sqrt(-u2 / ((n - 2.0) * u0))), r_max)
+    u1 = u0 + 0.5 * u2 * r1 * r1 + u4 * r1 ** 4 / 24.0
+    p1 = r1 * (u2 + u4 * r1 * r1 / 6.0)
+    rs, us, ps = [0.0, r1], [u0, u1], [0.0, p1]
+
+    t, t_end = math.log(r1), math.log(r_max)
+    xi, s, side = t + math.log(u1) / m, -r1 * p1 / (m * u1), 1.0
+    h_cap = fixed_step if fixed_step is not None else _DT_MAX * (tol / 1e-12) ** (1.0 / 6.0)
+
+    def node(xi, s, side, r):
+        """(s, side, right-hand side) of a new node, its cone margin checked."""
         try:
-            return kernel(u, p, r)
-        except ConeDomainError as exc:
-            raise ConeBoundaryError(f"cone boundary reached: {exc}",
-                                    r=r, margin=exc.margin) from exc
-
-    # series start: u ~ u0 + u2 r^2/2 + u4 r^4/24, odd terms vanish
-    u2_0, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
-    delta = 1e-3
-    g_probe, _ = node_solve(delta, u0 + 0.5 * u2_0 * delta * delta, u2_0 * delta)
-    u4_0 = 2.0 * (g_probe - u2_0) / (delta * delta)
-
-    h = fixed_step if fixed_step is not None else 1e-3
-    h_max = max(r_max / 50.0, h)
-    r1 = min(h, r_max)
-    u1 = u0 + 0.5 * u2_0 * r1 * r1 + u4_0 * r1 ** 4 / 24.0
-    p1 = u2_0 * r1 + u4_0 * r1 ** 3 / 6.0
-
-    rs = [0.0, r1]
-    us = [u0, u1]
-    ps = [0.0, p1]
-    r, u, p = r1, u1, p1
-    k1, _ = node_solve(r, u, p)
-    steps = 0
-    while r < r_max * (1.0 - 1e-14):
-        if steps >= _MAX_STEPS:
-            raise SigmakLabError(f"step budget {_MAX_STEPS} exhausted at r={r}")
-        steps += 1
-        h = min(h, r_max - r)
-        try:
-            if fixed_step is not None:
-                u_new, p_new = _rk4_step(kernel, r, u, p, k1, h)
-                accept = True
-            else:
-                u_full, p_full = _rk4_step(kernel, r, u, p, k1, h)
-                u_h, p_h = _rk4_step(kernel, r, u, p, k1, 0.5 * h)
-                r_h = r + 0.5 * h
-                u_new, p_new = _rk4_step(kernel, r_h, u_h, p_h, kernel(u_h, p_h, r_h)[0],
-                                         0.5 * h)
-                su = abs(u) + abs(h * p) + 1e-12 * us[0]
-                sp = abs(p) + abs(h * u2_0) + 1e-12
-                est = max(abs(u_new - u_full) / su, abs(p_new - p_full) / sp) / 15.0
-                accept = est <= tol
-        except (ConeDomainError, PositivityError) as exc:
-            if fixed_step is not None:
-                raise ConeBoundaryError(
-                    f"fixed-step integration failed at r={r}: {exc}", r=r) from exc
-            h *= 0.5
-            if h < 1e-14 * max(1.0, r_max):
-                if isinstance(exc, PositivityError):
-                    raise PositivityError(
-                        f"positivity lost near r={r}", where=r) from exc
-                raise ConeBoundaryError(
-                    f"cone boundary reached near r={r}",
-                    r=r, margin=getattr(exc, "margin", None)) from exc
-            continue
-        if not accept:
-            h *= max(0.2, 0.9 * (tol / est) ** 0.2)
-            if h < 1e-14 * max(1.0, r_max):
-                raise StepUnderflowError(f"step size underflow at r={r}", r=r)
-            continue
-        r, u, p = r + h, u_new, p_new
-        if not u > 0.0:
-            raise PositivityError(f"positivity lost at r={r}", where=r, value=u)
-        k1, margin = node_solve(r, u, p)
-        if margin < _MARGIN_FLOOR:
+            if side > 0.0 and s > 1.0:  # past the turning point xi' = 0: carry 1 + xi'
+                side, s = -1.0, 2.0 - s
+            y = math.exp(2.0 * xi)
+            a = 2.0 * lam0 * y  # A on H = 0, where lam_tan = lam0
+            if side < 0.0 and s <= 0.5 and a < 1.0:  # xi' <= -1/2: project onto H = 0
+                s = a / (1.0 + math.sqrt(1.0 - a))
+            f = rhs(xi, s, side)
+            a = s * (2.0 - s)
+            margin = float(_pair_sigma((side * f[1] - 0.5 * a) / y, 0.5 * a / y, combs)[0])
+        except (ConeDomainError, ArithmeticError) as exc:
+            raise ConeBoundaryError(f"cone boundary reached: {exc}", r=r,
+                                    margin=getattr(exc, "margin", None)) from exc
+        if not margin >= _MARGIN_FLOOR:
             raise ConeBoundaryError(f"cone margin {margin:.3e} below floor at r={r}",
                                     r=r, margin=margin)
+        return s, side, f
+
+    s, side, f = node(xi, s, side, r1)
+    h = h_cap
+    steps = 0
+    while t < t_end:
+        if steps >= _MAX_STEPS:
+            raise SigmakLabError(f"step budget {_MAX_STEPS} exhausted at r={rs[-1]}")
+        steps += 1
+        h = min(h, h_cap)
+        last = h >= (t_end - t) * (1.0 - 1e-9)
+        if last:
+            h = t_end - t
+        elif fixed_step is None and 2.0 * h > t_end - t:
+            h = 0.5 * (t_end - t)  # no sliver of a last step
+        try:
+            xi_new, s_new, e5, e3 = _dop853_step(rhs, xi, s, side, f, h)
+        except ConeDomainError as exc:
+            if fixed_step is not None:
+                raise ConeBoundaryError(f"fixed-step integration failed at r={rs[-1]}: {exc}",
+                                        r=rs[-1], margin=exc.margin) from exc
+            h *= 0.5
+            if h < 1e-12:
+                raise ConeBoundaryError(f"cone boundary reached near r={rs[-1]}",
+                                        r=rs[-1], margin=exc.margin) from exc
+            continue
+        grow = 1.0
+        if fixed_step is None:
+            x5, x3 = e5[0] / tol, e3[0] / tol
+            sc_s = max(abs(s), abs(s_new), 1e-300)
+            s5, s3 = e5[1] / sc_s / tol, e3[1] / sc_s / tol
+            n5, n3 = x5 * x5 + s5 * s5, x3 * x3 + s3 * s3
+            err = h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3)) if n5 != 0.0 else 0.0
+            if not err <= 1.0:
+                h *= max(0.2, 0.9 * err ** -0.125) if err < math.inf else 0.5
+                if h < 1e-12:
+                    raise StepUnderflowError(f"step size underflow at r={rs[-1]}", r=rs[-1])
+                continue
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+        t = t_end if last else t + h
+        r = r_max if last else math.exp(t)
+        xi = xi_new
+        s, side, f = node(xi, s_new, side, r)
+        u = math.exp(m * (xi - t))
         rs.append(r)
         us.append(u)
-        ps.append(p)
-        if fixed_step is None:
-            grow = 5.0 if est == 0.0 else min(5.0, max(0.2, 0.9 * (tol / est) ** 0.2))
-            h = min(h * grow, h_max)
+        ps.append(m * u * (-s if side > 0.0 else s - 2.0) / r)
+        h *= grow
     return RadialProfile(np.array(rs), np.array(us), np.array(ps), n, k)
 
 
@@ -480,8 +590,18 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
 
     Node curvatures come from the equation itself, so at mesh radii the
     reconstructed jet reproduces the integrator's state exactly; between
-    nodes the interpolation error is the only addition. Points within
-    1e-12 of the origin get the origin's jet.
+    nodes the interpolation error is the only addition. The first interval
+    [0, r_1] is interpolated in r. Past r_1 the interpolant lives in the
+    shooting chart: eta = log(u / u(0)) / m, m = (n-2)/2, which is
+    xi - t - log(u(0)) / m, is matched in value, slope and curvature in
+    t = log r, and (u, u', u'') follow analytically:
+
+        u = u(0) e^{m eta},   u' = m u eta' / r,
+        u'' = m u (m eta'^2 + eta'' - eta') / r^2.
+
+    eta is measured from u(0) so that near the origin, where it is O(r^2),
+    its node differences keep their digits. Points within 1e-12 of the
+    origin get the origin's jet.
     """
     n = profile.n
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
@@ -495,21 +615,41 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
     i = bad[(bad == 0) | (bad == r_nodes.size - 1)]
     j = np.clip(i, 1, r_nodes.size - 2)
     d2u_nodes[i] = (du_nodes[j + 1] - du_nodes[j - 1]) / (r_nodes[j + 1] - r_nodes[j - 1])
+    # the chart's node data past the origin
+    m, u0 = (n - 2.0) / 2.0, u_nodes[0]
+    r_out, u_out = r_nodes[1:], u_nodes[1:]
+    t_nodes = np.log(r_out)
+    eta = np.log(u_out / u0)
+    near = np.abs(u_out - u0) < 0.5 * u0
+    eta[near] = np.log1p((u_out[near] - u0) / u0)
+    eta /= m
+    eta1 = r_out * du_nodes[1:] / (m * u_out)
+    eta2 = r_out * r_out * d2u_nodes[1:] / (m * u_out) - m * eta1 * eta1 + eta1
     eye = np.eye(n)
 
     def jets(X, order):
         rr = np.linalg.norm(X, axis=1)
         # the domain check capped rr near r_max; clamp the interval index
         i = np.clip(np.searchsorted(r_nodes, rr, side="right") - 1, 0, r_nodes.size - 2)
-        h = r_nodes[i + 1] - r_nodes[i]
-        val, der, cur = _hermite5((rr - r_nodes[i]) / h, h,
-                                  (u_nodes[i], du_nodes[i], d2u_nodes[i]),
-                                  (u_nodes[i + 1], du_nodes[i + 1], d2u_nodes[i + 1]),
-                                  order)
+        val, der, cur = np.empty_like(rr), np.empty_like(rr), np.empty_like(rr)
+        first = i == 0
+        h = r_nodes[1]
+        v, d, c = _hermite5(rr[first] / h, h, (u0, du_nodes[0], d2u_nodes[0]),
+                            (u_nodes[1], du_nodes[1], d2u_nodes[1]), order)
+        val[first] = v
+        j, ro = i[~first] - 1, rr[~first]
+        h = t_nodes[j + 1] - t_nodes[j]
+        e, e1, e2 = _hermite5((np.log(ro) - t_nodes[j]) / h, h, (eta[j], eta1[j], eta2[j]),
+                              (eta[j + 1], eta1[j + 1], eta2[j + 1]), order)
+        uo = u0 * np.exp(m * e)
+        val[~first] = uo
         origin = rr < 1e-12
-        val[origin] = u_nodes[0]
+        val[origin] = u0
         if not order:
             return val, None, None
+        der[first], cur[first] = d, c
+        der[~first] = m * uo * e1 / ro
+        cur[~first] = m * uo * (m * e1 * e1 + e2 - e1) / (ro * ro)
         rr[origin] = 1.0  # any nonzero radius; these rows are overwritten below
         xhat = X / rr[:, None]
         proj = xhat[:, :, None] * xhat[:, None, :]

@@ -201,6 +201,20 @@ def test_acceptance_liouville_desk_check():
             f"worst covariance defect {worst_law:.2e}")
 
 
+def test_acceptance_shooting_reaches_1e8():
+    """Shooting from u0 in {1, 0.6, 2.3} c(n, k) reaches r = 1e8 for all
+    (n, k), n in {3..6}, and stays within 1e-6 relative of the family on
+    the whole mesh: no cone exit along an exact entire solution."""
+    worst = 0.0
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            for factor in (1.0, 0.6, 2.3):
+                profile = sl.shoot(factor * sl.c_constant(n, k), n, k, 1e8)
+                assert profile.r_max == 1e8
+                worst = max(worst, sl.liouville_report(profile).max_rel_deviation)
+    _report("shooting-to-1e8", worst <= 1e-6, f"worst profile deviation {worst:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # 6. harnack bound
 # ---------------------------------------------------------------------------

@@ -94,9 +94,19 @@ def test_solve_radial_short_domain_flags_tail(capsys):
 
 
 @pytest.mark.parametrize("k", ["20", "40"])
+def test_solve_radial_reaches_rmax_at_n40(k, capsys):
+    # the exact entire solution at n = 40, where lam_tan^(k-1) once
+    # overflowed a float: the chart's powers stay in range
+    assert main(["solve-radial", "--n", "40", "--k", k]) == 0
+    dev = float(capsys.readouterr().out.split("max relative deviation = ")[1].split()[0])
+    assert dev <= 1e-6
+
+
+@pytest.mark.parametrize("k", ["20", "40"])
 def test_solve_radial_power_overflow_is_a_numerical_failure(k, capsys):
-    # lam_tan^(k-1) overflows a float during the integration at n = 40
-    assert main(["solve-radial", "--n", "40", "--k", k]) == 2
+    # u0^{-(n+2)/(n-2)} underflows at n = 40, u0 = 1e300, so the curvature
+    # u'' = -lam0 / (b u0^{-(n+2)/(n-2)}) at the origin leaves the float range
+    assert main(["solve-radial", "--n", "40", "--k", k, "--u0", "1e300"]) == 2
     err = capsys.readouterr().err
     assert "numerical failure:" in err and "unexpected failure" not in err
 

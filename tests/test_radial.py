@@ -212,9 +212,10 @@ def test_shoot_reproduces_family_members():
 
 def test_shoot_scaling_covariance():
     # u0 fixes the scale through a = (u0/c)^{2/(n-2)}; the whole profile
-    # must then be the rescaled member, not just the origin value
+    # must then be the rescaled member, not just the origin value. At
+    # u0 = 2000 (a ~ 900) the series start has to move in to r_s = 1e-3 / a
     n, k = 4, 2
-    for u0 in (0.37, 2.0, 9.1):
+    for u0 in (0.37, 2.0, 9.1, 2000.0):
         profile = sl.shoot(u0, n, k, 8.0)
         report = sl.liouville_report(profile)
         expect_a = (u0 / sl.c_constant(n, k)) ** (2.0 / (n - 2.0))
@@ -237,15 +238,17 @@ def test_shoot_profile_structure_and_cone_persistence():
     assert margins.min() >= 0.5 * margins[0]
 
 
-def test_shoot_fixed_step_fourth_order():
+def test_shoot_fixed_step_eighth_order():
+    # fixed_step is a uniform step in t = log r; DOP853 is of order 8, and
+    # below dt ~ 0.1 the error reaches the rounding floor
     n, k = 3, 2
     errs = []
-    steps = (0.08, 0.04, 0.02)
+    steps = (0.4, 0.2, 0.1)
     for h in steps:
         profile = sl.shoot(sl.c_constant(n, k), n, k, 5.0, fixed_step=h)
         errs.append(sl.liouville_report(profile).max_rel_deviation)
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(steps) - 1)]
-    assert min(orders) >= 3.5
+    assert min(orders) >= 7.0
 
 
 def test_shoot_adaptive_tolerance_tracks_error():
@@ -264,43 +267,104 @@ def test_shoot_cone_boundary_abort(monkeypatch):
         sl.shoot(1.0, 3, 3, 5.0)
 
 
-@pytest.mark.parametrize("n, k, r_max, r_exit", [(6, 2, 100.0, 83.15), (4, 2, 300.0, 242.6)])
-def test_shoot_inadmissible_accepted_node_is_a_boundary_error(n, k, r_max, r_exit):
-    # the step is accepted, then the equation at its end node has no
-    # admissible solve: a documented ConeBoundaryError with r and the margin
+def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
+    # the 40th step is accepted onto a state past the cone, s = -1/4 so
+    # lam_tan = e^{-2 xi} s (2 - s) / 2 < 0: the equation at that node has no
+    # admissible value, a documented ConeBoundaryError with the node's r and
+    # lam_tan as the margin
+    real_step = radial._dop853_step
+    steps = [0]
+
+    def bad_step(*args):
+        steps[0] += 1
+        xi, s, e5, e3 = real_step(*args)
+        return xi, (-0.25 if steps[0] == 40 else s), e5, e3
+
+    monkeypatch.setattr(radial, "_dop853_step", bad_step)
     with pytest.raises(ConeBoundaryError) as info:
-        sl.shoot(sl.c_constant(n, k), n, k, r_max)
-    assert info.value.r == pytest.approx(r_exit, abs=0.05)
+        sl.shoot(sl.c_constant(4, 2), 4, 2, 10.0)
+    assert steps[0] == 40
+    assert info.value.r == pytest.approx(1e-3 * math.exp(40 * 0.04), rel=1e-12)
     assert info.value.margin < 0.0
 
 
+def test_t_kernel_solves_the_radial_equation():
+    # xi'' of the t chart, mapped back to u'' = m u (m (xi'-1)^2 + xi'' - (xi'-1)) / r^2,
+    # closes sigma_k = 1 on the r-chart pair, on random states either side
+    # of the turning point within 20% of H = 0, where A = 2 lam0 e^{2 xi}
+    rng = np.random.default_rng(89)
+    for n in range(3, 7):
+        m = (n - 2.0) / 2.0
+        for k in range(1, n + 1):
+            rhs = radial._t_kernel(n, k)
+            lam0 = math.comb(n, k) ** (-1.0 / k)
+            for _ in range(5):
+                xi, side = rng.uniform(-3.0, -0.5), rng.choice([-1.0, 1.0])
+                a = 2.0 * lam0 * math.exp(2.0 * xi) * rng.uniform(0.8, 1.2)
+                s, r = a / (1.0 + math.sqrt(1.0 - a)), rng.uniform(0.1, 5.0)
+                d1, ds = rhs(xi, s, side)
+                assert d1 == side * (1.0 - s)
+                u = math.exp(m * (xi - math.log(r)))
+                d2u = m * u * (m * (d1 - 1.0) ** 2 - side * ds - (d1 - 1.0)) / (r * r)
+                pair = sl.radial_eigenvalues(u, m * u * (d1 - 1.0) / r, d2u, r, n)
+                assert sl.sigma(pair.vector(n), k) == pytest.approx(1.0, rel=1e-11)
+
+
+def test_t_kernel_stage_failures_are_cone_errors():
+    # a stage that would divide by A = 0, overflow e^{2 xi} or leave the
+    # cone raises ConeDomainError, which the shooter answers by halving
+    rhs = radial._t_kernel(5, 4)
+    for xi, s in [(0.0, 0.0), (0.0, 2.0), (400.0, 0.5), (0.0, -0.1), (math.nan, 0.5)]:
+        with pytest.raises(ConeDomainError):
+            rhs(xi, s, 1.0)
+    assert radial._t_kernel(5, 1)(0.0, 0.0, -1.0) == (-1.0, -1.0)  # k = 1 needs no A > 0
+
+
+def test_shoot_node_budget():
+    # the step cap of 0.04 in t bounds the mesh: about 290 nodes to r = 100
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            assert sl.shoot(sl.c_constant(n, k), n, k, 100.0).r.size <= 400
+
+
+def test_series_coefficients_match_the_bubble_taylor_coefficients():
+    # u = c a^m (1 + a^2 r^2)^{-m} = u0 (1 - m a^2 r^2 + m (m+1) a^4 r^4 / 2 - ...)
+    for n in range(3, 7):
+        m = (n - 2.0) / 2.0
+        for k in range(1, n + 1):
+            for a in (0.3, 1.0, 2.7):
+                u0 = sl.c_constant(n, k) * a ** m
+                u2, u4 = radial._series_coefficients(u0, n, k)
+                assert u2 == pytest.approx(-2.0 * m * a * a * u0, rel=1e-13)
+                assert u4 == pytest.approx(12.0 * m * (m + 1.0) * a ** 4 * u0, rel=1e-13)
+
+
 def test_shoot_reuses_k1(monkeypatch):
-    # per attempted step: 3 + 3 + 4 right-hand sides (the full step and the
-    # first half step share k1), plus 1 per accepted node for its margin,
-    # which is the next step's k1; a few more start the series
+    # per attempted step 11 right-hand sides (DOP853's first stage is the
+    # previous node's), plus 1 per accepted node, which also gives that
+    # node's margin and is the next step's first stage; 1 more at r_s
     calls = [0]
     steps = [0]
-    real_kernel, real_step = radial._u2_kernel, radial._rk4_step
+    real_kernel, real_step = radial._t_kernel, radial._dop853_step
 
     def counting_kernel(n, k):
-        kernel = real_kernel(n, k)
+        rhs = real_kernel(n, k)
 
         def counted(*args):
             calls[0] += 1
-            return kernel(*args)
+            return rhs(*args)
         return counted
 
     def counting_step(*args):
         steps[0] += 1
         return real_step(*args)
 
-    monkeypatch.setattr(radial, "_u2_kernel", counting_kernel)
-    monkeypatch.setattr(radial, "_rk4_step", counting_step)
+    monkeypatch.setattr(radial, "_t_kernel", counting_kernel)
+    monkeypatch.setattr(radial, "_dop853_step", counting_step)
     profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 8.0)
-    assert steps[0] % 3 == 0  # no attempt was cut short by a cone exit
-    attempted, accepted = steps[0] // 3, profile.r.size - 2
-    assert attempted >= accepted > 100
-    assert calls[0] <= 10 * attempted + accepted + 3
+    accepted = profile.r.size - 2
+    assert steps[0] >= accepted > 100
+    assert calls[0] == 11 * steps[0] + accepted + 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +419,45 @@ def test_profile_field_reproduces_nodes_and_midpoints():
 
 
 def test_profile_field_matches_a_per_point_reference_loop():
+    # the reference interpolates point by point: in r on [0, r_1], and past
+    # r_1 in the shooting chart, eta = log(u / u(0)) / m matched in value,
+    # slope and curvature in t = log r, then mapped back to (u, u', u'')
     n, k = 4, 2
+    m = (n - 2.0) / 2.0
     profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
     field = sl.profile_to_field(profile)
-    r_nodes, d2u = profile.r, radial._node_solves(profile.r, profile.u, profile.du, n, k)[0]
+    r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
+    d2u = radial._node_solves(r_nodes, u_nodes, du_nodes, n, k)[0]
     assert not np.any(np.isnan(d2u))  # every node solves, so no fallback runs
+    u0 = u_nodes[0]
+
+    def log(v):  # the batch's log and exp: the libm ones may differ by an ulp,
+        return float(np.log(np.array([v]))[0])  # which the O(1/h^2) terms amplify
+
+    def chart(i):  # (eta, eta', eta'') at node i >= 1
+        u, du, r = u_nodes[i], du_nodes[i], r_nodes[i]
+        eta = float(np.log1p(np.array([(u - u0) / u0]))[0]) if abs(u - u0) < 0.5 * u0 \
+            else log(u / u0)
+        eta1 = r * du / (m * u)
+        return eta / m, eta1, r * r * d2u[i] / (m * u) - m * eta1 * eta1 + eta1
 
     def reference(x):
-        # the batch's norm: the 1-D one may differ by an ulp, which the
-        # curvature's O(1/h^2) terms amplify
-        rr = float(np.linalg.norm(x[None], axis=1)[0])
+        rr = float(np.linalg.norm(x[None], axis=1)[0])  # the batch's norm, for the same reason
         if rr < 1e-12:
-            return profile.u[0], np.zeros(n), d2u[0] * np.eye(n)
+            return u0, np.zeros(n), d2u[0] * np.eye(n)
         i = int(np.searchsorted(r_nodes, rr, side="right")) - 1
         i = min(max(i, 0), r_nodes.size - 2)
-        h = r_nodes[i + 1] - r_nodes[i]
-        val, der, cur = radial._hermite5(
-            (rr - r_nodes[i]) / h, h, (profile.u[i], profile.du[i], d2u[i]),
-            (profile.u[i + 1], profile.du[i + 1], d2u[i + 1]), 2)
+        if i == 0:
+            h = r_nodes[1]
+            val, der, cur = radial._hermite5(rr / h, h, (u0, 0.0, d2u[0]),
+                                             (u_nodes[1], du_nodes[1], d2u[1]), 2)
+        else:
+            t0, t1 = log(r_nodes[i]), log(r_nodes[i + 1])
+            e, e1, e2 = radial._hermite5((log(rr) - t0) / (t1 - t0), t1 - t0,
+                                         chart(i), chart(i + 1), 2)
+            val = u0 * float(np.exp(np.array([m * e]))[0])
+            der = m * val * e1 / rr
+            cur = m * val * (m * e1 * e1 + e2 - e1) / (rr * rr)
         xhat = x / rr
         proj = np.outer(xhat, xhat)
         return val, der * xhat, cur * proj + (der / rr) * (np.eye(n) - proj)
@@ -381,6 +466,7 @@ def test_profile_field_matches_a_per_point_reference_loop():
     pts = rng.normal(size=(60, n))
     pts *= (rng.uniform(0.0, 2.0, 60) / np.linalg.norm(pts, axis=1))[:, None]
     pts[0], pts[1], pts[2] = 0.0, [1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]
+    pts[3] = [5e-4, 0.0, 0.0, 0.0]  # inside the first interval
     u, grad, hess = field.jets(pts, 2)
     np.testing.assert_array_equal(field.values(pts), u)
     for i, x in enumerate(pts):
@@ -419,18 +505,17 @@ def test_profile_csv_schema(tmp_path):
 
 
 def test_node_solves_match_the_per_node_solve():
-    # the array pass against the scalar RK kernel node by node, and against
-    # the isotropic solve u'' = -lam0 / (b u^e1), lam0 = C(n,k)^{-1/k}, at
-    # the origin; numpy's and libm's pow may differ by an ulp, which the
-    # solve for u'' amplifies to ~1e-13 relative
+    # the array pass against the generic sigma of the pair it solved for:
+    # sigma_k = 1 and the margin is min_j sigma_j, node by node; at the
+    # origin against the isotropic solve u'' = -lam0 / (b u^e1),
+    # lam0 = C(n,k)^{-1/k}
     for n, k in [(3, 1), (4, 2), (5, 3), (6, 6)]:
         profile = sl.shoot(sl.c_constant(n, k), n, k, 10.0)
         d2u, margin, res = radial._node_solves(profile.r, profile.u, profile.du, n, k)
-        kernel = radial._u2_kernel(n, k)
-        ref = np.array([kernel(u, du, r) for r, u, du in zip(
-            profile.r.tolist()[1:], profile.u.tolist()[1:], profile.du.tolist()[1:])])
-        np.testing.assert_allclose(d2u[1:], ref[:, 0], rtol=1e-12)
-        np.testing.assert_allclose(margin[1:], ref[:, 1], rtol=1e-14)
+        lam = sl.radial_eigenvalues(profile.u, profile.du, d2u, profile.r, n).vector(n)
+        sig = np.array([[sl.sigma(row, j) for j in range(1, k + 1)] for row in lam])
+        np.testing.assert_allclose(sig[:, -1], 1.0, rtol=1e-11)
+        np.testing.assert_allclose(margin, sig.min(axis=1), rtol=1e-12)
         lam0 = math.comb(n, k) ** (-1.0 / k)
         b, e1 = 2.0 / (n - 2.0), -(n + 2.0) / (n - 2.0)
         assert d2u[0] == pytest.approx(-lam0 / (b * profile.u[0] ** e1), rel=1e-12)
@@ -439,34 +524,42 @@ def test_node_solves_match_the_per_node_solve():
         assert np.all(res <= 1e-11)
 
 
+def _pinned_rows():
+    """Eight nodes of the (4, 2) family member a = 1 at fixed radii, four of
+    them with no admissible solve: du = 0 degenerates the linear coefficient
+    (nodes 3 and 7, the last), du = +0.5 solves onto a negative margin
+    (node 5), and u = 1e-100 overflows u^{-2n/(n-2)} (node 6, with
+    du = -1e-100 so that r u'/u stays of order one)."""
+    r = np.array([0.0, 1e-3, 0.1, 0.25, 0.4, 0.6, 0.8, 1.0])
+    u, du = _bubble_r(4, 2, 1.0, r), _bubble_dr(4, 2, 1.0, r)
+    du[3] = du[7] = 0.0
+    du[5] = 0.5
+    u[6], du[6] = 1e-100, -1e-100
+    return r, u, du
+
+
+# the margin of node 5; 40-digit mpmath evaluation of the same solve
+# gives -2.0010226713131068079
+_NODE5_MARGIN = -2.0010226713131068
+
+
 def test_solve_for_u2_raises_on_the_rows_with_no_admissible_solve():
     # the failure rows pinned below, one node at a time: the one-node case
     # raises with the margin the array pass writes
-    shot = sl.shoot(sl.c_constant(4, 2), 4, 2, 2.0)
-    r, u, du = shot.r.tolist(), shot.u.tolist(), shot.du.tolist()
+    r, u, du = (a.tolist() for a in _pinned_rows())
     with pytest.raises(ConeDomainError) as info:
-        sl.solve_for_u2(u[3], 0.0, r[3], 4, 2)
+        sl.solve_for_u2(u[3], du[3], r[3], 4, 2)
     assert info.value.margin == 0.0 and math.copysign(1.0, info.value.margin) == -1.0
     assert info.value.where == r[3]
     with pytest.raises(ConeDomainError) as info:
-        sl.solve_for_u2(u[5], 0.5, r[5], 4, 2)
-    assert info.value.margin == pytest.approx(-68.95529100709922, rel=1e-14)
+        sl.solve_for_u2(u[5], du[5], r[5], 4, 2)
+    assert info.value.margin == pytest.approx(_NODE5_MARGIN, rel=1e-14)
     with pytest.raises(ConeDomainError):
-        sl.solve_for_u2(1e-100, du[6], r[6], 4, 2)
+        sl.solve_for_u2(u[6], du[6], r[6], 4, 2)
 
 
 def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
-    # the first 8 nodes of a shot profile with four nodes that have no
-    # admissible solve: du = 0 degenerates the linear coefficient (nodes 3
-    # and 7, the last), du = +0.5 solves onto a negative margin (node 5),
-    # u = 1e-100 overflows u^{-2n/(n-2)} (node 6); the pinned figures are
-    # what a node-by-node loop through the scalar kernel writes
-    shot = sl.shoot(sl.c_constant(4, 2), 4, 2, 2.0)
-    r, u, du = shot.r[:8].copy(), shot.u[:8].copy(), shot.du[:8].copy()
-    du[3] = du[7] = 0.0
-    du[5] = 0.5
-    u[6] = 1e-100
-    profile = sl.RadialProfile(r, u, du, 4, 2)
+    profile = sl.RadialProfile(*_pinned_rows(), 4, 2)
     path = tmp_path / "profile.csv"
     sl.write_profile_csv(profile, path)
     rows = np.array([[float(v) for v in line.split(",")]
@@ -483,16 +576,21 @@ def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     # the degenerate rows report lam_tan, which is -0.0 at du = 0
     for i in (3, 7):
         assert margin[i] == 0.0 and math.copysign(1.0, margin[i]) == -1.0
-    assert margin[5] == pytest.approx(-68.95529100709922, rel=1e-14)
-    # failed rows fall back to finite differences: three-point u in the
-    # interior, the central du difference at the last node
+    assert margin[5] == pytest.approx(_NODE5_MARGIN, rel=1e-14)
+    # failed rows fall back to finite differences: three-point u'' in the
+    # interior, the central du difference at the last node; the field
+    # reproduces them at the nodes through the chart map and back (node 6,
+    # at u = 1e-100, keeps 13 digits of the round trip)
+    r, u, du = profile.r, profile.u, profile.du
+    i = np.array([3, 5, 6])
+    h1, h2 = r[i] - r[i - 1], r[i + 1] - r[i]
+    expect = list(2.0 * (h1 * u[i + 1] - (h1 + h2) * u[i] + h2 * u[i - 1])
+                  / (h1 * h2 * (h1 + h2))) + [(du[7] - du[5]) / (r[7] - r[5])]
     field = sl.profile_to_field(profile)
     x = np.zeros((len(failed), 4))
-    x[:, 0] = profile.r[failed]
+    x[:, 0] = r[failed]
     curvature = field.jets(x, 2)[2][:, 0, 0]
-    np.testing.assert_allclose(curvature, [-4.4267063464889205, -219359385.00868365,
-                                           385847365.17519605, -2331.9837500367566],
-                               rtol=1e-14)
+    np.testing.assert_allclose(curvature, expect, rtol=1e-13)
 
 
 def test_pair_sigma_closed_form_matches_generic():
