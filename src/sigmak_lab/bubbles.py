@@ -310,6 +310,8 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
         return []
     for a in a_vals:
         check_positive("scale a", a)
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_vals) + 0.5
     words = [("bubble", MobiusMap(()))] + [

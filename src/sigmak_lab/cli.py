@@ -4,6 +4,8 @@ Four workflows: closed-form solution verification, radial shooting with
 the desk-scale classification check, homotopy continuation, and the
 Harnack product sweep. Exit codes follow one contract everywhere:
 0 success, 1 configuration error, 2 numerical or verification failure.
+Commands run with numpy's float traps on: an overflow, a division by zero
+or an invalid operation is a numerical failure (2), not a warning and a nan.
 All randomness (word generation) hangs off a single --seed flag, so a
 fixed command line produces byte-identical output files.
 """
@@ -81,6 +83,8 @@ def cmd_verify_bubble(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
     check_positive("--box", args.box)
+    if args.seed < 0:
+        raise ConfigError(f"--seed={args.seed} must be nonnegative")
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
     base = bubbles.bubble_field(spec)
     pts = box_points(args.samples, args.n, halfwidth=args.box)
@@ -280,11 +284,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse signals usage errors (and --help)
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except SigmakLabError as exc:
+    except (SigmakLabError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # the contract forbids raw tracebacks

@@ -325,14 +325,17 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
     if spec.a_init is not None:
         a = float(spec.a_init)
     else:
-        c = c_constant(n, k)
-        q = (spec.u_b / c) ** (2.0 / (n - 2.0))
-        disc = 1.0 - 4.0 * spec.r_b ** 2 * q * q
-        if disc < 0.0:
+        # u_b = c (a / (1 + a^2 r_b^2))^m is a quadratic in a with discriminant
+        # 1 - p^2, p = 2 r_b q, q = (u_b / c)^{1/m}; past the float range p is inf
+        with np.errstate(over="ignore"):
+            q = np.float64(spec.u_b / c_constant(n, k)) ** (2.0 / (n - 2.0))
+            p = 2.0 * (spec.r_b * q)
+            disc = 1.0 - p * p
+        if not disc >= 0.0:
             raise ConfigError(
                 f"boundary value u_b={spec.u_b} exceeds every family member "
                 f"on a domain of radius {spec.r_b}")
-        a = (1.0 - math.sqrt(disc)) / (2.0 * spec.r_b ** 2 * q)
+        a = float(2.0 * q / (1.0 + math.sqrt(disc)))  # the small root, free of cancellation
     return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
 
 
@@ -346,7 +349,7 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     """
     trace = ContinuationTrace()
     x = initial_guess(spec)
-    targets = list(spec.t_path)
+    targets = spec.t_path.tolist()  # Python floats, so "last good t" prints plainly
     cur_t = None  # no solve has converged yet
     depth = 0
     while targets:

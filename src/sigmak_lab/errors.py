@@ -68,7 +68,8 @@ class ConeBoundaryError(SigmakLabError, RuntimeError):
 
 
 class StepUnderflowError(SigmakLabError, RuntimeError):
-    """Adaptive step size shrank below the representable floor."""
+    """Adaptive step size shrank below the representable floor, or the
+    integration ran out of its step budget."""
 
     def __init__(self, message, r=None):
         super().__init__(message)

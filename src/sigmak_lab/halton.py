@@ -13,17 +13,6 @@ from .errors import ConfigError
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def radical_inverse(index: int, base: int) -> float:
-    """Van der Corput radical inverse of a nonnegative index."""
-    inv = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        index, digit = divmod(index, base)
-        inv += digit * scale
-        scale /= base
-    return inv
-
-
 def halton_sequence(count: int, dim: int, start: int = 20) -> np.ndarray:
     """`count` points of the `dim`-dimensional Halton sequence in (0,1)^dim.
 
@@ -32,12 +21,18 @@ def halton_sequence(count: int, dim: int, start: int = 20) -> np.ndarray:
     """
     if dim > len(_PRIMES):
         raise ConfigError(f"halton sampling supports dim <= {len(_PRIMES)}")
-    if count < 0:
-        raise ConfigError("count must be nonnegative")
-    pts = np.empty((count, dim))
-    for j in range(dim):
-        base = _PRIMES[j]
-        pts[:, j] = [radical_inverse(i, base) for i in range(start, start + count)]
+    if count < 0 or start < 0:
+        raise ConfigError(f"count={count} and start={start} must be nonnegative")
+    # Van der Corput radical inverses, one digit of every index per pass;
+    # an index with no digits left adds 0.0
+    bases = np.array(_PRIMES[:dim])
+    index = np.repeat(np.arange(start, start + count)[:, None], dim, axis=1)
+    pts = np.zeros((count, dim))
+    scale = 1.0 / bases
+    while index.any():
+        index, digit = np.divmod(index, bases)
+        pts += digit * scale
+        scale /= bases
     return pts
 
 

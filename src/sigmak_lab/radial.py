@@ -67,7 +67,7 @@ import numpy as np
 from .bubbles import _bubble_jets, c_constant
 from .conformal import Domain, ScalarField
 from .errors import ConeBoundaryError, ConeDomainError, ConfigError, PositivityError, \
-    SigmakLabError, StepUnderflowError, check_nk, check_positive
+    StepUnderflowError, check_nk, check_positive
 
 __all__ = [
     "EigenPair",
@@ -349,8 +349,7 @@ def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float]:
     return u2, u4
 
 
-def shoot(u0: float, n: int, k: int, r_max: float, *,
-          tol: float = 1e-12, fixed_step: float | None = None) -> RadialProfile:
+def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
     Starts from u(0) = u0, u'(0) = 0. The node r_s = 1e-3 / max(1, a), a
@@ -368,27 +367,22 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     0.04 (tol / 1e-12)^{1/6}: at the default tol the cap keeps the midpoint
     sigma_k residual of `profile_to_field` below 1e-7, and it follows the
     h^6 value error of that quintic reconstruction for other tol.
-    With fixed_step set, the step is a uniform dt = fixed_step in t (the
-    last one is shortened to end at r_max) and no error control runs,
-    which is what the convergence-order study wants.
 
     Aborts with ConeBoundaryError (carrying r and the margin) when a node's
     cone margin falls below 1e-10, and when halving cannot get a step past
     stages with no admissible value; StepUnderflowError when the error
-    control shrinks the step below 1e-12 in t; a bad (n, k), tol or
-    fixed_step is a ConfigError, a bad u0 a PositivityError, and a u0 whose
-    series coefficients leave the float range a ConeDomainError. The isotropic
-    start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1 for
-    j <= k, as C(n,j)^{1/j} falls with j), so the origin itself is never at
-    the boundary.
+    control shrinks the step below 1e-12 in t or the shot runs out of its
+    step budget; a bad (n, k) or tol is a ConfigError, a bad u0 a
+    PositivityError, and a u0 whose series coefficients leave the float
+    range a ConeDomainError. The isotropic start has margin 1 (its sigma_j
+    is C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j),
+    so the origin itself is never at the boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
     check_positive("initial value u0", u0)
     check_positive("r_max", r_max)
     check_positive("tol", tol)
-    if fixed_step is not None:
-        check_positive("fixed_step", fixed_step)
     check_nk(n, k)
     u0, r_max = float(u0), float(r_max)
     m = (n - 2.0) / 2.0
@@ -405,7 +399,7 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
 
     t, t_end = math.log(r1), math.log(r_max)
     xi, s, side = t + math.log(u1) / m, -r1 * p1 / (m * u1), 1.0
-    h_cap = fixed_step if fixed_step is not None else _DT_MAX * (tol / 1e-12) ** (1.0 / 6.0)
+    h_cap = _DT_MAX * (tol / 1e-12) ** (1.0 / 6.0)
 
     def node(xi, s, side, r):
         """(s, side, right-hand side) of a new node, its cone margin checked."""
@@ -432,38 +426,34 @@ def shoot(u0: float, n: int, k: int, r_max: float, *,
     steps = 0
     while t < t_end:
         if steps >= _MAX_STEPS:
-            raise SigmakLabError(f"step budget {_MAX_STEPS} exhausted at r={rs[-1]}")
+            raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at r={rs[-1]}",
+                                     r=rs[-1])
         steps += 1
         h = min(h, h_cap)
         last = h >= (t_end - t) * (1.0 - 1e-9)
         if last:
             h = t_end - t
-        elif fixed_step is None and 2.0 * h > t_end - t:
+        elif 2.0 * h > t_end - t:
             h = 0.5 * (t_end - t)  # no sliver of a last step
         try:
             xi_new, s_new, e5, e3 = _dop853_step(rhs, xi, s, side, f, h)
         except ConeDomainError as exc:
-            if fixed_step is not None:
-                raise ConeBoundaryError(f"fixed-step integration failed at r={rs[-1]}: {exc}",
-                                        r=rs[-1], margin=exc.margin) from exc
             h *= 0.5
             if h < 1e-12:
                 raise ConeBoundaryError(f"cone boundary reached near r={rs[-1]}",
                                         r=rs[-1], margin=exc.margin) from exc
             continue
-        grow = 1.0
-        if fixed_step is None:
-            x5, x3 = e5[0] / tol, e3[0] / tol
-            sc_s = max(abs(s), abs(s_new), 1e-300)
-            s5, s3 = e5[1] / sc_s / tol, e3[1] / sc_s / tol
-            n5, n3 = x5 * x5 + s5 * s5, x3 * x3 + s3 * s3
-            err = h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3)) if n5 != 0.0 else 0.0
-            if not err <= 1.0:
-                h *= max(0.2, 0.9 * err ** -0.125) if err < math.inf else 0.5
-                if h < 1e-12:
-                    raise StepUnderflowError(f"step size underflow at r={rs[-1]}", r=rs[-1])
-                continue
-            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+        x5, x3 = e5[0] / tol, e3[0] / tol
+        sc_s = max(abs(s), abs(s_new), 1e-300)
+        s5, s3 = e5[1] / sc_s / tol, e3[1] / sc_s / tol
+        n5, n3 = x5 * x5 + s5 * s5, x3 * x3 + s3 * s3
+        err = h * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3)) if n5 != 0.0 else 0.0
+        if not err <= 1.0:
+            h *= max(0.2, 0.9 * err ** -0.125) if err < math.inf else 0.5
+            if h < 1e-12:
+                raise StepUnderflowError(f"step size underflow at r={rs[-1]}", r=rs[-1])
+            continue
+        grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
         t = t_end if last else t + h
         r = r_max if last else math.exp(t)
         xi = xi_new

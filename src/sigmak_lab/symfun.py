@@ -86,28 +86,12 @@ def _cone_margin(e: np.ndarray, k: int):
 
 
 def _esym_gradient_batch(lams: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise gradient of e_k: entry i is e_{k-1} of the row with entry i removed.
-
-    Prefix/suffix polynomial products, no divisions.
-    """
+    """Row-wise gradient of e_k: entry i is e_{k-1} of the row with entry i
+    removed, from `_esym_all_batch` over the n deleted rows; no divisions."""
     lams = np.asarray(lams, dtype=float)
     npts, n = lams.shape
-    pref = np.zeros((n + 1, npts, k))
-    pref[0, :, 0] = 1.0
-    for i in range(1, n + 1):
-        pref[i] = pref[i - 1]
-        if k > 1:
-            pref[i, :, 1:] += lams[:, i - 1, None] * pref[i - 1, :, :-1]
-    suf = np.zeros((n + 1, npts, k))
-    suf[n, :, 0] = 1.0
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1]
-        if k > 1:
-            suf[i, :, 1:] += lams[:, i, None] * suf[i + 1, :, :-1]
-    grad = np.empty((npts, n))
-    for i in range(n):
-        grad[:, i] = np.einsum("nj,nj->n", pref[i], suf[i + 1][:, ::-1])
-    return grad
+    deleted = lams[:, (np.arange(1, n) + np.arange(n)[:, None]) % n]
+    return _esym_all_batch(deleted.reshape(-1, n - 1))[:, k - 1].reshape(npts, n)
 
 
 def sigma(lam, k: int) -> float:

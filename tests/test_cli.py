@@ -1,11 +1,16 @@
 """Command-line contract: exit codes, output schemas, determinism."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sigmak_lab import continuation
 from sigmak_lab.cli import main, _parse_grid
-from sigmak_lab.errors import ConfigError
+from sigmak_lab.errors import ConfigError, NewtonError
 
 
 def test_grid_parsing():
@@ -147,6 +152,24 @@ def test_homotopy_malformed_flag(capsys):
     assert main(["homotopy", "--n", "3"]) == 1
 
 
+def test_homotopy_stall_exits_2_with_the_last_good_t(tmp_path, monkeypatch, capsys):
+    real = continuation.newton_solve
+
+    def solve(x, spec, t):
+        if t > 0.5:
+            raise NewtonError("forced failure", iterations=1, residual=1.0)
+        return real(x, spec, t)
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    trace = tmp_path / "trace.json"
+    assert main(["homotopy", "--n", "3", "--k", "2", "--m", "32", "--steps", "4",
+                 "--trace", str(trace)]) == 2
+    out = capsys.readouterr().out
+    assert "homotopy failed: continuation stalled" in out and "last good t = 0.5" in out
+    payload = json.loads(trace.read_text())
+    assert [rec["converged"] for rec in payload[:3]] == [True] * 3 and payload[2]["t"] == 0.5
+    assert payload[3:] and not any(rec["converged"] for rec in payload[3:])
+
+
 # ---------------------------------------------------------------------------
 # harnack-sweep
 # ---------------------------------------------------------------------------
@@ -235,11 +258,80 @@ def test_one_parser_serves_every_call(tmp_path):
     ["solve-radial", "--n", "2", "--k", "1"],
     ["verify-bubble", "--n", "3", "--k", "4"],
     ["homotopy", "--n", "3", "--k", "2", "--ub", "100"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--seed", "-1"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--images", "1", "--seed", "-1"],
+    ["homotopy", "--n", "3", "--k", "1", "--ub", "1e300"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bubble", "--n", "3", "--k", "1", "--a", "1e200"],
+    ["verify-bubble", "--n", "6", "--k", "2", "--a", "1e200"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--a", "1e-300"],
+    ["homotopy", "--n", "6", "--k", "2", "--a", "1e200"],
+    ["homotopy", "--n", "3", "--k", "1", "--rb", "1e300", "--ub", "1e-300"],
+    ["homotopy", "--n", "3", "--k", "1", "--rb", "1e-300", "--ub", "1e-8"],
+    ["harnack-sweep", "--n", "5", "--k", "4", "--R", "1.7e308"],
+])
+def test_results_past_the_float_range_are_numerical_failures(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "unexpected failure" not in err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every outcome is an exit code of the contract
+# ---------------------------------------------------------------------------
+
+_EXTREME = (0.0, -1.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 5.0, 1e8, 1e200, 1e300, 1.7e308,
+            math.inf, -math.inf, math.nan)
+_FLOATS = st.sampled_from(_EXTREME) | st.floats(width=64)
+# a positive tol below what double precision can meet runs solve-radial
+# through its whole 200,000-step budget (about 10 s) before it fails
+_TOLS = st.sampled_from((0.0, -1.0, math.inf, math.nan)) | st.floats(1e-14, 1e300)
+
+
+def _flag(name, values, fmt=repr):
+    return st.one_of(st.just([]), values.map(lambda v: [name, fmt(v)]))
+
+
+def _command(name, *flags):
+    nk = st.tuples(st.integers(1, 8), st.integers(-1, 9))
+    return st.tuples(nk, *flags).map(
+        lambda t: [name, "--n", str(t[0][0]), "--k", str(t[0][1])] + sum(t[1:], []))
+
+
+_GRIDS = _FLOATS.map(repr) | st.builds(
+    lambda lo, hi, count, log: f"{lo!r}:{hi!r}:{count}{'log' if log else ''}",
+    _FLOATS, _FLOATS, st.integers(-1, 3), st.booleans())
+_ARGV = st.one_of(
+    _command("verify-bubble", _flag("--a", _FLOATS), _flag("--tol", _FLOATS),
+             _flag("--samples", st.integers(-2, 20), str), _flag("--box", _FLOATS),
+             _flag("--images", st.integers(-1, 2), str),
+             _flag("--seed", st.integers(-3, 2 ** 70), str)),
+    _command("solve-radial", _flag("--u0", _FLOATS), _flag("--rmax", _FLOATS),
+             _flag("--tol", _TOLS)),
+    _command("homotopy", _flag("--rb", _FLOATS), _flag("--a", _FLOATS), _flag("--ub", _FLOATS),
+             _flag("--steps", st.integers(-1, 3), str), _flag("--m", st.integers(-1, 40), str)),
+    _command("harnack-sweep", _flag("--a", _GRIDS, str), _flag("--R", _GRIDS, str),
+             _flag("--nrad", st.integers(-1, 5), str), _flag("--nang", st.integers(-1, 5), str),
+             _flag("--images", st.integers(-1, 2), str),
+             _flag("--seed", st.integers(-3, 2 ** 70), str)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ARGV)
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "unexpected failure" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["solve-radial", "homotopy"])

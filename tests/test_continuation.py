@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
+from sigmak_lab import continuation
 from sigmak_lab.continuation import initial_guess
-from sigmak_lab.errors import ConeDomainError, ConfigError, NewtonError
+from sigmak_lab.errors import ConeDomainError, ConfigError, NewtonError, PathError
 
 from fd_oracles import fd_jacobian
 
@@ -54,6 +55,16 @@ def test_initial_guess_branches():
     # a boundary value no family member attains is rejected by the guess
     with pytest.raises(ConfigError):
         initial_guess(sl.BvpSpec(3, 2, 5.0, 10.0, m=64))
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (5, 3), (6, 6)])
+@pytest.mark.parametrize("u_b", [1e-3, 1e-5, 1e-7])
+def test_initial_guess_meets_a_small_boundary_value(n, k, u_b):
+    # the small root of the scale quadratic is taken in its rationalized
+    # form; 1 - sqrt(disc) cancelled to 4e-8 relative at u_b = 1e-3 and to
+    # a zero guess at u_b = 1e-5
+    guess = initial_guess(sl.BvpSpec(n, k, 5.0, u_b, m=64))
+    assert guess[-1] == pytest.approx(u_b, rel=1e-14, abs=0.0)
 
 
 def test_homotopy_parameter_outside_the_unit_interval_is_a_configuration_error():
@@ -295,6 +306,45 @@ def test_endpoint_equivalence_with_rescaled_first_order_problem():
                          a_init=1.0)
     x1, _ = sl.newton_solve(initial_guess(spec_k1), spec_k1, 1.0)
     np.testing.assert_allclose(x0, s * x1, atol=1e-9)
+
+
+def _newton_failing_past(t_fail, fail_once=False):
+    """newton_solve that raises NewtonError at every t > t_fail (at the
+    first such t only, with fail_once), and records the targets it saw."""
+    real, seen = continuation.newton_solve, []
+
+    def solve(x, spec, t):
+        seen.append(t)
+        if t > t_fail and not (fail_once and any(s > t_fail for s in seen[:-1])):
+            raise NewtonError("forced failure", iterations=3, residual=0.5)
+        return real(x, spec, t)
+    return solve, seen
+
+
+def test_failed_solve_bisects_and_keeps_its_record(monkeypatch):
+    solve, seen = _newton_failing_past(0.5, fail_once=True)
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    spec = _spec(3, 2, m=32, t_path=np.linspace(0.0, 1.0, 5))
+    _, trace = sl.continue_path(spec)
+    assert seen == [0.0, 0.25, 0.5, 0.75, 0.625, 0.75, 1.0]
+    assert [(r.t, r.converged) for r in trace.records] == [
+        (0.0, True), (0.25, True), (0.5, True), (0.75, False), (0.625, True),
+        (0.75, True), (1.0, True)]
+    failed = trace.records[3]
+    assert failed.iters == 3 and failed.residual == 0.5 and math.isnan(failed.cone_margin)
+
+
+def test_stalled_path_names_the_last_good_t(monkeypatch):
+    solve, _ = _newton_failing_past(0.5)
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    spec = _spec(3, 2, m=32, t_path=np.linspace(0.0, 1.0, 5))
+    with pytest.raises(PathError) as info:
+        sl.continue_path(spec)
+    assert info.value.last_good_t == 0.5
+    records = info.value.trace.records
+    assert len(records) == 3 + continuation._MAX_BISECT + 1
+    assert not any(r.converged for r in records[3:])
+    assert all(0.5 < r.t <= 0.75 for r in records[3:])
 
 
 def test_trace_serializes_to_json():

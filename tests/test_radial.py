@@ -9,7 +9,7 @@ import sigmak_lab as sl
 from sigmak_lab import radial
 from sigmak_lab.conformal import _checked_jets, _schouten_batch
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
-    PositivityError
+    PositivityError, StepUnderflowError
 from sigmak_lab.radial import _pair_sigma
 
 
@@ -191,10 +191,7 @@ def test_shoot_rejects_bad_inputs():
         sl.shoot(1.0, 3, 1, -2.0)
 
 
-@pytest.mark.parametrize("option", [
-    {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0},
-    {"fixed_step": 0.0}, {"fixed_step": -0.1}, {"fixed_step": math.inf},
-])
+@pytest.mark.parametrize("option", [{"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}])
 def test_shoot_rejects_a_bad_tolerance_or_step(option):
     with pytest.raises(ConfigError):
         sl.shoot(1.0, 3, 1, 5.0, **option)
@@ -239,14 +236,26 @@ def test_shoot_profile_structure_and_cone_persistence():
 
 
 def test_shoot_fixed_step_eighth_order():
-    # fixed_step is a uniform step in t = log r; DOP853 is of order 8, and
+    # shoot's DOP853 step on a uniform t-mesh from the exact chart state of
+    # the a = 1 member, xi = log(c)/m + t - log(1 + e^{2t}), s = 1 + tanh t;
     # below dt ~ 0.1 the error reaches the rounding floor
     n, k = 3, 2
+    m = (n - 2.0) / 2.0
+    rhs = radial._t_kernel(n, k)
+
+    def exact(t):
+        return math.log(sl.c_constant(n, k)) / m + t - math.log1p(math.exp(2.0 * t)), \
+            1.0 + math.tanh(t)
+    t0 = math.log(1e-3)
     errs = []
     steps = (0.4, 0.2, 0.1)
     for h in steps:
-        profile = sl.shoot(sl.c_constant(n, k), n, k, 5.0, fixed_step=h)
-        errs.append(sl.liouville_report(profile).max_rel_deviation)
+        xi, s = exact(t0)
+        err = 0.0
+        for i in range(1, round(8.0 / h) + 1):
+            xi, s, _, _ = radial._dop853_step(rhs, xi, s, 1.0, rhs(xi, s, 1.0), h)
+            err = max(err, abs(xi - exact(t0 + i * h)[0]))
+        errs.append(err)
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(steps) - 1)]
     assert min(orders) >= 7.0
 
@@ -265,6 +274,16 @@ def test_shoot_cone_boundary_abort(monkeypatch):
     monkeypatch.setattr(radial, "_MARGIN_FLOOR", 2.0)
     with pytest.raises(ConeBoundaryError):
         sl.shoot(1.0, 3, 3, 5.0)
+
+
+def test_shoot_step_budget_is_a_step_underflow(monkeypatch):
+    # a shot to r = 5 takes about 200 steps; a budget of 5 runs out near the
+    # series start and names the radius of the last node
+    monkeypatch.setattr(radial, "_MAX_STEPS", 5)
+    with pytest.raises(StepUnderflowError) as info:
+        sl.shoot(1.0, 3, 2, 5.0)
+    assert 1e-3 <= info.value.r < 5.0
+    assert f"r={info.value.r}" in str(info.value)
 
 
 def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
