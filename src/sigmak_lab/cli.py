@@ -159,7 +159,7 @@ def cmd_homotopy(args) -> int:
         bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])
     spec = continuation.BvpSpec(
         args.n, args.k, args.rb, u_b, m=args.m,
-        t_path=np.linspace(0.0, 1.0, args.steps + 1),
+        t_step=1.0 / args.steps,
         use_kth_root=args.kth_root, a_init=args.a if args.ub is None else None)
     try:
         profile, trace = continuation.continue_path(spec)
@@ -251,7 +251,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rb", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=10,
-                   help="number of t-intervals (1 = endpoints only)")
+                   help="first t-step is 1/steps; steps double while Newton "
+                   "converges in <= 3 iterations")
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--a", type=float, default=1.0,
                    help="target family scale fixing the boundary value")

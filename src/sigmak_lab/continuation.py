@@ -13,9 +13,13 @@ once from `radial.radial_eigenvalues`, so has the uniform mix (a, b), and
 e_1..e_k of the mix and the two distinct partials of f_t come from
 `radial._pair_sigma`, with no (nodes x n) eigenvalue matrix.
 
-Continuation marches t from 0 (a sigma_1-type equation) to 1 (pure
-sigma_k), reusing each converged solution as the next initial guess and
-bisecting the t-step on failure. Every accepted Newton iterate is kept
+Continuation walks t from 0 (a sigma_1-type equation) to 1 (pure sigma_k),
+seeding each solve with the last converged solution; the t-step starts at
+spec.t_step, doubles after a solve of at most _FAST_ITERS Newton iterations
+and halves on failure. On the bubble data the walk does little work: the
+uniform mix leaves an isotropic pair (lam0, lam0) unchanged, so every f_t
+has the same exact radial solutions and each step only tracks the O(h^2)
+drift of the discrete solution. Every accepted Newton iterate is kept
 strictly inside (Gamma_k)_t with a positive ellipticity certificate; this
 is checked at every step, never assumed.
 """
@@ -48,18 +52,19 @@ __all__ = [
 _NEWTON_TOL = 1e-10     # residual infinity norm at which Newton stops
 _MAX_NEWTON_ITER = 30   # Newton iterations per solve
 _MAX_BISECT = 10        # t-step bisections before continuation gives up
+_FAST_ITERS = 3         # Newton iterations at or below which the t-step doubles
 
 
 @dataclass(frozen=True)
 class BvpSpec:
-    """Discrete two-point problem: mesh, boundary data, and the t-path.
+    """Discrete two-point problem: mesh, boundary data, and the first t-step.
 
     m is the number of mesh intervals (m + 1 nodes). a_init selects which
     member of the closed-form family seeds the path; a given boundary
     value is shared by two members (a small-a and a large-a branch), so
     the intent cannot be inferred from u_b alone. use_kth_root switches
     the residual to the concave k-th-root form of the operator for
-    conditioning comparisons.
+    conditioning comparisons. t_step in (0, 1] is continue_path's first step.
     """
 
     n: int
@@ -67,7 +72,7 @@ class BvpSpec:
     r_b: float
     u_b: float
     m: int = 256
-    t_path: np.ndarray | None = None
+    t_step: float = 0.1
     use_kth_root: bool = False
     a_init: float | None = None
 
@@ -79,12 +84,8 @@ class BvpSpec:
             check_positive("family scale a_init", self.a_init)
         if self.m < 16:
             raise ConfigError(f"mesh size m={self.m} must be >= 16")
-        path = np.linspace(0.0, 1.0, 11) if self.t_path is None \
-            else np.asarray(self.t_path, dtype=float)
-        if path.size < 2 or path[0] != 0.0 or path[-1] != 1.0 \
-                or np.any(np.diff(path) <= 0.0):
-            raise ConfigError("t_path must increase strictly from 0 to 1")
-        object.__setattr__(self, "t_path", path)
+        if not 0.0 < self.t_step <= 1.0:
+            raise ConfigError(f"first t-step t_step={self.t_step} must lie in (0, 1]")
 
     @property
     def mesh(self) -> np.ndarray:
@@ -340,20 +341,21 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
 
 
 def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
-    """March the t-path from the sigma_1-type endpoint to pure sigma_k.
+    """Walk t from the sigma_1-type endpoint to pure sigma_k with step control.
 
-    Each converged solution seeds the next solve. A failed solve bisects
-    the current t-step, up to _MAX_BISECT times; exhaustion raises
-    PathError carrying the last good t. Returns the t = 1 profile and the
-    full trace (failed attempts included).
+    Each converged solution seeds the next solve. The first step is
+    spec.t_step. After a t-step whose solve converged in at most _FAST_ITERS
+    Newton iterations the step doubles, capped at the distance to t = 1, so
+    a first step of 1/40 visits t = 0, 1/40, 3/40, 7/40, 15/40, 31/40, 1. A
+    failed solve halves the step towards the last good t, up to _MAX_BISECT
+    times in a row; exhaustion raises PathError carrying the last good t.
+    Returns the t = 1 profile and the full trace (failed attempts included).
     """
     trace = ContinuationTrace()
     x = initial_guess(spec)
-    targets = spec.t_path.tolist()  # Python floats, so "last good t" prints plainly
-    cur_t = None  # no solve has converged yet
-    depth = 0
-    while targets:
-        tgt = targets[0]
+    # Python floats, so "last good t" prints plainly; no solve has converged yet
+    cur_t, tgt, step, depth = None, 0.0, float(spec.t_step), 0
+    while cur_t != 1.0:
         try:
             x_new, rec = newton_solve(x, spec, tgt)
         except NewtonError as exc:
@@ -370,12 +372,14 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
                     f"continuation stalled between t={cur_t} and t={tgt} "
                     f"after {_MAX_BISECT} bisections",
                     last_good_t=cur_t, trace=trace) from exc
-            targets.insert(0, 0.5 * (cur_t + tgt))
+            step = 0.5 * (tgt - cur_t)
+            tgt = cur_t + step
             continue
-        x, cur_t = x_new, tgt
-        targets.pop(0)
-        depth = 0
         trace.records.append(rec)
+        if cur_t is not None and rec.iters <= _FAST_ITERS:
+            step *= 2.0
+        x, cur_t, depth = x_new, tgt, 0
+        tgt = 1.0 if cur_t + step > 1.0 - 1e-9 * step else cur_t + step  # no rounding sliver
     h = spec.h
     du = np.empty_like(x)
     du[0] = 0.0

@@ -84,6 +84,7 @@ __all__ = [
 
 _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
 _MAX_STEPS = 200000  # step budget of one shot
+_TOL_FLOOR = 1e-15  # smallest shot tol: a shot at it is already off by ~1e-13 from rounding
 _R_START = 1e-3  # the series start's node at scale a <= 1, where the t chart begins
 _DT_MAX = 0.04  # node spacing cap in t at tol = 1e-12 (see shoot)
 _TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
@@ -372,17 +373,20 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
     cone margin falls below 1e-10, and when halving cannot get a step past
     stages with no admissible value; StepUnderflowError when the error
     control shrinks the step below 1e-12 in t or the shot runs out of its
-    step budget; a bad (n, k) or tol is a ConfigError, a bad u0 a
-    PositivityError, and a u0 whose series coefficients leave the float
-    range a ConeDomainError. The isotropic start has margin 1 (its sigma_j
-    is C(n,j) C(n,k)^{-j/k} >= 1 for j <= k, as C(n,j)^{1/j} falls with j),
-    so the origin itself is never at the boundary.
+    step budget; a bad (n, k) or a tol outside [_TOL_FLOOR, inf) is a
+    ConfigError at once, a bad u0 a PositivityError, and a u0 whose series
+    coefficients leave the float range a ConeDomainError. The isotropic
+    start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1 for j <= k,
+    as C(n,j)^{1/j} falls with j), so the origin itself is never at the
+    boundary.
     """
     if not u0 > 0.0:
         raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
     check_positive("initial value u0", u0)
     check_positive("r_max", r_max)
     check_positive("tol", tol)
+    if tol < _TOL_FLOOR:
+        raise ConfigError(f"tol={tol!r} is below the floor {_TOL_FLOOR} double precision can meet")
     check_nk(n, k)
     u0, r_max = float(u0), float(r_max)
     m = (n - 2.0) / 2.0

@@ -161,13 +161,13 @@ def test_homotopy_stall_exits_2_with_the_last_good_t(tmp_path, monkeypatch, caps
         return real(x, spec, t)
     monkeypatch.setattr(continuation, "newton_solve", solve)
     trace = tmp_path / "trace.json"
-    assert main(["homotopy", "--n", "3", "--k", "2", "--m", "32", "--steps", "4",
+    assert main(["homotopy", "--n", "3", "--k", "2", "--m", "32", "--steps", "2",
                  "--trace", str(trace)]) == 2
     out = capsys.readouterr().out
     assert "homotopy failed: continuation stalled" in out and "last good t = 0.5" in out
     payload = json.loads(trace.read_text())
-    assert [rec["converged"] for rec in payload[:3]] == [True] * 3 and payload[2]["t"] == 0.5
-    assert payload[3:] and not any(rec["converged"] for rec in payload[3:])
+    assert [rec["converged"] for rec in payload[:2]] == [True] * 2 and payload[1]["t"] == 0.5
+    assert payload[2:] and not any(rec["converged"] for rec in payload[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,7 @@ def test_one_parser_serves_every_call(tmp_path):
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "inf"],
     ["verify-bubble", "--n", "3", "--k", "1", "--box", "inf"],
     ["solve-radial", "--n", "3", "--k", "1", "--tol", "nan"],
+    ["solve-radial", "--n", "3", "--k", "3", "--tol", "1e-22"],
     ["harnack-sweep", "--n", "2", "--k", "1"],
     ["homotopy", "--n", "3", "--k", "0"],
     ["solve-radial", "--n", "2", "--k", "1"],
@@ -290,9 +291,8 @@ def test_results_past_the_float_range_are_numerical_failures(argv, capsys):
 _EXTREME = (0.0, -1.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 5.0, 1e8, 1e200, 1e300, 1.7e308,
             math.inf, -math.inf, math.nan)
 _FLOATS = st.sampled_from(_EXTREME) | st.floats(width=64)
-# a positive tol below what double precision can meet runs solve-radial
-# through its whole 200,000-step budget (about 10 s) before it fails
-_TOLS = st.sampled_from((0.0, -1.0, math.inf, math.nan)) | st.floats(1e-14, 1e300)
+# every positive tol: one below radial._TOL_FLOOR is a configuration error
+_TOLS = st.sampled_from((0.0, -1.0, math.inf, math.nan)) | st.floats(0.0, exclude_min=True)
 
 
 def _flag(name, values, fmt=repr):

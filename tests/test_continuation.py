@@ -33,10 +33,9 @@ def test_bvp_spec_validation():
         sl.BvpSpec(3, 2, 5.0, 0.5, m=8)
     with pytest.raises(ConfigError):
         sl.BvpSpec(3, 2, 5.0, -0.5)
-    with pytest.raises(ConfigError):
-        sl.BvpSpec(3, 2, 5.0, 0.5, t_path=np.array([0.0, 0.5]))
-    with pytest.raises(ConfigError):
-        sl.BvpSpec(3, 2, 5.0, 0.5, t_path=np.array([0.0, 0.6, 0.4, 1.0]))
+    for t_step in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ConfigError):
+            sl.BvpSpec(3, 2, 5.0, 0.5, t_step=t_step)
     with pytest.raises(ConfigError):  # no family member has a scale <= 0
         sl.BvpSpec(3, 2, 5.0, 0.5, a_init=-1.0)
     with pytest.raises(ConfigError):  # a state vector of the wrong length
@@ -81,14 +80,19 @@ def test_homotopy_parameter_outside_the_unit_interval_is_a_configuration_error()
 # ---------------------------------------------------------------------------
 
 def test_residual_second_order_on_family_samples():
-    n, k = 3, 2
-    norms = []
-    for m in (64, 128, 256):
-        spec = _spec(n, k, m=m)
-        res = sl.assemble_residual(initial_guess(spec), spec, 1.0)
-        norms.append(float(np.abs(res).max()))
-    orders = [math.log2(norms[i] / norms[i + 1]) for i in range(2)]
-    assert min(orders) >= 1.8
+    # the uniform mix leaves the bubble's isotropic pair unchanged, so the
+    # sampled bubble solves every f_t up to the same O(h^2) truncation
+    for n, k in [(3, 2), (5, 3), (6, 6)]:
+        norms = {}
+        for t in (0.0, 0.37, 1.0):
+            norms[t] = []
+            for m in (64, 128, 256):
+                spec = _spec(n, k, m=m)
+                res = sl.assemble_residual(initial_guess(spec), spec, t)
+                norms[t].append(float(np.abs(res).max()))
+            ratios = [norms[t][i] / norms[t][i + 1] for i in range(2)]
+            assert all(3.7 <= q <= 4.3 for q in ratios), (n, k, t, ratios)
+            np.testing.assert_allclose(norms[t], norms[0.0], rtol=1e-3)
 
 
 def test_residual_at_t0_matches_sigma1_type_formula():
@@ -278,8 +282,8 @@ def test_continue_path_k1_is_uniform_in_t():
 
 def test_path_consistency_between_discretizations():
     n, k = 3, 3
-    coarse = _spec(n, k, m=64, t_path=np.linspace(0.0, 1.0, 11))
-    fine = _spec(n, k, m=64, t_path=np.linspace(0.0, 1.0, 101))
+    coarse = _spec(n, k, m=64, t_step=0.1)
+    fine = _spec(n, k, m=64, t_step=0.01)
     prof_c, _ = sl.continue_path(coarse)
     prof_f, _ = sl.continue_path(fine)
     assert float(np.max(np.abs(prof_c.u - prof_f.u))) <= 1e-8
@@ -287,7 +291,7 @@ def test_path_consistency_between_discretizations():
 
 def test_single_jump_path_is_deterministic():
     n, k = 3, 3
-    spec = _spec(n, k, m=64, t_path=np.array([0.0, 1.0]))
+    spec = _spec(n, k, m=64, t_step=1.0)
     p1, t1 = sl.continue_path(spec)
     p2, t2 = sl.continue_path(spec)
     np.testing.assert_array_equal(p1.u, p2.u)
@@ -322,33 +326,90 @@ def _newton_failing_past(t_fail, fail_once=False):
 
 
 def test_failed_solve_bisects_and_keeps_its_record(monkeypatch):
+    # 0 and 1/4 converge, the doubled step to 3/4 fails once, its midpoint
+    # 1/2 converges, and the doubled step from there reaches 1
     solve, seen = _newton_failing_past(0.5, fail_once=True)
     monkeypatch.setattr(continuation, "newton_solve", solve)
-    spec = _spec(3, 2, m=32, t_path=np.linspace(0.0, 1.0, 5))
+    spec = _spec(3, 2, m=32, t_step=0.25)
     _, trace = sl.continue_path(spec)
-    assert seen == [0.0, 0.25, 0.5, 0.75, 0.625, 0.75, 1.0]
+    assert seen == [0.0, 0.25, 0.75, 0.5, 1.0]
     assert [(r.t, r.converged) for r in trace.records] == [
-        (0.0, True), (0.25, True), (0.5, True), (0.75, False), (0.625, True),
-        (0.75, True), (1.0, True)]
-    failed = trace.records[3]
+        (0.0, True), (0.25, True), (0.75, False), (0.5, True), (1.0, True)]
+    failed = trace.records[2]
     assert failed.iters == 3 and failed.residual == 0.5 and math.isnan(failed.cone_margin)
 
 
 def test_stalled_path_names_the_last_good_t(monkeypatch):
     solve, _ = _newton_failing_past(0.5)
     monkeypatch.setattr(continuation, "newton_solve", solve)
-    spec = _spec(3, 2, m=32, t_path=np.linspace(0.0, 1.0, 5))
+    spec = _spec(3, 2, m=32, t_step=0.5)
     with pytest.raises(PathError) as info:
         sl.continue_path(spec)
     assert info.value.last_good_t == 0.5
     records = info.value.trace.records
-    assert len(records) == 3 + continuation._MAX_BISECT + 1
-    assert not any(r.converged for r in records[3:])
-    assert all(0.5 < r.t <= 0.75 for r in records[3:])
+    assert len(records) == 2 + continuation._MAX_BISECT + 1
+    assert not any(r.converged for r in records[2:])
+    assert all(0.5 < r.t <= 1.0 for r in records[2:])
+
+
+def test_step_control_shrinks_and_grows_again(monkeypatch):
+    # inside 0.3 < t < 0.6 only steps of at most 0.04 from the last good t
+    # converge: the step halves into that stretch and doubles again past it
+    real, seen, good = continuation.newton_solve, [], [0.0]
+
+    def solve(x, spec, t):
+        seen.append(t)
+        if 0.3 < t < 0.6 and t - good[-1] > 0.04:
+            raise NewtonError("forced failure", iterations=4, residual=0.5)
+        x, rec = real(x, spec, t)
+        good.append(t)
+        return x, rec
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
+    assert [r.t for r in trace.records] == seen  # failed attempts keep their record
+    assert not all(r.converged for r in trace.records)
+    assert trace.records[-1].t == 1.0 and trace.records[-1].converged
+    steps = np.diff([r.t for r in trace.records if r.converged])
+    shortest = int(np.argmin(steps))
+    assert steps[shortest] <= 0.04 and steps[0] == 0.1
+    assert steps[-1] > 2.0 * steps[shortest]  # grown again past the stretch
+
+
+def test_slow_solves_keep_the_step_and_land_on_one(monkeypatch):
+    # solves slower than _FAST_ITERS never grow the step; ten rounded steps
+    # of 0.1 sum to 1 - 1.1e-16, which must not leave a sliver step behind
+    real = continuation.newton_solve
+
+    def solve(x, spec, t):
+        x, rec = real(x, spec, t)
+        rec.iters = continuation._FAST_ITERS + 1
+        return x, rec
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
+    ts = [r.t for r in trace.records]
+    assert len(ts) == 11 and ts[-1] == 1.0
+    np.testing.assert_allclose(ts, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_first_step_of_one_fortieth_takes_at_most_seven_solves(n, monkeypatch):
+    # every solve is fast, so the step doubles each time: t = 0, 1/40, 3/40,
+    # 7/40, 15/40, 31/40, 1, where a fixed walk took 41 solves
+    real, calls = continuation.newton_solve, []
+
+    def solve(x, spec, t):
+        calls.append(t)
+        return real(x, spec, t)
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    for k in range(1, n + 1):
+        calls.clear()
+        _, trace = sl.continue_path(_spec(n, k, m=256, t_step=1.0 / 40.0))
+        assert len(calls) <= 7, (n, k, calls)
+        assert trace.records[-1].t == 1.0 and trace.records[-1].converged
 
 
 def test_trace_serializes_to_json():
-    spec = _spec(3, 2, m=32, t_path=np.linspace(0.0, 1.0, 4))
+    spec = _spec(3, 2, m=32, t_step=1.0 / 3.0)
     _, trace = sl.continue_path(spec)
     payload = json.loads(trace.to_json())
     assert len(payload) == len(trace.records)

@@ -1,6 +1,7 @@
 """Radial reduction, shooting, and the classification desk check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -267,6 +268,19 @@ def test_shoot_adaptive_tolerance_tracks_error():
         profile = sl.shoot(sl.c_constant(n, k), n, k, 8.0, tol=tol)
         dev.append(sl.liouville_report(profile).max_rel_deviation)
     assert dev[2] < dev[1] < dev[0]
+
+
+def test_shoot_tolerance_below_the_floor_fails_at_once():
+    # under radial._TOL_FLOOR the error estimate is rounding noise: such a
+    # tol once ran the whole 200,000-step budget (about 10 s) before failing
+    c = sl.c_constant(3, 3)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="below the floor"):
+        sl.shoot(c, 3, 3, 10.0, tol=1e-22)
+    assert time.perf_counter() - start < 0.1
+    # the floor itself is met: 731 nodes to r = 10, within 1e-13 of the member
+    profile = sl.shoot(c, 3, 3, 10.0, tol=radial._TOL_FLOOR)
+    assert sl.liouville_report(profile).max_rel_deviation <= 1e-13
 
 
 def test_shoot_cone_boundary_abort(monkeypatch):
