@@ -4,7 +4,7 @@ Modules:
     symfun        elementary symmetric functions, Gamma_k cones, the
                   interpolating operator family and its certificates
     conformal     2-jets, the flat Schouten matrix, Mobius words acting on
-                  fields, Kelvin transform and the regularity probe
+                  fields and the Kelvin transform
     bubbles       the closed-form solution family, residual verification,
                   Harnack products and sweeps
     radial        two-eigenvalue radial reduction and the shooting solver
@@ -16,12 +16,10 @@ Modules:
 from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
                       bubble_field, c_constant, harnack_product, harnack_sweep,
                       sweep_supremum, verify_solution)
-from .conformal import (Dilation, Domain, Inversion, Jet2, KelvinProbeReport,
-                        MetricTerms, MobiusMap, Rotation, ScalarField,
-                        Translation, constant_field, eigenvalues_wrt,
-                        kelvin_regularity_probe, kelvin_transform,
-                        random_mobius_map, random_mobius_map_avoiding,
-                        schouten_conformal_change, schouten_flat,
+from .conformal import (Dilation, Domain, Inversion, Jet2, MobiusMap, Rotation,
+                        ScalarField, Translation, constant_field,
+                        kelvin_transform, random_mobius_map,
+                        random_mobius_map_avoiding, schouten_flat,
                         schouten_spectrum, transform_field)
 from .continuation import (BvpSpec, ContinuationTrace, TRecord,
                            assemble_jacobian, assemble_residual, continue_path,

@@ -67,8 +67,8 @@ class BubbleSpec:
         check_nk(self.n, self.k)
         check_positive("scale a", self.a)
         c = np.zeros(self.n) if self.center is None else np.asarray(self.center, dtype=float)
-        if c.shape != (self.n,):
-            raise ConfigError(f"center must have shape ({self.n},)")
+        if c.shape != (self.n,) or not np.all(np.isfinite(c)):
+            raise ConfigError(f"center must be a finite vector of shape ({self.n},)")
         object.__setattr__(self, "center", c)
 
 

@@ -21,11 +21,6 @@ differences appear only in tests.
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
 `MobiusMap._walk`, `_schouten_batch`); the per-point calls are its N = 1
 case.
-
-The Kelvin transform (pure inversion word) encodes behavior at infinity as
-behavior at the origin; `kelvin_regularity_probe` collects numerical
-evidence for whether a field's Kelvin image extends nicely, without
-pretending a finite sample can decide C^2 extendability.
 """
 
 from __future__ import annotations
@@ -35,14 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, PoleError, PositivityError
-from .halton import sphere_directions
 
 __all__ = [
     "Jet2",
-    "MetricTerms",
     "Translation",
     "Rotation",
     "Dilation",
@@ -50,16 +42,12 @@ __all__ = [
     "MobiusMap",
     "Domain",
     "ScalarField",
-    "KelvinProbeReport",
     "schouten_flat",
     "schouten_spectrum",
-    "schouten_conformal_change",
-    "eigenvalues_wrt",
     "random_mobius_map",
     "random_mobius_map_avoiding",
     "transform_field",
     "kelvin_transform",
-    "kelvin_regularity_probe",
     "constant_field",
 ]
 
@@ -153,69 +141,6 @@ def schouten_flat(jet: Jet2) -> np.ndarray:
 def schouten_spectrum(jet: Jet2) -> np.ndarray:
     """Ascending eigenvalues of the flat Schouten matrix at a jet."""
     return np.linalg.eigvalsh(schouten_flat(jet))
-
-
-@dataclass
-class MetricTerms:
-    """Covariant data of u in a background metric g0.
-
-    grad and hess are the gradient and covariant hessian of u, grad_norm2
-    is |grad u|^2 measured in g0, metric is the matrix of g0 itself.
-    """
-
-    grad: np.ndarray
-    hess: np.ndarray
-    grad_norm2: float
-    metric: np.ndarray
-
-
-def schouten_conformal_change(jet: Jet2, background: np.ndarray,
-                              metric_terms: MetricTerms | None = None) -> np.ndarray:
-    """Schouten matrix of the metric u^{4/(n-2)} g0 from the one of g0.
-
-    background is the Schouten matrix of g0 at the point. When
-    metric_terms is omitted, g0 is taken to be the flat metric and the
-    covariant derivatives come straight from the jet. In that flat case
-    with background zero, the result equals u^{4/(n-2)} times the matrix
-    from schouten_flat.
-    """
-    n = jet.point.size
-    if n < 3:
-        raise ValueError(f"dimension n={n} must be >= 3")
-    if not jet.u > 0.0:
-        raise PositivityError("conformal change requires u > 0",
-                              where=jet.point, value=jet.u)
-    if metric_terms is None:
-        metric_terms = MetricTerms(jet.grad, jet.hess,
-                                   float(jet.grad @ jet.grad), np.eye(n))
-    bg = np.asarray(background, dtype=float)
-    g0 = np.asarray(metric_terms.metric, dtype=float)
-    hess = np.asarray(metric_terms.hess, dtype=float)
-    grad = np.asarray(metric_terms.grad, dtype=float)
-    for name, m in (("background", bg), ("metric", g0), ("hessian", hess)):
-        if m.shape != (n, n):
-            raise ValueError(f"{name} must be {n}x{n}")
-        if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError(f"{name} matrix is not symmetric")
-    u = jet.u
-    c1 = 2.0 / (n - 2.0)
-    c2 = 2.0 * n / (n - 2.0) ** 2
-    c3 = 2.0 / (n - 2.0) ** 2
-    return (-c1 / u) * hess + (c2 / u ** 2) * np.outer(grad, grad) \
-        - (c3 / u ** 2 * metric_terms.grad_norm2) * g0 + bg
-
-
-def eigenvalues_wrt(matrix: np.ndarray, metric: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, optionally w.r.t. a metric.
-
-    With a metric g this solves the pencil A v = lam g v, i.e. the
-    index-raised eigenvalues of the (0,2)-tensor A.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if metric is None:
-        return np.linalg.eigvalsh(a)
-    g = np.asarray(metric, dtype=float)
-    return scipy.linalg.eigh(a, g, eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +366,18 @@ def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
 # scalar fields
 # ---------------------------------------------------------------------------
 
-_RADIUS_SLACK = 1e-12  # relative tolerance of Domain radii
+_RADIUS_SLACK = 1e-12  # relative tolerance of a Domain radius
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Where a field is defined: all of R^n ("rn"), a closed ball ("ball",
-    |x - center| <= r_outer) or an exterior ("exterior", |x - center| >=
-    r_inner). Radii are matched within a relative 1e-12, so a point built
-    as fl(R * direction) on the boundary sphere counts as inside."""
+    """Where a field is defined: all of R^n ("rn") or a closed ball ("ball",
+    |x - center| <= r_outer). The radius is matched within a relative 1e-12,
+    so a point built as fl(R * direction) on the boundary sphere counts as
+    inside."""
 
     kind: str = "rn"
     center: np.ndarray | None = None
-    r_inner: float = 0.0
     r_outer: float = math.inf
 
     def contains(self, x):
@@ -465,8 +389,6 @@ class Domain:
         r = np.linalg.norm(x - c, axis=-1)
         if self.kind == "ball":
             return r <= self.r_outer * (1.0 + _RADIUS_SLACK)
-        if self.kind == "exterior":
-            return r >= self.r_inner * (1.0 - _RADIUS_SLACK)
         raise ValueError(f"unknown domain kind {self.kind!r}")
 
 
@@ -612,54 +534,3 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
 def kelvin_transform(u: ScalarField) -> ScalarField:
     """|x|^{2-n} u(x / |x|^2), as the pullback under the pure inversion word."""
     return transform_field(u, MobiusMap((Inversion(),)))
-
-
-# ---------------------------------------------------------------------------
-# regularity at infinity, probed
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KelvinProbeReport:
-    """Numerical evidence about the Kelvin image v near the origin.
-
-    For each probe radius: sup and inf of v on the sphere, and the maximum
-    of |x| |grad v|. `plausible` records whether the weak decay condition
-    (|x| |grad v| decreasing toward zero) holds across the sequence; it is
-    evidence, not a certificate.
-    """
-
-    radii: np.ndarray
-    sup_v: np.ndarray
-    inf_v: np.ndarray
-    max_scaled_grad: np.ndarray
-    positive: bool
-    monotone: bool
-    below_threshold: bool
-    plausible: bool
-
-
-def kelvin_regularity_probe(u: ScalarField) -> KelvinProbeReport:
-    """Probe the Kelvin image of u on 12 radii from 0.5 down to 1e-3.
-
-    u must be defined outside a compact set (probing v at radius rho reads
-    u at radius 1/rho). Each radius is probed in 16 Halton directions. The
-    decision threshold 1e-3 on |x||grad v| at the smallest radius is a
-    pragmatic cutoff, not a theorem.
-    """
-    radii = np.geomspace(0.5, 1e-3, 12)
-    v = kelvin_transform(u)
-    dirs = sphere_directions(16, u.n)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, u.n)
-    vals, grads, _ = v.jets(pts, 2)
-    vals = vals.reshape(radii.size, -1)
-    scaled = radii[:, None] * np.linalg.norm(grads, axis=1).reshape(radii.size, -1)
-    sup_v = vals.max(axis=1)
-    inf_v = vals.min(axis=1)
-    max_sg = scaled.max(axis=1)
-    positive = bool(np.all(inf_v > 0.0))
-    # absolute floor keeps rounding noise on exactly-constant images from
-    # breaking the decrease test
-    monotone = bool(np.all(max_sg[1:] <= max_sg[:-1] * (1.0 + 1e-9) + 1e-12))
-    below = bool(max_sg[-1] < 1e-3)
-    return KelvinProbeReport(radii, sup_v, inf_v, max_sg, positive, monotone,
-                             below, positive and monotone and below)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -82,14 +83,14 @@ class BvpSpec:
         check_positive("boundary value u_b", self.u_b)
         if self.a_init is not None:
             check_positive("family scale a_init", self.a_init)
-        if self.m < 16:
-            raise ConfigError(f"mesh size m={self.m} must be >= 16")
+        if not isinstance(self.m, Integral) or self.m < 16:
+            raise ConfigError(f"mesh size m={self.m!r} must be an integer >= 16")
         if not 0.0 < self.t_step <= 1.0:
             raise ConfigError(f"first t-step t_step={self.t_step} must lie in (0, 1]")
 
     @property
     def mesh(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_b, self.m + 1)
+        return np.linspace(0.0, float(self.r_b), self.m + 1)
 
     @property
     def h(self) -> float:

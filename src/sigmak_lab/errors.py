@@ -4,7 +4,12 @@ All errors derive from SigmakLabError. The numeric ones double as
 ValueError/RuntimeError so generic callers can catch the builtin types.
 """
 
+import sys
 from numbers import Integral
+
+__all__ = ["SigmakLabError", "ConfigError", "PositivityError", "DomainError", "PoleError",
+           "ConeDomainError", "ConeBoundaryError", "StepUnderflowError", "NewtonError",
+           "PathError"]
 
 
 class SigmakLabError(Exception):
@@ -16,8 +21,9 @@ class ConfigError(SigmakLabError, ValueError):
 
 
 def check_positive(name: str, value) -> None:
-    """ConfigError unless 0 < value < inf (nan fails both comparisons)."""
-    if not 0.0 < value < float("inf"):
+    """ConfigError unless 0 < value <= the largest float (nan fails both
+    comparisons; an int too large to convert to a float fails the second)."""
+    if not 0.0 < value <= sys.float_info.max:
         raise ConfigError(f"{name}={value!r} must be positive and finite")
 
 

@@ -478,9 +478,12 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
 class TailEvidence:
     """Kelvin-image samples computed from the profile tail.
 
-    rho = 1/r for the tail nodes; v is the image value and scaled_grad is
+    This is the lab's one check of regularity at infinity: the Kelvin image
+    v(rho) = r^{n-2} u(r), rho = 1/r, should settle as rho -> 0. rho holds
+    1/r at the tail nodes, v the image values and scaled_grad
     rho |v'(rho)|. sufficient is False when the profile does not reach far
-    enough (fewer than four nodes with r >= 2) to say anything.
+    enough (fewer than four nodes with r >= 2) to say anything. It is
+    evidence, not a certificate: no finite sample decides C^2 extendability.
     """
 
     rho: np.ndarray
@@ -525,8 +528,8 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
     """Fit the family scale from u(0) and report the worst relative deviation.
 
     The scale is a = (u(0) / c(n, k))^{2/(n-2)}. Tail evidence for
-    regularity at infinity is computed directly from the stored (r, u, u')
-    samples.
+    regularity at infinity, the lab's one Kelvin-image check, is computed
+    directly from the stored (r, u, u') samples.
     """
     n, k = profile.n, profile.k
     a = float((profile.u[0] / c_constant(n, k)) ** (2.0 / (n - 2.0)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sigmak_lab import Domain, ScalarField
+from sigmak_lab import ScalarField
 
 
 def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,
@@ -38,41 +38,3 @@ def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,
         return (val, grad, hess) if order else (val, None, None)
 
     return ScalarField(n, tag="poly+gauss", jets=jets)
-
-
-def radial_power_field(n: int, r_inner: float = 0.4) -> ScalarField:
-    """u(x) = |x|^{2-n}, defined outside a small ball; its Kelvin image is 1."""
-    alpha = (2.0 - n) / 2.0
-    return _radial_s_field(n, alpha, extra=None, r_inner=r_inner,
-                           tag="fundamental")
-
-
-def oscillatory_tail_field(n: int, r_inner: float = 0.4) -> ScalarField:
-    """u(x) = |x|^{2-n} (2 + sin |x|^2): decays at the right rate but its
-    Kelvin image oscillates without settling, so scaled gradients blow up."""
-    alpha = (2.0 - n) / 2.0
-    return _radial_s_field(n, alpha, extra="sin", r_inner=r_inner,
-                           tag="oscillatory")
-
-
-def _radial_s_field(n, alpha, extra, r_inner, tag):
-    def fs(s):
-        if extra is None:
-            return s ** alpha, alpha * s ** (alpha - 1.0), \
-                alpha * (alpha - 1.0) * s ** (alpha - 2.0)
-        base = 2.0 + np.sin(s)
-        f = s ** alpha * base
-        f1 = alpha * s ** (alpha - 1.0) * base + s ** alpha * np.cos(s)
-        f2 = alpha * (alpha - 1.0) * s ** (alpha - 2.0) * base \
-            + 2.0 * alpha * s ** (alpha - 1.0) * np.cos(s) - s ** alpha * np.sin(s)
-        return f, f1, f2
-
-    def evaluator(x):
-        s = float(x @ x)
-        f, f1, f2 = fs(s)
-        grad = 2.0 * f1 * x
-        hess = 2.0 * f1 * np.eye(n) + 4.0 * f2 * np.outer(x, x)
-        return f, grad, hess
-
-    dom = Domain(kind="exterior", center=np.zeros(n), r_inner=r_inner)
-    return ScalarField(n, evaluator, domain=dom, tag=tag)

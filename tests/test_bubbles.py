@@ -82,6 +82,9 @@ def test_bubble_spec_validation():
         sl.BubbleSpec(3, 1, -1.0)
     with pytest.raises(ValueError):
         sl.BubbleSpec(3, 4, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            sl.BubbleSpec(3, 1, 1.0, center=[0.0, bad, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import sigmak_lab as sl
 from sigmak_lab.errors import PoleError, PositivityError
 
 from fd_oracles import fd_jet_of_field
-from field_factories import oscillatory_tail_field, radial_power_field, \
-    random_test_field
+from field_factories import random_test_field
 
 
 def _safe_point(rng, psi, n, lo=0.5, hi=2.5, far=40.0):
@@ -83,47 +82,6 @@ def test_trace_identity_for_first_symmetric_function():
             lap = float(np.trace(jet.hess))
             assert -jet.u ** (-(n + 2.0) / (n - 2.0)) * lap \
                 == pytest.approx((n - 2.0) / 2.0, rel=1e-11)
-
-
-# ---------------------------------------------------------------------------
-# conformal change with a supplied background
-# ---------------------------------------------------------------------------
-
-def test_conformal_change_flat_matches_schouten_flat():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(3, 7))
-        h = rng.normal(size=(n, n))
-        jet = sl.Jet2(rng.normal(size=n), float(rng.uniform(0.3, 3.0)),
-                      rng.normal(size=n), 0.5 * (h + h.T))
-        a_change = sl.schouten_conformal_change(jet, np.zeros((n, n)))
-        a_flat = sl.schouten_flat(jet)
-        scale = jet.u ** (4.0 / (n - 2.0))
-        np.testing.assert_allclose(a_change, scale * a_flat, rtol=1e-10, atol=1e-13)
-
-
-def test_conformal_change_identity_factor_returns_background():
-    rng = np.random.default_rng(9)
-    n = 4
-    bg = rng.normal(size=(n, n))
-    bg = 0.5 * (bg + bg.T)
-    jet = sl.Jet2(np.zeros(n), 1.0, np.zeros(n), np.zeros((n, n)))
-    np.testing.assert_array_equal(sl.schouten_conformal_change(jet, bg), bg)
-
-
-def test_conformal_change_round_background():
-    # background with schouten matrix half the metric; a constant factor c
-    # rescales the index-raised eigenvalues by c^{-4/(n-2)}
-    for n, k in [(3, 1), (4, 2), (5, 3)]:
-        c = (math.comb(n, k) * 2.0 ** (-k)) ** ((n - 2.0) / (4.0 * k))
-        g0 = np.eye(n)
-        jet = sl.Jet2(np.zeros(n), c, np.zeros(n), np.zeros((n, n)))
-        terms = sl.MetricTerms(np.zeros(n), np.zeros((n, n)), 0.0, g0)
-        a1 = sl.schouten_conformal_change(jet, 0.5 * g0, terms)
-        g1 = c ** (4.0 / (n - 2.0)) * g0
-        lam = sl.eigenvalues_wrt(a1, g1)
-        np.testing.assert_allclose(lam, 0.5 * c ** (-4.0 / (n - 2.0)), rtol=1e-12)
-        assert sl.sigma(lam, k) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +228,6 @@ def test_group_closure():
             except PoleError:
                 continue
             assert a == pytest.approx(composed.value(x), rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# kelvin probe
-# ---------------------------------------------------------------------------
-
-def test_kelvin_probe_bubble_plausible():
-    u = sl.bubble_field(sl.BubbleSpec(3, 1, 1.3))
-    report = sl.kelvin_regularity_probe(u)
-    assert report.positive and report.monotone and report.plausible
-    assert report.max_scaled_grad[-1] < 1e-3
-    assert report.sup_v[-1] == pytest.approx(report.inf_v[-1], rel=1e-4)
-
-
-def test_kelvin_probe_fundamental_solution_constant_image():
-    u = radial_power_field(4)
-    report = sl.kelvin_regularity_probe(u)
-    np.testing.assert_allclose(report.sup_v, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(report.inf_v, 1.0, rtol=1e-12)
-    assert report.plausible
-
-
-def test_kelvin_probe_oscillatory_tail_flagged():
-    u = oscillatory_tail_field(4)
-    report = sl.kelvin_regularity_probe(u)
-    assert not report.plausible
-    assert report.max_scaled_grad[-1] > 1.0
-
-
-def test_probe_rejects_nonpositive_fields():
-    n = 3
-
-    def evaluator(x):
-        val = 0.5 - float(x @ x)  # goes nonpositive away from the origin
-        return val, -2.0 * x, -2.0 * np.eye(n)
-
-    bad = sl.ScalarField(n, evaluator)
-    with pytest.raises(PositivityError):
-        sl.kelvin_regularity_probe(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,12 @@ def _spec(n, k, m=64, a=1.0, r_b=5.0, **kw):
 # ---------------------------------------------------------------------------
 
 def test_bvp_spec_validation():
-    with pytest.raises(ConfigError):
-        sl.BvpSpec(3, 2, 5.0, 0.5, m=8)
+    for m in (8, 16.5, 64.0, math.nan, True):  # m counts intervals: an int >= 16
+        with pytest.raises(ConfigError):
+            sl.BvpSpec(3, 2, 5.0, 0.5, m=m)
+    with pytest.raises(ConfigError):  # no float holds this radius
+        sl.BvpSpec(3, 2, 10 ** 400, 0.5)
+    assert np.all(np.isfinite(sl.BvpSpec(3, 2, 2 ** 64, 0.5).mesh))
     with pytest.raises(ConfigError):
         sl.BvpSpec(3, 2, 5.0, -0.5)
     for t_step in (0.0, -0.1, 1.5, math.nan):

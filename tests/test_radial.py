@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
-from sigmak_lab import radial
+from sigmak_lab import bubbles, radial
 from sigmak_lab.conformal import _checked_jets, _schouten_batch
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
     PositivityError, StepUnderflowError
@@ -420,6 +420,29 @@ def test_liouville_perturbed_profile_reports_the_perturbation():
                              profile.du, 3, 2)
     report = sl.liouville_report(noisy)
     assert 2e-4 <= report.max_rel_deviation <= 5e-3
+
+
+def _bubble_tail_profile(wobble):
+    """The (4, 2) family member of scale 1 times wobble(r) = (w, w'), with
+    exact derivatives, on nodes reaching r = 1e6 (Kelvin radius 1e-6)."""
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+    u, grad, _ = bubbles._bubble_jets(4, 2, 1.0, 0.0, r[:, None], 2)
+    w, dw = wobble(r)
+    return sl.RadialProfile(r, u * w, grad[:, 0] * w + u * dw, 4, 2)
+
+
+def test_tail_evidence_of_the_family_member_is_a_constant_image():
+    tail = sl.liouville_report(_bubble_tail_profile(
+        lambda r: (np.ones_like(r), np.zeros_like(r)))).tail
+    assert tail.sufficient and tail.monotone
+    assert tail.scaled_grad[-1] < 1e-10
+
+
+def test_tail_evidence_flags_an_oscillatory_tail():
+    tail = sl.liouville_report(_bubble_tail_profile(
+        lambda r: (2.0 + np.cos(r), -np.sin(r)))).tail
+    assert tail.sufficient and not tail.monotone
+    assert tail.scaled_grad[-1] > 1.0
 
 
 # ---------------------------------------------------------------------------
