@@ -28,9 +28,9 @@ def check_positive(name: str, value) -> None:
 
 
 def check_nk(n: int, k: int) -> None:
-    """ConfigError unless n and k are integers, n >= 3 and 1 <= k <= n."""
+    """ConfigError unless n and k are integers (not bools), n >= 3 and 1 <= k <= n."""
     for name, value in (("dimension n", n), ("cone index k", k)):
-        if not isinstance(value, Integral):
+        if not isinstance(value, Integral) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 3:
         raise ConfigError(f"dimension n={n} must be >= 3")

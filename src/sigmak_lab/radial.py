@@ -48,10 +48,12 @@ s the small factor of A = s (2 - s): s = 1 - xi' up to the turning point
 xi' = 0 and s = 1 + xi' past it, so A keeps its digits both near the
 origin (xi' -> 1) and far out (xi' -> -1). Steps use the embedded
 8(5,3) Dormand-Prince pair DOP853 of Hairer, Norsett and Wanner, whose
-tableau is kept below. Every node is mapped back to (r, u, u'), and
-`profile_to_field` interpolates in the same chart. The run aborts cleanly
-when the cone margin is lost; past the cone boundary the operator is no
-longer elliptic and the computed branch is meaningless.
+tableau is kept below; its error control alone sets the mesh. Every node is
+mapped back to (r, u, u'), and `profile_to_field` interpolates in the same
+chart by a septic Hermite, with the equation differentiated once for
+xi''' = -2 xi' (k g1 A + k (g1 - 1) xi'' - (k - 1) xi''^2 / A), g1 = (n-2k)/(2k).
+The run aborts cleanly when the cone margin is lost; past the cone boundary
+the operator is no longer elliptic and the computed branch is meaningless.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from operator import mul
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .bubbles import _bubble_jets, c_constant
 from .conformal import Domain, ScalarField
@@ -86,7 +89,7 @@ _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
 _MAX_STEPS = 200000  # step budget of one shot
 _TOL_FLOOR = 1e-15  # smallest shot tol: a shot at it is already off by ~1e-13 from rounding
 _R_START = 1e-3  # the series start's node at scale a <= 1, where the t chart begins
-_DT_MAX = 0.04  # node spacing cap in t at tol = 1e-12 (see shoot)
+_DT_FIRST = 0.04  # the first trial step in t; the error control sets every later one
 _TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
 
 
@@ -362,12 +365,10 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
     from xi. Each node is stored as (r, u, u'); the last lies at r_max
     exactly.
 
-    tol is the accuracy asked of the profile. A step is accepted when
-    Hairer's error estimate is at most tol, absolute in xi (relative in u)
-    and relative in s. Node spacing in t is capped at
-    0.04 (tol / 1e-12)^{1/6}: at the default tol the cap keeps the midpoint
-    sigma_k residual of `profile_to_field` below 1e-7, and it follows the
-    h^6 value error of that quintic reconstruction for other tol.
+    tol is the accuracy asked of the profile and the one accuracy control:
+    a step is accepted when Hairer's error estimate is at most tol, absolute
+    in xi (relative in u) and relative in s, and the error control sets
+    every step after a first trial step of 0.04 in t.
 
     Aborts with ConeBoundaryError (carrying r and the margin) when a node's
     cone margin falls below 1e-10, and when halving cannot get a step past
@@ -403,7 +404,6 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
 
     t, t_end = math.log(r1), math.log(r_max)
     xi, s, side = t + math.log(u1) / m, -r1 * p1 / (m * u1), 1.0
-    h_cap = _DT_MAX * (tol / 1e-12) ** (1.0 / 6.0)
 
     def node(xi, s, side, r):
         """(s, side, right-hand side) of a new node, its cone margin checked."""
@@ -426,14 +426,13 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
         return s, side, f
 
     s, side, f = node(xi, s, side, r1)
-    h = h_cap
+    h = _DT_FIRST
     steps = 0
     while t < t_end:
         if steps >= _MAX_STEPS:
             raise StepUnderflowError(f"step budget {_MAX_STEPS} exhausted at r={rs[-1]}",
                                      r=rs[-1])
         steps += 1
-        h = min(h, h_cap)
         last = h >= (t_end - t) * (1.0 - 1e-9)
         if last:
             h = t_end - t
@@ -544,74 +543,83 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
 # reconstruction and serialization
 # ---------------------------------------------------------------------------
 
-def _hermite5(s, h, left, right, order):
-    """Two-point quintic Hermite matching value, slope and curvature.
+# the septic Hermite basis on [0, 1], ascending powers of s: the right value's
+# (the left one's is 1 minus it), then left and right slope, curvature and third
+# derivative, times j! so that the coefficients, and the values at 0 and 1, are exact
+_SEPTIC = np.array([[0, 0, 0, 0, 35, -84, 70, -20], [0, 1, 0, 0, -20, 45, -36, 10],
+                    [0, 0, 0, 0, -15, 39, -34, 10], [0, 0, 1, 0, -10, 20, -15, 4],
+                    [0, 0, 0, 0, 5, -14, 13, -4], [0, 0, 0, 1, -4, 6, -4, 1],
+                    [0, 0, 0, 0, -1, 3, -3, 1]], dtype=float).T
+_SEPTIC_DER = (_SEPTIC, npoly.polyder(_SEPTIC), npoly.polyder(_SEPTIC, 2))
 
-    left and right hold (value, slope, curvature) at the ends of intervals
-    of length h; s in [0, 1] is the position inside. Returns (value, slope,
-    curvature), or (value, None, None) for order 0. The values enter through
-    their difference f1 - f0 (the value basis is 1 - psi0 and psi0), so the
-    1/h^2 of the curvature scales terms of size O(h), not O(1).
+
+def _hermite7(s, h, left, right, order):
+    """Two-point septic Hermite matching value, slope, curvature and third derivative.
+
+    left and right hold (value, slope, curvature, third derivative) at the
+    ends of intervals of length h; s in [0, 1] is the position inside.
+    Returns (value, slope, curvature), or (value, None, None) for order 0.
+    The values enter through f1 - f0 only, so the 1/h^2 of the curvature
+    scales terms of size O(h), not O(1).
     """
-    (f0, g0, c0), (f1, g1, c1) = left, right
-    df = f1 - f0
-    s2, s3 = s * s, s * s * s
-    s4, s5 = s3 * s, s3 * s * s
-    psi0 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
-    phi1 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5
-    phi2 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
-    psi1 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5
-    psi2 = 0.5 * s3 - s4 + 0.5 * s5
-    val = f0 + df * psi0 + h * (g0 * phi1 + g1 * psi1) + h * h * (c0 * phi2 + c1 * psi2)
-    if not order:
-        return val, None, None
-    dpsi0 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
-    dphi1 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
-    dphi2 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
-    dpsi1 = -12.0 * s2 + 28.0 * s3 - 15.0 * s4
-    dpsi2 = 1.5 * s2 - 4.0 * s3 + 2.5 * s4
-    der = (df * dpsi0 + h * (g0 * dphi1 + g1 * dpsi1)
-           + h * h * (c0 * dphi2 + c1 * dpsi2)) / h
-    d2psi0 = 60.0 * s - 180.0 * s2 + 120.0 * s3
-    d2phi1 = -36.0 * s + 96.0 * s2 - 60.0 * s3
-    d2phi2 = 1.0 - 9.0 * s + 18.0 * s2 - 10.0 * s3
-    d2psi1 = -24.0 * s + 84.0 * s2 - 60.0 * s3
-    d2psi2 = 3.0 * s - 12.0 * s2 + 10.0 * s3
-    cur = (df * d2psi0 + h * (g0 * d2phi1 + g1 * d2psi1)
-           + h * h * (c0 * d2phi2 + c1 * d2psi2)) / (h * h)
-    return val, der, cur
+    (f0, *lo), (f1, *hi) = left, right
+    weights, hj = [f1 - f0], 1.0
+    for j, pair in enumerate(zip(lo, hi), 1):
+        hj = hj * h / j  # h^j / j!
+        weights += [hj * v for v in pair]
+    val, *ders = (sum(map(mul, weights, npoly.polyval(s, basis)))
+                  for basis in _SEPTIC_DER[:3 if order else 1])
+    return (f0 + val, ders[0] / h, ders[1] / (h * h)) if order else (f0 + val, None, None)
+
+
+def _central(y, x, i):
+    """dy/dx at nodes i by a central difference, taken at the nearest interior node at the ends."""
+    j = np.clip(i, 1, x.size - 2)
+    return (y.take(j + 1, mode="clip") - y.take(j - 1, mode="clip")) \
+        / (x.take(j + 1, mode="clip") - x.take(j - 1, mode="clip"))
 
 
 def profile_to_field(profile: RadialProfile) -> ScalarField:
-    """C^2 radial field reconstructed from a profile by quintic interpolation.
+    """C^2 radial field reconstructed from a profile by septic interpolation.
 
-    Node curvatures come from the equation itself, so at mesh radii the
-    reconstructed jet reproduces the integrator's state exactly; between
-    nodes the interpolation error is the only addition. The first interval
-    [0, r_1] is interpolated in r. Past r_1 the interpolant lives in the
-    shooting chart: eta = log(u / u(0)) / m, m = (n-2)/2, which is
-    xi - t - log(u(0)) / m, is matched in value, slope and curvature in
+    Node curvatures and third derivatives come from the equation itself, so
+    at mesh radii the reconstructed jet reproduces the integrator's state
+    exactly; between nodes the interpolation error, O(h^8) in value, is the
+    only addition. The first interval [0, r_1] is interpolated in r, with
+    u''' = 0 at the origin. Past r_1 the interpolant lives in the shooting
+    chart: eta = log(u / u(0)) / m, m = (n-2)/2, which is
+    xi - t - log(u(0)) / m, is matched in value and three derivatives in
     t = log r, and (u, u', u'') follow analytically:
 
         u = u(0) e^{m eta},   u' = m u eta' / r,
         u'' = m u (m eta'^2 + eta'' - eta') / r^2.
 
-    eta is measured from u(0) so that near the origin, where it is O(r^2),
-    its node differences keep their digits. Points within 1e-12 of the
-    origin get the origin's jet.
+    eta''' = xi''' is the t-chart equation differentiated once, its power
+    term written as T = g1 A - xi'', g1 = (n - 2k)/(2k):
+
+        xi''' = -2 xi' (k g1 A + k (g1 - 1) xi'' - (k - 1) xi''^2 / A),
+        xi' = 1 + eta',   A = -eta' (2 + eta'),   xi'' = eta'',
+
+    and at r_1 the chain rule gives u''' = m u (eta''' + 3 m eta' eta''
+    + m^2 eta'^3 - 3 (eta'' + m eta'^2) + 2 eta') / r^3. A node with no
+    admissible solve gets u'' by finite differences; it, and a node with
+    A <= 0, gets eta''' as the central difference of eta'' in t. eta is
+    measured from u(0) so that near the origin, where it is O(r^2), its node
+    differences keep their digits. Points within 1e-12 of the origin get
+    the origin's jet.
     """
-    n = profile.n
+    n, k = profile.n, profile.k
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u_nodes = _node_solves(r_nodes, u_nodes, du_nodes, n, profile.k)[0]
+    d2u_nodes = _node_solves(r_nodes, u_nodes, du_nodes, n, k)[0]
     # nodes with no admissible solve: three-point u'' inside, central du' at the ends
-    bad = np.flatnonzero(np.isnan(d2u_nodes))
+    failed = np.isnan(d2u_nodes)
+    bad = np.flatnonzero(failed)
     i = bad[(bad > 0) & (bad < r_nodes.size - 1)]
     h1, h2 = r_nodes[i] - r_nodes[i - 1], r_nodes[i + 1] - r_nodes[i]
     d2u_nodes[i] = 2.0 * (h1 * u_nodes[i + 1] - (h1 + h2) * u_nodes[i] + h2 * u_nodes[i - 1]) \
         / (h1 * h2 * (h1 + h2))
     i = bad[(bad == 0) | (bad == r_nodes.size - 1)]
-    j = np.clip(i, 1, r_nodes.size - 2)
-    d2u_nodes[i] = (du_nodes[j + 1] - du_nodes[j - 1]) / (r_nodes[j + 1] - r_nodes[j - 1])
+    d2u_nodes[i] = _central(du_nodes, r_nodes, i)
     # the chart's node data past the origin
     m, u0 = (n - 2.0) / 2.0, u_nodes[0]
     r_out, u_out = r_nodes[1:], u_nodes[1:]
@@ -622,6 +630,15 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
     eta /= m
     eta1 = r_out * du_nodes[1:] / (m * u_out)
     eta2 = r_out * r_out * d2u_nodes[1:] / (m * u_out) - m * eta1 * eta1 + eta1
+    a, g1 = -eta1 * (2.0 + eta1), (n - 2.0 * k) / (2.0 * k)
+    with np.errstate(all="ignore"):
+        eta3 = -2.0 * (1.0 + eta1) * (k * g1 * a + k * (g1 - 1.0) * eta2
+                                      - (k - 1.0) * eta2 * eta2 / a)
+    i = np.flatnonzero(failed[1:] | ~(a > 0.0))
+    eta3[i] = _central(eta2, t_nodes, i)
+    e1, e2, r1 = eta1[0], eta2[0], r_out[0]
+    d3u1 = m * u_out[0] * (eta3[0] + 3.0 * m * e1 * e2 + m * m * e1 * e1 * e1
+                           - 3.0 * (e2 + m * e1 * e1) + 2.0 * e1) / (r1 * r1 * r1)
     eye = np.eye(n)
 
     def jets(X, order):
@@ -631,13 +648,14 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
         val, der, cur = np.empty_like(rr), np.empty_like(rr), np.empty_like(rr)
         first = i == 0
         h = r_nodes[1]
-        v, d, c = _hermite5(rr[first] / h, h, (u0, du_nodes[0], d2u_nodes[0]),
-                            (u_nodes[1], du_nodes[1], d2u_nodes[1]), order)
+        v, d, c = _hermite7(rr[first] / h, h, (u0, du_nodes[0], d2u_nodes[0], 0.0),
+                            (u_nodes[1], du_nodes[1], d2u_nodes[1], d3u1), order)
         val[first] = v
         j, ro = i[~first] - 1, rr[~first]
         h = t_nodes[j + 1] - t_nodes[j]
-        e, e1, e2 = _hermite5((np.log(ro) - t_nodes[j]) / h, h, (eta[j], eta1[j], eta2[j]),
-                              (eta[j + 1], eta1[j + 1], eta2[j + 1]), order)
+        e, e1, e2 = _hermite7((np.log(ro) - t_nodes[j]) / h, h,
+                              (eta[j], eta1[j], eta2[j], eta3[j]),
+                              (eta[j + 1], eta1[j + 1], eta2[j + 1], eta3[j + 1]), order)
         uo = u0 * np.exp(m * e)
         val[~first] = uo
         origin = rr < 1e-12
@@ -657,7 +675,7 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
         return val, grad, hess
 
     dom = Domain(kind="ball", center=np.zeros(n), r_outer=profile.r_max)
-    return ScalarField(n, domain=dom, tag=f"radial-profile(n={n},k={profile.k})",
+    return ScalarField(n, domain=dom, tag=f"radial-profile(n={n},k={k})",
                        jets=jets)
 
 

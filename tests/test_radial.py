@@ -278,7 +278,7 @@ def test_shoot_tolerance_below_the_floor_fails_at_once():
     with pytest.raises(ConfigError, match="below the floor"):
         sl.shoot(c, 3, 3, 10.0, tol=1e-22)
     assert time.perf_counter() - start < 0.1
-    # the floor itself is met: 731 nodes to r = 10, within 1e-13 of the member
+    # the floor itself is met: 198 nodes to r = 10, within 1e-13 of the member
     profile = sl.shoot(c, 3, 3, 10.0, tol=radial._TOL_FLOOR)
     assert sl.liouville_report(profile).max_rel_deviation <= 1e-13
 
@@ -291,7 +291,7 @@ def test_shoot_cone_boundary_abort(monkeypatch):
 
 
 def test_shoot_step_budget_is_a_step_underflow(monkeypatch):
-    # a shot to r = 5 takes about 200 steps; a budget of 5 runs out near the
+    # a shot to r = 5 takes about 80 steps; a budget of 5 runs out near the
     # series start and names the radius of the last node
     monkeypatch.setattr(radial, "_MAX_STEPS", 5)
     with pytest.raises(StepUnderflowError) as info:
@@ -304,7 +304,10 @@ def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
     # the 40th step is accepted onto a state past the cone, s = -1/4 so
     # lam_tan = e^{-2 xi} s (2 - s) / 2 < 0: the equation at that node has no
     # admissible value, a documented ConeBoundaryError with the node's r and
-    # lam_tan as the margin
+    # lam_tan as the margin. The first 40 steps are all accepted, so that
+    # node is the unpatched shot's 40th past r_s
+    n, k = 4, 2
+    expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[41]
     real_step = radial._dop853_step
     steps = [0]
 
@@ -315,9 +318,9 @@ def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
 
     monkeypatch.setattr(radial, "_dop853_step", bad_step)
     with pytest.raises(ConeBoundaryError) as info:
-        sl.shoot(sl.c_constant(4, 2), 4, 2, 10.0)
+        sl.shoot(sl.c_constant(n, k), n, k, 10.0)
     assert steps[0] == 40
-    assert info.value.r == pytest.approx(1e-3 * math.exp(40 * 0.04), rel=1e-12)
+    assert info.value.r == expect_r
     assert info.value.margin < 0.0
 
 
@@ -354,10 +357,13 @@ def test_t_kernel_stage_failures_are_cone_errors():
 
 
 def test_shoot_node_budget():
-    # the step cap of 0.04 in t bounds the mesh: about 290 nodes to r = 100
+    # the error control alone sets the mesh: 100 to 185 nodes to r = 100,
+    # every profile within 5.4e-12 of the member
     for n in range(3, 7):
         for k in range(1, n + 1):
-            assert sl.shoot(sl.c_constant(n, k), n, k, 100.0).r.size <= 400
+            profile = sl.shoot(sl.c_constant(n, k), n, k, 100.0)
+            assert profile.r.size <= 200
+            assert sl.liouville_report(profile).max_rel_deviation <= 1e-10
 
 
 def test_series_coefficients_match_the_bubble_taylor_coefficients():
@@ -394,7 +400,7 @@ def test_shoot_reuses_k1(monkeypatch):
 
     monkeypatch.setattr(radial, "_t_kernel", counting_kernel)
     monkeypatch.setattr(radial, "_dop853_step", counting_step)
-    profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 8.0)
+    profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 1e4)  # 167 nodes
     accepted = profile.r.size - 2
     assert steps[0] >= accepted > 100
     assert calls[0] == 11 * steps[0] + accepted + 1
@@ -476,10 +482,11 @@ def test_profile_field_reproduces_nodes_and_midpoints():
 
 def test_profile_field_matches_a_per_point_reference_loop():
     # the reference interpolates point by point: in r on [0, r_1], and past
-    # r_1 in the shooting chart, eta = log(u / u(0)) / m matched in value,
-    # slope and curvature in t = log r, then mapped back to (u, u', u'')
+    # r_1 in the shooting chart, eta = log(u / u(0)) / m matched in value
+    # and three derivatives in t = log r, then mapped back to (u, u', u'');
+    # eta''' from the differentiated t-chart equation, u''' at r_1 by the chain rule
     n, k = 4, 2
-    m = (n - 2.0) / 2.0
+    m, g1 = (n - 2.0) / 2.0, (n - 2.0 * k) / (2.0 * k)
     profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
     field = sl.profile_to_field(profile)
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
@@ -490,12 +497,22 @@ def test_profile_field_matches_a_per_point_reference_loop():
     def log(v):  # the batch's log and exp: the libm ones may differ by an ulp,
         return float(np.log(np.array([v]))[0])  # which the O(1/h^2) terms amplify
 
-    def chart(i):  # (eta, eta', eta'') at node i >= 1
+    def chart(i):  # (eta, eta', eta'', eta''') at node i >= 1
         u, du, r = u_nodes[i], du_nodes[i], r_nodes[i]
         eta = float(np.log1p(np.array([(u - u0) / u0]))[0]) if abs(u - u0) < 0.5 * u0 \
             else log(u / u0)
         eta1 = r * du / (m * u)
-        return eta / m, eta1, r * r * d2u[i] / (m * u) - m * eta1 * eta1 + eta1
+        eta2 = r * r * d2u[i] / (m * u) - m * eta1 * eta1 + eta1
+        a = -eta1 * (2.0 + eta1)
+        assert a > 0.0  # so no node falls back to finite differences
+        eta3 = -2.0 * (1.0 + eta1) * (k * g1 * a + k * (g1 - 1.0) * eta2
+                                      - (k - 1.0) * eta2 * eta2 / a)
+        return eta / m, eta1, eta2, eta3
+
+    _, e1, e2, e3 = chart(1)
+    r1 = r_nodes[1]
+    d3u1 = m * u_nodes[1] * (e3 + 3.0 * m * e1 * e2 + m * m * e1 * e1 * e1
+                             - 3.0 * (e2 + m * e1 * e1) + 2.0 * e1) / (r1 * r1 * r1)
 
     def reference(x):
         rr = float(np.linalg.norm(x[None], axis=1)[0])  # the batch's norm, for the same reason
@@ -505,11 +522,11 @@ def test_profile_field_matches_a_per_point_reference_loop():
         i = min(max(i, 0), r_nodes.size - 2)
         if i == 0:
             h = r_nodes[1]
-            val, der, cur = radial._hermite5(rr / h, h, (u0, 0.0, d2u[0]),
-                                             (u_nodes[1], du_nodes[1], d2u[1]), 2)
+            val, der, cur = radial._hermite7(rr / h, h, (u0, 0.0, d2u[0], 0.0),
+                                             (u_nodes[1], du_nodes[1], d2u[1], d3u1), 2)
         else:
             t0, t1 = log(r_nodes[i]), log(r_nodes[i + 1])
-            e, e1, e2 = radial._hermite5((log(rr) - t0) / (t1 - t0), t1 - t0,
+            e, e1, e2 = radial._hermite7((log(rr) - t0) / (t1 - t0), t1 - t0,
                                          chart(i), chart(i + 1), 2)
             val = u0 * float(np.exp(np.array([m * e]))[0])
             der = m * val * e1 / rr
@@ -530,6 +547,24 @@ def test_profile_field_matches_a_per_point_reference_loop():
         assert u[i] == pytest.approx(val, rel=1e-15)
         np.testing.assert_allclose(grad[i], g, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(hess[i], hs, rtol=1e-15, atol=1e-15)
+
+
+def test_profile_field_reconstruction_is_of_eighth_order():
+    # profiles of the exact member (u and u' of the closed form) on uniform
+    # t-grids over [-3, 3]: the septic's value error at the interval midpoints
+    # falls by 2^7.8 per halving of h, a quintic's by 2^5.9, so 7.5 tells them apart
+    for n, k in [(3, 2), (5, 3), (6, 6)]:
+        errs = []
+        for h in (0.2, 0.1):
+            t = np.linspace(-3.0, 3.0, round(6.0 / h) + 1)
+            r = np.concatenate([[0.0], np.exp(t)])
+            u, grad, _ = bubbles._bubble_jets(n, k, 1.0, 0.0, r[:, None], 1)
+            field = sl.profile_to_field(sl.RadialProfile(r, u, grad[:, 0], n, k))
+            x = np.zeros((t.size - 1, n))
+            x[:, 0] = np.exp(0.5 * (t[1:] + t[:-1]))
+            exact = bubbles._bubble_jets(n, k, 1.0, 0.0, x[:, :1], 0)[0]
+            errs.append(float(np.max(np.abs(field.values(x) - exact) / exact)))
+        assert math.log2(errs[0] / errs[1]) >= 7.5
 
 
 def test_profile_field_hessian_is_stable_under_one_ulp_of_radius():

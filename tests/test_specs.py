@@ -1,6 +1,7 @@
 """Spec fields under fuzzing: each draw builds a spec or raises ConfigError."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
@@ -32,6 +33,7 @@ def _build(spec_type, kwargs):
                u_b=_NUMBER, m=_NUMBER, t_step=_NUMBER, a_init=_NUMBER))
 def test_fuzzed_bvp_spec_builds_a_finite_mesh_or_is_rejected(kwargs):
     spec = _build(sl.BvpSpec, kwargs)
+    assert spec is None or not isinstance(spec.n, bool) and not isinstance(spec.k, bool)
     if spec is not None and spec.m <= 4096:
         mesh = spec.mesh
         assert mesh.shape == (spec.m + 1,)
@@ -45,6 +47,7 @@ def test_fuzzed_bvp_spec_builds_a_finite_mesh_or_is_rejected(kwargs):
 def test_fuzzed_bubble_spec_is_built_or_rejected(kwargs):
     spec = _build(sl.BubbleSpec, kwargs)
     if spec is not None:
+        assert not isinstance(spec.n, bool) and not isinstance(spec.k, bool)
         assert spec.center.shape == (spec.n,)
         assert np.all(np.isfinite(spec.center))
 
@@ -54,4 +57,18 @@ def test_fuzzed_bubble_spec_is_built_or_rejected(kwargs):
 def test_fuzzed_operator_spec_is_built_or_rejected(kwargs):
     spec = _build(sl.OperatorSpec, kwargs)
     if spec is not None:
+        assert not isinstance(spec.n, bool) and not isinstance(spec.k, bool)
         assert 0.0 <= spec.t <= 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, k: sl.BubbleSpec(n, k, 1.0),
+    lambda n, k: sl.OperatorSpec(n, k, 0.5),
+    lambda n, k: sl.shoot(1.0, n, k, 2.0),
+    lambda n, k: sl.solve_for_u2(1.0, -0.1, 1.0, n, k),
+], ids=["BubbleSpec", "OperatorSpec", "shoot", "solve_for_u2"])
+def test_bool_dimension_or_cone_index_is_a_configuration_error(build):
+    # bool is an Integral, so check_nk names it: k=True once built a spec
+    for n, k in [(True, 1), (3, True), (4, False)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build(n, k)
