@@ -202,6 +202,8 @@ def _harnack_cells(grid_values, jets, domain: Domain, center: np.ndarray,
     check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
+    if n_angular < 0:
+        raise ConfigError(f"n_angular={n_angular} must be >= 0")
     n = center.size
     sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
     shell = (np.linspace(0.0, R, n_radial)[:, None, None]
@@ -312,6 +314,8 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
         check_positive("scale a", a)
     if seed < 0:
         raise ConfigError(f"seed={seed} must be nonnegative")
+    if mobius_words < 0:
+        raise ConfigError(f"mobius_words={mobius_words} must be nonnegative")
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_vals) + 0.5
     words = [("bubble", MobiusMap(()))] + [

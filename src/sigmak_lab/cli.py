@@ -3,7 +3,8 @@
 Four workflows: closed-form solution verification, radial shooting with
 the desk-scale classification check, homotopy continuation, and the
 Harnack product sweep. Exit codes follow one contract everywhere:
-0 success, 1 configuration error, 2 numerical or verification failure.
+0 success, 1 configuration error (a bad flag value, or an output path that
+cannot be written), 2 numerical or verification failure.
 Commands run with numpy's float traps on: an overflow, a division by zero
 or an invalid operation is a numerical failure (2), not a warning and a nan.
 All randomness (word generation) hangs off a single --seed flag, so a
@@ -23,8 +24,6 @@ from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding, transform_field
 from .errors import ConfigError, PathError, SigmakLabError, check_positive
 from .halton import box_points
-
-CSV_HEADER = "# sigmak-lab v1"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,15 +64,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _csv(lines: list[str]) -> str:
-    return "\n".join([CSV_HEADER] + lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # verify-bubble
 # ---------------------------------------------------------------------------
@@ -82,6 +72,8 @@ def cmd_verify_bubble(args) -> int:
     check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
+    if args.images < 0:
+        raise ConfigError(f"images={args.images} must be >= 0")
     check_positive("--box", args.box)
     if args.seed < 0:
         raise ConfigError(f"--seed={args.seed} must be nonnegative")
@@ -110,13 +102,13 @@ def cmd_verify_bubble(args) -> int:
                         "min_margin": rep.min_margin,
                         "cone_violations": rep.cone_violations}
                        for label, rep in rows]
-            _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+            radial.write_text(args.out, json.dumps(payload, indent=2) + "\n")
         else:
             lines = ["label,n,k,a,points,max_residual,min_margin,cone_violations"]
             lines += [f"{label},{args.n},{args.k},{args.a!r},{rep.n_samples},"
                       f"{rep.max_residual!r},{rep.min_margin!r},{rep.cone_violations}"
                       for label, rep in rows]
-            _write_text(args.out, _csv(lines))
+            radial.write_csv(args.out, lines)
     if not ok:
         print(f"verification failed at tolerance {args.tol:g}")
         return 2
@@ -159,8 +151,7 @@ def cmd_homotopy(args) -> int:
         bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])
     spec = continuation.BvpSpec(
         args.n, args.k, args.rb, u_b, m=args.m,
-        t_step=1.0 / args.steps,
-        use_kth_root=args.kth_root, a_init=args.a if args.ub is None else None)
+        t_step=1.0 / args.steps, a_init=args.a if args.ub is None else None)
     try:
         profile, trace = continuation.continue_path(spec)
     except PathError as exc:
@@ -168,7 +159,7 @@ def cmd_homotopy(args) -> int:
         if exc.last_good_t is not None:
             print(f"last good t = {exc.last_good_t!r}")
         if args.trace:
-            _write_text(args.trace, exc.trace.to_json())
+            radial.write_text(args.trace, exc.trace.to_json())
         return 2
     solved = [r for r in trace.records if r.converged]
     print(f"reached t = 1 in {len(solved)} solves "
@@ -181,7 +172,7 @@ def cmd_homotopy(args) -> int:
         dev = float(np.max(np.abs(profile.u - model) / model))
         print(f"max relative deviation from the target profile = {dev:.3e}")
     if args.trace:
-        _write_text(args.trace, trace.to_json())
+        radial.write_text(args.trace, trace.to_json())
     if args.profile:
         radial.write_profile_csv(profile, args.profile)
     return 0
@@ -207,7 +198,7 @@ def cmd_harnack_sweep(args) -> int:
         lines = ["n,k,a,R,maxBR,min2BR,product_scaled"]
         lines += [f"{row.n},{row.k},{row.a!r},{row.R!r},{row.max_br!r},"
                   f"{row.min_2br!r},{row.product_scaled!r}" for row in rows]
-        _write_text(args.out, _csv(lines))
+        radial.write_csv(args.out, lines)
     return 0
 
 
@@ -258,7 +249,6 @@ def _build_parser() -> _Parser:
                    help="target family scale fixing the boundary value")
     p.add_argument("--ub", type=float, default=None,
                    help="explicit boundary value (overrides --a)")
-    p.add_argument("--kth-root", action="store_true")
     p.add_argument("--trace", type=str, default=None)
     p.add_argument("--profile", type=str, default=None)
     p.set_defaults(func=cmd_homotopy)

@@ -371,25 +371,21 @@ _RADIUS_SLACK = 1e-12  # relative tolerance of a Domain radius
 
 @dataclass(frozen=True)
 class Domain:
-    """Where a field is defined: all of R^n ("rn") or a closed ball ("ball",
-    |x - center| <= r_outer). The radius is matched within a relative 1e-12,
-    so a point built as fl(R * direction) on the boundary sphere counts as
-    inside."""
+    """Where a field is defined: the closed ball |x - center| <= r_outer,
+    centered at the origin by default. The default r_outer = inf is all of
+    R^n and takes no distance test, so every row counts as inside. The
+    radius is matched within a relative 1e-12, so a point built as
+    fl(R * direction) on the boundary sphere counts as inside."""
 
-    kind: str = "rn"
-    center: np.ndarray | None = None
+    center: np.ndarray | float = 0.0
     r_outer: float = math.inf
 
     def contains(self, x):
         """Membership of a point (n,), or of each row of a batch (N, n)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "rn":
+        if self.r_outer == math.inf:
             return np.full(x.shape[:-1], True)
-        c = self.center if self.center is not None else np.zeros(x.shape[-1])
-        r = np.linalg.norm(x - c, axis=-1)
-        if self.kind == "ball":
-            return r <= self.r_outer * (1.0 + _RADIUS_SLACK)
-        raise ValueError(f"unknown domain kind {self.kind!r}")
+        return np.linalg.norm(x - self.center, axis=-1) <= self.r_outer * (1.0 + _RADIUS_SLACK)
 
 
 def _lift(evaluator: Callable, n: int) -> Callable:
@@ -442,7 +438,7 @@ class ScalarField:
         outside = np.flatnonzero(~self.domain.contains(X))
         if outside.size:
             x = X[outside[0]]
-            raise DomainError(f"point {x} outside field domain ({self.domain.kind})")
+            raise DomainError(f"point {x} outside the ball of radius {self.domain.r_outer}")
         u, grad, hess = self._jets(X, order)
         u = np.asarray(u, dtype=float)
         if u.shape != (len(X),):

@@ -63,9 +63,9 @@ class BvpSpec:
     m is the number of mesh intervals (m + 1 nodes). a_init selects which
     member of the closed-form family seeds the path; a given boundary
     value is shared by two members (a small-a and a large-a branch), so
-    the intent cannot be inferred from u_b alone. use_kth_root switches
-    the residual to the concave k-th-root form of the operator for
-    conditioning comparisons. t_step in (0, 1] is continue_path's first step.
+    the intent cannot be inferred from u_b alone. t_step in (0, 1] is
+    continue_path's first step. Newton solves f_t - 1 = 0 at the interior
+    nodes.
     """
 
     n: int
@@ -74,7 +74,6 @@ class BvpSpec:
     u_b: float
     m: int = 256
     t_step: float = 0.1
-    use_kth_root: bool = False
     a_init: float | None = None
 
     def __post_init__(self):
@@ -160,10 +159,7 @@ class _NodeState:
         res = np.empty(spec.m + 1)
         # 4(u1-u0) - (u2-u0) = -3u0 + 4u1 - u2, assembled from small differences
         res[0] = (4.0 * (u[1] - u[0]) - (u[2] - u[0])) / (2.0 * h)
-        if spec.use_kth_root:
-            res[1:-1] = np.sign(self.f) * np.abs(self.f) ** (1.0 / spec.k) - 1.0
-        else:
-            res[1:-1] = self.f - 1.0
+        res[1:-1] = self.f - 1.0
         res[-1] = u[-1] - spec.u_b
         return res
 
@@ -173,7 +169,7 @@ class _NodeState:
 
     def jacobian_banded(self) -> np.ndarray:
         spec = self.spec
-        n, k, h = spec.n, spec.k, spec.h
+        n, h = spec.n, spec.h
         b, d, e1, e2 = _coeffs(n)
         ui, up, upp, r = self.ui, self.up, self.upp, self.r
         q1, q2 = ui ** e1, ui ** e2
@@ -188,9 +184,6 @@ class _NodeState:
         du_ = f_rad * dlr_du + f_tan * dlt_du
         dp_ = f_rad * dlr_dp + f_tan * dlt_dp
         ds_ = f_rad * dlr_ds
-        if spec.use_kth_root:
-            scale = (1.0 / k) * self.f ** (1.0 / k - 1.0)
-            du_, dp_, ds_ = scale * du_, scale * dp_, scale * ds_
         lower = -dp_ / (2.0 * h) + ds_ / h ** 2
         diag = du_ - 2.0 * ds_ / h ** 2
         upper = dp_ / (2.0 * h) + ds_ / h ** 2
@@ -206,13 +199,9 @@ class _NodeState:
         return ab
 
     def jacobian_dense(self) -> np.ndarray:
+        # band row i holds diagonal 2 - i, aligned by column
         ab = self.jacobian_banded()
-        m = self.spec.m
-        jac = np.zeros((m + 1, m + 1))
-        for i in range(m + 1):
-            for j in range(max(0, i - 1), min(m + 1, i + 3)):
-                jac[i, j] = ab[2 + i - j, j]
-        return jac
+        return sum(np.diag(row[d:] if d >= 0 else row[:d], d) for d, row in zip((2, 1, 0, -1), ab))
 
 
 def _attainable_residual(ab: np.ndarray, u: np.ndarray) -> float:

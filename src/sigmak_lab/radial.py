@@ -572,13 +572,6 @@ def _hermite7(s, h, left, right, order):
     return (f0 + val, ders[0] / h, ders[1] / (h * h)) if order else (f0 + val, None, None)
 
 
-def _central(y, x, i):
-    """dy/dx at nodes i by a central difference, taken at the nearest interior node at the ends."""
-    j = np.clip(i, 1, x.size - 2)
-    return (y.take(j + 1, mode="clip") - y.take(j - 1, mode="clip")) \
-        / (x.take(j + 1, mode="clip") - x.take(j - 1, mode="clip"))
-
-
 def profile_to_field(profile: RadialProfile) -> ScalarField:
     """C^2 radial field reconstructed from a profile by septic interpolation.
 
@@ -601,25 +594,16 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
         xi' = 1 + eta',   A = -eta' (2 + eta'),   xi'' = eta'',
 
     and at r_1 the chain rule gives u''' = m u (eta''' + 3 m eta' eta''
-    + m^2 eta'^3 - 3 (eta'' + m eta'^2) + 2 eta') / r^3. A node with no
-    admissible solve gets u'' by finite differences; it, and a node with
-    A <= 0, gets eta''' as the central difference of eta'' in t. eta is
-    measured from u(0) so that near the origin, where it is O(r^2), its node
-    differences keep their digits. Points within 1e-12 of the origin get
-    the origin's jet.
+    + m^2 eta'^3 - 3 (eta'' + m eta'^2) + 2 eta') / r^3. The xi''^2 / A
+    term is absent for k = 1, and A > 0 at admissible nodes for k >= 2. A
+    node with no admissible solve, or with chart data that are not finite,
+    raises ConeDomainError naming the node and its r. eta is measured from
+    u(0) so that near the origin, where it is O(r^2), its node differences
+    keep their digits. Points within 1e-12 of the origin get the origin's jet.
     """
     n, k = profile.n, profile.k
     r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u_nodes = _node_solves(r_nodes, u_nodes, du_nodes, n, k)[0]
-    # nodes with no admissible solve: three-point u'' inside, central du' at the ends
-    failed = np.isnan(d2u_nodes)
-    bad = np.flatnonzero(failed)
-    i = bad[(bad > 0) & (bad < r_nodes.size - 1)]
-    h1, h2 = r_nodes[i] - r_nodes[i - 1], r_nodes[i + 1] - r_nodes[i]
-    d2u_nodes[i] = 2.0 * (h1 * u_nodes[i + 1] - (h1 + h2) * u_nodes[i] + h2 * u_nodes[i - 1]) \
-        / (h1 * h2 * (h1 + h2))
-    i = bad[(bad == 0) | (bad == r_nodes.size - 1)]
-    d2u_nodes[i] = _central(du_nodes, r_nodes, i)
+    d2u_nodes, margins, _ = _node_solves(r_nodes, u_nodes, du_nodes, n, k)
     # the chart's node data past the origin
     m, u0 = (n - 2.0) / 2.0, u_nodes[0]
     r_out, u_out = r_nodes[1:], u_nodes[1:]
@@ -633,9 +617,13 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
     a, g1 = -eta1 * (2.0 + eta1), (n - 2.0 * k) / (2.0 * k)
     with np.errstate(all="ignore"):
         eta3 = -2.0 * (1.0 + eta1) * (k * g1 * a + k * (g1 - 1.0) * eta2
-                                      - (k - 1.0) * eta2 * eta2 / a)
-    i = np.flatnonzero(failed[1:] | ~(a > 0.0))
-    eta3[i] = _central(eta2, t_nodes, i)
+                                      - ((k - 1.0) * eta2 * eta2 / a if k > 1 else 0.0))
+    ok = np.isfinite(d2u_nodes)
+    ok[1:] &= np.isfinite([eta, eta1, eta2, eta3]).all(axis=0)
+    if not ok.all():
+        node = int(np.argmin(ok))
+        raise ConeDomainError(f"profile node {node} at r={r_nodes[node]} has no admissible "
+                              "finite chart data", margin=float(margins[node]), where=node)
     e1, e2, r1 = eta1[0], eta2[0], r_out[0]
     d3u1 = m * u_out[0] * (eta3[0] + 3.0 * m * e1 * e2 + m * m * e1 * e1 * e1
                            - 3.0 * (e2 + m * e1 * e1) + 2.0 * e1) / (r1 * r1 * r1)
@@ -674,9 +662,8 @@ def profile_to_field(profile: RadialProfile) -> ScalarField:
         hess[origin] = d2u_nodes[0] * eye
         return val, grad, hess
 
-    dom = Domain(kind="ball", center=np.zeros(n), r_outer=profile.r_max)
-    return ScalarField(n, domain=dom, tag=f"radial-profile(n={n},k={k})",
-                       jets=jets)
+    return ScalarField(n, domain=Domain(r_outer=profile.r_max),
+                       tag=f"radial-profile(n={n},k={k})", jets=jets)
 
 
 def write_profile_csv(profile: RadialProfile, path):
@@ -690,7 +677,20 @@ def write_profile_csv(profile: RadialProfile, path):
     _, margin, res = _node_solves(profile.r, profile.u, profile.du, profile.n, profile.k)
     du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
     rows = zip(profile.r.tolist(), profile.u.tolist(), du, res.tolist(), margin.tolist())
-    lines = ["# sigmak-lab v1", "r,u,du,sigma_residual,cone_margin"]
+    lines = ["r,u,du,sigma_residual,cone_margin"]
     lines += [f"{r!r},{u!r},{du!r},{res!r},{margin!r}" for r, u, du, res, margin in rows]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, lines)
+
+
+def write_csv(path, lines: list[str]):
+    """Write CSV lines under the versioned header line every CSV of the lab starts with."""
+    write_text(path, "\n".join(["# sigmak-lab v1"] + lines) + "\n")
+
+
+def write_text(path, text: str):
+    """Write text to path; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc

@@ -350,8 +350,7 @@ def test_harnack_polish_keeps_grid_value_outside_the_domain():
     assert rep.min_2br == pytest.approx(exact_min, rel=1e-14)
     assert rep.min_2br < grid_min
 
-    shifted = sl.ScalarField(n, jets=jets, domain=sl.Domain(
-        kind="ball", center=shift, r_outer=rho))
+    shifted = sl.ScalarField(n, jets=jets, domain=sl.Domain(center=shift, r_outer=rho))
     rep = sl.harnack_product(shifted, 1.0, n_radial=3, n_angular=2)
     assert rep.min_2br == pytest.approx(grid_min, rel=1e-14)
 
@@ -454,6 +453,14 @@ def test_verify_dimension_mismatch_is_a_configuration_error():
     u = sl.bubble_field(sl.BubbleSpec(3, 2, 1.0))
     with pytest.raises(ConfigError, match="field dimension 3 does not match n=4"):
         sl.verify_solution(u, 4, 2, np.ones((2, 4)))
+
+
+def test_negative_harnack_counts_are_configuration_errors():
+    u = sl.bubble_field(sl.BubbleSpec(3, 1, 1.0))
+    with pytest.raises(ConfigError, match="n_angular=-4"):
+        sl.harnack_product(u, 1.0, n_radial=4, n_angular=-4)
+    with pytest.raises(ConfigError, match="mobius_words=-2"):
+        sl.harnack_sweep(3, 1, [1.0], [1.0], n_radial=4, n_angular=2, mobius_words=-2)
 
 
 def test_verify_rejects_empty_sample_set():

@@ -262,11 +262,31 @@ def test_one_parser_serves_every_call(tmp_path):
     ["verify-bubble", "--n", "3", "--k", "1", "--seed", "-1"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--images", "1", "--seed", "-1"],
     ["homotopy", "--n", "3", "--k", "1", "--ub", "1e300"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--images", "-2"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--images", "-3"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--nang", "-5"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0", "--out"],
+    ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0",
+     "--format", "json", "--out"],
+    ["solve-radial", "--n", "3", "--k", "1", "--out"],
+    ["homotopy", "--n", "3", "--k", "1", "--m", "32", "--trace"],
+    ["homotopy", "--n", "3", "--k", "1", "--m", "32", "--profile"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--nrad", "4", "--nang", "2", "--out"],
+])
+def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write {path}" in err
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,6 +297,7 @@ def test_bad_sizes_are_configuration_errors(argv, capsys):
     ["homotopy", "--n", "3", "--k", "1", "--rb", "1e300", "--ub", "1e-300"],
     ["homotopy", "--n", "3", "--k", "1", "--rb", "1e-300", "--ub", "1e-8"],
     ["harnack-sweep", "--n", "5", "--k", "4", "--R", "1.7e308"],
+    ["solve-radial", "--n", "3", "--k", "1", "--u0", "1e40"],
 ])
 def test_results_past_the_float_range_are_numerical_failures(argv, capsys):
     assert main(argv) == 2

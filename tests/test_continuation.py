@@ -201,14 +201,13 @@ def test_jacobian_matches_finite_differences():
         jac = sl.assemble_jacobian(u, spec, t)
         ref = fd_jacobian(lambda v: sl.assemble_residual(v, spec, t), u)
         np.testing.assert_allclose(jac, ref, rtol=2e-6, atol=2e-6)
-
-
-def test_kth_root_form_jacobian_also_matches():
-    spec = _spec(3, 2, m=24, r_b=4.0, use_kth_root=True)
-    u = initial_guess(spec)
-    jac = sl.assemble_jacobian(u, spec, 1.0)
-    ref = fd_jacobian(lambda v: sl.assemble_residual(v, spec, 1.0), u)
-    np.testing.assert_allclose(jac, ref, rtol=2e-6, atol=2e-6)
+        # the dense form is the banded storage placed entry by entry, J[i, j] = ab[2 + i - j, j]
+        ab = continuation._admissible_state(u, spec, t).jacobian_banded()
+        placed = np.zeros_like(jac)
+        for i in range(spec.m + 1):
+            for j in range(max(0, i - 1), min(spec.m + 1, i + 3)):
+                placed[i, j] = ab[2 + i - j, j]
+        np.testing.assert_array_equal(jac, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +221,20 @@ def test_newton_from_exact_member_converges_fast():
     assert record.cone_margin > 0.0 and record.ellipticity > 0.0
 
 
+def _bumped(n, k, m=128):
+    """A spec and the 1 percent bump of its exact member that Newton recovers from."""
+    spec = _spec(n, k, m=m)
+    return spec, initial_guess(spec) * (1.0 + 0.01 * np.exp(-(((spec.mesh - 2.0) / 2.0) ** 2)))
+
+
 def test_newton_recovers_from_smooth_perturbation():
     # the perturbation must stay inside (Gamma_k)_t: the n = 3 exponents
     # amplify multiplicative bumps about 25-fold in eigenvalue space, so a
     # 1 percent bump is the honest admissible version of this check
     n, k = 3, 2
-    spec = _spec(n, k, m=128)
-    mesh = spec.mesh
-    bump = 1.0 + 0.01 * np.exp(-(((mesh - 2.0) / 2.0) ** 2))
-    x, record = sl.newton_solve(initial_guess(spec) * bump, spec, 1.0)
-    model = _family_values(n, k, 1.0, mesh)
+    spec, start = _bumped(n, k)
+    x, record = sl.newton_solve(start, spec, 1.0)
+    model = _family_values(n, k, 1.0, spec.mesh)
     err = float(np.max(np.abs(x - model)))
     assert err <= 5.0 * (spec.h) ** 2  # back to the discrete solution
     assert record.converged
@@ -251,12 +254,53 @@ def test_newton_rejects_inadmissible_initial():
         sl.newton_solve(np.ones(33), spec, 1.0)
 
 
-def test_newton_solution_unique_across_forms():
-    spec_p = _spec(3, 2, m=64)
-    spec_r = _spec(3, 2, m=64, use_kth_root=True)
-    xp, _ = sl.newton_solve(initial_guess(spec_p), spec_p, 1.0)
-    xr, _ = sl.newton_solve(initial_guess(spec_r), spec_r, 1.0)
-    np.testing.assert_allclose(xp, xr, atol=1e-9)
+def test_newton_out_of_iterations_carries_its_count_and_residual(monkeypatch):
+    spec, start = _bumped(3, 2)
+    _, record = sl.newton_solve(start, spec, 1.0)
+    assert record.iters >= 2
+    monkeypatch.setattr(continuation, "_MAX_NEWTON_ITER", 1)
+    with pytest.raises(NewtonError) as info:
+        sl.newton_solve(start, spec, 1.0)
+    assert info.value.iterations == 1
+    assert continuation._NEWTON_TOL < info.value.residual < np.inf
+    assert f"{info.value.residual:.3e}" in str(info.value)
+
+
+def test_line_search_halves_past_inadmissible_trials(monkeypatch):
+    # every trial state is reported outside the cone: the line search halves
+    # from alpha = 1 down to 2^-30, 31 trials, then gives up with the start's
+    # residual
+    spec, start = _bumped(3, 2)
+    res0 = float(np.abs(sl.assemble_residual(start, spec, 1.0)).max())
+    real = continuation._admissible_state
+    calls = []
+
+    def reject_trials(u, spec, t):
+        calls.append(t)
+        if len(calls) > 1:
+            raise ConeDomainError("trial left the cone", margin=-1.0, where=1)
+        return real(u, spec, t)
+
+    monkeypatch.setattr(continuation, "_admissible_state", reject_trials)
+    with pytest.raises(NewtonError, match="no admissible Newton step") as info:
+        sl.newton_solve(start, spec, 1.0)
+    assert len(calls) == 1 + 31
+    assert info.value.iterations == 0 and info.value.residual == res0
+    # rejecting only the first full step costs one halving: Newton still
+    # reaches the discrete solution
+    calls.clear()
+
+    def reject_first_trial(u, spec, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise ConeDomainError("trial left the cone", margin=-1.0, where=1)
+        return real(u, spec, t)
+
+    monkeypatch.setattr(continuation, "_admissible_state", reject_first_trial)
+    x, record = sl.newton_solve(start, spec, 1.0)
+    monkeypatch.setattr(continuation, "_admissible_state", real)
+    np.testing.assert_allclose(x, sl.newton_solve(start, spec, 1.0)[0], rtol=1e-9)
+    assert record.converged
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Radial reduction, shooting, and the classification desk check."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -322,6 +323,56 @@ def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
     assert steps[0] == 40
     assert info.value.r == expect_r
     assert info.value.margin < 0.0
+
+
+def _failing_after(calls, failure):
+    """A DOP853 step that runs the real one for the first calls steps, then fails."""
+    real_step, count = radial._dop853_step, [0]
+
+    def step(*args):
+        count[0] += 1
+        return real_step(*args) if count[0] <= calls else failure(*args)
+    return step
+
+
+def test_shoot_stage_failures_halve_into_a_boundary_error(monkeypatch):
+    # from the 11th step on every stage has no admissible value: the step
+    # halves from its trial size below 1e-12 and the shot stops at the
+    # last node, the unpatched shot's 10th past r_s (its first 40 steps are
+    # all accepted), with the stage's margin
+    n, k = 4, 2
+    expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[11]
+
+    def no_stage(*args):
+        raise ConeDomainError("stage left the cone", margin=-0.25)
+
+    monkeypatch.setattr(radial, "_dop853_step", _failing_after(10, no_stage))
+    with pytest.raises(ConeBoundaryError, match="cone boundary reached") as info:
+        sl.shoot(sl.c_constant(n, k), n, k, 10.0)
+    assert info.value.r == expect_r and info.value.margin == -0.25
+
+
+def test_shoot_error_control_underflow_is_a_step_underflow(monkeypatch):
+    # from the 11th step on the error estimate is 1/h, so no step passes and
+    # the error control shrinks h below 1e-12; the error names the last node
+    n, k = 4, 2
+    expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[11]
+
+    def rough(rhs, xi, s, side, f, h):
+        return xi, s, (1.0 / h, 1.0 / h), (1.0 / h, 1.0 / h)
+
+    monkeypatch.setattr(radial, "_dop853_step", _failing_after(10, rough))
+    with pytest.raises(StepUnderflowError, match="step size underflow") as info:
+        sl.shoot(sl.c_constant(n, k), n, k, 10.0)
+    assert info.value.r == expect_r
+
+
+def test_series_coefficient_overflow_is_a_cone_domain_error():
+    # u4 = 3 n u2^2 / ((n-2) u0) with u2 ~ u0^{(n+2)/(n-2)}: at u0 = 1e40, n = 3,
+    # u4 ~ u0^9 leaves the float range (the CLI case is in test_cli)
+    with pytest.raises(ConeDomainError, match="series coefficient u4=inf") as info:
+        sl.shoot(1e40, 3, 1, 1.0)
+    assert info.value.where == 0.0
 
 
 def test_t_kernel_solves_the_radial_equation():
@@ -668,20 +719,11 @@ def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     for i in (3, 7):
         assert margin[i] == 0.0 and math.copysign(1.0, margin[i]) == -1.0
     assert margin[5] == pytest.approx(_NODE5_MARGIN, rel=1e-14)
-    # failed rows fall back to finite differences: three-point u'' in the
-    # interior, the central du difference at the last node; the field
-    # reproduces them at the nodes through the chart map and back (node 6,
-    # at u = 1e-100, keeps 13 digits of the round trip)
-    r, u, du = profile.r, profile.u, profile.du
-    i = np.array([3, 5, 6])
-    h1, h2 = r[i] - r[i - 1], r[i + 1] - r[i]
-    expect = list(2.0 * (h1 * u[i + 1] - (h1 + h2) * u[i] + h2 * u[i - 1])
-                  / (h1 * h2 * (h1 + h2))) + [(du[7] - du[5]) / (r[7] - r[5])]
-    field = sl.profile_to_field(profile)
-    x = np.zeros((len(failed), 4))
-    x[:, 0] = r[failed]
-    curvature = field.jets(x, 2)[2][:, 0, 0]
-    np.testing.assert_allclose(curvature, expect, rtol=1e-13)
+    r = profile.r
+    # profile_to_field has no fallback for such rows: the first one is named
+    with pytest.raises(ConeDomainError, match=re.escape(f"node 3 at r={r[3]} ")) as info:
+        sl.profile_to_field(profile)
+    assert info.value.where == 3 and info.value.margin == margin[3]
 
 
 def test_pair_sigma_closed_form_matches_generic():
