@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -24,15 +25,6 @@ from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding, transform_field
 from .errors import ConfigError, PathError, SigmakLabError, check_positive
 from .halton import box_points
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant honoring the exit-code contract (usage errors are 1)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -129,7 +121,7 @@ def cmd_solve_radial(args) -> int:
     print(f"max relative deviation = {report.max_rel_deviation:.3e} "
           f"(at r = {report.worst_r:.4g})")
     if not report.tail.sufficient:
-        print("kelvin probe: insufficient tail (profile does not reach r >= 2)")
+        print("kelvin probe: insufficient tail (fewer than 4 nodes with (n-2) + r u'/u <= 1/2)")
     else:
         status = "monotone decay" if report.tail.monotone else "NOT monotone"
         print(f"kelvin probe: {status}, scaled gradient "
@@ -207,12 +199,12 @@ def cmd_harnack_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sigmak-lab",
-                     description="Numerical lab for sigma_k Schouten operators.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sigmak-lab",
+                                     description="Numerical lab for sigma_k Schouten operators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-bubble", parents=[], help="residual-check the "
+    p = sub.add_parser("verify-bubble", help="residual-check the "
                        "closed-form family and random word images of it")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -268,13 +260,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_outputs(args):
+    """Fail before the work when the directory of an output path is missing or
+    not writable."""
+    for path in filter(None, (getattr(args, name, None) for name in ("out", "trace", "profile"))):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse signals usage errors (and --help)
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
+        _check_outputs(args)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except ConfigError as exc:

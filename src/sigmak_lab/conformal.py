@@ -221,8 +221,6 @@ class MobiusMap:
         Jacobian, the second derivatives of the word and the gradient and
         hessian of log |det J|, as needed to chain-rule a 2-jet.
         """
-        if order not in (0, 2):
-            raise ValueError(f"transport order must be 0 or 2, got {order}")
         y = np.array(X, dtype=float)
         npts, n = y.shape
         log_det = np.zeros(npts)

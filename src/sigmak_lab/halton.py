@@ -49,7 +49,4 @@ def sphere_directions(count: int, dim: int) -> np.ndarray:
     """
     u = halton_sequence(count, dim, start=101)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    # a zero row cannot occur after clipping, but guard the division anyway
-    norms[norms < 1e-12] = 1.0
-    return z / norms[:, None]
+    return z / np.linalg.norm(z, axis=1)[:, None]

@@ -90,7 +90,6 @@ _MAX_STEPS = 200000  # step budget of one shot
 _TOL_FLOOR = 1e-15  # smallest shot tol: a shot at it is already off by ~1e-13 from rounding
 _R_START = 1e-3  # the series start's node at scale a <= 1, where the t chart begins
 _DT_FIRST = 0.04  # the first trial step in t; the error control sets every later one
-_TAIL_POINTS = 12  # tail nodes sampled for the Kelvin-image evidence
 
 
 class EigenPair(NamedTuple):
@@ -475,14 +474,18 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
 
 @dataclass
 class TailEvidence:
-    """Kelvin-image samples computed from the profile tail.
+    """Kelvin-image evidence computed from the profile tail.
 
     This is the lab's one check of regularity at infinity: the Kelvin image
-    v(rho) = r^{n-2} u(r), rho = 1/r, should settle as rho -> 0. rho holds
-    1/r at the tail nodes, v the image values and scaled_grad
-    rho |v'(rho)|. sufficient is False when the profile does not reach far
-    enough (fewer than four nodes with r >= 2) to say anything. It is
-    evidence, not a certificate: no finite sample decides C^2 extendability.
+    v(rho) = r^{n-2} u(r), rho = 1/r, should settle as rho -> 0. The tail
+    is every node past the origin with D = (n-2) + r u'/u = -rho v'/v <= 1/2
+    and a normal-float u' (below that u' has lost its digits); on the family
+    D = (n-2) / (1 + a^2 r^2), so the tail lies past the peak of rho |v'| at
+    every scale a. rho holds 1/r there, v = exp(log u + (n-2) log r) and
+    scaled_grad rho |v'| = v |D|, with no power of r. monotone allows a rise
+    of 64 eps (n-2) v, the rounding floor of D, from node to node;
+    sufficient needs four tail nodes. It is evidence, not a certificate:
+    no finite sample decides C^2 extendability.
     """
 
     rho: np.ndarray
@@ -503,24 +506,18 @@ class LiouvilleReport:
 
 
 def _tail_evidence(profile: RadialProfile) -> TailEvidence:
-    n = profile.n
-    mask = profile.r >= 2.0
-    idx = np.nonzero(mask)[0]
-    if idx.size < 4:
+    n, r, u, du = profile.n, profile.r[1:], profile.u[1:], profile.du[1:]
+    d = (n - 2.0) + r * du / u  # D = -rho v'(rho) / v, with no power of r
+    tail = (d <= 0.5) & (np.abs(du) >= np.finfo(float).tiny)
+    if np.count_nonzero(tail) < 4:
         empty = np.empty(0)
         return TailEvidence(empty, empty, empty, False, False)
-    if idx.size > _TAIL_POINTS:
-        take = np.unique(np.geomspace(idx[0] + 1, idx[-1] + 1, _TAIL_POINTS).astype(int) - 1)
-    else:
-        take = idx
-    r = profile.r[take]
-    u = profile.u[take]
-    du = profile.du[take]
-    rho = 1.0 / r
-    v = r ** (n - 2.0) * u
-    scaled = np.abs((2.0 - n) * r ** (n - 2.0) * u - r ** (n - 1.0) * du)
-    monotone = bool(np.all(scaled[1:] <= scaled[:-1] * (1.0 + 1e-9)))
-    return TailEvidence(rho, v, scaled, monotone, True)
+    r, d = r[tail], d[tail]
+    v = np.exp(np.log(u[tail]) + (n - 2.0) * np.log(r))
+    scaled = v * np.abs(d)
+    floor = 64.0 * np.finfo(float).eps * (n - 2.0) * v[1:]
+    monotone = bool(np.all(scaled[1:] <= scaled[:-1] + floor))
+    return TailEvidence(1.0 / r, v, scaled, monotone, True)
 
 
 def liouville_report(profile: RadialProfile) -> LiouvilleReport:
@@ -528,7 +525,8 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
 
     The scale is a = (u(0) / c(n, k))^{2/(n-2)}. Tail evidence for
     regularity at infinity, the lab's one Kelvin-image check, is computed
-    directly from the stored (r, u, u') samples.
+    from the nodes with (n-2) + r u'/u <= 1/2, down to a rounding floor
+    of 64 eps (n-2) v (see `TailEvidence`).
     """
     n, k = profile.n, profile.k
     a = float((profile.u[0] / c_constant(n, k)) ** (2.0 / (n - 2.0)))

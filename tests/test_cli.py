@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmak_lab import continuation
+from sigmak_lab import bubbles, continuation, radial
 from sigmak_lab.cli import main, _parse_grid
 from sigmak_lab.errors import ConfigError, NewtonError
 
@@ -96,6 +96,14 @@ def test_solve_radial_short_domain_flags_tail(capsys):
     code = main(["solve-radial", "--n", "3", "--k", "1", "--rmax", "0.5"])
     assert code == 0
     assert "insufficient tail" in capsys.readouterr().out
+
+
+def test_solve_radial_small_scale_member_decays_monotonically(capsys):
+    # a = 0.09: the tail lies past r = 1/a, far beyond any fixed radius
+    argv = ["solve-radial", "--n", "3", "--k", "2", "--u0", "0.40927848054640975",
+            "--rmax", "100"]
+    assert main(argv) == 0
+    assert "kelvin probe: monotone decay" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k", ["20", "40"])
@@ -281,10 +289,17 @@ def test_bad_sizes_are_configuration_errors(argv, capsys):
     ["homotopy", "--n", "3", "--k", "1", "--m", "32", "--profile"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--nrad", "4", "--nang", "2", "--out"],
 ])
-def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys):
+def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys, monkeypatch):
+    # the paths are checked before the work: a run of it is an unexpected failure
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+    for module, name in [(bubbles, "verify_solution"), (bubbles, "harnack_sweep"),
+                         (radial, "shoot"), (continuation, "continue_path")]:
+        monkeypatch.setattr(module, name, work)
     path = tmp_path / "missing" / "out.txt"
     assert main(argv + [str(path)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert f"configuration error: cannot write {path}" in err
     assert not path.parent.exists()
 

@@ -502,6 +502,26 @@ def test_tail_evidence_flags_an_oscillatory_tail():
     assert tail.scaled_grad[-1] > 1.0
 
 
+@pytest.mark.parametrize("r_max", [10.0, 1e12, 1e40])
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 6), (8, 3)])
+def test_far_field_of_exact_members_decays_monotonically(n, k, scale, r_max):
+    # the tail starts where (n-2) + r u'/u <= 1/2, i.e. a^2 r^2 >= 2n - 5 on
+    # the family; of these shots only (3, 1) at a = 0.09 to r_max = 10 never
+    # gets there (a r_max = 0.9)
+    report = sl.liouville_report(sl.shoot(scale * sl.c_constant(n, k), n, k, r_max))
+    assert report.tail.sufficient or (n, scale, r_max) == (3, 0.3, 10.0)
+    assert report.tail.monotone or not report.tail.sufficient
+    if scale == 1.0:
+        assert report.max_rel_deviation <= 1e-12
+
+
+def test_far_field_past_the_power_range_of_r():
+    # r^3 overflows past r = 6e102; the evidence forms no power of r
+    tail = sl.liouville_report(sl.shoot(sl.c_constant(4, 2), 4, 2, 1e140)).tail
+    assert tail.sufficient and tail.monotone
+
+
 # ---------------------------------------------------------------------------
 # reconstruction and serialization
 # ---------------------------------------------------------------------------
