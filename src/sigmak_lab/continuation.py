@@ -6,8 +6,11 @@ central differences for u' and u'' at interior nodes, a second-order
 one-sided stencil enforcing u'(0) = 0, and a Dirichlet value at R_b. The
 nonlinear system f_t(lambda(A(u))) = 1 is solved by damped Newton with an
 analytically assembled Jacobian; the matrix is banded (one sub-diagonal,
-two super-diagonals, the extra one coming from the u'(0) row) and is
-factored with a banded LU. The node state is a closed-form pair: each node
+two super-diagonals, the extra one coming from the u'(0) row). Each Newton
+step substitutes the Dirichlet value and the u'(0) row into the interior
+rows and solves the tridiagonal rest by cyclic reduction (Hockney, J. ACM
+12, 1965; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); see
+_solve_band. The node state is a closed-form pair: each node
 has lam_rad once and lam_tan n-1 times, taken for all interior nodes at
 once from `radial.radial_eigenvalues`, so has the uniform mix (a, b), and
 e_1..e_k of the mix and the two distinct partials of f_t come from
@@ -32,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
@@ -219,6 +221,52 @@ def _attainable_residual(ab: np.ndarray, u: np.ndarray) -> float:
     return 2.0 * float(np.finfo(float).eps) * float(s.max())
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for a Jacobian in jacobian_banded's layout.
+
+    Row m is the Dirichlet identity, so x_m is known and moves to the right
+    side. Row 0 (the u'(0) stencil) loses its x_2 entry against row 1 and
+    then gives x_0 in terms of x_1, which row 1 absorbs. What remains is
+    tridiagonal in x_1..x_{m-1}, solved by cyclic reduction: each level
+    eliminates the even-indexed unknowns from the odd-indexed rows, after
+    one dummy row y = 0 when the level has an even size. Nothing pivots, so
+    a zero pivot returns inf or nan entries, never a warning or a trap.
+    """
+    m = ab.shape[1] - 1
+    xm = rhs[m] / ab[2, m]
+    # rows 1..m-1 as -s y_{i-1} + b y_i - c y_{i+1} = d in y = x_1..x_{m-1}
+    s, b, c, d = -ab[3, :m - 1], ab[2, 1:m].copy(), -ab[1, 2:], rhs[1:m].copy()
+    d[-1] += c[-1] * xm
+    c[-1] = 0.0
+    # row 0 minus (its x_2 entry / row 1's) times row 1: p x_0 + q x_1 = r0
+    f = ab[0, 2] / c[0]
+    p, q, r0 = ab[2, 0] - f * s[0], ab[1, 1] + f * b[0], rhs[0] + f * d[0]
+    g = s[0] / p
+    b[0] += g * q
+    d[0] += g * r0
+    s[0] = 0.0
+    levels = []
+    while len(b) > 1:
+        if len(b) % 2 == 0:
+            s, b, c, d = np.append(s, 0.0), np.append(b, 1.0), np.append(c, 0.0), np.append(d, 0.0)
+        levels.append((s, b, c, d))
+        al, ga = s[1::2] / b[:-1:2], c[1::2] / b[2::2]
+        s, b, c, d = (al * s[:-1:2], b[1::2] - al * c[:-1:2] - ga * s[2::2],
+                      ga * c[2::2], d[1::2] + al * d[:-1:2] + ga * d[2::2])
+    y = d / b
+    for s, b, c, d in reversed(levels):
+        # z = (0, y, 0): the odd unknowns come from the level below
+        z = np.zeros(len(b) + 2)
+        z[2:-1:2] = y[:len(b) // 2]
+        np.divide(d[::2] + s[::2] * z[:-2:2] + c[::2] * z[2::2], b[::2], out=z[1::2])
+        y = z[1:-1]
+    x = np.empty(m + 1)
+    x[1:m], x[m] = y[:m - 1], xm
+    x[0] = (r0 - q * x[1]) / p
+    return x
+
+
 def _admissible_state(u, spec: BvpSpec, t: float) -> _NodeState:
     """The node state of u, raising ConeDomainError at the first node whose
     (Gamma_k)_t margin is not positive."""
@@ -250,7 +298,10 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     resolution of the residual (on fine meshes the 1/h^2 stencil amplifies
     one ulp of u past any fixed tolerance; see _attainable_residual).
     Raises NewtonError on an inadmissible initial state, a singular
-    Jacobian, a stalled line search, or iteration exhaustion.
+    Jacobian, a stalled line search, or iteration exhaustion. The step
+    solve (_solve_band) does not pivot: a singular Jacobian, or a zero
+    pivot of the elimination, shows up as a non-finite step, which is the
+    one singular-Jacobian path.
     """
     x = np.array(initial, dtype=float)
     try:
@@ -272,11 +323,7 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
             raise NewtonError(f"Newton did not converge in {_MAX_NEWTON_ITER} "
                               f"iterations (residual {rnorm:.3e})",
                               iterations=iters, residual=rnorm)
-        try:
-            step = scipy.linalg.solve_banded((1, 2), ab, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular Jacobian", iterations=iters,
-                              residual=rnorm) from exc
+        step = _solve_band(ab, -res)
         if not np.all(np.isfinite(step)):
             raise NewtonError("singular Jacobian (non-finite step)",
                               iterations=iters, residual=rnorm)

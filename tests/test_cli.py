@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +243,33 @@ def test_one_parser_serves_every_call(tmp_path):
                  "--nang", "4", "--images", "1", "--seed", "5"]) == 0
     assert main(verify + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
+from sigmak_lab.cli import main
+codes = [main(argv.split()) for argv in (
+    "verify-bubble --n 3 --k 2 --samples 20 --images 1",
+    "solve-radial --n 3 --k 2",
+    "homotopy --n 3 --k 2 --m 32",
+    "harnack-sweep --n 3 --k 2 --nrad 8 --nang 4 --images 1",
+)]
+assert sys.modules.pop("scipy") is None
+print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_every_command_runs_without_scipy():
+    # a fresh interpreter, so nothing imported by another test hides a lazy import
+    import sigmak_lab
+    src = str(Path(sigmak_lab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 import sigmak_lab as sl
 from sigmak_lab import continuation
@@ -301,6 +304,101 @@ def test_line_search_halves_past_inadmissible_trials(monkeypatch):
     monkeypatch.setattr(continuation, "_admissible_state", real)
     np.testing.assert_allclose(x, sl.newton_solve(start, spec, 1.0)[0], rtol=1e-9)
     assert record.converged
+
+
+@pytest.mark.parametrize("defect", ["singular", "zero pivot"])
+def test_singular_jacobian_is_a_newton_error_with_or_without_float_traps(defect, monkeypatch):
+    # "singular" zeroes interior rows 1..m-1; "zero pivot" zeroes the
+    # interior diagonal, which the unpivoted elimination divides by
+    real = continuation._NodeState.jacobian_banded
+
+    def defective(state):
+        ab = real(state)
+        if defect == "singular":
+            ab[3, :-2] = ab[1, 2:] = 0.0
+        ab[2, 1:-1] = 0.0
+        return ab
+
+    monkeypatch.setattr(continuation._NodeState, "jacobian_banded", defective)
+    spec, start = _bumped(3, 2)
+    for traps in ("ignore", "raise"):
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over=traps, divide=traps, invalid=traps):
+            warnings.simplefilter("always")
+            with pytest.raises(NewtonError, match="singular Jacobian") as info:
+                sl.newton_solve(start, spec, 1.0)
+        assert not caught
+        assert info.value.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# the banded step solve against LAPACK
+# ---------------------------------------------------------------------------
+
+def _dense(ab):
+    """The matrix of a band in jacobian_banded's layout (row i holds diagonal 2 - i)."""
+    return scipy.sparse.dia_matrix((ab, [2, 1, 0, -1]), shape=(ab.shape[1],) * 2).toarray()
+
+
+def _band_times(ab, x):
+    """The product of the band's matrix with x."""
+    y = ab[2] * x
+    y[1:] += ab[3, :-1] * x[:-1]
+    y[:-1] += ab[1, 1:] * x[1:]
+    y[:-2] += ab[0, 2:] * x[2:]
+    return y
+
+
+def _rel(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m", [16, 17, 1000, 1023, 1024, 4096])
+def test_band_solve_matches_lapack_on_random_bands(m):
+    # the u'(0) stencil, diagonally dominant interior rows with random
+    # off-diagonals, the Dirichlet identity; odd, even and 2^p sizes
+    rng = np.random.default_rng(m)
+    h = 1.0 / m
+    ab = np.zeros((4, m + 1))
+    ab[2, 0], ab[1, 1], ab[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    lower, upper = rng.uniform(0.5, 1.5, (2, m - 1)) / h ** 2
+    ab[3, :m - 1], ab[1, 2:] = lower, upper
+    ab[2, 1:m] = -(lower + upper) * rng.uniform(1.0, 1.5, m - 1)
+    ab[2, m] = 1.0
+    rhs = rng.standard_normal(m + 1)
+    x = continuation._solve_band(ab, rhs)
+    assert _rel(x, scipy.linalg.solve_banded((1, 2), ab, rhs)) <= 1e-14
+    if m <= 1024:  # a dense 4097^2 solve costs 134 MB for no extra evidence
+        assert _rel(x, np.linalg.solve(_dense(ab), rhs)) <= 1e-14
+
+
+def test_band_solve_matches_lapack_on_every_bench_newton_iterate(monkeypatch):
+    # the 18 pairs n <= 6 at m = 1024, a = 1, first t-step 1/40. These
+    # Jacobians have condition numbers near 1e10: solve_banded and the dense
+    # LU differ from each other by up to 8e-12 relative on them, so the
+    # forward bound is 1e-11, and the backward error (the residual against
+    # the band, relative to |J| |x| + |rhs|) must stay below one ulp
+    real, calls = continuation._solve_band, []
+
+    def recorded(ab, rhs):
+        x = real(ab, rhs)
+        calls.append((ab, rhs, x))
+        return x
+
+    monkeypatch.setattr(continuation, "_solve_band", recorded)
+    firsts = []
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            firsts.append(len(calls))
+            continuation.continue_path(_spec(n, k, m=1024, t_step=1.0 / 40.0))
+    assert len(calls) > 2 * len(firsts)
+    eps = np.finfo(float).eps
+    for j, (ab, rhs, x) in enumerate(calls):
+        scale = _band_times(np.abs(ab), np.abs(x)).max() + np.abs(rhs).max()
+        assert np.abs(_band_times(ab, x) - rhs).max() <= eps * scale
+        assert _rel(x, scipy.linalg.solve_banded((1, 2), ab, rhs)) <= 1e-11
+        if j in firsts:
+            assert _rel(x, np.linalg.solve(_dense(ab), rhs)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
