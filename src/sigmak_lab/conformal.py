@@ -15,8 +15,8 @@ and the unit inversion) act on fields through
 
 and the spectrum of A is equivariant under that action: the eigenvalues of
 A(u_psi) at x equal those of A(u) at psi(x). Jets of transformed fields are
-propagated analytically, one chain-rule step per generator; finite
-differences appear only in tests.
+analytic: a word carries only J and grad log|det J|, which fix its second
+derivatives by conformality; finite differences appear only in tests.
 
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
 `MobiusMap._walk`, `_schouten_batch`); the per-point calls are its N = 1
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PoleError, PositivityError
+from .errors import ConfigError, DomainError, PoleError, PositivityError
 
 __all__ = [
     "Jet2",
@@ -79,7 +79,7 @@ def _checked_jets(points, u, grad, hess):
     hess = np.asarray(hess, dtype=float)
     npts, n = points.shape
     if u.shape != (npts,) or grad.shape != (npts, n) or hess.shape != (npts, n, n):
-        raise ValueError("jet component shapes do not match the point dimension")
+        raise ConfigError("jet component shapes do not match the point dimension")
     _require_positive(points, u)
     hess_t = hess.swapaxes(1, 2)
     asym = np.abs(hess - hess_t).max(axis=(1, 2), initial=0.0)
@@ -118,7 +118,7 @@ def _schouten_batch(u, g, h) -> np.ndarray:
     """
     n = g.shape[1]
     if n < 3:
-        raise ValueError(f"dimension n={n} must be >= 3")
+        raise ConfigError(f"dimension n={n} must be >= 3")
     q1 = u ** (-(n + 2.0) / (n - 2.0))
     q2 = u ** (-2.0 * n / (n - 2.0))
     c1 = 2.0 / (n - 2.0)
@@ -163,9 +163,9 @@ class Rotation:
         mat = np.asarray(self.mat, dtype=float)
         n = mat.shape[0]
         if mat.shape != (n, n):
-            raise ValueError("rotation matrix must be square")
+            raise ConfigError("rotation matrix must be square")
         if float(np.max(np.abs(mat.T @ mat - np.eye(n)))) > 1e-12:
-            raise ValueError("rotation matrix is not orthogonal to 1e-12")
+            raise ConfigError("rotation matrix is not orthogonal to 1e-12")
         object.__setattr__(self, "mat", mat)
 
 
@@ -175,7 +175,7 @@ class Dilation:
 
     def __post_init__(self):
         if not self.s > 0.0:
-            raise ValueError(f"dilation scale must be positive, got {self.s}")
+            raise ConfigError(f"dilation scale must be positive, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -188,17 +188,15 @@ _Atom = Translation | Rotation | Dilation | Inversion
 
 @dataclass(frozen=True)
 class _TransportState:
-    """Jet of a word at N points: image points and log |Jacobian|, and at
-    order 2 also the first/second derivatives of both w.r.t. the original
-    coordinates. MobiusMap.jet returns the one-point slice, without the
-    leading axis."""
+    """Jet of a word at N points: image points and log |det J|, and at
+    order 2 also J and grad log |det J| w.r.t. the original coordinates,
+    which fix the word's second derivatives (`_pullback`). MobiusMap.jet
+    returns the one-point slice, without the leading axis."""
 
     y: np.ndarray
     log_det: np.ndarray
     jac: np.ndarray | None = None
-    hess: np.ndarray | None = None       # hess[..., i, j, k] = d^2 y_i / dx_j dx_k
     grad_log_det: np.ndarray | None = None
-    hess_log_det: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -211,24 +209,21 @@ class MobiusMap:
         word = tuple(self.word)
         for atom in word:
             if not isinstance(atom, (Translation, Rotation, Dilation, Inversion)):
-                raise ValueError(f"unsupported atom {atom!r}")
+                raise ConfigError(f"unsupported atom {atom!r}")
         object.__setattr__(self, "word", word)
 
     def _walk(self, X, order: int = 0) -> _TransportState:
         """Carry the rows of X (N, n) through the word.
 
-        order=0 tracks the image points and log |det J|; order=2 adds the
-        Jacobian, the second derivatives of the word and the gradient and
-        hessian of log |det J|, as needed to chain-rule a 2-jet.
+        order=0 tracks the image points and log |det J|; order=2 adds J and
+        grad log |det J|, all that `_pullback` needs to chain-rule a 2-jet.
         """
         y = np.array(X, dtype=float)
         npts, n = y.shape
         log_det = np.zeros(npts)
         if order:
             jac = np.tile(np.eye(n), (npts, 1, 1))
-            hess = np.zeros((npts, n, n, n))
             gld = np.zeros((npts, n))
-            hld = np.zeros((npts, n, n))
         for atom in self.word:
             if isinstance(atom, Translation):
                 y = y + atom.b
@@ -236,45 +231,28 @@ class MobiusMap:
                 y = y @ atom.mat.T
                 if order:
                     jac = atom.mat @ jac
-                    hess = np.einsum("ia,najk->nijk", atom.mat, hess)
             elif isinstance(atom, Dilation):
                 y = atom.s * y
                 log_det += n * math.log(atom.s)
                 if order:
                     jac = atom.s * jac
-                    hess = atom.s * hess
             else:
                 r2 = np.einsum("ij,ij->i", y, y)
                 if np.any(r2 == 0.0):
                     raise PoleError("mobius word hit an inversion pole")
                 log_det -= n * np.log(r2)
                 if order:
-                    # with q = 1/r2, w = J^T y, M = J^T J and Y = y . d^2y
-                    # (J, d^2y of the partial word), the chain rule through
-                    # the inversion gives, in this order:
-                    #   grad log|det| += -2n q w
-                    #   hess log|det| += -2n q (M + Y - 2q w w^T)
-                    #   d^2y_ijk <- q (d^2y_ijk + 8q^2 y_i w_j w_k
-                    #                  - 2q (y_i (Y + M)_jk + J_ij w_k + w_j J_ik))
-                    #   J <- q (J - 2q y w^T)
-                    q = 1.0 / r2
-                    q1, q2, q3 = q[:, None], q[:, None, None], q[:, None, None, None]
+                    # with q = 1/r2 and w = J^T y (J of the partial word),
+                    # the chain rule through the inversion gives
+                    #   grad log|det| += -2n q w,   J <- q (J - 2q y w^T)
+                    q1, q2 = 1.0 / r2[:, None], 1.0 / r2[:, None, None]
                     w = np.einsum("na,naj->nj", y, jac)
-                    big_y = np.einsum("na,najk->njk", y, hess)
-                    jtj = np.einsum("naj,nak->njk", jac, jac)
-                    ww = w[:, :, None] * w[:, None, :]
                     gld = gld - (2.0 * n) * q1 * w
-                    hld = hld - (2.0 * n) * q2 * (jtj + big_y - 2.0 * q2 * ww)
-                    hess = q3 * (
-                        hess + 8.0 * q3 * q3 * y[:, :, None, None] * ww[:, None]
-                        - 2.0 * q3 * (y[:, :, None, None] * (big_y + jtj)[:, None]
-                                      + jac[:, :, :, None] * w[:, None, None, :]
-                                      + w[:, None, :, None] * jac[:, :, None, :]))
                     jac = q2 * (jac - 2.0 * q2 * y[:, :, None] * w[:, None, :])
                 y = y / r2[:, None]
         if not order:
             return _TransportState(y, log_det)
-        return _TransportState(y, log_det, jac, hess, gld, hld)
+        return _TransportState(y, log_det, jac, gld)
 
     # -- the action at a point or on the rows of a batch -------------------
 
@@ -290,7 +268,8 @@ class MobiusMap:
         return float(det[0]) if x.ndim == 1 else det
 
     def jet(self, x) -> _TransportState:
-        """Image point with all derivatives needed to chain-rule a 2-jet."""
+        """Image point, log |det J|, J and grad log |det J| at a point: all
+        that a 2-jet's chain rule needs, since the word is conformal."""
         st = self._walk(np.asarray(x, dtype=float)[None], 2)
         return _TransportState(*(field[0] for field in vars(st).values()))
 
@@ -328,12 +307,12 @@ class MobiusMap:
         return out
 
 
-def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3) -> MobiusMap:
-    """Draw a random word of n_atoms generators: each is an inversion with
+def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
+    """Draw a random word of 3 generators: each is an inversion with
     probability 0.35, a standard normal translation or a log-uniform
     dilation in [1/2, 2] with 0.25 each, and otherwise a random rotation."""
     atoms = []
-    for _ in range(n_atoms):
+    for _ in range(3):
         u = rng.uniform()
         if u < 0.35:
             atoms.append(Inversion())
@@ -350,7 +329,7 @@ def random_mobius_map(rng: np.random.Generator, n: int, n_atoms: int = 3) -> Mob
 
 def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
                                clearance: float) -> MobiusMap:
-    """Draw random words (default parameters) until one has every pole
+    """Draw random words (`random_mobius_map`) until one has every pole
     farther than clearance from every row of points; return that word."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     while True:
@@ -369,13 +348,12 @@ _RADIUS_SLACK = 1e-12  # relative tolerance of a Domain radius
 
 @dataclass(frozen=True)
 class Domain:
-    """Where a field is defined: the closed ball |x - center| <= r_outer,
-    centered at the origin by default. The default r_outer = inf is all of
-    R^n and takes no distance test, so every row counts as inside. The
-    radius is matched within a relative 1e-12, so a point built as
-    fl(R * direction) on the boundary sphere counts as inside."""
+    """Where a field is defined: the closed ball |x| <= r_outer about the
+    origin. The default r_outer = inf is all of R^n and takes no distance
+    test, so every row counts as inside. The radius is matched within a
+    relative 1e-12, so a point built as fl(R * direction) on the boundary
+    sphere counts as inside."""
 
-    center: np.ndarray | float = 0.0
     r_outer: float = math.inf
 
     def contains(self, x):
@@ -383,7 +361,7 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.r_outer == math.inf:
             return np.full(x.shape[:-1], True)
-        return np.linalg.norm(x - self.center, axis=-1) <= self.r_outer * (1.0 + _RADIUS_SLACK)
+        return np.linalg.norm(x, axis=-1) <= self.r_outer * (1.0 + _RADIUS_SLACK)
 
 
 def _lift(evaluator: Callable, n: int) -> Callable:
@@ -414,9 +392,9 @@ class ScalarField:
                  domain: Domain | None = None, tag: str | None = None,
                  jets: Callable | None = None):
         if n < 3:
-            raise ValueError(f"dimension n={n} must be >= 3")
+            raise ConfigError(f"dimension n={n} must be >= 3")
         if (evaluator is None) == (jets is None):
-            raise ValueError("give exactly one of evaluator and jets")
+            raise ConfigError("give exactly one of evaluator and jets")
         self.n = n
         self._jets = jets if jets is not None else _lift(evaluator, n)
         self.domain = domain if domain is not None else Domain()
@@ -430,9 +408,9 @@ class ScalarField:
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"points must have shape (N, {self.n})")
+            raise ConfigError(f"points must have shape (N, {self.n})")
         if order not in (0, 2):
-            raise ValueError(f"jet order must be 0 or 2, got {order}")
+            raise ConfigError(f"jet order must be 0 or 2, got {order}")
         outside = np.flatnonzero(~self.domain.contains(X))
         if outside.size:
             x = X[outside[0]]
@@ -452,7 +430,7 @@ class ScalarField:
     def _row(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
-            raise ValueError(f"point must have shape ({self.n},)")
+            raise ConfigError(f"point must have shape ({self.n},)")
         return x[None]
 
     def raw_jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
@@ -488,26 +466,34 @@ def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
     jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
     order 0 only the values come back; uy may then stack several fields on
-    leading axes, and the conformal factor broadcasts over them."""
+    leading axes, and the conformal factor broadcasts over them.
+
+    psi pulls |dy|^2 back to e^{2 sigma} |dx|^2, sigma = log|det J| / n. With
+    mu = grad sigma and s = (n-2)/2, so that |J|^p = e^{s sigma}, two facts of
+    that metric fix every second derivative from J and mu:
+    - its Christoffel symbols are the word's second derivatives,
+      d^2 y_a / dx_j dx_k = J_aj mu_k + J_ak mu_j - delta_jk (J mu)_a;
+    - it is flat, so its Schouten tensor vanishes: hess sigma = mu mu^T - |mu|^2 I / 2
+      (in this module's terms, A(|J|^p) = 0, |J|^p being the pullback of 1).
+    With c = |J|^p, grad c = s c mu and gv = J^T gy, the product rule
+    hess(c uy) = c hess(u o psi) + grad c gv^T + gv grad c^T + uy hess c
+    then collapses to
+      grad = c (gv + s uy mu),
+      hess = c (J^T hy J + (n/2) (w mu^T + mu w^T) - (w . mu) I),  w = gv + s uy mu / 2.
+    """
     n = st.y.shape[1]
     p = (n - 2.0) / (2.0 * n)
-    # conformal factor c = |J|^p
-    c = np.exp(p * st.log_det)
+    c, s = np.exp(p * st.log_det), n * p
     if st.jac is None:
         return c * uy, None, None
-    jac, hword, gld = st.jac, st.hess, st.grad_log_det
-    # v = u o psi and its jet
+    jac, mu = st.jac, st.grad_log_det / n
     jac_t = jac.swapaxes(1, 2)
     gv = (jac_t @ gy[:, :, None])[:, :, 0]
-    hv = jac_t @ hy @ jac + np.einsum("na,najk->njk", gy, hword)
-    # the jet of c
-    gc = (p * c)[:, None] * gld
-    hc = c[:, None, None] * (p * st.hess_log_det
-                             + (p * p) * (gld[:, :, None] * gld[:, None, :]))
-    grad = c[:, None] * gv + uy[:, None] * gc
-    hess = c[:, None, None] * hv + gc[:, :, None] * gv[:, None, :] \
-        + gv[:, :, None] * gc[:, None, :] + uy[:, None, None] * hc
-    return c * uy, grad, hess
+    w = gv + (0.5 * s * uy)[:, None] * mu
+    wm = w[:, :, None] * mu[:, None, :]
+    hess = jac_t @ hy @ jac + (0.5 * n) * (wm + wm.swapaxes(1, 2)) \
+        - np.einsum("ij,ij->i", w, mu)[:, None, None] * np.eye(n)
+    return c * uy, c[:, None] * (gv + (s * uy)[:, None] * mu), c[:, None, None] * hess
 
 
 def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:

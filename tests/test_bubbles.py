@@ -322,12 +322,14 @@ def test_harnack_grid_directions_are_read_only():
 
 
 def test_harnack_polish_keeps_grid_value_outside_the_domain():
-    # u = 1 + |x - p|^2 / 2: every Newton step lands on p, which projects
-    # onto 2 p_hat, the exact minimum over B_2. A ball domain shifted
-    # against p_hat holds every grid point but not 2 p_hat.
+    # u = 1 + |x - p|^2 / 2 around the center o: every Newton step lands
+    # on p, which projects onto o + 2 p_hat, the exact minimum over B_2(o).
+    # Here o = -shift = p_hat / 2, and the origin-centred ball of radius
+    # rho holds every grid point but not o + 2 p_hat.
     n = 3
     p_hat = np.ones(n) / math.sqrt(n)
-    p = 10.0 * p_hat
+    shift = -0.5 * p_hat
+    p = 10.0 * p_hat - shift
 
     def jets(X, order):
         d = X - p
@@ -336,22 +338,21 @@ def test_harnack_polish_keeps_grid_value_outside_the_domain():
             return val, None, None
         return val, d, np.broadcast_to(np.eye(n), (len(X), n, n))
 
-    shift = -0.5 * p_hat
-    grid = 2.0 * np.linspace(0.0, 1.0, 3)[:, None, None] \
+    grid = -shift + 2.0 * np.linspace(0.0, 1.0, 3)[:, None, None] \
         * bubbles._grid_directions(n, 2)[None]
-    reach = np.linalg.norm(grid.reshape(-1, n) - shift, axis=1).max()
+    reach = np.linalg.norm(grid.reshape(-1, n), axis=1).max()
     rho = 0.5 * (reach + 2.5)
     assert reach < rho < 2.5
     grid_min = 1.0 + 0.5 * np.min(np.sum((grid.reshape(-1, n) - p) ** 2, axis=1))
     exact_min = 1.0 + 0.5 * 8.0 ** 2
 
     whole = sl.ScalarField(n, jets=jets)
-    rep = sl.harnack_product(whole, 1.0, n_radial=3, n_angular=2)
+    rep = sl.harnack_product(whole, 1.0, center=-shift, n_radial=3, n_angular=2)
     assert rep.min_2br == pytest.approx(exact_min, rel=1e-14)
     assert rep.min_2br < grid_min
 
-    shifted = sl.ScalarField(n, jets=jets, domain=sl.Domain(center=shift, r_outer=rho))
-    rep = sl.harnack_product(shifted, 1.0, n_radial=3, n_angular=2)
+    ball = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=rho))
+    rep = sl.harnack_product(ball, 1.0, center=-shift, n_radial=3, n_angular=2)
     assert rep.min_2br == pytest.approx(grid_min, rel=1e-14)
 
 
