@@ -334,5 +334,5 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
 def sweep_supremum(rows: list[SweepRow]) -> float:
     """Largest scaled product in the sweep (the empirical lower bound)."""
     if not rows:
-        raise ValueError("cannot take the supremum of an empty sweep")
+        raise ConfigError("cannot take the supremum of an empty sweep")
     return max(row.product_scaled for row in rows)

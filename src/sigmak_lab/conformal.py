@@ -87,8 +87,8 @@ def _checked_jets(points, u, grad, hess):
     bad = np.flatnonzero(asym > 1e-12 * scale)
     if bad.size:
         i = bad[0]
-        raise ValueError(f"hessian asymmetry {asym[i]:.3e} exceeds tolerance "
-                         f"at {points[i]}")
+        raise ConfigError(f"hessian asymmetry {asym[i]:.3e} exceeds tolerance "
+                          f"at {points[i]}")
     return u, grad, 0.5 * (hess + hess_t)
 
 
@@ -418,13 +418,13 @@ class ScalarField:
         u, grad, hess = self._jets(X, order)
         u = np.asarray(u, dtype=float)
         if u.shape != (len(X),):
-            raise ValueError("field values do not match the number of points")
+            raise ConfigError("field values do not match the number of points")
         _require_positive(X, u)
         if order:
             grad = np.asarray(grad, dtype=float)
             hess = np.asarray(hess, dtype=float)
             if grad.shape != X.shape or hess.shape != X.shape + (self.n,):
-                raise ValueError("jet component shapes do not match the point dimension")
+                raise ConfigError("jet component shapes do not match the point dimension")
         return u, grad, hess
 
     def _row(self, x) -> np.ndarray:

@@ -48,9 +48,11 @@ s the small factor of A = s (2 - s): s = 1 - xi' up to the turning point
 xi' = 0 and s = 1 + xi' past it, so A keeps its digits both near the
 origin (xi' -> 1) and far out (xi' -> -1). Steps use the embedded
 8(5,3) Dormand-Prince pair DOP853 of Hairer, Norsett and Wanner, whose
-tableau is kept below; its error control alone sets the mesh. Every node is
-mapped back to (r, u, u'), and `profile_to_field` interpolates in the same
-chart by a septic Hermite, with the equation differentiated once for
+tableau is kept below; its error control alone sets the mesh. The step is
+compiled from it with zero entries dropped and each sum in the tableau's
+order, which keeps every profile bit for bit. Every node is mapped back
+to (r, u, u'), and `profile_to_field` interpolates in the same chart by a
+septic Hermite, with the equation differentiated once for
 xi''' = -2 xi' (k g1 A + k (g1 - 1) xi'' - (k - 1) xi''^2 / A), g1 = (n-2k)/(2k).
 The run aborts cleanly when the cone margin is lost; past the cone boundary
 the operator is no longer elliptic and the computed branch is meaningless.
@@ -61,7 +63,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -317,21 +318,25 @@ def _t_kernel(n: int, k: int):
     return rhs
 
 
-def _dop853_step(rhs, xi, s, side, f, h):
+def _weighted(w, k):
+    """Source of the sum of w[j] * k<j>, left to right, the zero weights dropped."""
+    return " + ".join(f"{c!r} * {k}{j}" for j, c in enumerate(w) if c != 0.0)
+
+
+exec('''def _dop853_step(rhs, xi, s, side, f, h):
     """One DOP853 step of length h from (xi, s), f = rhs(xi, s, side).
 
     Returns (xi, s) of the 8th-order solution and the two error vectors
     (e5, e3) of Hairer's estimate, each a pair over (xi, s) still to be
-    scaled by h. Eleven right-hand sides: the first stage is f.
+    scaled by h. Eleven right-hand sides: the first stage is f. Compiled from
+    the tableau, zeros dropped and sums in its order: bit for bit a loop's.
     """
-    kx, ks = [f[0]], [f[1]]
-    for row in _DOP_A:
-        fx, fs = rhs(xi + h * sum(map(mul, row, kx)), s + h * sum(map(mul, row, ks)), side)
-        kx.append(fx)
-        ks.append(fs)
-    return (xi + h * sum(map(mul, _DOP_B, kx)), s + h * sum(map(mul, _DOP_B, ks)),
-            (sum(map(mul, _DOP_E5, kx)), sum(map(mul, _DOP_E5, ks))),
-            (sum(map(mul, _DOP_E3, kx)), sum(map(mul, _DOP_E3, ks))))
+    x0, s0 = f
+{}
+    return (xi + h * ({}), s + h * ({}), ({}, {}), ({}, {}))'''.format("\n".join(
+    f"    x{i}, s{i} = rhs(xi + h * ({_weighted(a, 'x')}), s + h * ({_weighted(a, 's')}), side)"
+    for i, a in enumerate(_DOP_A, 1)),
+    *(_weighted(w, k) for w in (_DOP_B, _DOP_E5, _DOP_E3) for k in "xs")), globals())
 
 
 def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float]:
@@ -565,7 +570,7 @@ def _hermite7(s, h, left, right, order):
     for j, pair in enumerate(zip(lo, hi), 1):
         hj = hj * h / j  # h^j / j!
         weights += [hj * v for v in pair]
-    val, *ders = (sum(map(mul, weights, npoly.polyval(s, basis)))
+    val, *ders = (sum(w * b for w, b in zip(weights, npoly.polyval(s, basis)))
                   for basis in _SEPTIC_DER[:3 if order else 1])
     return (f0 + val, ders[0] / h, ders[1] / (h * h)) if order else (f0 + val, None, None)
 

@@ -59,11 +59,11 @@ class ConeMembership(NamedTuple):
 def _as_lambda(values) -> np.ndarray:
     lam = np.asarray(values, dtype=float)
     if lam.ndim != 1:
-        raise ValueError(f"eigenvalue vector must be 1-D, got shape {lam.shape}")
+        raise ConfigError(f"eigenvalue vector must be 1-D, got shape {lam.shape}")
     if lam.size < 3:
-        raise ValueError(f"eigenvalue vector needs dimension n >= 3, got {lam.size}")
+        raise ConfigError(f"eigenvalue vector needs dimension n >= 3, got {lam.size}")
     if not np.all(np.isfinite(lam)):
-        raise ValueError("eigenvalue vector has non-finite entries")
+        raise ConfigError("eigenvalue vector has non-finite entries")
     return lam
 
 
@@ -159,7 +159,7 @@ def homotopy_vector(lam, spec: OperatorSpec) -> np.ndarray:
     """The mixed argument t*lam + (1-t)*sigma_1(lam)/n."""
     lam = _as_lambda(lam)
     if lam.size != spec.n:
-        raise ValueError(f"vector has dimension {lam.size}, spec expects {spec.n}")
+        raise ConfigError(f"vector has dimension {lam.size}, spec expects {spec.n}")
     return _uniform_mix(lam, spec.t)
 
 
@@ -228,7 +228,7 @@ def check_concavity(k: int, lam, mu) -> bool:
     lam = _as_lambda(lam)
     mu = _as_lambda(mu)
     if lam.size != mu.size:
-        raise ValueError("endpoints have mismatched dimensions")
+        raise ConfigError("endpoints have mismatched dimensions")
     for name, vec in (("lam", lam), ("mu", mu)):
         member = in_gamma_k(vec, k)
         if not member.inside:

@@ -76,11 +76,11 @@ def test_bubble_jets_match_finite_differences():
 
 
 def test_bubble_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.BubbleSpec(2, 1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.BubbleSpec(3, 1, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.BubbleSpec(3, 4, 1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):
@@ -398,6 +398,8 @@ def test_sweep_supremum_approaches_limit():
     limit = sl.c_constant(3, 1) ** 2 * 0.5
     assert sup <= limit * 1.01
     assert sup == pytest.approx(limit, rel=0.01)
+    with pytest.raises(ConfigError, match="empty sweep"):
+        sl.sweep_supremum([])
 
 
 def test_sweep_with_word_images_stays_bounded():

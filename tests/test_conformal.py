@@ -34,7 +34,7 @@ def _safe_point(rng, psi, n, lo=0.5, hi=2.5, far=40.0):
 def test_jet_validation():
     with pytest.raises(PositivityError):
         sl.Jet2(np.zeros(3), -1.0, np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="asymmetry"):
         sl.Jet2(np.zeros(3), 1.0, np.zeros(3),
                 np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     jet = sl.Jet2(np.zeros(3), 1.0, np.zeros(3), np.eye(3))
@@ -131,6 +131,27 @@ def test_constructor_and_argument_checks_are_config_errors():
     for call in bad_calls:
         with pytest.raises(ConfigError):
             call()
+
+
+def test_malformed_evaluator_jets_are_config_errors():
+    # a batch evaluator that returns the wrong number of values, a gradient or
+    # hessian of the wrong shape, or an asymmetric hessian is a ConfigError
+    # (still a ValueError), each named by its own message
+    n, pts = 3, np.full((2, 3), 0.1)
+    u, grad, hess = np.ones(2), np.zeros((2, n)), np.zeros((2, n, n))
+    skew = hess.copy()
+    skew[:, 0, 1] = 1.0
+    cases = [((np.ones(3), grad, hess), "number of points"),
+             ((u, np.zeros((2, n + 1)), hess), "point dimension"),
+             ((u, grad, np.zeros((2, n, n + 1))), "point dimension")]
+    for out, match in cases:
+        field = sl.ScalarField(n, jets=lambda X, order, out=out: out)
+        with pytest.raises(ConfigError, match=match):
+            field.jets(pts)
+    field = sl.ScalarField(n, jets=lambda X, order: (u, grad, skew))
+    with pytest.raises(ConfigError, match="asymmetry"):
+        sl.verify_solution(field, n, 1, sample_points=pts)
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_mobius_jet_against_finite_differences():
@@ -331,7 +352,7 @@ def test_batch_checks_name_the_first_bad_point():
         ball.jets(pts)
     skew = sl.ScalarField(n, lambda x: (1.0, np.zeros(n),
                                         np.array([[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])))
-    with pytest.raises(ValueError, match="asymmetry"):
+    with pytest.raises(ConfigError, match="asymmetry"):
         sl.verify_solution(skew, n, 1, sample_points=pts)
     with pytest.raises(PoleError):
         sl.kelvin_transform(sl.constant_field(1.0, n)).values(np.vstack([pts, np.zeros(n)]))

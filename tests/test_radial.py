@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from operator import mul
 
 import numpy as np
 import pytest
@@ -235,6 +236,72 @@ def test_shoot_profile_structure_and_cone_persistence():
     margins = np.array(margins)
     assert np.all(margins > 0.0)
     assert margins.min() >= 0.5 * margins[0]
+
+
+def _loop_dop853_step(rhs, xi, s, side, f, h):
+    """Reference DOP853 step: every stage sum a loop over the full tableau row."""
+    kx, ks = [f[0]], [f[1]]
+    for row in radial._DOP_A:
+        fx, fs = rhs(xi + h * sum(map(mul, row, kx)), s + h * sum(map(mul, row, ks)), side)
+        kx.append(fx)
+        ks.append(fs)
+    return (xi + h * sum(map(mul, radial._DOP_B, kx)), s + h * sum(map(mul, radial._DOP_B, ks)),
+            (sum(map(mul, radial._DOP_E5, kx)), sum(map(mul, radial._DOP_E5, ks))),
+            (sum(map(mul, radial._DOP_E3, kx)), sum(map(mul, radial._DOP_E3, ks))))
+
+
+def test_dop853_step_is_bit_identical_to_the_loop_over_full_rows():
+    # the compiled step drops the tableau's zero entries but keeps every sum
+    # in its order, so on admissible states within 20% of H = 0, either side
+    # of the turning point, of every bench pair 3 <= n <= 6, it returns the
+    # loop's (xi, s, e5, e3) exactly, with the same 11 right-hand sides; a
+    # step whose stage leaves the cone fails the same way in both
+    rng = np.random.default_rng(853)
+    compared = failed = 0
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            rhs = radial._t_kernel(n, k)
+            lam0 = math.comb(n, k) ** (-1.0 / k)
+            for side in (1.0, -1.0):
+                done = 0
+                while done < 6:
+                    xi = rng.uniform(-3.0, -0.5)
+                    a = 2.0 * lam0 * math.exp(2.0 * xi) * rng.uniform(0.8, 1.2)
+                    s, h = a / (1.0 + math.sqrt(1.0 - a)), rng.uniform(0.005, 0.5)
+                    f, calls = rhs(xi, s, side), []
+
+                    def counted(*args):
+                        calls.append(args)
+                        return rhs(*args)
+                    try:
+                        want = _loop_dop853_step(rhs, xi, s, side, f, h)
+                    except ConeDomainError as exc:
+                        with pytest.raises(ConeDomainError, match=re.escape(str(exc))):
+                            radial._dop853_step(rhs, xi, s, side, f, h)
+                        failed += 1
+                        continue
+                    assert radial._dop853_step(counted, xi, s, side, f, h) == want
+                    assert len(calls) == 11
+                    done += 1
+                    compared += 1
+    assert compared == 216 and failed < compared
+
+
+def test_dop853_tableau_matches_the_published_nodes_and_weights():
+    # Hairer, Norsett and Wanner, Solving ODEs I, II.5 (dop853.f): the row
+    # sums of a are the nodes c2..c12; b sums to 1 and both error weight
+    # vectors (b - bhat of orders 5 and 3) to 0
+    nodes = (0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+             0.118350341907227396726757197510, 0.281649658092772603273242802490,
+             0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+             0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0)
+    assert [len(row) for row in radial._DOP_A] == list(range(1, 12))
+    for row, c in zip(radial._DOP_A, nodes):
+        assert abs(math.fsum(row) - c) <= 1e-14
+    assert len(radial._DOP_B) == len(radial._DOP_E5) == len(radial._DOP_E3) == 12
+    assert abs(math.fsum(radial._DOP_B) - 1.0) <= 1e-15
+    assert abs(math.fsum(radial._DOP_E5)) <= 1e-15
+    assert abs(math.fsum(radial._DOP_E3)) <= 1e-15
 
 
 def test_shoot_fixed_step_eighth_order():

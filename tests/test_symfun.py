@@ -52,14 +52,20 @@ def test_sigma_matches_enumeration_signed_vectors_mass_relative():
 
 
 def test_sigma_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.sigma([1.0, 2.0, 3.0], 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.sigma([1.0, 2.0, 3.0], -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.sigma([1.0, 2.0], 1)          # dimension below 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.sigma([1.0, np.inf, 3.0], 1)
+    with pytest.raises(ConfigError, match="1-D"):
+        sl.sigma(np.ones((2, 3)), 1)
+    with pytest.raises(ConfigError, match="spec expects 4"):
+        sl.homotopy_vector([1.0, 2.0, 3.0], sl.OperatorSpec(4, 2, 0.5))
+    with pytest.raises(ConfigError, match="mismatched"):
+        sl.check_concavity(1, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_sigma_zero_index_must_be_an_integer():
@@ -171,9 +177,9 @@ def test_cone_nesting(n, data):
 # ---------------------------------------------------------------------------
 
 def test_operator_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.OperatorSpec(3, 2, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sl.OperatorSpec(3, 4, 0.5)
 
 
