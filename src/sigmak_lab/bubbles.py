@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
-    _require_positive, _schouten_batch, random_mobius_map_avoiding
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _conformal_factor, \
+    _pullback, _require_positive, _schouten_batch, random_mobius_map_avoiding
 from .errors import ConfigError, PositivityError, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
@@ -72,14 +72,19 @@ class BubbleSpec:
         object.__setattr__(self, "center", c)
 
 
+def _bubble_radial(n: int, k: int, a, r2):
+    """(u, amp, w) at squared distance r2: u = amp w^-m, amp = c(n, k) a^m, w = 1 + a^2 r2."""
+    m = (n - 2.0) / 2.0
+    amp, w = c_constant(n, k) * a ** m, 1.0 + a * a * r2
+    return amp * w ** (-m), amp, w
+
+
 def _bubble_jets(n: int, k: int, a, center, X, order: int):
     """Jets of the family member of scale a and center at the rows of X
     (..., n); an array a broadcasts against the leading axes of X."""
     m = (n - 2.0) / 2.0
     d = X - center
-    amp = c_constant(n, k) * a ** m
-    w = 1.0 + a * a * np.einsum("...j,...j->...", d, d)
-    val = amp * w ** (-m)
+    val, amp, w = _bubble_radial(n, k, a, np.einsum("...j,...j->...", d, d))
     if not order:
         return val, None, None
     # u' factors: grad = -2 m a^2 amp w^{-m-1} d
@@ -193,7 +198,8 @@ def _harnack_cells(grid_values, jets, domain: Domain, center: np.ndarray,
     (N, n) in blocks (B, N); jets(X, order, cells) gives the jets of cell
     cells[i] at row i. One grid of shells (n_radial radii times the 2n axes
     and n_angular*(n-1) Halton directions), scaled exactly by 2 for B_2R,
-    serves every cell. From the best grid points one stacked Newton step,
+    serves every cell; a block takes only its first argmax over B_R and
+    argmin over B_2R. From the best grid points one stacked Newton step,
     projected into its ball, wins where strictly better. A singular hessian
     (LinAlgError, the only error caught) keeps both grid extrema of its own
     cell; a trial point with a non-finite step or outside the domain keeps
@@ -211,9 +217,9 @@ def _harnack_cells(grid_values, jets, domain: Domain, center: np.ndarray,
     pts = (center + np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
     idx, v = [], []
     for vals in grid_values(pts):
-        vals = vals.reshape(-1, 2, len(shell))
-        idx.append(np.argmax(sign[:, None] * vals, axis=2) + [0, len(shell)])
-        v.append(np.take_along_axis(vals.reshape(len(vals), -1), idx[-1], axis=1))
+        idx.append(np.stack([vals[:, :len(shell)].argmax(axis=1),
+                             vals[:, len(shell):].argmin(axis=1) + len(shell)], axis=1))
+        v.append(np.take_along_axis(vals, idx[-1], axis=1))
     x, v = pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
     cells, ball = np.divmod(np.arange(len(x)), 2)
     _, grad, hess = jets(x, 2, cells)
@@ -273,20 +279,21 @@ class SweepRow:
 
 def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
     """(grid_values, jets) for `_harnack_cells` of the word images
-    |J_psi|^p (u_a o psi) of the centered family over the scales a: the word
-    walks the grid once, and the closed form is broadcast over blocks of
-    scales holding at most _BLOCK_VALUES grid values."""
-    def pulled(st, X, order, a):
-        u, grad, hess = _pullback(st, *_bubble_jets(n, k, a, 0.0, st.y, order))
-        return _require_positive(X, u), grad, hess
-
+    |J_psi|^p (u_a o psi) of the centered family over the scales a: per grid
+    the word walk, r2 = |psi(x)|^2 and |J_psi|^p are formed once, per block
+    of scales (at most _BLOCK_VALUES grid values) only the closed form in r2
+    times |J_psi|^p, bit for bit `_pullback` of `_bubble_jets` (the polish)."""
     def grid_values(X):
         st, block = psi._walk(X, 0), max(1, _BLOCK_VALUES // len(X))
+        r2, conf = np.einsum("...j,...j->...", st.y, st.y), _conformal_factor(st)
         for lo in range(0, scales.size, block):
-            yield pulled(st, X, 0, scales[lo:lo + block, None])[0]
+            a = scales[lo:lo + block, None]
+            yield _require_positive(X, conf * _bubble_radial(n, k, a, r2)[0])
 
     def jets(X, order, cells):
-        return pulled(psi._walk(X, order), X, order, scales[cells])
+        st = psi._walk(X, order)
+        u, grad, hess = _pullback(st, *_bubble_jets(n, k, scales[cells], 0.0, st.y, order))
+        return _require_positive(X, u), grad, hess
     return grid_values, jets
 
 
@@ -301,8 +308,9 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
     Each (word, R) pair is one `_harnack_cells` stack over all scales
-    (`_family`), the bubble rows that of the empty word. Rows come back in
-    fixed order (label-major, then a-major, then R), and the empirical
+    (`_family`: scale-free grid work once per pair, the closed form once per
+    block of scales), the bubble rows that of the empty word. Rows come back
+    in fixed order (label-major, then a-major, then R), and the empirical
     supremum is a lower bound for the sharp constant. Empty grids give an
     empty list.
     """

@@ -59,9 +59,9 @@ __all__ = [
 def _require_positive(X, u):
     """u, once every entry is checked positive; u's last axis runs over the
     rows of X (N, n), and the PositivityError names the first bad point."""
-    bad = np.flatnonzero(~(u > 0.0))
-    if bad.size:
-        x, val = X[bad[0] % len(X)], u.flat[bad[0]]
+    if not (u > 0.0).all():
+        bad = np.flatnonzero(~(u > 0.0))[0]
+        x, val = X[bad % len(X)], u.flat[bad]
         raise PositivityError(f"value {val} is not positive at {x}", where=x, value=val)
     return u
 
@@ -462,6 +462,11 @@ def constant_field(value: float, n: int) -> ScalarField:
     return ScalarField(n, tag=f"const({value})", jets=jets)
 
 
+def _conformal_factor(st: _TransportState) -> np.ndarray:
+    """|J_psi|^p = exp(p log|det J|), p = (n-2)/(2n), at the points st.y."""
+    return np.exp((st.y.shape[1] - 2.0) / (2.0 * st.y.shape[1]) * st.log_det)
+
+
 def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
     jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
@@ -482,8 +487,7 @@ def _pullback(st: _TransportState, uy, gy, hy):
       hess = c (J^T hy J + (n/2) (w mu^T + mu w^T) - (w . mu) I),  w = gv + s uy mu / 2.
     """
     n = st.y.shape[1]
-    p = (n - 2.0) / (2.0 * n)
-    c, s = np.exp(p * st.log_det), n * p
+    c, s = _conformal_factor(st), (n - 2.0) / 2.0
     if st.jac is None:
         return c * uy, None, None
     jac, mu = st.jac, st.grad_log_det / n

@@ -255,6 +255,48 @@ def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
     assert many.count(2) == 3 * 2
 
 
+def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
+    # r2 = |psi(x)|^2 and the conformal factor once per (word, R) grid;
+    # every block of scales of that grid reuses the same r2 array
+    factors, grid_r2 = [], []
+    factor, radial = bubbles._conformal_factor, bubbles._bubble_radial
+
+    def counting_factor(st):
+        factors.append(st)
+        return factor(st)
+
+    def recording_radial(n, k, a, r2):
+        if np.ndim(a) == 2:
+            grid_r2.append(r2)
+        return radial(n, k, a, r2)
+
+    monkeypatch.setattr(bubbles, "_conformal_factor", counting_factor)
+    monkeypatch.setattr(bubbles, "_bubble_radial", recording_radial)
+    for a_count, block_values in ((25, 1), (25, 2 ** 30), (2, 2 ** 15)):
+        monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
+        factors.clear()
+        grid_r2.clear()
+        rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
+                                n_radial=16, n_angular=8, mobius_words=2)
+        assert len(rows) == 3 * 2 * a_count
+        assert len(factors) == 3 * 2
+        assert len({id(r2) for r2 in grid_r2}) == 3 * 2
+        assert len(grid_r2) == 3 * 2 * (a_count if block_values == 1 else 1)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
+def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, n, k):
+    # one scale per block against all 25 scales in one block: equal bits
+    def rows(block_values):
+        monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
+        return sl.harnack_sweep(n, k, np.geomspace(1e-2, 1e4, 25), [0.5, 1.0],
+                                n_radial=48, n_angular=16, mobius_words=2, seed=5)
+
+    single, whole = rows(1), rows(2 ** 30)
+    assert len(single) == 3 * 25 * 2
+    assert single == whole
+
+
 def _polish_rule_fields(n):
     # u = 1 + |x - p|^2 / 2: every Newton step lands on p, which projects
     # onto 2 p_hat, the exact minimum over B_2 and no grid point

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
+from sigmak_lab.conformal import _require_positive
 from sigmak_lab.errors import ConfigError, PoleError, PositivityError
 
 from fd_oracles import fd_jet_of_field
@@ -356,3 +357,20 @@ def test_batch_checks_name_the_first_bad_point():
         sl.verify_solution(skew, n, 1, sample_points=pts)
     with pytest.raises(PoleError):
         sl.kelvin_transform(sl.constant_field(1.0, n)).values(np.vstack([pts, np.zeros(n)]))
+
+
+def test_positivity_check_names_the_first_bad_value_of_a_stack():
+    # a (B, N) stack over the rows of X: the first bad value in flat order
+    # is in row 1, column 3, so it names X[3]; NaN fails the check too
+    X = np.arange(12.0).reshape(4, 3)
+    u = np.ones((3, 4))
+    assert _require_positive(X, u) is u
+    u[2, 0], u[1, 3] = np.nan, -1.0
+    with pytest.raises(PositivityError, match="value -1.0 is not positive") as err:
+        _require_positive(X, u)
+    np.testing.assert_array_equal(err.value.where, X[3])
+    assert err.value.value == -1.0
+    u[1, 3] = 1.0
+    with pytest.raises(PositivityError, match="value nan") as err:
+        _require_positive(X, u)
+    np.testing.assert_array_equal(err.value.where, X[0])
