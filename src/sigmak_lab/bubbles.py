@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,14 @@ class BubbleSpec:
         object.__setattr__(self, "center", c)
 
 
-def _bubble_radial(n: int, k: int, a, r2):
-    """(u, amp, w) at squared distance r2: u = amp w^-m, amp = c(n, k) a^m, w = 1 + a^2 r2."""
+def _bubble_radial(n: int, k: int, a, r2, out):
+    """(u, amp, w) at squared distance r2: u = amp w^-m, amp = c(n, k) a^m, w = 1 + a^2 r2;
+    given an array out, every step runs in it, u is out and w comes back None."""
     m = (n - 2.0) / 2.0
-    amp, w = c_constant(n, k) * a ** m, 1.0 + a * a * r2
-    return amp * w ** (-m), amp, w
+    amp = c_constant(n, k) * a ** m
+    w = np.add(1.0, np.multiply(a * a, r2, out=out), out=out)
+    u = np.multiply(amp, w ** (-m) if out is None else operator.ipow(w, -m), out=out)
+    return u, amp, (w if out is None else None)
 
 
 def _bubble_jets(n: int, k: int, a, center, X, order: int):
@@ -84,7 +88,7 @@ def _bubble_jets(n: int, k: int, a, center, X, order: int):
     (..., n); an array a broadcasts against the leading axes of X."""
     m = (n - 2.0) / 2.0
     d = X - center
-    val, amp, w = _bubble_radial(n, k, a, np.einsum("...j,...j->...", d, d))
+    val, amp, w = _bubble_radial(n, k, a, np.einsum("...j,...j->...", d, d), None)
     if not order:
         return val, None, None
     # u' factors: grad = -2 m a^2 amp w^{-m-1} d
@@ -183,44 +187,63 @@ _BLOCK_VALUES = 2 ** 15  # grid values of the family held at once by a sweep
 
 @functools.lru_cache
 def _grid_directions(n: int, n_angular: int) -> np.ndarray:
-    """Read-only grid directions: the 2n axes, then n_angular*(n-1) Halton ones."""
+    """Read-only grid directions: the 2n axes, then max(1, n_angular*(n-1)) Halton ones."""
     dirs = np.vstack([np.eye(n), -np.eye(n),
                       sphere_directions(max(1, n_angular * (n - 1)), n)])
     dirs.flags.writeable = False
     return dirs
 
 
-def _harnack_cells(grid_values, jets, domain: Domain, center: np.ndarray,
-                   R: float, n_radial: int, n_angular: int):
-    """Harnack reports of a stack of fields (cells) around a center.
-
-    grid_values(X) yields the values of consecutive cells at the rows of X
-    (N, n) in blocks (B, N); jets(X, order, cells) gives the jets of cell
-    cells[i] at row i. One grid of shells (n_radial radii times the 2n axes
-    and n_angular*(n-1) Halton directions), scaled exactly by 2 for B_2R,
-    serves every cell; a block takes only its first argmax over B_R and
-    argmin over B_2R. From the best grid points one stacked Newton step,
-    projected into its ball, wins where strictly better. A singular hessian
-    (LinAlgError, the only error caught) keeps both grid extrema of its own
-    cell; a trial point with a non-finite step or outside the domain keeps
-    its grid value.
-    """
+def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int):
+    """(center, R, n_radial, shells): shells (S, D, n) holds B_R's shells, the
+    n_radial radii of linspace(0, R) times `_grid_directions`, then B_2R's,
+    them doubled, from n_radial // 2 on: linspace forms rho_i = fl(i step), so
+    B_2R's shell i is B_R's shell 2i bit for bit whenever 2i < n_radial - 1
+    (the last radius is R exactly) and no coordinate of rho_i d is subnormal."""
     check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
     if n_angular < 0:
         raise ConfigError(f"n_angular={n_angular} must be >= 0")
-    n = center.size
-    sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
-    shell = (np.linspace(0.0, R, n_radial)[:, None, None]
-             * _grid_directions(n, n_angular)).reshape(-1, n)
-    pts = (center + np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
+    shell = np.linspace(0.0, R, n_radial)[:, None, None] * _grid_directions(center.size, n_angular)
+    return center, R, n_radial, center + np.concatenate([shell, 2.0 * shell[n_radial // 2:]])
+
+
+def _grid_extrema(grid_values, grid):
+    """(x, v): per cell its first argmax over B_R, then its first argmin over B_2R,
+    shell by shell, direction by direction; B_2R's shell i < n_radial // 2 is B_R's 2i."""
+    _, _, n_radial, shells = grid
+    half, (_, width, n) = n_radial // 2, shells.shape
+    pts, inner = shells.reshape(-1, n), n_radial * width
     idx, v = [], []
     for vals in grid_values(pts):
-        idx.append(np.stack([vals[:, :len(shell)].argmax(axis=1),
-                             vals[:, len(shell):].argmin(axis=1) + len(shell)], axis=1))
-        v.append(np.take_along_axis(vals, idx[-1], axis=1))
-    x, v = pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+        rows = np.arange(len(vals))
+        hi, lo = vals[:, :inner].argmax(axis=1), vals[:, inner:].argmin(axis=1) + inner
+        if half:
+            even = vals[:, :2 * half * width].reshape(len(vals), half, 2 * width)[:, :, :width]
+            e = even.reshape(len(vals), -1).argmin(axis=1)
+            e += width * (e // width)
+            lo = np.where(vals[rows, lo] < vals[rows, e], lo, e)
+        idx.append(np.stack([hi, lo], axis=1))
+        v.append(vals[rows[:, None], idx[-1]])
+    return pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+
+
+def _harnack_cells(grid_values, jets, domain: Domain, grid):
+    """Harnack reports of a stack of fields (cells) on one `_harnack_grid`.
+
+    grid_values(X) yields the values of consecutive cells at the rows of X
+    (N, n) in blocks (B, N), each valid only until the next one is drawn;
+    jets(X, order, cells) gives the jets of cell cells[i] at row i. From
+    the best grid points (`_grid_extrema`) one stacked Newton step,
+    projected into its ball, wins where strictly better. A singular hessian
+    (LinAlgError, the only error caught) keeps both grid extrema of its own
+    cell; a trial point with a non-finite step or outside the domain keeps
+    its grid value.
+    """
+    center, R, n = grid[0], grid[1], grid[0].size
+    sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
+    x, v = _grid_extrema(grid_values, grid)
     cells, ball = np.divmod(np.arange(len(x)), 2)
     _, grad, hess = jets(x, 2, cells)
     grad, hess = grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
@@ -260,7 +283,7 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     center = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
     return _harnack_cells(lambda X: [u.values(X)[None]],
                           lambda X, order, cells: u.jets(X, order),
-                          u.domain, center, R, n_radial, n_angular)[0]
+                          u.domain, _harnack_grid(center, R, n_radial, n_angular))[0]
 
 
 @dataclass(frozen=True)
@@ -281,14 +304,16 @@ def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
     """(grid_values, jets) for `_harnack_cells` of the word images
     |J_psi|^p (u_a o psi) of the centered family over the scales a: per grid
     the word walk, r2 = |psi(x)|^2 and |J_psi|^p are formed once, per block
-    of scales (at most _BLOCK_VALUES grid values) only the closed form in r2
-    times |J_psi|^p, bit for bit `_pullback` of `_bubble_jets` (the polish)."""
+    of scales (at most _BLOCK_VALUES grid values, in one reused buffer) only
+    the closed form in r2 times |J_psi|^p, bit for bit `_pullback` of
+    `_bubble_jets` (the polish)."""
     def grid_values(X):
         st, block = psi._walk(X, 0), max(1, _BLOCK_VALUES // len(X))
         r2, conf = np.einsum("...j,...j->...", st.y, st.y), _conformal_factor(st)
+        buf = np.empty((min(block, scales.size), len(X)))
         for lo in range(0, scales.size, block):
-            a = scales[lo:lo + block, None]
-            yield _require_positive(X, conf * _bubble_radial(n, k, a, r2)[0])
+            u = _bubble_radial(n, k, scales[lo:lo + block, None], r2, buf[:scales.size - lo])[0]
+            yield _require_positive(X, np.multiply(conf, u, out=u))
 
     def jets(X, order, cells):
         st = psi._walk(X, order)
@@ -307,12 +332,12 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     each member; words whose poles land inside B_{3R+1/2} of the origin,
     R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
-    Each (word, R) pair is one `_harnack_cells` stack over all scales
-    (`_family`: scale-free grid work once per pair, the closed form once per
-    block of scales), the bubble rows that of the empty word. Rows come back
-    in fixed order (label-major, then a-major, then R), and the empirical
-    supremum is a lower bound for the sharp constant. Empty grids give an
-    empty list.
+    Each (word, R) pair is one `_harnack_cells` stack over all scales on R's
+    one `_harnack_grid` (`_family`: scale-free grid work once per pair, the
+    closed form once per block of scales), the bubble rows that of the empty
+    word. Rows come back in fixed order (label-major, then a-major, then R),
+    and the empirical supremum is a lower bound for the sharp constant. Empty
+    grids give an empty list.
     """
     a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
@@ -329,11 +354,11 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     words = [("bubble", MobiusMap(()))] + [
         (f"mobius{j}", random_mobius_map_avoiding(rng, n, np.zeros(n), clearance))
         for j in range(mobius_words)]
+    grids = [_harnack_grid(np.zeros(n), R, n_radial, n_angular) for R in r_vals]
     rows = []
     for label, psi in words:
         family = _family(n, k, np.array(a_vals), psi)
-        reps = [_harnack_cells(*family, Domain(), np.zeros(n), R, n_radial, n_angular)
-                for R in r_vals]
+        reps = [_harnack_cells(*family, Domain(), grid) for grid in grids]
         rows += [SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br, rep.product_scaled)
                  for a, by_r in zip(a_vals, zip(*reps)) for R, rep in zip(r_vals, by_r)]
     return rows

@@ -265,10 +265,10 @@ def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
         factors.append(st)
         return factor(st)
 
-    def recording_radial(n, k, a, r2):
+    def recording_radial(n, k, a, r2, out):
         if np.ndim(a) == 2:
             grid_r2.append(r2)
-        return radial(n, k, a, r2)
+        return radial(n, k, a, r2, out)
 
     monkeypatch.setattr(bubbles, "_conformal_factor", counting_factor)
     monkeypatch.setattr(bubbles, "_bubble_radial", recording_radial)
@@ -295,6 +295,131 @@ def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, n, k):
     single, whole = rows(1), rows(2 ** 30)
     assert len(single) == 3 * 25 * 2
     assert single == whole
+
+
+def _full_grid(center, R, n_radial, n_angular):
+    # the reference grid: B_R's shells, then every one of them doubled
+    n = center.size
+    shell = (np.linspace(0.0, R, n_radial)[:, None, None]
+             * bubbles._grid_directions(n, n_angular)).reshape(-1, n)
+    return center, R, n_radial, (center + np.array([1.0, 2.0])[:, None, None]
+                                 * shell).reshape(-1, n)
+
+
+def _full_scan(grid_values, grid):
+    # the reference scan: both halves evaluated, argmax over the first,
+    # argmin over the second, picked by take_along_axis
+    pts = grid[3]
+    half, idx, v = len(pts) // 2, [], []
+    for vals in grid_values(pts):
+        idx.append(np.stack([vals[:, :half].argmax(axis=1),
+                             vals[:, half:].argmin(axis=1) + half], axis=1))
+        v.append(np.take_along_axis(vals, idx[-1], axis=1))
+    return pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+
+
+def _with_full_scan(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(bubbles, "_harnack_grid", _full_grid)
+        patch.setattr(bubbles, "_grid_extrema", _full_scan)
+        return run()
+
+
+@pytest.mark.parametrize("n_radial", [1, 2, 3, 48, 99])
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
+def test_sweep_rows_equal_the_full_grid_scan(monkeypatch, n, k, n_radial):
+    # B_2R's shells shared with B_R are read from B_R's values; the rows
+    # equal those of evaluating both balls in full, ties to the first point
+    def sweep():
+        return sl.harnack_sweep(n, k, np.geomspace(1e-2, 1e4, 25), [0.5, 1.0, 2.5],
+                                n_radial=n_radial, n_angular=16, mobius_words=2, seed=7)
+
+    rows = sweep()
+    assert len(rows) == 3 * 25 * 3
+    assert rows == _with_full_scan(monkeypatch, sweep)
+
+
+@pytest.mark.parametrize("target", [1.0, np.linspace(0.0, 1.0, 99)[40], None],
+                         ids=["edge", "shared", "constant"])
+def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
+    # u = 1e-300 + (x_0 - target)^2 (constant 2 for None) on a ball of radius
+    # 3 around c, R = 1, 99 radii: the least grid value on B_2(c) sits on
+    # B_2R's shell 49 along e_0 (radius 2 rho_49 = 1 - 2^-53, not B_R's
+    # radius 1), on its shell 20 (B_R's shell 40), or everywhere (the first
+    # point wins). The hessian is singular, so the polish keeps the grid
+    # extrema and the reports must agree to the bit.
+    n, center = 3, np.array([0.0, 0.5, -0.25])
+
+    def jets(X, order):
+        val = np.full(len(X), 2.0) if target is None else 1e-300 + (X[:, 0] - target) ** 2
+        if not order:
+            return val, None, None
+        grad, hess = np.zeros((len(X), n)), np.zeros((len(X), n, n))
+        if target is not None:
+            grad[:, 0], hess[:, 0, 0] = 2.0 * (X[:, 0] - target), 2.0
+        return val, grad, hess
+
+    field = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=3.0))
+
+    def product():
+        return sl.harnack_product(field, 1.0, center=center, n_radial=99, n_angular=16)
+
+    rep, ref = product(), _with_full_scan(monkeypatch, product)
+    grid_min = {1.0: [1.0 - 2.0 ** -53, 0.5, -0.25], None: center}.get(target, [target, 0.5, -0.25])
+    np.testing.assert_array_equal(rep.argmin, grid_min)
+    assert (rep.R, rep.max_br, rep.min_2br, rep.product_scaled) \
+        == (ref.R, ref.max_br, ref.min_2br, ref.product_scaled)
+    np.testing.assert_array_equal(rep.argmax, ref.argmax)
+    np.testing.assert_array_equal(rep.argmin, ref.argmin)
+
+
+def test_doubled_inner_radii_and_shells_are_the_outer_ones_bit_for_bit():
+    # linspace forms rho_i = fl(i step), so 2 rho_i == rho_2i, and so the
+    # shells, for every 2i < n_radial - 1 (rho at n_radial - 1 is R exactly)
+    cases = 0
+    for n in (3, 6):
+        dirs = bubbles._grid_directions(n, 64)
+        for R in (1e-3, 0.3, 0.7777, 1.0, 2.5, 7.1, 1e5):
+            for n_radial in range(1, 130):
+                i = np.flatnonzero(2 * np.arange(n_radial) < n_radial - 1)
+                rho = np.linspace(0.0, R, n_radial)
+                shell = rho[:, None, None] * dirs
+                assert (2.0 * rho[i] == rho[2 * i]).all(), (n, R, n_radial)
+                assert (2.0 * shell[i] == shell[2 * i]).all(), (n, R, n_radial)
+                assert i.size == n_radial // 2
+                cases += i.size
+    assert cases == 58_240
+
+
+@pytest.mark.parametrize("n_radial", [7, 16])
+def test_sweep_walks_one_grid_per_radius_without_the_shared_shells(monkeypatch, n_radial):
+    # every word walks R's one grid: B_R's shells and B_2R's from
+    # n_radial // 2 on, (2 n_radial - n_radial // 2) D rows, D directions
+    n, n_angular, a_count, r_grid = 3, 8, 5, [1.0, 2.0]
+    width = 2 * n + n_angular * (n - 1)
+    grids, walked = [], []
+    make_grid, walk = bubbles._harnack_grid, sl.MobiusMap._walk
+
+    def counting_grid(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    def recording(self, X, order=0):
+        if order == 0 and len(X) > 2 * a_count:  # not the polish trial points
+            walked.append(X)
+        return walk(self, X, order)
+
+    monkeypatch.setattr(bubbles, "_harnack_grid", counting_grid)
+    monkeypatch.setattr(sl.MobiusMap, "_walk", recording)
+    rows = sl.harnack_sweep(n, 1, np.geomspace(1e-2, 1e4, a_count), r_grid,
+                            n_radial=n_radial, n_angular=n_angular, mobius_words=2)
+    assert len(rows) == 3 * a_count * len(r_grid)
+    assert len(grids) == len(r_grid)
+    assert len(walked) == 3 * len(r_grid)
+    assert {len(X) for X in walked} == {(2 * n_radial - n_radial // 2) * width}
+    for j, X in enumerate(walked):  # word-major, then R
+        for g, grid in enumerate(grids):
+            assert np.shares_memory(X, grid[3]) == (g == j % len(r_grid))
 
 
 def _polish_rule_fields(n):
@@ -339,8 +464,8 @@ def test_harnack_singular_hessian_stays_in_its_cell():
                      else np.stack([part[j] for part in parts])[cells, rows]
                      for j in range(3))
 
-    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(), np.zeros(n), R,
-                                  n_radial, n_angular)
+    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(),
+                                  bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular))
     assert (reps[0].max_br, reps[0].min_2br) == (2.0, 2.0)
     np.testing.assert_array_equal(reps[0].argmax, np.zeros(n))
     np.testing.assert_array_equal(reps[0].argmin, np.zeros(n))
