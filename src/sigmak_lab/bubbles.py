@@ -21,13 +21,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _conformal_factor, \
-    _pullback, _require_positive, _schouten_batch, random_mobius_map_avoiding
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
+    _require_positive, _schouten_batch, random_mobius_map_avoiding
 from .errors import ConfigError, PositivityError, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
@@ -73,22 +72,14 @@ class BubbleSpec:
         object.__setattr__(self, "center", c)
 
 
-def _bubble_radial(n: int, k: int, a, r2, out):
-    """(u, amp, w) at squared distance r2: u = amp w^-m, amp = c(n, k) a^m, w = 1 + a^2 r2;
-    given an array out, every step runs in it, u is out and w comes back None."""
-    m = (n - 2.0) / 2.0
-    amp = c_constant(n, k) * a ** m
-    w = np.add(1.0, np.multiply(a * a, r2, out=out), out=out)
-    u = np.multiply(amp, w ** (-m) if out is None else operator.ipow(w, -m), out=out)
-    return u, amp, (w if out is None else None)
-
-
 def _bubble_jets(n: int, k: int, a, center, X, order: int):
     """Jets of the family member of scale a and center at the rows of X
     (..., n); an array a broadcasts against the leading axes of X."""
     m = (n - 2.0) / 2.0
     d = X - center
-    val, amp, w = _bubble_radial(n, k, a, np.einsum("...j,...j->...", d, d), None)
+    amp = c_constant(n, k) * a ** m
+    w = 1.0 + a * a * np.einsum("...j,...j->...", d, d)
+    val = amp * w ** (-m)
     if not order:
         return val, None, None
     # u' factors: grad = -2 m a^2 amp w^{-m-1} d
@@ -182,7 +173,7 @@ class HarnackReport:
             raise PositivityError("Harnack report entries must all be positive")
 
 
-_BLOCK_VALUES = 2 ** 15  # grid values of the family held at once by a sweep
+_BLOCK_VALUES = 2 ** 15  # grid keys of the family held at once by a sweep
 
 
 @functools.lru_cache
@@ -194,59 +185,51 @@ def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     return dirs
 
 
-def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int):
-    """(center, R, n_radial, shells): shells (S, D, n) holds B_R's shells, the
-    n_radial radii of linspace(0, R) times `_grid_directions`, then B_2R's,
-    them doubled, from n_radial // 2 on: linspace forms rho_i = fl(i step), so
-    B_2R's shell i is B_R's shell 2i bit for bit whenever 2i < n_radial - 1
-    (the last radius is R exactly) and no coordinate of rho_i d is subnormal."""
+def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int, sphere: bool):
+    """(center, R, n_radial, shells): shells (S, D, n) holds B_R's shells, the radii
+    rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's: all
+    of rho doubled or, with sphere (the sweep only), its sphere |x| = 2 rho[-1]."""
     check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
     if n_angular < 0:
         raise ConfigError(f"n_angular={n_angular} must be >= 0")
-    shell = np.linspace(0.0, R, n_radial)[:, None, None] * _grid_directions(center.size, n_angular)
-    return center, R, n_radial, center + np.concatenate([shell, 2.0 * shell[n_radial // 2:]])
+    rho = np.linspace(0.0, R, n_radial)
+    rho = np.concatenate([rho, 2.0 * (rho[-1:] if sphere else rho)])
+    shells = rho[:, None, None] * _grid_directions(center.size, n_angular)
+    shells += center
+    return center, R, n_radial, shells
 
 
-def _grid_extrema(grid_values, grid):
-    """(x, v): per cell its first argmax over B_R, then its first argmin over B_2R,
-    shell by shell, direction by direction; B_2R's shell i < n_radial // 2 is B_R's 2i."""
+def _grid_extrema(grid_keys, grid):
+    """Per cell the grid point of its first largest key over B_R, then of its first
+    least key over B_2R's shells (the sweep's: its sphere), in grid order. Keys
+    rank points as values do: the values (`harnack_product`) or -W (`_family`)."""
     _, _, n_radial, shells = grid
-    half, (_, width, n) = n_radial // 2, shells.shape
-    pts, inner = shells.reshape(-1, n), n_radial * width
-    idx, v = [], []
-    for vals in grid_values(pts):
-        rows = np.arange(len(vals))
-        hi, lo = vals[:, :inner].argmax(axis=1), vals[:, inner:].argmin(axis=1) + inner
-        if half:
-            even = vals[:, :2 * half * width].reshape(len(vals), half, 2 * width)[:, :, :width]
-            e = even.reshape(len(vals), -1).argmin(axis=1)
-            e += width * (e // width)
-            lo = np.where(vals[rows, lo] < vals[rows, e], lo, e)
-        idx.append(np.stack([hi, lo], axis=1))
-        v.append(vals[rows[:, None], idx[-1]])
-    return pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+    pts, inner = shells.reshape(-1, shells.shape[2]), n_radial * shells.shape[1]
+    idx = [np.stack([keys[:, :inner].argmax(axis=1), keys[:, inner:].argmin(axis=1) + inner],
+                    axis=1) for keys in grid_keys(pts)]
+    return pts[np.concatenate(idx).ravel()]
 
 
-def _harnack_cells(grid_values, jets, domain: Domain, grid):
+def _harnack_cells(grid_keys, jets, domain: Domain, grid):
     """Harnack reports of a stack of fields (cells) on one `_harnack_grid`.
 
-    grid_values(X) yields the values of consecutive cells at the rows of X
-    (N, n) in blocks (B, N), each valid only until the next one is drawn;
-    jets(X, order, cells) gives the jets of cell cells[i] at row i. From
-    the best grid points (`_grid_extrema`) one stacked Newton step,
-    projected into its ball, wins where strictly better. A singular hessian
+    grid_keys(X) yields the keys (`_grid_extrema`) of consecutive cells at the
+    rows of X (N, n) in blocks (B, N), each valid only until the next one is
+    drawn; jets(X, order, cells) gives the jets of cell cells[i] at row i, so
+    the values at the best grid points too. From them one stacked Newton
+    step, projected into its ball, wins where strictly better. A singular hessian
     (LinAlgError, the only error caught) keeps both grid extrema of its own
     cell; a trial point with a non-finite step or outside the domain keeps
     its grid value.
     """
     center, R, n = grid[0], grid[1], grid[0].size
     sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
-    x, v = _grid_extrema(grid_values, grid)
+    x = _grid_extrema(grid_keys, grid)
     cells, ball = np.divmod(np.arange(len(x)), 2)
-    _, grad, hess = jets(x, 2, cells)
-    grad, hess = grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
+    v, grad, hess = jets(x, 2, cells)
+    v, grad, hess = v.copy(), grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
     try:
         step = -np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
@@ -276,14 +259,14 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     """Scaled Harnack product of u around a center (the origin if None).
 
     The one-cell case of `_harnack_cells`: one batch evaluation of the grid
-    over B_R and B_2R, then one batched polish step, under its rules. The
-    product is bounded only on solutions; whether u is one is for
-    `verify_solution` to say.
+    over B_R and all of B_2R's doubled shells, its values the keys, then one
+    batched polish step, under its rules. The product is bounded only on
+    solutions; whether u is one is for `verify_solution` to say.
     """
     center = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
     return _harnack_cells(lambda X: [u.values(X)[None]],
                           lambda X, order, cells: u.jets(X, order),
-                          u.domain, _harnack_grid(center, R, n_radial, n_angular))[0]
+                          u.domain, _harnack_grid(center, R, n_radial, n_angular, False))[0]
 
 
 @dataclass(frozen=True)
@@ -301,25 +284,29 @@ class SweepRow:
 
 
 def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
-    """(grid_values, jets) for `_harnack_cells` of the word images
-    |J_psi|^p (u_a o psi) of the centered family over the scales a: per grid
-    the word walk, r2 = |psi(x)|^2 and |J_psi|^p are formed once, per block
-    of scales (at most _BLOCK_VALUES grid values, in one reused buffer) only
-    the closed form in r2 times |J_psi|^p, bit for bit `_pullback` of
-    `_bubble_jets` (the polish)."""
-    def grid_values(X):
+    """(grid_keys, jets) for `_harnack_cells` of the word images
+    |J_psi|^p (u_a o psi) of the centered family over the scales a. With
+    lam = |det J_psi|^(-1/n), |J_psi|^p = lam^-m, so u = amp (lam + a^2 q)^-m,
+    q = lam |psi(x)|^2, falls strictly as W = lam + a^2 q rises: -W is the key.
+    Per grid the word walk, lam and q are formed once, per block of scales (at
+    most _BLOCK_VALUES keys, in one reused buffer) only -W, by two ufuncs; no
+    power and no positivity check. Values come from jets (`_pullback` of
+    `_bubble_jets`, checked positive) at the points the keys pick."""
+    def grid_keys(X):
         st, block = psi._walk(X, 0), max(1, _BLOCK_VALUES // len(X))
-        r2, conf = np.einsum("...j,...j->...", st.y, st.y), _conformal_factor(st)
+        lam = np.exp(st.log_det / -n)
+        q = lam * np.einsum("...j,...j->...", st.y, st.y)
         buf = np.empty((min(block, scales.size), len(X)))
         for lo in range(0, scales.size, block):
-            u = _bubble_radial(n, k, scales[lo:lo + block, None], r2, buf[:scales.size - lo])[0]
-            yield _require_positive(X, np.multiply(conf, u, out=u))
+            a = scales[lo:lo + block, None]
+            key = np.multiply(-(a * a), q, out=buf[:scales.size - lo])
+            yield np.subtract(key, lam, out=key)
 
     def jets(X, order, cells):
         st = psi._walk(X, order)
         u, grad, hess = _pullback(st, *_bubble_jets(n, k, scales[cells], 0.0, st.y, order))
         return _require_positive(X, u), grad, hess
-    return grid_values, jets
+    return grid_keys, jets
 
 
 def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
@@ -333,11 +320,17 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
     Each (word, R) pair is one `_harnack_cells` stack over all scales on R's
-    one `_harnack_grid` (`_family`: scale-free grid work once per pair, the
-    closed form once per block of scales), the bubble rows that of the empty
-    word. Rows come back in fixed order (label-major, then a-major, then R),
-    and the empirical supremum is a lower bound for the sharp constant. Empty
-    grids give an empty list.
+    one `_harnack_grid` (`_family`: lam and q once per pair, the key -W once
+    per block of scales), the bubble rows that of the empty word. B_2R's grid
+    is its sphere |x| = 2R: a word image of a bubble is a bubble, so W is a
+    quadratic alpha |x|^2 + b.x + gamma, alpha >= 0, convex along each grid
+    ray, its largest grid value at the center or on the sphere, and on the
+    axis +-e_i with +-b_i >= 0 the sphere has W >= W(0) = gamma. So u's least
+    grid value on B_2R lies on the sphere, for these fields only:
+    `harnack_product` takes any field and keeps every doubled shell. Rows
+    come back in fixed order (label-major, then a-major, then R), and the
+    empirical supremum is a lower bound for the sharp constant. Empty grids
+    give an empty list.
     """
     a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
@@ -354,7 +347,7 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     words = [("bubble", MobiusMap(()))] + [
         (f"mobius{j}", random_mobius_map_avoiding(rng, n, np.zeros(n), clearance))
         for j in range(mobius_words)]
-    grids = [_harnack_grid(np.zeros(n), R, n_radial, n_angular) for R in r_vals]
+    grids = [_harnack_grid(np.zeros(n), R, n_radial, n_angular, True) for R in r_vals]
     rows = []
     for label, psi in words:
         family = _family(n, k, np.array(a_vals), psi)

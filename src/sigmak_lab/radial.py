@@ -142,12 +142,17 @@ def _lam0(n: int, k: int) -> float:
     return (1.0 / math.comb(n, k)) ** (1.0 / k)
 
 
-def _pair_sigma(lam_rad, lam_tan, combs):
-    """(min_j e_j, e_k) of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
+def _pair_e(lam_rad, lam_tan, combs):
+    """[e_1, ..., e_k] of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
     e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad."""
+    return [combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
+            for j in range(1, len(combs))]
+
+
+def _pair_sigma(lam_rad, lam_tan, combs):
+    """(min_j e_j, e_k) of `_pair_e` on arrays, nan where any e_j is nan."""
     margin = math.inf
-    for j in range(1, len(combs)):
-        s = combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
+    for s in _pair_e(lam_rad, lam_tan, combs):
         margin = np.minimum(margin, s)
     return margin, s
 
@@ -420,7 +425,8 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
                 s = a / (1.0 + math.sqrt(1.0 - a))
             f = rhs(xi, s, side)
             a = s * (2.0 - s)
-            margin = float(_pair_sigma((side * f[1] - 0.5 * a) / y, 0.5 * a / y, combs)[0])
+            e = _pair_e((side * f[1] - 0.5 * a) / y, 0.5 * a / y, combs)
+            margin = math.nan if any(map(math.isnan, e)) else min(e)  # min may skip a nan
         except (ConeDomainError, ArithmeticError) as exc:
             raise ConeBoundaryError(f"cone boundary reached: {exc}", r=r,
                                     margin=getattr(exc, "margin", None)) from exc

@@ -68,16 +68,16 @@ def _as_lambda(values) -> np.ndarray:
 
 
 def _esym_all_batch(lams: np.ndarray) -> np.ndarray:
-    """Row-wise e_0..e_n (e_0 = 1) for a (N, n) batch; returns shape (N, n+1)."""
+    """Row-wise e_0..e_n (e_0 = 1) for a (N, n) batch; returns shape (N, n+1),
+    a transposed view of the (n+1, N) buffer that one slice update per entry
+    fills: e_j += lam_m e_{j-1} for all j at once, from the old e_{j-1}."""
     lams = np.asarray(lams, dtype=float)
     npts, n = lams.shape
-    e = np.zeros((npts, n + 1))
-    e[:, 0] = 1.0
+    e = np.zeros((n + 1, npts))
+    e[0] = 1.0
     for m in range(1, n + 1):
-        x = lams[:, m - 1]
-        for j in range(m, 0, -1):
-            e[:, j] += x * e[:, j - 1]
-    return e
+        e[1:m + 1] += lams[:, m - 1] * e[:m]
+    return e.T
 
 
 def _cone_margin(e: np.ndarray, k: int):

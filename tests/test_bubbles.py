@@ -1,5 +1,6 @@
 """Closed-form family, residual verification, and the Harnack functional."""
 
+import collections
 import math
 
 import numpy as np
@@ -214,6 +215,15 @@ def test_harnack_rejects_nonpositive_fields():
         sl.harnack_product(u, 1.0)
 
 
+def test_sweep_names_a_point_where_the_family_underflows():
+    # at a = 1e-200, n = 6 the amplitude c a^2 underflows to 0; the grid is
+    # ranked by keys alone, and the values at the points they pick are
+    # checked, so the sweep raises and names a point
+    with pytest.raises(PositivityError, match="is not positive at") as info:
+        sl.harnack_sweep(6, 3, [1e-200], [1.0], mobius_words=1)
+    assert info.value.where.shape == (6,) and info.value.value == 0.0
+
+
 def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
     bubbles._grid_directions.cache_clear()
     calls = []
@@ -256,32 +266,34 @@ def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
 
 
 def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
-    # r2 = |psi(x)|^2 and the conformal factor once per (word, R) grid;
-    # every block of scales of that grid reuses the same r2 array
-    factors, grid_r2 = [], []
-    factor, radial = bubbles._conformal_factor, bubbles._bubble_radial
+    # lam = exp(-log|det J| / n) and q = lam |psi(x)|^2 once per (word, R)
+    # grid of (n_radial + 1) D points; per block of scales only the key's
+    # multiply and subtract
+    n, n_radial, n_angular = 3, 16, 8
+    size = (n_radial + 1) * (2 * n + n_angular * (n - 1))
+    calls = collections.Counter()
 
-    def counting_factor(st):
-        factors.append(st)
-        return factor(st)
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("exp", "einsum", "multiply", "subtract"):
+                return attr
 
-    def recording_radial(n, k, a, r2, out):
-        if np.ndim(a) == 2:
-            grid_r2.append(r2)
-        return radial(n, k, a, r2, out)
+            def counted(*args, **kwargs):
+                if name != "einsum" or len(args[1]) == size:  # not the polish points
+                    calls[name] += 1
+                return attr(*args, **kwargs)
+            return counted
 
-    monkeypatch.setattr(bubbles, "_conformal_factor", counting_factor)
-    monkeypatch.setattr(bubbles, "_bubble_radial", recording_radial)
+    monkeypatch.setattr(bubbles, "np", CountingNumpy())
     for a_count, block_values in ((25, 1), (25, 2 ** 30), (2, 2 ** 15)):
         monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
-        factors.clear()
-        grid_r2.clear()
-        rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
-                                n_radial=16, n_angular=8, mobius_words=2)
+        calls.clear()
+        rows = sl.harnack_sweep(n, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
+                                n_radial=n_radial, n_angular=n_angular, mobius_words=2)
         assert len(rows) == 3 * 2 * a_count
-        assert len(factors) == 3 * 2
-        assert len({id(r2) for r2 in grid_r2}) == 3 * 2
-        assert len(grid_r2) == 3 * 2 * (a_count if block_values == 1 else 1)
+        blocks = 3 * 2 * (a_count if block_values == 1 else 1)
+        assert calls == {"exp": 3 * 2, "einsum": 3 * 2, "multiply": blocks, "subtract": blocks}
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
@@ -297,8 +309,8 @@ def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, n, k):
     assert single == whole
 
 
-def _full_grid(center, R, n_radial, n_angular):
-    # the reference grid: B_R's shells, then every one of them doubled
+def _full_grid(center, R, n_radial, n_angular, sphere):
+    # the reference grid, sphere or not: B_R's shells, then every one of them doubled
     n = center.size
     shell = (np.linspace(0.0, R, n_radial)[:, None, None]
              * bubbles._grid_directions(n, n_angular)).reshape(-1, n)
@@ -306,16 +318,15 @@ def _full_grid(center, R, n_radial, n_angular):
                                  * shell).reshape(-1, n)
 
 
-def _full_scan(grid_values, grid):
-    # the reference scan: both halves evaluated, argmax over the first,
-    # argmin over the second, picked by take_along_axis
+def _full_scan(grid_keys, grid):
+    # the reference scan: both halves keyed in full, argmax over the first,
+    # argmin over the second
     pts = grid[3]
-    half, idx, v = len(pts) // 2, [], []
-    for vals in grid_values(pts):
-        idx.append(np.stack([vals[:, :half].argmax(axis=1),
-                             vals[:, half:].argmin(axis=1) + half], axis=1))
-        v.append(np.take_along_axis(vals, idx[-1], axis=1))
-    return pts[np.concatenate(idx).ravel()], np.concatenate(v).ravel()
+    half, idx = len(pts) // 2, []
+    for keys in grid_keys(pts):
+        idx.append(np.stack([keys[:, :half].argmax(axis=1),
+                             keys[:, half:].argmin(axis=1) + half], axis=1))
+    return pts[np.concatenate(idx).ravel()]
 
 
 def _with_full_scan(monkeypatch, run):
@@ -328,8 +339,9 @@ def _with_full_scan(monkeypatch, run):
 @pytest.mark.parametrize("n_radial", [1, 2, 3, 48, 99])
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
 def test_sweep_rows_equal_the_full_grid_scan(monkeypatch, n, k, n_radial):
-    # B_2R's shells shared with B_R are read from B_R's values; the rows
-    # equal those of evaluating both balls in full, ties to the first point
+    # the sweep keys B_2R's sphere only; by the sphere argument of
+    # harnack_sweep the rows equal those of keying every doubled shell with
+    # the same keys, ties to the first point
     def sweep():
         return sl.harnack_sweep(n, k, np.geomspace(1e-2, 1e4, 25), [0.5, 1.0, 2.5],
                                 n_radial=n_radial, n_angular=16, mobius_words=2, seed=7)
@@ -346,8 +358,9 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
     # 3 around c, R = 1, 99 radii: the least grid value on B_2(c) sits on
     # B_2R's shell 49 along e_0 (radius 2 rho_49 = 1 - 2^-53, not B_R's
     # radius 1), on its shell 20 (B_R's shell 40), or everywhere (the first
-    # point wins). The hessian is singular, so the polish keeps the grid
-    # extrema and the reports must agree to the bit.
+    # point wins). harnack_product keys every doubled shell with u's values,
+    # so its grid extrema are the reference's. The hessian is singular, so
+    # the polish keeps the grid extrema and the reports must agree to the bit.
     n, center = 3, np.array([0.0, 0.5, -0.25])
 
     def jets(X, order):
@@ -373,28 +386,10 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
     np.testing.assert_array_equal(rep.argmin, ref.argmin)
 
 
-def test_doubled_inner_radii_and_shells_are_the_outer_ones_bit_for_bit():
-    # linspace forms rho_i = fl(i step), so 2 rho_i == rho_2i, and so the
-    # shells, for every 2i < n_radial - 1 (rho at n_radial - 1 is R exactly)
-    cases = 0
-    for n in (3, 6):
-        dirs = bubbles._grid_directions(n, 64)
-        for R in (1e-3, 0.3, 0.7777, 1.0, 2.5, 7.1, 1e5):
-            for n_radial in range(1, 130):
-                i = np.flatnonzero(2 * np.arange(n_radial) < n_radial - 1)
-                rho = np.linspace(0.0, R, n_radial)
-                shell = rho[:, None, None] * dirs
-                assert (2.0 * rho[i] == rho[2 * i]).all(), (n, R, n_radial)
-                assert (2.0 * shell[i] == shell[2 * i]).all(), (n, R, n_radial)
-                assert i.size == n_radial // 2
-                cases += i.size
-    assert cases == 58_240
-
-
 @pytest.mark.parametrize("n_radial", [7, 16])
 def test_sweep_walks_one_grid_per_radius_without_the_shared_shells(monkeypatch, n_radial):
-    # every word walks R's one grid: B_R's shells and B_2R's from
-    # n_radial // 2 on, (2 n_radial - n_radial // 2) D rows, D directions
+    # every word walks R's one grid: B_R's shells and B_2R's sphere,
+    # (n_radial + 1) D rows, D directions
     n, n_angular, a_count, r_grid = 3, 8, 5, [1.0, 2.0]
     width = 2 * n + n_angular * (n - 1)
     grids, walked = [], []
@@ -416,10 +411,13 @@ def test_sweep_walks_one_grid_per_radius_without_the_shared_shells(monkeypatch, 
     assert len(rows) == 3 * a_count * len(r_grid)
     assert len(grids) == len(r_grid)
     assert len(walked) == 3 * len(r_grid)
-    assert {len(X) for X in walked} == {(2 * n_radial - n_radial // 2) * width}
+    assert {len(X) for X in walked} == {(n_radial + 1) * width}
     for j, X in enumerate(walked):  # word-major, then R
         for g, grid in enumerate(grids):
             assert np.shares_memory(X, grid[3]) == (g == j % len(r_grid))
+    for (_, R, _, _), X in zip(grids, walked):
+        np.testing.assert_allclose(np.linalg.norm(X[n_radial * width:], axis=1), 2.0 * R,
+                                   rtol=1e-15)
 
 
 def _polish_rule_fields(n):
@@ -464,8 +462,8 @@ def test_harnack_singular_hessian_stays_in_its_cell():
                      else np.stack([part[j] for part in parts])[cells, rows]
                      for j in range(3))
 
-    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(),
-                                  bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular))
+    grid = bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular, False)
+    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(), grid)
     assert (reps[0].max_br, reps[0].min_2br) == (2.0, 2.0)
     np.testing.assert_array_equal(reps[0].argmax, np.zeros(n))
     np.testing.assert_array_equal(reps[0].argmin, np.zeros(n))

@@ -343,6 +343,7 @@ def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys,
     ["homotopy", "--n", "3", "--k", "1", "--rb", "1e300", "--ub", "1e-300"],
     ["homotopy", "--n", "3", "--k", "1", "--rb", "1e-300", "--ub", "1e-8"],
     ["harnack-sweep", "--n", "5", "--k", "4", "--R", "1.7e308"],
+    ["harnack-sweep", "--n", "6", "--k", "3", "--a", "1e-200"],
     ["solve-radial", "--n", "3", "--k", "1", "--u0", "1e40"],
 ])
 def test_results_past_the_float_range_are_numerical_failures(argv, capsys):

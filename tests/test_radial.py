@@ -358,6 +358,19 @@ def test_shoot_cone_boundary_abort(monkeypatch):
         sl.shoot(1.0, 3, 3, 5.0)
 
 
+@pytest.mark.parametrize("e", [[math.nan, 1.0], [1.0, math.nan]])
+def test_shoot_node_margin_keeps_a_nan(monkeypatch, e):
+    # builtin min may skip a nan (min(1.0, nan) is 1.0); a node's cone
+    # margin keeps it, as np.minimum does, and the shot stops there. Only the
+    # nodes' float calls see e; the array path of the origin solve does not
+    real = radial._pair_e
+    monkeypatch.setattr(radial, "_pair_e", lambda lam_rad, lam_tan, combs: e
+                        if type(lam_tan) is float else real(lam_rad, lam_tan, combs))
+    with pytest.raises(ConeBoundaryError, match="cone margin nan below floor") as info:
+        sl.shoot(1.0, 3, 2, 5.0)
+    assert math.isnan(info.value.margin)
+
+
 def test_shoot_step_budget_is_a_step_underflow(monkeypatch):
     # a shot to r = 5 takes about 80 steps; a budget of 5 runs out near the
     # series start and names the radius of the last node
