@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _lifted, _pullback, \
     _require_positive, _schouten_batch, random_mobius_map_avoiding
 from .errors import ConfigError, PositivityError, check_nk, check_positive
 from .halton import sphere_directions
@@ -285,17 +285,17 @@ class SweepRow:
 
 def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
     """(grid_keys, jets) for `_harnack_cells` of the word images
-    |J_psi|^p (u_a o psi) of the centered family over the scales a. With
-    lam = |det J_psi|^(-1/n), |J_psi|^p = lam^-m, so u = amp (lam + a^2 q)^-m,
-    q = lam |psi(x)|^2, falls strictly as W = lam + a^2 q rises: -W is the key.
-    Per grid the word walk, lam and q are formed once, per block of scales (at
-    most _BLOCK_VALUES keys, in one reused buffer) only -W, by two ufuncs; no
-    power and no positivity check. Values come from jets (`_pullback` of
-    `_bubble_jets`, checked positive) at the points the keys pick."""
+    |J_psi|^p (u_a o psi) of the centered family over the scales a. Rows 0
+    and n+1 of the word's matrix M give lam = |det J_psi|^(-1/n) and
+    q = lam |psi(x)|^2 (`MobiusMap._walk`); |J_psi|^p = lam^-m, so
+    u = amp (lam + a^2 q)^-m falls strictly as W = lam + a^2 q rises: -W is
+    the key. Per grid lam and q come from one two-row product, per block of
+    scales (at most _BLOCK_VALUES keys, in one reused buffer) only -W, by two
+    ufuncs; no power and no positivity check. Values come from jets
+    (`_pullback` of `_bubble_jets`, checked positive) at the points the keys pick."""
     def grid_keys(X):
-        st, block = psi._walk(X, 0), max(1, _BLOCK_VALUES // len(X))
-        lam = np.exp(st.log_det / -n)
-        q = lam * np.einsum("...j,...j->...", st.y, st.y)
+        lam, q = _lifted(psi._matrix(n)[[0, n + 1]], X).T
+        block = max(1, _BLOCK_VALUES // len(X))
         buf = np.empty((min(block, scales.size), len(X)))
         for lo in range(0, scales.size, block):
             a = scales[lo:lo + block, None]
@@ -322,15 +322,15 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     Each (word, R) pair is one `_harnack_cells` stack over all scales on R's
     one `_harnack_grid` (`_family`: lam and q once per pair, the key -W once
     per block of scales), the bubble rows that of the empty word. B_2R's grid
-    is its sphere |x| = 2R: a word image of a bubble is a bubble, so W is a
-    quadratic alpha |x|^2 + b.x + gamma, alpha >= 0, convex along each grid
-    ray, its largest grid value at the center or on the sphere, and on the
-    axis +-e_i with +-b_i >= 0 the sphere has W >= W(0) = gamma. So u's least
-    grid value on B_2R lies on the sphere, for these fields only:
-    `harnack_product` takes any field and keeps every doubled shell. Rows
-    come back in fixed order (label-major, then a-major, then R), and the
-    empirical supremum is a lower bound for the sharp constant. Empty grids
-    give an empty list.
+    is its sphere |x| = 2R: W = (M_0 + a^2 M_{n+1}) (1, x, |x|^2), M the word's
+    matrix, is a quadratic alpha |x|^2 + b.x + gamma, alpha >= 0 as W > 0 off
+    the pole, convex along each grid ray, its largest grid value at the center
+    or on the sphere, and on the axis +-e_i with +-b_i >= 0 the sphere has
+    W >= W(0) = gamma. So u's least grid value on B_2R lies on the sphere, for
+    these fields only: `harnack_product` takes any field and keeps every
+    doubled shell. Rows come back in fixed order (label-major, then a-major,
+    then R), and the empirical supremum is a lower bound for the sharp
+    constant. Empty grids give an empty list.
     """
     a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()

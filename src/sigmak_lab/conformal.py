@@ -14,9 +14,12 @@ and the unit inversion) act on fields through
     u_psi = |J_psi|^{(n-2)/(2n)} (u o psi),
 
 and the spectrum of A is equivariant under that action: the eigenvalues of
-A(u_psi) at x equal those of A(u) at psi(x). Jets of transformed fields are
-analytic: a word carries only J and grad log|det J|, which fix its second
-derivatives by conformality; finite differences appear only in tests.
+A(u_psi) at x equal those of A(u) at psi(x). A word acts linearly on the
+lifts (1, x, |x|^2) of points (Liouville), so it is one (n+2) x (n+2)
+matrix, and its image points, |det J|, J and grad log|det J| are read off
+that matrix times the lifts. Jets of transformed fields are analytic: J and
+grad log|det J| fix the word's second derivatives by conformality; finite
+differences appear only in tests.
 
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
 `MobiusMap._walk`, `_schouten_batch`); the per-point calls are its N = 1
@@ -183,20 +186,23 @@ class Inversion:
     """x -> x / |x|^2, the unit-sphere inversion."""
 
 
-_Atom = Translation | Rotation | Dilation | Inversion
-
-
 @dataclass(frozen=True)
 class _TransportState:
     """Jet of a word at N points: image points and log |det J|, and at
     order 2 also J and grad log |det J| w.r.t. the original coordinates,
-    which fix the word's second derivatives (`_pullback`). MobiusMap.jet
-    returns the one-point slice, without the leading axis."""
+    which fix the word's second derivatives (`_pullback`); all read off the
+    word's matrix (`MobiusMap._walk`). MobiusMap.jet returns the one-point
+    slice, without the leading axis."""
 
     y: np.ndarray
     log_det: np.ndarray
     jac: np.ndarray | None = None
     grad_log_det: np.ndarray | None = None
+
+
+def _lifted(M, X) -> np.ndarray:
+    """M (m, n+2) times the lift (1, x, |x|^2) of each row x of X (N, n): (N, m)."""
+    return X @ M[:, 1:-1].T + M[:, 0] + np.einsum("ij,ij->i", X, X)[:, None] * M[:, -1]
 
 
 @dataclass(frozen=True)
@@ -212,47 +218,48 @@ class MobiusMap:
                 raise ConfigError(f"unsupported atom {atom!r}")
         object.__setattr__(self, "word", word)
 
-    def _walk(self, X, order: int = 0) -> _TransportState:
-        """Carry the rows of X (N, n) through the word.
-
-        order=0 tracks the image points and log |det J|; order=2 adds J and
-        grad log |det J|, all that `_pullback` needs to chain-rule a 2-jet.
-        """
-        y = np.array(X, dtype=float)
-        npts, n = y.shape
-        log_det = np.zeros(npts)
-        if order:
-            jac = np.tile(np.eye(n), (npts, 1, 1))
-            gld = np.zeros((npts, n))
+    def _matrix(self, n: int) -> np.ndarray:
+        """The word's (n+2) x (n+2) matrix, its atoms' product on the lifts
+        (1, x, |x|^2), where Mobius maps act linearly (Liouville): translation
+        t [[1, 0, 0], [t, I, 0], [|t|^2, 2t^T, 1]], rotation Q diag(1, Q, 1),
+        dilation s diag(1/s, I, s); inversion swaps the first and last rows."""
+        M = np.eye(n + 2)
         for atom in self.word:
             if isinstance(atom, Translation):
-                y = y + atom.b
+                t = atom.b
+                M[n + 1] += 2.0 * (t @ M[1:n + 1]) + (t @ t) * M[0]
+                M[1:n + 1] += t[:, None] * M[0]
             elif isinstance(atom, Rotation):
-                y = y @ atom.mat.T
-                if order:
-                    jac = atom.mat @ jac
+                M[1:n + 1] = atom.mat @ M[1:n + 1]
             elif isinstance(atom, Dilation):
-                y = atom.s * y
-                log_det += n * math.log(atom.s)
-                if order:
-                    jac = atom.s * jac
+                M[0] /= atom.s
+                M[n + 1] *= atom.s
             else:
-                r2 = np.einsum("ij,ij->i", y, y)
-                if np.any(r2 == 0.0):
-                    raise PoleError("mobius word hit an inversion pole")
-                log_det -= n * np.log(r2)
-                if order:
-                    # with q = 1/r2 and w = J^T y (J of the partial word),
-                    # the chain rule through the inversion gives
-                    #   grad log|det| += -2n q w,   J <- q (J - 2q y w^T)
-                    q1, q2 = 1.0 / r2[:, None], 1.0 / r2[:, None, None]
-                    w = np.einsum("na,naj->nj", y, jac)
-                    gld = gld - (2.0 * n) * q1 * w
-                    jac = q2 * (jac - 2.0 * q2 * y[:, :, None] * w[:, None, :])
-                y = y / r2[:, None]
+                M[[0, n + 1]] = M[[n + 1, 0]]
+        return M
+
+    def _walk(self, X, order: int = 0) -> _TransportState:
+        """Carry the rows x of X (N, n) through the word, its matrix M:
+        M (1, x, |x|^2) = lam (1, y, |y|^2), lam = |det J|^(-1/n) > 0 off the
+        pole. order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam, B and q the
+        blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
+        -n grad lam / lam to y and log |det J|: what `_pullback` needs."""
+        X = np.asarray(X, dtype=float)
+        n = X.shape[1]
+        M = self._matrix(n)
+        Z = _lifted(M, X)
+        lam = Z[:, 0]
+        if np.any(lam <= 0.0):
+            raise PoleError("mobius word hit its pole")
+        y = Z[:, 1:n + 1] / lam[:, None]
+        log_det = -n * np.log(lam)
         if not order:
             return _TransportState(y, log_det)
-        return _TransportState(y, log_det, jac, gld)
+        grad_lam = M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
+        jac = M[1:n + 1, 1:n + 1] + 2.0 * M[1:n + 1, n + 1, None] * X[:, None, :] \
+            - y[:, :, None] * grad_lam[:, None, :]
+        return _TransportState(y, log_det, jac / lam[:, None, None],
+                               -n * grad_lam / lam[:, None])
 
     # -- the action at a point or on the rows of a batch -------------------
 
@@ -293,18 +300,10 @@ class MobiusMap:
         return MobiusMap(tuple(inv))
 
     def poles(self, n: int) -> list[np.ndarray]:
-        """Finite points where the word passes through infinity."""
-        out = []
-        origin = np.zeros(n)
-        for j, atom in enumerate(self.word):
-            if isinstance(atom, Inversion):
-                prefix = MobiusMap(self.word[:j])
-                try:
-                    out.append(prefix.inverse().apply(origin))
-                except PoleError:
-                    # preimage of the pole is the point at infinity
-                    continue
-        return out
+        """The finite point where the word passes through infinity, if any: the
+        zero of the quadratic lam (`_walk`), whose least value is 0."""
+        head = self._matrix(n)[0]
+        return [-head[1:n + 1] / (2.0 * head[n + 1])] if head[n + 1] != 0.0 else []
 
 
 def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
@@ -329,8 +328,8 @@ def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
 
 def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
                                clearance: float) -> MobiusMap:
-    """Draw random words (`random_mobius_map`) until one has every pole
-    farther than clearance from every row of points; return that word."""
+    """Draw random words (`random_mobius_map`) until one has its pole, if
+    any, farther than clearance from every row of points; return that word."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     while True:
         psi = random_mobius_map(rng, n)
@@ -462,11 +461,6 @@ def constant_field(value: float, n: int) -> ScalarField:
     return ScalarField(n, tag=f"const({value})", jets=jets)
 
 
-def _conformal_factor(st: _TransportState) -> np.ndarray:
-    """|J_psi|^p = exp(p log|det J|), p = (n-2)/(2n), at the points st.y."""
-    return np.exp((st.y.shape[1] - 2.0) / (2.0 * st.y.shape[1]) * st.log_det)
-
-
 def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
     jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
@@ -487,7 +481,7 @@ def _pullback(st: _TransportState, uy, gy, hy):
       hess = c (J^T hy J + (n/2) (w mu^T + mu w^T) - (w . mu) I),  w = gv + s uy mu / 2.
     """
     n = st.y.shape[1]
-    c, s = _conformal_factor(st), (n - 2.0) / 2.0
+    c, s = np.exp((n - 2.0) / (2.0 * n) * st.log_det), (n - 2.0) / 2.0
     if st.jac is None:
         return c * uy, None, None
     jac, mu = st.jac, st.grad_log_det / n

@@ -1,9 +1,10 @@
-"""Finite-difference and enumeration oracles, kept independent of the
-implementation paths they check."""
+"""Finite-difference, enumeration and high-precision oracles, kept
+independent of the implementation paths they check."""
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -59,6 +60,42 @@ def fd_jacobian(f, x, h: float = 1e-7) -> np.ndarray:
         e[j] = h
         cols.append((f(x + e) - f(x - e)) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def mobius_walk_mp(word, x, dps: int = 50):
+    """(y, log|det J|, J, grad log|det J|) of a Mobius word at the point x,
+    carried atom by atom at dps digits: each inversion y -> y / |y|^2 maps
+    J to (I - 2 y y^T / |y|^2) J / |y|^2 and adds -n log|y|^2 to log|det J|
+    and -2n J^T y / |y|^2 to its gradient. A rotation is the orthogonal polar
+    factor of its float matrix (three Newton-Schulz steps Q <- Q (3I - Q^T Q) / 2
+    from 1e-12), so the walked map is Mobius to dps digits: near an inner
+    inversion's pole the float matrix's departure from orthogonality would be
+    amplified. Returned as floats."""
+    from sigmak_lab import Dilation, Inversion, Rotation, Translation
+    n = len(x)
+    with mpmath.workdps(dps):
+        y = mpmath.matrix([mpmath.mpf(float(v)) for v in x])
+        jac, log_det, grad = mpmath.eye(n), mpmath.mpf(0), mpmath.zeros(n, 1)
+        for atom in word:
+            if isinstance(atom, Translation):
+                y += mpmath.matrix(atom.b.tolist())
+            elif isinstance(atom, Rotation):
+                rot = mpmath.matrix(atom.mat.tolist())
+                for _ in range(3):
+                    rot = rot * (3 * mpmath.eye(n) - rot.T * rot) / 2
+                y, jac = rot * y, rot * jac
+            elif isinstance(atom, Dilation):
+                s = mpmath.mpf(atom.s)
+                y, jac, log_det = s * y, s * jac, log_det + n * mpmath.log(s)
+            else:
+                assert isinstance(atom, Inversion)
+                r2 = (y.T * y)[0]
+                grad += (-2 * n / r2) * (jac.T * y)
+                jac = (mpmath.eye(n) - (2 / r2) * (y * y.T)) * jac / r2
+                log_det -= n * mpmath.log(r2)
+                y /= r2
+        return (np.array(y.tolist(), dtype=float)[:, 0], float(log_det),
+                np.array(jac.tolist(), dtype=float), np.array(grad.tolist(), dtype=float)[:, 0])
 
 
 def sample_gamma_k(rng: np.random.Generator, n: int, k: int, count: int,

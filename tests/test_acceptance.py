@@ -105,19 +105,18 @@ def test_acceptance_cone_suite():
 # ---------------------------------------------------------------------------
 
 def _admissible_points(rng, psi, n, count):
-    poles = psi.poles(n)
-    pts = []
+    """count normal draws with 0.4 <= |x| <= 2.5, 0.15 or more from the
+    word's pole and with |psi(x)| <= 40, drawn in batches of count."""
+    pts = np.empty((0, n))
     while len(pts) < count:
-        x = rng.normal(size=n)
-        norm = np.linalg.norm(x)
-        if not 0.4 <= norm <= 2.5:
-            continue
-        if any(np.linalg.norm(x - p) < 0.15 for p in poles):
-            continue
-        if np.linalg.norm(psi.apply(x)) > 40.0:
-            continue
-        pts.append(x)
-    return pts
+        x = rng.normal(size=(count, n))
+        norm = np.linalg.norm(x, axis=1)
+        x = x[(0.4 <= norm) & (norm <= 2.5)]
+        for p in psi.poles(n):
+            x = x[np.linalg.norm(x - p, axis=1) >= 0.15]
+        x = x[np.linalg.norm(psi.apply(x), axis=1) <= 40.0]
+        pts = np.vstack([pts, x])
+    return pts[:count]
 
 
 def _spectra(field, pts):
@@ -136,7 +135,7 @@ def test_acceptance_conformal_invariance():
         fields = [random_test_field(n, rng) for _ in range(5)]
         for _ in range(50):
             psi = sl.random_mobius_map(rng, n)
-            pts = np.array(_admissible_points(rng, psi, n, 100))
+            pts = _admissible_points(rng, psi, n, 100)
             images = psi.apply(pts)
             for u in fields:
                 v = sl.transform_field(u, psi)

@@ -241,37 +241,48 @@ def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
 
 
 def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
-    # per (word, R): the grid at order 0, the polish points at order 2 and
-    # the trial points at order 0, however many scales share the word; at
-    # the default grid size each scale is a block of its own
-    orders = []
-    walk = sl.MobiusMap._walk
+    # per (word, R): the grid's two-row key product, the polish points walked
+    # at order 2 and the trial points at order 0, however many scales share
+    # the word; at the default grid size each scale is a block of its own
+    calls = []
+    walk, lifted = sl.MobiusMap._walk, bubbles._lifted
 
     def counting(self, X, order=0):
-        orders.append(order)
+        calls.append(order)
         return walk(self, X, order)
 
+    def counting_key(M, X):
+        calls.append("key")
+        return lifted(M, X)
+
     monkeypatch.setattr(sl.MobiusMap, "_walk", counting)
+    monkeypatch.setattr(bubbles, "_lifted", counting_key)
 
     def walks(a_count):
-        orders.clear()
+        calls.clear()
         rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
                                 mobius_words=2)
         assert len(rows) == 3 * 2 * a_count
-        return list(orders)
+        return list(calls)
 
     many = walks(25)
     assert many == walks(2)
-    assert many.count(2) == 3 * 2
+    assert many.count("key") == many.count(2) == 3 * 2
 
 
 def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
-    # lam = exp(-log|det J| / n) and q = lam |psi(x)|^2 once per (word, R)
-    # grid of (n_radial + 1) D points; per block of scales only the key's
-    # multiply and subtract
+    # lam and q, rows 0 and n + 1 of the word's matrix times the lifts, in one
+    # two-row product per (word, R) grid of (n_radial + 1) D points; per block
+    # of scales only the key's multiply and subtract, and no exp or einsum
     n, n_radial, n_angular = 3, 16, 8
     size = (n_radial + 1) * (2 * n + n_angular * (n - 1))
     calls = collections.Counter()
+    lifted = bubbles._lifted
+
+    def counting_key(M, X):
+        assert M.shape == (2, n + 2) and X.shape == (size, n)
+        calls["key"] += 1
+        return lifted(M, X)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -286,6 +297,7 @@ def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
             return counted
 
     monkeypatch.setattr(bubbles, "np", CountingNumpy())
+    monkeypatch.setattr(bubbles, "_lifted", counting_key)
     for a_count, block_values in ((25, 1), (25, 2 ** 30), (2, 2 ** 15)):
         monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
         calls.clear()
@@ -293,7 +305,7 @@ def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
                                 n_radial=n_radial, n_angular=n_angular, mobius_words=2)
         assert len(rows) == 3 * 2 * a_count
         blocks = 3 * 2 * (a_count if block_values == 1 else 1)
-        assert calls == {"exp": 3 * 2, "einsum": 3 * 2, "multiply": blocks, "subtract": blocks}
+        assert calls == {"key": 3 * 2, "multiply": blocks, "subtract": blocks}
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
@@ -388,24 +400,28 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
 
 @pytest.mark.parametrize("n_radial", [7, 16])
 def test_sweep_walks_one_grid_per_radius_without_the_shared_shells(monkeypatch, n_radial):
-    # every word walks R's one grid: B_R's shells and B_2R's sphere,
-    # (n_radial + 1) D rows, D directions
+    # every word keys R's one grid through its matrix: B_R's shells and
+    # B_2R's sphere, (n_radial + 1) D rows, D directions
     n, n_angular, a_count, r_grid = 3, 8, 5, [1.0, 2.0]
     width = 2 * n + n_angular * (n - 1)
     grids, walked = [], []
-    make_grid, walk = bubbles._harnack_grid, sl.MobiusMap._walk
+    make_grid, walk, lifted = bubbles._harnack_grid, sl.MobiusMap._walk, bubbles._lifted
 
     def counting_grid(*args):
         grids.append(make_grid(*args))
         return grids[-1]
 
     def recording(self, X, order=0):
-        if order == 0 and len(X) > 2 * a_count:  # not the polish trial points
-            walked.append(X)
+        assert len(X) <= 2 * a_count  # only the polish points are walked
         return walk(self, X, order)
+
+    def recording_key(M, X):
+        walked.append(X)
+        return lifted(M, X)
 
     monkeypatch.setattr(bubbles, "_harnack_grid", counting_grid)
     monkeypatch.setattr(sl.MobiusMap, "_walk", recording)
+    monkeypatch.setattr(bubbles, "_lifted", recording_key)
     rows = sl.harnack_sweep(n, 1, np.geomspace(1e-2, 1e4, a_count), r_grid,
                             n_radial=n_radial, n_angular=n_angular, mobius_words=2)
     assert len(rows) == 3 * a_count * len(r_grid)

@@ -1,5 +1,6 @@
 """Conformal machinery: jets, the flat Schouten matrix, Mobius words."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import sigmak_lab as sl
 from sigmak_lab.conformal import _require_positive
 from sigmak_lab.errors import ConfigError, PoleError, PositivityError
 
-from fd_oracles import fd_jet_of_field
+from fd_oracles import fd_jet_of_field, mobius_walk_mp
 from field_factories import random_test_field
 
 
@@ -104,6 +105,10 @@ def test_inversion_is_an_involution():
     for _ in range(50):
         x = rng.normal(size=3)
         np.testing.assert_allclose(twice.apply(x), x, atol=1e-12)
+    # the identity word has no pole, not even where its first inversion has one
+    for n in (3, 6):
+        np.testing.assert_array_equal(twice.apply(np.zeros(n)), np.zeros(n))
+        assert twice.poles(n) == []
 
 
 def test_inversion_pole_raises():
@@ -193,6 +198,65 @@ def test_mobius_inverse_and_poles():
     poles = shifted.poles(3)
     assert len(poles) == 1
     np.testing.assert_allclose(poles[0], [-1.0, 0.0, 0.0], atol=1e-14)
+    # x -> 1 / (1/x + e_1) blows up at -e_1 only; the origin, the first
+    # inversion's pole, maps to itself
+    sandwich = sl.MobiusMap((sl.Inversion(), sl.Translation(np.array([1.0, 0.0, 0.0])),
+                             sl.Inversion()))
+    poles = sandwich.poles(3)
+    assert len(poles) == 1
+    np.testing.assert_array_equal(poles[0], [-1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(sandwich.apply(np.zeros(3)), np.zeros(3))
+
+
+def test_a_word_has_at_most_one_pole():
+    # a word without inversions has no pole, one with a single inversion has
+    # exactly one, and lam = |det J|^(-1/n) vanishes there to rounding
+    rng = np.random.default_rng(73)
+    counts = collections.Counter()
+    for i in range(1200):
+        n = 3 + i % 6
+        psi = sl.random_mobius_map(rng, n)
+        poles = psi.poles(n)
+        inversions = sum(isinstance(atom, sl.Inversion) for atom in psi.word)
+        assert len(poles) <= 1
+        if inversions < 2:
+            assert len(poles) == inversions
+        counts[inversions, len(poles)] += 1
+        for p in poles:
+            terms = psi._matrix(n)[0] * np.concatenate([[1.0], p, [p @ p]])
+            assert abs(terms.sum()) <= 1e-14 * np.abs(terms).sum()
+    assert counts[2, 1] > 0 and counts[3, 1] > 0
+
+
+def test_walk_matches_a_50_digit_atom_walk():
+    # random words of six atoms, n from 3 to 8, at a random point and within
+    # 1e-6 of the pole of each inner inversion that is not the word's own
+    # pole; the image tends to 0 there, so errors are measured against
+    # max(1, |reference|)
+    rng = np.random.default_rng(71)
+    worst, near = 0.0, 0
+    for n in range(3, 9):
+        for _ in range(4):
+            psi = sl.random_mobius_map(rng, n).then(sl.random_mobius_map(rng, n))
+            pts = [rng.normal(size=n)]
+            for j, atom in enumerate(psi.word):
+                if j and isinstance(atom, sl.Inversion):
+                    try:
+                        c = sl.MobiusMap(psi.word[:j]).inverse().apply(np.zeros(n))
+                    except PoleError:  # the prefix sends infinity to 0
+                        continue
+                    d = rng.normal(size=n)
+                    pts.append(c + 1e-6 * d / np.linalg.norm(d))
+            pts = [x for x in pts if all(np.linalg.norm(x - p) > 0.1 for p in psi.poles(n))]
+            near += len(pts) - 1
+            for x in pts:
+                st = psi.jet(x)
+                for got, ref in zip((st.y, st.log_det, st.jac, st.grad_log_det),
+                                    mobius_walk_mp(psi.word, x)):
+                    err = np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+                    worst = max(worst, float(err))
+    assert near >= 10
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
