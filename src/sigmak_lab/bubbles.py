@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _lifted, _pullback, \
-    _require_positive, _schouten_batch, random_mobius_map_avoiding
-from .errors import ConfigError, PositivityError, check_nk, check_positive
+    _schouten_batch, random_mobius_map_avoiding
+from .errors import ConfigError, PositivityError, _require_positive, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 

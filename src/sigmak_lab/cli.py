@@ -78,29 +78,24 @@ def cmd_verify_bubble(args) -> int:
         (f"mobius{j}", transform_field(
             base, random_mobius_map_avoiding(rng, args.n, pts, 1e-2)))
         for j in range(args.images)]
-    rows = []
+    records = []
     ok = True
     for label, fld in fields:
         rep = bubbles.verify_solution(fld, args.n, args.k, sample_points=pts)
-        rows.append((label, rep))
+        records.append({"label": label, "n": args.n, "k": args.k, "a": args.a,
+                        "points": rep.n_samples, "max_residual": rep.max_residual,
+                        "min_margin": rep.min_margin,
+                        "cone_violations": rep.cone_violations})
         if rep.max_residual > args.tol or rep.min_margin <= 0.0:
             ok = False
         print(f"{label}: residual {rep.max_residual:.3e}  "
               f"margin {rep.min_margin:.3e}  ({rep.n_samples} points)")
-    if args.out:
-        if args.format == "json":
-            payload = [{"label": label, "n": args.n, "k": args.k, "a": args.a,
-                        "points": rep.n_samples, "max_residual": rep.max_residual,
-                        "min_margin": rep.min_margin,
-                        "cone_violations": rep.cone_violations}
-                       for label, rep in rows]
-            radial.write_text(args.out, json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = ["label,n,k,a,points,max_residual,min_margin,cone_violations"]
-            lines += [f"{label},{args.n},{args.k},{args.a!r},{rep.n_samples},"
-                      f"{rep.max_residual!r},{rep.min_margin!r},{rep.cone_violations}"
-                      for label, rep in rows]
-            radial.write_csv(args.out, lines)
+    if args.out and args.format == "json":
+        radial.write_text(args.out, json.dumps(records, indent=2) + "\n")
+    elif args.out:  # the same records, strings bare and numbers by repr
+        radial.write_csv(args.out, [",".join(records[0])] + [
+            ",".join(v if isinstance(v, str) else repr(v) for v in rec.values())
+            for rec in records])
     if not ok:
         print(f"verification failed at tolerance {args.tol:g}")
         return 2
@@ -177,8 +172,6 @@ def cmd_homotopy(args) -> int:
 def cmd_harnack_sweep(args) -> int:
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
-    if a_grid.size == 0 or r_grid.size == 0:
-        raise ConfigError("empty sweep grid")
     rows = bubbles.harnack_sweep(args.n, args.k, a_grid, r_grid,
                                  n_radial=args.nrad, n_angular=args.nang,
                                  mobius_words=args.images, seed=args.seed)

@@ -34,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError, PositivityError
+from .errors import ConfigError, DomainError, PoleError, PositivityError, _require_positive, \
+    check_nk, check_positive
 
 __all__ = [
     "Jet2",
@@ -58,16 +59,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # jets and the flat Schouten matrix
 # ---------------------------------------------------------------------------
-
-def _require_positive(X, u):
-    """u, once every entry is checked positive; u's last axis runs over the
-    rows of X (N, n), and the PositivityError names the first bad point."""
-    if not (u > 0.0).all():
-        bad = np.flatnonzero(~(u > 0.0))[0]
-        x, val = X[bad % len(X)], u.flat[bad]
-        raise PositivityError(f"value {val} is not positive at {x}", where=x, value=val)
-    return u
-
 
 def _checked_jets(points, u, grad, hess):
     """Validate a stack of N 2-jets and return (u, grad, symmetrized hess).
@@ -120,8 +111,7 @@ def _schouten_batch(u, g, h) -> np.ndarray:
     outer product, and a multiple of the identity.
     """
     n = g.shape[1]
-    if n < 3:
-        raise ConfigError(f"dimension n={n} must be >= 3")
+    check_nk(n, 1)
     q1 = u ** (-(n + 2.0) / (n - 2.0))
     q2 = u ** (-2.0 * n / (n - 2.0))
     c1 = 2.0 / (n - 2.0)
@@ -135,10 +125,8 @@ def _schouten_batch(u, g, h) -> np.ndarray:
 
 def schouten_flat(jet: Jet2) -> np.ndarray:
     """Schouten-type matrix A(u) of a 2-jet over the flat background."""
-    if not jet.u > 0.0:
-        raise PositivityError("schouten_flat requires u > 0", where=jet.point, value=jet.u)
-    return _schouten_batch(np.array([jet.u], dtype=float), jet.grad[None],
-                           jet.hess[None])[0]
+    u = _require_positive(jet.point[None], np.array([jet.u], dtype=float))
+    return _schouten_batch(u, jet.grad[None], jet.hess[None])[0]
 
 
 def schouten_spectrum(jet: Jet2) -> np.ndarray:
@@ -155,7 +143,10 @@ class Translation:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1 or not np.isfinite(b).all():
+            raise ConfigError(f"translation vector must be 1-D and finite, got {b}")
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -167,7 +158,7 @@ class Rotation:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ConfigError("rotation matrix must be square")
-        if float(np.max(np.abs(mat.T @ mat - np.eye(n)))) > 1e-12:
+        if not float(np.max(np.abs(mat.T @ mat - np.eye(n)))) <= 1e-12:  # nan fails
             raise ConfigError("rotation matrix is not orthogonal to 1e-12")
         object.__setattr__(self, "mat", mat)
 
@@ -177,8 +168,7 @@ class Dilation:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
-            raise ConfigError(f"dilation scale must be positive, got {self.s}")
+        check_positive("dilation scale", self.s)
 
 
 @dataclass(frozen=True)
@@ -203,6 +193,18 @@ class _TransportState:
 def _lifted(M, X) -> np.ndarray:
     """M (m, n+2) times the lift (1, x, |x|^2) of each row x of X (N, n): (N, m)."""
     return X @ M[:, 1:-1].T + M[:, 0] + np.einsum("ij,ij->i", X, X)[:, None] * M[:, -1]
+
+
+def _pole(M, n: int) -> np.ndarray | None:
+    """The zero p of lam = M[0] (1, x, |x|^2) if the word has a pole: alpha = M[0, n+1] != 0
+    and row 0 null, M[0, 0] = alpha |p|^2 to 1e-8 relative. Words with a pole read at most
+    3.4e-14 there; psi then psi.inverse(), whose alpha may be rounding noise, about 1."""
+    alpha = M[0, n + 1]
+    if alpha == 0.0:
+        return None
+    p = -M[0, 1:n + 1] / (2.0 * alpha)
+    c, cp = M[0, 0], alpha * (p @ p)
+    return p if abs(c - cp) <= 1e-8 * (abs(c) + abs(cp)) else None
 
 
 @dataclass(frozen=True)
@@ -240,24 +242,28 @@ class MobiusMap:
 
     def _walk(self, X, order: int = 0) -> _TransportState:
         """Carry the rows x of X (N, n) through the word, its matrix M:
-        M (1, x, |x|^2) = lam (1, y, |y|^2), lam = |det J|^(-1/n) > 0 off the
-        pole. order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam, B and q the
-        blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
+        M (1, x, |x|^2) = lam (1, y, |y|^2), lam = |det J|^(-1/n) > 0 off the pole p
+        (`_pole`), about which lam is formed as alpha |x - p|^2, alpha = M[0, n+1]; a
+        PoleError where lam <= 0 or nan. order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam,
+        B and q the blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
         -n grad lam / lam to y and log |det J|: what `_pullback` needs."""
         X = np.asarray(X, dtype=float)
         n = X.shape[1]
         M = self._matrix(n)
-        Z = _lifted(M, X)
-        lam = Z[:, 0]
-        if np.any(lam <= 0.0):
+        y, p = _lifted(M[1:n + 1], X), _pole(M, n)
+        if p is None:
+            lam, grad_lam = _lifted(M[:1], X)[:, 0], M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
+        else:  # near p the terms of M[0] (1, x, |x|^2) cancel; alpha |x - p|^2 does not
+            d = X - p
+            lam, grad_lam = M[0, n + 1] * np.einsum("ij,ij->i", d, d), 2.0 * M[0, n + 1] * d
+        if not np.all(lam > 0.0):
             raise PoleError("mobius word hit its pole")
-        y = Z[:, 1:n + 1] / lam[:, None]
+        y /= lam[:, None]
         log_det = -n * np.log(lam)
         if not order:
             return _TransportState(y, log_det)
-        grad_lam = M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
         jac = M[1:n + 1, 1:n + 1] + 2.0 * M[1:n + 1, n + 1, None] * X[:, None, :] \
-            - y[:, :, None] * grad_lam[:, None, :]
+            - y[:, :, None] * grad_lam[..., None, :]
         return _TransportState(y, log_det, jac / lam[:, None, None],
                                -n * grad_lam / lam[:, None])
 
@@ -300,10 +306,8 @@ class MobiusMap:
         return MobiusMap(tuple(inv))
 
     def poles(self, n: int) -> list[np.ndarray]:
-        """The finite point where the word passes through infinity, if any: the
-        zero of the quadratic lam (`_walk`), whose least value is 0."""
-        head = self._matrix(n)[0]
-        return [-head[1:n + 1] / (2.0 * head[n + 1])] if head[n + 1] != 0.0 else []
+        """The finite point where the word passes through infinity, if any (`_pole`)."""
+        return [p for p in [_pole(self._matrix(n), n)] if p is not None]
 
 
 def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
@@ -333,7 +337,7 @@ def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     while True:
         psi = random_mobius_map(rng, n)
-        if all(float(np.min(np.linalg.norm(points - p, axis=1))) > clearance
+        if all(float(np.min(np.linalg.norm(points - p, axis=1), initial=np.inf)) > clearance
                for p in psi.poles(n)):
             return psi
 
@@ -390,8 +394,7 @@ class ScalarField:
     def __init__(self, n: int, evaluator: Callable | None = None,
                  domain: Domain | None = None, tag: str | None = None,
                  jets: Callable | None = None):
-        if n < 3:
-            raise ConfigError(f"dimension n={n} must be >= 3")
+        check_nk(n, 1)
         if (evaluator is None) == (jets is None):
             raise ConfigError("give exactly one of evaluator and jets")
         self.n = n

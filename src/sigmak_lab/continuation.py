@@ -38,7 +38,7 @@ import numpy as np
 
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
-    PositivityError, check_nk, check_positive
+    PositivityError, _require_positive, check_nk, check_positive
 from .radial import RadialProfile, _coeffs, _pair_sigma, radial_eigenvalues
 
 __all__ = [
@@ -128,13 +128,11 @@ class _NodeState:
         n, k, h = spec.n, spec.k, spec.h
         if u.shape != (spec.m + 1,):
             raise ConfigError(f"state vector must have {spec.m + 1} nodes")
-        if np.any(u <= 0.0):
-            bad = int(np.argmin(u))
-            raise PositivityError(f"nonpositive node value u[{bad}]={u[bad]}",
-                                  where=bad, value=float(u[bad]))
+        mesh = spec.mesh
+        _require_positive(mesh, u)
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"homotopy parameter t={t} outside [0, 1]")
-        r = spec.mesh[1:-1]
+        r = mesh[1:-1]
         ui = u[1:-1]
         up = (u[2:] - u[:-2]) / (2.0 * h)
         # difference of first differences: rounding ~ eps |u'| / h instead of

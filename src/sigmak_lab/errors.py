@@ -1,11 +1,13 @@
-"""Exception types shared across the package.
-
-All errors derive from SigmakLabError. The numeric ones double as
-ValueError/RuntimeError so generic callers can catch the builtin types.
+"""Exception types shared across the package, and the one home of each input
+check: `check_positive`, `check_nk` and `_require_positive`. All errors derive
+from SigmakLabError; the numeric ones double as ValueError/RuntimeError so
+generic callers can catch the builtin types.
 """
 
 import sys
 from numbers import Integral
+
+import numpy as np
 
 __all__ = ["SigmakLabError", "ConfigError", "PositivityError", "DomainError", "PoleError",
            "ConeDomainError", "ConeBoundaryError", "StepUnderflowError", "NewtonError",
@@ -45,6 +47,16 @@ class PositivityError(SigmakLabError, ValueError):
         super().__init__(message)
         self.where = where
         self.value = value
+
+
+def _require_positive(X, u):
+    """u, once every entry is checked positive (nan fails); u's last axis runs over
+    X's first, X (N, n) points or (N,) radii, and the error names the first bad one."""
+    if not (u > 0.0).all():
+        bad = np.flatnonzero(~(u > 0.0))[0]
+        x, val = X[bad % len(X)], u.flat[bad]
+        raise PositivityError(f"value {val} is not positive at {x}", where=x, value=val)
+    return u
 
 
 class DomainError(SigmakLabError, ValueError):

@@ -66,12 +66,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bubbles import _bubble_jets, c_constant
 from .conformal import Domain, ScalarField
 from .errors import ConeBoundaryError, ConeDomainError, ConfigError, PositivityError, \
-    StepUnderflowError, check_nk, check_positive
+    StepUnderflowError, _require_positive, check_nk, check_positive
 
 __all__ = [
     "EigenPair",
@@ -117,16 +116,12 @@ def radial_eigenvalues(u, du, d2u, r, n: int) -> EigenPair:
 
     u, du, d2u and r are floats, giving a pair of floats, or arrays of one
     shape, giving a pair of arrays. Where r = 0 the tangential slope u'/r
-    is replaced by d2u (smooth radial profiles have du = 0 there). A
-    non-positive u raises PositivityError naming the first such node.
+    is replaced by d2u (smooth radial profiles have du = 0 there). A u that
+    is not positive, or nan, raises PositivityError at the first such node's radius.
     """
     check_nk(n, 1)
     u, du, d2u, r = (np.asarray(a, dtype=float) for a in (u, du, d2u, r))
-    if not u.min(initial=math.inf) > 0.0:
-        bad = np.argmin(u > 0.0)  # the first node that is not positive
-        u0, r0 = float(u.flat[bad]), float(r.flat[bad])
-        raise PositivityError(f"radial value u={u0} not positive at r={r0}",
-                              where=r0, value=u0)
+    _require_positive(r.ravel(), u.ravel())
     b, d, e1, e2 = _coeffs(n)
     q1 = u ** e1
     q2 = u ** e2
@@ -217,7 +212,7 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, 
 
 @dataclass
 class RadialProfile:
-    """Radial mesh with values and first derivatives of a positive profile."""
+    """Radial mesh with values and first derivatives of a profile checked positive."""
 
     r: np.ndarray
     u: np.ndarray
@@ -235,8 +230,7 @@ class RadialProfile:
             raise ConfigError("mesh must start at r = 0")
         if np.any(np.diff(self.r) <= 0.0):
             raise ConfigError("mesh must be strictly increasing")
-        if not np.all(self.u > 0.0):
-            raise PositivityError("profile values must be positive")
+        _require_positive(self.r, self.u)
         if self.du[0] != 0.0:
             raise ConfigError("smoothness at the origin requires du[0] = 0")
 
@@ -552,14 +546,15 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
 # reconstruction and serialization
 # ---------------------------------------------------------------------------
 
-# the septic Hermite basis on [0, 1], ascending powers of s: the right value's
-# (the left one's is 1 minus it), then left and right slope, curvature and third
-# derivative, times j! so that the coefficients, and the values at 0 and 1, are exact
+# the septic Hermite basis on [0, 1] and its two derivatives, ascending powers of s:
+# the right value's (the left one's is 1 minus it), then left and right slope, curvature
+# and third derivative, times j! so that every coefficient, and the values at 0 and 1, are exact
 _SEPTIC = np.array([[0, 0, 0, 0, 35, -84, 70, -20], [0, 1, 0, 0, -20, 45, -36, 10],
                     [0, 0, 0, 0, -15, 39, -34, 10], [0, 0, 1, 0, -10, 20, -15, 4],
                     [0, 0, 0, 0, 5, -14, 13, -4], [0, 0, 0, 1, -4, 6, -4, 1],
                     [0, 0, 0, 0, -1, 3, -3, 1]], dtype=float).T
-_SEPTIC_DER = (_SEPTIC, npoly.polyder(_SEPTIC), npoly.polyder(_SEPTIC, 2))
+_POWERS = np.arange(8.0)[:, None]
+_SEPTIC_DER = (_SEPTIC, (_POWERS * _SEPTIC)[1:], (_POWERS * (_POWERS - 1.0) * _SEPTIC)[2:])
 
 
 def _hermite7(s, h, left, right, order):
@@ -576,7 +571,8 @@ def _hermite7(s, h, left, right, order):
     for j, pair in enumerate(zip(lo, hi), 1):
         hj = hj * h / j  # h^j / j!
         weights += [hj * v for v in pair]
-    val, *ders = (sum(w * b for w, b in zip(weights, npoly.polyval(s, basis)))
+    s = np.asarray(s)[..., None]  # Horner on each basis column, as numpy.polynomial runs it
+    val, *ders = (sum(w * b for w, b in zip(weights, np.polyval(basis[::-1], s).T))
                   for basis in _SEPTIC_DER[:3 if order else 1])
     return (f0 + val, ders[0] / h, ders[1] / (h * h)) if order else (f0 + val, None, None)
 

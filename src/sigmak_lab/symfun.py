@@ -60,8 +60,7 @@ def _as_lambda(values) -> np.ndarray:
     lam = np.asarray(values, dtype=float)
     if lam.ndim != 1:
         raise ConfigError(f"eigenvalue vector must be 1-D, got shape {lam.shape}")
-    if lam.size < 3:
-        raise ConfigError(f"eigenvalue vector needs dimension n >= 3, got {lam.size}")
+    check_nk(lam.size, 1)
     if not np.all(np.isfinite(lam)):
         raise ConfigError("eigenvalue vector has non-finite entries")
     return lam
@@ -163,60 +162,51 @@ def homotopy_vector(lam, spec: OperatorSpec) -> np.ndarray:
     return _uniform_mix(lam, spec.t)
 
 
-def _mixed_esym(lam, spec: OperatorSpec, check_domain: bool):
-    """The mixed vector and its e_0..e_n; with check_domain, ConeDomainError
-    (carrying the margin) when lam lies outside (Gamma_k)_t."""
+def _mixed_esym(lam, spec: OperatorSpec):
+    """The mixed vector and its e_0..e_n; ConeDomainError (carrying the
+    margin) when lam lies outside (Gamma_k)_t, the domain of f_t."""
     mixed = homotopy_vector(lam, spec)
     e = _esym_all_batch(mixed[None])[0]
-    if check_domain:
-        margin = float(_cone_margin(e, spec.k))
-        if margin <= 0.0:
-            raise ConeDomainError(
-                f"argument outside (Gamma_{spec.k})_t at t={spec.t}",
-                margin=margin, where=np.asarray(lam, dtype=float))
+    margin = float(_cone_margin(e, spec.k))
+    if margin <= 0.0:
+        raise ConeDomainError(f"argument outside (Gamma_{spec.k})_t at t={spec.t}",
+                              margin=margin, where=np.asarray(lam, dtype=float))
     return mixed, e
 
 
 def in_gamma_t(lam, spec: OperatorSpec) -> ConeMembership:
     """Membership of lam in (Gamma_k)_t, i.e. of the mixed vector in Gamma_k."""
-    margin = float(_cone_margin(_mixed_esym(lam, spec, False)[1], spec.k))
+    margin = float(_cone_margin(_esym_all_batch(homotopy_vector(lam, spec)[None])[0], spec.k))
     return ConeMembership(margin > 0.0, margin)
 
 
-def f_homotopy(lam, spec: OperatorSpec, check_domain: bool = True) -> float:
-    """Evaluate f_t(lam) = sigma_k of the mixed vector.
+def f_homotopy(lam, spec: OperatorSpec) -> float:
+    """Evaluate f_t(lam) = sigma_k of the mixed vector, on (Gamma_k)_t only.
 
     At t = 1 this is sigma_k(lam) exactly; at t = 0 it collapses to
-    C(n,k) (sigma_1(lam)/n)^k. With check_domain the argument must lie in
-    (Gamma_k)_t, otherwise ConeDomainError is raised with the violating
-    margin attached.
+    C(n,k) (sigma_1(lam)/n)^k. Outside (Gamma_k)_t ConeDomainError is
+    raised with the violating margin attached.
     """
-    return float(_mixed_esym(lam, spec, check_domain)[1][spec.k])
+    return float(_mixed_esym(lam, spec)[1][spec.k])
 
 
-def f_homotopy_gradient(lam, spec: OperatorSpec, check_domain: bool = True) -> np.ndarray:
-    """Gradient of f_t with respect to lam.
+def f_homotopy_gradient(lam, spec: OperatorSpec) -> np.ndarray:
+    """Gradient of f_t with respect to lam, on (Gamma_k)_t only.
 
     Chain rule through the mix: d f_t / d lam_i = t g_i + (1-t) <g, w>,
     where g is the sigma_k gradient at the mixed vector and w the uniform
-    weight.
+    weight. Outside (Gamma_k)_t ConeDomainError carries the margin.
     """
-    mixed, _ = _mixed_esym(lam, spec, check_domain)
+    mixed, _ = _mixed_esym(lam, spec)
     return _uniform_chain(_esym_gradient_batch(mixed[None, :], spec.k)[0], spec.t)
 
 
 def check_ellipticity(spec: OperatorSpec, lam) -> float:
-    """Smallest directional derivative of f_t at lam.
-
-    A positive return value certifies ellipticity of the operator at this
-    eigenvalue vector. Requires lam in (Gamma_k)_t.
+    """Smallest directional derivative of f_t at lam: the least entry of
+    `f_homotopy_gradient`, which raises ConeDomainError outside (Gamma_k)_t.
+    A positive return value certifies ellipticity at this eigenvalue vector.
     """
-    member = in_gamma_t(lam, spec)
-    if not member.inside:
-        raise ConeDomainError(
-            f"ellipticity queried outside (Gamma_{spec.k})_t",
-            margin=member.margin, where=np.asarray(lam, dtype=float))
-    return float(np.min(f_homotopy_gradient(lam, spec, check_domain=False)))
+    return float(np.min(f_homotopy_gradient(lam, spec)))
 
 
 def check_concavity(k: int, lam, mu) -> bool:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
-from sigmak_lab.conformal import _require_positive
-from sigmak_lab.errors import ConfigError, PoleError, PositivityError
+from sigmak_lab.errors import ConfigError, PoleError, PositivityError, _require_positive
 
 from fd_oracles import fd_jet_of_field, mobius_walk_mp
 from field_factories import random_test_field
@@ -115,6 +114,17 @@ def test_inversion_pole_raises():
     inv = sl.MobiusMap((sl.Inversion(),))
     with pytest.raises(PoleError):
         inv.apply(np.zeros(3))
+    # lam is nan at a nan point, of a word with a pole or without one
+    for psi in (inv, sl.MobiusMap(())):
+        with pytest.raises(PoleError):
+            psi.apply([np.nan, 0.0, 0.0])
+
+
+def test_every_word_avoids_an_empty_point_set():
+    # the first word drawn is returned, a word with a pole among them
+    rng = np.random.default_rng(3)
+    words = [sl.random_mobius_map_avoiding(rng, 4, np.empty((0, 4)), 1.0) for _ in range(5)]
+    assert any(psi.poles(4) for psi in words)
 
 
 def test_rotation_validation():
@@ -126,10 +136,15 @@ def test_constructor_and_argument_checks_are_config_errors():
     field = sl.constant_field(1.0, 3)
     bad_calls = [lambda: sl.Rotation(np.ones((2, 3))),
                  lambda: sl.Rotation(np.array([[1.0, 0.1], [0.0, 1.0]])),
+                 lambda: sl.Rotation(np.full((3, 3), np.nan)),
+                 lambda: sl.Translation([np.nan, 0.0, 0.0]),
+                 lambda: sl.Translation(np.zeros((1, 3))),
                  lambda: sl.Dilation(0.0),
+                 lambda: sl.Dilation(np.inf),
                  lambda: sl.MobiusMap(("inversion",)),
                  lambda: sl.constant_field(1.0, 2),
                  lambda: sl.ScalarField(3),
+                 lambda: sl.ScalarField(3.5, jets=lambda X, order: X),
                  lambda: sl.ScalarField(3, lambda x: x, jets=lambda X, order: X),
                  lambda: field.jets(np.zeros((4, 2))),
                  lambda: field.jets(np.zeros((4, 3)), order=1),
@@ -228,13 +243,37 @@ def test_a_word_has_at_most_one_pole():
     assert counts[2, 1] > 0 and counts[3, 1] > 0
 
 
+def test_a_word_then_its_inverse_is_the_identity():
+    # psi then psi.inverse() cancels its translations only to rounding, so row
+    # 0 of its matrix can carry an alpha of rounding size: no pole, and y, J
+    # and the log-determinant terms of the identity
+    rng = np.random.default_rng(29)
+    worst, noisy = 0.0, 0
+    for i in range(150):
+        n = 3 + i % 6
+        psi = sl.random_mobius_map(rng, n).then(sl.random_mobius_map(rng, n))
+        if sum(isinstance(atom, sl.Inversion) for atom in psi.word) < 2:
+            continue
+        ident = psi.then(psi.inverse())
+        noisy += ident._matrix(n)[0, n + 1] != 0.0
+        assert ident.poles(n) == []
+        X = rng.normal(size=(5, n))
+        st = ident._walk(X, 2)
+        for got, ref in ((st.y, X), (st.log_det, 0.0), (st.jac, np.eye(n)),
+                         (st.grad_log_det, 0.0)):
+            worst = max(worst, float(np.abs(got - ref).max()))
+    assert noisy >= 10
+    assert worst <= 2e-11, worst  # 6.6e-12 measured
+
+
 def test_walk_matches_a_50_digit_atom_walk():
     # random words of six atoms, n from 3 to 8, at a random point and within
     # 1e-6 of the pole of each inner inversion that is not the word's own
-    # pole; the image tends to 0 there, so errors are measured against
-    # max(1, |reference|)
-    rng = np.random.default_rng(71)
-    worst, near = 0.0, 0
+    # pole (the image tends to 0 there, so errors are measured against
+    # max(1, |reference|)), and 1e-2 and 1e-3 from the word's own pole, drawn
+    # from a second generator so that the words and the other points stay put
+    rng, pole_rng = np.random.default_rng(71), np.random.default_rng(72)
+    worst, near, own = {"away": 0.0, "at_pole": 0.0}, 0, 0
     for n in range(3, 9):
         for _ in range(4):
             psi = sl.random_mobius_map(rng, n).then(sl.random_mobius_map(rng, n))
@@ -247,16 +286,22 @@ def test_walk_matches_a_50_digit_atom_walk():
                         continue
                     d = rng.normal(size=n)
                     pts.append(c + 1e-6 * d / np.linalg.norm(d))
-            pts = [x for x in pts if all(np.linalg.norm(x - p) > 0.1 for p in psi.poles(n))]
+            pts = [(x, "away") for x in pts
+                   if all(np.linalg.norm(x - p) > 0.1 for p in psi.poles(n))]
             near += len(pts) - 1
-            for x in pts:
+            for p in psi.poles(n):
+                d = pole_rng.normal(size=(2, n))
+                d *= [[1e-2], [1e-3]] / np.linalg.norm(d, axis=1, keepdims=True)
+                pts += [(p + step, "at_pole") for step in d]
+                own += 2
+            for x, where in pts:
                 st = psi.jet(x)
                 for got, ref in zip((st.y, st.log_det, st.jac, st.grad_log_det),
                                     mobius_walk_mp(psi.word, x)):
                     err = np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
-                    worst = max(worst, float(err))
-    assert near >= 10
-    assert worst <= 1e-12
+                    worst[where] = max(worst[where], float(err))
+    assert near >= 10 and own >= 20
+    assert worst["away"] <= 1e-12 and worst["at_pole"] <= 1e-11, worst
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import scipy.sparse
 import sigmak_lab as sl
 from sigmak_lab import continuation
 from sigmak_lab.continuation import initial_guess
-from sigmak_lab.errors import ConeDomainError, ConfigError, NewtonError, PathError
+from sigmak_lab.errors import ConeDomainError, ConfigError, NewtonError, PathError, \
+    PositivityError
 
 from fd_oracles import fd_jacobian
 
@@ -150,6 +151,20 @@ def test_cone_exit_names_the_first_bad_node():
         assert info.value.where == first and info.value.margin == margins[first - 1]
     with pytest.raises(NewtonError):
         sl.newton_solve(u, spec, 1.0)
+
+
+def test_nonpositive_node_is_named_at_its_radius():
+    # the first node in mesh order that is not positive, nan included, not
+    # the smallest value
+    from sigmak_lab.continuation import _NodeState
+    spec = _spec(3, 2, m=32)
+    for bad in ([-1.0, -2.0], [np.nan, -1.0], [np.nan, 1.0]):
+        u = initial_guess(spec)
+        u[[5, 9]] = bad
+        with pytest.raises(PositivityError) as info:
+            _NodeState(u, spec, 1.0)
+        assert info.value.where == spec.mesh[5]
+        np.testing.assert_array_equal(info.value.value, bad[0])
 
 
 def _generic_node_quantities(u, spec, t):

@@ -174,8 +174,14 @@ def test_bad_radial_profile_is_a_configuration_error(r, u, du):
 
 
 def test_radial_profile_rejects_nan_values():
-    with pytest.raises(PositivityError):
-        sl.RadialProfile([0.0, 1.0], [1.0, np.nan], [0.0, 0.0], 3, 1)
+    # the first value that is not positive, nan included, is named at its radius
+    r = [0.0, 0.5, 1.0, 1.5]
+    for u, bad in (([1.0, np.nan, -1.0, 1.0], 1), ([1.0, 2.0, 0.0, np.nan], 2),
+                   ([1.0, 2.0, 3.0, np.nan], 3)):
+        with pytest.raises(PositivityError, match="is not positive at") as info:
+            sl.RadialProfile(r, u, [0.0] * 4, 3, 1)
+        assert info.value.where == r[bad]
+        np.testing.assert_array_equal(info.value.value, u[bad])
 
 
 def test_solve_for_u2_slope_at_the_origin_is_a_configuration_error():
@@ -629,6 +635,22 @@ def test_profile_field_reproduces_nodes_and_midpoints():
     rep = sl.verify_solution(field, n, k, sample_points=pts)
     assert rep.max_residual <= 1e-7
     assert rep.min_margin > 0.0
+
+
+def test_septic_basis_matches_numpy_polynomial():
+    # the basis and its two derivatives against numpy.polynomial's polyder and
+    # polyval, bit for bit, as tables and as _hermite7 evaluates them; with the
+    # right value 1 and every other datum 0, _hermite7 returns the first column
+    from numpy.polynomial import polynomial as npoly
+    s = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(size=10000)])
+    ref = [npoly.polyder(radial._SEPTIC, d) for d in range(3)]
+    for basis, oracle in zip(radial._SEPTIC_DER, ref):
+        np.testing.assert_array_equal(basis, oracle)
+    got = radial._hermite7(s, 1.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0), 2)
+    for value, oracle in zip(got, ref):
+        np.testing.assert_array_equal(value, npoly.polyval(s, oracle)[0])
+    one = radial._hermite7(0.3, 1.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0), 2)
+    assert one == tuple(npoly.polyval(0.3, oracle)[0] for oracle in ref)
 
 
 def test_profile_field_matches_a_per_point_reference_loop():

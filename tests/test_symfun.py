@@ -226,10 +226,18 @@ def test_f_homotopy_examples():
 
 
 def test_f_homotopy_domain_error_carries_margin():
+    # f_t, its gradient and the ellipticity certificate are evaluated on
+    # (Gamma_k)_t only; outside it each names the margin in_gamma_t reports
     lam = np.array([-1.0, -1.0, -1.0])
-    with pytest.raises(ConeDomainError) as err:
-        sl.f_homotopy(lam, sl.OperatorSpec(3, 2, 1.0))
-    assert err.value.margin is not None and err.value.margin <= 0.0
+    for spec in (sl.OperatorSpec(3, 2, 1.0), sl.OperatorSpec(3, 2, 0.5)):
+        margin = sl.in_gamma_t(lam, spec).margin
+        assert margin < 0.0
+        for call in (sl.f_homotopy, sl.f_homotopy_gradient,
+                     lambda v, s: sl.check_ellipticity(s, v)):
+            with pytest.raises(ConeDomainError) as err:
+                call(lam, spec)
+            assert err.value.margin == margin
+            np.testing.assert_array_equal(err.value.where, lam)
 
 
 def test_in_gamma_t_endpoints_and_composition():
@@ -273,8 +281,7 @@ def test_f_homotopy_gradient_matches_fd():
                 spec = sl.OperatorSpec(n, k, t)
                 lam = rng.uniform(0.2, 2.0, size=n)
                 grad = sl.f_homotopy_gradient(lam, spec)
-                ref = fd_gradient(
-                    lambda v: sl.f_homotopy(v, spec, check_domain=False), lam)
+                ref = fd_gradient(lambda v: sl.f_homotopy(v, spec), lam)
                 np.testing.assert_allclose(grad, ref, rtol=1e-6, atol=1e-8)
 
 
