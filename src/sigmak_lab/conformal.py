@@ -219,25 +219,31 @@ class MobiusMap:
             if not isinstance(atom, (Translation, Rotation, Dilation, Inversion)):
                 raise ConfigError(f"unsupported atom {atom!r}")
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_matrices", {})
 
     def _matrix(self, n: int) -> np.ndarray:
         """The word's (n+2) x (n+2) matrix, its atoms' product on the lifts
         (1, x, |x|^2), where Mobius maps act linearly (Liouville): translation
         t [[1, 0, 0], [t, I, 0], [|t|^2, 2t^T, 1]], rotation Q diag(1, Q, 1),
-        dilation s diag(1/s, I, s); inversion swaps the first and last rows."""
-        M = np.eye(n + 2)
-        for atom in self.word:
-            if isinstance(atom, Translation):
-                t = atom.b
-                M[n + 1] += 2.0 * (t @ M[1:n + 1]) + (t @ t) * M[0]
-                M[1:n + 1] += t[:, None] * M[0]
-            elif isinstance(atom, Rotation):
-                M[1:n + 1] = atom.mat @ M[1:n + 1]
-            elif isinstance(atom, Dilation):
-                M[0] /= atom.s
-                M[n + 1] *= atom.s
-            else:
-                M[[0, n + 1]] = M[[n + 1, 0]]
+        dilation s diag(1/s, I, s); inversion swaps the first and last rows.
+        Formed once per n and read-only."""
+        M = self._matrices.get(n)
+        if M is None:
+            M = np.eye(n + 2)
+            for atom in self.word:
+                if isinstance(atom, Translation):
+                    t = atom.b
+                    M[n + 1] += 2.0 * (t @ M[1:n + 1]) + (t @ t) * M[0]
+                    M[1:n + 1] += t[:, None] * M[0]
+                elif isinstance(atom, Rotation):
+                    M[1:n + 1] = atom.mat @ M[1:n + 1]
+                elif isinstance(atom, Dilation):
+                    M[0] /= atom.s
+                    M[n + 1] *= atom.s
+                else:
+                    M[[0, n + 1]] = M[[n + 1, 0]]
+            M.flags.writeable = False
+            self._matrices[n] = M
         return M
 
     def _walk(self, X, order: int = 0) -> _TransportState:

@@ -10,11 +10,13 @@ two super-diagonals, the extra one coming from the u'(0) row). Each Newton
 step substitutes the Dirichlet value and the u'(0) row into the interior
 rows and solves the tridiagonal rest by cyclic reduction (Hockney, J. ACM
 12, 1965; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); see
-_solve_band. The node state is a closed-form pair: each node
-has lam_rad once and lam_tan n-1 times, taken for all interior nodes at
-once from `radial.radial_eigenvalues`, so has the uniform mix (a, b), and
-e_1..e_k of the mix and the two distinct partials of f_t come from
-`radial._pair_sigma`, with no (nodes x n) eigenvalue matrix.
+_solve_band. The node state is a closed-form pair: each node has lam_rad
+once and lam_tan n-1 times, so has the uniform mix (a, b), and e_1..e_k of
+the mix and the two distinct partials of f_t come from one table of the
+powers b^j, with no (nodes x n) eigenvalue matrix. What u alone fixes (the
+checks, the differences, the pair and its partials) is an _Iterate, formed
+once per vector; a _NodeState adds one t, and continue_path hands each
+converged iterate to the next t.
 
 Continuation walks t from 0 (a sigma_1-type equation) to 1 (pure sigma_k),
 seeding each solve with the last converged solution; the t-step starts at
@@ -29,6 +31,7 @@ is checked at every step, never assumed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -39,7 +42,7 @@ import numpy as np
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError, _require_positive, check_nk, check_positive
-from .radial import RadialProfile, _coeffs, _pair_sigma, radial_eigenvalues
+from .radial import RadialProfile, _coeffs, _powers_e, _schouten_pair
 
 __all__ = [
     "BvpSpec",
@@ -89,9 +92,12 @@ class BvpSpec:
         if not 0.0 < self.t_step <= 1.0:
             raise ConfigError(f"first t-step t_step={self.t_step} must lie in (0, 1]")
 
-    @property
+    @functools.cached_property
     def mesh(self) -> np.ndarray:
-        return np.linspace(0.0, float(self.r_b), self.m + 1)
+        """The m + 1 nodes, formed once per spec and read-only."""
+        mesh = np.linspace(0.0, float(self.r_b), self.m + 1)
+        mesh.flags.writeable = False
+        return mesh
 
     @property
     def h(self) -> float:
@@ -120,38 +126,68 @@ class ContinuationTrace:
         return json.dumps([asdict(r) for r in self.records], indent=2) + "\n"
 
 
-class _NodeState:
-    """Interior-node quantities shared by residual and Jacobian assembly, on
-    the closed-form pair: see the module docstring."""
+class _Iterate:
+    """A state vector u and what it alone fixes, formed on first use: `nodes`
+    checks u, then holds r, u, u', u'', q1 = u^e1, q2 = u^e2 (`_coeffs`), the
+    pair and its sigma_1 at the interior nodes; `partials` the pair's derivatives."""
 
-    def __init__(self, u: np.ndarray, spec: BvpSpec, t: float):
-        n, k, h = spec.n, spec.k, spec.h
+    def __init__(self, u, spec: BvpSpec):
+        self.u, self.spec = np.array(u, dtype=float), spec
+
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        spec, u, h = self.spec, self.u, self.spec.h
         if u.shape != (spec.m + 1,):
             raise ConfigError(f"state vector must have {spec.m + 1} nodes")
-        mesh = spec.mesh
-        _require_positive(mesh, u)
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"homotopy parameter t={t} outside [0, 1]")
-        r = mesh[1:-1]
-        ui = u[1:-1]
+        _require_positive(spec.mesh, u)
+        r, ui = spec.mesh[1:-1], u[1:-1]
         up = (u[2:] - u[:-2]) / (2.0 * h)
         # difference of first differences: rounding ~ eps |u'| / h instead of
         # eps |u| / h^2, which would put the 1e-10 residual target out of
         # reach on fine meshes once u^{-(n+2)/(n-2)} amplifies it
         upp = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / h ** 2
-        lam_rad, lam_tan = radial_eigenvalues(ui, up, upp, r, n)
-        mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
+        _, _, e1, e2 = _coeffs(spec.n)
+        q1, q2 = ui ** e1, ui ** e2
+        lam_rad, lam_tan = _schouten_pair(q1, q2, up, upp, r, spec.n)
+        return r, ui, up, upp, q1, q2, lam_rad, lam_tan, lam_rad + (spec.n - 1.0) * lam_tan
+
+    @functools.cached_property
+    def partials(self) -> tuple:
+        """d lam_rad / d(u, u', u'') and d lam_tan / d(u, u') at the interior nodes."""
+        n = self.spec.n
+        b, d, e1, e2 = _coeffs(n)
+        r, ui, up, upp, q1, q2 = self.nodes[:6]
+        dq1 = e1 * ui ** (e1 - 1.0)
+        dq2 = e2 * ui ** (e2 - 1.0)
+        up2 = up ** 2
+        return (-b * dq1 * upp + (n - 1.0) * d * dq2 * up2, 2.0 * (n - 1.0) * d * q2 * up,
+                -b * q1, -b * dq1 * up / r - d * dq2 * up2, -b * q1 / r - 2.0 * d * q2 * up)
+
+
+class _NodeState:
+    """An _Iterate at t (built from u when u is a vector): the residual and
+    Jacobian quantities on the closed-form pair, see the module docstring."""
+
+    def __init__(self, u, spec: BvpSpec, t: float):
+        it = u if isinstance(u, _Iterate) else _Iterate(u, spec)
+        lam_rad, lam_tan, sigma1 = it.nodes[6:]
+        if not 0.0 <= t <= 1.0:
+            raise ConfigError(f"homotopy parameter t={t} outside [0, 1]")
+        n, k = spec.n, spec.k
+        mix = (1.0 - t) * sigma1 * (1.0 / n)
         a, bt = t * lam_rad + mix, t * lam_tan + mix
-        self.margins, self.f = _pair_sigma(a, bt, [math.comb(n - 1, j) for j in range(k + 1)])
-        # sigma_k partials: e_{k-1} of (bt x n-1), radial, and of (a, bt x n-2), tangential
-        g_rad = math.comb(n - 1, k - 1) * bt ** (k - 1)
-        g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)])[1] \
+        pw = [bt ** j for j in range(k + 1)]  # serves the margins, f and both partials
+        e = _powers_e(a, pw, [math.comb(n - 1, j) for j in range(k + 1)])
+        self.margins, self.f = functools.reduce(np.minimum, e, math.inf), e[-1]
+        # sigma_k partials: e_{k-1} of (bt x n-1), radial, and of (a, bt x n-2),
+        # tangential, the latter alone from the table's rows k-2 and k-1
+        g_rad = math.comb(n - 1, k - 1) * pw[k - 1]
+        g_tan = _powers_e(a, pw[k - 2:k], [math.comb(n - 2, k - 2), math.comb(n - 2, k - 1)])[0] \
             if k > 1 else 1.0
         mean = (g_rad + (n - 1.0) * g_tan) * (1.0 / n)
         self.f_rad = t * g_rad + (1.0 - t) * mean
         self.f_tan = t * g_tan + (1.0 - t) * mean
-        self.spec, self.t = spec, t
-        self.u, self.r, self.ui, self.up, self.upp = u, r, ui, up, upp
+        self.iterate, self.spec, self.t, self.u = it, spec, t, it.u
 
     def residual(self) -> np.ndarray:
         spec, h = self.spec, self.spec.h
@@ -170,16 +206,7 @@ class _NodeState:
     def jacobian_banded(self) -> np.ndarray:
         spec = self.spec
         n, h = spec.n, spec.h
-        b, d, e1, e2 = _coeffs(n)
-        ui, up, upp, r = self.ui, self.up, self.upp, self.r
-        q1, q2 = ui ** e1, ui ** e2
-        dq1 = e1 * ui ** (e1 - 1.0)
-        dq2 = e2 * ui ** (e2 - 1.0)
-        dlt_du = -b * dq1 * up / r - d * dq2 * up ** 2
-        dlt_dp = -b * q1 / r - 2.0 * d * q2 * up
-        dlr_du = -b * dq1 * upp + (n - 1.0) * d * dq2 * up ** 2
-        dlr_dp = 2.0 * (n - 1.0) * d * q2 * up
-        dlr_ds = -b * q1
+        dlr_du, dlr_dp, dlr_ds, dlt_du, dlt_dp = self.iterate.partials
         f_rad, f_tan = self.f_rad, (n - 1.0) * self.f_tan
         du_ = f_rad * dlr_du + f_tan * dlt_du
         dp_ = f_rad * dlr_dp + f_tan * dlt_dp
@@ -268,11 +295,12 @@ def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _admissible_state(u, spec: BvpSpec, t: float) -> _NodeState:
     """The node state of u, raising ConeDomainError at the first node whose
     (Gamma_k)_t margin is not positive."""
-    state = _NodeState(np.array(u, dtype=float), spec, t)
+    state = _NodeState(u, spec, t)
     if not np.all(state.margins > 0.0):
         node = int(np.argmin(state.margins > 0.0)) + 1
         raise ConeDomainError(f"node {node} left (Gamma_{spec.k})_t at t={t}",
-                              margin=float(state.margins[node - 1]), where=node)
+                              margin=float(state.margins[node - 1]),
+                              where=float(spec.mesh[node]))
     return state
 
 
@@ -299,16 +327,17 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     Jacobian, a stalled line search, or iteration exhaustion. The step
     solve (_solve_band) does not pivot: a singular Jacobian, or a zero
     pivot of the elimination, shows up as a non-finite step, which is the
-    one singular-Jacobian path.
+    one singular-Jacobian path. initial may also be an _Iterate, as
+    continue_path passes its last solution; the solution is then one too.
     """
-    x = np.array(initial, dtype=float)
     try:
-        state = _admissible_state(x, spec, t)
+        state = _admissible_state(initial, spec, t)
     except (PositivityError, ConeDomainError) as exc:
         raise NewtonError(f"inadmissible initial state: {exc}") from exc
     if state.ellipticity() <= 0.0:
         raise NewtonError("inadmissible initial state: no ellipticity certificate")
 
+    x = state.u
     res = state.residual()
     rnorm = float(np.abs(res).max())
     iters = 0
@@ -347,7 +376,7 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
         iters += 1
     record = TRecord(t, True, iters, rnorm, float(state.margins.min()),
                      state.ellipticity())
-    return x, record
+    return (state.iterate if isinstance(initial, _Iterate) else x), record
 
 
 def initial_guess(spec: BvpSpec) -> np.ndarray:
@@ -387,7 +416,7 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     Returns the t = 1 profile and the full trace (failed attempts included).
     """
     trace = ContinuationTrace()
-    x = initial_guess(spec)
+    x = _Iterate(initial_guess(spec), spec)
     # Python floats, so "last good t" prints plainly; no solve has converged yet
     cur_t, tgt, step, depth = None, 0.0, float(spec.t_step), 0
     while cur_t != 1.0:
@@ -415,7 +444,7 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
             step *= 2.0
         x, cur_t, depth = x_new, tgt, 0
         tgt = 1.0 if cur_t + step > 1.0 - 1e-9 * step else cur_t + step  # no rounding sliver
-    h = spec.h
+    h, x = spec.h, x.u
     du = np.empty_like(x)
     du[0] = 0.0
     du[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)

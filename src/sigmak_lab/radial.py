@@ -122,14 +122,17 @@ def radial_eigenvalues(u, du, d2u, r, n: int) -> EigenPair:
     check_nk(n, 1)
     u, du, d2u, r = (np.asarray(a, dtype=float) for a in (u, du, d2u, r))
     _require_positive(r.ravel(), u.ravel())
-    b, d, e1, e2 = _coeffs(n)
-    q1 = u ** e1
-    q2 = u ** e2
-    slope = np.divide(du, r, out=d2u.copy(), where=r != 0.0)
-    lam_tan = -b * q1 * slope - d * q2 * du * du
-    lam_rad = -b * q1 * d2u + (n - 1.0) * d * q2 * du * du
-    pair = EigenPair(lam_rad, lam_tan)
+    _, _, e1, e2 = _coeffs(n)
+    pair = _schouten_pair(u ** e1, u ** e2, du, d2u, r, n)
     return EigenPair(*map(float, pair)) if u.ndim == 0 else pair
+
+
+def _schouten_pair(q1, q2, du, d2u, r, n: int) -> EigenPair:
+    """`radial_eigenvalues` of unchecked arrays, given q1 = u^e1 and q2 = u^e2 (`_coeffs`)."""
+    b, d, _, _ = _coeffs(n)
+    slope = np.divide(du, r, out=d2u.copy(), where=r != 0.0)
+    return EigenPair(-b * q1 * d2u + (n - 1.0) * d * q2 * du * du,
+                     -b * q1 * slope - d * q2 * du * du)
 
 
 def _lam0(n: int, k: int) -> float:
@@ -139,17 +142,22 @@ def _lam0(n: int, k: int) -> float:
 
 def _pair_e(lam_rad, lam_tan, combs):
     """[e_1, ..., e_k] of (lam_rad, lam_tan x m), combs = C(m, 0..k), from
-    e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad."""
+    e_j = C(m, j) lam_tan^j + C(m, j-1) lam_tan^{j-1} lam_rad. On floats (shoot's
+    node) two powers per j cost less than a list of them; arrays use `_powers_e`."""
     return [combs[j] * lam_tan ** j + combs[j - 1] * lam_tan ** (j - 1) * lam_rad
+            for j in range(1, len(combs))]
+
+
+def _powers_e(lam_rad, tan_pow, combs):
+    """`_pair_e` from the powers tan_pow[j] = lam_tan^j, each formed once."""
+    return [combs[j] * tan_pow[j] + combs[j - 1] * tan_pow[j - 1] * lam_rad
             for j in range(1, len(combs))]
 
 
 def _pair_sigma(lam_rad, lam_tan, combs):
     """(min_j e_j, e_k) of `_pair_e` on arrays, nan where any e_j is nan."""
-    margin = math.inf
-    for s in _pair_e(lam_rad, lam_tan, combs):
-        margin = np.minimum(margin, s)
-    return margin, s
+    e = _powers_e(lam_rad, [lam_tan ** j for j in range(len(combs))], combs)
+    return functools.reduce(np.minimum, e, math.inf), e[-1]
 
 
 def _node_solves(r, u, du, n: int, k: int):

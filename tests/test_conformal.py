@@ -223,6 +223,15 @@ def test_mobius_inverse_and_poles():
     np.testing.assert_array_equal(sandwich.apply(np.zeros(3)), np.zeros(3))
 
 
+def test_a_word_forms_its_matrix_once_per_dimension():
+    rng = np.random.default_rng(37)
+    psi = sl.random_mobius_map(rng, 4)
+    M = psi._matrix(4)
+    assert psi._matrix(4) is M and not M.flags.writeable
+    np.testing.assert_array_equal(M, sl.MobiusMap(psi.word)._matrix(4))
+    assert psi._matrix(3).shape == (5, 5) and psi._matrix(4) is M
+
+
 def test_a_word_has_at_most_one_pole():
     # a word without inversions has no pole, one with a single inversion has
     # exactly one, and lam = |det J|^(-1/n) vanishes there to rounding

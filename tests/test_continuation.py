@@ -39,6 +39,8 @@ def test_bvp_spec_validation():
     with pytest.raises(ConfigError):  # no float holds this radius
         sl.BvpSpec(3, 2, 10 ** 400, 0.5)
     assert np.all(np.isfinite(sl.BvpSpec(3, 2, 2 ** 64, 0.5).mesh))
+    spec = sl.BvpSpec(3, 2, 5.0, 0.5)  # the mesh is formed once, read-only
+    assert spec.mesh is spec.mesh and not spec.mesh.flags.writeable
     with pytest.raises(ConfigError):
         sl.BvpSpec(3, 2, 5.0, -0.5)
     for t_step in (0.0, -0.1, 1.5, math.nan):
@@ -138,7 +140,8 @@ def test_residual_constant_profile_is_minus_one_inside():
 
 def test_cone_exit_names_the_first_bad_node():
     # a bump that leaves the cone over a run of nodes, deepest well past the
-    # first: residual and Jacobian name the same first node, Newton refuses
+    # first: residual and Jacobian name the same first node, at its radius
+    # and by its index in the message; Newton refuses
     from sigmak_lab.continuation import _NodeState
     spec = _spec(3, 2, m=128)
     u = initial_guess(spec) * (1.0 + 0.05 * np.exp(-(((spec.mesh - 2.0) / 2.0) ** 2)))
@@ -148,7 +151,8 @@ def test_cone_exit_names_the_first_bad_node():
     for assemble in (sl.assemble_residual, sl.assemble_jacobian):
         with pytest.raises(ConeDomainError) as info:
             assemble(u, spec, 1.0)
-        assert info.value.where == first and info.value.margin == margins[first - 1]
+        assert info.value.where == spec.mesh[first] and info.value.margin == margins[first - 1]
+        assert f"node {first} " in str(info.value)
     with pytest.raises(NewtonError):
         sl.newton_solve(u, spec, 1.0)
 
@@ -185,14 +189,39 @@ def _generic_node_quantities(u, spec, t):
     return e[:, k], _cone_margin(e, k), grad
 
 
-@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def _pair_sigma_node_state(u, spec, t):
+    """(margins, f, f_rad, f_tan) of u at t the long way: the pair from
+    `radial_eigenvalues`, `_pair_sigma` for the margins and f and again for
+    e_{k-1} of (a, bt x n-2), and a power of its own for g_rad."""
+    from sigmak_lab.radial import _pair_sigma
+    n, k, h = spec.n, spec.k, spec.h
+    up = (u[2:] - u[:-2]) / (2.0 * h)
+    upp = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / h ** 2
+    lam_rad, lam_tan = sl.radial_eigenvalues(u[1:-1], up, upp, spec.mesh[1:-1], n)
+    mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
+    a, bt = t * lam_rad + mix, t * lam_tan + mix
+    margins, f = _pair_sigma(a, bt, [math.comb(n - 1, j) for j in range(k + 1)])
+    g_rad = math.comb(n - 1, k - 1) * bt ** (k - 1)
+    g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)])[1] if k > 1 else 1.0
+    mean = (g_rad + (n - 1.0) * g_tan) * (1.0 / n)
+    return margins, f, t * g_rad + (1.0 - t) * mean, t * g_tan + (1.0 - t) * mean
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.37, 1.0])
 def test_node_state_pair_form_matches_the_full_matrix_oracle(t):
-    from sigmak_lab.continuation import _NodeState
+    # also bit for bit against the long way, from a vector and from an
+    # iterate carried from another t
+    from sigmak_lab.continuation import _Iterate, _NodeState
     for n in range(3, 9):
         for k in range(1, n + 1):
             spec = _spec(n, k, m=32, r_b=3.0)
             u = initial_guess(spec) * (1.0 + 0.02 * np.sin(2.0 * spec.mesh))
-            state = _NodeState(u, spec, t)
+            carried = _Iterate(u, spec)
+            _NodeState(carried, spec, 0.5)
+            for state in (_NodeState(carried, spec, t), _NodeState(u, spec, t)):
+                got = (state.margins, state.f, state.f_rad, state.f_tan)
+                for x, y in zip(got, _pair_sigma_node_state(u, spec, t), strict=True):
+                    np.testing.assert_array_equal(x, y)
             f, margins, grad = _generic_node_quantities(u, spec, t)
             np.testing.assert_allclose(state.residual()[1:-1], f - 1.0, rtol=1e-12,
                                        atol=1e-12)
@@ -567,6 +596,41 @@ def test_first_step_of_one_fortieth_takes_at_most_seven_solves(n, monkeypatch):
         _, trace = sl.continue_path(_spec(n, k, m=256, t_step=1.0 / 40.0))
         assert len(calls) <= 7, (n, k, calls)
         assert trace.records[-1].t == 1.0 and trace.records[-1].converged
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 6)])
+def test_carried_iterates_give_the_path_of_rebuilt_ones(n, k, monkeypatch):
+    # handing each converged iterate to the next t changes no bit of the
+    # profile or the trace against a path that rebuilds every start state
+    # from its vector
+    spec = _spec(n, k, m=256, t_step=1.0 / 40.0)
+    carried, carried_trace = sl.continue_path(spec)
+    real = continuation.newton_solve
+
+    def rebuilt(x, spec, t):
+        return real(continuation._Iterate(x.u.copy(), spec), spec, t)
+    monkeypatch.setattr(continuation, "newton_solve", rebuilt)
+    fresh, fresh_trace = sl.continue_path(spec)
+    for name in ("r", "u", "du"):
+        np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
+    assert carried_trace.to_json() == fresh_trace.to_json()
+
+
+def test_a_path_forms_each_pair_once_per_iterate(monkeypatch):
+    # the pair is formed once per vector Newton tries: a converged iterate
+    # starts the next solve without forming it again
+    real, seen = continuation._schouten_pair, []
+
+    def counted(q1, q2, du, d2u, r, n):
+        seen.append(q1.tobytes() + du.tobytes() + d2u.tobytes())
+        return real(q1, q2, du, d2u, r, n)
+    monkeypatch.setattr(continuation, "_schouten_pair", counted)
+    _, trace = sl.continue_path(_spec(5, 3, m=256, t_step=1.0 / 40.0))
+    solves = len(trace.records)
+    assert solves >= 5 and all(r.converged for r in trace.records)
+    assert len(seen) == len(set(seen))
+    # one start and at least one accepted step per solve that iterates
+    assert len(seen) >= 1 + sum(r.iters for r in trace.records)
 
 
 def test_trace_serializes_to_json():

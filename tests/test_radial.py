@@ -848,6 +848,26 @@ def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     assert info.value.where == 3 and info.value.margin == margin[3]
 
 
+def test_pair_sigma_forms_each_power_once():
+    # on arrays one power of lam_tan per j, and the margin and e_k of
+    # `_pair_e`'s term-by-term powers, bit for bit
+    class Counted(np.ndarray):
+        def __pow__(self, j):
+            powers.append(j)
+            return np.asarray(self) ** j
+
+    rng = np.random.default_rng(73)
+    for k in range(1, 7):
+        combs = [math.comb(6, j) for j in range(k + 1)]
+        lam_rad, lam_tan = rng.normal(size=(2, 50))
+        powers = []
+        margin, sigma_k = _pair_sigma(lam_rad, lam_tan.view(Counted), combs)
+        assert powers == list(range(k + 1))
+        e = radial._pair_e(lam_rad, lam_tan, combs)
+        np.testing.assert_array_equal(margin, np.min(e, axis=0))
+        np.testing.assert_array_equal(sigma_k, e[-1])
+
+
 def test_pair_sigma_closed_form_matches_generic():
     rng = np.random.default_rng(71)
     for _ in range(100):
