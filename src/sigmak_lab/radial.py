@@ -26,7 +26,9 @@ solves sigma_k = c exactly when u solves sigma_k = 1. `_node_solves` solves
 an array of nodes (r, u, u') in one pass, isotropically where r = 0;
 `solve_for_u2` is its one-node case.
 
-Shooting integrates in the log-cylinder chart t = log r, e^xi = r u^{2/(n-2)}
+Shooting starts from the sextic Taylor series of the solution regular at
+the origin, evaluated at r_s = 1e-2 (moved in for a family scale above 1),
+and integrates on in the log-cylinder chart t = log r, e^xi = r u^{2/(n-2)}
 (the variable of Caffarelli, Gidas and Spruck; the reduction of Chang, Han
 and Yang), where xi' = dxi/dt = 1 + (2/(n-2)) r u'/u and the pair reads
 
@@ -88,7 +90,7 @@ __all__ = [
 _MARGIN_FLOOR = 1e-10  # integration halts when the cone margin drops below this
 _MAX_STEPS = 200000  # step budget of one shot
 _TOL_FLOOR = 1e-15  # smallest shot tol: a shot at it is already off by ~1e-13 from rounding
-_R_START = 1e-3  # the series start's node at scale a <= 1, where the t chart begins
+_R_START = 1e-2  # the sextic series start's node at scale a <= 1, where the t chart begins
 _DT_FIRST = 0.04  # the first trial step in t; the error control sets every later one
 
 
@@ -346,35 +348,44 @@ exec('''def _dop853_step(rhs, xi, s, side, f, h):
     *(_weighted(w, k) for w in (_DOP_B, _DOP_E5, _DOP_E3) for k in "xs")), globals())
 
 
-def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float]:
-    """(u2, u4) of u = u0 + u2 r^2/2 + u4 r^4/24 + O(r^6), the solution regular at the origin.
+def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float, float]:
+    """(u2, u4, u6) of u = u0 + u2 r^2/2 + u4 r^4/24 + u6 r^6/720 + O(r^8), the
+    solution regular at the origin.
 
     u2 solves the isotropic equation at the origin. u4 = 3 n u2^2 / ((n-2) u0)
     makes the order-r^2 term of sigma_k = 1 vanish: every eigenvalue starts
     at lam0, sigma_k is symmetric, so that term is proportional to
     dlam_rad + (n-1) dlam_tan = -b u0^{-(n+2)/(n-2)} ((n+2) u4 / 6
     - n (n+2) u2^2 / (2 (n-2) u0)), free of k (checked with sympy for
-    3 <= n <= 6). A coefficient that leaves the float range is a
-    ConeDomainError.
+    3 <= n <= 6). u6 = 15 (m+1) (m+2) u2^3 / (m^2 u0^2), m = (n-2)/2, makes
+    the order-r^4 term vanish, again for every k (checked with mpmath for
+    3 <= n <= 8). A coefficient that leaves the float range is a
+    ConeDomainError, u4 checked first.
     """
     u2, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
+    m = (n - 2.0) / 2.0
     u4 = 3.0 * n * u2 * (u2 / u0) / (n - 2.0)
-    if not abs(u4) < math.inf:
-        raise ConeDomainError(f"series coefficient u4={u4} of u0={u0} overflows", where=0.0)
-    return u2, u4
+    u6 = 15.0 * (m + 1.0) * (m + 2.0) * u2 * (u2 / u0) * (u2 / u0) / (m * m)
+    for name, value in (("u4", u4), ("u6", u6)):
+        if not abs(value) < math.inf:
+            raise ConeDomainError(f"series coefficient {name}={value} of u0={u0} overflows",
+                                  where=0.0)
+    return u2, u4, u6
 
 
 def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
-    Starts from u(0) = u0, u'(0) = 0. The node r_s = 1e-3 / max(1, a), a
-    the scale of the family member through u0, comes from the quartic
-    Taylor expansion of `_series_coefficients`. Past r_s the state (xi, s)
-    of the t = log r chart (see the module docstring) is advanced by the
-    DOP853 pair, and past the turning point every accepted node with
-    xi' <= -1/2 is projected onto the first integral H = 0 by resetting s
-    from xi. Each node is stored as (r, u, u'); the last lies at r_max
-    exactly.
+    Starts from u(0) = u0, u'(0) = 0. The node r_s = min(1e-2 / max(1, a),
+    r_max), a the scale of the family member through u0, comes from the
+    sextic Taylor expansion of `_series_coefficients`, whose relative
+    truncation error |C(-m, 4)| (a r_s)^8, m = (n-2)/2, is 5e-16 at n = 6
+    and 2e-14 at n = 16. Past r_s the state (xi, s) of the t = log r chart
+    (see the module docstring) is advanced by the DOP853 pair, and past
+    the turning point every accepted node with xi' <= -1/2 is projected
+    onto the first integral H = 0 by resetting s from xi. Each node is
+    stored as (r, u, u'); the last lies at r_max exactly, so a shot with
+    r_max <= r_s takes no step.
 
     tol is the accuracy asked of the profile and the one accuracy control:
     a step is accepted when Hairer's error estimate is at most tol, absolute
@@ -406,11 +417,12 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
     combs = [math.comb(n - 1, j) for j in range(k + 1)]
     rhs = _t_kernel(n, k)
 
-    u2, u4 = _series_coefficients(u0, n, k)
+    u2, u4, u6 = _series_coefficients(u0, n, k)
     # the series runs in powers of (a r)^2, a^2 = -u2 / ((n-2) u0) the family's scale
     r1 = min(_R_START / max(1.0, math.sqrt(-u2 / ((n - 2.0) * u0))), r_max)
-    u1 = u0 + 0.5 * u2 * r1 * r1 + u4 * r1 ** 4 / 24.0
-    p1 = r1 * (u2 + u4 * r1 * r1 / 6.0)
+    q = r1 * r1
+    u1 = u0 + q * (0.5 * u2 + q * (u4 / 24.0 + q * u6 / 720.0))
+    p1 = r1 * (u2 + q * (u4 / 6.0 + q * u6 / 120.0))
     rs, us, ps = [0.0, r1], [u0, u1], [0.0, p1]
 
     t, t_end = math.log(r1), math.log(r_max)

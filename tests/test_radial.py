@@ -219,7 +219,7 @@ def test_shoot_reproduces_family_members():
 def test_shoot_scaling_covariance():
     # u0 fixes the scale through a = (u0/c)^{2/(n-2)}; the whole profile
     # must then be the rescaled member, not just the origin value. At
-    # u0 = 2000 (a ~ 900) the series start has to move in to r_s = 1e-3 / a
+    # u0 = 2000 (a ~ 900) the series start has to move in to r_s = 1e-2 / a
     n, k = 4, 2
     for u0 in (0.37, 2.0, 9.1, 2000.0):
         profile = sl.shoot(u0, n, k, 8.0)
@@ -352,7 +352,7 @@ def test_shoot_tolerance_below_the_floor_fails_at_once():
     with pytest.raises(ConfigError, match="below the floor"):
         sl.shoot(c, 3, 3, 10.0, tol=1e-22)
     assert time.perf_counter() - start < 0.1
-    # the floor itself is met: 198 nodes to r = 10, within 1e-13 of the member
+    # the floor itself is met: 147 nodes to r = 10, within 1e-13 of the member
     profile = sl.shoot(c, 3, 3, 10.0, tol=radial._TOL_FLOOR)
     assert sl.liouville_report(profile).max_rel_deviation <= 1e-13
 
@@ -378,7 +378,7 @@ def test_shoot_node_margin_keeps_a_nan(monkeypatch, e):
 
 
 def test_shoot_step_budget_is_a_step_underflow(monkeypatch):
-    # a shot to r = 5 takes about 80 steps; a budget of 5 runs out near the
+    # a shot to r = 5 takes about 60 steps; a budget of 5 runs out near the
     # series start and names the radius of the last node
     monkeypatch.setattr(radial, "_MAX_STEPS", 5)
     with pytest.raises(StepUnderflowError) as info:
@@ -388,25 +388,26 @@ def test_shoot_step_budget_is_a_step_underflow(monkeypatch):
 
 
 def test_shoot_inadmissible_accepted_node_is_a_boundary_error(monkeypatch):
-    # the 40th step is accepted onto a state past the cone, s = -1/4 so
+    # the 20th step is accepted onto a state past the cone, s = -1/4 so
     # lam_tan = e^{-2 xi} s (2 - s) / 2 < 0: the equation at that node has no
     # admissible value, a documented ConeBoundaryError with the node's r and
-    # lam_tan as the margin. The first 40 steps are all accepted, so that
-    # node is the unpatched shot's 40th past r_s
+    # lam_tan as the margin. The first 33 steps are all accepted, well before
+    # the turning point at node 48, so that node is the unpatched shot's 20th
+    # past r_s
     n, k = 4, 2
-    expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[41]
+    expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[21]
     real_step = radial._dop853_step
     steps = [0]
 
     def bad_step(*args):
         steps[0] += 1
         xi, s, e5, e3 = real_step(*args)
-        return xi, (-0.25 if steps[0] == 40 else s), e5, e3
+        return xi, (-0.25 if steps[0] == 20 else s), e5, e3
 
     monkeypatch.setattr(radial, "_dop853_step", bad_step)
     with pytest.raises(ConeBoundaryError) as info:
         sl.shoot(sl.c_constant(n, k), n, k, 10.0)
-    assert steps[0] == 40
+    assert steps[0] == 20
     assert info.value.r == expect_r
     assert info.value.margin < 0.0
 
@@ -424,7 +425,7 @@ def _failing_after(calls, failure):
 def test_shoot_stage_failures_halve_into_a_boundary_error(monkeypatch):
     # from the 11th step on every stage has no admissible value: the step
     # halves from its trial size below 1e-12 and the shot stops at the
-    # last node, the unpatched shot's 10th past r_s (its first 40 steps are
+    # last node, the unpatched shot's 10th past r_s (its first 33 steps are
     # all accepted), with the stage's margin
     n, k = 4, 2
     expect_r = sl.shoot(sl.c_constant(n, k), n, k, 10.0).r[11]
@@ -494,25 +495,52 @@ def test_t_kernel_stage_failures_are_cone_errors():
 
 
 def test_shoot_node_budget():
-    # the error control alone sets the mesh: 100 to 185 nodes to r = 100,
-    # every profile within 5.4e-12 of the member
+    # the error control alone sets the mesh: 85 to 148 nodes to r = 100,
+    # every profile within 2.7e-12 of the member
     for n in range(3, 7):
         for k in range(1, n + 1):
             profile = sl.shoot(sl.c_constant(n, k), n, k, 100.0)
-            assert profile.r.size <= 200
+            assert profile.r.size <= 160
             assert sl.liouville_report(profile).max_rel_deviation <= 1e-10
 
 
 def test_series_coefficients_match_the_bubble_taylor_coefficients():
-    # u = c a^m (1 + a^2 r^2)^{-m} = u0 (1 - m a^2 r^2 + m (m+1) a^4 r^4 / 2 - ...)
-    for n in range(3, 7):
+    # u = c a^m (1 + a^2 r^2)^{-m}
+    #   = u0 (1 - m a^2 r^2 + m (m+1) a^4 r^4 / 2 - m (m+1) (m+2) a^6 r^6 / 6 + ...)
+    for n in range(3, 9):
         m = (n - 2.0) / 2.0
         for k in range(1, n + 1):
             for a in (0.3, 1.0, 2.7):
                 u0 = sl.c_constant(n, k) * a ** m
-                u2, u4 = radial._series_coefficients(u0, n, k)
+                u2, u4, u6 = radial._series_coefficients(u0, n, k)
                 assert u2 == pytest.approx(-2.0 * m * a * a * u0, rel=1e-13)
                 assert u4 == pytest.approx(12.0 * m * (m + 1.0) * a ** 4 * u0, rel=1e-13)
+                assert u6 == pytest.approx(-120.0 * m * (m + 1.0) * (m + 2.0) * a ** 6 * u0,
+                                           rel=1e-13)
+
+
+def _series_residual(u0, n, k, r, coefficients):
+    """|sigma_k - 1| of the truncated series u0 + u2 r^2/2 + u4 r^4/24 + u6 r^6/720
+    at r, its pair from radial_eigenvalues and its sigma_k from the generic sigma."""
+    u2, u4, u6 = coefficients
+    u = u0 + u2 * r ** 2 / 2.0 + u4 * r ** 4 / 24.0 + u6 * r ** 6 / 720.0
+    du = u2 * r + u4 * r ** 3 / 6.0 + u6 * r ** 5 / 120.0
+    d2u = u2 + u4 * r ** 2 / 2.0 + u6 * r ** 4 / 24.0
+    return abs(sl.sigma(sl.radial_eigenvalues(u, du, d2u, r, n).vector(n), k) - 1.0)
+
+
+def test_series_u6_is_the_equations_own_coefficient():
+    # no closed form involved: the sigma_k residual of the series polynomial,
+    # at r and 2r near the sextic start, falls as r^6 with u6 and as r^4
+    # without it, for every pair with n <= 8
+    r = 1e-2
+    for n in range(3, 9):
+        for k in range(1, n + 1):
+            u0 = sl.c_constant(n, k)
+            u2, u4, u6 = radial._series_coefficients(u0, n, k)
+            for coefficients, low, high in (((u2, u4, u6), 5.5, 6.5), ((u2, u4, 0.0), 3.5, 4.5)):
+                near, far = (_series_residual(u0, n, k, x, coefficients) for x in (r, 2.0 * r))
+                assert low <= math.log2(far / near) <= high
 
 
 def test_shoot_reuses_k1(monkeypatch):
@@ -537,7 +565,7 @@ def test_shoot_reuses_k1(monkeypatch):
 
     monkeypatch.setattr(radial, "_t_kernel", counting_kernel)
     monkeypatch.setattr(radial, "_dop853_step", counting_step)
-    profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 1e4)  # 167 nodes
+    profile = sl.shoot(sl.c_constant(4, 2), 4, 2, 1e4)  # 143 nodes
     accepted = profile.r.size - 2
     assert steps[0] >= accepted > 100
     assert calls[0] == 11 * steps[0] + accepted + 1
@@ -635,6 +663,39 @@ def test_profile_field_reproduces_nodes_and_midpoints():
     rep = sl.verify_solution(field, n, k, sample_points=pts)
     assert rep.max_residual <= 1e-7
     assert rep.min_margin > 0.0
+
+
+def test_profile_field_residual_at_midpoints_and_three_quarter_points():
+    # inside every interval of every pair n <= 6 shot to r = 5, the 3/4-points
+    # too, where the curvature weight of the node difference eta_1 - eta_0 does
+    # not vanish as it does at midpoints: the chart's first interval starts at
+    # r_s = 1e-2, where eta is large enough that its rounding stays small
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            profile = sl.shoot(sl.c_constant(n, k), n, k, 5.0)
+            field = sl.profile_to_field(profile)
+            radii = profile.r[:-1, None] + np.diff(profile.r)[:, None] * [0.5, 0.75]
+            pts = np.zeros((radii.size, n))
+            pts[:, 0] = radii.ravel()
+            rep = sl.verify_solution(field, n, k, sample_points=pts)
+            assert rep.max_residual <= 1e-7 and rep.min_margin > 0.0
+
+
+@pytest.mark.parametrize("r_max", [5e-3, 1e-2])
+@pytest.mark.parametrize("n, k", [(3, 2), (6, 6), (8, 3)])
+def test_shot_inside_the_series_start(n, k, r_max):
+    # an r_max at or below r_s takes at most one step: the series alone is
+    # the profile, exact to rounding, and its reconstruction on [0, r_max]
+    # closes sigma_k = 1 to 1e-9 (the quartic start at 1e-3 read 1.3e-7 to
+    # 2.9e-7 on these shots)
+    profile = sl.shoot(sl.c_constant(n, k), n, k, r_max)
+    assert profile.r.size <= 3 and profile.r[-1] == r_max
+    assert sl.liouville_report(profile).max_rel_deviation <= 1e-14
+    rng = np.random.default_rng(83)
+    pts = rng.normal(size=(40, n))
+    pts *= (np.linspace(0.02, 0.98, 40) * r_max / np.linalg.norm(pts, axis=1))[:, None]
+    rep = sl.verify_solution(sl.profile_to_field(profile), n, k, sample_points=pts)
+    assert rep.max_residual <= 1e-9 and rep.min_margin > 0.0
 
 
 def test_septic_basis_matches_numpy_polynomial():
@@ -742,7 +803,7 @@ def test_profile_field_reconstruction_is_of_eighth_order():
 
 def test_profile_field_hessian_is_stable_under_one_ulp_of_radius():
     # the curvature's 1/h^2 multiplies node differences, not node values,
-    # so an ulp of |x| (h = 1e-3 at the first nodes) barely moves it
+    # so an ulp of |x| (h = 1e-2 at the first nodes) barely moves it
     n, k = 4, 2
     field = sl.profile_to_field(sl.shoot(sl.c_constant(n, k), n, k, 2.0))
     rng = np.random.default_rng(79)
