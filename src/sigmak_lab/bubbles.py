@@ -12,21 +12,26 @@ deterministic sample sets, and the Harnack product functional
 
     (max over B_R of u) * (min over B_{2R} of u) * R^{n-2},
 
-whose supremum over the family is finite; the sweep reports the empirical
-supremum as a lower bound for the sharp constant, with no sharpness claim.
+whose supremum over the family is finite. Every Mobius image of a member is
+again a bubble, so the sweep reads each of its rows exactly off the image's
+quadratic u^{-2/(n-2)}, whose constant term is fixed by the invariant
+beta = a^2 / alpha (see `harnack_sweep`); the supremum of the rows over the
+sampled scales and words is a lower bound for the sharp constant, with no
+sharpness claim. `harnack_product` takes any field, on a grid.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _lifted, _pullback, \
-    _schouten_batch, random_mobius_map_avoiding
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _schouten_batch, \
+    random_mobius_map_avoiding
 from .errors import ConfigError, PositivityError, _require_positive, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
@@ -173,9 +178,6 @@ class HarnackReport:
             raise PositivityError("Harnack report entries must all be positive")
 
 
-_BLOCK_VALUES = 2 ** 15  # grid keys of the family held at once by a sweep
-
-
 @functools.lru_cache
 def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     """Read-only grid directions: the 2n axes, then max(1, n_angular*(n-1)) Halton ones."""
@@ -185,39 +187,38 @@ def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     return dirs
 
 
-def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int, sphere: bool):
+def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int):
     """(center, R, n_radial, shells): shells (S, D, n) holds B_R's shells, the radii
-    rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's: all
-    of rho doubled or, with sphere (the sweep only), its sphere |x| = 2 rho[-1]."""
+    rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's, all
+    of rho doubled."""
     check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
     if n_angular < 0:
         raise ConfigError(f"n_angular={n_angular} must be >= 0")
     rho = np.linspace(0.0, R, n_radial)
-    rho = np.concatenate([rho, 2.0 * (rho[-1:] if sphere else rho)])
+    rho = np.concatenate([rho, 2.0 * rho])
     shells = rho[:, None, None] * _grid_directions(center.size, n_angular)
     shells += center
     return center, R, n_radial, shells
 
 
-def _grid_extrema(grid_keys, grid):
-    """Per cell the grid point of its first largest key over B_R, then of its first
-    least key over B_2R's shells (the sweep's: its sphere), in grid order. Keys
-    rank points as values do: the values (`harnack_product`) or -W (`_family`)."""
+def _grid_extrema(grid_values, grid):
+    """Per cell the grid point of its first largest value over B_R, then of its
+    first least value over B_2R's shells, in grid order."""
     _, _, n_radial, shells = grid
     pts, inner = shells.reshape(-1, shells.shape[2]), n_radial * shells.shape[1]
-    idx = [np.stack([keys[:, :inner].argmax(axis=1), keys[:, inner:].argmin(axis=1) + inner],
-                    axis=1) for keys in grid_keys(pts)]
-    return pts[np.concatenate(idx).ravel()]
+    vals = grid_values(pts)
+    idx = np.stack([vals[:, :inner].argmax(axis=1), vals[:, inner:].argmin(axis=1) + inner],
+                   axis=1)
+    return pts[idx.ravel()]
 
 
-def _harnack_cells(grid_keys, jets, domain: Domain, grid):
+def _harnack_cells(grid_values, jets, domain: Domain, grid):
     """Harnack reports of a stack of fields (cells) on one `_harnack_grid`.
 
-    grid_keys(X) yields the keys (`_grid_extrema`) of consecutive cells at the
-    rows of X (N, n) in blocks (B, N), each valid only until the next one is
-    drawn; jets(X, order, cells) gives the jets of cell cells[i] at row i, so
+    grid_values(X) gives the values (C, N) of the C cells at the rows of X
+    (N, n); jets(X, order, cells) gives the jets of cell cells[i] at row i, so
     the values at the best grid points too. From them one stacked Newton
     step, projected into its ball, wins where strictly better. A singular hessian
     (LinAlgError, the only error caught) keeps both grid extrema of its own
@@ -226,7 +227,7 @@ def _harnack_cells(grid_keys, jets, domain: Domain, grid):
     """
     center, R, n = grid[0], grid[1], grid[0].size
     sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
-    x = _grid_extrema(grid_keys, grid)
+    x = _grid_extrema(grid_values, grid)
     cells, ball = np.divmod(np.arange(len(x)), 2)
     v, grad, hess = jets(x, 2, cells)
     v, grad, hess = v.copy(), grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
@@ -259,14 +260,14 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     """Scaled Harnack product of u around a center (the origin if None).
 
     The one-cell case of `_harnack_cells`: one batch evaluation of the grid
-    over B_R and all of B_2R's doubled shells, its values the keys, then one
-    batched polish step, under its rules. The product is bounded only on
-    solutions; whether u is one is for `verify_solution` to say.
+    over B_R and all of B_2R's doubled shells, then one batched polish step,
+    under its rules. The product is bounded only on solutions; whether u is
+    one is for `verify_solution` to say.
     """
     center = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
-    return _harnack_cells(lambda X: [u.values(X)[None]],
+    return _harnack_cells(lambda X: u.values(X)[None],
                           lambda X, order, cells: u.jets(X, order),
-                          u.domain, _harnack_grid(center, R, n_radial, n_angular, False))[0]
+                          u.domain, _harnack_grid(center, R, n_radial, n_angular))[0]
 
 
 @dataclass(frozen=True)
@@ -283,78 +284,64 @@ class SweepRow:
     product_scaled: float
 
 
-def _family(n: int, k: int, scales: np.ndarray, psi: MobiusMap):
-    """(grid_keys, jets) for `_harnack_cells` of the word images
-    |J_psi|^p (u_a o psi) of the centered family over the scales a. Rows 0
-    and n+1 of the word's matrix M give lam = |det J_psi|^(-1/n) and
-    q = lam |psi(x)|^2 (`MobiusMap._walk`); |J_psi|^p = lam^-m, so
-    u = amp (lam + a^2 q)^-m falls strictly as W = lam + a^2 q rises: -W is
-    the key. Per grid lam and q come from one two-row product, per block of
-    scales (at most _BLOCK_VALUES keys, in one reused buffer) only -W, by two
-    ufuncs; no power and no positivity check. Values come from jets
-    (`_pullback` of `_bubble_jets`, checked positive) at the points the keys pick."""
-    def grid_keys(X):
-        lam, q = _lifted(psi._matrix(n)[[0, n + 1]], X).T
-        block = max(1, _BLOCK_VALUES // len(X))
-        buf = np.empty((min(block, scales.size), len(X)))
-        for lo in range(0, scales.size, block):
-            a = scales[lo:lo + block, None]
-            key = np.multiply(-(a * a), q, out=buf[:scales.size - lo])
-            yield np.subtract(key, lam, out=key)
-
-    def jets(X, order, cells):
-        st = psi._walk(X, order)
-        u, grad, hess = _pullback(st, *_bubble_jets(n, k, scales[cells], 0.0, st.y, order))
-        return _require_positive(X, u), grad, hess
-    return grid_keys, jets
-
-
 def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
-                  n_radial: int = 64, n_angular: int = 64,
                   mobius_words: int = 0, seed: int = 0) -> list[SweepRow]:
-    """Harnack products over the (a, R) grid of family members centered at
-    the origin, around the origin.
+    """Exact Harnack products over the (a, R) grid of family members centered
+    at the origin, around the origin.
 
     With mobius_words > 0, additional rows sweep random word images of
     each member; words whose poles land inside B_{3R+1/2} of the origin,
     R the largest radius, are redrawn, since the product is only
     meaningful for fields that are smooth and positive on the full ball.
-    Each (word, R) pair is one `_harnack_cells` stack over all scales on R's
-    one `_harnack_grid` (`_family`: lam and q once per pair, the key -W once
-    per block of scales), the bubble rows that of the empty word. B_2R's grid
-    is its sphere |x| = 2R: W = (M_0 + a^2 M_{n+1}) (1, x, |x|^2), M the word's
-    matrix, is a quadratic alpha |x|^2 + b.x + gamma, alpha >= 0 as W > 0 off
-    the pole, convex along each grid ray, its largest grid value at the center
-    or on the sphere, and on the axis +-e_i with +-b_i >= 0 the sphere has
-    W >= W(0) = gamma. So u's least grid value on B_2R lies on the sphere, for
-    these fields only: `harnack_product` takes any field and keeps every
-    doubled shell. Rows come back in fixed order (label-major, then a-major,
-    then R), and the empirical supremum is a lower bound for the sharp
-    constant. Empty grids give an empty list.
+    Each image is again a bubble, c a^m W^-m with m = (n-2)/2 and
+    W = (M_0 + a^2 M_{n+1}) (1, x, |x|^2) = alpha |x - x0|^2 + beta, M the
+    word's matrix (the identity for the bubble rows). Every atom's matrix
+    preserves the form |x|^2 - X_0 X_{n+1}, so rows 0 and n+1 of M are null and
+    pair to a constant: 4 alpha gamma - |b|^2 = 4 a^2 for W's coefficients
+    (gamma, b, alpha), and beta = a^2 / alpha has no cancellation. The rows
+    are read off V = W / a = alpha' |x - x0|^2 + 1 / alpha', alpha' = alpha / a,
+    in which no a^2 under- or overflows: u = c V^-m and, with d = |x0|,
+    - max over B_R = c (alpha' max(0, d - R)^2 + 1 / alpha')^-m, at x0 clipped to B_R;
+    - min over B_2R = c (alpha' (2R + d)^2 + 1 / alpha')^-m, at -2R x0 / d.
+    A value that is not positive and finite raises PositivityError at its
+    point, and no floating-point warning escapes. Rows come back in fixed
+    order (label-major, then a-major, then R); their supremum is a lower
+    bound for the sharp constant. Empty grids give an empty list.
     """
-    a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float)).tolist()
-    r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float)).tolist()
-    if not a_vals or not r_vals:
+    a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float))
+    r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float))
+    if not a_vals.size or not r_vals.size:
         return []
-    for a in a_vals:
-        check_positive("scale a", a)
+    for name, grid in (("scale a", a_vals), ("radius R", r_vals)):
+        for v in grid.tolist():
+            check_positive(name, v)
     if seed < 0:
         raise ConfigError(f"seed={seed} must be nonnegative")
     if mobius_words < 0:
         raise ConfigError(f"mobius_words={mobius_words} must be nonnegative")
+    c, m = c_constant(n, k), (n - 2.0) / 2.0
     rng = np.random.default_rng(seed)
-    clearance = 3.0 * max(r_vals) + 0.5
+    clearance = 3.0 * r_vals.max() + 0.5
     words = [("bubble", MobiusMap(()))] + [
         (f"mobius{j}", random_mobius_map_avoiding(rng, n, np.zeros(n), clearance))
         for j in range(mobius_words)]
-    grids = [_harnack_grid(np.zeros(n), R, n_radial, n_angular, True) for R in r_vals]
-    rows = []
-    for label, psi in words:
-        family = _family(n, k, np.array(a_vals), psi)
-        reps = [_harnack_cells(*family, Domain(), grid) for grid in grids]
-        rows += [SweepRow(label, n, k, a, R, rep.max_br, rep.min_2br, rep.product_scaled)
-                 for a, by_r in zip(a_vals, zip(*reps)) for R, rep in zip(r_vals, by_r)]
-    return rows
+    M = np.stack([psi._matrix(n)[[0, n + 1]] for _, psi in words])
+    a, R = a_vals[:, None], r_vals  # axes (word, a, R)
+    with np.errstate(all="ignore"):
+        coef = M[:, None, 0] / a + a * M[:, None, 1]  # V's (gamma', b', alpha')
+        alpha = coef[..., -1:]
+        x0 = coef[..., 1:-1] / (-2.0 * alpha)
+        d = np.linalg.norm(x0, axis=-1, keepdims=True)
+        hi = c * (alpha * np.maximum(0.0, d - R) ** 2 + 1.0 / alpha) ** -m
+        lo = c * (alpha * (2.0 * R + d) ** 2 + 1.0 / alpha) ** -m
+        vals = np.stack([hi, lo, hi * lo * R ** (n - 2.0)])
+        toward = np.where(d > 0.0, x0 / d, np.eye(n)[0])[:, :, None]
+    at_hi = toward * np.minimum(d, R)[..., None]
+    where = np.stack([at_hi, -2.0 * R[:, None] * toward, at_hi]).reshape(-1, n)
+    _require_positive(where, np.where(vals < np.inf, vals, np.nan).ravel())  # inf fails as nan
+    cells = itertools.product([label for label, _ in words], a_vals.tolist(), r_vals.tolist())
+    return [SweepRow(label, n, k, a, R, *row) for (label, a, R), row
+            in zip(cells, zip(*(v.ravel().tolist() for v in vals)))]
 
 
 def sweep_supremum(rows: list[SweepRow]) -> float:

@@ -170,10 +170,13 @@ def cmd_homotopy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_harnack_sweep(args) -> int:
+    if args.nrad < 1:
+        raise ConfigError(f"--nrad={args.nrad} must be >= 1")
+    if args.nang < 0:
+        raise ConfigError(f"--nang={args.nang} must be >= 0")
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
     rows = bubbles.harnack_sweep(args.n, args.k, a_grid, r_grid,
-                                 n_radial=args.nrad, n_angular=args.nang,
                                  mobius_words=args.images, seed=args.seed)
     sup = bubbles.sweep_supremum(rows)
     limit = bubbles.c_constant(args.n, args.k) ** 2 * 2.0 ** (2.0 - args.n)
@@ -238,14 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", type=str, default=None)
     p.set_defaults(func=cmd_homotopy)
 
-    p = sub.add_parser("harnack-sweep", help="scaled Harnack products over "
-                       "the family; empirical sup is a lower constant bound")
+    p = sub.add_parser("harnack-sweep", help="exact scaled Harnack products over "
+                       "the family and word images; their sup is a lower constant bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=str, default="1")
     p.add_argument("--R", type=str, default="1")
-    p.add_argument("--nrad", type=int, default=64)
-    p.add_argument("--nang", type=int, default=64)
+    p.add_argument("--nrad", type=int, default=64,
+                   help="checked (>= 1) but unused: the rows are exact, with no grid")
+    p.add_argument("--nang", type=int, default=64,
+                   help="checked (>= 0) but unused: the rows are exact, with no grid")
     p.add_argument("--images", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)

@@ -228,8 +228,7 @@ def test_acceptance_harnack_bound():
     for n in range(3, 7):
         for k in range(1, n + 1):
             bound = sl.c_constant(n, k) ** 2 * 2.0 ** (2.0 - n)
-            rows = sl.harnack_sweep(n, k, a_grid, [1.0],
-                                    n_radial=48, n_angular=16)
+            rows = sl.harnack_sweep(n, k, a_grid, [1.0])
             sup = sl.sweep_supremum(rows)
             worst_excess = max(worst_excess, sup / bound - 1.0)
             tail = max(row.product_scaled for row in rows if row.a >= 1e3)

@@ -1,17 +1,17 @@
 """Closed-form family, residual verification, and the Harnack functional."""
 
-import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import sigmak_lab as sl
 from sigmak_lab import bubbles
-from sigmak_lab.errors import ConfigError, PositivityError
+from sigmak_lab.errors import ConfigError, PositivityError, SigmakLabError
 from sigmak_lab.halton import box_points, sphere_directions
 
-from fd_oracles import fd_jet_of_field
+from fd_oracles import fd_jet_of_field, sweep_rows_mp
 
 
 def _bubble_value(n, k, a, r):
@@ -216,15 +216,14 @@ def test_harnack_rejects_nonpositive_fields():
 
 
 def test_sweep_names_a_point_where_the_family_underflows():
-    # at a = 1e-200, n = 6 the amplitude c a^2 underflows to 0; the grid is
-    # ranked by keys alone, and the values at the points they pick are
+    # at a = 1e-200, n = 6 the values c a^2 W^-2 underflow to 0; every row is
     # checked, so the sweep raises and names a point
     with pytest.raises(PositivityError, match="is not positive at") as info:
         sl.harnack_sweep(6, 3, [1e-200], [1.0], mobius_words=1)
     assert info.value.where.shape == (6,) and info.value.value == 0.0
 
 
-def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
+def test_harnack_grid_directions_built_once_per_size(monkeypatch):
     bubbles._grid_directions.cache_clear()
     calls = []
 
@@ -233,96 +232,15 @@ def test_harnack_grid_directions_built_once_per_sweep(monkeypatch):
         return sphere_directions(count, dim)
 
     monkeypatch.setattr(bubbles, "sphere_directions", counting)
-    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, 25), [1.0],
-                            n_radial=8, n_angular=4)
-    assert len(rows) == 25
+    u = sl.bubble_field(sl.BubbleSpec(3, 1, 2.0))
+    for R in (0.5, 1.0, 2.0):
+        sl.harnack_product(u, R, n_radial=8, n_angular=4)
     assert calls == [(8, 3)]
     bubbles._grid_directions.cache_clear()
 
 
-def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
-    # per (word, R): the grid's two-row key product, the polish points walked
-    # at order 2 and the trial points at order 0, however many scales share
-    # the word; at the default grid size each scale is a block of its own
-    calls = []
-    walk, lifted = sl.MobiusMap._walk, bubbles._lifted
-
-    def counting(self, X, order=0):
-        calls.append(order)
-        return walk(self, X, order)
-
-    def counting_key(M, X):
-        calls.append("key")
-        return lifted(M, X)
-
-    monkeypatch.setattr(sl.MobiusMap, "_walk", counting)
-    monkeypatch.setattr(bubbles, "_lifted", counting_key)
-
-    def walks(a_count):
-        calls.clear()
-        rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
-                                mobius_words=2)
-        assert len(rows) == 3 * 2 * a_count
-        return list(calls)
-
-    many = walks(25)
-    assert many == walks(2)
-    assert many.count("key") == many.count(2) == 3 * 2
-
-
-def test_sweep_forms_the_scale_free_grid_work_once_per_grid(monkeypatch):
-    # lam and q, rows 0 and n + 1 of the word's matrix times the lifts, in one
-    # two-row product per (word, R) grid of (n_radial + 1) D points; per block
-    # of scales only the key's multiply and subtract, and no exp or einsum
-    n, n_radial, n_angular = 3, 16, 8
-    size = (n_radial + 1) * (2 * n + n_angular * (n - 1))
-    calls = collections.Counter()
-    lifted = bubbles._lifted
-
-    def counting_key(M, X):
-        assert M.shape == (2, n + 2) and X.shape == (size, n)
-        calls["key"] += 1
-        return lifted(M, X)
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            attr = getattr(np, name)
-            if name not in ("exp", "einsum", "multiply", "subtract"):
-                return attr
-
-            def counted(*args, **kwargs):
-                if name != "einsum" or len(args[1]) == size:  # not the polish points
-                    calls[name] += 1
-                return attr(*args, **kwargs)
-            return counted
-
-    monkeypatch.setattr(bubbles, "np", CountingNumpy())
-    monkeypatch.setattr(bubbles, "_lifted", counting_key)
-    for a_count, block_values in ((25, 1), (25, 2 ** 30), (2, 2 ** 15)):
-        monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
-        calls.clear()
-        rows = sl.harnack_sweep(n, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
-                                n_radial=n_radial, n_angular=n_angular, mobius_words=2)
-        assert len(rows) == 3 * 2 * a_count
-        blocks = 3 * 2 * (a_count if block_values == 1 else 1)
-        assert calls == {"key": 3 * 2, "multiply": blocks, "subtract": blocks}
-
-
-@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
-def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, n, k):
-    # one scale per block against all 25 scales in one block: equal bits
-    def rows(block_values):
-        monkeypatch.setattr(bubbles, "_BLOCK_VALUES", block_values)
-        return sl.harnack_sweep(n, k, np.geomspace(1e-2, 1e4, 25), [0.5, 1.0],
-                                n_radial=48, n_angular=16, mobius_words=2, seed=5)
-
-    single, whole = rows(1), rows(2 ** 30)
-    assert len(single) == 3 * 25 * 2
-    assert single == whole
-
-
-def _full_grid(center, R, n_radial, n_angular, sphere):
-    # the reference grid, sphere or not: B_R's shells, then every one of them doubled
+def _full_grid(center, R, n_radial, n_angular):
+    # the reference grid: B_R's shells, then every one of them doubled
     n = center.size
     shell = (np.linspace(0.0, R, n_radial)[:, None, None]
              * bubbles._grid_directions(n, n_angular)).reshape(-1, n)
@@ -330,15 +248,13 @@ def _full_grid(center, R, n_radial, n_angular, sphere):
                                  * shell).reshape(-1, n)
 
 
-def _full_scan(grid_keys, grid):
-    # the reference scan: both halves keyed in full, argmax over the first,
+def _full_scan(grid_values, grid):
+    # the reference scan: both halves valued in full, argmax over the first,
     # argmin over the second
     pts = grid[3]
-    half, idx = len(pts) // 2, []
-    for keys in grid_keys(pts):
-        idx.append(np.stack([keys[:, :half].argmax(axis=1),
-                             keys[:, half:].argmin(axis=1) + half], axis=1))
-    return pts[np.concatenate(idx).ravel()]
+    half, vals = len(pts) // 2, grid_values(pts)
+    return pts[np.stack([vals[:, :half].argmax(axis=1),
+                         vals[:, half:].argmin(axis=1) + half], axis=1).ravel()]
 
 
 def _with_full_scan(monkeypatch, run):
@@ -346,21 +262,6 @@ def _with_full_scan(monkeypatch, run):
         patch.setattr(bubbles, "_harnack_grid", _full_grid)
         patch.setattr(bubbles, "_grid_extrema", _full_scan)
         return run()
-
-
-@pytest.mark.parametrize("n_radial", [1, 2, 3, 48, 99])
-@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
-def test_sweep_rows_equal_the_full_grid_scan(monkeypatch, n, k, n_radial):
-    # the sweep keys B_2R's sphere only; by the sphere argument of
-    # harnack_sweep the rows equal those of keying every doubled shell with
-    # the same keys, ties to the first point
-    def sweep():
-        return sl.harnack_sweep(n, k, np.geomspace(1e-2, 1e4, 25), [0.5, 1.0, 2.5],
-                                n_radial=n_radial, n_angular=16, mobius_words=2, seed=7)
-
-    rows = sweep()
-    assert len(rows) == 3 * 25 * 3
-    assert rows == _with_full_scan(monkeypatch, sweep)
 
 
 @pytest.mark.parametrize("target", [1.0, np.linspace(0.0, 1.0, 99)[40], None],
@@ -398,44 +299,6 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
     np.testing.assert_array_equal(rep.argmin, ref.argmin)
 
 
-@pytest.mark.parametrize("n_radial", [7, 16])
-def test_sweep_walks_one_grid_per_radius_without_the_shared_shells(monkeypatch, n_radial):
-    # every word keys R's one grid through its matrix: B_R's shells and
-    # B_2R's sphere, (n_radial + 1) D rows, D directions
-    n, n_angular, a_count, r_grid = 3, 8, 5, [1.0, 2.0]
-    width = 2 * n + n_angular * (n - 1)
-    grids, walked = [], []
-    make_grid, walk, lifted = bubbles._harnack_grid, sl.MobiusMap._walk, bubbles._lifted
-
-    def counting_grid(*args):
-        grids.append(make_grid(*args))
-        return grids[-1]
-
-    def recording(self, X, order=0):
-        assert len(X) <= 2 * a_count  # only the polish points are walked
-        return walk(self, X, order)
-
-    def recording_key(M, X):
-        walked.append(X)
-        return lifted(M, X)
-
-    monkeypatch.setattr(bubbles, "_harnack_grid", counting_grid)
-    monkeypatch.setattr(sl.MobiusMap, "_walk", recording)
-    monkeypatch.setattr(bubbles, "_lifted", recording_key)
-    rows = sl.harnack_sweep(n, 1, np.geomspace(1e-2, 1e4, a_count), r_grid,
-                            n_radial=n_radial, n_angular=n_angular, mobius_words=2)
-    assert len(rows) == 3 * a_count * len(r_grid)
-    assert len(grids) == len(r_grid)
-    assert len(walked) == 3 * len(r_grid)
-    assert {len(X) for X in walked} == {(n_radial + 1) * width}
-    for j, X in enumerate(walked):  # word-major, then R
-        for g, grid in enumerate(grids):
-            assert np.shares_memory(X, grid[3]) == (g == j % len(r_grid))
-    for (_, R, _, _), X in zip(grids, walked):
-        np.testing.assert_allclose(np.linalg.norm(X[n_radial * width:], axis=1), 2.0 * R,
-                                   rtol=1e-15)
-
-
 def _polish_rule_fields(n):
     # u = 1 + |x - p|^2 / 2: every Newton step lands on p, which projects
     # onto 2 p_hat, the exact minimum over B_2 and no grid point
@@ -469,7 +332,7 @@ def test_harnack_singular_hessian_stays_in_its_cell():
     fields, exact_min = _polish_rule_fields(n)
 
     def grid_values(X):
-        yield np.stack([f.values(X) for f in fields])
+        return np.stack([f.values(X) for f in fields])
 
     def jets(X, order, cells):
         parts = [f.jets(X, order) for f in fields]
@@ -478,7 +341,7 @@ def test_harnack_singular_hessian_stays_in_its_cell():
                      else np.stack([part[j] for part in parts])[cells, rows]
                      for j in range(3))
 
-    grid = bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular, False)
+    grid = bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular)
     reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(), grid)
     assert (reps[0].max_br, reps[0].min_2br) == (2.0, 2.0)
     np.testing.assert_array_equal(reps[0].argmax, np.zeros(n))
@@ -566,15 +429,14 @@ def test_sweep_empty_grid():
 
 def test_sweep_scale_invariance():
     # the scaled product of the centered family depends on a*R only
-    rows_1 = sl.harnack_sweep(3, 1, [2.0], [1.0], n_radial=32, n_angular=16)
-    rows_2 = sl.harnack_sweep(3, 1, [1.0], [2.0], n_radial=32, n_angular=16)
+    rows_1 = sl.harnack_sweep(3, 1, [2.0], [1.0])
+    rows_2 = sl.harnack_sweep(3, 1, [1.0], [2.0])
     assert rows_1[0].product_scaled == pytest.approx(rows_2[0].product_scaled,
                                                      rel=1e-12)
 
 
 def test_sweep_supremum_approaches_limit():
-    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, 25), [1.0],
-                            n_radial=32, n_angular=16)
+    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, 25), [1.0])
     sup = sl.sweep_supremum(rows)
     limit = sl.c_constant(3, 1) ** 2 * 0.5
     assert sup <= limit * 1.01
@@ -584,37 +446,75 @@ def test_sweep_supremum_approaches_limit():
 
 
 def test_sweep_with_word_images_stays_bounded():
-    rows = sl.harnack_sweep(3, 2, [0.5, 1.0], [1.0], n_radial=24,
-                            n_angular=12, mobius_words=2, seed=5)
+    rows = sl.harnack_sweep(3, 2, [0.5, 1.0], [1.0], mobius_words=2, seed=5)
     labels = {row.label for row in rows}
     assert "bubble" in labels and "mobius0" in labels and "mobius1" in labels
     limit = sl.c_constant(3, 2) ** 2 * 0.5
-    # images are again solutions, so the same bound holds (grid slack 1%)
-    assert sl.sweep_supremum(rows) <= limit * 1.01
+    # images are again solutions, so the same bound holds, to rounding
+    assert all(row.product_scaled <= limit * (1.0 + 1e-12) for row in rows)
 
 
 def test_sweep_deterministic_order():
-    rows_a = sl.harnack_sweep(3, 1, [0.5, 1.0], [1.0, 2.0], n_radial=16,
-                              n_angular=8)
-    rows_b = sl.harnack_sweep(3, 1, [0.5, 1.0], [1.0, 2.0], n_radial=16,
-                              n_angular=8)
+    rows_a = sl.harnack_sweep(3, 1, [0.5, 1.0], [1.0, 2.0])
+    rows_b = sl.harnack_sweep(3, 1, [0.5, 1.0], [1.0, 2.0])
     assert rows_a == rows_b
     assert [(r.a, r.R) for r in rows_a] == [(0.5, 1.0), (0.5, 2.0),
                                             (1.0, 1.0), (1.0, 2.0)]
 
 
-# grid sizes giving one scale per block of grid values (the defaults), two
-# (11,008 values per scale: blocks of 2 and 1) and all three in one block
+def _assert_sweep_is_exact(rows, n, k, a_grid, r_grid, mobius_words, seed):
+    """Every row in order, within 1e-12 relative of the 50-digit oracle, and
+    at or below the Harnack bound c(n,k)^2 2^(2-n) to 1e-12, word rows included."""
+    want = sweep_rows_mp(n, k, a_grid, r_grid, mobius_words, seed)
+    labels = ["bubble"] + [f"mobius{j}" for j in range(mobius_words)]
+    assert [(row.label, row.n, row.k, row.a, row.R) for row in rows] == [
+        (label, n, k, float(a), float(R)) for label in labels for a in a_grid for R in r_grid]
+    got = np.array([(row.max_br, row.min_2br, row.product_scaled) for row in rows])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[:, 2].max() <= sl.c_constant(n, k) ** 2 * 2.0 ** (2.0 - n) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_sweep_rows_match_the_50_digit_oracle(seed):
+    # all 18 pairs with n <= 6, at the bench's settings (25 scales, R = 1,
+    # two words) and at the CLI's defaults (a = R = 1, no word)
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            for a_grid, mobius_words in ((np.geomspace(1e-2, 1e4, 25), 2), ([1.0], 0)):
+                rows = sl.harnack_sweep(n, k, a_grid, [1.0], mobius_words=mobius_words,
+                                        seed=seed)
+                _assert_sweep_is_exact(rows, n, k, a_grid, [1.0], mobius_words, seed)
+
+
+def test_sweep_rows_match_the_oracle_across_radii():
+    # several radii, so B_R holds the image's peak for some rows and not others
+    a_grid, r_grid = [0.3, 1.0, 40.0], [0.25, 0.75, 1.0, 3.0]
+    for n, k in [(3, 2), (5, 3), (8, 8)]:
+        rows = sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=3, seed=7)
+        _assert_sweep_is_exact(rows, n, k, a_grid, r_grid, 3, 7)
+
+
+@pytest.mark.parametrize("a", [1e200, 1e155, 1e-200],
+                         ids=["overflow", "max-overflows-alone", "underflow"])
+def test_sweep_past_the_float_range_raises_without_a_warning(a):
+    # at 1e155 (n = 6) the max overflows while the min stays a subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SigmakLabError):
+            sl.harnack_sweep(6, 3, [a], [1.0], mobius_words=1)
+
+
+# harnack_product's grid sizes: its defaults, fewer directions, a coarse grid
 _ORACLE_CASES = [(3, 2, 64, 64), (5, 3, 64, 64), (3, 2, 64, 40), (5, 3, 12, 6)]
 
 
 @pytest.mark.parametrize("n,k,n_radial,n_angular", _ORACLE_CASES)
 def test_sweep_rows_match_per_cell_harnack_products(n, k, n_radial, n_angular):
-    # the independent reference: one transformed field and one
-    # harnack_product per cell; the bubble rows use the untransformed field
+    # one transformed field and one harnack_product per cell: the bubble
+    # rows (the untransformed field) agree, and the grid extrema of a word
+    # image, polished or not, never pass the exact ones
     a_grid, r_grid, seed = [0.3, 1.0, 40.0], [0.75, 1.0], 11
-    sizes = dict(n_radial=n_radial, n_angular=n_angular)
-    rows = sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=2, seed=seed, **sizes)
+    rows = sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=2, seed=seed)
     rng = np.random.default_rng(seed)
     clearance = 3.0 * max(r_grid) + 0.5
     words = [None] + [sl.random_mobius_map_avoiding(rng, n, np.zeros(n), clearance)
@@ -626,11 +526,16 @@ def test_sweep_rows_match_per_cell_harnack_products(n, k, n_radial, n_angular):
             u = sl.bubble_field(sl.BubbleSpec(n, k, a))
             fld = u if psi is None else sl.transform_field(u, psi)
             for R in r_grid:
-                row, rep = next(cells), sl.harnack_product(fld, R, **sizes)
+                row = next(cells)
+                rep = sl.harnack_product(fld, R, n_radial=n_radial, n_angular=n_angular)
                 assert (row.a, row.R) == (a, R)
-                for got, want in ((row.max_br, rep.max_br), (row.min_2br, rep.min_2br),
-                                  (row.product_scaled, rep.product_scaled)):
-                    assert abs(got - want) <= 2e-15 * want
+                if psi is None:
+                    for got, want in ((row.max_br, rep.max_br), (row.min_2br, rep.min_2br),
+                                      (row.product_scaled, rep.product_scaled)):
+                        assert abs(got - want) <= 2e-15 * want
+                else:
+                    assert rep.max_br <= row.max_br * (1.0 + 1e-14)
+                    assert rep.min_2br >= row.min_2br * (1.0 - 1e-14)
 
 
 def test_verify_dimension_mismatch_is_a_configuration_error():
@@ -644,7 +549,7 @@ def test_negative_harnack_counts_are_configuration_errors():
     with pytest.raises(ConfigError, match="n_angular=-4"):
         sl.harnack_product(u, 1.0, n_radial=4, n_angular=-4)
     with pytest.raises(ConfigError, match="mobius_words=-2"):
-        sl.harnack_sweep(3, 1, [1.0], [1.0], n_radial=4, n_angular=2, mobius_words=-2)
+        sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=-2)
 
 
 def test_verify_rejects_empty_sample_set():

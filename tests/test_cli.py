@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +17,10 @@ from sigmak_lab import bubbles, continuation, radial
 from sigmak_lab.cli import main, _parse_grid
 from sigmak_lab.errors import ConfigError, NewtonError
 
+from fd_oracles import sweep_rows_mp
+
 
 def test_grid_parsing():
-    import numpy as np
     np.testing.assert_allclose(_parse_grid("2.5"), [2.5])
     np.testing.assert_allclose(_parse_grid("1:4:4"), [1.0, 2.0, 3.0, 4.0])
     grid = _parse_grid("1e-2:1e4:25log")
@@ -208,15 +210,23 @@ def test_harnack_sweep_sup_invariant_across_radii(capsys):
                  "--nang", "8"])
     assert code == 0
     # per-R suprema agree to 1 percent by the joint rescaling covariance
-    import numpy as np
     import sigmak_lab as sl
-    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-1, 1e3, 9),
-                            np.linspace(1.0, 4.0, 4), n_radial=24, n_angular=8)
+    rows = sl.harnack_sweep(3, 1, np.geomspace(1e-1, 1e3, 9), np.linspace(1.0, 4.0, 4))
     by_r = {}
     for row in rows:
         by_r.setdefault(row.R, []).append(row.product_scaled)
     sups = [max(v) for v in by_r.values()]
     assert max(sups) <= min(sups) * 1.01
+
+
+def test_harnack_sweep_past_the_halton_dimensions(tmp_path):
+    # the sweep samples no directions, so n = 16 runs, and its rows are exact
+    out = tmp_path / "sweep.csv"
+    assert main(["harnack-sweep", "--n", "16", "--k", "3", "--images", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[2:]
+    got = np.array([[float(v) for v in line.split(",")[4:]] for line in lines])
+    np.testing.assert_allclose(got, sweep_rows_mp(16, 3, [1.0], [1.0], 2, 0), rtol=1e-12, atol=0.0)
 
 
 def test_harnack_sweep_empty_grid():
@@ -231,6 +241,15 @@ def test_harnack_sweep_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_harnack_sweep_grid_flags_do_not_change_the_rows(tmp_path):
+    # --nrad and --nang are still checked, but the rows have no grid
+    args = ["harnack-sweep", "--n", "4", "--k", "2", "--a", "0.5:2:3", "--images", "1"]
+    outs = [tmp_path / f"s{j}.csv" for j in range(3)]
+    for out, flags in zip(outs, ([], ["--nrad", "1", "--nang", "0"], ["--nrad", "99"])):
+        assert main(args + flags + ["--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_one_parser_serves_every_call(tmp_path):
@@ -289,7 +308,7 @@ def test_every_command_runs_without_scipy():
     ["solve-radial", "--n", "3", "--k", "1", "--u0", "inf"],
     ["solve-radial", "--n", "3", "--k", "1", "--u0", "nan"],
     ["verify-bubble", "--n", "16", "--k", "1"],
-    ["harnack-sweep", "--n", "16", "--k", "1"],
+    ["harnack-sweep", "--n", "3", "--k", "4"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:3x"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "inf"],
     ["verify-bubble", "--n", "3", "--k", "1", "--box", "inf"],
