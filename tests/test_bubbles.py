@@ -239,6 +239,52 @@ def test_harnack_grid_directions_built_once_per_size(monkeypatch):
     bubbles._grid_directions.cache_clear()
 
 
+def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
+    # the sweep reads each word's matrix and walks no point, however many
+    # scales share the word: the same calls for 25 scales as for 2
+    calls = []
+    walk, matrix = sl.MobiusMap._walk, sl.MobiusMap._matrix
+
+    def counting_walk(self, X, order=0):
+        calls.append(("walk", order))
+        return walk(self, X, order)
+
+    def counting_matrix(self, n):
+        calls.append(("matrix", n))
+        return matrix(self, n)
+
+    monkeypatch.setattr(sl.MobiusMap, "_walk", counting_walk)
+    monkeypatch.setattr(sl.MobiusMap, "_matrix", counting_matrix)
+
+    def walks(a_count):
+        calls.clear()
+        rows = sl.harnack_sweep(3, 1, np.geomspace(1e-2, 1e4, a_count), [1.0, 2.0],
+                                mobius_words=2)
+        assert len(rows) == 3 * 2 * a_count
+        return list(calls)
+
+    many = walks(25)
+    assert many == walks(2)
+    assert many and set(many) == {("matrix", 3)}
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
+def test_sweep_rows_do_not_depend_on_the_block_size(n, k):
+    # one scale per sweep against all 25 scales in one array expression:
+    # equal bits, row for row
+    a_grid, r_grid = np.geomspace(1e-2, 1e4, 25), [0.5, 1.0]
+
+    def rows(scales):
+        return sl.harnack_sweep(n, k, scales, r_grid, mobius_words=2, seed=5)
+
+    whole = rows(a_grid)
+    single = [rows([a]) for a in a_grid]  # each label-major: 3 labels, then R
+    assert len(whole) == 3 * 25 * 2
+    assert all(len(part) == 3 * len(r_grid) for part in single)
+    assert whole == [row for j in range(3) for part in single
+                     for row in part[j * len(r_grid):(j + 1) * len(r_grid)]]
+
+
 def _full_grid(center, R, n_radial, n_angular):
     # the reference grid: B_R's shells, then every one of them doubled
     n = center.size
@@ -262,6 +308,38 @@ def _with_full_scan(monkeypatch, run):
         patch.setattr(bubbles, "_harnack_grid", _full_grid)
         patch.setattr(bubbles, "_grid_extrema", _full_scan)
         return run()
+
+
+@pytest.mark.parametrize("n_radial", [1, 2, 3, 48, 99])
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 5), (6, 3)])
+def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
+    # every field of the sweep valued in full on the reference grid of each
+    # radius: the bubble rows equal its extrema (the grid holds the origin
+    # and, from two radii on, B_2R's sphere), and no word image's grid
+    # extrema pass the exact rows
+    a_grid, r_grid, words, seed = np.geomspace(1e-2, 1e4, 7), [0.5, 1.0, 2.5], 2, 7
+    rows = iter(sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=words, seed=seed))
+    rng = np.random.default_rng(seed)
+    clearance = 3.0 * max(r_grid) + 0.5
+    psis = [None] + [sl.random_mobius_map_avoiding(rng, n, np.zeros(n), clearance)
+                     for _ in range(words)]
+    grids = [_full_grid(np.zeros(n), R, n_radial, 16)[3] for R in r_grid]
+    for psi in psis:
+        for a in a_grid:
+            u = sl.bubble_field(sl.BubbleSpec(n, k, a))
+            fld = u if psi is None else sl.transform_field(u, psi)
+            for R, pts in zip(r_grid, grids):
+                row, vals = next(rows), fld.values(pts)
+                half = len(pts) // 2
+                grid_max, grid_min = vals[:half].max(), vals[half:].min()
+                assert (row.a, row.R) == (a, R)
+                assert grid_max <= row.max_br * (1.0 + 1e-14)
+                assert grid_min >= row.min_2br * (1.0 - 1e-14)
+                if psi is None:
+                    assert abs(grid_max - row.max_br) <= 2e-15 * row.max_br
+                    if n_radial > 1:
+                        assert abs(grid_min - row.min_2br) <= 2e-15 * row.min_2br
+    assert next(rows, None) is None
 
 
 @pytest.mark.parametrize("target", [1.0, np.linspace(0.0, 1.0, 99)[40], None],
