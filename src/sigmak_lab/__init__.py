@@ -15,7 +15,7 @@ Modules:
 
 from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
                       bubble_field, c_constant, harnack_product, harnack_sweep,
-                      sweep_supremum, verify_solution)
+                      sweep_supremum, verify_images, verify_solution)
 from .conformal import (Dilation, Domain, Inversion, Jet2, MobiusMap, Rotation,
                         ScalarField, Translation, constant_field,
                         kelvin_transform, random_mobius_map,
@@ -25,8 +25,9 @@ from .continuation import (BvpSpec, ContinuationTrace, TRecord,
                            assemble_jacobian, assemble_residual, continue_path,
                            initial_guess, newton_solve)
 from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
-                     DomainError, NewtonError, PathError, PoleError,
-                     PositivityError, SigmakLabError, StepUnderflowError)
+                     DomainError, FloatRangeError, NewtonError, PathError,
+                     PoleError, PositivityError, SigmakLabError,
+                     StepUnderflowError)
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
                      liouville_report, profile_to_field, radial_eigenvalues,
                      shoot, solve_for_u2, write_profile_csv)

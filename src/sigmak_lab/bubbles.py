@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _schouten_batch, \
-    random_mobius_map_avoiding
-from .errors import ConfigError, PositivityError, _require_positive, check_nk, check_positive
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
+    _schouten_batch, _walk_words, random_mobius_map_avoiding
+from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, check_nk, \
+    check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
@@ -44,6 +45,7 @@ __all__ = [
     "c_constant",
     "bubble_field",
     "verify_solution",
+    "verify_images",
     "harnack_product",
     "harnack_sweep",
     "sweep_supremum",
@@ -77,12 +79,23 @@ class BubbleSpec:
         object.__setattr__(self, "center", c)
 
 
+def _power(a: float, p: float) -> float:
+    """a ** p, or inf where the float power overflows."""
+    try:
+        return a ** p
+    except OverflowError:
+        return math.inf
+
+
 def _bubble_jets(n: int, k: int, a, center, X, order: int):
     """Jets of the family member of scale a and center at the rows of X
-    (..., n); an array a broadcasts against the leading axes of X."""
+    (..., n). An amplitude c a^m past the float range is a FloatRangeError
+    that names a."""
     m = (n - 2.0) / 2.0
     d = X - center
-    amp = c_constant(n, k) * a ** m
+    amp = c_constant(n, k) * _power(a, m)
+    if not amp < math.inf:
+        raise FloatRangeError(f"amplitude c a^m of scale a={a!r} overflows at n={n}", where=a)
     w = 1.0 + a * a * np.einsum("...j,...j->...", d, d)
     val = amp * w ** (-m)
     if not order:
@@ -90,7 +103,7 @@ def _bubble_jets(n: int, k: int, a, center, X, order: int):
     # u' factors: grad = -2 m a^2 amp w^{-m-1} d
     f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
     grad = f1[..., None] * d
-    f2 = 4.0 * m * (m + 1.0) * a ** 4 * amp * w ** (-m - 2.0)
+    f2 = 4.0 * m * (m + 1.0) * _power(a, 4) * amp * w ** (-m - 2.0)
     hess = f1[..., None, None] * np.eye(n) \
         + f2[..., None, None] * (d[..., :, None] * d[..., None, :])
     return val, grad, hess
@@ -128,29 +141,55 @@ class SolutionReport:
 
 def verify_solution(u: ScalarField, n: int, k: int, sample_points) -> SolutionReport:
     """Check |sigma_k(lambda(A(u))) - 1| and the Gamma_k margin at each row of
-    sample_points (N, n).
+    sample_points (N, n): the one-field case of `verify_images`, under its rules."""
+    return verify_images(u, (), n, k, sample_points)[0]
+
+
+def verify_images(u: ScalarField, words, n: int, k: int, sample_points) -> list[SolutionReport]:
+    """Reports for u, then for each Mobius word psi of words its image
+    `transform_field(u, psi)`, on the rows of sample_points (N, n), all in one
+    batch: one walk of the stacked words, one jet call of u at the samples and
+    their W N images, then one Schouten spectrum of the (1 + W) N rows.
 
     Deterministic samples (such as `halton.box_points`) make reports
     reproducible bit for bit. All jets are analytic; no differencing. Ties
     go to the first sample: for the worst residual, the smallest margin and
-    the first violation alike.
+    the first violation alike. The batch runs with numpy's float warnings
+    off: a word at its pole raises PoleError, and u's jets raise as
+    `ScalarField.jets` does at the first offending sample or image; then a
+    value that is not positive (nan included) raises PositivityError, and a
+    jet, Schouten matrix or sigma_1..sigma_k that is not finite
+    FloatRangeError, each naming the first such sample of the first such field.
     """
     if u.n != n:
         raise ConfigError(f"field dimension {u.n} does not match n={n}")
     check_nk(n, k)
     pts = np.asarray(sample_points, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ConfigError("verification needs a nonempty (N, n) sample set")
-    lam = np.linalg.eigvalsh(_schouten_batch(*_checked_jets(pts, *u.jets(pts, 2))))
-    e = _esym_all_batch(lam)
-    res = np.abs(e[:, k] - 1.0)
-    margin = _cone_margin(e, k)
-    worst = int(np.argmax(res))
-    low = int(np.argmin(margin))
-    violations = np.flatnonzero(margin <= 0.0)
-    return SolutionReport(n, k, len(pts), float(res[worst]), pts[worst],
-                          float(margin[low]), pts[low], int(violations.size),
-                          pts[violations[0]] if violations.size else None)
+    if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
+        raise ConfigError(f"verification needs a nonempty (N, {n}) sample set")
+    npts, fields = len(pts), 1 + len(words)
+    rows = np.tile(pts, (fields, 1))
+    with np.errstate(all="ignore"):
+        st = _walk_words(np.array([psi._matrix(n) for psi in words]).reshape(-1, n + 2, n + 2),
+                         pts, 2)
+        jets = u.jets(np.concatenate([pts, st.y]), 2)
+        images = _pullback(st, *(part[npts:] for part in jets))
+        uu, grad, hess = _checked_jets(rows, *(np.concatenate([part[:npts], image])
+                                               for part, image in zip(jets, images)))
+        schouten = _schouten_batch(uu, grad, hess)
+        _require_finite(rows, np.isfinite(schouten).all(axis=(1, 2)) & (uu < np.inf),
+                        "the jet or Schouten matrix")
+        e = _esym_all_batch(np.linalg.eigvalsh(schouten))
+        _require_finite(rows, np.isfinite(e[:, 1:k + 1]).all(axis=1), "sigma_1..sigma_k")
+    res = np.abs(e[:, k] - 1.0).reshape(fields, npts)
+    margin = _cone_margin(e, k).reshape(fields, npts)
+    worst, low = res.argmax(axis=1).tolist(), margin.argmin(axis=1).tolist()
+    bad = margin <= 0.0
+    first = bad.argmax(axis=1).tolist()
+    return [SolutionReport(n, k, npts, float(res[f, worst[f]]), pts[worst[f]],
+                           float(margin[f, low[f]]), pts[low[f]], int(bad[f].sum()),
+                           pts[first[f]] if bad[f, first[f]] else None)
+            for f in range(fields)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +212,8 @@ class HarnackReport:
     argmin: np.ndarray
 
     def __post_init__(self):
-        if not (self.R > 0.0 and self.max_br > 0.0 and self.min_2br > 0.0
-                and self.product_scaled > 0.0):
-            raise PositivityError("Harnack report entries must all be positive")
+        names = ("R", "max_br", "min_2br", "product_scaled")
+        _require_positive(np.array(names), np.array([getattr(self, f) for f in names]))
 
 
 @functools.lru_cache

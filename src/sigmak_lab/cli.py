@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bubbles, continuation, radial
-from .conformal import random_mobius_map_avoiding, transform_field
+from .conformal import random_mobius_map_avoiding
 from .errors import ConfigError, PathError, SigmakLabError, check_positive
 from .halton import box_points
 
@@ -74,14 +74,12 @@ def cmd_verify_bubble(args) -> int:
     pts = box_points(args.samples, args.n, halfwidth=args.box)
     rng = np.random.default_rng(args.seed)
     # every sample point stays clear of the words' poles
-    fields = [("bubble", base)] + [
-        (f"mobius{j}", transform_field(
-            base, random_mobius_map_avoiding(rng, args.n, pts, 1e-2)))
-        for j in range(args.images)]
+    words = [random_mobius_map_avoiding(rng, args.n, pts, 1e-2) for _ in range(args.images)]
+    reports = bubbles.verify_images(base, words, args.n, args.k, pts)
+    labels = ["bubble"] + [f"mobius{j}" for j in range(args.images)]
     records = []
     ok = True
-    for label, fld in fields:
-        rep = bubbles.verify_solution(fld, args.n, args.k, sample_points=pts)
+    for label, rep in zip(labels, reports):
         records.append({"label": label, "n": args.n, "k": args.k, "a": args.a,
                         "points": rep.n_samples, "max_residual": rep.max_residual,
                         "min_margin": rep.min_margin,

@@ -22,8 +22,9 @@ grad log|det J| fix the word's second derivatives by conformality; finite
 differences appear only in tests.
 
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
-`MobiusMap._walk`, `_schouten_batch`); the per-point calls are its N = 1
-case.
+`_schouten_batch`), and a word walk on a stack of W words as well
+(`_walk_words`, on the stacked matrices); the per-point calls are the N = 1
+case and `MobiusMap._walk` the W = 1 case.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError, PositivityError, _require_positive, \
-    check_nk, check_positive
+from .errors import ConfigError, DomainError, PoleError, _require_positive, check_nk, \
+    check_positive, check_positive_value
 
 __all__ = [
     "Jet2",
@@ -181,7 +182,7 @@ class _TransportState:
     """Jet of a word at N points: image points and log |det J|, and at
     order 2 also J and grad log |det J| w.r.t. the original coordinates,
     which fix the word's second derivatives (`_pullback`); all read off the
-    word's matrix (`MobiusMap._walk`). MobiusMap.jet returns the one-point
+    word's matrix (`_walk_words`). MobiusMap.jet returns the one-point
     slice, without the leading axis."""
 
     y: np.ndarray
@@ -191,8 +192,9 @@ class _TransportState:
 
 
 def _lifted(M, X) -> np.ndarray:
-    """M (m, n+2) times the lift (1, x, |x|^2) of each row x of X (N, n): (N, m)."""
-    return X @ M[:, 1:-1].T + M[:, 0] + np.einsum("ij,ij->i", X, X)[:, None] * M[:, -1]
+    """M (..., m, n+2) times the lift (1, x, |x|^2) of each row x of X (N, n): (..., N, m)."""
+    return X @ M[..., 1:-1].swapaxes(-1, -2) + M[..., None, :, 0] \
+        + np.einsum("ij,ij->i", X, X)[:, None] * M[..., None, :, -1]
 
 
 def _pole(M, n: int) -> np.ndarray | None:
@@ -247,31 +249,9 @@ class MobiusMap:
         return M
 
     def _walk(self, X, order: int = 0) -> _TransportState:
-        """Carry the rows x of X (N, n) through the word, its matrix M:
-        M (1, x, |x|^2) = lam (1, y, |y|^2), lam = |det J|^(-1/n) > 0 off the pole p
-        (`_pole`), about which lam is formed as alpha |x - p|^2, alpha = M[0, n+1]; a
-        PoleError where lam <= 0 or nan. order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam,
-        B and q the blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
-        -n grad lam / lam to y and log |det J|: what `_pullback` needs."""
+        """The one-word case of `_walk_words`: the rows x of X (N, n) through the word."""
         X = np.asarray(X, dtype=float)
-        n = X.shape[1]
-        M = self._matrix(n)
-        y, p = _lifted(M[1:n + 1], X), _pole(M, n)
-        if p is None:
-            lam, grad_lam = _lifted(M[:1], X)[:, 0], M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
-        else:  # near p the terms of M[0] (1, x, |x|^2) cancel; alpha |x - p|^2 does not
-            d = X - p
-            lam, grad_lam = M[0, n + 1] * np.einsum("ij,ij->i", d, d), 2.0 * M[0, n + 1] * d
-        if not np.all(lam > 0.0):
-            raise PoleError("mobius word hit its pole")
-        y /= lam[:, None]
-        log_det = -n * np.log(lam)
-        if not order:
-            return _TransportState(y, log_det)
-        jac = M[1:n + 1, 1:n + 1] + 2.0 * M[1:n + 1, n + 1, None] * X[:, None, :] \
-            - y[:, :, None] * grad_lam[..., None, :]
-        return _TransportState(y, log_det, jac / lam[:, None, None],
-                               -n * grad_lam / lam[:, None])
+        return _walk_words(self._matrix(X.shape[1])[None], X, order)
 
     # -- the action at a point or on the rows of a batch -------------------
 
@@ -314,6 +294,38 @@ class MobiusMap:
     def poles(self, n: int) -> list[np.ndarray]:
         """The finite point where the word passes through infinity, if any (`_pole`)."""
         return [p for p in [_pole(self._matrix(n), n)] if p is not None]
+
+
+def _walk_words(Ms, X, order: int) -> _TransportState:
+    """Carry the rows x of X (N, n) through W words at once, Ms (W, n+2, n+2)
+    their matrices; the state's rows are word-major, row w N + i holding x_i
+    under word w. Per word M: M (1, x, |x|^2) = lam (1, y, |y|^2),
+    lam = |det J|^(-1/n) > 0 off the pole p (`_pole`), about which lam is formed
+    as alpha |x - p|^2, alpha = M[0, n+1]; a PoleError where lam <= 0 or nan.
+    order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam, B and q the blocks
+    M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| = -n grad lam / lam
+    to y and log |det J|: what `_pullback` needs."""
+    n = X.shape[1]
+    y = _lifted(Ms[:, 1:n + 1], X)
+    lam, grad_lam = np.empty(y.shape[:2]), np.empty(y.shape)
+    for w, M in enumerate(Ms):
+        p = _pole(M, n)
+        if p is None:
+            lam[w], grad_lam[w] = _lifted(M[:1], X)[:, 0], M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
+        else:  # near p the terms of M[0] (1, x, |x|^2) cancel; alpha |x - p|^2 does not
+            d = X - p
+            lam[w], grad_lam[w] = M[0, n + 1] * np.einsum("ij,ij->i", d, d), 2.0 * M[0, n + 1] * d
+    if not np.all(lam > 0.0):
+        raise PoleError("mobius word hit its pole")
+    y /= lam[..., None]
+    log_det = -n * np.log(lam)
+    if not order:
+        return _TransportState(y.reshape(-1, n), log_det.ravel())
+    jac = Ms[:, None, 1:n + 1, 1:n + 1] + 2.0 * Ms[:, None, 1:n + 1, n + 1, None] * X[:, None, :] \
+        - y[..., None] * grad_lam[..., None, :]
+    return _TransportState(y.reshape(-1, n), log_det.ravel(),
+                           (jac / lam[..., None, None]).reshape(-1, n, n),
+                           (-n * grad_lam / lam[..., None]).reshape(-1, n))
 
 
 def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
@@ -457,9 +469,9 @@ class ScalarField:
 
 
 def constant_field(value: float, n: int) -> ScalarField:
-    """The constant positive field; its Schouten matrix vanishes."""
-    if not value > 0.0:
-        raise PositivityError(f"constant field value {value} must be positive")
+    """The constant positive field; its Schouten matrix vanishes. A value that is
+    not positive is a PositivityError, one past the float range a ConfigError."""
+    check_positive_value("constant field value", value)
 
     def jets(X, order):
         u = np.full(len(X), float(value))

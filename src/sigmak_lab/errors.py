@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one home of each input
-check: `check_positive`, `check_nk` and `_require_positive`. All errors derive
-from SigmakLabError; the numeric ones double as ValueError/RuntimeError so
-generic callers can catch the builtin types.
+check: `check_positive`, `check_positive_value`, `check_nk`, `_require_positive`
+and `_require_finite`. All errors derive from SigmakLabError; the numeric ones
+double as ValueError/RuntimeError/ArithmeticError so generic callers can catch
+the builtin types.
 """
 
 import sys
@@ -10,8 +11,8 @@ from numbers import Integral
 import numpy as np
 
 __all__ = ["SigmakLabError", "ConfigError", "PositivityError", "DomainError", "PoleError",
-           "ConeDomainError", "ConeBoundaryError", "StepUnderflowError", "NewtonError",
-           "PathError"]
+           "FloatRangeError", "ConeDomainError", "ConeBoundaryError", "StepUnderflowError",
+           "NewtonError", "PathError"]
 
 
 class SigmakLabError(Exception):
@@ -51,12 +52,21 @@ class PositivityError(SigmakLabError, ValueError):
 
 def _require_positive(X, u):
     """u, once every entry is checked positive (nan fails); u's last axis runs over
-    X's first, X (N, n) points or (N,) radii, and the error names the first bad one."""
+    X's first, X (N, n) points, (N,) radii or (N,) names, and the error names the
+    first bad one."""
     if not (u > 0.0).all():
         bad = np.flatnonzero(~(u > 0.0))[0]
         x, val = X[bad % len(X)], u.flat[bad]
         raise PositivityError(f"value {val} is not positive at {x}", where=x, value=val)
     return u
+
+
+def check_positive_value(name: str, value) -> None:
+    """PositivityError unless value > 0 (nan fails), then `check_positive`: a
+    value past the float range is a ConfigError."""
+    if not value > 0.0:
+        raise PositivityError(f"{name}={value!r} must be positive", value=value)
+    check_positive(name, value)
 
 
 class DomainError(SigmakLabError, ValueError):
@@ -65,6 +75,22 @@ class DomainError(SigmakLabError, ValueError):
 
 class PoleError(DomainError):
     """Evaluation at the pole of an inversion."""
+
+
+class FloatRangeError(SigmakLabError, ArithmeticError):
+    """A result left the float range: an overflow, or a value that is not
+    finite where a finite one was due. Carries the offending point or input."""
+
+    def __init__(self, message, where):
+        super().__init__(message)
+        self.where = where
+
+
+def _require_finite(X, ok, what: str) -> None:
+    """FloatRangeError naming the row of X (N, n) of the first False in ok (N,)."""
+    if not ok.all():
+        x = X[np.flatnonzero(~ok)[0]]
+        raise FloatRangeError(f"{what} is not finite at {x}", where=x)
 
 
 class ConeDomainError(SigmakLabError, ValueError):

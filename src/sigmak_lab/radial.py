@@ -71,8 +71,8 @@ import numpy as np
 
 from .bubbles import _bubble_jets, c_constant
 from .conformal import Domain, ScalarField
-from .errors import ConeBoundaryError, ConeDomainError, ConfigError, PositivityError, \
-    StepUnderflowError, _require_positive, check_nk, check_positive
+from .errors import ConeBoundaryError, ConeDomainError, ConfigError, StepUnderflowError, \
+    _require_positive, check_nk, check_positive, check_positive_value
 
 __all__ = [
     "EigenPair",
@@ -376,16 +376,18 @@ def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float, float
 def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> RadialProfile:
     """Integrate the radial equation from the origin out to r_max.
 
-    Starts from u(0) = u0, u'(0) = 0. The node r_s = min(1e-2 / max(1, a),
-    r_max), a the scale of the family member through u0, comes from the
-    sextic Taylor expansion of `_series_coefficients`, whose relative
-    truncation error |C(-m, 4)| (a r_s)^8, m = (n-2)/2, is 5e-16 at n = 6
-    and 2e-14 at n = 16. Past r_s the state (xi, s) of the t = log r chart
+    Starts from u(0) = u0, u'(0) = 0. The node r_s = 1e-2 / max(1, a), a the
+    scale of the family member through u0, comes from the sextic Taylor
+    expansion of `_series_coefficients`, whose relative truncation error
+    |C(-m, 4)| (a r_s)^8, m = (n-2)/2, is 5e-16 at n = 6 and 2e-14 at n = 16.
+    An r_max below r_s e^0.02, less than half the first trial step past r_s
+    in t, is taken as r_s itself (at most 1.2 times that error), so no step
+    is a sliver. Past r_s the state (xi, s) of the t = log r chart
     (see the module docstring) is advanced by the DOP853 pair, and past
     the turning point every accepted node with xi' <= -1/2 is projected
     onto the first integral H = 0 by resetting s from xi. Each node is
     stored as (r, u, u'); the last lies at r_max exactly, so a shot with
-    r_max <= r_s takes no step.
+    r_max = r_s takes no step.
 
     tol is the accuracy asked of the profile and the one accuracy control:
     a step is accepted when Hairer's error estimate is at most tol, absolute
@@ -397,15 +399,14 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
     stages with no admissible value; StepUnderflowError when the error
     control shrinks the step below 1e-12 in t or the shot runs out of its
     step budget; a bad (n, k) or a tol outside [_TOL_FLOOR, inf) is a
-    ConfigError at once, a bad u0 a PositivityError, and a u0 whose series
+    ConfigError at once, a u0 that is not positive a PositivityError (one
+    past the float range a ConfigError), and a u0 whose series
     coefficients leave the float range a ConeDomainError. The isotropic
     start has margin 1 (its sigma_j is C(n,j) C(n,k)^{-j/k} >= 1 for j <= k,
     as C(n,j)^{1/j} falls with j), so the origin itself is never at the
     boundary.
     """
-    if not u0 > 0.0:
-        raise PositivityError(f"initial value u0={u0} must be positive", value=u0)
-    check_positive("initial value u0", u0)
+    check_positive_value("initial value u0", u0)
     check_positive("r_max", r_max)
     check_positive("tol", tol)
     if tol < _TOL_FLOOR:
@@ -419,7 +420,9 @@ def shoot(u0: float, n: int, k: int, r_max: float, *, tol: float = 1e-12) -> Rad
 
     u2, u4, u6 = _series_coefficients(u0, n, k)
     # the series runs in powers of (a r)^2, a^2 = -u2 / ((n-2) u0) the family's scale
-    r1 = min(_R_START / max(1.0, math.sqrt(-u2 / ((n - 2.0) * u0))), r_max)
+    r1 = _R_START / max(1.0, math.sqrt(-u2 / ((n - 2.0) * u0)))
+    if r_max <= r1 * math.exp(0.5 * _DT_FIRST):  # no sliver of a first step
+        r1 = r_max
     q = r1 * r1
     u1 = u0 + q * (0.5 * u2 + q * (u4 / 24.0 + q * u6 / 720.0))
     p1 = r1 * (u2 + q * (u4 / 6.0 + q * u6 / 120.0))

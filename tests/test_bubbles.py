@@ -1,6 +1,7 @@
 """Closed-form family, residual verification, and the Harnack functional."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 import sigmak_lab as sl
 from sigmak_lab import bubbles
-from sigmak_lab.errors import ConfigError, PositivityError, SigmakLabError
+from sigmak_lab.errors import ConfigError, DomainError, FloatRangeError, PoleError, \
+    PositivityError, SigmakLabError
 from sigmak_lab.halton import box_points, sphere_directions
 
 from fd_oracles import fd_jet_of_field, sweep_rows_mp
@@ -143,6 +145,126 @@ def test_verify_reports_are_reproducible():
     np.testing.assert_array_equal(r1.worst_point, r2.worst_point)
 
 
+def _same_report(got, want):
+    """Two SolutionReports equal bit for bit, points included."""
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(got, name), value)
+        else:
+            assert getattr(got, name) == value, name
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_verify_images_equals_each_image_verified_alone(seed):
+    # one stacked pass over u and three word images against verify_solution of
+    # u and of each transform_field(u, psi), bit for bit, every pair n <= 8
+    rng = np.random.default_rng(seed)
+    for n in range(3, 9):
+        pts = box_points(40, n, halfwidth=2.5)
+        words = [sl.random_mobius_map_avoiding(rng, n, pts, 1e-2) for _ in range(3)]
+        for k in range(1, n + 1):
+            u = sl.bubble_field(sl.BubbleSpec(n, k, float(rng.uniform(0.3, 3.0))))
+            reports = sl.verify_images(u, words, n, k, pts)
+            alone = [sl.verify_solution(u, n, k, pts)] + [
+                sl.verify_solution(sl.transform_field(u, psi), n, k, pts) for psi in words]
+            assert len(reports) == 4
+            for got, want in zip(reports, alone):
+                _same_report(got, want)
+                assert want.max_residual <= 1e-7 and want.cone_violations == 0
+
+
+def test_verify_images_of_no_words_is_the_field_alone():
+    pts = box_points(30, 4)
+    for u in (sl.bubble_field(sl.BubbleSpec(4, 2, 1.3)), sl.constant_field(1.0, 4)):
+        reports = [sl.verify_images(u, words, 4, 2, pts) for words in ((), [])]
+        assert [len(r) for r in reports] == [1, 1]
+        _same_report(reports[0][0], reports[1][0])
+        _same_report(reports[0][0], sl.verify_solution(u, 4, 2, pts))
+
+
+def _first_error(calls):
+    for call in calls:
+        try:
+            call()
+        except SigmakLabError as exc:
+            return exc
+    raise AssertionError("no call raised")
+
+
+def test_verify_images_raises_the_first_error_of_the_fields_verified_one_by_one():
+    # u lives on the ball of radius 3: the second word doubles the samples and
+    # its images leave the ball first; a third word has its pole at a sample
+    n = 3
+    jets = bubbles.bubble_field(sl.BubbleSpec(n, 2, 1.0))._jets
+    u = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=3.0))
+    pts = box_points(60, n, halfwidth=1.5)
+    shrink, grow = sl.MobiusMap((sl.Dilation(0.5),)), sl.MobiusMap((sl.Dilation(2.0),))
+    at_pole = sl.MobiusMap((sl.Translation(-pts[7]), sl.Inversion()))
+
+    def one_by_one(words):
+        return _first_error([lambda: sl.verify_solution(u, n, 2, pts)] + [
+            lambda psi=psi: sl.verify_solution(sl.transform_field(u, psi), n, 2, pts)
+            for psi in words])
+
+    with pytest.raises(DomainError) as info:
+        sl.verify_images(u, [shrink, grow], n, 2, pts)
+    before = one_by_one([shrink, grow])
+    assert type(info.value) is type(before) and str(info.value) == str(before)
+    first = np.flatnonzero(np.linalg.norm(2.0 * pts, axis=1) > 3.0 * (1.0 + 1e-12))[0]
+    assert str(2.0 * pts[first]) in str(before)
+    with pytest.raises(PoleError, match="hit its pole"):
+        sl.verify_images(u, [shrink, at_pole], n, 2, pts)
+    assert isinstance(one_by_one([shrink, at_pole]), PoleError)
+
+
+@pytest.mark.parametrize("a, error", [(1e200, PositivityError), (1e-200, FloatRangeError),
+                                      (1e-300, FloatRangeError)])
+def test_verify_past_the_float_range_raises_without_a_warning(a, error):
+    # at a = 1e200 a^2 |x|^2 overflows and the values fall to 0; at 1e-200 and
+    # 1e-300 the values are finite but u^{-(n+2)/(n-2)} overflows in A(u); with
+    # or without a word image, no float warning escapes and the error names a sample
+    pts = box_points(100, 3)
+    u = sl.bubble_field(sl.BubbleSpec(3, 2, a))
+    word = sl.random_mobius_map_avoiding(np.random.default_rng(3), 3, pts, 1e-2)
+    for words in ((), (word,)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                sl.verify_images(u, words, 3, 2, pts)
+        assert any(np.array_equal(info.value.where, x) for x in pts)
+
+
+def test_verify_names_the_first_sample_where_sigma_k_overflows():
+    # u = 1e-40 with hessian -I: A(u) = (2 / (n-2)) 1e200 I is finite, but
+    # sigma_2 of its eigenvalues is not; sigma_1 alone is a finite report
+    n, pts = 3, box_points(6, 3)
+
+    def jets(X, order):
+        return np.full(len(X), 1e-40), np.zeros(X.shape), np.tile(-np.eye(n), (len(X), 1, 1))
+
+    u = sl.ScalarField(n, jets=jets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="sigma_1..sigma_k is not finite") as info:
+            sl.verify_solution(u, n, 2, pts)
+        rep = sl.verify_solution(u, n, 1, pts)
+    np.testing.assert_array_equal(info.value.where, pts[0])
+    assert rep.max_residual == pytest.approx(6e200, rel=1e-12)
+
+
+def test_bubble_amplitude_past_the_float_range_names_the_scale():
+    # c a^m with m = 3 overflows a float at a = 1e110: an error that names a, not
+    # a builtin OverflowError, and not a configuration error
+    for a in (1e110, 10 ** 110):
+        field = sl.bubble_field(sl.BubbleSpec(8, 2, a))
+        with pytest.raises(FloatRangeError, match=re.escape(f"a={a!r}")) as info:
+            field.values(np.zeros((1, 8)))
+        assert not isinstance(info.value, ConfigError) and info.value.where == a
+    with pytest.raises(FloatRangeError):
+        bubbles._bubble_jets(8, 2, 1e103, 0.0, np.zeros((1, 8)), 0)  # c a^3 alone overflows
+    assert np.isfinite(bubbles._bubble_jets(8, 2, 1e100, 0.0, np.zeros((1, 8)), 0)[0]).all()
+
+
 # ---------------------------------------------------------------------------
 # kelvin self-duality (field-level check lives here with the family)
 # ---------------------------------------------------------------------------
@@ -191,6 +313,17 @@ def test_harnack_constant_field_flagged_as_non_solution():
     # and the product grows with R, unlike for solutions
     rep2 = sl.harnack_product(u, 4.0)
     assert rep2.product_scaled > rep.product_scaled
+
+
+@pytest.mark.parametrize("field", ["R", "max_br", "min_2br", "product_scaled"])
+def test_harnack_report_names_the_entry_that_is_not_positive(field):
+    entries = {"R": 1.0, "max_br": 2.0, "min_2br": 0.5, "product_scaled": 1.0}
+    x = np.zeros(3)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(PositivityError, match=f"is not positive at {field}") as info:
+            sl.HarnackReport(**{**entries, field: bad}, argmax=x, argmin=x)
+        assert info.value.where == field
+    sl.HarnackReport(**{**entries, field: math.inf}, argmax=x, argmin=x)  # inf is positive
 
 
 def test_harnack_off_center_bubble():

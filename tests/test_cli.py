@@ -345,8 +345,9 @@ def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys,
     # the paths are checked before the work: a run of it is an unexpected failure
     def work(*args, **kwargs):
         raise AssertionError("the work ran")
-    for module, name in [(bubbles, "verify_solution"), (bubbles, "harnack_sweep"),
-                         (radial, "shoot"), (continuation, "continue_path")]:
+    for module, name in [(bubbles, "verify_solution"), (bubbles, "verify_images"),
+                         (bubbles, "harnack_sweep"), (radial, "shoot"),
+                         (continuation, "continue_path")]:
         monkeypatch.setattr(module, name, work)
     path = tmp_path / "missing" / "out.txt"
     assert main(argv + [str(path)]) == 1
@@ -371,6 +372,17 @@ def test_results_past_the_float_range_are_numerical_failures(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "numerical failure:" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bubble", "--n", "8", "--k", "2", "--a", "1e110"],
+    ["homotopy", "--n", "8", "--k", "2", "--a", "1e110"],
+])
+def test_a_scale_whose_amplitude_overflows_is_a_numerical_failure(argv, capsys):
+    # c a^m, m = 3, leaves the float range at a = 1e110: exit 2, and the message names a
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: amplitude c a^m of scale a=1e+110" in err
 
 
 # ---------------------------------------------------------------------------

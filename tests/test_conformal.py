@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
+from sigmak_lab.conformal import _lifted, _pole, _walk_words
 from sigmak_lab.errors import ConfigError, PoleError, PositivityError, _require_positive
 
 from fd_oracles import fd_jet_of_field, mobius_walk_mp
@@ -316,6 +317,72 @@ def test_walk_matches_a_50_digit_atom_walk():
 # ---------------------------------------------------------------------------
 # transform_field
 # ---------------------------------------------------------------------------
+
+def _one_word_walk(M, X, order):
+    """The walk of one word as a single (n+2) x (n+2) matrix M, with no word
+    axis: y, log |det J|, J and grad log |det J| in the expressions that
+    `_walk_words` forms per word."""
+    n = X.shape[1]
+    y, p = _lifted(M[1:n + 1], X), _pole(M, n)
+    if p is None:
+        lam, grad_lam = _lifted(M[:1], X)[:, 0], M[0, 1:n + 1] + 2.0 * M[0, n + 1] * X
+    else:
+        d = X - p
+        lam, grad_lam = M[0, n + 1] * np.einsum("ij,ij->i", d, d), 2.0 * M[0, n + 1] * d
+    y /= lam[:, None]
+    jac = M[1:n + 1, 1:n + 1] + 2.0 * M[1:n + 1, n + 1, None] * X[:, None, :] \
+        - y[:, :, None] * grad_lam[..., None, :]
+    return y, -n * np.log(lam), jac / lam[:, None, None], -n * grad_lam / lam[:, None]
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_stacked_walk_is_each_words_own_walk_bit_for_bit(order):
+    # six words per n, with and without a pole, walked as one stack: the rows of
+    # word w equal its one-word _walk and the one-matrix expressions bit for bit
+    rng = np.random.default_rng(83)
+    with_pole = without = 0
+    for n in range(3, 9):
+        words = [sl.random_mobius_map(rng, n) for _ in range(6)]
+        X = rng.normal(scale=2.0, size=(23, n))
+        st = _walk_words(np.array([psi._matrix(n) for psi in words]), X, order)
+        assert st.y.shape == (6 * 23, n)
+        for w, psi in enumerate(words):
+            with_pole += bool(psi.poles(n))
+            without += not psi.poles(n)
+            one, ref = psi._walk(X, order), _one_word_walk(psi._matrix(n), X, order)
+            for name, want in zip(("y", "log_det", "jac", "grad_log_det"), ref):
+                got, alone = getattr(st, name), getattr(one, name)
+                if not order and name in ("jac", "grad_log_det"):
+                    assert got is None and alone is None
+                    continue
+                np.testing.assert_array_equal(got[w * 23:(w + 1) * 23], want)
+                np.testing.assert_array_equal(alone, want)
+    assert with_pole >= 10 and without >= 10
+
+
+def test_stacked_walk_of_no_words_and_at_a_pole():
+    X = np.random.default_rng(5).normal(size=(7, 4))
+    st = _walk_words(np.empty((0, 6, 6)), X, 2)
+    assert [a.shape for a in vars(st).values()] == [(0, 4), (0,), (0, 4, 4), (0, 4)]
+    words = [sl.MobiusMap((sl.Translation(np.ones(4)),)), sl.MobiusMap((sl.Inversion(),))]
+    Ms = np.array([psi._matrix(4) for psi in words])
+    assert _walk_words(Ms, X, 2).y.shape == (14, 4)
+    with pytest.raises(PoleError, match="hit its pole"):
+        _walk_words(Ms, np.vstack([X, np.zeros(4)]), 0)
+
+
+def test_constant_field_value_checks():
+    # a value that is not positive (nan included) is a PositivityError, one past
+    # the float range a ConfigError
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(PositivityError, match="constant field value") as info:
+            sl.constant_field(bad, 3)
+        assert info.value.value is bad
+    for bad in (math.inf, 10 ** 400):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            sl.constant_field(bad, 3)
+    assert sl.constant_field(1.7e308, 3).value(np.zeros(3)) == 1.7e308
+
 
 def test_transform_identity_word():
     rng = np.random.default_rng(19)

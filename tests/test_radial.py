@@ -194,8 +194,15 @@ def test_solve_for_u2_slope_at_the_origin_is_a_configuration_error():
 # ---------------------------------------------------------------------------
 
 def test_shoot_rejects_bad_inputs():
-    with pytest.raises(PositivityError):
-        sl.shoot(0.0, 3, 1, 5.0)
+    # one check of u0: not positive (nan included) is a PositivityError that
+    # carries the value, past the float range a ConfigError
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(PositivityError, match="initial value u0") as info:
+            sl.shoot(bad, 3, 1, 5.0)
+        assert info.value.value is bad
+    for bad in (math.inf, 10 ** 400):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            sl.shoot(bad, 3, 1, 5.0)
     with pytest.raises(ValueError):
         sl.shoot(1.0, 3, 1, -2.0)
 
@@ -696,6 +703,26 @@ def test_shot_inside_the_series_start(n, k, r_max):
     pts *= (np.linspace(0.02, 0.98, 40) * r_max / np.linalg.norm(pts, axis=1))[:, None]
     rep = sl.verify_solution(sl.profile_to_field(profile), n, k, sample_points=pts)
     assert rep.max_residual <= 1e-9 and rep.min_margin > 0.0
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-5, 1e-3, 0.019, 0.021, 0.03])
+@pytest.mark.parametrize("n, k", [(3, 2), (6, 6), (8, 3)])
+def test_shot_just_past_the_series_start_takes_no_sliver_step(n, k, gap):
+    # an r_max less than half the first trial step (0.02 in t) past r_s = 1e-2
+    # is the series node itself, so no step is shorter than 0.02 in t; a step of
+    # 1e-8 made the reconstruction read a sigma_6 residual of 190 between r_s
+    # and r_max ((6, 6) at r_max 1.0000001e-2), 0.07 at 1e-5 and 4.5e-6 at 1e-3
+    r_max = 1e-2 * math.exp(gap)
+    profile = sl.shoot(sl.c_constant(n, k), n, k, r_max)
+    assert profile.r[-1] == r_max and profile.r.size == (2 if gap < 0.02 else 3)
+    assert np.diff(np.log(profile.r[1:])).min(initial=np.inf) >= 0.02
+    assert sl.liouville_report(profile).max_rel_deviation <= 1e-14
+    rng = np.random.default_rng(89)
+    pts = rng.normal(size=(40, n))
+    radii = profile.r[-2] + np.linspace(0.02, 0.98, 40) * (r_max - profile.r[-2])
+    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+    rep = sl.verify_solution(sl.profile_to_field(profile), n, k, sample_points=pts)
+    assert rep.max_residual <= 1e-7 and rep.min_margin > 0.0
 
 
 def test_septic_basis_matches_numpy_polynomial():
