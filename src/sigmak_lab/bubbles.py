@@ -22,7 +22,6 @@ sharpness claim. `harnack_product` takes any field, on a grid.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -31,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
-    _schouten_batch, _walk_words, random_mobius_map_avoiding
-from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, check_nk, \
-    check_positive
+    _schouten_spectra, _walk_words, random_mobius_map_avoiding
+from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, \
+    check_center, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
@@ -73,10 +72,7 @@ class BubbleSpec:
     def __post_init__(self):
         check_nk(self.n, self.k)
         check_positive("scale a", self.a)
-        c = np.zeros(self.n) if self.center is None else np.asarray(self.center, dtype=float)
-        if c.shape != (self.n,) or not np.all(np.isfinite(c)):
-            raise ConfigError(f"center must be a finite vector of shape ({self.n},)")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", check_center(self.center, self.n))
 
 
 def _power(a: float, p: float) -> float:
@@ -176,10 +172,7 @@ def verify_images(u: ScalarField, words, n: int, k: int, sample_points) -> list[
         images = _pullback(st, *(part[npts:] for part in jets))
         uu, grad, hess = _checked_jets(rows, *(np.concatenate([part[:npts], image])
                                                for part, image in zip(jets, images)))
-        schouten = _schouten_batch(uu, grad, hess)
-        _require_finite(rows, np.isfinite(schouten).all(axis=(1, 2)) & (uu < np.inf),
-                        "the jet or Schouten matrix")
-        e = _esym_all_batch(np.linalg.eigvalsh(schouten))
+        e = _esym_all_batch(_schouten_spectra(rows, uu, grad, hess))
         _require_finite(rows, np.isfinite(e[:, 1:k + 1]).all(axis=1), "sigma_1..sigma_k")
     res = np.abs(e[:, k] - 1.0).reshape(fields, npts)
     margin = _cone_margin(e, k).reshape(fields, npts)
@@ -225,10 +218,10 @@ def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     return dirs
 
 
-def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int):
-    """(center, R, n_radial, shells): shells (S, D, n) holds B_R's shells, the radii
-    rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's, all
-    of rho doubled."""
+def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int) -> np.ndarray:
+    """The grid points (2 n_radial D, n): B_R's shells, the radii
+    rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's,
+    all of rho doubled."""
     check_positive("radius R", R)
     if n_radial < 1:
         raise ConfigError(f"n_radial={n_radial} must be >= 1")
@@ -238,74 +231,51 @@ def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int):
     rho = np.concatenate([rho, 2.0 * rho])
     shells = rho[:, None, None] * _grid_directions(center.size, n_angular)
     shells += center
-    return center, R, n_radial, shells
+    return shells.reshape(-1, center.size)
 
 
-def _grid_extrema(grid_values, grid):
-    """Per cell the grid point of its first largest value over B_R, then of its
-    first least value over B_2R's shells, in grid order."""
-    _, _, n_radial, shells = grid
-    pts, inner = shells.reshape(-1, shells.shape[2]), n_radial * shells.shape[1]
-    vals = grid_values(pts)
-    idx = np.stack([vals[:, :inner].argmax(axis=1), vals[:, inner:].argmin(axis=1) + inner],
-                   axis=1)
-    return pts[idx.ravel()]
-
-
-def _harnack_cells(grid_values, jets, domain: Domain, grid):
-    """Harnack reports of a stack of fields (cells) on one `_harnack_grid`.
-
-    grid_values(X) gives the values (C, N) of the C cells at the rows of X
-    (N, n); jets(X, order, cells) gives the jets of cell cells[i] at row i, so
-    the values at the best grid points too. From them one stacked Newton
-    step, projected into its ball, wins where strictly better. A singular hessian
-    (LinAlgError, the only error caught) keeps both grid extrema of its own
-    cell; a trial point with a non-finite step or outside the domain keeps
-    its grid value.
-    """
-    center, R, n = grid[0], grid[1], grid[0].size
-    sign, radius = np.array([1.0, -1.0]), np.array([R, 2.0 * R])
-    x = _grid_extrema(grid_values, grid)
-    cells, ball = np.divmod(np.arange(len(x)), 2)
-    v, grad, hess = jets(x, 2, cells)
-    v, grad, hess = v.copy(), grad.reshape(-1, 2, n, 1), hess.reshape(-1, 2, n, n)
-    try:
-        step = -np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError:
-        step = np.full_like(grad, np.nan)
-        for c in range(len(hess)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                step[c] = -np.linalg.solve(hess[c], grad[c])
-    step = step.reshape(-1, n)
-    rows = np.flatnonzero(np.isfinite(step).all(axis=1))
-    x_try = x[rows] + step[rows]
-    offset, limit = x_try - center, radius[ball[rows]]
-    dist = np.linalg.norm(offset, axis=1)
-    out = dist > limit
-    x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
-    inside = domain.contains(x_try)
-    rows, x_try = rows[inside], x_try[inside]
-    if rows.size:
-        v_try = jets(x_try, 0, cells[rows])[0]
-        better = sign[ball[rows]] * v_try > sign[ball[rows]] * v[rows]
-        x[rows[better]], v[rows[better]] = x_try[better], v_try[better]
-    return [HarnackReport(R, hi, lo, hi * lo * R ** (n - 2.0), xa, xb)
-            for (xa, xb), (hi, lo) in zip(x.reshape(-1, 2, n), v.reshape(-1, 2).tolist())]
+def _grid_extrema(values, pts) -> np.ndarray:
+    """The grid points (2, n) of the first largest of values (N,) over B_R's half of
+    pts (N, n), then of the first least over B_2R's half, in grid order."""
+    half = len(pts) // 2
+    return pts[[values[:half].argmax(), values[half:].argmin() + half]]
 
 
 def harnack_product(u: ScalarField, R: float, center=None, *,
                     n_radial: int = 64, n_angular: int = 64) -> HarnackReport:
     """Scaled Harnack product of u around a center (the origin if None).
 
-    The one-cell case of `_harnack_cells`: one batch evaluation of the grid
-    over B_R and all of B_2R's doubled shells, then one batched polish step,
-    under its rules. The product is bounded only on solutions; whether u is
-    one is for `verify_solution` to say.
+    One batch evaluation of u on the grid over B_R and all of B_2R's doubled
+    shells (`_harnack_grid`) picks the grid maximum over B_R and minimum over
+    B_2R. One Newton step from each, projected into its ball, then wins where
+    it is strictly better. A singular hessian (LinAlgError, the only error
+    caught) keeps both grid extrema; a trial point with a non-finite step or
+    outside the domain keeps its grid value. The product is bounded only on
+    solutions; whether u is one is for `verify_solution` to say.
     """
-    center = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
-    return _harnack_cells(lambda X: u.values(X)[None],
-                          lambda X, order, cells: u.jets(X, order),
-                          u.domain, _harnack_grid(center, R, n_radial, n_angular))[0]
+    center = check_center(center, u.n)
+    pts = _harnack_grid(center, R, n_radial, n_angular)
+    x = _grid_extrema(u.values(pts), pts)
+    v, grad, hess = u.jets(x, 2)
+    v = v.copy()
+    try:
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(x, np.nan)
+    rows = np.flatnonzero(np.isfinite(step).all(axis=1))
+    x_try = x[rows] + step[rows]
+    offset, limit = x_try - center, np.array([R, 2.0 * R])[rows]
+    dist = np.linalg.norm(offset, axis=1)
+    out = dist > limit
+    x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
+    inside = u.domain.contains(x_try)
+    rows, x_try = rows[inside], x_try[inside]
+    if rows.size:
+        v_try, sign = u.jets(x_try, 0)[0], np.array([1.0, -1.0])[rows]
+        better = sign * v_try > sign * v[rows]
+        x[rows[better]], v[rows[better]] = x_try[better], v_try[better]
+    hi, lo = v.tolist()
+    return HarnackReport(R, hi, lo, hi * lo * R ** (u.n - 2.0), x[0], x[1])
 
 
 @dataclass(frozen=True)

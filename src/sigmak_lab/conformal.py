@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError, _require_positive, check_nk, \
-    check_positive, check_positive_value
+from .errors import ConfigError, DomainError, PoleError, _require_finite, _require_positive, \
+    check_nk, check_positive, check_positive_value
 
 __all__ = [
     "Jet2",
@@ -130,9 +130,24 @@ def schouten_flat(jet: Jet2) -> np.ndarray:
     return _schouten_batch(u, jet.grad[None], jet.hess[None])[0]
 
 
+def _schouten_spectra(points, u, g, h) -> np.ndarray:
+    """Ascending eigenvalues (N, n) of the flat Schouten matrices of N checked
+    2-jets at the rows of points (N, n). A value or Schouten matrix that is not
+    finite raises FloatRangeError at its first point, before `eigvalsh`, which
+    returns finite garbage or raises a bare LinAlgError on a nan matrix."""
+    schouten = _schouten_batch(u, g, h)
+    _require_finite(points, np.isfinite(schouten).all(axis=(1, 2)) & (u < np.inf),
+                    "the jet or Schouten matrix")
+    return np.linalg.eigvalsh(schouten)
+
+
 def schouten_spectrum(jet: Jet2) -> np.ndarray:
-    """Ascending eigenvalues of the flat Schouten matrix at a jet."""
-    return np.linalg.eigvalsh(schouten_flat(jet))
+    """Ascending eigenvalues of the flat Schouten matrix at a jet: the one-jet
+    case of `_schouten_spectra`, with numpy's float warnings off."""
+    points = jet.point[None]
+    u = _require_positive(points, np.array([jet.u], dtype=float))
+    with np.errstate(all="ignore"):
+        return _schouten_spectra(points, u, jet.grad[None], jet.hess[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +500,7 @@ def constant_field(value: float, n: int) -> ScalarField:
 def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
     jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
-    order 0 only the values come back; uy may then stack several fields on
-    leading axes, and the conformal factor broadcasts over them.
+    order 0 only the values come back.
 
     psi pulls |dy|^2 back to e^{2 sigma} |dx|^2, sigma = log|det J| / n. With
     mu = grad sigma and s = (n-2)/2, so that |J|^p = e^{s sigma}, two facts of

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the one home of each input
-check: `check_positive`, `check_positive_value`, `check_nk`, `_require_positive`
-and `_require_finite`. All errors derive from SigmakLabError; the numeric ones
-double as ValueError/RuntimeError/ArithmeticError so generic callers can catch
-the builtin types.
+check: `check_positive`, `check_positive_value`, `check_nk`, `check_center`,
+`_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
+the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
+callers can catch the builtin types.
 """
 
 import sys
@@ -39,6 +39,19 @@ def check_nk(n: int, k: int) -> None:
         raise ConfigError(f"dimension n={n} must be >= 3")
     if not 1 <= k <= n:
         raise ConfigError(f"cone index k={k} outside 1..{n}")
+
+
+def check_center(center, n: int) -> np.ndarray:
+    """The origin of R^n if center is None, else center as a float array once it
+    is checked a finite vector of shape (n,); a ConfigError otherwise, also where
+    it is no array of numbers."""
+    try:
+        c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    except (TypeError, ValueError):
+        c = None
+    if c is None or c.shape != (n,) or not np.all(np.isfinite(c)):
+        raise ConfigError(f"center must be a finite vector of shape ({n},)")
+    return c
 
 
 class PositivityError(SigmakLabError, ValueError):

@@ -419,21 +419,19 @@ def test_sweep_rows_do_not_depend_on_the_block_size(n, k):
 
 
 def _full_grid(center, R, n_radial, n_angular):
-    # the reference grid: B_R's shells, then every one of them doubled
+    # the reference grid points: B_R's shells, then every one of them doubled
     n = center.size
     shell = (np.linspace(0.0, R, n_radial)[:, None, None]
              * bubbles._grid_directions(n, n_angular)).reshape(-1, n)
-    return center, R, n_radial, (center + np.array([1.0, 2.0])[:, None, None]
-                                 * shell).reshape(-1, n)
+    return (center + np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
 
 
-def _full_scan(grid_values, grid):
-    # the reference scan: both halves valued in full, argmax over the first,
-    # argmin over the second
-    pts = grid[3]
-    half, vals = len(pts) // 2, grid_values(pts)
-    return pts[np.stack([vals[:, :half].argmax(axis=1),
-                         vals[:, half:].argmin(axis=1) + half], axis=1).ravel()]
+def _full_scan(values, pts):
+    # the reference scan, a loop: the first largest value over the first
+    # half of the points, then the first least over the second
+    half = len(pts) // 2
+    return pts[[max(range(half), key=values.__getitem__),
+                min(range(half, len(pts)), key=values.__getitem__)]]
 
 
 def _with_full_scan(monkeypatch, run):
@@ -456,7 +454,7 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
     clearance = 3.0 * max(r_grid) + 0.5
     psis = [None] + [sl.random_mobius_map_avoiding(rng, n, np.zeros(n), clearance)
                      for _ in range(words)]
-    grids = [_full_grid(np.zeros(n), R, n_radial, 16)[3] for R in r_grid]
+    grids = [_full_grid(np.zeros(n), R, n_radial, 16) for R in r_grid]
     for psi in psis:
         for a in a_grid:
             u = sl.bubble_field(sl.BubbleSpec(n, k, a))
@@ -535,38 +533,28 @@ def _polish_rule_fields(n):
             sl.ScalarField(n, jets=quadratic)], exact_min
 
 
-def test_harnack_singular_hessian_stays_in_its_cell():
-    # the constant cell's hessian is singular, so the stacked solve raises;
-    # that cell keeps its grid extrema, the cell with a non-finite step
-    # keeps its grid values, and the polished cell is as if alone
-    n, R, n_radial, n_angular = 3, 1.0, 3, 2
-    fields, exact_min = _polish_rule_fields(n)
+def test_harnack_polish_rules_per_field():
+    # the constant field's hessian is singular, so the solve raises and both
+    # grid extrema stay; the overflowing step keeps its grid values; the
+    # quadratic's step reaches the exact minimum over B_2R, no grid point
+    n, R = 3, 1.0
+    (constant, overflowing, quadratic), exact_min = _polish_rule_fields(n)
 
-    def grid_values(X):
-        return np.stack([f.values(X) for f in fields])
+    def product(field):
+        return sl.harnack_product(field, R, n_radial=3, n_angular=2)
 
-    def jets(X, order, cells):
-        parts = [f.jets(X, order) for f in fields]
-        rows = np.arange(len(X))
-        return tuple(None if parts[0][j] is None
-                     else np.stack([part[j] for part in parts])[cells, rows]
-                     for j in range(3))
-
-    grid = bubbles._harnack_grid(np.zeros(n), R, n_radial, n_angular)
-    reps = bubbles._harnack_cells(grid_values, jets, sl.Domain(), grid)
-    assert (reps[0].max_br, reps[0].min_2br) == (2.0, 2.0)
-    np.testing.assert_array_equal(reps[0].argmax, np.zeros(n))
-    np.testing.assert_array_equal(reps[0].argmin, np.zeros(n))
-    assert reps[2].min_2br == pytest.approx(exact_min, rel=1e-14)
-    for rep, field in zip(reps, fields):
-        alone = sl.harnack_product(field, R, n_radial=n_radial, n_angular=n_angular)
-        assert (rep.max_br, rep.min_2br, rep.product_scaled) \
-            == (alone.max_br, alone.min_2br, alone.product_scaled)
-        np.testing.assert_array_equal(rep.argmax, alone.argmax)
-        np.testing.assert_array_equal(rep.argmin, alone.argmin)
-    # the overflowing cell's extrema are grid points: R e_0 and -2R e_0
-    np.testing.assert_array_equal(reps[1].argmax, R * np.eye(n)[0])
-    np.testing.assert_array_equal(reps[1].argmin, -2.0 * R * np.eye(n)[0])
+    rep = product(constant)
+    assert (rep.max_br, rep.min_2br) == (2.0, 2.0)
+    np.testing.assert_array_equal(rep.argmax, np.zeros(n))
+    np.testing.assert_array_equal(rep.argmin, np.zeros(n))
+    # the overflowing field's extrema are the grid points R e_0 and -2R e_0
+    rep = product(overflowing)
+    assert (rep.max_br, rep.min_2br) == (2.0 + 0.1 * R, 2.0 + 0.1 * (-2.0 * R))
+    np.testing.assert_array_equal(rep.argmax, R * np.eye(n)[0])
+    np.testing.assert_array_equal(rep.argmin, -2.0 * R * np.eye(n)[0])
+    rep = product(quadratic)
+    assert rep.min_2br == pytest.approx(exact_min, rel=1e-14)
+    np.testing.assert_allclose(rep.argmin, 2.0 * R * np.ones(n) / math.sqrt(n), rtol=1e-15)
 
 
 def test_harnack_grid_directions_are_read_only():
@@ -761,6 +749,18 @@ def test_negative_harnack_counts_are_configuration_errors():
         sl.harnack_product(u, 1.0, n_radial=4, n_angular=-4)
     with pytest.raises(ConfigError, match="mobius_words=-2"):
         sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=-2)
+
+
+@pytest.mark.parametrize("center", [[0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], ["x", 0.0, 0.0],
+                                    [[0.0, 0.0], [0.0]]],
+                         ids=["nan", "inf", "short", "long", "2-d", "text", "ragged"])
+def test_a_center_that_is_not_a_finite_vector_is_a_configuration_error(center):
+    u = sl.bubble_field(sl.BubbleSpec(3, 1, 1.0))
+    for build in (lambda: sl.harnack_product(u, 1.0, center=center),
+                  lambda: sl.BubbleSpec(3, 1, 1.0, center=center)):
+        with pytest.raises(ConfigError, match=re.escape("finite vector of shape (3,)")):
+            build()
 
 
 def test_verify_rejects_empty_sample_set():

@@ -2,13 +2,15 @@
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import sigmak_lab as sl
 from sigmak_lab.conformal import _lifted, _pole, _walk_words
-from sigmak_lab.errors import ConfigError, PoleError, PositivityError, _require_positive
+from sigmak_lab.errors import ConfigError, FloatRangeError, PoleError, PositivityError, \
+    _require_positive
 
 from fd_oracles import fd_jet_of_field, mobius_walk_mp
 from field_factories import random_test_field
@@ -84,6 +86,19 @@ def test_trace_identity_for_first_symmetric_function():
             lap = float(np.trace(jet.hess))
             assert -jet.u ** (-(n + 2.0) / (n - 2.0)) * lap \
                 == pytest.approx((n - 2.0) / 2.0, rel=1e-11)
+
+
+def test_spectrum_past_the_float_range_names_the_point():
+    # u = 1e-100: u^{-5} overflows and, times the zero hessian, makes the
+    # Schouten matrix nan, on which eigvalsh raises a bare LinAlgError;
+    # the spectrum raises FloatRangeError at the jet's point, with no warning
+    point = np.array([0.5, -1.0, 2.0])
+    jet = sl.Jet2(point, 1e-100, np.zeros(3), np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="Schouten matrix is not finite") as info:
+            sl.schouten_spectrum(jet)
+    np.testing.assert_array_equal(info.value.where, point)
 
 
 # ---------------------------------------------------------------------------
