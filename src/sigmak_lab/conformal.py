@@ -124,30 +124,35 @@ def _schouten_batch(u, g, h) -> np.ndarray:
         - (c3 * q2 * gg)[:, None, None] * np.eye(n)
 
 
-def schouten_flat(jet: Jet2) -> np.ndarray:
-    """Schouten-type matrix A(u) of a 2-jet over the flat background."""
-    u = _require_positive(jet.point[None], np.array([jet.u], dtype=float))
-    return _schouten_batch(u, jet.grad[None], jet.hess[None])[0]
-
-
-def _schouten_spectra(points, u, g, h) -> np.ndarray:
-    """Ascending eigenvalues (N, n) of the flat Schouten matrices of N checked
-    2-jets at the rows of points (N, n). A value or Schouten matrix that is not
-    finite raises FloatRangeError at its first point, before `eigvalsh`, which
-    returns finite garbage or raises a bare LinAlgError on a nan matrix."""
+def _checked_schouten(points, u, g, h) -> np.ndarray:
+    """Flat Schouten matrices (N, n, n) of N checked 2-jets at the rows of
+    points (N, n). A value or Schouten matrix that is not finite raises
+    FloatRangeError at its first point."""
     schouten = _schouten_batch(u, g, h)
     _require_finite(points, np.isfinite(schouten).all(axis=(1, 2)) & (u < np.inf),
                     "the jet or Schouten matrix")
-    return np.linalg.eigvalsh(schouten)
+    return schouten
 
 
-def schouten_spectrum(jet: Jet2) -> np.ndarray:
-    """Ascending eigenvalues of the flat Schouten matrix at a jet: the one-jet
-    case of `_schouten_spectra`, with numpy's float warnings off."""
+def _schouten_spectra(points, u, g, h) -> np.ndarray:
+    """Ascending eigenvalues (N, n) of `_checked_schouten`'s matrices, checked
+    before `eigvalsh`, which returns finite garbage or raises a bare
+    LinAlgError on a nan matrix."""
+    return np.linalg.eigvalsh(_checked_schouten(points, u, g, h))
+
+
+def schouten_flat(jet: Jet2) -> np.ndarray:
+    """Schouten-type matrix A(u) of a 2-jet over the flat background: the
+    one-jet case of `_checked_schouten`, with numpy's float warnings off."""
     points = jet.point[None]
     u = _require_positive(points, np.array([jet.u], dtype=float))
     with np.errstate(all="ignore"):
-        return _schouten_spectra(points, u, jet.grad[None], jet.hess[None])[0]
+        return _checked_schouten(points, u, jet.grad[None], jet.hess[None])[0]
+
+
+def schouten_spectrum(jet: Jet2) -> np.ndarray:
+    """Ascending eigenvalues of the flat Schouten matrix at a jet."""
+    return np.linalg.eigvalsh(schouten_flat(jet))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -123,7 +123,7 @@ class ContinuationTrace:
     records: list[TRecord] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.records], indent=2) + "\n"
+        return json.dumps([vars(r) for r in self.records], indent=2) + "\n"
 
 
 class _Iterate:

@@ -701,13 +701,27 @@ def write_profile_csv(profile: RadialProfile, path):
     closes at each node (machine-level along shot profiles); cone_margin
     is the Gamma_k margin of the node's eigenpair. Nodes where the solve
     fails get nan residual and the failing margin (see `_node_solves`).
+    Every field is `repr` of its value as a Python float, except that the
+    origin row's du is always +0.0 (`0.0`). The two certificate columns
+    repeat few values, so `_reprs` formats each distinct one of them once.
     """
     _, margin, res = _node_solves(profile.r, profile.u, profile.du, profile.n, profile.k)
     du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
-    rows = zip(profile.r.tolist(), profile.u.tolist(), du, res.tolist(), margin.tolist())
+    text = _reprs(np.concatenate([res, margin]))
+    rows = zip(profile.r.tolist(), profile.u.tolist(), du, text[:res.size], text[res.size:])
     lines = ["r,u,du,sigma_residual,cone_margin"]
-    lines += [f"{r!r},{u!r},{du!r},{res!r},{margin!r}" for r, u, du, res, margin in rows]
+    lines += [f"{r!r},{u!r},{du!r},{res},{margin}" for r, u, du, res, margin in rows]
     write_csv(path, lines)
+
+
+def _reprs(a: np.ndarray) -> list[str]:
+    """`repr` of every entry of the float array a, formatting each distinct
+    bit pattern once: by bits, not by value, -0.0 stays apart from 0.0 and
+    every nan finds itself."""
+    keys, inverse = np.unique(np.ascontiguousarray(a, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def write_csv(path, lines: list[str]):

@@ -101,6 +101,18 @@ def test_spectrum_past_the_float_range_names_the_point():
     np.testing.assert_array_equal(info.value.where, point)
 
 
+def test_schouten_flat_past_the_float_range_names_the_point():
+    # the same jet as above: the matrix itself raises FloatRangeError at the
+    # jet's point, with no warning, where it was all nan
+    point = np.array([0.5, -1.0, 2.0])
+    jet = sl.Jet2(point, 1e-100, np.zeros(3), np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="Schouten matrix is not finite") as info:
+            sl.schouten_flat(jet)
+    np.testing.assert_array_equal(info.value.where, point)
+
+
 # ---------------------------------------------------------------------------
 # mobius words
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -640,3 +641,15 @@ def test_trace_serializes_to_json():
     assert len(payload) == len(trace.records)
     assert set(payload[0]) == {"t", "converged", "iters", "residual",
                                "cone_margin", "ellipticity"}
+
+
+def test_trace_json_is_each_records_fields_in_order():
+    # a converged path, and the one failed solve of a path that cannot start
+    # (n = 6 at m = 64 fails at t = 0) with its nan certificates
+    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=1.0 / 3.0))
+    with pytest.raises(PathError) as info:
+        sl.continue_path(_spec(6, 3, m=64, t_step=0.1))
+    failed = info.value.trace
+    assert math.isnan(failed.records[-1].cone_margin)
+    for tr in (trace, failed):
+        assert tr.to_json() == json.dumps([asdict(r) for r in tr.records], indent=2) + "\n"

@@ -7,6 +7,7 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
 from sigmak_lab import bubbles, radial
@@ -854,6 +855,58 @@ def test_profile_csv_schema(tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[3]) <= 1e-12          # solve closes at machine level
     assert float(first[4]) > 0.0
+
+
+def _reference_profile_csv(profile) -> bytes:
+    """The profile CSV written field by field: one f-string per row with
+    `repr` of every float, and the origin row's du as +0.0."""
+    _, margin, res = radial._node_solves(profile.r, profile.u, profile.du, profile.n, profile.k)
+    du = [0.0] + profile.du.tolist()[1:]
+    rows = zip(profile.r.tolist(), profile.u.tolist(), du, res.tolist(), margin.tolist())
+    lines = [f"{r!r},{u!r},{d!r},{s!r},{c!r}\n" for r, u, d, s, c in rows]
+    return ("# sigmak-lab v1\nr,u,du,sigma_residual,cone_margin\n" + "".join(lines)).encode()
+
+
+def _homotopy_profile():
+    n, k = 4, 2
+    spec = sl.BvpSpec(n, k, 5.0, _bubble_r(n, k, 1.0, 5.0), m=256, a_init=1.0)
+    return sl.continue_path(spec)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sl.RadialProfile(*_pinned_rows(), 4, 2),
+    lambda: sl.shoot(sl.c_constant(5, 3), 5, 3, 10.0),
+    _homotopy_profile,
+], ids=["pinned", "shot", "homotopy"])
+def test_profile_csv_is_the_repr_of_every_field(make, tmp_path):
+    profile = make()
+    path = tmp_path / "profile.csv"
+    sl.write_profile_csv(profile, path)
+    assert path.read_bytes() == _reference_profile_csv(profile)
+
+
+# bit patterns at repr's edges: signed zeros and infinities, subnormals,
+# nans of either sign and several payloads, and both sides of the switches
+# to exponent notation at 1e16 and below 1e-4
+_EDGE_FLOATS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308 / 3.0,
+                         1e16, np.nextafter(1e16, 0.0), 1e-4, np.nextafter(1e-4, 0.0),
+                         1e-5, 2.220446049250313e-16, 1.0, -1.0])
+_NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+             0x7FF8DEAD00000001, 0xFFFFFFFFFFFFFFFF]
+_FLOAT_BITS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS.view(np.int64).tolist()),
+    st.sampled_from(np.array(_NAN_BITS, dtype=np.uint64).view(np.int64).tolist()),
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.floats().map(lambda v: int(np.float64(v).view(np.int64))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_FLOAT_BITS, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
+def test_reprs_is_the_repr_of_every_entry(bits):
+    a = np.array(bits, dtype=np.int64).view(np.float64)
+    assert radial._reprs(a) == [repr(v) for v in a.tolist()]
+    assert radial._reprs(a[::2]) == [repr(v) for v in a[::2].tolist()]
 
 
 def test_node_solves_match_the_per_node_solve():
