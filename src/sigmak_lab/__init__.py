@@ -29,8 +29,8 @@ from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
                      PoleError, PositivityError, SigmakLabError,
                      StepUnderflowError)
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
-                     liouville_report, profile_to_field, radial_eigenvalues,
-                     shoot, solve_for_u2, write_profile_csv)
+                     liouville_report, radial_eigenvalues, shoot,
+                     solve_for_u2, write_profile_csv)
 from .symfun import (ConeMembership, OperatorSpec, check_concavity,
                      check_ellipticity, f_homotopy, f_homotopy_gradient,
                      homotopy_vector, in_gamma_k, in_gamma_t, sigma,

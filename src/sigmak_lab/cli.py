@@ -129,8 +129,7 @@ def cmd_solve_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homotopy(args) -> int:
-    if args.steps < 1:
-        raise ConfigError(f"steps={args.steps} must be >= 1")
+    check_positive("--steps", args.steps)
     check_positive("--a", args.a)
     u_b = args.ub if args.ub is not None else float(
         bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])

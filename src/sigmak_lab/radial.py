@@ -53,11 +53,9 @@ origin (xi' -> 1) and far out (xi' -> -1). Steps use the embedded
 tableau is kept below; its error control alone sets the mesh. The step is
 compiled from it with zero entries dropped and each sum in the tableau's
 order, which keeps every profile bit for bit. Every node is mapped back
-to (r, u, u'), and `profile_to_field` interpolates in the same chart by a
-septic Hermite, with the equation differentiated once for
-xi''' = -2 xi' (k g1 A + k (g1 - 1) xi'' - (k - 1) xi''^2 / A), g1 = (n-2k)/(2k).
-The run aborts cleanly when the cone margin is lost; past the cone boundary
-the operator is no longer elliptic and the computed branch is meaningless.
+to (r, u, u'). The run aborts cleanly when the cone margin is lost; past
+the cone boundary the operator is no longer elliptic and the computed
+branch is meaningless.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bubbles import _bubble_jets, c_constant
-from .conformal import Domain, ScalarField
 from .errors import ConeBoundaryError, ConeDomainError, ConfigError, StepUnderflowError, \
     _require_positive, check_nk, check_positive, check_positive_value
 
@@ -83,7 +80,6 @@ __all__ = [
     "solve_for_u2",
     "shoot",
     "liouville_report",
-    "profile_to_field",
     "write_profile_csv",
 ]
 
@@ -222,7 +218,14 @@ def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, 
 
 @dataclass
 class RadialProfile:
-    """Radial mesh with values and first derivatives of a profile checked positive."""
+    """Radial mesh with values and first derivatives of a profile checked positive.
+
+    A bad (n, k), inputs that are not 1-D, nonempty arrays of numbers of one
+    shape, a mesh that does not rise strictly from r = 0, entries that are
+    not finite or a nonzero du at the origin are a ConfigError; a u that is
+    not positive (nan included) is a PositivityError at its radius, checked
+    before finiteness.
+    """
 
     r: np.ndarray
     u: np.ndarray
@@ -231,16 +234,20 @@ class RadialProfile:
     k: int
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.du = np.asarray(self.du, dtype=float)
-        if not (self.r.shape == self.u.shape == self.du.shape):
-            raise ConfigError("mesh, values and derivatives must share a shape")
+        check_nk(self.n, self.k)
+        try:
+            self.r, self.u, self.du = (np.asarray(a, float) for a in (self.r, self.u, self.du))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"profile arrays must hold numbers: {exc}") from exc
+        if self.r.ndim != 1 or not self.r.size or not self.r.shape == self.u.shape == self.du.shape:
+            raise ConfigError("mesh, values and derivatives must be 1-D, nonempty and of one shape")
         if self.r[0] != 0.0:
             raise ConfigError("mesh must start at r = 0")
         if np.any(np.diff(self.r) <= 0.0):
             raise ConfigError("mesh must be strictly increasing")
         _require_positive(self.r, self.u)
+        if not np.isfinite([self.r, self.u, self.du]).all():
+            raise ConfigError("mesh, values and derivatives must be finite")
         if self.du[0] != 0.0:
             raise ConfigError("smoothness at the origin requires du[0] = 0")
 
@@ -566,133 +573,8 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-# the septic Hermite basis on [0, 1] and its two derivatives, ascending powers of s:
-# the right value's (the left one's is 1 minus it), then left and right slope, curvature
-# and third derivative, times j! so that every coefficient, and the values at 0 and 1, are exact
-_SEPTIC = np.array([[0, 0, 0, 0, 35, -84, 70, -20], [0, 1, 0, 0, -20, 45, -36, 10],
-                    [0, 0, 0, 0, -15, 39, -34, 10], [0, 0, 1, 0, -10, 20, -15, 4],
-                    [0, 0, 0, 0, 5, -14, 13, -4], [0, 0, 0, 1, -4, 6, -4, 1],
-                    [0, 0, 0, 0, -1, 3, -3, 1]], dtype=float).T
-_POWERS = np.arange(8.0)[:, None]
-_SEPTIC_DER = (_SEPTIC, (_POWERS * _SEPTIC)[1:], (_POWERS * (_POWERS - 1.0) * _SEPTIC)[2:])
-
-
-def _hermite7(s, h, left, right, order):
-    """Two-point septic Hermite matching value, slope, curvature and third derivative.
-
-    left and right hold (value, slope, curvature, third derivative) at the
-    ends of intervals of length h; s in [0, 1] is the position inside.
-    Returns (value, slope, curvature), or (value, None, None) for order 0.
-    The values enter through f1 - f0 only, so the 1/h^2 of the curvature
-    scales terms of size O(h), not O(1).
-    """
-    (f0, *lo), (f1, *hi) = left, right
-    weights, hj = [f1 - f0], 1.0
-    for j, pair in enumerate(zip(lo, hi), 1):
-        hj = hj * h / j  # h^j / j!
-        weights += [hj * v for v in pair]
-    s = np.asarray(s)[..., None]  # Horner on each basis column, as numpy.polynomial runs it
-    val, *ders = (sum(w * b for w, b in zip(weights, np.polyval(basis[::-1], s).T))
-                  for basis in _SEPTIC_DER[:3 if order else 1])
-    return (f0 + val, ders[0] / h, ders[1] / (h * h)) if order else (f0 + val, None, None)
-
-
-def profile_to_field(profile: RadialProfile) -> ScalarField:
-    """C^2 radial field reconstructed from a profile by septic interpolation.
-
-    Node curvatures and third derivatives come from the equation itself, so
-    at mesh radii the reconstructed jet reproduces the integrator's state
-    exactly; between nodes the interpolation error, O(h^8) in value, is the
-    only addition. The first interval [0, r_1] is interpolated in r, with
-    u''' = 0 at the origin. Past r_1 the interpolant lives in the shooting
-    chart: eta = log(u / u(0)) / m, m = (n-2)/2, which is
-    xi - t - log(u(0)) / m, is matched in value and three derivatives in
-    t = log r, and (u, u', u'') follow analytically:
-
-        u = u(0) e^{m eta},   u' = m u eta' / r,
-        u'' = m u (m eta'^2 + eta'' - eta') / r^2.
-
-    eta''' = xi''' is the t-chart equation differentiated once, its power
-    term written as T = g1 A - xi'', g1 = (n - 2k)/(2k):
-
-        xi''' = -2 xi' (k g1 A + k (g1 - 1) xi'' - (k - 1) xi''^2 / A),
-        xi' = 1 + eta',   A = -eta' (2 + eta'),   xi'' = eta'',
-
-    and at r_1 the chain rule gives u''' = m u (eta''' + 3 m eta' eta''
-    + m^2 eta'^3 - 3 (eta'' + m eta'^2) + 2 eta') / r^3. The xi''^2 / A
-    term is absent for k = 1, and A > 0 at admissible nodes for k >= 2. A
-    node with no admissible solve, or with chart data that are not finite,
-    raises ConeDomainError naming the node and its r. eta is measured from
-    u(0) so that near the origin, where it is O(r^2), its node differences
-    keep their digits. Points within 1e-12 of the origin get the origin's jet.
-    """
-    n, k = profile.n, profile.k
-    r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u_nodes, margins, _ = _node_solves(r_nodes, u_nodes, du_nodes, n, k)
-    # the chart's node data past the origin
-    m, u0 = (n - 2.0) / 2.0, u_nodes[0]
-    r_out, u_out = r_nodes[1:], u_nodes[1:]
-    t_nodes = np.log(r_out)
-    eta = np.log(u_out / u0)
-    near = np.abs(u_out - u0) < 0.5 * u0
-    eta[near] = np.log1p((u_out[near] - u0) / u0)
-    eta /= m
-    eta1 = r_out * du_nodes[1:] / (m * u_out)
-    eta2 = r_out * r_out * d2u_nodes[1:] / (m * u_out) - m * eta1 * eta1 + eta1
-    a, g1 = -eta1 * (2.0 + eta1), (n - 2.0 * k) / (2.0 * k)
-    with np.errstate(all="ignore"):
-        eta3 = -2.0 * (1.0 + eta1) * (k * g1 * a + k * (g1 - 1.0) * eta2
-                                      - ((k - 1.0) * eta2 * eta2 / a if k > 1 else 0.0))
-    ok = np.isfinite(d2u_nodes)
-    ok[1:] &= np.isfinite([eta, eta1, eta2, eta3]).all(axis=0)
-    if not ok.all():
-        node = int(np.argmin(ok))
-        raise ConeDomainError(f"profile node {node} at r={r_nodes[node]} has no admissible "
-                              "finite chart data", margin=float(margins[node]), where=node)
-    e1, e2, r1 = eta1[0], eta2[0], r_out[0]
-    d3u1 = m * u_out[0] * (eta3[0] + 3.0 * m * e1 * e2 + m * m * e1 * e1 * e1
-                           - 3.0 * (e2 + m * e1 * e1) + 2.0 * e1) / (r1 * r1 * r1)
-    eye = np.eye(n)
-
-    def jets(X, order):
-        rr = np.linalg.norm(X, axis=1)
-        # the domain check capped rr near r_max; clamp the interval index
-        i = np.clip(np.searchsorted(r_nodes, rr, side="right") - 1, 0, r_nodes.size - 2)
-        val, der, cur = np.empty_like(rr), np.empty_like(rr), np.empty_like(rr)
-        first = i == 0
-        h = r_nodes[1]
-        v, d, c = _hermite7(rr[first] / h, h, (u0, du_nodes[0], d2u_nodes[0], 0.0),
-                            (u_nodes[1], du_nodes[1], d2u_nodes[1], d3u1), order)
-        val[first] = v
-        j, ro = i[~first] - 1, rr[~first]
-        h = t_nodes[j + 1] - t_nodes[j]
-        e, e1, e2 = _hermite7((np.log(ro) - t_nodes[j]) / h, h,
-                              (eta[j], eta1[j], eta2[j], eta3[j]),
-                              (eta[j + 1], eta1[j + 1], eta2[j + 1], eta3[j + 1]), order)
-        uo = u0 * np.exp(m * e)
-        val[~first] = uo
-        origin = rr < 1e-12
-        val[origin] = u0
-        if not order:
-            return val, None, None
-        der[first], cur[first] = d, c
-        der[~first] = m * uo * e1 / ro
-        cur[~first] = m * uo * (m * e1 * e1 + e2 - e1) / (ro * ro)
-        rr[origin] = 1.0  # any nonzero radius; these rows are overwritten below
-        xhat = X / rr[:, None]
-        proj = xhat[:, :, None] * xhat[:, None, :]
-        grad = der[:, None] * xhat
-        hess = cur[:, None, None] * proj + (der / rr)[:, None, None] * (eye - proj)
-        grad[origin] = 0.0
-        hess[origin] = d2u_nodes[0] * eye
-        return val, grad, hess
-
-    return ScalarField(n, domain=Domain(r_outer=profile.r_max),
-                       tag=f"radial-profile(n={n},k={k})", jets=jets)
-
 
 def write_profile_csv(profile: RadialProfile, path):
     """Serialize a profile with per-node residual and cone margin columns.

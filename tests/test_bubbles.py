@@ -606,15 +606,16 @@ _DOUBLE_BALL_CASES = [(3, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0)] + [
 @pytest.mark.parametrize("n,k,R", _DOUBLE_BALL_CASES, ids=[
     f"{n}-{k}" if R == 1.0 else f"{n}-{k}-R{R}" for n, k, R in _DOUBLE_BALL_CASES])
 def test_harnack_of_a_profile_on_exactly_the_double_ball(n, k, R):
-    # the reconstructed field's domain is exactly B_2R: the grid's outer
-    # shell, fl(2 fl(R d)), and the polish trial points projected onto it
-    # sit on its edge, a few ulps to either side
-    c = sl.c_constant(n, k)
-    field = sl.profile_to_field(sl.shoot(c, n, k, 2.0 * R))
+    # the bubble restricted to exactly B_2R: the grid's outer shell,
+    # fl(2 fl(R d)), and the polish trial points projected onto it sit on its
+    # edge, a few ulps to either side (1 to 63 grid points past 2R here)
+    whole = sl.bubble_field(sl.BubbleSpec(n, k, 1.0))
+    field = sl.ScalarField(n, domain=sl.Domain(r_outer=2.0 * R), jets=whole.jets)
     rep = sl.harnack_product(field, R)
     exact = _bubble_value(n, k, 1.0, 0.0) * _bubble_value(n, k, 1.0, 2.0 * R) \
         * R ** (n - 2.0)
-    assert rep.product_scaled == pytest.approx(exact, rel=1e-9)
+    assert rep.product_scaled == pytest.approx(exact, rel=1e-14)
+    assert float(np.linalg.norm(rep.argmin)) == pytest.approx(2.0 * R, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,7 @@ NEVER_ENTERED = [
     "halton.sphere_directions",
     "radial.EigenPair.vector",
     "radial.RadialProfile.r_max",
-    "radial._hermite7",
     "radial._weighted",
-    "radial.profile_to_field",
     "symfun.OperatorSpec.__post_init__",
     "symfun._as_lambda",
     "symfun._esym_gradient_batch",

@@ -325,6 +325,7 @@ def test_every_command_runs_without_scipy():
     ["verify-bubble", "--n", "3", "--k", "1", "--images", "-2"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--images", "-3"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--nang", "-5"],
+    ["homotopy", "--n", "3", "--k", "1", "--steps", str(2 ** 1100)],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1

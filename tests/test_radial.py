@@ -156,11 +156,13 @@ def test_solve_for_u2_rejects_nonpositive_u():
 def test_bad_dimension_or_cone_index_is_a_configuration_error():
     with pytest.raises(ConfigError):
         sl.radial_eigenvalues(1.0, -0.1, -0.2, 1.0, 2)
-    for n, k in [(2, 1), (4, 0), (4, 5)]:
+    for n, k in [(2, 1), (4, 0), (4, 5), (3.0, 1), (3, 1.0)]:
         with pytest.raises(ConfigError):
             sl.solve_for_u2(1.0, -0.1, 1.0, n, k)
         with pytest.raises(ConfigError):
             sl.shoot(1.0, n, k, 2.0)
+        with pytest.raises(ConfigError):
+            sl.RadialProfile([0.0, 1.0], [1.0, 0.5], [0.0, -0.5], n, k)
 
 
 @pytest.mark.parametrize("r, u, du", [
@@ -168,6 +170,16 @@ def test_bad_dimension_or_cone_index_is_a_configuration_error():
     ([0.5, 1.0], [1.0, 1.0], [0.0, 0.0]),        # mesh not starting at 0
     ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),  # not strictly increasing
     ([0.0, 1.0], [1.0, 1.0], [0.1, 0.0]),        # du[0] != 0
+    ([], [], []),                                # empty
+    (0.0, 1.0, 0.0),                             # 0-d
+    ([[0.0, 1.0]], [[1.0, 1.0]], [[0.0, 0.0]]),  # 2-D
+    ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),  # nan mesh
+    ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),  # inf mesh
+    ([0.0, 1.0], [1.0, np.inf], [0.0, 0.0]),     # inf u
+    ([0.0, 1.0], [1.0, 1.0], [0.0, np.nan]),     # nan du
+    ([0.0, 1.0], [1.0, 1.0], [0.0, -np.inf]),    # inf du
+    (["0", "x"], [1.0, 1.0], [0.0, 0.0]),        # not numbers
+    ([0.0, 1.0], [[1.0], 1.0], [0.0, 0.0]),      # ragged
 ])
 def test_bad_radial_profile_is_a_configuration_error(r, u, du):
     with pytest.raises(ConfigError):
@@ -644,203 +656,26 @@ def test_far_field_past_the_power_range_of_r():
     assert tail.sufficient and tail.monotone
 
 
-# ---------------------------------------------------------------------------
-# reconstruction and serialization
-# ---------------------------------------------------------------------------
-
-def test_profile_field_reproduces_nodes_and_midpoints():
-    n, k = 3, 2
-    profile = sl.shoot(sl.c_constant(n, k), n, k, 5.0)
-    field = sl.profile_to_field(profile)
-    rng = np.random.default_rng(67)
-    # at mesh radii the jet reproduces the stored state
-    for i in (1, len(profile.r) // 2, len(profile.r) - 1):
-        d = rng.normal(size=n)
-        d /= np.linalg.norm(d)
-        x = profile.r[i] * d
-        val, grad, _ = field.raw_jet(x)
-        assert val == pytest.approx(profile.u[i], rel=1e-13)
-        assert float(grad @ d) == pytest.approx(profile.du[i], rel=1e-11, abs=1e-13)
-    # between nodes the equation residual stays near the integrator floor
-    mids = 0.5 * (profile.r[1:] + profile.r[:-1])
-    pts = np.zeros((40, n))
-    sel = rng.choice(mids.size, size=40, replace=False)
-    for row, i in enumerate(sel):
-        d = rng.normal(size=n)
-        pts[row] = mids[i] * d / np.linalg.norm(d)
-    rep = sl.verify_solution(field, n, k, sample_points=pts)
-    assert rep.max_residual <= 1e-7
-    assert rep.min_margin > 0.0
-
-
-def test_profile_field_residual_at_midpoints_and_three_quarter_points():
-    # inside every interval of every pair n <= 6 shot to r = 5, the 3/4-points
-    # too, where the curvature weight of the node difference eta_1 - eta_0 does
-    # not vanish as it does at midpoints: the chart's first interval starts at
-    # r_s = 1e-2, where eta is large enough that its rounding stays small
-    for n in range(3, 7):
-        for k in range(1, n + 1):
-            profile = sl.shoot(sl.c_constant(n, k), n, k, 5.0)
-            field = sl.profile_to_field(profile)
-            radii = profile.r[:-1, None] + np.diff(profile.r)[:, None] * [0.5, 0.75]
-            pts = np.zeros((radii.size, n))
-            pts[:, 0] = radii.ravel()
-            rep = sl.verify_solution(field, n, k, sample_points=pts)
-            assert rep.max_residual <= 1e-7 and rep.min_margin > 0.0
-
-
 @pytest.mark.parametrize("r_max", [5e-3, 1e-2])
 @pytest.mark.parametrize("n, k", [(3, 2), (6, 6), (8, 3)])
 def test_shot_inside_the_series_start(n, k, r_max):
     # an r_max at or below r_s takes at most one step: the series alone is
-    # the profile, exact to rounding, and its reconstruction on [0, r_max]
-    # closes sigma_k = 1 to 1e-9 (the quartic start at 1e-3 read 1.3e-7 to
-    # 2.9e-7 on these shots)
+    # the profile, exact to rounding
     profile = sl.shoot(sl.c_constant(n, k), n, k, r_max)
     assert profile.r.size <= 3 and profile.r[-1] == r_max
     assert sl.liouville_report(profile).max_rel_deviation <= 1e-14
-    rng = np.random.default_rng(83)
-    pts = rng.normal(size=(40, n))
-    pts *= (np.linspace(0.02, 0.98, 40) * r_max / np.linalg.norm(pts, axis=1))[:, None]
-    rep = sl.verify_solution(sl.profile_to_field(profile), n, k, sample_points=pts)
-    assert rep.max_residual <= 1e-9 and rep.min_margin > 0.0
 
 
 @pytest.mark.parametrize("gap", [1e-8, 1e-5, 1e-3, 0.019, 0.021, 0.03])
 @pytest.mark.parametrize("n, k", [(3, 2), (6, 6), (8, 3)])
 def test_shot_just_past_the_series_start_takes_no_sliver_step(n, k, gap):
     # an r_max less than half the first trial step (0.02 in t) past r_s = 1e-2
-    # is the series node itself, so no step is shorter than 0.02 in t; a step of
-    # 1e-8 made the reconstruction read a sigma_6 residual of 190 between r_s
-    # and r_max ((6, 6) at r_max 1.0000001e-2), 0.07 at 1e-5 and 4.5e-6 at 1e-3
+    # is the series node itself, so no step is shorter than 0.02 in t
     r_max = 1e-2 * math.exp(gap)
     profile = sl.shoot(sl.c_constant(n, k), n, k, r_max)
     assert profile.r[-1] == r_max and profile.r.size == (2 if gap < 0.02 else 3)
     assert np.diff(np.log(profile.r[1:])).min(initial=np.inf) >= 0.02
     assert sl.liouville_report(profile).max_rel_deviation <= 1e-14
-    rng = np.random.default_rng(89)
-    pts = rng.normal(size=(40, n))
-    radii = profile.r[-2] + np.linspace(0.02, 0.98, 40) * (r_max - profile.r[-2])
-    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
-    rep = sl.verify_solution(sl.profile_to_field(profile), n, k, sample_points=pts)
-    assert rep.max_residual <= 1e-7 and rep.min_margin > 0.0
-
-
-def test_septic_basis_matches_numpy_polynomial():
-    # the basis and its two derivatives against numpy.polynomial's polyder and
-    # polyval, bit for bit, as tables and as _hermite7 evaluates them; with the
-    # right value 1 and every other datum 0, _hermite7 returns the first column
-    from numpy.polynomial import polynomial as npoly
-    s = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(size=10000)])
-    ref = [npoly.polyder(radial._SEPTIC, d) for d in range(3)]
-    for basis, oracle in zip(radial._SEPTIC_DER, ref):
-        np.testing.assert_array_equal(basis, oracle)
-    got = radial._hermite7(s, 1.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0), 2)
-    for value, oracle in zip(got, ref):
-        np.testing.assert_array_equal(value, npoly.polyval(s, oracle)[0])
-    one = radial._hermite7(0.3, 1.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0), 2)
-    assert one == tuple(npoly.polyval(0.3, oracle)[0] for oracle in ref)
-
-
-def test_profile_field_matches_a_per_point_reference_loop():
-    # the reference interpolates point by point: in r on [0, r_1], and past
-    # r_1 in the shooting chart, eta = log(u / u(0)) / m matched in value
-    # and three derivatives in t = log r, then mapped back to (u, u', u'');
-    # eta''' from the differentiated t-chart equation, u''' at r_1 by the chain rule
-    n, k = 4, 2
-    m, g1 = (n - 2.0) / 2.0, (n - 2.0 * k) / (2.0 * k)
-    profile = sl.shoot(sl.c_constant(n, k), n, k, 2.0)
-    field = sl.profile_to_field(profile)
-    r_nodes, u_nodes, du_nodes = profile.r, profile.u, profile.du
-    d2u = radial._node_solves(r_nodes, u_nodes, du_nodes, n, k)[0]
-    assert not np.any(np.isnan(d2u))  # every node solves, so no fallback runs
-    u0 = u_nodes[0]
-
-    def log(v):  # the batch's log and exp: the libm ones may differ by an ulp,
-        return float(np.log(np.array([v]))[0])  # which the O(1/h^2) terms amplify
-
-    def chart(i):  # (eta, eta', eta'', eta''') at node i >= 1
-        u, du, r = u_nodes[i], du_nodes[i], r_nodes[i]
-        eta = float(np.log1p(np.array([(u - u0) / u0]))[0]) if abs(u - u0) < 0.5 * u0 \
-            else log(u / u0)
-        eta1 = r * du / (m * u)
-        eta2 = r * r * d2u[i] / (m * u) - m * eta1 * eta1 + eta1
-        a = -eta1 * (2.0 + eta1)
-        assert a > 0.0  # so no node falls back to finite differences
-        eta3 = -2.0 * (1.0 + eta1) * (k * g1 * a + k * (g1 - 1.0) * eta2
-                                      - (k - 1.0) * eta2 * eta2 / a)
-        return eta / m, eta1, eta2, eta3
-
-    _, e1, e2, e3 = chart(1)
-    r1 = r_nodes[1]
-    d3u1 = m * u_nodes[1] * (e3 + 3.0 * m * e1 * e2 + m * m * e1 * e1 * e1
-                             - 3.0 * (e2 + m * e1 * e1) + 2.0 * e1) / (r1 * r1 * r1)
-
-    def reference(x):
-        rr = float(np.linalg.norm(x[None], axis=1)[0])  # the batch's norm, for the same reason
-        if rr < 1e-12:
-            return u0, np.zeros(n), d2u[0] * np.eye(n)
-        i = int(np.searchsorted(r_nodes, rr, side="right")) - 1
-        i = min(max(i, 0), r_nodes.size - 2)
-        if i == 0:
-            h = r_nodes[1]
-            val, der, cur = radial._hermite7(rr / h, h, (u0, 0.0, d2u[0], 0.0),
-                                             (u_nodes[1], du_nodes[1], d2u[1], d3u1), 2)
-        else:
-            t0, t1 = log(r_nodes[i]), log(r_nodes[i + 1])
-            e, e1, e2 = radial._hermite7((log(rr) - t0) / (t1 - t0), t1 - t0,
-                                         chart(i), chart(i + 1), 2)
-            val = u0 * float(np.exp(np.array([m * e]))[0])
-            der = m * val * e1 / rr
-            cur = m * val * (m * e1 * e1 + e2 - e1) / (rr * rr)
-        xhat = x / rr
-        proj = np.outer(xhat, xhat)
-        return val, der * xhat, cur * proj + (der / rr) * (np.eye(n) - proj)
-
-    rng = np.random.default_rng(73)
-    pts = rng.normal(size=(60, n))
-    pts *= (rng.uniform(0.0, 2.0, 60) / np.linalg.norm(pts, axis=1))[:, None]
-    pts[0], pts[1], pts[2] = 0.0, [1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]
-    pts[3] = [5e-4, 0.0, 0.0, 0.0]  # inside the first interval
-    u, grad, hess = field.jets(pts, 2)
-    np.testing.assert_array_equal(field.values(pts), u)
-    for i, x in enumerate(pts):
-        val, g, hs = reference(x)
-        assert u[i] == pytest.approx(val, rel=1e-15)
-        np.testing.assert_allclose(grad[i], g, rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(hess[i], hs, rtol=1e-15, atol=1e-15)
-
-
-def test_profile_field_reconstruction_is_of_eighth_order():
-    # profiles of the exact member (u and u' of the closed form) on uniform
-    # t-grids over [-3, 3]: the septic's value error at the interval midpoints
-    # falls by 2^7.8 per halving of h, a quintic's by 2^5.9, so 7.5 tells them apart
-    for n, k in [(3, 2), (5, 3), (6, 6)]:
-        errs = []
-        for h in (0.2, 0.1):
-            t = np.linspace(-3.0, 3.0, round(6.0 / h) + 1)
-            r = np.concatenate([[0.0], np.exp(t)])
-            u, grad, _ = bubbles._bubble_jets(n, k, 1.0, 0.0, r[:, None], 1)
-            field = sl.profile_to_field(sl.RadialProfile(r, u, grad[:, 0], n, k))
-            x = np.zeros((t.size - 1, n))
-            x[:, 0] = np.exp(0.5 * (t[1:] + t[:-1]))
-            exact = bubbles._bubble_jets(n, k, 1.0, 0.0, x[:, :1], 0)[0]
-            errs.append(float(np.max(np.abs(field.values(x) - exact) / exact)))
-        assert math.log2(errs[0] / errs[1]) >= 7.5
-
-
-def test_profile_field_hessian_is_stable_under_one_ulp_of_radius():
-    # the curvature's 1/h^2 multiplies node differences, not node values,
-    # so an ulp of |x| (h = 1e-2 at the first nodes) barely moves it
-    n, k = 4, 2
-    field = sl.profile_to_field(sl.shoot(sl.c_constant(n, k), n, k, 2.0))
-    rng = np.random.default_rng(79)
-    pts = rng.normal(size=(2000, n))
-    radii = np.concatenate([rng.uniform(0.0, 0.02, 1000), rng.uniform(0.0, 1.99, 1000)])
-    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
-    _, _, hess = field.jets(pts, 2)
-    _, _, moved = field.jets(pts * (1.0 + 2.0 ** -52), 2)
-    assert float(np.abs(moved - hess).max()) <= 1e-10
 
 
 def test_profile_csv_schema(tmp_path):
@@ -982,11 +817,6 @@ def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     for i in (3, 7):
         assert margin[i] == 0.0 and math.copysign(1.0, margin[i]) == -1.0
     assert margin[5] == pytest.approx(_NODE5_MARGIN, rel=1e-14)
-    r = profile.r
-    # profile_to_field has no fallback for such rows: the first one is named
-    with pytest.raises(ConeDomainError, match=re.escape(f"node 3 at r={r[3]} ")) as info:
-        sl.profile_to_field(profile)
-    assert info.value.where == 3 and info.value.margin == margin[3]
 
 
 def test_pair_sigma_forms_each_power_once():
