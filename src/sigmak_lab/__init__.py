@@ -3,8 +3,8 @@
 Modules:
     symfun        elementary symmetric functions, Gamma_k cones, the
                   interpolating operator family and its certificates
-    conformal     2-jets, the flat Schouten matrix, Mobius words acting on
-                  fields and the Kelvin transform
+    conformal     2-jets, the flat Schouten matrix and Mobius words acting on
+                  fields
     bubbles       the closed-form solution family, residual verification,
                   Harnack products and sweeps
     radial        two-eigenvalue radial reduction and the shooting solver
@@ -18,9 +18,8 @@ from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
                       sweep_supremum, verify_images, verify_solution)
 from .conformal import (Dilation, Domain, Inversion, Jet2, MobiusMap, Rotation,
                         ScalarField, Translation, constant_field,
-                        kelvin_transform, random_mobius_map,
-                        random_mobius_map_avoiding, schouten_flat,
-                        schouten_spectrum, transform_field)
+                        random_mobius_map, random_mobius_map_avoiding,
+                        schouten_flat, schouten_spectrum, transform_field)
 from .continuation import (BvpSpec, ContinuationTrace, TRecord,
                            assemble_jacobian, assemble_residual, continue_path,
                            initial_guess, newton_solve)
@@ -31,9 +30,7 @@ from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
                      liouville_report, radial_eigenvalues, shoot,
                      solve_for_u2, write_profile_csv)
-from .symfun import (ConeMembership, OperatorSpec, check_concavity,
-                     check_ellipticity, f_homotopy, f_homotopy_gradient,
-                     homotopy_vector, in_gamma_k, in_gamma_t, sigma,
-                     sigma_gradient)
+from .symfun import (ConeMembership, OperatorSpec, f_homotopy,
+                     f_homotopy_gradient, homotopy_vector, in_gamma_k, sigma)
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ import numpy as np
 from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
     _schouten_spectra, _walk_words, random_mobius_map_avoiding
 from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, \
-    check_center, check_nk, check_positive
+    check_center, check_count, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
@@ -137,7 +137,8 @@ class SolutionReport:
 
 def verify_solution(u: ScalarField, n: int, k: int, sample_points) -> SolutionReport:
     """Check |sigma_k(lambda(A(u))) - 1| and the Gamma_k margin at each row of
-    sample_points (N, n): the one-field case of `verify_images`, under its rules."""
+    sample_points (N, n): the one-field case of `verify_images`, under its
+    rules; for bench probes and tests only."""
     return verify_images(u, (), n, k, sample_points)[0]
 
 
@@ -251,7 +252,8 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     it is strictly better. A singular hessian (LinAlgError, the only error
     caught) keeps both grid extrema; a trial point with a non-finite step or
     outside the domain keeps its grid value. The product is bounded only on
-    solutions; whether u is one is for `verify_solution` to say.
+    solutions; whether u is one is for `verify_solution` to say. No workflow
+    calls it; it waits on the bench probes moving to `harnack_sweep`.
     """
     center = check_center(center, u.n)
     pts = _harnack_grid(center, R, n_radial, n_angular)
@@ -323,10 +325,8 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     for name, grid in (("scale a", a_vals), ("radius R", r_vals)):
         for v in grid.tolist():
             check_positive(name, v)
-    if seed < 0:
-        raise ConfigError(f"seed={seed} must be nonnegative")
-    if mobius_words < 0:
-        raise ConfigError(f"mobius_words={mobius_words} must be nonnegative")
+    check_count("seed", seed)
+    check_count("mobius_words", mobius_words)
     c, m = c_constant(n, k), (n - 2.0) / 2.0
     rng = np.random.default_rng(seed)
     clearance = 3.0 * r_vals.max() + 0.5

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
-from .errors import ConfigError, PathError, SigmakLabError, check_positive
+from .errors import ConfigError, PathError, SigmakLabError, check_count, check_positive
 from .halton import box_points
 
 
@@ -64,11 +64,9 @@ def cmd_verify_bubble(args) -> int:
     check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
-    if args.images < 0:
-        raise ConfigError(f"images={args.images} must be >= 0")
+    check_count("--images", args.images)
     check_positive("--box", args.box)
-    if args.seed < 0:
-        raise ConfigError(f"--seed={args.seed} must be nonnegative")
+    check_count("--seed", args.seed)
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
     base = bubbles.bubble_field(spec)
     pts = box_points(args.samples, args.n, halfwidth=args.box)

@@ -23,8 +23,9 @@ differences appear only in tests.
 
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
 `_schouten_batch`), and a word walk on a stack of W words as well
-(`_walk_words`, on the stacked matrices); the per-point calls are the N = 1
-case and `MobiusMap._walk` the W = 1 case.
+(`_walk_words`, on the stacked matrices); `MobiusMap._walk` is the W = 1
+case. The per-point calls are the N = 1 case, and no workflow runs them:
+they wait on the bench probes that time them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "random_mobius_map",
     "random_mobius_map_avoiding",
     "transform_field",
-    "kelvin_transform",
     "constant_field",
 ]
 
@@ -143,7 +143,8 @@ def _schouten_spectra(points, u, g, h) -> np.ndarray:
 
 def schouten_flat(jet: Jet2) -> np.ndarray:
     """Schouten-type matrix A(u) of a 2-jet over the flat background: the
-    one-jet case of `_checked_schouten`, with numpy's float warnings off."""
+    one-jet case of `_checked_schouten`, with numpy's float warnings off.
+    No workflow calls it; the tests use it as the one-jet oracle."""
     points = jet.point[None]
     u = _require_positive(points, np.array([jet.u], dtype=float))
     with np.errstate(all="ignore"):
@@ -151,7 +152,7 @@ def schouten_flat(jet: Jet2) -> np.ndarray:
 
 
 def schouten_spectrum(jet: Jet2) -> np.ndarray:
-    """Ascending eigenvalues of the flat Schouten matrix at a jet."""
+    """Ascending eigenvalues of `schouten_flat`: bench probes and tests only."""
     return np.linalg.eigvalsh(schouten_flat(jet))
 
 
@@ -273,32 +274,21 @@ class MobiusMap:
         X = np.asarray(X, dtype=float)
         return _walk_words(self._matrix(X.shape[1])[None], X, order)
 
-    # -- the action at a point or on the rows of a batch -------------------
-
-    def apply(self, x) -> np.ndarray:
-        """Image of a point (n,), or of each row of a batch (N, n)."""
-        x = np.asarray(x, dtype=float)
-        return self._walk(np.atleast_2d(x)).y.reshape(x.shape)
-
-    def jacobian_det(self, x):
-        """|det J| at a point (a float), or at each row of a batch (N, n)."""
-        x = np.asarray(x, dtype=float)
-        det = np.exp(self._walk(np.atleast_2d(x)).log_det)
-        return float(det[0]) if x.ndim == 1 else det
-
     def jet(self, x) -> _TransportState:
         """Image point, log |det J|, J and grad log |det J| at a point: all
-        that a 2-jet's chain rule needs, since the word is conformal."""
+        that a 2-jet's chain rule needs, since the word is conformal; the
+        one-point `_walk`, for bench probes and tests only."""
         st = self._walk(np.asarray(x, dtype=float)[None], 2)
         return _TransportState(*(field[0] for field in vars(st).values()))
 
-    # -- group structure ---------------------------------------------------
+    # -- group structure: no workflow composes words; the tests' oracles ---
 
     def then(self, other: "MobiusMap") -> "MobiusMap":
         """The composite map applying self first, then other."""
         return MobiusMap(self.word + other.word)
 
     def inverse(self) -> "MobiusMap":
+        """The word that undoes self, atom by atom."""
         inv = []
         for atom in reversed(self.word):
             if isinstance(atom, Translation):
@@ -406,7 +396,8 @@ class Domain:
 
 
 def _lift(evaluator: Callable, n: int) -> Callable:
-    """Batch form of a per-point evaluator x -> (u, grad, hess), by a loop."""
+    """Batch form of a per-point evaluator x -> (u, grad, hess), by a loop; a
+    bench probe's field is its last user outside the tests."""
     def jets(X, order):
         u = np.empty(len(X))
         grad = np.empty((len(X), n))
@@ -425,8 +416,8 @@ class ScalarField:
     (u[N], None, None) and may skip the derivatives. A per-point evaluator
     x -> (u, grad, hess), passed positionally instead, is lifted into that
     form by a loop. Fields carry no mutable state. Every other method is a
-    slice of `jets`: `values` is its order-0 part, `raw_jet`, `jet` and
-    `value` its one-row case.
+    slice of `jets`: `values` is its order-0 part, `raw_jet` and `jet` its
+    one-row case, for bench probes and tests only.
     """
 
     def __init__(self, n: int, evaluator: Callable | None = None,
@@ -481,16 +472,14 @@ class ScalarField:
         u, grad, hess = self.raw_jet(x)
         return Jet2(np.asarray(x, dtype=float), u, grad, hess)
 
-    def value(self, x) -> float:
-        return float(self.jets(self._row(x), 0)[0][0])
-
     def values(self, pts) -> np.ndarray:
         return self.jets(pts, 0)[0]
 
 
 def constant_field(value: float, n: int) -> ScalarField:
     """The constant positive field; its Schouten matrix vanishes. A value that is
-    not positive is a PositivityError, one past the float range a ConfigError."""
+    not positive is a PositivityError, one past the float range a ConfigError.
+    No workflow calls it; it is the tests' zero-Schouten field."""
     check_positive_value("constant field value", value)
 
     def jets(X, order):
@@ -539,7 +528,9 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
 
     First and second derivatives are chain-ruled through the transported
     word jet (`_pullback`), so the returned field is exactly as smooth as u
-    away from the word's poles.
+    away from the word's poles; the inversion word gives the Kelvin transform.
+    No workflow calls it: it is the subject of the conformal-invariance
+    acceptance test, and a bench probe times its jets.
     """
     def jets(X, order):
         st = psi._walk(X, order)
@@ -548,7 +539,3 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
     tag = f"mobius*{u.tag}" if u.tag else "mobius"
     return ScalarField(u.n, domain=Domain(), tag=tag, jets=jets)
 
-
-def kelvin_transform(u: ScalarField) -> ScalarField:
-    """|x|^{2-n} u(x / |x|^2), as the pullback under the pure inversion word."""
-    return transform_field(u, MobiusMap((Inversion(),)))

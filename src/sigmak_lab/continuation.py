@@ -306,7 +306,7 @@ def _admissible_state(u, spec: BvpSpec, t: float) -> _NodeState:
 
 def assemble_residual(initial, spec: BvpSpec, t: float) -> np.ndarray:
     """Discrete residual of a nodal state: u'(0) row, interior equation rows,
-    boundary row. Raises ConeDomainError when a node leaves (Gamma_k)_t."""
+    boundary row; a tests' oracle. Raises ConeDomainError when a node leaves (Gamma_k)_t."""
     return _admissible_state(initial, spec, t).residual()
 
 

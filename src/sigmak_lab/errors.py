@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one home of each input
-check: `check_positive`, `check_positive_value`, `check_nk`, `check_center`,
+"""Exception types shared across the package, and the one home of each input check:
+`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
 `_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
 the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
 callers can catch the builtin types.
@@ -39,6 +39,12 @@ def check_nk(n: int, k: int) -> None:
         raise ConfigError(f"dimension n={n} must be >= 3")
     if not 1 <= k <= n:
         raise ConfigError(f"cone index k={k} outside 1..{n}")
+
+
+def check_count(name: str, value) -> None:
+    """ConfigError unless value is an integer (not a bool) >= 0."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name}={value!r} must be a nonnegative integer")
 
 
 def check_center(center, n: int) -> np.ndarray:

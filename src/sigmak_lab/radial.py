@@ -97,7 +97,7 @@ class EigenPair(NamedTuple):
     lam_tan: float | np.ndarray
 
     def vector(self, n: int) -> np.ndarray:
-        """lam_rad once and lam_tan n-1 times, along the last axis."""
+        """lam_rad once and lam_tan n-1 times, along the last axis: a tests' oracle."""
         return np.stack([self.lam_rad] + [self.lam_tan] * (n - 1), axis=-1)
 
 
@@ -250,10 +250,6 @@ class RadialProfile:
             raise ConfigError("mesh, values and derivatives must be finite")
         if self.du[0] != 0.0:
             raise ConfigError("smoothness at the origin requires du[0] = 0")
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
 
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5): the stage rows

@@ -18,6 +18,8 @@ evaluated through the characteristic-polynomial recurrence
     e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m e_{k-1}(x_1..x_{m-1}),
 
 which involves no divisions and stays well behaved next to cone boundaries.
+The workflows run only the batch form (`_esym_all_batch`, `_cone_margin`); the
+per-vector functions and `OperatorSpec` are the tests' oracles for it.
 """
 
 from __future__ import annotations
@@ -34,14 +36,10 @@ __all__ = [
     "ConeMembership",
     "OperatorSpec",
     "sigma",
-    "sigma_gradient",
     "in_gamma_k",
     "homotopy_vector",
     "f_homotopy",
     "f_homotopy_gradient",
-    "in_gamma_t",
-    "check_ellipticity",
-    "check_concavity",
 ]
 
 
@@ -97,21 +95,13 @@ def sigma(lam, k: int) -> float:
     """k-th elementary symmetric function of the entries of lam.
 
     sigma_0 is 1 by convention. Raises ConfigError when k is not an integer
-    in 0..len(lam), ValueError when the vector is malformed.
+    (a bool is not) in 0..len(lam), ValueError when the vector is malformed.
     """
     lam = _as_lambda(lam)
-    if isinstance(k, Integral) and k == 0:
+    if isinstance(k, Integral) and not isinstance(k, bool) and k == 0:
         return 1.0
     check_nk(lam.size, k)
     return float(_esym_all_batch(lam[None])[0, k])
-
-
-def sigma_gradient(lam, k: int) -> np.ndarray:
-    """Gradient of sigma_k: component i is sigma_{k-1} of lam with entry i deleted."""
-    lam = _as_lambda(lam)
-    n = lam.size
-    check_nk(n, k)
-    return _esym_gradient_batch(lam[None, :], k)[0]
 
 
 def in_gamma_k(lam, k: int) -> ConeMembership:
@@ -174,12 +164,6 @@ def _mixed_esym(lam, spec: OperatorSpec):
     return mixed, e
 
 
-def in_gamma_t(lam, spec: OperatorSpec) -> ConeMembership:
-    """Membership of lam in (Gamma_k)_t, i.e. of the mixed vector in Gamma_k."""
-    margin = float(_cone_margin(_esym_all_batch(homotopy_vector(lam, spec)[None])[0], spec.k))
-    return ConeMembership(margin > 0.0, margin)
-
-
 def f_homotopy(lam, spec: OperatorSpec) -> float:
     """Evaluate f_t(lam) = sigma_k of the mixed vector, on (Gamma_k)_t only.
 
@@ -199,32 +183,3 @@ def f_homotopy_gradient(lam, spec: OperatorSpec) -> np.ndarray:
     """
     mixed, _ = _mixed_esym(lam, spec)
     return _uniform_chain(_esym_gradient_batch(mixed[None, :], spec.k)[0], spec.t)
-
-
-def check_ellipticity(spec: OperatorSpec, lam) -> float:
-    """Smallest directional derivative of f_t at lam: the least entry of
-    `f_homotopy_gradient`, which raises ConeDomainError outside (Gamma_k)_t.
-    A positive return value certifies ellipticity at this eigenvalue vector.
-    """
-    return float(np.min(f_homotopy_gradient(lam, spec)))
-
-
-def check_concavity(k: int, lam, mu) -> bool:
-    """Midpoint concavity of sigma_k^{1/k} on the segment [lam, mu] in Gamma_k.
-
-    Verifies sigma_k^{1/k}((lam+mu)/2) >= (sigma_k^{1/k}(lam) + sigma_k^{1/k}(mu))/2 - 1e-12.
-    Both endpoints must lie in Gamma_k.
-    """
-    lam = _as_lambda(lam)
-    mu = _as_lambda(mu)
-    if lam.size != mu.size:
-        raise ConfigError("endpoints have mismatched dimensions")
-    for name, vec in (("lam", lam), ("mu", mu)):
-        member = in_gamma_k(vec, k)
-        if not member.inside:
-            raise ConeDomainError(f"{name} outside Gamma_{k}",
-                                  margin=member.margin, where=vec)
-    root = 1.0 / k
-    mid = sigma(0.5 * (lam + mu), k) ** root
-    avg = 0.5 * (sigma(lam, k) ** root + sigma(mu, k) ** root)
-    return bool(mid >= avg - 1e-12)

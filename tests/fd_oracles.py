@@ -27,28 +27,20 @@ def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:
 
 
 def fd_jet_of_field(field, x, h: float = 1e-4):
-    """Gradient and hessian of a ScalarField from central differences of values."""
+    """Value, gradient and hessian of a ScalarField at a point from central
+    differences of its values, the whole stencil in one `values` call."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    u0 = field.value(x)
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        up, um = field.value(x + e), field.value(x - e)
-        grad[i] = (up - um) / (2.0 * h)
-        hess[i, i] = (up - 2.0 * u0 + um) / h ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (
-                field.value(x + ei + ej) - field.value(x + ei - ej)
-                - field.value(x - ei + ej) + field.value(x - ei - ej)) / (4.0 * h * h)
-    return u0, grad, hess
+    e = h * np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    ei, ej = e[i], e[j]
+    v = field.values(np.vstack([x[None], x + e, x - e,
+                                x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
+    u0, up, um = v[0], v[1:n + 1], v[n + 1:2 * n + 1]
+    pp, pm, mp, mm = v[2 * n + 1:].reshape(4, -1)
+    hess = np.diag((up - 2.0 * u0 + um) / h ** 2)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return float(u0), (up - um) / (2.0 * h), hess
 
 
 def fd_jacobian(f, x, h: float = 1e-7) -> np.ndarray:

@@ -114,7 +114,7 @@ def _admissible_points(rng, psi, n, count):
         x = x[(0.4 <= norm) & (norm <= 2.5)]
         for p in psi.poles(n):
             x = x[np.linalg.norm(x - p, axis=1) >= 0.15]
-        x = x[np.linalg.norm(psi.apply(x), axis=1) <= 40.0]
+        x = x[np.linalg.norm(psi._walk(x).y, axis=1) <= 40.0]
         pts = np.vstack([pts, x])
     return pts[:count]
 
@@ -136,7 +136,7 @@ def test_acceptance_conformal_invariance():
         for _ in range(50):
             psi = sl.random_mobius_map(rng, n)
             pts = _admissible_points(rng, psi, n, 100)
-            images = psi.apply(pts)
+            images = psi._walk(pts).y
             for u in fields:
                 v = sl.transform_field(u, psi)
                 lam_v = _spectra(v, pts)
@@ -209,7 +209,7 @@ def test_acceptance_shooting_reaches_1e8():
         for k in range(1, n + 1):
             for factor in (1.0, 0.6, 2.3):
                 profile = sl.shoot(factor * sl.c_constant(n, k), n, k, 1e8)
-                assert profile.r_max == 1e8
+                assert profile.r[-1] == 1e8
                 worst = max(worst, sl.liouville_report(profile).max_rel_deviation)
     _report("shooting-to-1e8", worst <= 1e-6, f"worst profile deviation {worst:.2e}")
 

@@ -10,7 +10,7 @@ import pytest
 import sigmak_lab as sl
 from sigmak_lab import bubbles
 from sigmak_lab.errors import ConfigError, DomainError, FloatRangeError, PoleError, \
-    PositivityError, SigmakLabError
+    PositivityError, SigmakLabError, check_count
 from sigmak_lab.halton import box_points, sphere_directions
 
 from fd_oracles import fd_jet_of_field, sweep_rows_mp
@@ -58,11 +58,11 @@ def test_bubble_center_value_and_decay():
         center = np.linspace(-0.4, 0.4, n)
         u = sl.bubble_field(sl.BubbleSpec(n, k, a, center=center))
         m = (n - 2.0) / 2.0
-        assert u.value(center) == pytest.approx(sl.c_constant(n, k) * a ** m,
-                                                rel=1e-14)
+        assert u.values(center[None])[0] == pytest.approx(sl.c_constant(n, k) * a ** m,
+                                                          rel=1e-14)
         far = center + 1e3 * np.ones(n) / math.sqrt(n)
         rho = np.linalg.norm(far - center)
-        assert rho ** (n - 2.0) * u.value(far) \
+        assert rho ** (n - 2.0) * u.values(far[None])[0] \
             == pytest.approx(sl.c_constant(n, k) * a ** (-m), rel=1e-4)
 
 
@@ -272,13 +272,12 @@ def test_bubble_amplitude_past_the_float_range_names_the_scale():
 def test_kelvin_self_duality_of_the_family():
     rng = np.random.default_rng(47)
     for n, k, a in [(3, 1, 0.5), (5, 2, 3.0)]:
-        u = sl.kelvin_transform(sl.bubble_field(sl.BubbleSpec(n, k, a)))
+        u = sl.transform_field(sl.bubble_field(sl.BubbleSpec(n, k, a)),
+                               sl.MobiusMap((sl.Inversion(),)))
         dual = sl.bubble_field(sl.BubbleSpec(n, k, 1.0 / a))
-        for _ in range(25):
-            x = rng.normal(size=n)
-            if np.linalg.norm(x) < 0.05:
-                continue
-            assert u.value(x) == pytest.approx(dual.value(x), rel=1e-10)
+        X = rng.normal(size=(25, n))
+        X = X[np.linalg.norm(X, axis=1) >= 0.05]
+        assert u.values(X) == pytest.approx(dual.values(X), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +749,21 @@ def test_negative_harnack_counts_are_configuration_errors():
         sl.harnack_product(u, 1.0, n_radial=4, n_angular=-4)
     with pytest.raises(ConfigError, match="mobius_words=-2"):
         sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=-2)
+
+
+def test_sweep_word_count_and_seed_must_be_nonnegative_integers():
+    # one check_count for both: a float, a bool, a string or None is no count,
+    # where numpy integers are
+    for value in (1.5, True, False, -1, "1", None):
+        for name in ("mobius_words", "seed"):
+            with pytest.raises(ConfigError, match=rf"{name}=.* must be a nonnegative integer"):
+                sl.harnack_sweep(3, 1, [1.0], [1.0], **{name: value})
+    rows = sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=np.int64(1), seed=np.uint8(2))
+    assert rows == sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=1, seed=2)
+    for value in (0, np.int32(7), 2 ** 70):
+        check_count("--seed", value)
+    with pytest.raises(ConfigError, match="--images=-2 must be a nonnegative integer"):
+        check_count("--images", -2)
 
 
 @pytest.mark.parametrize("center", [[0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0],

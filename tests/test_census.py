@@ -1,6 +1,7 @@
 """The census of code that no CLI workflow runs: the four subcommands run under
 `sys.settrace`, and the package functions they never enter must equal a
-checked-in list, so a function that joins or leaves it shows up in review.
+checked-in list that gives each one's reason to stay, so a function that joins
+or leaves it shows up in review.
 
 A package function is a function or method, unwrapped (`inspect.unwrap`),
 whose code lies in the source file of the module that defines it. Code compiled
@@ -12,70 +13,68 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import sigmak_lab as sl
 from sigmak_lab.cli import main
 
-# sorted: the grid path of `harnack_product`, the per-point entries of the batch
-# paths, the oracles the tests import, and constructors that only failures run
-NEVER_ENTERED = [
-    "bubbles.HarnackReport.__post_init__",
-    "bubbles._grid_directions",
-    "bubbles._grid_extrema",
-    "bubbles._harnack_grid",
-    "bubbles.harnack_product",
-    "bubbles.verify_solution",
-    "conformal.Jet2.__post_init__",
-    "conformal.MobiusMap._walk",
-    "conformal.MobiusMap.apply",
-    "conformal.MobiusMap.inverse",
-    "conformal.MobiusMap.jacobian_det",
-    "conformal.MobiusMap.jet",
-    "conformal.MobiusMap.then",
-    "conformal.Rotation.__post_init__",
-    "conformal.ScalarField._row",
-    "conformal.ScalarField.jet",
-    "conformal.ScalarField.raw_jet",
-    "conformal.ScalarField.value",
-    "conformal.ScalarField.values",
-    "conformal._lift",
-    "conformal.constant_field",
-    "conformal.kelvin_transform",
-    "conformal.schouten_flat",
-    "conformal.schouten_spectrum",
-    "conformal.transform_field",
-    "continuation._NodeState.jacobian_dense",
-    "continuation.assemble_jacobian",
-    "continuation.assemble_residual",
-    "errors.ConeBoundaryError.__init__",
-    "errors.ConeDomainError.__init__",
-    "errors.FloatRangeError.__init__",
-    "errors.NewtonError.__init__",
-    "errors.PathError.__init__",
-    "errors.PositivityError.__init__",
-    "errors.StepUnderflowError.__init__",
-    "halton._normal_quantile",
-    "halton.sphere_directions",
-    "radial.EigenPair.vector",
-    "radial.RadialProfile.r_max",
-    "radial._weighted",
-    "symfun.OperatorSpec.__post_init__",
-    "symfun._as_lambda",
-    "symfun._esym_gradient_batch",
-    "symfun._mixed_esym",
-    "symfun._uniform_chain",
-    "symfun._uniform_mix",
-    "symfun.check_concavity",
-    "symfun.check_ellipticity",
-    "symfun.f_homotopy",
-    "symfun.f_homotopy_gradient",
-    "symfun.homotopy_vector",
-    "symfun.in_gamma_k",
-    "symfun.in_gamma_t",
-    "symfun.sigma",
-    "symfun.sigma_gradient",
-]
+# Why each listed function stays, one reason per name (sorted):
+# - "bench": a bench probe (bench/probes.py) reaches it; it goes, or gains a
+#   caller, once the probes move to the batch paths;
+# - "oracle": a test calls it, or it serves one that a test calls, to check
+#   the batch paths and solvers against;
+# - "failure-only": an exception's constructor, run only when a check fails;
+# - "import": it runs only while its module is imported, before any command.
+NEVER_ENTERED = {
+    "bubbles.HarnackReport.__post_init__": "bench",
+    "bubbles._grid_directions": "bench",
+    "bubbles._grid_extrema": "bench",
+    "bubbles._harnack_grid": "bench",
+    "bubbles.harnack_product": "bench",
+    "bubbles.verify_solution": "bench",
+    "conformal.Jet2.__post_init__": "oracle",
+    "conformal.MobiusMap._walk": "oracle",
+    "conformal.MobiusMap.inverse": "oracle",
+    "conformal.MobiusMap.jet": "bench",
+    "conformal.MobiusMap.then": "oracle",
+    "conformal.Rotation.__post_init__": "oracle",
+    "conformal.ScalarField._row": "bench",
+    "conformal.ScalarField.jet": "bench",
+    "conformal.ScalarField.raw_jet": "bench",
+    "conformal.ScalarField.values": "oracle",
+    "conformal._lift": "bench",
+    "conformal.constant_field": "oracle",
+    "conformal.schouten_flat": "oracle",
+    "conformal.schouten_spectrum": "bench",
+    "conformal.transform_field": "oracle",
+    "continuation._NodeState.jacobian_dense": "oracle",
+    "continuation.assemble_jacobian": "oracle",
+    "continuation.assemble_residual": "oracle",
+    "errors.ConeBoundaryError.__init__": "failure-only",
+    "errors.ConeDomainError.__init__": "failure-only",
+    "errors.FloatRangeError.__init__": "failure-only",
+    "errors.NewtonError.__init__": "failure-only",
+    "errors.PathError.__init__": "failure-only",
+    "errors.PositivityError.__init__": "failure-only",
+    "errors.StepUnderflowError.__init__": "failure-only",
+    "halton._normal_quantile": "bench",
+    "halton.sphere_directions": "bench",
+    "radial.EigenPair.vector": "oracle",
+    "radial._weighted": "import",
+    "symfun.OperatorSpec.__post_init__": "oracle",
+    "symfun._as_lambda": "oracle",
+    "symfun._esym_gradient_batch": "oracle",
+    "symfun._mixed_esym": "oracle",
+    "symfun._uniform_chain": "oracle",
+    "symfun._uniform_mix": "oracle",
+    "symfun.f_homotopy": "oracle",
+    "symfun.f_homotopy_gradient": "oracle",
+    "symfun.homotopy_vector": "oracle",
+    "symfun.in_gamma_k": "oracle",
+    "symfun.sigma": "oracle",
+}
 
 
 def _package_functions() -> dict:
@@ -132,4 +131,33 @@ def test_the_functions_no_subcommand_enters_are_the_listed_ones(tmp_path):
             "continuation.BvpSpec.mesh"} <= set(functions.values())
     assert "radial._dop853_step" not in functions.values()
     assert sorted(name for code, name in functions.items() if code not in entered) \
-        == NEVER_ENTERED
+        == sorted(NEVER_ENTERED)
+
+
+def _called_name(qualname: str) -> str:
+    """The name a caller writes: a constructor's class, else the function's own."""
+    parts = qualname.split(".")
+    return parts[-2] if parts[-1].startswith("__") else parts[-1]
+
+
+def test_every_listed_oracle_is_named_by_a_test():
+    # an oracle is named in a test file other than this one, or is named in the
+    # code of an oracle that is (a private helper of a public oracle)
+    assert set(NEVER_ENTERED.values()) <= {"bench", "oracle", "failure-only", "import"}
+    tests = Path(__file__).parent
+    text = "\n".join(path.read_text() for path in sorted(tests.glob("*.py"))
+                     if path.name != Path(__file__).name)
+    codes = {name: code for code, name in _package_functions().items()}
+    oracles = {name for name, why in NEVER_ENTERED.items() if why == "oracle"}
+    named = {name for name in oracles
+             if re.search(rf"\b{re.escape(_called_name(name))}\b", text)}
+    callees = {word for name in named for word in codes[name].co_names}
+    assert sorted(name for name in oracles - named if _called_name(name) not in callees) == []
+
+
+def test_every_failure_only_function_constructs_an_exception():
+    for name, why in NEVER_ENTERED.items():
+        if why == "failure-only":
+            module, cls, _ = name.split(".")
+            klass = getattr(importlib.import_module(f"sigmak_lab.{module}"), cls)
+            assert issubclass(klass, Exception), name

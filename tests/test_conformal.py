@@ -26,9 +26,15 @@ def _safe_point(rng, psi, n, lo=0.5, hi=2.5, far=40.0):
             continue
         if any(np.linalg.norm(x - p) < 0.15 for p in poles):
             continue
-        if np.linalg.norm(psi.apply(x)) > far:
+        if np.linalg.norm(_image(psi, x)[0]) > far:
             continue
         return x
+
+
+def _image(psi, x):
+    """psi(x) and |det J| at x for a point x (n,), off the one-word walk."""
+    st = psi._walk(np.asarray(x, dtype=float)[None])
+    return st.y[0], float(np.exp(st.log_det[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +125,10 @@ def test_schouten_flat_past_the_float_range_names_the_point():
 
 def test_mobius_identity_and_dilation():
     x = np.array([0.3, -1.2, 0.7])
-    ident = sl.MobiusMap(())
-    np.testing.assert_array_equal(ident.apply(x), x)
-    assert ident.jacobian_det(x) == 1.0
-    dil = sl.MobiusMap((sl.Dilation(2.0),))
-    assert dil.jacobian_det(x) == pytest.approx(8.0)
+    y, det = _image(sl.MobiusMap(()), x)
+    np.testing.assert_array_equal(y, x)
+    assert det == 1.0
+    assert _image(sl.MobiusMap((sl.Dilation(2.0),)), x)[1] == pytest.approx(8.0)
 
 
 def test_inversion_is_an_involution():
@@ -131,21 +136,21 @@ def test_inversion_is_an_involution():
     twice = sl.MobiusMap((sl.Inversion(), sl.Inversion()))
     for _ in range(50):
         x = rng.normal(size=3)
-        np.testing.assert_allclose(twice.apply(x), x, atol=1e-12)
+        np.testing.assert_allclose(_image(twice, x)[0], x, atol=1e-12)
     # the identity word has no pole, not even where its first inversion has one
     for n in (3, 6):
-        np.testing.assert_array_equal(twice.apply(np.zeros(n)), np.zeros(n))
+        np.testing.assert_array_equal(_image(twice, np.zeros(n))[0], np.zeros(n))
         assert twice.poles(n) == []
 
 
 def test_inversion_pole_raises():
     inv = sl.MobiusMap((sl.Inversion(),))
     with pytest.raises(PoleError):
-        inv.apply(np.zeros(3))
+        inv._walk(np.zeros((1, 3)))
     # lam is nan at a nan point, of a word with a pole or without one
     for psi in (inv, sl.MobiusMap(())):
         with pytest.raises(PoleError):
-            psi.apply([np.nan, 0.0, 0.0])
+            psi._walk(np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_every_word_avoids_an_empty_point_set():
@@ -215,16 +220,16 @@ def test_mobius_jet_against_finite_differences():
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            jac_fd[:, j] = (psi.apply(x + e) - psi.apply(x - e)) / (2.0 * h)
+            jac_fd[:, j] = (_image(psi, x + e)[0] - _image(psi, x - e)[0]) / (2.0 * h)
         np.testing.assert_allclose(st.jac, jac_fd, rtol=1e-6, atol=1e-6)
-        assert abs(abs(np.linalg.det(st.jac)) - psi.jacobian_det(x)) \
-            <= 1e-12 * psi.jacobian_det(x)
+        det = _image(psi, x)[1]
+        assert abs(abs(np.linalg.det(st.jac)) - det) <= 1e-12 * det
         grad_fd = np.zeros(n)
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            grad_fd[j] = (math.log(psi.jacobian_det(x + e))
-                          - math.log(psi.jacobian_det(x - e))) / (2.0 * h)
+            grad_fd[j] = (math.log(_image(psi, x + e)[1])
+                          - math.log(_image(psi, x - e)[1])) / (2.0 * h)
         np.testing.assert_allclose(st.grad_log_det, grad_fd, rtol=1e-5, atol=1e-6)
 
 
@@ -234,7 +239,7 @@ def test_mobius_inverse_and_poles():
     for _ in range(10):
         psi = sl.random_mobius_map(rng, n)
         x = _safe_point(rng, psi, n)
-        back = psi.inverse().apply(psi.apply(x))
+        back = _image(psi.inverse(), _image(psi, x)[0])[0]
         np.testing.assert_allclose(back, x, atol=1e-10)
     shifted = sl.MobiusMap((sl.Translation(np.array([1.0, 0.0, 0.0])),
                             sl.Inversion()))
@@ -248,7 +253,7 @@ def test_mobius_inverse_and_poles():
     poles = sandwich.poles(3)
     assert len(poles) == 1
     np.testing.assert_array_equal(poles[0], [-1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(sandwich.apply(np.zeros(3)), np.zeros(3))
+    np.testing.assert_array_equal(_image(sandwich, np.zeros(3))[0], np.zeros(3))
 
 
 def test_a_word_forms_its_matrix_once_per_dimension():
@@ -318,7 +323,7 @@ def test_walk_matches_a_50_digit_atom_walk():
             for j, atom in enumerate(psi.word):
                 if j and isinstance(atom, sl.Inversion):
                     try:
-                        c = sl.MobiusMap(psi.word[:j]).inverse().apply(np.zeros(n))
+                        c = _image(sl.MobiusMap(psi.word[:j]).inverse(), np.zeros(n))[0]
                     except PoleError:  # the prefix sends infinity to 0
                         continue
                     d = rng.normal(size=n)
@@ -408,29 +413,25 @@ def test_constant_field_value_checks():
     for bad in (math.inf, 10 ** 400):
         with pytest.raises(ConfigError, match="must be positive and finite"):
             sl.constant_field(bad, 3)
-    assert sl.constant_field(1.7e308, 3).value(np.zeros(3)) == 1.7e308
+    assert sl.constant_field(1.7e308, 3).values(np.zeros((1, 3)))[0] == 1.7e308
 
 
 def test_transform_identity_word():
     rng = np.random.default_rng(19)
     u = random_test_field(3, rng)
     v = sl.transform_field(u, sl.MobiusMap(()))
-    for _ in range(10):
-        x = rng.normal(size=3)
-        assert v.value(x) == pytest.approx(u.value(x), rel=1e-14)
+    X = rng.normal(size=(10, 3))
+    assert v.values(X) == pytest.approx(u.values(X), rel=1e-14)
 
 
 def test_inversion_maps_centered_bubble_to_reciprocal_scale():
     for n, k, a in [(3, 1, 1.7), (4, 2, 0.6), (5, 5, 2.5)]:
         u = sl.bubble_field(sl.BubbleSpec(n, k, a))
-        v = sl.kelvin_transform(u)
+        v = sl.transform_field(u, sl.MobiusMap((sl.Inversion(),)))
         target = sl.bubble_field(sl.BubbleSpec(n, k, 1.0 / a))
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            x = rng.normal(size=n)
-            if np.linalg.norm(x) < 0.05:
-                continue
-            assert v.value(x) == pytest.approx(target.value(x), rel=1e-10)
+        X = np.random.default_rng(23).normal(size=(20, n))
+        X = X[np.linalg.norm(X, axis=1) >= 0.05]
+        assert v.values(X) == pytest.approx(target.values(X), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -468,7 +469,7 @@ def test_spectrum_equivariance_under_words():
                 for _ in range(5):
                     x = _safe_point(rng, psi, n)
                     lam_v = sl.schouten_spectrum(v.jet(x))
-                    lam_u = sl.schouten_spectrum(u.jet(psi.apply(x)))
+                    lam_u = sl.schouten_spectrum(u.jet(_image(psi, x)[0]))
                     np.testing.assert_allclose(lam_v, lam_u, atol=1e-9)
 
 
@@ -484,10 +485,10 @@ def test_group_closure():
         for _ in range(5):
             x = _safe_point(rng, psi2.then(psi1), n)
             try:
-                a = chained.value(x)
+                a = chained.values(x[None])[0]
             except PoleError:
                 continue
-            assert a == pytest.approx(composed.value(x), rel=1e-10)
+            assert a == pytest.approx(composed.values(x[None])[0], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +526,12 @@ def test_single_point_calls_match_batch_rows():
         for i in (0, 57, 199):
             val, g1, h1 = field.raw_jet(pts[i])
             assert val == pytest.approx(u[i], rel=rtol)
-            assert field.value(pts[i]) == pytest.approx(u[i], rel=rtol)
             np.testing.assert_allclose(g1, grad[i], rtol=rtol,
                                        atol=rtol * np.abs(grad[i]).max())
             np.testing.assert_allclose(h1, hess[i], rtol=rtol,
                                        atol=rtol * np.abs(hess[i]).max())
-    images = psi.apply(pts)
-    dets = psi.jacobian_det(pts)
-    assert images.shape == pts.shape and dets.shape == (200,)
     full = psi._walk(pts, 2)
     for i in (0, 57, 199):
-        np.testing.assert_allclose(psi.apply(pts[i]), images[i], rtol=rtol)
-        assert psi.jacobian_det(pts[i]) == pytest.approx(dets[i], rel=rtol)
         st = psi.jet(pts[i])
         for name in ("y", "jac", "grad_log_det"):
             one, row = getattr(st, name), getattr(full, name)[i]
@@ -567,7 +562,8 @@ def test_batch_checks_name_the_first_bad_point():
     with pytest.raises(ConfigError, match="asymmetry"):
         sl.verify_solution(skew, n, 1, sample_points=pts)
     with pytest.raises(PoleError):
-        sl.kelvin_transform(sl.constant_field(1.0, n)).values(np.vstack([pts, np.zeros(n)]))
+        sl.transform_field(sl.constant_field(1.0, n), sl.MobiusMap((sl.Inversion(),))) \
+            .values(np.vstack([pts, np.zeros(n)]))
 
 
 def test_positivity_check_names_the_first_bad_value_of_a_stack():

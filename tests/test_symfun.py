@@ -64,8 +64,9 @@ def test_sigma_validation():
         sl.sigma(np.ones((2, 3)), 1)
     with pytest.raises(ConfigError, match="spec expects 4"):
         sl.homotopy_vector([1.0, 2.0, 3.0], sl.OperatorSpec(4, 2, 0.5))
-    with pytest.raises(ConfigError, match="mismatched"):
-        sl.check_concavity(1, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    for k in (False, True):  # a bool is no cone index, not even for sigma_0
+        with pytest.raises(ConfigError, match="must be an integer"):
+            sl.sigma([1.0, 2.0, 3.0], k)
 
 
 def test_sigma_zero_index_must_be_an_integer():
@@ -96,17 +97,16 @@ def test_sigma_homogeneity_and_cone_scaling(n, s, data):
 
 
 # ---------------------------------------------------------------------------
-# gradient
+# gradient: f_t at t = 1 is sigma_k, on Gamma_k
 # ---------------------------------------------------------------------------
 
 def test_gradient_examples():
-    np.testing.assert_allclose(sl.sigma_gradient([1.0, 2.0, 3.0], 2),
-                               [5.0, 4.0, 3.0], rtol=0, atol=0)
+    np.testing.assert_array_equal(
+        sl.f_homotopy_gradient([1.0, 2.0, 3.0], sl.OperatorSpec(3, 2, 1.0)), [5.0, 4.0, 3.0])
     for n in (3, 5, 8):
         for k in range(1, n + 1):
-            np.testing.assert_allclose(sl.sigma_gradient(np.ones(n), k),
-                                       np.full(n, math.comb(n - 1, k - 1)),
-                                       rtol=1e-14)
+            grad = sl.f_homotopy_gradient(np.ones(n), sl.OperatorSpec(n, k, 1.0))
+            np.testing.assert_allclose(grad, np.full(n, math.comb(n - 1, k - 1)), rtol=1e-14)
 
 
 def test_gradient_positive_in_cone_and_matches_fd():
@@ -114,7 +114,7 @@ def test_gradient_positive_in_cone_and_matches_fd():
     for n in (3, 4, 6):
         for k in range(1, n + 1):
             for lam in sample_gamma_k(rng, n, k, 10):
-                grad = sl.sigma_gradient(lam, k)
+                grad = sl.f_homotopy_gradient(lam, sl.OperatorSpec(n, k, 1.0))
                 assert np.all(grad > 0.0)
                 ref = fd_gradient(lambda v: sl.sigma(v, k), lam)
                 np.testing.assert_allclose(grad, ref, rtol=1e-6, atol=1e-9)
@@ -226,35 +226,30 @@ def test_f_homotopy_examples():
 
 
 def test_f_homotopy_domain_error_carries_margin():
-    # f_t, its gradient and the ellipticity certificate are evaluated on
-    # (Gamma_k)_t only; outside it each names the margin in_gamma_t reports
+    # f_t and its gradient are evaluated on (Gamma_k)_t only; outside it each
+    # names the Gamma_k margin of the mixed vector
     lam = np.array([-1.0, -1.0, -1.0])
     for spec in (sl.OperatorSpec(3, 2, 1.0), sl.OperatorSpec(3, 2, 0.5)):
-        margin = sl.in_gamma_t(lam, spec).margin
+        margin = sl.in_gamma_k(sl.homotopy_vector(lam, spec), spec.k).margin
         assert margin < 0.0
-        for call in (sl.f_homotopy, sl.f_homotopy_gradient,
-                     lambda v, s: sl.check_ellipticity(s, v)):
+        for call in (sl.f_homotopy, sl.f_homotopy_gradient):
             with pytest.raises(ConeDomainError) as err:
                 call(lam, spec)
             assert err.value.margin == margin
             np.testing.assert_array_equal(err.value.where, lam)
 
 
-def test_in_gamma_t_endpoints_and_composition():
+def test_mixed_cone_endpoints():
+    # (Gamma_k)_t is the set where the mixed vector lies in Gamma_k
     rng = np.random.default_rng(13)
-    spec_half = sl.OperatorSpec(3, 2, 0.5)
     for _ in range(300):
         lam = rng.normal(scale=1.5, size=3)
-        # t = 1 reduces to the plain cone test
-        assert sl.in_gamma_t(lam, sl.OperatorSpec(3, 2, 1.0)).inside \
-            == sl.in_gamma_k(lam, 2).inside
+        # t = 1 mixes nothing: the plain cone test, margin and all
+        assert sl.in_gamma_k(sl.homotopy_vector(lam, sl.OperatorSpec(3, 2, 1.0)), 2) \
+            == sl.in_gamma_k(lam, 2)
         # t = 0 only sees the sign of sigma_1
-        assert sl.in_gamma_t(lam, sl.OperatorSpec(3, 2, 0.0)).inside \
+        assert sl.in_gamma_k(sl.homotopy_vector(lam, sl.OperatorSpec(3, 2, 0.0)), 2).inside \
             == (lam.sum() > 0.0)
-        # generic t agrees with composing the mix with the plain test
-        mixed = sl.homotopy_vector(lam, spec_half)
-        assert sl.in_gamma_t(lam, spec_half).inside \
-            == sl.in_gamma_k(mixed, 2).inside
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +257,17 @@ def test_in_gamma_t_endpoints_and_composition():
 # ---------------------------------------------------------------------------
 
 def test_ellipticity_examples():
+    # the least entry of the gradient of f_t is its smallest directional
+    # derivative, positive where f_t is elliptic
     rng = np.random.default_rng(17)
     for n in (3, 5):
         lam = rng.uniform(0.1, 2.0, size=n)
-        assert sl.check_ellipticity(sl.OperatorSpec(n, 1, 1.0), lam) \
+        assert sl.f_homotopy_gradient(lam, sl.OperatorSpec(n, 1, 1.0)).min() \
             == pytest.approx(1.0)
         for k in range(2, n + 1):
-            assert sl.check_ellipticity(sl.OperatorSpec(n, k, 1.0), lam) > 0.0
+            assert sl.f_homotopy_gradient(lam, sl.OperatorSpec(n, k, 1.0)).min() > 0.0
     with pytest.raises(ConeDomainError):
-        sl.check_ellipticity(sl.OperatorSpec(3, 2, 1.0), [-1.0, -1.0, -1.0])
+        sl.f_homotopy_gradient([-1.0, -1.0, -1.0], sl.OperatorSpec(3, 2, 1.0))
 
 
 def test_f_homotopy_gradient_matches_fd():
@@ -285,23 +282,30 @@ def test_f_homotopy_gradient_matches_fd():
                 np.testing.assert_allclose(grad, ref, rtol=1e-6, atol=1e-8)
 
 
+def _root_midpoint_gap(lam, mu, k):
+    """sigma_k^{1/k}((lam + mu)/2) - (sigma_k^{1/k}(lam) + sigma_k^{1/k}(mu))/2."""
+    def root(v):
+        return sl.sigma(v, k) ** (1.0 / k)
+    return root(0.5 * (lam + mu)) - 0.5 * (root(lam) + root(mu))
+
+
 def test_concavity_examples():
     lam = np.array([1.0, 2.0, 3.0])
-    assert sl.check_concavity(2, lam, lam)  # degenerate segment
+    assert _root_midpoint_gap(lam, lam, 2) == 0.0  # degenerate segment
     rng = np.random.default_rng(23)
     # sigma_1 is linear: the midpoint inequality is an equality
     for _ in range(50):
         a = rng.uniform(0.1, 2.0, size=4)
         b = rng.uniform(0.1, 2.0, size=4)
-        assert sl.check_concavity(1, a, b)
-    with pytest.raises(ConeDomainError):
-        sl.check_concavity(2, [-1.0, -1.0, -1.0], lam)
+        assert abs(_root_midpoint_gap(a, b, 1)) <= 1e-12
 
 
-def test_concavity_random_pairs():
-    rng = np.random.default_rng(29)
-    for n in (3, 5):
-        for k in range(1, n + 1):
-            pts = sample_gamma_k(rng, n, k, 40)
-            for i in range(0, 40, 2):
-                assert sl.check_concavity(k, pts[i], pts[i + 1])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 7), st.data())
+def test_sigma_k_root_is_midpoint_concave_on_gamma_k(n, data):
+    # Garding: sigma_k^{1/k} is concave on the convex cone Gamma_k, so its
+    # value at the midpoint of two members is at least the mean of theirs
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam, mu = sample_gamma_k(rng, n, k, 2)
+    assert _root_midpoint_gap(lam, mu, k) >= -1e-12
