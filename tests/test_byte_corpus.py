@@ -5,7 +5,9 @@ every file it writes must equal the digests committed in byte_corpus.json.
 Each stream and file also carries an 8-hex digest per line, so a mismatch names
 the first line that differs. The LAPACK calls (`eigvalsh` in verify-bubble,
 `qr` in word draws) may differ in their last bits across numpy or BLAS builds,
-so the digest file records both and a mismatch message names them.
+and numpy's vectorised `power` and `exp` across the SIMD targets it dispatches
+to (AVX512 against AVX2), so the digest file records the build and the enabled
+targets and a mismatch message names both sides' of each.
 
 A change that alters an output on purpose regenerates the digests in the same
 commit:
@@ -23,6 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from sigmak_lab.cli import main
 
 CORPUS = Path(__file__).with_name("byte_corpus.json")
@@ -35,6 +39,9 @@ ARGVS = [
     "solve-radial --n 8 --k 4 --rmax 20 --out profile8.csv",
     "homotopy --n 3 --k 2 --m 32 --trace trace.json --profile path.csv",
     "homotopy --n 8 --k 3 --rb 2 --m 48 --trace trace8.json --profile path8.csv",
+    "homotopy --n 3 --k 2 --m 16 --trace trace16.json --profile path16.csv",
+    "homotopy --n 3 --k 2 --m 17 --trace trace17.json --profile path17.csv",
+    "homotopy --n 6 --k 3 --m 64 --trace trace6.json",
     "harnack-sweep --n 4 --k 2 --a 0.5:2:3 --R 0.5:1:2 --images 2 --seed 5 --out sweep.csv",
     "harnack-sweep --n 3 --k 1 --a 1e-200 --images 1 --out tiny_sweep.csv",
     "harnack-sweep --n 8 --k 8 --a 1e-3:1e3:4log --images 2 --seed 9 --out sweep8.csv",
@@ -48,6 +55,12 @@ def _build() -> str:
         return f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # a numpy without mode="dicts"
         return "unknown"
+
+
+def _dispatch() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU (NPY_DISABLE_CPU_FEATURES
+    removes some)."""
+    return [target for target in __cpu_dispatch__ if __cpu_features__[target]]
 
 
 def _digest(data: bytes) -> dict:
@@ -87,8 +100,9 @@ def corpus():
 def test_outputs_match_the_committed_digests(argv, corpus, tmp_path):
     got, raw = _run(argv, tmp_path)
     want = corpus["runs"][argv]
-    where = (f"digests from numpy {corpus['numpy']} with {corpus['blas']}; "
-             f"this is numpy {np.__version__} with {_build()}")
+    where = (f"digests from numpy {corpus['numpy']} with {corpus['blas']} dispatching to "
+             f"{corpus['dispatch']}; this is numpy {np.__version__} with {_build()} "
+             f"dispatching to {_dispatch()}")
     assert got["exit"] == want["exit"], where
     assert sorted(got["outputs"]) == sorted(want["outputs"]), where
     for name, digest in want["outputs"].items():
@@ -112,5 +126,5 @@ if __name__ == "__main__":
     for argv in ARGVS:
         with tempfile.TemporaryDirectory() as folder:
             runs[argv] = _run(argv, Path(folder))[0]
-    CORPUS.write_text(json.dumps({"numpy": np.__version__, "blas": _build(), "runs": runs},
-                                 indent=1) + "\n")
+    CORPUS.write_text(json.dumps({"numpy": np.__version__, "blas": _build(),
+                                  "dispatch": _dispatch(), "runs": runs}, indent=1) + "\n")
