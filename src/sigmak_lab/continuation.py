@@ -5,18 +5,18 @@ The discrete problem lives on a uniform mesh over [0, R_b]: second-order
 central differences for u' and u'' at interior nodes, a second-order
 one-sided stencil enforcing u'(0) = 0, and a Dirichlet value at R_b. The
 nonlinear system f_t(lambda(A(u))) = 1 is solved by damped Newton with an
-analytically assembled Jacobian; the matrix is banded (one sub-diagonal,
-two super-diagonals, the extra one coming from the u'(0) row). Each Newton
-step substitutes the Dirichlet value and the u'(0) row into the interior
-rows and solves the tridiagonal rest by cyclic reduction (Hockney, J. ACM
-12, 1965; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); see
-_solve_band. The node state is a closed-form pair: each node has lam_rad
-once and lam_tan n-1 times, so has the uniform mix (a, b), and e_1..e_k of
-the mix and the two distinct partials of f_t come from one table of the
-powers b^j, with no (nodes x n) eigenvalue matrix. What u alone fixes (the
-checks, the differences, the pair and its partials) is an _Iterate, formed
-once per vector; a _NodeState adds one t, and continue_path hands each
-converged iterate to the next t.
+analytically assembled Jacobian. Its interior rows are tridiagonal and held
+as three diagonals (_NodeState.band); the u'(0) row, whose stencil reaches
+x_2, and the Dirichlet row are constants. Each Newton step substitutes
+those two rows into the interior ones and solves the tridiagonal rest by
+cyclic reduction (Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson,
+SIAM J. Numer. Anal. 7, 1970); see _solve_band. The node state is a
+closed-form pair: each node has lam_rad once and lam_tan n-1 times, so has
+the uniform mix (a, b), and e_1..e_k of the mix and the two distinct
+partials of f_t come from one table of the powers b^j, with no (nodes x n)
+eigenvalue matrix. What u alone fixes (the checks, the differences, the
+pair and its partials) is an _Iterate, formed once per vector; a _NodeState
+adds one t, and continue_path hands each converged iterate to the next t.
 
 Continuation walks t from 0 (a sigma_1-type equation) to 1 (pure sigma_k),
 seeding each solve with the last converged solution; the t-step starts at
@@ -203,70 +203,66 @@ class _NodeState:
         """Smallest partial of f_t over the nodes (the n-1 tangential ones are equal)."""
         return float(min(self.f_rad.min(), self.f_tan.min()))
 
-    def jacobian_banded(self) -> np.ndarray:
-        spec = self.spec
-        n, h = spec.n, spec.h
+    def band(self) -> tuple:
+        """(lower, diag, upper): J[i, i-1], J[i, i] and J[i, i+1] of interior rows
+        i = 1..m-1. Row 0 is the u'(0) stencil (-1.5, 2, -0.5) / h on x_0..x_2 and
+        row m the Dirichlet identity; both are constants where they are read."""
+        n, h = self.spec.n, self.spec.h
         dlr_du, dlr_dp, dlr_ds, dlt_du, dlt_dp = self.iterate.partials
         f_rad, f_tan = self.f_rad, (n - 1.0) * self.f_tan
         du_ = f_rad * dlr_du + f_tan * dlt_du
         dp_ = f_rad * dlr_dp + f_tan * dlt_dp
         ds_ = f_rad * dlr_ds
-        lower = -dp_ / (2.0 * h) + ds_ / h ** 2
-        diag = du_ - 2.0 * ds_ / h ** 2
-        upper = dp_ / (2.0 * h) + ds_ / h ** 2
-        m = spec.m
-        ab = np.zeros((4, m + 1))
-        ab[2, 0] = -1.5 / h
-        ab[1, 1] = 2.0 / h
-        ab[0, 2] = -0.5 / h
-        ab[3, 0:m - 1] = lower
-        ab[2, 1:m] = diag
-        ab[1, 2:m + 1] = upper
-        ab[2, m] = 1.0
-        return ab
+        return (-dp_ / (2.0 * h) + ds_ / h ** 2, du_ - 2.0 * ds_ / h ** 2,
+                dp_ / (2.0 * h) + ds_ / h ** 2)
 
     def jacobian_dense(self) -> np.ndarray:
-        # band row i holds diagonal 2 - i, aligned by column
-        ab = self.jacobian_banded()
-        return sum(np.diag(row[d:] if d >= 0 else row[:d], d) for d, row in zip((2, 1, 0, -1), ab))
+        m, h = self.spec.m, self.spec.h
+        jac = np.zeros((m + 1, m + 1))
+        jac[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
+        i = np.arange(1, m)
+        jac[i, i - 1], jac[i, i], jac[i, i + 1] = self.band()
+        jac[m, m] = 1.0
+        return jac
 
 
-def _attainable_residual(ab: np.ndarray, u: np.ndarray) -> float:
+def _attainable_residual(band: tuple, u: np.ndarray, h: float) -> float:
     """Resolution floor of the discrete residual at the float lattice of u.
 
     Perturbing any node by one ulp moves residual row i by about
     eps sum_j |J_ij| |u_j|; below twice the largest such row no float
-    vector can be distinguished from an exact root.
+    vector can be distinguished from an exact root. A nan row gives nan.
     """
+    lower, diag, upper = band
     au = np.abs(u)
-    s = np.abs(ab[2]) * au
-    s[1:] += np.abs(ab[3, :-1]) * au[:-1]
-    s[:-1] += np.abs(ab[1, 1:]) * au[1:]
-    s[:-2] += np.abs(ab[0, 2:]) * au[2:]
-    return 2.0 * float(np.finfo(float).eps) * float(s.max())
+    s = np.abs(diag) * au[1:-1] + np.abs(lower) * au[:-2] + np.abs(upper) * au[2:]
+    edge = 1.5 / h * au[0] + 2.0 / h * au[1] + 0.5 / h * au[2]
+    return 2.0 * float(np.finfo(float).eps) * float(np.max((s.max(), edge, au[-1])))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs for a Jacobian in jacobian_banded's layout.
+def _solve_band(band: tuple, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Solve J x = rhs for the Jacobian whose interior rows are band (see
+    _NodeState.band) on a mesh of width h.
 
-    Row m is the Dirichlet identity, so x_m is known and moves to the right
-    side. Row 0 (the u'(0) stencil) loses its x_2 entry against row 1 and
-    then gives x_0 in terms of x_1, which row 1 absorbs. What remains is
+    Row m is the Dirichlet identity, so x_m = rhs_m moves to the right side.
+    Row 0 (the u'(0) stencil) loses its x_2 entry against row 1 and then
+    gives x_0 in terms of x_1, which row 1 absorbs. What remains is
     tridiagonal in x_1..x_{m-1}, solved by cyclic reduction: each level
     eliminates the even-indexed unknowns from the odd-indexed rows, after
     one dummy row y = 0 when the level has an even size. Nothing pivots, so
     a zero pivot returns inf or nan entries, never a warning or a trap.
     """
-    m = ab.shape[1] - 1
-    xm = rhs[m] / ab[2, m]
+    lower, diag, upper = band
+    m = len(diag) + 1
+    xm = rhs[m]
     # rows 1..m-1 as -s y_{i-1} + b y_i - c y_{i+1} = d in y = x_1..x_{m-1}
-    s, b, c, d = -ab[3, :m - 1], ab[2, 1:m].copy(), -ab[1, 2:], rhs[1:m].copy()
+    s, b, c, d = -lower, diag.copy(), -upper, rhs[1:m].copy()
     d[-1] += c[-1] * xm
     c[-1] = 0.0
     # row 0 minus (its x_2 entry / row 1's) times row 1: p x_0 + q x_1 = r0
-    f = ab[0, 2] / c[0]
-    p, q, r0 = ab[2, 0] - f * s[0], ab[1, 1] + f * b[0], rhs[0] + f * d[0]
+    f = -0.5 / h / c[0]
+    p, q, r0 = -1.5 / h - f * s[0], 2.0 / h + f * b[0], rhs[0] + f * d[0]
     g = s[0] / p
     b[0] += g * q
     d[0] += g * r0
@@ -325,10 +321,11 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     one ulp of u past any fixed tolerance; see _attainable_residual).
     Raises NewtonError on an inadmissible initial state, a singular
     Jacobian, a stalled line search, or iteration exhaustion. The step
-    solve (_solve_band) does not pivot: a singular Jacobian, or a zero
-    pivot of the elimination, shows up as a non-finite step, which is the
-    one singular-Jacobian path. initial may also be an _Iterate, as
-    continue_path passes its last solution; the solution is then one too.
+    solve (_solve_band, on the three diagonals of _NodeState.band) does not
+    pivot: a singular Jacobian, or a zero pivot of the elimination, shows up
+    as a non-finite step, which is the one singular-Jacobian path. initial
+    may also be an _Iterate, as continue_path passes its last solution; the
+    solution is then one too.
     """
     try:
         state = _admissible_state(initial, spec, t)
@@ -337,20 +334,20 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     if state.ellipticity() <= 0.0:
         raise NewtonError("inadmissible initial state: no ellipticity certificate")
 
-    x = state.u
+    x, h = state.u, spec.h
     res = state.residual()
     rnorm = float(np.abs(res).max())
     iters = 0
     while True:
-        ab = state.jacobian_banded()
-        tol = max(_NEWTON_TOL, _attainable_residual(ab, x))
+        band = state.band()
+        tol = max(_NEWTON_TOL, _attainable_residual(band, x, h))
         if rnorm < tol:
             break
         if iters >= _MAX_NEWTON_ITER:
             raise NewtonError(f"Newton did not converge in {_MAX_NEWTON_ITER} "
                               f"iterations (residual {rnorm:.3e})",
                               iterations=iters, residual=rnorm)
-        step = _solve_band(ab, -res)
+        step = _solve_band(band, -res, h)
         if not np.all(np.isfinite(step)):
             raise NewtonError("singular Jacobian (non-finite step)",
                               iterations=iters, residual=rnorm)

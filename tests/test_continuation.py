@@ -231,11 +231,12 @@ def test_node_state_pair_form_matches_the_full_matrix_oracle(t):
             # every tangential partial is the same; the Jacobian reads one of them
             np.testing.assert_allclose(grad[:, 1:], grad[:, 1:2] * np.ones(n - 1),
                                        rtol=1e-12)
-            jac = state.jacobian_banded()
+            band = state.band()
+            scale = max(float(np.abs(band).max()), 2.0 / spec.h)  # the largest |J_ij|
             state.f_rad = grad[:, 0]
             state.f_tan = grad[:, 1:].sum(axis=1) / (n - 1.0)
-            np.testing.assert_allclose(jac, state.jacobian_banded(), rtol=1e-12,
-                                       atol=1e-12 * float(np.abs(jac).max()))
+            for got, want in zip(band, state.band(), strict=True):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_jacobian_matches_finite_differences():
@@ -249,13 +250,35 @@ def test_jacobian_matches_finite_differences():
         jac = sl.assemble_jacobian(u, spec, t)
         ref = fd_jacobian(lambda v: sl.assemble_residual(v, spec, t), u)
         np.testing.assert_allclose(jac, ref, rtol=2e-6, atol=2e-6)
-        # the dense form is the banded storage placed entry by entry, J[i, j] = ab[2 + i - j, j]
-        ab = continuation._admissible_state(u, spec, t).jacobian_banded()
+        # the dense form is the u'(0) stencil, the diagonals of the interior
+        # rows and the Dirichlet identity, placed row by row
+        lower, diag, upper = continuation._admissible_state(u, spec, t).band()
         placed = np.zeros_like(jac)
-        for i in range(spec.m + 1):
-            for j in range(max(0, i - 1), min(spec.m + 1, i + 3)):
-                placed[i, j] = ab[2 + i - j, j]
+        placed[0, :3] = np.array([-1.5, 2.0, -0.5]) / spec.h
+        for i in range(1, spec.m):
+            placed[i, i - 1:i + 2] = lower[i - 1], diag[i - 1], upper[i - 1]
+        placed[spec.m, spec.m] = 1.0
         np.testing.assert_array_equal(jac, placed)
+
+
+def test_residual_floor_is_the_largest_row_of_abs_j_times_abs_u():
+    # 2 eps max_i sum_j |J_ij| |u_j| over the dense oracle; a nan partial
+    # anywhere makes the floor nan, so Newton falls back to _NEWTON_TOL
+    eps = float(np.finfo(float).eps)
+    for n, k, t in [(3, 2, 1.0), (3, 3, 0.4), (4, 2, 0.0), (6, 4, 0.7)]:
+        spec = _spec(n, k, m=24, r_b=4.0)
+        u = initial_guess(spec) * (1.0 + 1e-3 * np.sin(2.0 * np.pi * spec.mesh / spec.r_b))
+        state = continuation._admissible_state(u, spec, t)
+        floor = continuation._attainable_residual(state.band(), u, spec.h)
+        want = 2.0 * eps * float((np.abs(state.jacobian_dense()) @ np.abs(u)).max())
+        assert floor == pytest.approx(want, rel=1e-15, abs=0.0)
+        for row in (0, spec.m - 2):  # the first and the last interior row
+            for part in range(3):
+                band = [d.copy() for d in state.band()]
+                band[part][row] = np.nan
+                floor = continuation._attainable_residual(tuple(band), u, spec.h)
+                assert math.isnan(floor)
+                assert max(continuation._NEWTON_TOL, floor) == continuation._NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +378,14 @@ def test_line_search_halves_past_inadmissible_trials(monkeypatch):
 def test_singular_jacobian_is_a_newton_error_with_or_without_float_traps(defect, monkeypatch):
     # "singular" zeroes interior rows 1..m-1; "zero pivot" zeroes the
     # interior diagonal, which the unpivoted elimination divides by
-    real = continuation._NodeState.jacobian_banded
+    real = continuation._NodeState.band
 
     def defective(state):
-        ab = real(state)
-        if defect == "singular":
-            ab[3, :-2] = ab[1, 2:] = 0.0
-        ab[2, 1:-1] = 0.0
-        return ab
+        lower, diag, upper = real(state)
+        zero = np.zeros_like(diag)
+        return (zero, zero, zero) if defect == "singular" else (lower, zero, upper)
 
-    monkeypatch.setattr(continuation._NodeState, "jacobian_banded", defective)
+    monkeypatch.setattr(continuation._NodeState, "band", defective)
     spec, start = _bumped(3, 2)
     for traps in ("ignore", "raise"):
         with warnings.catch_warnings(record=True) as caught, \
@@ -380,18 +401,33 @@ def test_singular_jacobian_is_a_newton_error_with_or_without_float_traps(defect,
 # the banded step solve against LAPACK
 # ---------------------------------------------------------------------------
 
-def _dense(ab):
-    """The matrix of a band in jacobian_banded's layout (row i holds diagonal 2 - i)."""
+_STENCIL = np.array([-1.5, 2.0, -0.5])  # row 0 of the Jacobian, times h
+
+
+def _lapack(band, h):
+    """The Jacobian with interior diagonals band in LAPACK's (4, m + 1) gbsv
+    layout, J[i, j] = ab[2 + i - j, j]: the input of scipy.linalg.solve_banded."""
+    lower, diag, upper = band
+    m = len(diag) + 1
+    ab = np.zeros((4, m + 1))
+    ab[2, 0], ab[1, 1], ab[0, 2] = _STENCIL / h
+    ab[3, :m - 1], ab[2, 1:m], ab[1, 2:] = lower, diag, upper
+    ab[2, m] = 1.0
+    return ab
+
+
+def _dense(band, h):
+    """The matrix of the Jacobian with interior diagonals band."""
+    ab = _lapack(band, h)
     return scipy.sparse.dia_matrix((ab, [2, 1, 0, -1]), shape=(ab.shape[1],) * 2).toarray()
 
 
-def _band_times(ab, x):
-    """The product of the band's matrix with x."""
-    y = ab[2] * x
-    y[1:] += ab[3, :-1] * x[:-1]
-    y[:-1] += ab[1, 1:] * x[1:]
-    y[:-2] += ab[0, 2:] * x[2:]
-    return y
+def _band_times(band, h, x, stencil=_STENCIL):
+    """The product of the Jacobian with interior diagonals band (row 0 the
+    stencil / h, row m the identity) with x."""
+    lower, diag, upper = band
+    return np.concatenate(([stencil @ x[:3] / h], lower * x[:-2] + diag * x[1:-1]
+                           + upper * x[2:], x[-1:]))
 
 
 def _rel(x, ref):
@@ -404,17 +440,16 @@ def test_band_solve_matches_lapack_on_random_bands(m):
     # off-diagonals, the Dirichlet identity; odd, even and 2^p sizes
     rng = np.random.default_rng(m)
     h = 1.0 / m
-    ab = np.zeros((4, m + 1))
-    ab[2, 0], ab[1, 1], ab[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
     lower, upper = rng.uniform(0.5, 1.5, (2, m - 1)) / h ** 2
-    ab[3, :m - 1], ab[1, 2:] = lower, upper
-    ab[2, 1:m] = -(lower + upper) * rng.uniform(1.0, 1.5, m - 1)
-    ab[2, m] = 1.0
+    band = (lower, -(lower + upper) * rng.uniform(1.0, 1.5, m - 1), upper)
     rhs = rng.standard_normal(m + 1)
-    x = continuation._solve_band(ab, rhs)
-    assert _rel(x, scipy.linalg.solve_banded((1, 2), ab, rhs)) <= 1e-14
+    inputs = [v.copy() for v in (*band, rhs)]
+    x = continuation._solve_band(band, rhs, h)
+    for got, want in zip((*band, rhs), inputs):  # the solve leaves its inputs alone
+        np.testing.assert_array_equal(got, want)
+    assert _rel(x, scipy.linalg.solve_banded((1, 2), _lapack(band, h), rhs)) <= 1e-14
     if m <= 1024:  # a dense 4097^2 solve costs 134 MB for no extra evidence
-        assert _rel(x, np.linalg.solve(_dense(ab), rhs)) <= 1e-14
+        assert _rel(x, np.linalg.solve(_dense(band, h), rhs)) <= 1e-14
 
 
 def test_band_solve_matches_lapack_on_every_bench_newton_iterate(monkeypatch):
@@ -425,9 +460,9 @@ def test_band_solve_matches_lapack_on_every_bench_newton_iterate(monkeypatch):
     # the band, relative to |J| |x| + |rhs|) must stay below one ulp
     real, calls = continuation._solve_band, []
 
-    def recorded(ab, rhs):
-        x = real(ab, rhs)
-        calls.append((ab, rhs, x))
+    def recorded(band, rhs, h):
+        x = real(band, rhs, h)
+        calls.append((band, rhs, h, x))
         return x
 
     monkeypatch.setattr(continuation, "_solve_band", recorded)
@@ -438,12 +473,13 @@ def test_band_solve_matches_lapack_on_every_bench_newton_iterate(monkeypatch):
             continuation.continue_path(_spec(n, k, m=1024, t_step=1.0 / 40.0))
     assert len(calls) > 2 * len(firsts)
     eps = np.finfo(float).eps
-    for j, (ab, rhs, x) in enumerate(calls):
-        scale = _band_times(np.abs(ab), np.abs(x)).max() + np.abs(rhs).max()
-        assert np.abs(_band_times(ab, x) - rhs).max() <= eps * scale
-        assert _rel(x, scipy.linalg.solve_banded((1, 2), ab, rhs)) <= 1e-11
+    for j, (band, rhs, h, x) in enumerate(calls):
+        scale = _band_times(np.abs(band), h, np.abs(x), np.abs(_STENCIL)).max() \
+            + np.abs(rhs).max()
+        assert np.abs(_band_times(band, h, x) - rhs).max() <= eps * scale
+        assert _rel(x, scipy.linalg.solve_banded((1, 2), _lapack(band, h), rhs)) <= 1e-11
         if j in firsts:
-            assert _rel(x, np.linalg.solve(_dense(ab), rhs)) <= 1e-11
+            assert _rel(x, np.linalg.solve(_dense(band, h), rhs)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
