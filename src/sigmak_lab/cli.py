@@ -8,7 +8,8 @@ cannot be written), 2 numerical or verification failure.
 Commands run with numpy's float traps on: an overflow, a division by zero
 or an invalid operation is a numerical failure (2), not a warning and a nan.
 All randomness (word generation) hangs off a single --seed flag, so a
-fixed command line produces byte-identical output files.
+fixed command line produces byte-identical output files. Each size a command
+allocates by has a cap, named in --help and checked before any work.
 """
 
 from __future__ import annotations
@@ -23,8 +24,17 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
-from .errors import ConfigError, PathError, SigmakLabError, check_count, check_positive
+from .errors import ConfigError, PathError, SigmakLabError, check_cap, check_count, \
+    check_positive
 from .halton import box_points
+
+# Size caps. verify-bubble holds (1 + images) * samples rows at once, about
+# 14 KB each at n = 15; harnack-sweep holds one row per grid cell and word.
+MAX_SAMPLES = 10_000     # verify-bubble --samples
+MAX_IMAGES = 4           # --images of verify-bubble and harnack-sweep
+MAX_MESH = 65_536        # homotopy --m
+MAX_STEPS = 1_000_000    # homotopy --steps
+MAX_GRID = 200           # the count of a start:stop:count grid
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -43,6 +53,7 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2].removesuffix("log"))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
+    check_cap("grid count", count, MAX_GRID)
     if not np.isfinite([start, stop]).all():
         raise ConfigError(f"grid endpoints in {text!r} must be finite")
     if count <= 0:
@@ -64,7 +75,9 @@ def cmd_verify_bubble(args) -> int:
     check_positive("--tol", args.tol)
     if args.samples < 1:
         raise ConfigError(f"samples={args.samples} must be >= 1")
+    check_cap("--samples", args.samples, MAX_SAMPLES)
     check_count("--images", args.images)
+    check_cap("--images", args.images, MAX_IMAGES)
     check_positive("--box", args.box)
     check_count("--seed", args.seed)
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
@@ -127,6 +140,8 @@ def cmd_solve_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homotopy(args) -> int:
+    check_cap("--m", args.m, MAX_MESH)
+    check_cap("--steps", args.steps, MAX_STEPS)
     check_positive("--steps", args.steps)
     check_positive("--a", args.a)
     u_b = args.ub if args.ub is not None else float(
@@ -169,6 +184,7 @@ def cmd_harnack_sweep(args) -> int:
         raise ConfigError(f"--nrad={args.nrad} must be >= 1")
     if args.nang < 0:
         raise ConfigError(f"--nang={args.nang} must be >= 0")
+    check_cap("--images", args.images, MAX_IMAGES)
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
     rows = bubbles.harnack_sweep(args.n, args.k, a_grid, r_grid,
@@ -201,9 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000, help=f"at most {MAX_SAMPLES}")
     p.add_argument("--box", type=float, default=3.0)
-    p.add_argument("--images", type=int, default=3)
+    p.add_argument("--images", type=int, default=3, help=f"at most {MAX_IMAGES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -226,8 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rb", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=10,
                    help="first t-step is 1/steps; steps double while Newton "
-                   "converges in <= 3 iterations")
-    p.add_argument("--m", type=int, default=256)
+                   f"converges in <= 3 iterations; at most {MAX_STEPS}")
+    p.add_argument("--m", type=int, default=256,
+                   help=f"mesh intervals, at least 16 and at most {MAX_MESH}")
     p.add_argument("--a", type=float, default=1.0,
                    help="target family scale fixing the boundary value")
     p.add_argument("--ub", type=float, default=None,
@@ -240,13 +257,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        "the family and word images; their sup is a lower constant bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=str, default="1")
-    p.add_argument("--R", type=str, default="1")
+    grid = f"v, start:stop:count or start:stop:countlog, count at most {MAX_GRID}"
+    p.add_argument("--a", type=str, default="1", help=grid)
+    p.add_argument("--R", type=str, default="1", help=grid)
     p.add_argument("--nrad", type=int, default=64,
                    help="checked (>= 1) but unused: the rows are exact, with no grid")
     p.add_argument("--nang", type=int, default=64,
                    help="checked (>= 0) but unused: the rows are exact, with no grid")
-    p.add_argument("--images", type=int, default=0)
+    p.add_argument("--images", type=int, default=0, help=f"at most {MAX_IMAGES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_harnack_sweep)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one home of each input check:
-`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
-`_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
+`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_cap`,
+`check_center`, `_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
 the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
 callers can catch the builtin types.
 """
@@ -45,6 +45,13 @@ def check_count(name: str, value) -> None:
     """ConfigError unless value is an integer (not a bool) >= 0."""
     if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
         raise ConfigError(f"{name}={value!r} must be a nonnegative integer")
+
+
+def check_cap(name: str, value: int, cap: int) -> None:
+    """ConfigError naming cap when the size value exceeds it: the sizes that
+    reach numpy are checked against their caps before anything is allocated."""
+    if value > cap:
+        raise ConfigError(f"{name}={value} exceeds its cap of {cap}")
 
 
 def check_center(center, n: int) -> np.ndarray:

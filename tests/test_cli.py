@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmak_lab import bubbles, continuation, radial
+from sigmak_lab import bubbles, cli, continuation, radial
 from sigmak_lab.cli import main, _parse_grid
 from sigmak_lab.errors import ConfigError, NewtonError
 
@@ -333,6 +333,53 @@ def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert "configuration error" in err and "unexpected failure" not in err
 
 
+_PAST_CAPS = [
+    # four counts numpy refused with an error of its own: "unexpected failure"
+    (["homotopy", "--n", "3", "--k", "1", "--m", "9223372036854775808"], cli.MAX_MESH),
+    (["homotopy", "--n", "3", "--k", "1", "--m", "4611686018427387904"], cli.MAX_MESH),
+    (["verify-bubble", "--n", "3", "--k", "1", "--samples", "9223372036854775808"],
+     cli.MAX_SAMPLES),
+    (["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:9223372036854775808"], cli.MAX_GRID),
+    # one past each cap, and 2^70
+    (["homotopy", "--n", "3", "--k", "1", "--m", str(cli.MAX_MESH + 1)], cli.MAX_MESH),
+    (["homotopy", "--n", "3", "--k", "1", "--steps", str(cli.MAX_STEPS + 1)], cli.MAX_STEPS),
+    (["homotopy", "--n", "3", "--k", "1", "--steps", str(2 ** 70)], cli.MAX_STEPS),
+    (["verify-bubble", "--n", "3", "--k", "1", "--samples", str(cli.MAX_SAMPLES + 1)],
+     cli.MAX_SAMPLES),
+    (["verify-bubble", "--n", "3", "--k", "1", "--images", str(cli.MAX_IMAGES + 1)],
+     cli.MAX_IMAGES),
+    (["harnack-sweep", "--n", "3", "--k", "1", "--images", str(2 ** 70)], cli.MAX_IMAGES),
+    (["harnack-sweep", "--n", "3", "--k", "1", "--R", f"1:2:{cli.MAX_GRID + 1}"], cli.MAX_GRID),
+    (["harnack-sweep", "--n", "3", "--k", "1", "--a", f"1:2:{2 ** 70}log"], cli.MAX_GRID),
+]
+
+
+@pytest.mark.parametrize("argv, cap", _PAST_CAPS)
+def test_counts_past_their_caps_fail_before_any_work(argv, cap, monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+    for module, name in [(cli, "box_points"), (bubbles, "verify_images"),
+                         (bubbles, "harnack_sweep"), (continuation, "continue_path"),
+                         (np, "linspace"), (np, "geomspace")]:
+        monkeypatch.setattr(module, name, work)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: ")
+    assert err.endswith(f"exceeds its cap of {cap}\n")
+
+
+@pytest.mark.parametrize("command, caps", [
+    ("verify-bubble", (cli.MAX_SAMPLES, cli.MAX_IMAGES)),
+    ("homotopy", (cli.MAX_MESH, cli.MAX_STEPS)),
+    ("harnack-sweep", (cli.MAX_GRID, cli.MAX_IMAGES)),
+])
+def test_help_names_every_cap(command, caps, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for cap in caps:
+        assert f"at most {cap}" in text
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0", "--out"],
     ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0",
@@ -407,23 +454,43 @@ def _command(name, *flags):
         lambda t: [name, "--n", str(t[0][0]), "--k", str(t[0][1])] + sum(t[1:], []))
 
 
+
+
+def _count(lo, hi, cap):
+    """A small count, or one past its cap up to 2^70: a near-cap run is no unit test."""
+    return st.integers(lo, hi) | st.integers(cap + 1, 2 ** 70)
+
+
+_CAPS = {"--samples": cli.MAX_SAMPLES, "--images": cli.MAX_IMAGES, "--m": cli.MAX_MESH,
+         "--steps": cli.MAX_STEPS}
 _GRIDS = _FLOATS.map(repr) | st.builds(
     lambda lo, hi, count, log: f"{lo!r}:{hi!r}:{count}{'log' if log else ''}",
-    _FLOATS, _FLOATS, st.integers(-1, 3), st.booleans())
+    _FLOATS, _FLOATS, _count(-1, 3, cli.MAX_GRID), st.booleans())
 _ARGV = st.one_of(
     _command("verify-bubble", _flag("--a", _FLOATS), _flag("--tol", _FLOATS),
-             _flag("--samples", st.integers(-2, 20), str), _flag("--box", _FLOATS),
-             _flag("--images", st.integers(-1, 2), str),
+             _flag("--samples", _count(-2, 20, cli.MAX_SAMPLES), str), _flag("--box", _FLOATS),
+             _flag("--images", _count(-1, 2, cli.MAX_IMAGES), str),
              _flag("--seed", st.integers(-3, 2 ** 70), str)),
     _command("solve-radial", _flag("--u0", _FLOATS), _flag("--rmax", _FLOATS),
              _flag("--tol", _TOLS)),
     _command("homotopy", _flag("--rb", _FLOATS), _flag("--a", _FLOATS), _flag("--ub", _FLOATS),
-             _flag("--steps", st.integers(-1, 3), str), _flag("--m", st.integers(-1, 40), str)),
+             _flag("--steps", _count(-1, 3, cli.MAX_STEPS), str),
+             _flag("--m", _count(-1, 40, cli.MAX_MESH), str)),
     _command("harnack-sweep", _flag("--a", _GRIDS, str), _flag("--R", _GRIDS, str),
              _flag("--nrad", st.integers(-1, 5), str), _flag("--nang", st.integers(-1, 5), str),
-             _flag("--images", st.integers(-1, 2), str),
+             _flag("--images", _count(-1, 2, cli.MAX_IMAGES), str),
              _flag("--seed", st.integers(-3, 2 ** 70), str)),
 )
+
+
+def _past_a_cap(argv):
+    for flag, value in zip(argv, argv[1:]):
+        if flag in _CAPS and int(value) > _CAPS[flag]:
+            return True
+        if argv[0] == "harnack-sweep" and flag in ("--a", "--R") and value.count(":") == 2 \
+                and int(value.split(":")[2].removesuffix("log")) > cli.MAX_GRID:
+            return True
+    return False
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -434,6 +501,8 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "unexpected failure" not in err.getvalue()
+    # a count past its cap never runs; an earlier flag's failure may come first
+    assert code != 0 or not _past_a_cap(argv)
 
 
 @pytest.mark.parametrize("command", ["solve-radial", "homotopy"])
