@@ -29,7 +29,8 @@ from .errors import ConfigError, PathError, SigmakLabError, check_cap, check_cou
 from .halton import box_points
 
 # Size caps. verify-bubble holds (1 + images) * samples rows at once, about
-# 14 KB each at n = 15; harnack-sweep holds one row per grid cell and word.
+# 14 KB each at n = 15, so its largest run holds 50,000; harnack-sweep holds
+# one row per grid cell and image.
 MAX_SAMPLES = 10_000     # verify-bubble --samples
 MAX_IMAGES = 4           # --images of verify-bubble and harnack-sweep
 MAX_MESH = 65_536        # homotopy --m

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the one home of each input check:
 `check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_cap`,
-`check_center`, `_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
-the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
-callers can catch the builtin types.
+`check_center`, `_require_positive` and `_require_finite`. All errors derive from
+SigmakLabError; the numeric ones double as ValueError/RuntimeError/ArithmeticError
+so generic callers can catch the builtin types.
 """
 
 import sys
