@@ -57,7 +57,13 @@ def c_constant(n: int, k: int) -> float:
     At k = 1 this reduces to (2n)^{(n-2)/4}.
     """
     check_nk(n, k)
-    return 2.0 ** ((n - 2.0) / 4.0) * math.comb(n, k) ** ((n - 2.0) / (4.0 * k))
+    try:
+        c = 2.0 ** ((n - 2.0) / 4.0) * math.comb(n, k) ** ((n - 2.0) / (4.0 * k))
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise FloatRangeError(f"c(n, k) leaves the float range at n={n}, k={k}", where=(n, k))
+    return c
 
 
 @dataclass(frozen=True)
@@ -224,10 +230,8 @@ def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int) -
     rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's,
     all of rho doubled."""
     check_positive("radius R", R)
-    if n_radial < 1:
-        raise ConfigError(f"n_radial={n_radial} must be >= 1")
-    if n_angular < 0:
-        raise ConfigError(f"n_angular={n_angular} must be >= 0")
+    check_count("n_radial", n_radial, 1, math.inf)
+    check_count("n_angular", n_angular, 0, math.inf)
     rho = np.linspace(0.0, R, n_radial)
     rho = np.concatenate([rho, 2.0 * rho])
     shells = rho[:, None, None] * _grid_directions(center.size, n_angular)
@@ -325,8 +329,8 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     for name, grid in (("scale a", a_vals), ("radius R", r_vals)):
         for v in grid.tolist():
             check_positive(name, v)
-    check_count("seed", seed)
-    check_count("mobius_words", mobius_words)
+    check_count("seed", seed, 0, math.inf)
+    check_count("mobius_words", mobius_words, 0, math.inf)
     c, m = c_constant(n, k), (n - 2.0) / 2.0
     rng = np.random.default_rng(seed)
     clearance = 3.0 * r_vals.max() + 0.5

@@ -9,7 +9,8 @@ Commands run with numpy's float traps on: an overflow, a division by zero
 or an invalid operation is a numerical failure (2), not a warning and a nan.
 All randomness (word generation) hangs off a single --seed flag, so a
 fixed command line produces byte-identical output files. Each size a command
-allocates by has a cap, named in --help and checked before any work.
+allocates by has a cap, named in --help and checked before any work; so has
+homotopy's dimension --n, which bounds the time of its largest run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -24,8 +26,7 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
-from .errors import ConfigError, PathError, SigmakLabError, check_cap, check_count, \
-    check_positive
+from .errors import ConfigError, PathError, SigmakLabError, check_count, check_positive
 from .halton import box_points
 
 # Size caps. verify-bubble holds (1 + images) * samples rows at once, about
@@ -36,6 +37,7 @@ MAX_IMAGES = 4           # --images of verify-bubble and harnack-sweep
 MAX_MESH = 65_536        # homotopy --m
 MAX_STEPS = 1_000_000    # homotopy --steps
 MAX_GRID = 200           # the count of a start:stop:count grid
+MAX_HOMOTOPY_N = 20      # homotopy --n: at n = 21 the largest run takes minutes
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -54,10 +56,10 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2].removesuffix("log"))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
-    check_cap("grid count", count, MAX_GRID)
+    check_count("grid count", count, 0, MAX_GRID)
     if not np.isfinite([start, stop]).all():
         raise ConfigError(f"grid endpoints in {text!r} must be finite")
-    if count <= 0:
+    if count == 0:
         return np.empty(0)
     if count == 1:
         return np.array([start])
@@ -74,13 +76,10 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_verify_bubble(args) -> int:
     check_positive("--tol", args.tol)
-    if args.samples < 1:
-        raise ConfigError(f"samples={args.samples} must be >= 1")
-    check_cap("--samples", args.samples, MAX_SAMPLES)
-    check_count("--images", args.images)
-    check_cap("--images", args.images, MAX_IMAGES)
+    check_count("--samples", args.samples, 1, MAX_SAMPLES)
+    check_count("--images", args.images, 0, MAX_IMAGES)
     check_positive("--box", args.box)
-    check_count("--seed", args.seed)
+    check_count("--seed", args.seed, 0, math.inf)
     spec = bubbles.BubbleSpec(args.n, args.k, args.a)
     base = bubbles.bubble_field(spec)
     pts = box_points(args.samples, args.n, halfwidth=args.box)
@@ -141,9 +140,9 @@ def cmd_solve_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homotopy(args) -> int:
-    check_cap("--m", args.m, MAX_MESH)
-    check_cap("--steps", args.steps, MAX_STEPS)
-    check_positive("--steps", args.steps)
+    check_count("--n", args.n, 3, MAX_HOMOTOPY_N)
+    check_count("--m", args.m, 16, MAX_MESH)
+    check_count("--steps", args.steps, 1, MAX_STEPS)
     check_positive("--a", args.a)
     u_b = args.ub if args.ub is not None else float(
         bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])
@@ -181,11 +180,9 @@ def cmd_homotopy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_harnack_sweep(args) -> int:
-    if args.nrad < 1:
-        raise ConfigError(f"--nrad={args.nrad} must be >= 1")
-    if args.nang < 0:
-        raise ConfigError(f"--nang={args.nang} must be >= 0")
-    check_cap("--images", args.images, MAX_IMAGES)
+    check_count("--nrad", args.nrad, 1, math.inf)
+    check_count("--nang", args.nang, 0, math.inf)
+    check_count("--images", args.images, 0, MAX_IMAGES)
     a_grid = _parse_grid(args.a)
     r_grid = _parse_grid(args.R)
     rows = bubbles.harnack_sweep(args.n, args.k, a_grid, r_grid,
@@ -238,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homotopy", help="continuation from the sigma_1-type "
                        "endpoint to sigma_k on a radial Dirichlet problem")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {MAX_HOMOTOPY_N}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rb", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=10,

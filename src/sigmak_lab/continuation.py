@@ -35,13 +35,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
-    PositivityError, _require_positive, check_nk, check_positive
+    PositivityError, _require_positive, check_count, check_nk, check_positive
 from .radial import RadialProfile, _coeffs, _powers_e, _schouten_pair
 
 __all__ = [
@@ -87,8 +86,7 @@ class BvpSpec:
         check_positive("boundary value u_b", self.u_b)
         if self.a_init is not None:
             check_positive("family scale a_init", self.a_init)
-        if not isinstance(self.m, Integral) or self.m < 16:
-            raise ConfigError(f"mesh size m={self.m!r} must be an integer >= 16")
+        check_count("mesh size m", self.m, 16, math.inf)
         if not 0.0 < self.t_step <= 1.0:
             raise ConfigError(f"first t-step t_step={self.t_step} must lie in (0, 1]")
 

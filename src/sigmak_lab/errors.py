@@ -1,10 +1,13 @@
 """Exception types shared across the package, and the one home of each input check:
-`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_cap`,
-`check_center`, `_require_positive` and `_require_finite`. All errors derive from
-SigmakLabError; the numeric ones double as ValueError/RuntimeError/ArithmeticError
-so generic callers can catch the builtin types.
+`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
+`_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
+the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
+callers can catch the builtin types. An error class lists the context its
+errors carry in `_context`: each name is a keyword of the constructor and an
+attribute of the error, None where the raise does not give it.
 """
 
+import math
 import sys
 from numbers import Integral
 
@@ -17,6 +20,17 @@ __all__ = ["SigmakLabError", "ConfigError", "PositivityError", "DomainError", "P
 
 class SigmakLabError(Exception):
     """Base class for every error raised by this package."""
+
+    _context = ()
+
+    def __init__(self, message, **context):
+        unknown = context.keys() - self._context
+        if unknown:
+            raise TypeError(f"{type(self).__name__} got unexpected keyword "
+                            f"arguments {sorted(unknown)}")
+        super().__init__(message)
+        for name in self._context:
+            setattr(self, name, context.get(name))
 
 
 class ConfigError(SigmakLabError, ValueError):
@@ -32,24 +46,16 @@ def check_positive(name: str, value) -> None:
 
 def check_nk(n: int, k: int) -> None:
     """ConfigError unless n and k are integers (not bools), n >= 3 and 1 <= k <= n."""
-    for name, value in (("dimension n", n), ("cone index k", k)):
-        if not isinstance(value, Integral) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if n < 3:
-        raise ConfigError(f"dimension n={n} must be >= 3")
-    if not 1 <= k <= n:
-        raise ConfigError(f"cone index k={k} outside 1..{n}")
+    check_count("dimension n", n, 3, math.inf)
+    check_count("cone index k", k, 1, n)
 
 
-def check_count(name: str, value) -> None:
-    """ConfigError unless value is an integer (not a bool) >= 0."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{name}={value!r} must be a nonnegative integer")
-
-
-def check_cap(name: str, value: int, cap: int) -> None:
-    """ConfigError naming cap when the size value exceeds it: the sizes that
-    reach numpy are checked against their caps before anything is allocated."""
+def check_count(name: str, value, low: int, cap) -> None:
+    """ConfigError unless value is an integer (not a bool) in low..cap; past cap
+    the message names it. Sizes that reach numpy are checked against their caps
+    before anything is allocated; cap is math.inf where there is none."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name}={value!r} must be an integer >= {low}")
     if value > cap:
         raise ConfigError(f"{name}={value} exceeds its cap of {cap}")
 
@@ -70,10 +76,7 @@ def check_center(center, n: int) -> np.ndarray:
 class PositivityError(SigmakLabError, ValueError):
     """A quantity that must stay strictly positive failed to."""
 
-    def __init__(self, message, where=None, value=None):
-        super().__init__(message)
-        self.where = where
-        self.value = value
+    _context = ("where", "value")
 
 
 def _require_positive(X, u):
@@ -107,9 +110,7 @@ class FloatRangeError(SigmakLabError, ArithmeticError):
     """A result left the float range: an overflow, or a value that is not
     finite where a finite one was due. Carries the offending point or input."""
 
-    def __init__(self, message, where):
-        super().__init__(message)
-        self.where = where
+    _context = ("where",)
 
 
 def _require_finite(X, ok, what: str) -> None:
@@ -122,43 +123,29 @@ def _require_finite(X, ok, what: str) -> None:
 class ConeDomainError(SigmakLabError, ValueError):
     """Argument left the admissible cone. Carries the offending margin."""
 
-    def __init__(self, message, margin=None, where=None):
-        super().__init__(message)
-        self.margin = margin
-        self.where = where
+    _context = ("margin", "where")
 
 
 class ConeBoundaryError(SigmakLabError, RuntimeError):
     """Integration or iteration ran into the cone boundary."""
 
-    def __init__(self, message, r=None, margin=None):
-        super().__init__(message)
-        self.r = r
-        self.margin = margin
+    _context = ("r", "margin")
 
 
 class StepUnderflowError(SigmakLabError, RuntimeError):
     """Adaptive step size shrank below the representable floor, or the
     integration ran out of its step budget."""
 
-    def __init__(self, message, r=None):
-        super().__init__(message)
-        self.r = r
+    _context = ("r",)
 
 
 class NewtonError(SigmakLabError, RuntimeError):
     """Newton iteration failed (max iterations, no admissible step, singular system)."""
 
-    def __init__(self, message, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    _context = ("iterations", "residual")
 
 
 class PathError(SigmakLabError, RuntimeError):
     """Homotopy path could not be continued to t = 1."""
 
-    def __init__(self, message, last_good_t=None, trace=None):
-        super().__init__(message)
-        self.last_good_t = last_good_t
-        self.trace = trace
+    _context = ("last_good_t", "trace")

@@ -7,11 +7,12 @@ the standard normal quantile of the standard library's
 `statistics.NormalDist` (Wichura's AS241, accurate to about 1e-16).
 """
 
+import math
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_count
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _STANDARD_NORMAL = NormalDist()
@@ -23,10 +24,9 @@ def halton_sequence(count: int, dim: int, start: int = 20) -> np.ndarray:
     The first `start` indices are skipped; the early entries of the
     sequence are badly correlated across bases.
     """
-    if dim > len(_PRIMES):
-        raise ConfigError(f"halton sampling supports dim <= {len(_PRIMES)}")
-    if count < 0 or start < 0:
-        raise ConfigError(f"count={count} and start={start} must be nonnegative")
+    check_count("count", count, 0, math.inf)
+    check_count("start", start, 0, math.inf)
+    check_count("dim", dim, 1, len(_PRIMES))
     # Van der Corput radical inverses, one digit of every index per pass;
     # an index with no digits left adds 0.0
     bases = np.array(_PRIMES[:dim])

@@ -25,12 +25,11 @@ per-vector functions and `OperatorSpec` are the tests' oracles for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConeDomainError, ConfigError, check_nk
+from .errors import ConeDomainError, ConfigError, check_count, check_nk
 
 __all__ = [
     "ConeMembership",
@@ -98,9 +97,7 @@ def sigma(lam, k: int) -> float:
     (a bool is not) in 0..len(lam), ValueError when the vector is malformed.
     """
     lam = _as_lambda(lam)
-    if isinstance(k, Integral) and not isinstance(k, bool) and k == 0:
-        return 1.0
-    check_nk(lam.size, k)
+    check_count("cone index k", k, 0, lam.size)
     return float(_esym_all_batch(lam[None])[0, k])
 
 

@@ -42,6 +42,15 @@ def test_c_constant_validation():
             sl.c_constant(n, k)
 
 
+@pytest.mark.parametrize("n, k", [(100_000, 1), (3000, 1500), (424, 1)])
+def test_c_constant_past_the_float_range_names_n_and_k(n, k):
+    # 2^{(n-2)/4} overflows, C(n, k) is no float, and both factors fit but not
+    # their product (once a silent inf)
+    with pytest.raises(FloatRangeError, match=rf"at n={n}, k={k}$") as info:
+        sl.c_constant(n, k)
+    assert info.value.where == (n, k)
+
+
 def test_c_constant_closes_the_isotropic_equation():
     for n in range(3, 9):
         for k in range(1, n + 1):
@@ -756,14 +765,14 @@ def test_sweep_word_count_and_seed_must_be_nonnegative_integers():
     # where numpy integers are
     for value in (1.5, True, False, -1, "1", None):
         for name in ("mobius_words", "seed"):
-            with pytest.raises(ConfigError, match=rf"{name}=.* must be a nonnegative integer"):
+            with pytest.raises(ConfigError, match=rf"{name}=.* must be an integer >= 0"):
                 sl.harnack_sweep(3, 1, [1.0], [1.0], **{name: value})
     rows = sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=np.int64(1), seed=np.uint8(2))
     assert rows == sl.harnack_sweep(3, 1, [1.0], [1.0], mobius_words=1, seed=2)
     for value in (0, np.int32(7), 2 ** 70):
-        check_count("--seed", value)
-    with pytest.raises(ConfigError, match="--images=-2 must be a nonnegative integer"):
-        check_count("--images", -2)
+        check_count("--seed", value, 0, math.inf)
+    with pytest.raises(ConfigError, match="--images=-2 must be an integer >= 0"):
+        check_count("--images", -2, 0, math.inf)
 
 
 @pytest.mark.parametrize("center", [[0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0],

@@ -52,13 +52,7 @@ NEVER_ENTERED = {
     "continuation._NodeState.jacobian_dense": "oracle",
     "continuation.assemble_jacobian": "oracle",
     "continuation.assemble_residual": "oracle",
-    "errors.ConeBoundaryError.__init__": "failure-only",
-    "errors.ConeDomainError.__init__": "failure-only",
-    "errors.FloatRangeError.__init__": "failure-only",
-    "errors.NewtonError.__init__": "failure-only",
-    "errors.PathError.__init__": "failure-only",
-    "errors.PositivityError.__init__": "failure-only",
-    "errors.StepUnderflowError.__init__": "failure-only",
+    "errors.SigmakLabError.__init__": "failure-only",
     "halton._normal_quantile": "bench",
     "halton.sphere_directions": "bench",
     "radial.EigenPair.vector": "oracle",

@@ -326,6 +326,7 @@ def test_every_command_runs_without_scipy():
     ["harnack-sweep", "--n", "3", "--k", "1", "--images", "-3"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--nang", "-5"],
     ["homotopy", "--n", "3", "--k", "1", "--steps", str(2 ** 1100)],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:-3"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1
@@ -351,6 +352,8 @@ _PAST_CAPS = [
     (["harnack-sweep", "--n", "3", "--k", "1", "--images", str(2 ** 70)], cli.MAX_IMAGES),
     (["harnack-sweep", "--n", "3", "--k", "1", "--R", f"1:2:{cli.MAX_GRID + 1}"], cli.MAX_GRID),
     (["harnack-sweep", "--n", "3", "--k", "1", "--a", f"1:2:{2 ** 70}log"], cli.MAX_GRID),
+    (["homotopy", "--n", str(cli.MAX_HOMOTOPY_N + 1), "--k", "1"], cli.MAX_HOMOTOPY_N),
+    (["homotopy", "--n", str(2 ** 70), "--k", "1"], cli.MAX_HOMOTOPY_N),
 ]
 
 
@@ -370,7 +373,7 @@ def test_counts_past_their_caps_fail_before_any_work(argv, cap, monkeypatch, cap
 
 @pytest.mark.parametrize("command, caps", [
     ("verify-bubble", (cli.MAX_SAMPLES, cli.MAX_IMAGES)),
-    ("homotopy", (cli.MAX_MESH, cli.MAX_STEPS)),
+    ("homotopy", (cli.MAX_MESH, cli.MAX_STEPS, cli.MAX_HOMOTOPY_N)),
     ("harnack-sweep", (cli.MAX_GRID, cli.MAX_IMAGES)),
 ])
 def test_help_names_every_cap(command, caps, capsys):
@@ -448,8 +451,8 @@ def _flag(name, values, fmt=repr):
     return st.one_of(st.just([]), values.map(lambda v: [name, fmt(v)]))
 
 
-def _command(name, *flags):
-    nk = st.tuples(st.integers(1, 8), st.integers(-1, 9))
+def _command(name, *flags, dims=st.integers(1, 8)):
+    nk = st.tuples(dims, st.integers(-1, 9))
     return st.tuples(nk, *flags).map(
         lambda t: [name, "--n", str(t[0][0]), "--k", str(t[0][1])] + sum(t[1:], []))
 
@@ -463,6 +466,7 @@ def _count(lo, hi, cap):
 
 _CAPS = {"--samples": cli.MAX_SAMPLES, "--images": cli.MAX_IMAGES, "--m": cli.MAX_MESH,
          "--steps": cli.MAX_STEPS}
+_COMMAND_CAPS = {("homotopy", "--n"): cli.MAX_HOMOTOPY_N}
 _GRIDS = _FLOATS.map(repr) | st.builds(
     lambda lo, hi, count, log: f"{lo!r}:{hi!r}:{count}{'log' if log else ''}",
     _FLOATS, _FLOATS, _count(-1, 3, cli.MAX_GRID), st.booleans())
@@ -475,7 +479,8 @@ _ARGV = st.one_of(
              _flag("--tol", _TOLS)),
     _command("homotopy", _flag("--rb", _FLOATS), _flag("--a", _FLOATS), _flag("--ub", _FLOATS),
              _flag("--steps", _count(-1, 3, cli.MAX_STEPS), str),
-             _flag("--m", _count(-1, 40, cli.MAX_MESH), str)),
+             _flag("--m", _count(-1, 40, cli.MAX_MESH), str),
+             dims=_count(1, 8, cli.MAX_HOMOTOPY_N)),
     _command("harnack-sweep", _flag("--a", _GRIDS, str), _flag("--R", _GRIDS, str),
              _flag("--nrad", st.integers(-1, 5), str), _flag("--nang", st.integers(-1, 5), str),
              _flag("--images", _count(-1, 2, cli.MAX_IMAGES), str),
@@ -485,7 +490,8 @@ _ARGV = st.one_of(
 
 def _past_a_cap(argv):
     for flag, value in zip(argv, argv[1:]):
-        if flag in _CAPS and int(value) > _CAPS[flag]:
+        cap = _COMMAND_CAPS.get((argv[0], flag), _CAPS.get(flag))
+        if cap is not None and int(value) > cap:
             return True
         if argv[0] == "harnack-sweep" and flag in ("--a", "--R") and value.count(":") == 2 \
                 and int(value.split(":")[2].removesuffix("log")) > cli.MAX_GRID:

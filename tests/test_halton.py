@@ -30,7 +30,8 @@ def test_halton_sequence_matches_the_per_index_loop_bit_for_bit(count, dim, star
     assert pts.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("count, dim, start", [(-1, 3, 20), (5, 3, -1), (5, 16, 20)])
+@pytest.mark.parametrize("count, dim, start", [(-1, 3, 20), (5, 3, -1), (5, 16, 20),
+                                               (5, 0, 20), (2.0, 3, 20), (5, True, 20)])
 def test_halton_sequence_rejects_bad_sizes(count, dim, start):
     with pytest.raises(ConfigError):
         halton_sequence(count, dim, start)

@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MAX_OPTIONS = 34
+MAX_OPTIONS = 23
 
 
 def _options(tree: ast.AST) -> int:
