@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, _pullback, \
-    _schouten_spectra, _walk_words, random_mobius_map_avoiding
+from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, \
+    _checked_schouten, _pullback, _walk_words, random_mobius_map_avoiding
 from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, \
     check_center, check_count, check_nk, check_positive
 from .halton import sphere_directions
@@ -179,7 +179,7 @@ def verify_images(u: ScalarField, words, n: int, k: int, sample_points) -> list[
         images = _pullback(st, *(part[npts:] for part in jets))
         uu, grad, hess = _checked_jets(rows, *(np.concatenate([part[:npts], image])
                                                for part, image in zip(jets, images)))
-        e = _esym_all_batch(_schouten_spectra(rows, uu, grad, hess))
+        e = _esym_all_batch(np.linalg.eigvalsh(_checked_schouten(rows, uu, grad, hess)))
         _require_finite(rows, np.isfinite(e[:, 1:k + 1]).all(axis=1), "sigma_1..sigma_k")
     res = np.abs(e[:, k] - 1.0).reshape(fields, npts)
     margin = _cone_margin(e, k).reshape(fields, npts)

@@ -57,12 +57,8 @@ def _parse_grid(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
     check_count("grid count", count, 0, MAX_GRID)
-    if not np.isfinite([start, stop]).all():
-        raise ConfigError(f"grid endpoints in {text!r} must be finite")
-    if count == 0:
-        return np.empty(0)
-    if count == 1:
-        return np.array([start])
+    if not math.isfinite(stop - start):  # numpy's spacing would overflow
+        raise ConfigError(f"grid endpoints in {text!r} and their difference must be finite")
     if log:
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("log grids need positive endpoints")
@@ -270,10 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args):
-    """Fail before the work when the directory of an output path is missing or
-    not writable."""
+    """Fail before the work when an output path is a directory, or its
+    directory is missing or not writable."""
     for path in filter(None, (getattr(args, name, None) for name in ("out", "trace", "profile"))):
         folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
 

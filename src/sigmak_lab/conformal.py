@@ -22,7 +22,7 @@ grad log|det J| fix the word's second derivatives by conformality; finite
 differences appear only in tests.
 
 Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
-`_schouten_batch`), and a word walk on a stack of W words as well
+`_checked_schouten`), and a word walk on a stack of W words as well
 (`_walk_words`, on the stacked matrices); `MobiusMap._walk` is the W = 1
 case. The per-point calls are the N = 1 case, and no workflow runs them:
 they wait on the bench probes that time them.
@@ -104,13 +104,13 @@ class Jet2:
         self.grad, self.hess = grad[0], hess[0]
 
 
-def _schouten_batch(u, g, h) -> np.ndarray:
-    """Flat Schouten matrices A(u) of N 2-jets, shape (N, n, n).
-
-    The jets must have passed `_checked_jets`. Each result is exactly
-    symmetric: every term is assembled from the symmetrized hessian, an
-    outer product, and a multiple of the identity.
-    """
+def _checked_schouten(points, u, g, h) -> np.ndarray:
+    """Flat Schouten matrices A(u), (N, n, n), of N 2-jets that passed
+    `_checked_jets`, at the rows of points (N, n). Each is exactly symmetric:
+    every term is assembled from the symmetrized hessian, an outer product and
+    a multiple of the identity. A value or matrix that is not finite raises
+    FloatRangeError at its first point, so `eigvalsh` never sees one (on a nan
+    matrix it returns finite garbage or raises a bare LinAlgError)."""
     n = g.shape[1]
     check_nk(n, 1)
     q1 = u ** (-(n + 2.0) / (n - 2.0))
@@ -119,26 +119,12 @@ def _schouten_batch(u, g, h) -> np.ndarray:
     c2 = 2.0 * n / (n - 2.0) ** 2
     c3 = 2.0 / (n - 2.0) ** 2
     gg = np.einsum("ij,ij->i", g, g)
-    return (-c1 * q1)[:, None, None] * h \
+    schouten = (-c1 * q1)[:, None, None] * h \
         + (c2 * q2)[:, None, None] * (g[:, :, None] * g[:, None, :]) \
         - (c3 * q2 * gg)[:, None, None] * np.eye(n)
-
-
-def _checked_schouten(points, u, g, h) -> np.ndarray:
-    """Flat Schouten matrices (N, n, n) of N checked 2-jets at the rows of
-    points (N, n). A value or Schouten matrix that is not finite raises
-    FloatRangeError at its first point."""
-    schouten = _schouten_batch(u, g, h)
     _require_finite(points, np.isfinite(schouten).all(axis=(1, 2)) & (u < np.inf),
                     "the jet or Schouten matrix")
     return schouten
-
-
-def _schouten_spectra(points, u, g, h) -> np.ndarray:
-    """Ascending eigenvalues (N, n) of `_checked_schouten`'s matrices, checked
-    before `eigvalsh`, which returns finite garbage or raises a bare
-    LinAlgError on a nan matrix."""
-    return np.linalg.eigvalsh(_checked_schouten(points, u, g, h))
 
 
 def schouten_flat(jet: Jet2) -> np.ndarray:

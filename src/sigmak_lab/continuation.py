@@ -41,7 +41,7 @@ import numpy as np
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError, _require_positive, check_count, check_nk, check_positive
-from .radial import RadialProfile, _coeffs, _powers_e, _schouten_pair
+from .radial import RadialProfile, _coeffs, _pair_sigma, _powers_e, _schouten_pair
 
 __all__ = [
     "BvpSpec",
@@ -175,8 +175,7 @@ class _NodeState:
         mix = (1.0 - t) * sigma1 * (1.0 / n)
         a, bt = t * lam_rad + mix, t * lam_tan + mix
         pw = [bt ** j for j in range(k + 1)]  # serves the margins, f and both partials
-        e = _powers_e(a, pw, [math.comb(n - 1, j) for j in range(k + 1)])
-        self.margins, self.f = functools.reduce(np.minimum, e, math.inf), e[-1]
+        self.margins, self.f = _pair_sigma(a, pw, [math.comb(n - 1, j) for j in range(k + 1)])
         # sigma_k partials: e_{k-1} of (bt x n-1), radial, and of (a, bt x n-2),
         # tangential, the latter alone from the table's rows k-2 and k-1
         g_rad = math.comb(n - 1, k - 1) * pw[k - 1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sigmak_lab as sl
-from sigmak_lab.conformal import _checked_jets, _schouten_batch
+from sigmak_lab.conformal import _checked_jets, _checked_schouten
 from sigmak_lab.continuation import initial_guess
 from sigmak_lab.symfun import _esym_all_batch
 
@@ -121,7 +121,7 @@ def _admissible_points(rng, psi, n, count):
 
 def _spectra(field, pts):
     """Ascending Schouten spectra of a field at the rows of pts."""
-    return np.linalg.eigvalsh(_schouten_batch(*_checked_jets(pts, *field.jets(pts))))
+    return np.linalg.eigvalsh(_checked_schouten(pts, *_checked_jets(pts, *field.jets(pts))))
 
 
 def test_acceptance_conformal_invariance():

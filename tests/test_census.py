@@ -57,6 +57,7 @@ NEVER_ENTERED = {
     "halton.sphere_directions": "bench",
     "radial.EigenPair.vector": "oracle",
     "radial._weighted": "import",
+    "radial.radial_eigenvalues": "oracle",
     "symfun.OperatorSpec.__post_init__": "oracle",
     "symfun._as_lambda": "oracle",
     "symfun._esym_gradient_batch": "oracle",

@@ -32,6 +32,18 @@ def test_grid_parsing():
         _parse_grid("1:2")
     with pytest.raises(ConfigError):
         _parse_grid("-1:2:5log")
+    # counts 0 and 1 are numpy's own, linear and log alike
+    for spec in ("1:2:0", "1:2:0log"):
+        assert _parse_grid(spec).shape == (0,)
+    for spec in ("2.5:4:1", "2.5:4:1log", "2.5:-4:1"):
+        np.testing.assert_array_equal(_parse_grid(spec), [2.5])
+    for spec in ("-1:2:0log", "0:2:1log"):
+        with pytest.raises(ConfigError, match="log grids need positive endpoints"):
+            _parse_grid(spec)
+    # a span past the float range, as a nonfinite endpoint
+    for spec in ("-1.7e308:1.7e308:5", "1:inf:3", "nan:1:2"):
+        with pytest.raises(ConfigError, match="their difference must be finite"):
+            _parse_grid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +339,7 @@ def test_every_command_runs_without_scipy():
     ["harnack-sweep", "--n", "3", "--k", "1", "--nang", "-5"],
     ["homotopy", "--n", "3", "--k", "1", "--steps", str(2 ** 1100)],
     ["harnack-sweep", "--n", "3", "--k", "1", "--a", "1:2:-3"],
+    ["harnack-sweep", "--n", "3", "--k", "1", "--a=-1.7e308:1.7e308:5"],
 ])
 def test_bad_sizes_are_configuration_errors(argv, capsys):
     assert main(argv) == 1
@@ -383,7 +396,8 @@ def test_help_names_every_cap(command, caps, capsys):
         assert f"at most {cap}" in text
 
 
-@pytest.mark.parametrize("argv", [
+# each output flag of each subcommand, its path still to come
+_OUTPUT_ARGVS = [
     ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0", "--out"],
     ["verify-bubble", "--n", "3", "--k", "1", "--samples", "10", "--images", "0",
      "--format", "json", "--out"],
@@ -391,7 +405,10 @@ def test_help_names_every_cap(command, caps, capsys):
     ["homotopy", "--n", "3", "--k", "1", "--m", "32", "--trace"],
     ["homotopy", "--n", "3", "--k", "1", "--m", "32", "--profile"],
     ["harnack-sweep", "--n", "3", "--k", "1", "--nrad", "4", "--nang", "2", "--out"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
 def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys, monkeypatch):
     # the paths are checked before the work: a run of it is an unexpected failure
     def work(*args, **kwargs):
@@ -406,6 +423,15 @@ def test_unwritable_output_path_is_a_configuration_error(argv, tmp_path, capsys,
     assert out == ""
     assert f"configuration error: cannot write {path}" in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+def test_an_output_path_that_is_a_directory_fails_before_the_work(argv, tmp_path, capsys):
+    # no monkeypatch: every subcommand prints once its work is done
+    assert main(argv + [str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: cannot write {tmp_path}: it is a directory\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,6 +47,10 @@ def test_jet_validation():
     with pytest.raises(ConfigError, match="asymmetry"):
         sl.Jet2(np.zeros(3), 1.0, np.zeros(3),
                 np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    for grad, hess in [(np.zeros(2), np.zeros((3, 3))), (np.zeros(3), np.zeros((2, 2))),
+                       (np.zeros((2, 3)), np.zeros((3, 3)))]:
+        with pytest.raises(ConfigError, match="jet component shapes do not match"):
+            sl.Jet2(np.zeros(3), 1.0, grad, hess)
     jet = sl.Jet2(np.zeros(3), 1.0, np.zeros(3), np.eye(3))
     np.testing.assert_array_equal(jet.hess, jet.hess.T)
 

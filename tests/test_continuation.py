@@ -192,8 +192,9 @@ def _generic_node_quantities(u, spec, t):
 
 def _pair_sigma_node_state(u, spec, t):
     """(margins, f, f_rad, f_tan) of u at t the long way: the pair from
-    `radial_eigenvalues`, `_pair_sigma` for the margins and f and again for
-    e_{k-1} of (a, bt x n-2), and a power of its own for g_rad."""
+    `radial_eigenvalues`, `_pair_sigma` on a table of bt's powers for the
+    margins and f and on another for e_{k-1} of (a, bt x n-2), and a power of
+    its own for g_rad."""
     from sigmak_lab.radial import _pair_sigma
     n, k, h = spec.n, spec.k, spec.h
     up = (u[2:] - u[:-2]) / (2.0 * h)
@@ -201,9 +202,11 @@ def _pair_sigma_node_state(u, spec, t):
     lam_rad, lam_tan = sl.radial_eigenvalues(u[1:-1], up, upp, spec.mesh[1:-1], n)
     mix = (1.0 - t) * (lam_rad + (n - 1.0) * lam_tan) * (1.0 / n)
     a, bt = t * lam_rad + mix, t * lam_tan + mix
-    margins, f = _pair_sigma(a, bt, [math.comb(n - 1, j) for j in range(k + 1)])
+    margins, f = _pair_sigma(a, [bt ** j for j in range(k + 1)],
+                             [math.comb(n - 1, j) for j in range(k + 1)])
     g_rad = math.comb(n - 1, k - 1) * bt ** (k - 1)
-    g_tan = _pair_sigma(a, bt, [math.comb(n - 2, j) for j in range(k)])[1] if k > 1 else 1.0
+    g_tan = _pair_sigma(a, [bt ** j for j in range(k)],
+                        [math.comb(n - 2, j) for j in range(k)])[1] if k > 1 else 1.0
     mean = (g_rad + (n - 1.0) * g_tan) * (1.0 / n)
     return margins, f, t * g_rad + (1.0 - t) * mean, t * g_tan + (1.0 - t) * mean
 
@@ -323,6 +326,15 @@ def test_newton_rejects_inadmissible_initial():
     spec = sl.BvpSpec(3, 2, 3.0, 1.0, m=32)
     with pytest.raises(NewtonError):
         sl.newton_solve(np.ones(33), spec, 1.0)
+
+
+def test_newton_refuses_a_start_with_no_ellipticity_certificate(monkeypatch):
+    # an admissible start whose smallest f_t partial is not positive
+    from sigmak_lab.continuation import _NodeState
+    spec = _spec(3, 2, m=32)
+    monkeypatch.setattr(_NodeState, "ellipticity", lambda self: 0.0)
+    with pytest.raises(NewtonError, match="no ellipticity certificate"):
+        sl.newton_solve(initial_guess(spec), spec, 1.0)
 
 
 def test_newton_out_of_iterations_carries_its_count_and_residual(monkeypatch):

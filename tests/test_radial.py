@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
 from sigmak_lab import bubbles, radial
-from sigmak_lab.conformal import _checked_jets, _schouten_batch
+from sigmak_lab.conformal import _checked_jets, _checked_schouten
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
     PositivityError, StepUnderflowError
 from sigmak_lab.radial import _pair_sigma
@@ -78,8 +78,9 @@ def test_pair_matches_full_matrix_oracle():
         e = np.array([s[5] for s in rows])
         proj = e[:, :, None] * e[:, None, :]
         hess = d2u[:, None, None] * proj + (du / r)[:, None, None] * (np.eye(n) - proj)
-        jets = _checked_jets(r[:, None] * e, u, du[:, None] * e, hess)
-        lam = np.linalg.eigvalsh(_schouten_batch(*jets))
+        points = r[:, None] * e
+        jets = _checked_jets(points, u, du[:, None] * e, hess)
+        lam = np.linalg.eigvalsh(_checked_schouten(points, *jets))
         pair = sl.radial_eigenvalues(u, du, d2u, r, n)
         err = np.abs(np.sort(pair.vector(n), axis=-1) - lam).max(axis=1)
         worst = max(worst, float((err / np.maximum(1.0, np.abs(lam).max(axis=1))).max()))
@@ -678,6 +679,11 @@ def test_shot_just_past_the_series_start_takes_no_sliver_step(n, k, gap):
     assert sl.liouville_report(profile).max_rel_deviation <= 1e-14
 
 
+def test_writing_to_a_directory_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(str(tmp_path))}: "):
+        radial.write_text(tmp_path, "text\n")
+
+
 def test_profile_csv_schema(tmp_path):
     profile = sl.shoot(sl.c_constant(3, 1), 3, 1, 3.0)
     path = tmp_path / "profile.csv"
@@ -819,21 +825,14 @@ def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     assert margin[5] == pytest.approx(_NODE5_MARGIN, rel=1e-14)
 
 
-def test_pair_sigma_forms_each_power_once():
-    # on arrays one power of lam_tan per j, and the margin and e_k of
-    # `_pair_e`'s term-by-term powers, bit for bit
-    class Counted(np.ndarray):
-        def __pow__(self, j):
-            powers.append(j)
-            return np.asarray(self) ** j
-
+def test_pair_sigma_matches_the_term_by_term_powers():
+    # on arrays, from the caller's table of lam_tan powers, the margin and
+    # e_k of `_pair_e`'s term-by-term powers, bit for bit
     rng = np.random.default_rng(73)
     for k in range(1, 7):
         combs = [math.comb(6, j) for j in range(k + 1)]
         lam_rad, lam_tan = rng.normal(size=(2, 50))
-        powers = []
-        margin, sigma_k = _pair_sigma(lam_rad, lam_tan.view(Counted), combs)
-        assert powers == list(range(k + 1))
+        margin, sigma_k = _pair_sigma(lam_rad, [lam_tan ** j for j in range(k + 1)], combs)
         e = radial._pair_e(lam_rad, lam_tan, combs)
         np.testing.assert_array_equal(margin, np.min(e, axis=0))
         np.testing.assert_array_equal(sigma_k, e[-1])
@@ -846,11 +845,13 @@ def test_pair_sigma_closed_form_matches_generic():
         k = int(rng.integers(1, n + 1))
         pair = sl.EigenPair(float(rng.normal()), float(rng.normal()))
         combs = [math.comb(n - 1, j) for j in range(k + 1)]
-        margin, sigma_k = _pair_sigma(pair.lam_rad, pair.lam_tan, combs)
+        margin, sigma_k = _pair_sigma(pair.lam_rad, [pair.lam_tan ** j for j in range(k + 1)],
+                                      combs)
         generic = [sl.sigma(pair.vector(n), j) for j in range(1, k + 1)]
         assert sigma_k == pytest.approx(generic[-1], rel=1e-12, abs=1e-12)
         assert margin == pytest.approx(min(generic), rel=1e-12, abs=1e-12)
         # the array form agrees with the float form (numpy powers may differ by an ulp)
-        arr = _pair_sigma(np.array([pair.lam_rad]), np.array([pair.lam_tan]), combs)
+        lam_tan = np.array([pair.lam_tan])
+        arr = _pair_sigma(np.array([pair.lam_rad]), [lam_tan ** j for j in range(k + 1)], combs)
         assert arr[0][0] == pytest.approx(margin, rel=1e-14, abs=1e-15)
         assert arr[1][0] == pytest.approx(sigma_k, rel=1e-14, abs=1e-15)
