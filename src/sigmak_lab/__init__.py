@@ -16,7 +16,7 @@ Modules:
 from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
                       bubble_field, c_constant, harnack_product, harnack_sweep,
                       sweep_supremum, verify_images, verify_solution)
-from .conformal import (Dilation, Domain, Inversion, Jet2, MobiusMap, Rotation,
+from .conformal import (Dilation, Inversion, Jet2, MobiusMap, Rotation,
                         ScalarField, Translation, constant_field,
                         random_mobius_map, random_mobius_map_avoiding,
                         schouten_flat, schouten_spectrum, transform_field)
@@ -29,7 +29,7 @@ from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
                      StepUnderflowError)
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
                      liouville_report, radial_eigenvalues, shoot,
-                     solve_for_u2, write_profile_csv)
+                     write_profile_csv)
 from .symfun import (ConeMembership, OperatorSpec, f_homotopy,
                      f_homotopy_gradient, homotopy_vector, in_gamma_k, sigma)
 

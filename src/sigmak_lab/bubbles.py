@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Domain, MobiusMap, ScalarField, _checked_jets, \
+from .conformal import MobiusMap, ScalarField, _checked_jets, \
     _checked_schouten, _pullback, _walk_words, random_mobius_map_avoiding
 from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, \
     check_center, check_count, check_nk, check_positive
@@ -115,7 +115,7 @@ def bubble_field(spec: BubbleSpec) -> ScalarField:
     """The closed-form field with analytic first and second derivatives."""
     jets = functools.partial(_bubble_jets, spec.n, spec.k, spec.a, spec.center)
     tag = f"bubble(n={spec.n},k={spec.k},a={spec.a:g})"
-    return ScalarField(spec.n, domain=Domain(), tag=tag, jets=jets)
+    return ScalarField(spec.n, tag=tag, jets=jets)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +254,10 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     shells (`_harnack_grid`) picks the grid maximum over B_R and minimum over
     B_2R. One Newton step from each, projected into its ball, then wins where
     it is strictly better. A singular hessian (LinAlgError, the only error
-    caught) keeps both grid extrema; a trial point with a non-finite step or
-    outside the domain keeps its grid value. The product is bounded only on
-    solutions; whether u is one is for `verify_solution` to say. No workflow
-    calls it; it waits on the bench probes moving to `harnack_sweep`.
+    caught) keeps both grid extrema, and a row with a non-finite step keeps
+    its grid value. The product is bounded only on solutions; whether u is
+    one is for `verify_solution` to say. No workflow calls it; it waits on
+    the bench probes moving to `harnack_sweep`.
     """
     center = check_center(center, u.n)
     pts = _harnack_grid(center, R, n_radial, n_angular)
@@ -274,8 +274,6 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     dist = np.linalg.norm(offset, axis=1)
     out = dist > limit
     x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
-    inside = u.domain.contains(x_try)
-    rows, x_try = rows[inside], x_try[inside]
     if rows.size:
         v_try, sign = u.jets(x_try, 0)[0], np.array([1.0, -1.0])[rows]
         better = sign * v_try > sign * v[rows]

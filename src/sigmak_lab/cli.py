@@ -62,7 +62,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if log:
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("log grids need positive endpoints")
-        return np.geomspace(start, stop, count)
+        with np.errstate(over="ignore"):  # stop near the float maximum; both ends stay exact
+            return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
 
 
@@ -161,7 +162,7 @@ def cmd_homotopy(args) -> int:
           f"cone margin = {solved[-1].cone_margin:.3e}, "
           f"ellipticity = {solved[-1].ellipticity:.3e}")
     if args.ub is None:
-        model = bubbles._bubble_jets(args.n, args.k, args.a, 0.0, profile.r[:, None], 0)[0]
+        model = continuation.initial_guess(spec)  # the --a member on the mesh
         dev = float(np.max(np.abs(profile.u - model) / model))
         print(f"max relative deviation from the target profile = {dev:.3e}")
     if args.trace:

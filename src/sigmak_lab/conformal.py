@@ -30,13 +30,12 @@ they wait on the bench probes that time them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError, _require_finite, _require_positive, \
+from .errors import ConfigError, PoleError, _require_finite, _require_positive, \
     check_nk, check_positive, check_positive_value
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "Dilation",
     "Inversion",
     "MobiusMap",
-    "Domain",
     "ScalarField",
     "schouten_flat",
     "schouten_spectrum",
@@ -360,27 +358,6 @@ def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
 # scalar fields
 # ---------------------------------------------------------------------------
 
-_RADIUS_SLACK = 1e-12  # relative tolerance of a Domain radius
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Where a field is defined: the closed ball |x| <= r_outer about the
-    origin. The default r_outer = inf is all of R^n and takes no distance
-    test, so every row counts as inside. The radius is matched within a
-    relative 1e-12, so a point built as fl(R * direction) on the boundary
-    sphere counts as inside."""
-
-    r_outer: float = math.inf
-
-    def contains(self, x):
-        """Membership of a point (n,), or of each row of a batch (N, n)."""
-        x = np.asarray(x, dtype=float)
-        if self.r_outer == math.inf:
-            return np.full(x.shape[:-1], True)
-        return np.linalg.norm(x, axis=-1) <= self.r_outer * (1.0 + _RADIUS_SLACK)
-
-
 def _lift(evaluator: Callable, n: int) -> Callable:
     """Batch form of a per-point evaluator x -> (u, grad, hess), by a loop; a
     bench probe's field is its last user outside the tests."""
@@ -395,43 +372,39 @@ def _lift(evaluator: Callable, n: int) -> Callable:
 
 
 class ScalarField:
-    """A positive C^2 field on a domain, evaluated through one batch evaluator.
+    """A positive C^2 field on R^n, evaluated through one batch evaluator.
 
-    jets(X, order) receives the rows of X (N, n), all inside the domain,
-    and returns (u[N], grad[N, n], hess[N, n, n]); with order=0 it returns
-    (u[N], None, None) and may skip the derivatives. A per-point evaluator
-    x -> (u, grad, hess), passed positionally instead, is lifted into that
-    form by a loop. Fields carry no mutable state. Every other method is a
-    slice of `jets`: `values` is its order-0 part, `raw_jet` and `jet` its
-    one-row case, for bench probes and tests only.
+    Every field the lab builds is a bubble or a Mobius image of one, defined
+    everywhere but at its word's pole, where the word walk raises PoleError.
+    jets(X, order) receives the rows of X (N, n) and returns (u[N],
+    grad[N, n], hess[N, n, n]); with order=0 it returns (u[N], None, None)
+    and may skip the derivatives. A per-point evaluator x -> (u, grad, hess),
+    passed positionally instead, is lifted into that form by a loop. Fields
+    carry no mutable state. Every other method is a slice of `jets`: `values`
+    is its order-0 part, `raw_jet` and `jet` its one-row case, for bench
+    probes and tests only.
     """
 
     def __init__(self, n: int, evaluator: Callable | None = None,
-                 domain: Domain | None = None, tag: str | None = None,
-                 jets: Callable | None = None):
+                 tag: str | None = None, jets: Callable | None = None):
         check_nk(n, 1)
         if (evaluator is None) == (jets is None):
             raise ConfigError("give exactly one of evaluator and jets")
         self.n = n
         self._jets = jets if jets is not None else _lift(evaluator, n)
-        self.domain = domain if domain is not None else Domain()
         self.tag = tag
 
     def jets(self, X, order: int = 2):
         """(u, grad, hess) at the rows of X (N, n); order=0 gives (u, None, None).
 
-        Raises DomainError or PositivityError naming the first point
-        outside the domain or with a nonpositive value.
+        Raises PositivityError naming the first point with a nonpositive
+        value; the field's own evaluator may raise first (PoleError at a pole).
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ConfigError(f"points must have shape (N, {self.n})")
         if order not in (0, 2):
             raise ConfigError(f"jet order must be 0 or 2, got {order}")
-        outside = np.flatnonzero(~self.domain.contains(X))
-        if outside.size:
-            x = X[outside[0]]
-            raise DomainError(f"point {x} outside the ball of radius {self.domain.r_outer}")
         u, grad, hess = self._jets(X, order)
         u = np.asarray(u, dtype=float)
         if u.shape != (len(X),):
@@ -523,5 +496,5 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
         return _pullback(st, *u.jets(st.y, order))
 
     tag = f"mobius*{u.tag}" if u.tag else "mobius"
-    return ScalarField(u.n, domain=Domain(), tag=tag, jets=jets)
+    return ScalarField(u.n, tag=tag, jets=jets)
 

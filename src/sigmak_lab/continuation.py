@@ -438,10 +438,10 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
             step *= 2.0
         x, cur_t, depth = x_new, tgt, 0
         tgt = 1.0 if cur_t + step > 1.0 - 1e-9 * step else cur_t + step  # no rounding sliver
-    h, x = spec.h, x.u
-    du = np.empty_like(x)
+    u = x.u
+    du = np.empty_like(u)
     du[0] = 0.0
-    du[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
-    du[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
-    profile = RadialProfile(spec.mesh, x, du, spec.n, spec.k)
+    du[1:-1] = x.nodes[2]  # the central difference the last solve used
+    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spec.h)
+    profile = RadialProfile(spec.mesh, u, du, spec.n, spec.k)
     return profile, trace

@@ -99,7 +99,7 @@ def check_positive_value(name: str, value) -> None:
 
 
 class DomainError(SigmakLabError, ValueError):
-    """Evaluation requested outside a field's declared domain."""
+    """Evaluation where a field is not defined; PoleError is the only subtype raised."""
 
 
 class PoleError(DomainError):

@@ -24,7 +24,7 @@ root-branch ambiguity exists: shooting suffices. A constant right-hand side
 c would be no more general: A_{s u} = s^{-4/(n-2)} A_u, so c^{-(n-2)/(4k)} u
 solves sigma_k = c exactly when u solves sigma_k = 1. `_node_solves` solves
 an array of nodes (r, u, u') in one pass, isotropically where r = 0;
-`solve_for_u2` is its one-node case.
+the series start takes u''(0) from it as a one-node array.
 
 Shooting starts from the sextic Taylor series of the solution regular at
 the origin, evaluated at r_s = 1e-2 (moved in for a family scale above 1),
@@ -77,7 +77,6 @@ __all__ = [
     "TailEvidence",
     "LiouvilleReport",
     "radial_eigenvalues",
-    "solve_for_u2",
     "shoot",
     "liouville_report",
     "write_profile_csv",
@@ -192,28 +191,6 @@ def _node_solves(r, u, du, n: int, k: int):
         lam_rad, lam_tan = _schouten_pair(q1, q2, du, d2u, r, n)  # nan where d2u is
         res = np.abs(_powers_e(lam_rad, [lam_tan ** (k - 1), lam_tan ** k], combs[k - 1:])[0] - 1.0)
     return d2u, margin, res
-
-
-def solve_for_u2(u: float, du: float, r: float, n: int, k: int) -> tuple[float, float]:
-    """The unique u'' making sigma_k of the radial eigenpair equal 1.
-
-    Returns (u'', cone margin of the resulting pair): the one-node case of
-    `_node_solves`. A node with no admissible solve (a vanishing linear
-    coefficient lam_tan^{k-1} = 0 with k >= 2, a solved pair with strictly
-    negative margin, or a result that is not finite) raises
-    ConeDomainError carrying the margin `_node_solves` reports. A zero
-    margin (boundary) is returned, not raised. A nonzero du at the origin
-    is a ConfigError, and a u that is not positive a PositivityError at r.
-    """
-    check_nk(n, k)
-    if r == 0.0 and abs(du) > 1e-9:
-        raise ConfigError(f"du={du} must vanish at the origin")
-    node = np.array([[r], [u], [du]], dtype=float)
-    _require_positive(node[0], node[1])
-    d2u, margin, _ = (float(v[0]) for v in _node_solves(*node, n, k))
-    if math.isnan(d2u):
-        raise ConeDomainError(f"no admissible solve for u'' at r={r}", margin=margin, where=r)
-    return d2u, margin
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +343,17 @@ def _series_coefficients(u0: float, n: int, k: int) -> tuple[float, float, float
     - n (n+2) u2^2 / (2 (n-2) u0)), free of k (checked with sympy for
     3 <= n <= 6). u6 = 15 (m+1) (m+2) u2^3 / (m^2 u0^2), m = (n-2)/2, makes
     the order-r^4 term vanish, again for every k (checked with mpmath for
-    3 <= n <= 8). A coefficient that leaves the float range is a
-    ConeDomainError, u4 checked first.
+    3 <= n <= 8). A coefficient that is not finite is a ConeDomainError at
+    the origin, checked in the order u2, u4, u6; u2 is nan where u0's powers
+    leave the float range (at u0 = 1e70 and n = 3, u0^e1 underflows).
     """
-    u2, _ = solve_for_u2(u0, 0.0, 0.0, n, k)
+    u2 = float(_node_solves(np.zeros(1), np.array([u0]), np.zeros(1), n, k)[0][0])
     m = (n - 2.0) / 2.0
     u4 = 3.0 * n * u2 * (u2 / u0) / (n - 2.0)
     u6 = 15.0 * (m + 1.0) * (m + 2.0) * u2 * (u2 / u0) * (u2 / u0) / (m * m)
-    for name, value in (("u4", u4), ("u6", u6)):
+    for name, value in (("u2", u2), ("u4", u4), ("u6", u6)):
         if not abs(value) < math.inf:
-            raise ConeDomainError(f"series coefficient {name}={value} of u0={u0} overflows",
+            raise ConeDomainError(f"series coefficient {name}={value} of u0={u0} is not finite",
                                   where=0.0)
     return u2, u4, u6
 

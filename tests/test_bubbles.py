@@ -9,7 +9,7 @@ import pytest
 
 import sigmak_lab as sl
 from sigmak_lab import bubbles
-from sigmak_lab.errors import ConfigError, DomainError, FloatRangeError, PoleError, \
+from sigmak_lab.errors import ConfigError, FloatRangeError, PoleError, \
     PositivityError, SigmakLabError, check_count
 from sigmak_lab.halton import box_points, sphere_directions
 
@@ -201,11 +201,17 @@ def _first_error(calls):
 
 
 def test_verify_images_raises_the_first_error_of_the_fields_verified_one_by_one():
-    # u lives on the ball of radius 3: the second word doubles the samples and
-    # its images leave the ball first; a third word has its pole at a sample
+    # u is positive only on the ball of radius 3: the second word doubles the
+    # samples and its images leave the ball first; a third word has its pole
+    # at a sample
     n = 3
-    jets = bubbles.bubble_field(sl.BubbleSpec(n, 2, 1.0))._jets
-    u = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=3.0))
+    bubble = bubbles.bubble_field(sl.BubbleSpec(n, 2, 1.0))
+
+    def jets(X, order):
+        val, grad, hess = bubble._jets(X, order)
+        return np.where(np.linalg.norm(X, axis=1) > 3.0, 0.0, val), grad, hess
+
+    u = sl.ScalarField(n, jets=jets)
     pts = box_points(60, n, halfwidth=1.5)
     shrink, grow = sl.MobiusMap((sl.Dilation(0.5),)), sl.MobiusMap((sl.Dilation(2.0),))
     at_pole = sl.MobiusMap((sl.Translation(-pts[7]), sl.Inversion()))
@@ -215,11 +221,11 @@ def test_verify_images_raises_the_first_error_of_the_fields_verified_one_by_one(
             lambda psi=psi: sl.verify_solution(sl.transform_field(u, psi), n, 2, pts)
             for psi in words])
 
-    with pytest.raises(DomainError) as info:
+    with pytest.raises(PositivityError) as info:
         sl.verify_images(u, [shrink, grow], n, 2, pts)
     before = one_by_one([shrink, grow])
     assert type(info.value) is type(before) and str(info.value) == str(before)
-    first = np.flatnonzero(np.linalg.norm(2.0 * pts, axis=1) > 3.0 * (1.0 + 1e-12))[0]
+    first = np.flatnonzero(np.linalg.norm(2.0 * pts, axis=1) > 3.0)[0]
     assert str(2.0 * pts[first]) in str(before)
     with pytest.raises(PoleError, match="hit its pole"):
         sl.verify_images(u, [shrink, at_pole], n, 2, pts)
@@ -484,8 +490,8 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
 @pytest.mark.parametrize("target", [1.0, np.linspace(0.0, 1.0, 99)[40], None],
                          ids=["edge", "shared", "constant"])
 def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
-    # u = 1e-300 + (x_0 - target)^2 (constant 2 for None) on a ball of radius
-    # 3 around c, R = 1, 99 radii: the least grid value on B_2(c) sits on
+    # u = 1e-300 + (x_0 - target)^2 (constant 2 for None) around c, R = 1,
+    # 99 radii: the least grid value on B_2(c) sits on
     # B_2R's shell 49 along e_0 (radius 2 rho_49 = 1 - 2^-53, not B_R's
     # radius 1), on its shell 20 (B_R's shell 40), or everywhere (the first
     # point wins). harnack_product keys every doubled shell with u's values,
@@ -502,7 +508,7 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
             grad[:, 0], hess[:, 0, 0] = 2.0 * (X[:, 0] - target), 2.0
         return val, grad, hess
 
-    field = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=3.0))
+    field = sl.ScalarField(n, jets=jets)
 
     def product():
         return sl.harnack_product(field, 1.0, center=center, n_radial=99, n_angular=16)
@@ -572,41 +578,6 @@ def test_harnack_grid_directions_are_read_only():
         dirs[0, 0] = 2.0
 
 
-def test_harnack_polish_keeps_grid_value_outside_the_domain():
-    # u = 1 + |x - p|^2 / 2 around the center o: every Newton step lands
-    # on p, which projects onto o + 2 p_hat, the exact minimum over B_2(o).
-    # Here o = -shift = p_hat / 2, and the origin-centred ball of radius
-    # rho holds every grid point but not o + 2 p_hat.
-    n = 3
-    p_hat = np.ones(n) / math.sqrt(n)
-    shift = -0.5 * p_hat
-    p = 10.0 * p_hat - shift
-
-    def jets(X, order):
-        d = X - p
-        val = 1.0 + 0.5 * np.einsum("ij,ij->i", d, d)
-        if not order:
-            return val, None, None
-        return val, d, np.broadcast_to(np.eye(n), (len(X), n, n))
-
-    grid = -shift + 2.0 * np.linspace(0.0, 1.0, 3)[:, None, None] \
-        * bubbles._grid_directions(n, 2)[None]
-    reach = np.linalg.norm(grid.reshape(-1, n), axis=1).max()
-    rho = 0.5 * (reach + 2.5)
-    assert reach < rho < 2.5
-    grid_min = 1.0 + 0.5 * np.min(np.sum((grid.reshape(-1, n) - p) ** 2, axis=1))
-    exact_min = 1.0 + 0.5 * 8.0 ** 2
-
-    whole = sl.ScalarField(n, jets=jets)
-    rep = sl.harnack_product(whole, 1.0, center=-shift, n_radial=3, n_angular=2)
-    assert rep.min_2br == pytest.approx(exact_min, rel=1e-14)
-    assert rep.min_2br < grid_min
-
-    ball = sl.ScalarField(n, jets=jets, domain=sl.Domain(r_outer=rho))
-    rep = sl.harnack_product(ball, 1.0, center=-shift, n_radial=3, n_angular=2)
-    assert rep.min_2br == pytest.approx(grid_min, rel=1e-14)
-
-
 _DOUBLE_BALL_CASES = [(3, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0)] + [
     (n, k, R) for R in (0.75, 1.25, 1.5) for n, k in [(3, 1), (4, 2), (5, 3)]]
 
@@ -614,12 +585,10 @@ _DOUBLE_BALL_CASES = [(3, 1, 1.0), (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0)] + [
 @pytest.mark.parametrize("n,k,R", _DOUBLE_BALL_CASES, ids=[
     f"{n}-{k}" if R == 1.0 else f"{n}-{k}-R{R}" for n, k, R in _DOUBLE_BALL_CASES])
 def test_harnack_of_a_profile_on_exactly_the_double_ball(n, k, R):
-    # the bubble restricted to exactly B_2R: the grid's outer shell,
-    # fl(2 fl(R d)), and the polish trial points projected onto it sit on its
-    # edge, a few ulps to either side (1 to 63 grid points past 2R here)
-    whole = sl.bubble_field(sl.BubbleSpec(n, k, 1.0))
-    field = sl.ScalarField(n, domain=sl.Domain(r_outer=2.0 * R), jets=whole.jets)
-    rep = sl.harnack_product(field, R)
+    # the bubble's least value on B_2R lies on its edge sphere: the grid's
+    # outer shell, fl(2 fl(R d)), and the polish trial points projected onto
+    # it sit a few ulps to either side (1 to 63 grid points past 2R here)
+    rep = sl.harnack_product(sl.bubble_field(sl.BubbleSpec(n, k, 1.0)), R)
     exact = _bubble_value(n, k, 1.0, 0.0) * _bubble_value(n, k, 1.0, 2.0 * R) \
         * R ** (n - 2.0)
     assert rep.product_scaled == pytest.approx(exact, rel=1e-14)

@@ -46,6 +46,18 @@ def test_grid_parsing():
             _parse_grid(spec)
 
 
+def test_a_log_grid_to_the_largest_float_fails_where_its_top_value_does(capsys):
+    # geomspace overflows inside, yet both ends stay exact; the sweep then
+    # fails at its own located check, as it does at the top value alone
+    top = "1.7976931348623157e308"
+    np.testing.assert_array_equal(_parse_grid(f"1:{top}:3log")[[0, -1]], [1.0, float(top)])
+    for a in (f"1:{top}:3log", "1.79e308"):
+        assert main(["harnack-sweep", "--n", "3", "--k", "1", f"--a={a}"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: value 0.0 is not positive at" in err
+        assert "overflow" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify-bubble
 # ---------------------------------------------------------------------------

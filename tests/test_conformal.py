@@ -558,9 +558,6 @@ def test_batch_checks_name_the_first_bad_point():
     np.testing.assert_array_equal(err.value.where, pts[1])
     with pytest.raises(ValueError):
         field.jets(pts[:, :2])
-    ball = sl.ScalarField(n, evaluator, domain=sl.Domain(r_outer=0.5))
-    with pytest.raises(sl.DomainError, match=r"\[1\. 0\. 0\.\]"):
-        ball.jets(pts)
     skew = sl.ScalarField(n, lambda x: (1.0, np.zeros(n),
                                         np.array([[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])))
     with pytest.raises(ConfigError, match="asymmetry"):

@@ -117,49 +117,32 @@ def test_origin_limit_uses_curvature():
 # curvature solve
 # ---------------------------------------------------------------------------
 
-def test_solve_for_u2_reproduces_bubble_curvature():
+def test_node_solves_reproduce_bubble_curvature():
+    r = np.array([0.0, 0.4, 2.0, 7.0])
     for n, k in [(3, 1), (4, 2), (5, 3), (6, 6)]:
         a = 1.3
-        for r in (0.0, 0.4, 2.0, 7.0):
-            d2u, margin = sl.solve_for_u2(_bubble_r(n, k, a, r),
-                                          _bubble_dr(n, k, a, r), r, n, k)
-            assert d2u == pytest.approx(_bubble_d2r(n, k, a, r), rel=1e-10)
-            assert margin > 0.0
+        d2u, margin, _ = radial._node_solves(r, _bubble_r(n, k, a, r),
+                                             _bubble_dr(n, k, a, r), n, k)
+        np.testing.assert_allclose(d2u, _bubble_d2r(n, k, a, r), rtol=1e-10)
+        assert np.all(margin > 0.0)
 
 
-def test_solve_for_u2_linear_case_matches_semilinear_form():
+def test_node_solves_linear_case_matches_semilinear_form():
     # k = 1: sigma_1 = lam_rad + (n-1) lam_tan is linear, and the solved
     # curvature satisfies -u'' - (n-1)u'/r = ((n-2)/2) u^{(n+2)/(n-2)}
     n = 4
     rng = np.random.default_rng(59)
-    for _ in range(50):
-        u = float(rng.uniform(0.3, 2.0))
-        du = float(rng.uniform(-1.0, 1.0))
-        r = float(rng.uniform(0.1, 4.0))
-        d2u, _ = sl.solve_for_u2(u, du, r, n, 1)
-        lap = d2u + (n - 1.0) * du / r
-        assert -lap == pytest.approx((n - 2.0) / 2.0 * u ** ((n + 2.0) / (n - 2.0)),
-                                     rel=1e-12)
-
-
-def test_solve_for_u2_degenerate_coefficient():
-    # du = 0 away from the origin makes lam_tan vanish, killing the linear
-    # coefficient for k >= 2
-    with pytest.raises(ConeDomainError):
-        sl.solve_for_u2(1.0, 0.0, 1.0, 4, 2)
-
-
-def test_solve_for_u2_rejects_nonpositive_u():
-    with pytest.raises(PositivityError):
-        sl.solve_for_u2(0.0, 0.1, 1.0, 3, 1)
+    u, du, r = rng.uniform([0.3, -1.0, 0.1], [2.0, 1.0, 4.0], size=(50, 3)).T
+    d2u, _, _ = radial._node_solves(r, u, du, n, 1)
+    lap = d2u + (n - 1.0) * du / r
+    np.testing.assert_allclose(-lap, (n - 2.0) / 2.0 * u ** ((n + 2.0) / (n - 2.0)),
+                               rtol=1e-12)
 
 
 def test_bad_dimension_or_cone_index_is_a_configuration_error():
     with pytest.raises(ConfigError):
         sl.radial_eigenvalues(1.0, -0.1, -0.2, 1.0, 2)
     for n, k in [(2, 1), (4, 0), (4, 5), (3.0, 1), (3, 1.0)]:
-        with pytest.raises(ConfigError):
-            sl.solve_for_u2(1.0, -0.1, 1.0, n, k)
         with pytest.raises(ConfigError):
             sl.shoot(1.0, n, k, 2.0)
         with pytest.raises(ConfigError):
@@ -196,11 +179,6 @@ def test_radial_profile_rejects_nan_values():
             sl.RadialProfile(r, u, [0.0] * 4, 3, 1)
         assert info.value.where == r[bad]
         np.testing.assert_array_equal(info.value.value, u[bad])
-
-
-def test_solve_for_u2_slope_at_the_origin_is_a_configuration_error():
-    with pytest.raises(ConfigError):
-        sl.solve_for_u2(1.0, 1e-3, 0.0, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +233,7 @@ def test_shoot_profile_structure_and_cone_persistence():
     profile = sl.shoot(sl.c_constant(n, k), n, k, 6.0)
     assert profile.r[0] == 0.0 and profile.du[0] == 0.0
     assert np.all(np.diff(profile.r) > 0.0)
-    margins = []
-    for i in range(profile.r.size):
-        _, margin = sl.solve_for_u2(float(profile.u[i]), float(profile.du[i]),
-                                    float(profile.r[i]), n, k)
-        margins.append(margin)
-    margins = np.array(margins)
+    _, margins, _ = radial._node_solves(profile.r, profile.u, profile.du, n, k)
     assert np.all(margins > 0.0)
     assert margins.min() >= 0.5 * margins[0]
 
@@ -480,6 +453,15 @@ def test_series_coefficient_overflow_is_a_cone_domain_error():
     # u4 ~ u0^9 leaves the float range (the CLI case is in test_cli)
     with pytest.raises(ConeDomainError, match="series coefficient u4=inf") as info:
         sl.shoot(1e40, 3, 1, 1.0)
+    assert info.value.where == 0.0
+
+
+def test_series_curvature_that_is_not_finite_is_a_cone_domain_error():
+    # u2 = -lam0 / (b u0^{-(n+2)/(n-2)}): at u0 = 1e70, n = 3, u0^-5 underflows
+    # to 0, so the solve at the origin has no finite u2 and gives nan
+    with pytest.raises(ConeDomainError, match=r"series coefficient u2=nan .* is not finite") \
+            as info:
+        sl.shoot(1e70, 3, 1, 1.0)
     assert info.value.where == 0.0
 
 
@@ -787,21 +769,6 @@ def _pinned_rows():
 # the margin of node 5; 40-digit mpmath evaluation of the same solve
 # gives -2.0010226713131068079
 _NODE5_MARGIN = -2.0010226713131068
-
-
-def test_solve_for_u2_raises_on_the_rows_with_no_admissible_solve():
-    # the failure rows pinned below, one node at a time: the one-node case
-    # raises with the margin the array pass writes
-    r, u, du = (a.tolist() for a in _pinned_rows())
-    with pytest.raises(ConeDomainError) as info:
-        sl.solve_for_u2(u[3], du[3], r[3], 4, 2)
-    assert info.value.margin == 0.0 and math.copysign(1.0, info.value.margin) == -1.0
-    assert info.value.where == r[3]
-    with pytest.raises(ConeDomainError) as info:
-        sl.solve_for_u2(u[5], du[5], r[5], 4, 2)
-    assert info.value.margin == pytest.approx(_NODE5_MARGIN, rel=1e-14)
-    with pytest.raises(ConeDomainError):
-        sl.solve_for_u2(u[6], du[6], r[6], 4, 2)
 
 
 def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):

@@ -65,9 +65,8 @@ def test_fuzzed_operator_spec_is_built_or_rejected(kwargs):
     lambda n, k: sl.BubbleSpec(n, k, 1.0),
     lambda n, k: sl.OperatorSpec(n, k, 0.5),
     lambda n, k: sl.shoot(1.0, n, k, 2.0),
-    lambda n, k: sl.solve_for_u2(1.0, -0.1, 1.0, n, k),
     lambda n, k: sl.RadialProfile([0.0, 1.0], [1.0, 0.5], [0.0, -0.5], n, k),
-], ids=["BubbleSpec", "OperatorSpec", "shoot", "solve_for_u2", "RadialProfile"])
+], ids=["BubbleSpec", "OperatorSpec", "shoot", "RadialProfile"])
 def test_bool_dimension_or_cone_index_is_a_configuration_error(build):
     # bool is an Integral, so check_nk names it: k=True once built a spec
     for n, k in [(True, 1), (3, True), (4, False)]:
