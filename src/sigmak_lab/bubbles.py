@@ -113,7 +113,7 @@ def _bubble_jets(n: int, k: int, a, center, X, order: int):
 
 def bubble_field(spec: BubbleSpec) -> ScalarField:
     """The closed-form field with analytic first and second derivatives."""
-    jets = functools.partial(_bubble_jets, spec.n, spec.k, spec.a, spec.center)
+    jets = functools.partial(_bubble_jets, spec.n, spec.k, spec.a, spec.center, order=2)
     tag = f"bubble(n={spec.n},k={spec.k},a={spec.a:g})"
     return ScalarField(spec.n, tag=tag, jets=jets)
 
@@ -174,8 +174,8 @@ def verify_images(u: ScalarField, words, n: int, k: int, sample_points) -> list[
     rows = np.tile(pts, (fields, 1))
     with np.errstate(all="ignore"):
         st = _walk_words(np.array([psi._matrix(n) for psi in words]).reshape(-1, n + 2, n + 2),
-                         pts, 2)
-        jets = u.jets(np.concatenate([pts, st.y]), 2)
+                         pts)
+        jets = u.jets(np.concatenate([pts, st.y]))
         images = _pullback(st, *(part[npts:] for part in jets))
         uu, grad, hess = _checked_jets(rows, *(np.concatenate([part[:npts], image])
                                                for part, image in zip(jets, images)))
@@ -262,7 +262,7 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     center = check_center(center, u.n)
     pts = _harnack_grid(center, R, n_radial, n_angular)
     x = _grid_extrema(u.values(pts), pts)
-    v, grad, hess = u.jets(x, 2)
+    v, grad, hess = u.jets(x)
     v = v.copy()
     try:
         step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
@@ -275,7 +275,7 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     out = dist > limit
     x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
     if rows.size:
-        v_try, sign = u.jets(x_try, 0)[0], np.array([1.0, -1.0])[rows]
+        v_try, sign = u.values(x_try), np.array([1.0, -1.0])[rows]
         better = sign * v_try > sign * v[rows]
         x[rows[better]], v[rows[better]] = x_try[better], v_try[better]
     hi, lo = v.tolist()

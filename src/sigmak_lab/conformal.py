@@ -184,16 +184,16 @@ class Inversion:
 
 @dataclass(frozen=True)
 class _TransportState:
-    """Jet of a word at N points: image points and log |det J|, and at
-    order 2 also J and grad log |det J| w.r.t. the original coordinates,
-    which fix the word's second derivatives (`_pullback`); all read off the
-    word's matrix (`_walk_words`). MobiusMap.jet returns the one-point
-    slice, without the leading axis."""
+    """Jet of a word at N points: image points, log |det J|, J and
+    grad log |det J| w.r.t. the original coordinates, which fix the word's
+    second derivatives (`_pullback`); all read off the word's matrix
+    (`_walk_words`). MobiusMap.jet returns the one-point slice, without the
+    leading axis."""
 
     y: np.ndarray
     log_det: np.ndarray
-    jac: np.ndarray | None = None
-    grad_log_det: np.ndarray | None = None
+    jac: np.ndarray
+    grad_log_det: np.ndarray
 
 
 def _lifted(M, X) -> np.ndarray:
@@ -253,16 +253,16 @@ class MobiusMap:
             self._matrices[n] = M
         return M
 
-    def _walk(self, X, order: int = 0) -> _TransportState:
+    def _walk(self, X) -> _TransportState:
         """The one-word case of `_walk_words`: the rows x of X (N, n) through the word."""
         X = np.asarray(X, dtype=float)
-        return _walk_words(self._matrix(X.shape[1])[None], X, order)
+        return _walk_words(self._matrix(X.shape[1])[None], X)
 
     def jet(self, x) -> _TransportState:
         """Image point, log |det J|, J and grad log |det J| at a point: all
         that a 2-jet's chain rule needs, since the word is conformal; the
         one-point `_walk`, for bench probes and tests only."""
-        st = self._walk(np.asarray(x, dtype=float)[None], 2)
+        st = self._walk(np.asarray(x, dtype=float)[None])
         return _TransportState(*(field[0] for field in vars(st).values()))
 
     # -- group structure: no workflow composes words; the tests' oracles ---
@@ -290,15 +290,15 @@ class MobiusMap:
         return [p for p in [_pole(self._matrix(n), n)] if p is not None]
 
 
-def _walk_words(Ms, X, order: int) -> _TransportState:
+def _walk_words(Ms, X) -> _TransportState:
     """Carry the rows x of X (N, n) through W words at once, Ms (W, n+2, n+2)
     their matrices; the state's rows are word-major, row w N + i holding x_i
     under word w. Per word M: M (1, x, |x|^2) = lam (1, y, |y|^2),
     lam = |det J|^(-1/n) > 0 off the pole p (`_pole`), about which lam is formed
     as alpha |x - p|^2, alpha = M[0, n+1]; a PoleError where lam <= 0 or nan.
-    order=2 adds J = (B + 2 q x^T - y grad lam^T) / lam, B and q the blocks
-    M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| = -n grad lam / lam
-    to y and log |det J|: what `_pullback` needs."""
+    With y and log |det J| come J = (B + 2 q x^T - y grad lam^T) / lam, B and q
+    the blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
+    -n grad lam / lam: what `_pullback` needs."""
     n = X.shape[1]
     y = _lifted(Ms[:, 1:n + 1], X)
     lam, grad_lam = np.empty(y.shape[:2]), np.empty(y.shape)
@@ -313,8 +313,6 @@ def _walk_words(Ms, X, order: int) -> _TransportState:
         raise PoleError("mobius word hit its pole")
     y /= lam[..., None]
     log_det = -n * np.log(lam)
-    if not order:
-        return _TransportState(y.reshape(-1, n), log_det.ravel())
     jac = Ms[:, None, 1:n + 1, 1:n + 1] + 2.0 * Ms[:, None, 1:n + 1, n + 1, None] * X[:, None, :] \
         - y[..., None] * grad_lam[..., None, :]
     return _TransportState(y.reshape(-1, n), log_det.ravel(),
@@ -361,13 +359,13 @@ def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
 def _lift(evaluator: Callable, n: int) -> Callable:
     """Batch form of a per-point evaluator x -> (u, grad, hess), by a loop; a
     bench probe's field is its last user outside the tests."""
-    def jets(X, order):
+    def jets(X):
         u = np.empty(len(X))
         grad = np.empty((len(X), n))
         hess = np.empty((len(X), n, n))
         for i, x in enumerate(X):
             u[i], grad[i], hess[i] = evaluator(x)
-        return (u, grad, hess) if order else (u, None, None)
+        return u, grad, hess
     return jets
 
 
@@ -376,12 +374,11 @@ class ScalarField:
 
     Every field the lab builds is a bubble or a Mobius image of one, defined
     everywhere but at its word's pole, where the word walk raises PoleError.
-    jets(X, order) receives the rows of X (N, n) and returns (u[N],
-    grad[N, n], hess[N, n, n]); with order=0 it returns (u[N], None, None)
-    and may skip the derivatives. A per-point evaluator x -> (u, grad, hess),
+    jets(X) receives the rows of X (N, n) and returns the full 2-jet (u[N],
+    grad[N, n], hess[N, n, n]). A per-point evaluator x -> (u, grad, hess),
     passed positionally instead, is lifted into that form by a loop. Fields
     carry no mutable state. Every other method is a slice of `jets`: `values`
-    is its order-0 part, `raw_jet` and `jet` its one-row case, for bench
+    is its value part, `raw_jet` and `jet` its one-row case, for bench
     probes and tests only.
     """
 
@@ -394,8 +391,8 @@ class ScalarField:
         self._jets = jets if jets is not None else _lift(evaluator, n)
         self.tag = tag
 
-    def jets(self, X, order: int = 2):
-        """(u, grad, hess) at the rows of X (N, n); order=0 gives (u, None, None).
+    def jets(self, X):
+        """(u, grad, hess) at the rows of X (N, n).
 
         Raises PositivityError naming the first point with a nonpositive
         value; the field's own evaluator may raise first (PoleError at a pole).
@@ -403,18 +400,15 @@ class ScalarField:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ConfigError(f"points must have shape (N, {self.n})")
-        if order not in (0, 2):
-            raise ConfigError(f"jet order must be 0 or 2, got {order}")
-        u, grad, hess = self._jets(X, order)
+        u, grad, hess = self._jets(X)
         u = np.asarray(u, dtype=float)
         if u.shape != (len(X),):
             raise ConfigError("field values do not match the number of points")
         _require_positive(X, u)
-        if order:
-            grad = np.asarray(grad, dtype=float)
-            hess = np.asarray(hess, dtype=float)
-            if grad.shape != X.shape or hess.shape != X.shape + (self.n,):
-                raise ConfigError("jet component shapes do not match the point dimension")
+        grad = np.asarray(grad, dtype=float)
+        hess = np.asarray(hess, dtype=float)
+        if grad.shape != X.shape or hess.shape != X.shape + (self.n,):
+            raise ConfigError("jet component shapes do not match the point dimension")
         return u, grad, hess
 
     def _row(self, x) -> np.ndarray:
@@ -424,7 +418,7 @@ class ScalarField:
         return x[None]
 
     def raw_jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        u, grad, hess = self.jets(self._row(x), 2)
+        u, grad, hess = self.jets(self._row(x))
         return float(u[0]), grad[0], hess[0]
 
     def jet(self, x) -> Jet2:
@@ -432,7 +426,7 @@ class ScalarField:
         return Jet2(np.asarray(x, dtype=float), u, grad, hess)
 
     def values(self, pts) -> np.ndarray:
-        return self.jets(pts, 0)[0]
+        return self.jets(pts)[0]
 
 
 def constant_field(value: float, n: int) -> ScalarField:
@@ -441,19 +435,15 @@ def constant_field(value: float, n: int) -> ScalarField:
     No workflow calls it; it is the tests' zero-Schouten field."""
     check_positive_value("constant field value", value)
 
-    def jets(X, order):
-        u = np.full(len(X), float(value))
-        if not order:
-            return u, None, None
-        return u, np.zeros((len(X), n)), np.zeros((len(X), n, n))
+    def jets(X):
+        return np.full(len(X), float(value)), np.zeros((len(X), n)), np.zeros((len(X), n, n))
 
     return ScalarField(n, tag=f"const({value})", jets=jets)
 
 
 def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
-    jet st and u's jet (uy, gy, hy) at the image points st.y. With st at
-    order 0 only the values come back.
+    jet st and u's jet (uy, gy, hy) at the image points st.y.
 
     psi pulls |dy|^2 back to e^{2 sigma} |dx|^2, sigma = log|det J| / n. With
     mu = grad sigma and s = (n-2)/2, so that |J|^p = e^{s sigma}, two facts of
@@ -470,8 +460,6 @@ def _pullback(st: _TransportState, uy, gy, hy):
     """
     n = st.y.shape[1]
     c, s = np.exp((n - 2.0) / (2.0 * n) * st.log_det), (n - 2.0) / 2.0
-    if st.jac is None:
-        return c * uy, None, None
     jac, mu = st.jac, st.grad_log_det / n
     jac_t = jac.swapaxes(1, 2)
     gv = (jac_t @ gy[:, :, None])[:, :, 0]
@@ -491,9 +479,9 @@ def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
     No workflow calls it: it is the subject of the conformal-invariance
     acceptance test, and a bench probe times its jets.
     """
-    def jets(X, order):
-        st = psi._walk(X, order)
-        return _pullback(st, *u.jets(st.y, order))
+    def jets(X):
+        st = psi._walk(X)
+        return _pullback(st, *u.jets(st.y))
 
     tag = f"mobius*{u.tag}" if u.tag else "mobius"
     return ScalarField(u.n, tag=tag, jets=jets)

@@ -19,7 +19,7 @@ def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,
     betas = rng.uniform(0.3, 1.5, size=n_bumps)
     centers = rng.normal(scale=1.2, size=(n_bumps, n))
 
-    def jets(X, order):
+    def jets(X):
         val = np.full(len(X), base)
         grad = np.zeros((len(X), n))
         hess = np.zeros((len(X), n, n))
@@ -35,6 +35,6 @@ def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,
             grad += (-2.0 * b * e)[:, None] * dx
             hess += e[:, None, None] * (4.0 * b * b * (dx[:, :, None] * dx[:, None, :])
                                         - 2.0 * b * np.eye(n))
-        return (val, grad, hess) if order else (val, None, None)
+        return val, grad, hess
 
     return ScalarField(n, tag="poly+gauss", jets=jets)

@@ -207,8 +207,8 @@ def test_verify_images_raises_the_first_error_of_the_fields_verified_one_by_one(
     n = 3
     bubble = bubbles.bubble_field(sl.BubbleSpec(n, 2, 1.0))
 
-    def jets(X, order):
-        val, grad, hess = bubble._jets(X, order)
+    def jets(X):
+        val, grad, hess = bubble._jets(X)
         return np.where(np.linalg.norm(X, axis=1) > 3.0, 0.0, val), grad, hess
 
     u = sl.ScalarField(n, jets=jets)
@@ -254,7 +254,7 @@ def test_verify_names_the_first_sample_where_sigma_k_overflows():
     # sigma_2 of its eigenvalues is not; sigma_1 alone is a finite report
     n, pts = 3, box_points(6, 3)
 
-    def jets(X, order):
+    def jets(X):
         return np.full(len(X), 1e-40), np.zeros(X.shape), np.tile(-np.eye(n), (len(X), 1, 1))
 
     u = sl.ScalarField(n, jets=jets)
@@ -392,9 +392,9 @@ def test_sweep_walks_each_word_a_fixed_number_of_times(monkeypatch):
     calls = []
     walk, matrix = sl.MobiusMap._walk, sl.MobiusMap._matrix
 
-    def counting_walk(self, X, order=0):
-        calls.append(("walk", order))
-        return walk(self, X, order)
+    def counting_walk(self, X):
+        calls.append(("walk", len(X)))
+        return walk(self, X)
 
     def counting_matrix(self, n):
         calls.append(("matrix", n))
@@ -461,7 +461,9 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
     # every field of the sweep valued in full on the reference grid of each
     # radius: the bubble rows equal its extrema (the grid holds the origin
     # and, from two radii on, B_2R's sphere), and no word image's grid
-    # extrema pass the exact rows
+    # extrema pass the exact rows. Each grid is walked once per word, and an
+    # image's values are |det J|^((n-2)/(2n)) u(psi(x)), bit for bit those of
+    # transform_field, without the hessians its jets form
     a_grid, r_grid, words, seed = np.geomspace(1e-2, 1e4, 7), [0.5, 1.0, 2.5], 2, 7
     rows = iter(sl.harnack_sweep(n, k, a_grid, r_grid, mobius_words=words, seed=seed))
     rng = np.random.default_rng(seed)
@@ -470,11 +472,11 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
                      for _ in range(words)]
     grids = [_full_grid(np.zeros(n), R, n_radial, 16) for R in r_grid]
     for psi in psis:
+        images = [(pts, 1.0) for pts in grids] if psi is None else [
+            (st.y, np.exp((n - 2.0) / (2.0 * n) * st.log_det)) for st in map(psi._walk, grids)]
         for a in a_grid:
-            u = sl.bubble_field(sl.BubbleSpec(n, k, a))
-            fld = u if psi is None else sl.transform_field(u, psi)
-            for R, pts in zip(r_grid, grids):
-                row, vals = next(rows), fld.values(pts)
+            for R, pts, (y, c) in zip(r_grid, grids, images):
+                row, vals = next(rows), c * bubbles._bubble_jets(n, k, a, 0.0, y, 0)[0]
                 half = len(pts) // 2
                 grid_max, grid_min = vals[:half].max(), vals[half:].min()
                 assert (row.a, row.R) == (a, R)
@@ -499,10 +501,8 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
     # the polish keeps the grid extrema and the reports must agree to the bit.
     n, center = 3, np.array([0.0, 0.5, -0.25])
 
-    def jets(X, order):
+    def jets(X):
         val = np.full(len(X), 2.0) if target is None else 1e-300 + (X[:, 0] - target) ** 2
-        if not order:
-            return val, None, None
         grad, hess = np.zeros((len(X), n)), np.zeros((len(X), n, n))
         if target is not None:
             grad[:, 0], hess[:, 0, 0] = 2.0 * (X[:, 0] - target), 2.0
@@ -527,18 +527,14 @@ def _polish_rule_fields(n):
     # onto 2 p_hat, the exact minimum over B_2 and no grid point
     p = 10.0 * np.ones(n) / math.sqrt(n)
 
-    def quadratic(X, order):
+    def quadratic(X):
         d = X - p
         val = 1.0 + 0.5 * np.einsum("ij,ij->i", d, d)
-        if not order:
-            return val, None, None
         return val, d, np.broadcast_to(np.eye(n), (len(X), n, n))
 
-    def overflowing(X, order):
+    def overflowing(X):
         # u = 2 + x_0 / 10 with a hessian so small that the step overflows
         val = 2.0 + 0.1 * X[:, 0]
-        if not order:
-            return val, None, None
         return val, np.tile(np.eye(n)[0] * 0.1, (len(X), 1)), \
             np.broadcast_to(1e-320 * np.eye(n), (len(X), n, n))
 

@@ -181,10 +181,9 @@ def test_constructor_and_argument_checks_are_config_errors():
                  lambda: sl.MobiusMap(("inversion",)),
                  lambda: sl.constant_field(1.0, 2),
                  lambda: sl.ScalarField(3),
-                 lambda: sl.ScalarField(3.5, jets=lambda X, order: X),
-                 lambda: sl.ScalarField(3, lambda x: x, jets=lambda X, order: X),
+                 lambda: sl.ScalarField(3.5, jets=lambda X: X),
+                 lambda: sl.ScalarField(3, lambda x: x, jets=lambda X: X),
                  lambda: field.jets(np.zeros((4, 2))),
-                 lambda: field.jets(np.zeros((4, 3)), order=1),
                  lambda: field.raw_jet(np.zeros(2))]
     for call in bad_calls:
         with pytest.raises(ConfigError):
@@ -203,10 +202,10 @@ def test_malformed_evaluator_jets_are_config_errors():
              ((u, np.zeros((2, n + 1)), hess), "point dimension"),
              ((u, grad, np.zeros((2, n, n + 1))), "point dimension")]
     for out, match in cases:
-        field = sl.ScalarField(n, jets=lambda X, order, out=out: out)
+        field = sl.ScalarField(n, jets=lambda X, out=out: out)
         with pytest.raises(ConfigError, match=match):
             field.jets(pts)
-    field = sl.ScalarField(n, jets=lambda X, order: (u, grad, skew))
+    field = sl.ScalarField(n, jets=lambda X: (u, grad, skew))
     with pytest.raises(ConfigError, match="asymmetry"):
         sl.verify_solution(field, n, 1, sample_points=pts)
     assert issubclass(ConfigError, ValueError)
@@ -304,7 +303,7 @@ def test_a_word_then_its_inverse_is_the_identity():
         noisy += ident._matrix(n)[0, n + 1] != 0.0
         assert ident.poles(n) == []
         X = rng.normal(size=(5, n))
-        st = ident._walk(X, 2)
+        st = ident._walk(X)
         for got, ref in ((st.y, X), (st.log_det, 0.0), (st.jac, np.eye(n)),
                          (st.grad_log_det, 0.0)):
             worst = max(worst, float(np.abs(got - ref).max()))
@@ -354,7 +353,7 @@ def test_walk_matches_a_50_digit_atom_walk():
 # transform_field
 # ---------------------------------------------------------------------------
 
-def _one_word_walk(M, X, order):
+def _one_word_walk(M, X):
     """The walk of one word as a single (n+2) x (n+2) matrix M, with no word
     axis: y, log |det J|, J and grad log |det J| in the expressions that
     `_walk_words` forms per word."""
@@ -371,8 +370,7 @@ def _one_word_walk(M, X, order):
     return y, -n * np.log(lam), jac / lam[:, None, None], -n * grad_lam / lam[:, None]
 
 
-@pytest.mark.parametrize("order", [0, 2])
-def test_stacked_walk_is_each_words_own_walk_bit_for_bit(order):
+def test_stacked_walk_is_each_words_own_walk_bit_for_bit():
     # six words per n, with and without a pole, walked as one stack: the rows of
     # word w equal its one-word _walk and the one-matrix expressions bit for bit
     rng = np.random.default_rng(83)
@@ -380,17 +378,14 @@ def test_stacked_walk_is_each_words_own_walk_bit_for_bit(order):
     for n in range(3, 9):
         words = [sl.random_mobius_map(rng, n) for _ in range(6)]
         X = rng.normal(scale=2.0, size=(23, n))
-        st = _walk_words(np.array([psi._matrix(n) for psi in words]), X, order)
+        st = _walk_words(np.array([psi._matrix(n) for psi in words]), X)
         assert st.y.shape == (6 * 23, n)
         for w, psi in enumerate(words):
             with_pole += bool(psi.poles(n))
             without += not psi.poles(n)
-            one, ref = psi._walk(X, order), _one_word_walk(psi._matrix(n), X, order)
+            one, ref = psi._walk(X), _one_word_walk(psi._matrix(n), X)
             for name, want in zip(("y", "log_det", "jac", "grad_log_det"), ref):
                 got, alone = getattr(st, name), getattr(one, name)
-                if not order and name in ("jac", "grad_log_det"):
-                    assert got is None and alone is None
-                    continue
                 np.testing.assert_array_equal(got[w * 23:(w + 1) * 23], want)
                 np.testing.assert_array_equal(alone, want)
     assert with_pole >= 10 and without >= 10
@@ -398,13 +393,13 @@ def test_stacked_walk_is_each_words_own_walk_bit_for_bit(order):
 
 def test_stacked_walk_of_no_words_and_at_a_pole():
     X = np.random.default_rng(5).normal(size=(7, 4))
-    st = _walk_words(np.empty((0, 6, 6)), X, 2)
+    st = _walk_words(np.empty((0, 6, 6)), X)
     assert [a.shape for a in vars(st).values()] == [(0, 4), (0,), (0, 4, 4), (0, 4)]
     words = [sl.MobiusMap((sl.Translation(np.ones(4)),)), sl.MobiusMap((sl.Inversion(),))]
     Ms = np.array([psi._matrix(4) for psi in words])
-    assert _walk_words(Ms, X, 2).y.shape == (14, 4)
+    assert _walk_words(Ms, X).y.shape == (14, 4)
     with pytest.raises(PoleError, match="hit its pole"):
-        _walk_words(Ms, np.vstack([X, np.zeros(4)]), 0)
+        _walk_words(Ms, np.vstack([X, np.zeros(4)]))
 
 
 def test_constant_field_value_checks():
@@ -504,7 +499,7 @@ def _lifted_test_field(n, rng):
     batch = random_test_field(n, rng)
 
     def evaluator(x):
-        u, g, h = batch.jets(x[None], 2)
+        u, g, h = batch.jets(x[None])
         return u[0], g[0], h[0]
 
     return sl.ScalarField(n, evaluator, tag="lifted")
@@ -525,7 +520,7 @@ def test_single_point_calls_match_batch_rows():
               sl.transform_field(random_test_field(n, rng), psi)]
     rtol = 1e-12
     for field in fields:
-        u, grad, hess = field.jets(pts, 2)
+        u, grad, hess = field.jets(pts)
         np.testing.assert_array_equal(field.values(pts), u)
         for i in (0, 57, 199):
             val, g1, h1 = field.raw_jet(pts[i])
@@ -534,7 +529,7 @@ def test_single_point_calls_match_batch_rows():
                                        atol=rtol * np.abs(grad[i]).max())
             np.testing.assert_allclose(h1, hess[i], rtol=rtol,
                                        atol=rtol * np.abs(hess[i]).max())
-    full = psi._walk(pts, 2)
+    full = psi._walk(pts)
     for i in (0, 57, 199):
         st = psi.jet(pts[i])
         for name in ("y", "jac", "grad_log_det"):
