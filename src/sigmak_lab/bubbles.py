@@ -91,8 +91,9 @@ def _power(a: float, p: float) -> float:
 
 def _bubble_jets(n: int, k: int, a, center, X, order: int):
     """Jets of the family member of scale a and center at the rows of X
-    (..., n). An amplitude c a^m past the float range is a FloatRangeError
-    that names a."""
+    (..., n): the full 2-jet, or (u, None, None) at order 0 for the callers
+    that read values on (N, 1) radii. An amplitude c a^m past the float
+    range is a FloatRangeError that names a."""
     m = (n - 2.0) / 2.0
     d = X - center
     amp = c_constant(n, k) * _power(a, m)
@@ -252,8 +253,9 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
 
     One batch evaluation of u on the grid over B_R and all of B_2R's doubled
     shells (`_harnack_grid`) picks the grid maximum over B_R and minimum over
-    B_2R. One Newton step from each, projected into its ball, then wins where
-    it is strictly better. A singular hessian (LinAlgError, the only error
+    B_2R; like every field evaluation it forms u's full 2-jet, of which the
+    scan reads the values. One Newton step from each, projected into its
+    ball, then wins where it is strictly better. A singular hessian (LinAlgError, the only error
     caught) keeps both grid extrema, and a row with a non-finite step keeps
     its grid value. The product is bounded only on solutions; whether u is
     one is for `verify_solution` to say. No workflow calls it; it waits on

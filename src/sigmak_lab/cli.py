@@ -26,7 +26,8 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
-from .errors import ConfigError, PathError, SigmakLabError, check_count, check_positive
+from .errors import ConfigError, PathError, SigmakLabError, _FloatTraps, check_count, \
+    check_positive
 from .halton import box_points
 
 # Size caps. verify-bubble holds (1 + images) * samples rows at once, about
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         _check_outputs(args)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with _FloatTraps():
             return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -21,11 +21,13 @@ that matrix times the lifts. Jets of transformed fields are analytic: J and
 grad log|det J| fix the word's second derivatives by conformality; finite
 differences appear only in tests.
 
-Every evaluation runs on a stack of N points at once (`ScalarField.jets`,
-`_checked_schouten`), and a word walk on a stack of W words as well
-(`_walk_words`, on the stacked matrices); `MobiusMap._walk` is the W = 1
-case. The per-point calls are the N = 1 case, and no workflow runs them:
-they wait on the bench probes that time them.
+Every evaluation runs on a stack of N points at once and is a full 2-jet
+(`ScalarField.jets`, `_checked_schouten`); the equation is a condition on the
+2-jet of u, and every workflow checks it there. A word walk runs on a stack
+of W words as well (`_walk_words`, on the stacked matrices) and always
+carries J and grad log|det J|; `MobiusMap._walk` is the W = 1 case. The
+per-point calls are the N = 1 case, and no workflow runs them: they wait on
+the bench probes that time them.
 """
 
 from __future__ import annotations
@@ -343,13 +345,18 @@ def random_mobius_map(rng: np.random.Generator, n: int) -> MobiusMap:
 def random_mobius_map_avoiding(rng: np.random.Generator, n: int, points,
                                clearance: float) -> MobiusMap:
     """Draw random words (`random_mobius_map`) until one has its pole, if
-    any, farther than clearance from every row of points; return that word."""
+    any, farther than clearance from every row of points; return that word.
+    Points that are not all finite are a ConfigError; a distance past the
+    float range is inf, so that point is clear."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(points).all():
+        raise ConfigError("the points a word must avoid are not all finite")
     while True:
         psi = random_mobius_map(rng, n)
-        if all(float(np.min(np.linalg.norm(points - p, axis=1), initial=np.inf)) > clearance
-               for p in psi.poles(n)):
-            return psi
+        with np.errstate(over="ignore"):
+            if all(float(np.min(np.linalg.norm(points - p, axis=1), initial=np.inf)) > clearance
+                   for p in psi.poles(n)):
+                return psi
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +450,7 @@ def constant_field(value: float, n: int) -> ScalarField:
 
 def _pullback(st: _TransportState, uy, gy, hy):
     """Jet of |J_psi|^p (u o psi), p = (n-2)/(2n), from the transported word
-    jet st and u's jet (uy, gy, hy) at the image points st.y.
+    jet st and u's full 2-jet (uy, gy, hy) at the image points st.y.
 
     psi pulls |dy|^2 back to e^{2 sigma} |dx|^2, sigma = log|det J| / n. With
     mu = grad sigma and s = (n-2)/2, so that |J|^p = e^{s sigma}, two facts of
@@ -473,9 +480,10 @@ def _pullback(st: _TransportState, uy, gy, hy):
 def transform_field(u: ScalarField, psi: MobiusMap) -> ScalarField:
     """The conformal pullback |J_psi|^{(n-2)/(2n)} (u o psi) with analytic jets.
 
-    First and second derivatives are chain-ruled through the transported
-    word jet (`_pullback`), so the returned field is exactly as smooth as u
-    away from the word's poles; the inversion word gives the Kelvin transform.
+    Each evaluation walks the points through the word once and chain-rules
+    u's full 2-jet at their images through the word's jet (`_pullback`), so
+    the returned field is exactly as smooth as u away from the word's poles;
+    the inversion word gives the Kelvin transform.
     No workflow calls it: it is the subject of the conformal-invariance
     acceptance test, and a bench probe times its jets.
     """

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bubbles import _bubble_jets, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
-    PositivityError, _require_positive, check_count, check_nk, check_positive
+    PositivityError, _FloatTraps, _require_positive, check_count, check_nk, check_positive
 from .radial import RadialProfile, _coeffs, _pair_sigma, _powers_e, _schouten_pair
 
 __all__ = [
@@ -324,53 +324,54 @@ def newton_solve(initial, spec: BvpSpec, t: float) -> tuple[np.ndarray, TRecord]
     may also be an _Iterate, as continue_path passes its last solution; the
     solution is then one too.
     """
-    try:
-        state = _admissible_state(initial, spec, t)
-    except (PositivityError, ConeDomainError) as exc:
-        raise NewtonError(f"inadmissible initial state: {exc}") from exc
-    if state.ellipticity() <= 0.0:
-        raise NewtonError("inadmissible initial state: no ellipticity certificate")
+    with _FloatTraps():
+        try:
+            state = _admissible_state(initial, spec, t)
+        except (PositivityError, ConeDomainError) as exc:
+            raise NewtonError(f"inadmissible initial state: {exc}") from exc
+        if state.ellipticity() <= 0.0:
+            raise NewtonError("inadmissible initial state: no ellipticity certificate")
 
-    x, h = state.u, spec.h
-    res = state.residual()
-    rnorm = float(np.abs(res).max())
-    iters = 0
-    while True:
-        band = state.band()
-        tol = max(_NEWTON_TOL, _attainable_residual(band, x, h))
-        if rnorm < tol:
-            break
-        if iters >= _MAX_NEWTON_ITER:
-            raise NewtonError(f"Newton did not converge in {_MAX_NEWTON_ITER} "
-                              f"iterations (residual {rnorm:.3e})",
-                              iterations=iters, residual=rnorm)
-        step = _solve_band(band, -res, h)
-        if not np.all(np.isfinite(step)):
-            raise NewtonError("singular Jacobian (non-finite step)",
-                              iterations=iters, residual=rnorm)
-        alpha = 1.0
-        accepted = None
-        while alpha >= 2.0 ** -30:
-            trial = x + alpha * step
-            try:
-                cand = _admissible_state(trial, spec, t)
-            except (PositivityError, ConeDomainError):
-                alpha *= 0.5
-                continue
-            cand_res = cand.residual()
-            cand_norm = float(np.abs(cand_res).max())
-            if cand_norm < rnorm or cand_norm < tol:
-                accepted = (trial, cand, cand_res, cand_norm)
+        x, h = state.u, spec.h
+        res = state.residual()
+        rnorm = float(np.abs(res).max())
+        iters = 0
+        while True:
+            band = state.band()
+            tol = max(_NEWTON_TOL, _attainable_residual(band, x, h))
+            if rnorm < tol:
                 break
-            alpha *= 0.5
-        if accepted is None:
-            raise NewtonError("no admissible Newton step (cone exit or stall)",
-                              iterations=iters, residual=rnorm)
-        x, state, res, rnorm = accepted
-        iters += 1
-    record = TRecord(t, True, iters, rnorm, float(state.margins.min()),
-                     state.ellipticity())
-    return (state.iterate if isinstance(initial, _Iterate) else x), record
+            if iters >= _MAX_NEWTON_ITER:
+                raise NewtonError(f"Newton did not converge in {_MAX_NEWTON_ITER} "
+                                  f"iterations (residual {rnorm:.3e})",
+                                  iterations=iters, residual=rnorm)
+            step = _solve_band(band, -res, h)
+            if not np.all(np.isfinite(step)):
+                raise NewtonError("singular Jacobian (non-finite step)",
+                                  iterations=iters, residual=rnorm)
+            alpha = 1.0
+            accepted = None
+            while alpha >= 2.0 ** -30:
+                trial = x + alpha * step
+                try:
+                    cand = _admissible_state(trial, spec, t)
+                except (PositivityError, ConeDomainError):
+                    alpha *= 0.5
+                    continue
+                cand_res = cand.residual()
+                cand_norm = float(np.abs(cand_res).max())
+                if cand_norm < rnorm or cand_norm < tol:
+                    accepted = (trial, cand, cand_res, cand_norm)
+                    break
+                alpha *= 0.5
+            if accepted is None:
+                raise NewtonError("no admissible Newton step (cone exit or stall)",
+                                  iterations=iters, residual=rnorm)
+            x, state, res, rnorm = accepted
+            iters += 1
+        record = TRecord(t, True, iters, rnorm, float(state.margins.min()),
+                         state.ellipticity())
+        return (state.iterate if isinstance(initial, _Iterate) else x), record
 
 
 def initial_guess(spec: BvpSpec) -> np.ndarray:
@@ -380,22 +381,23 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
     value is chosen. A boundary value no family member attains is a
     configuration error.
     """
-    n, k = spec.n, spec.k
-    if spec.a_init is not None:
-        a = float(spec.a_init)
-    else:
-        # u_b = c (a / (1 + a^2 r_b^2))^m is a quadratic in a with discriminant
-        # 1 - p^2, p = 2 r_b q, q = (u_b / c)^{1/m}; past the float range p is inf
-        with np.errstate(over="ignore"):
-            q = np.float64(spec.u_b / c_constant(n, k)) ** (2.0 / (n - 2.0))
-            p = 2.0 * (spec.r_b * q)
-            disc = 1.0 - p * p
-        if not disc >= 0.0:
-            raise ConfigError(
-                f"boundary value u_b={spec.u_b} exceeds every family member "
-                f"on a domain of radius {spec.r_b}")
-        a = float(2.0 * q / (1.0 + math.sqrt(disc)))  # the small root, free of cancellation
-    return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
+    with _FloatTraps():
+        n, k = spec.n, spec.k
+        if spec.a_init is not None:
+            a = float(spec.a_init)
+        else:
+            # u_b = c (a / (1 + a^2 r_b^2))^m is a quadratic in a with discriminant
+            # 1 - p^2, p = 2 r_b q, q = (u_b / c)^{1/m}; past the float range p is inf
+            with np.errstate(over="ignore"):
+                q = np.float64(spec.u_b / c_constant(n, k)) ** (2.0 / (n - 2.0))
+                p = 2.0 * (spec.r_b * q)
+                disc = 1.0 - p * p
+            if not disc >= 0.0:
+                raise ConfigError(
+                    f"boundary value u_b={spec.u_b} exceeds every family member "
+                    f"on a domain of radius {spec.r_b}")
+            a = float(2.0 * q / (1.0 + math.sqrt(disc)))  # the small root, free of cancellation
+        return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
 
 
 def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
@@ -409,39 +411,40 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     times in a row; exhaustion raises PathError carrying the last good t.
     Returns the t = 1 profile and the full trace (failed attempts included).
     """
-    trace = ContinuationTrace()
-    x = _Iterate(initial_guess(spec), spec)
-    # Python floats, so "last good t" prints plainly; no solve has converged yet
-    cur_t, tgt, step, depth = None, 0.0, float(spec.t_step), 0
-    while cur_t != 1.0:
-        try:
-            x_new, rec = newton_solve(x, spec, tgt)
-        except NewtonError as exc:
-            trace.records.append(TRecord(tgt, False, exc.iterations or 0,
-                                         exc.residual if exc.residual is not None
-                                         else float("nan"),
-                                         float("nan"), float("nan")))
-            if cur_t is None:
-                raise PathError(f"no solution at the starting parameter t={tgt}",
-                                last_good_t=None, trace=trace) from exc
-            depth += 1
-            if depth > _MAX_BISECT:
-                raise PathError(
-                    f"continuation stalled between t={cur_t} and t={tgt} "
-                    f"after {_MAX_BISECT} bisections",
-                    last_good_t=cur_t, trace=trace) from exc
-            step = 0.5 * (tgt - cur_t)
-            tgt = cur_t + step
-            continue
-        trace.records.append(rec)
-        if cur_t is not None and rec.iters <= _FAST_ITERS:
-            step *= 2.0
-        x, cur_t, depth = x_new, tgt, 0
-        tgt = 1.0 if cur_t + step > 1.0 - 1e-9 * step else cur_t + step  # no rounding sliver
-    u = x.u
-    du = np.empty_like(u)
-    du[0] = 0.0
-    du[1:-1] = x.nodes[2]  # the central difference the last solve used
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spec.h)
-    profile = RadialProfile(spec.mesh, u, du, spec.n, spec.k)
-    return profile, trace
+    with _FloatTraps():
+        trace = ContinuationTrace()
+        x = _Iterate(initial_guess(spec), spec)
+        # Python floats, so "last good t" prints plainly; no solve has converged yet
+        cur_t, tgt, step, depth = None, 0.0, float(spec.t_step), 0
+        while cur_t != 1.0:
+            try:
+                x_new, rec = newton_solve(x, spec, tgt)
+            except NewtonError as exc:
+                trace.records.append(TRecord(tgt, False, exc.iterations or 0,
+                                             exc.residual if exc.residual is not None
+                                             else float("nan"),
+                                             float("nan"), float("nan")))
+                if cur_t is None:
+                    raise PathError(f"no solution at the starting parameter t={tgt}",
+                                    last_good_t=None, trace=trace) from exc
+                depth += 1
+                if depth > _MAX_BISECT:
+                    raise PathError(
+                        f"continuation stalled between t={cur_t} and t={tgt} "
+                        f"after {_MAX_BISECT} bisections",
+                        last_good_t=cur_t, trace=trace) from exc
+                step = 0.5 * (tgt - cur_t)
+                tgt = cur_t + step
+                continue
+            trace.records.append(rec)
+            if cur_t is not None and rec.iters <= _FAST_ITERS:
+                step *= 2.0
+            x, cur_t, depth = x_new, tgt, 0
+            tgt = 1.0 if cur_t + step > 1.0 - 1e-9 * step else cur_t + step  # no rounding sliver
+        u = x.u
+        du = np.empty_like(u)
+        du[0] = 0.0
+        du[1:-1] = x.nodes[2]  # the central difference the last solve used
+        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spec.h)
+        profile = RadialProfile(spec.mesh, u, du, spec.n, spec.k)
+        return profile, trace

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the one home of each input check:
-`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
-`_require_positive` and `_require_finite`. All errors derive from SigmakLabError;
-the numeric ones double as ValueError/RuntimeError/ArithmeticError so generic
-callers can catch the builtin types. An error class lists the context its
-errors carry in `_context`: each name is a keyword of the constructor and an
-attribute of the error, None where the raise does not give it.
+"""Exception types shared across the package, the one home of each input check
+(`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
+`_require_positive` and `_require_finite`) and of the float traps (`_FloatTraps`).
+All errors derive from SigmakLabError; the numeric ones double as
+ValueError/RuntimeError/ArithmeticError so generic callers can catch the builtin
+types. An error class lists the context its errors carry in `_context`: each name
+is a keyword of the constructor and an attribute of the error, None where the
+raise does not give it.
 """
 
 import math
@@ -111,6 +112,22 @@ class FloatRangeError(SigmakLabError, ArithmeticError):
     finite where a finite one was due. Carries the offending point or input."""
 
     _context = ("where",)
+
+
+class _FloatTraps:
+    """`with _FloatTraps():` raises on an overflow, a division by zero or an
+    invalid operation, and numpy's FloatingPointError leaves the block as
+    FloatRangeError with numpy's message: the CLI's commands and the solvers
+    a library caller reaches fail alike."""
+
+    def __enter__(self):
+        self._state = np.errstate(over="raise", divide="raise", invalid="raise")
+        self._state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._state.__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise FloatRangeError(str(exc)) from exc
 
 
 def _require_finite(X, ok, what: str) -> None:

@@ -45,6 +45,9 @@ ARGVS = [
     "harnack-sweep --n 4 --k 2 --a 0.5:2:3 --R 0.5:1:2 --images 2 --seed 5 --out sweep.csv",
     "harnack-sweep --n 3 --k 1 --a 1e-200 --images 1 --out tiny_sweep.csv",
     "harnack-sweep --n 8 --k 8 --a 1e-3:1e3:4log --images 2 --seed 9 --out sweep8.csv",
+    "homotopy --n 7 --k 3 --m 128 --trace trace7.json",
+    "homotopy --n 3 --k 2 --m 32 --ub 0.05 --profile pathub.csv",
+    "homotopy --n 3 --k 1 --m 32 --a 1e100",
 ]
 
 

@@ -1,13 +1,16 @@
-"""The error contract's two shared pieces: the one constructor that stores every
-error's context, and the one check of every count and size."""
+"""The error contract's shared pieces: the one constructor that stores every
+error's context, the one check of every count and size, and the float traps
+that the library's solvers share with the CLI."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sigmak_lab import errors
-from sigmak_lab.errors import ConfigError, check_count
+import sigmak_lab as sl
+from sigmak_lab import bubbles, errors
+from sigmak_lab.errors import ConfigError, FloatRangeError, check_count
 
 # the context each error carries, by the names its raisers and readers use
 CONTEXT = {
@@ -78,3 +81,27 @@ def test_check_nk_is_two_counts():
                        (4, 2.0, "cone index k=2.0 must be an integer >= 1")]:
         with pytest.raises(ConfigError, match=f"^{text}$"):
             errors.check_nk(n, k)
+
+
+def test_solvers_and_word_draws_keep_the_float_contract_without_the_cli():
+    # under numpy's default error state: where the CLI's traps fire, each solver
+    # raises FloatRangeError with numpy's message, not a RuntimeWarning; a point
+    # past the float range is clear of every pole, and a nan point is refused
+    u_b = float(bubbles._bubble_jets(3, 1, 1e100, 0.0, np.array([[5.0]]), 0)[0][0])
+    cases = [(sl.BvpSpec(3, 1, 5.0, u_b, m=32, a_init=1e100), "overflow encountered in multiply"),
+             (sl.BvpSpec(3, 1, 1e-300, 1.0, m=32, a_init=1.0),
+              "invalid value encountered in divide")]
+    far = np.full((1, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, message in cases:
+            for solve in (sl.continue_path,
+                          lambda spec: sl.newton_solve(sl.initial_guess(spec), spec, 0.0)):
+                with pytest.raises(FloatRangeError, match=message):
+                    solve(spec)
+        for seed in (1, 7):
+            psi = sl.random_mobius_map_avoiding(np.random.default_rng(seed), 3, far, 1e-2)
+            first = sl.random_mobius_map(np.random.default_rng(seed), 3)
+            np.testing.assert_array_equal(psi._matrix(3), first._matrix(3))
+    with pytest.raises(ConfigError, match="not all finite"):
+        sl.random_mobius_map_avoiding(np.random.default_rng(0), 3, np.full((1, 3), np.nan), 1e-2)
