@@ -10,7 +10,7 @@ Modules:
     radial        two-eigenvalue radial reduction and the shooting solver
     continuation  radial Dirichlet problems solved by damped Newton with
                   homotopy continuation in the operator family
-    cli           command-line front end (also installed as `sigmak-lab`)
+    cli           command-line front end, the one writer of files (installed as `sigmak-lab`)
 """
 
 from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
@@ -20,16 +20,14 @@ from .conformal import (Dilation, Inversion, Jet2, MobiusMap, Rotation,
                         ScalarField, Translation, constant_field,
                         random_mobius_map, random_mobius_map_avoiding,
                         schouten_flat, schouten_spectrum, transform_field)
-from .continuation import (BvpSpec, ContinuationTrace, TRecord,
-                           assemble_jacobian, assemble_residual, continue_path,
-                           initial_guess, newton_solve)
+from .continuation import (BvpSpec, TRecord, assemble_jacobian, assemble_residual,
+                           continue_path, initial_guess, newton_solve)
 from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
                      DomainError, FloatRangeError, NewtonError, PathError,
                      PoleError, PositivityError, SigmakLabError,
                      StepUnderflowError)
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
-                     liouville_report, radial_eigenvalues, shoot,
-                     write_profile_csv)
+                     liouville_report, radial_eigenvalues, shoot)
 from .symfun import (ConeMembership, OperatorSpec, f_homotopy,
                      f_homotopy_gradient, homotopy_vector, in_gamma_k, sigma)
 

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that writes files.
 
 Four workflows: closed-form solution verification, radial shooting with
 the desk-scale classification check, homotopy continuation, and the
@@ -10,7 +10,9 @@ or an invalid operation is a numerical failure (2), not a warning and a nan.
 All randomness (word generation) hangs off a single --seed flag, so a
 fixed command line produces byte-identical output files. Each size a command
 allocates by has a cap, named in --help and checked before any work; so has
-homotopy's dimension --n, which bounds the time of its largest run.
+each dimension --n: verify-bubble's by its Halton bases, homotopy's by the
+time of its largest run. The file formats are defined here: every CSV starts
+`# sigmak-lab v1` and writes floats by `repr`; every JSON is a list of records.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
 from .errors import ConfigError, PathError, SigmakLabError, _FloatTraps, check_count, \
     check_positive
-from .halton import box_points
+from .halton import _PRIMES, box_points
 
 # Size caps. verify-bubble holds (1 + images) * samples rows at once, about
 # 14 KB each at n = 15, so its largest run holds 50,000; harnack-sweep holds
@@ -39,6 +41,7 @@ MAX_MESH = 65_536        # homotopy --m
 MAX_STEPS = 1_000_000    # homotopy --steps
 MAX_GRID = 200           # the count of a start:stop:count grid
 MAX_HOMOTOPY_N = 20      # homotopy --n: at n = 21 the largest run takes minutes
+MAX_VERIFY_N = len(_PRIMES)  # verify-bubble --n: one Halton base per coordinate
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -69,10 +72,62 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def _write_text(path, text: str):
+    """Write text to path; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_csv(path, lines: list[str]):
+    """Write CSV lines under the versioned header line every CSV of the lab starts with."""
+    _write_text(path, "\n".join(["# sigmak-lab v1"] + lines) + "\n")
+
+
+def _reprs(a: np.ndarray) -> list[str]:
+    """`repr` of every entry of the float array a, formatting each distinct
+    bit pattern once: by bits, not by value, -0.0 stays apart from 0.0 and
+    every nan finds itself."""
+    keys, inverse = np.unique(np.ascontiguousarray(a, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_profile_csv(profile: radial.RadialProfile, path):
+    """Write a profile with per-node certificate columns (`radial._node_solves`).
+
+    sigma_residual is |sigma_k - 1| at the node's curvature solve (machine-level
+    along shot profiles), cone_margin the Gamma_k margin of its eigenpair; a
+    failed solve gives nan residual and the failing margin. Every field is the
+    `repr` of a Python float, the origin row's du always +0.0 (`0.0`); the
+    certificates repeat few values, so `_reprs` formats each distinct one once.
+    """
+    _, margin, res = radial._node_solves(profile.r, profile.u, profile.du, profile.n, profile.k)
+    du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
+    text = _reprs(np.concatenate([res, margin]))
+    rows = zip(profile.r.tolist(), profile.u.tolist(), du, text[:res.size], text[res.size:])
+    lines = ["r,u,du,sigma_residual,cone_margin"]
+    lines += [f"{r!r},{u!r},{du!r},{res},{margin}" for r, u, du, res, margin in rows]
+    _write_csv(path, lines)
+
+
+def _trace_json(records: list[continuation.TRecord]) -> str:
+    """The homotopy trace: every attempted solve's record, fields in their order."""
+    return json.dumps([vars(r) for r in records], indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # verify-bubble
 # ---------------------------------------------------------------------------
 
 def cmd_verify_bubble(args) -> int:
+    check_count("--n", args.n, 3, MAX_VERIFY_N)
     check_positive("--tol", args.tol)
     check_count("--samples", args.samples, 1, MAX_SAMPLES)
     check_count("--images", args.images, 0, MAX_IMAGES)
@@ -98,9 +153,9 @@ def cmd_verify_bubble(args) -> int:
         print(f"{label}: residual {rep.max_residual:.3e}  "
               f"margin {rep.min_margin:.3e}  ({rep.n_samples} points)")
     if args.out and args.format == "json":
-        radial.write_text(args.out, json.dumps(records, indent=2) + "\n")
+        _write_text(args.out, json.dumps(records, indent=2) + "\n")
     elif args.out:  # the same records, strings bare and numbers by repr
-        radial.write_csv(args.out, [",".join(records[0])] + [
+        _write_csv(args.out, [",".join(records[0])] + [
             ",".join(v if isinstance(v, str) else repr(v) for v in rec.values())
             for rec in records])
     if not ok:
@@ -129,7 +184,7 @@ def cmd_solve_radial(args) -> int:
         print(f"kelvin probe: {status}, scaled gradient "
               f"{report.tail.scaled_grad[-1]:.3e} at rho = {report.tail.rho[-1]:.3g}")
     if args.out:
-        radial.write_profile_csv(profile, args.out)
+        _write_profile_csv(profile, args.out)
     return 0
 
 
@@ -148,17 +203,17 @@ def cmd_homotopy(args) -> int:
         args.n, args.k, args.rb, u_b, m=args.m,
         t_step=1.0 / args.steps, a_init=args.a if args.ub is None else None)
     try:
-        profile, trace = continuation.continue_path(spec)
+        profile, records = continuation.continue_path(spec)
     except PathError as exc:
         print(f"homotopy failed: {exc}")
         if exc.last_good_t is not None:
             print(f"last good t = {exc.last_good_t!r}")
         if args.trace:
-            radial.write_text(args.trace, exc.trace.to_json())
+            _write_text(args.trace, _trace_json(exc.trace))
         return 2
-    solved = [r for r in trace.records if r.converged]
+    solved = [r for r in records if r.converged]
     print(f"reached t = 1 in {len(solved)} solves "
-          f"({len(trace.records) - len(solved)} failed attempts)")
+          f"({len(records) - len(solved)} failed attempts)")
     print(f"final residual = {solved[-1].residual:.3e}, "
           f"cone margin = {solved[-1].cone_margin:.3e}, "
           f"ellipticity = {solved[-1].ellipticity:.3e}")
@@ -167,9 +222,9 @@ def cmd_homotopy(args) -> int:
         dev = float(np.max(np.abs(profile.u - model) / model))
         print(f"max relative deviation from the target profile = {dev:.3e}")
     if args.trace:
-        radial.write_text(args.trace, trace.to_json())
+        _write_text(args.trace, _trace_json(records))
     if args.profile:
-        radial.write_profile_csv(profile, args.profile)
+        _write_profile_csv(profile, args.profile)
     return 0
 
 
@@ -193,7 +248,7 @@ def cmd_harnack_sweep(args) -> int:
         lines = ["n,k,a,R,maxBR,min2BR,product_scaled"]
         lines += [f"{row.n},{row.k},{row.a!r},{row.R!r},{row.max_br!r},"
                   f"{row.min_2br!r},{row.product_scaled!r}" for row in rows]
-        radial.write_csv(args.out, lines)
+        _write_csv(args.out, lines)
     return 0
 
 
@@ -209,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bubble", help="residual-check the "
                        "closed-form family and random word images of it")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {MAX_VERIFY_N}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-7)

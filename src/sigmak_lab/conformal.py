@@ -300,8 +300,12 @@ def _walk_words(Ms, X) -> _TransportState:
     as alpha |x - p|^2, alpha = M[0, n+1]; a PoleError where lam <= 0 or nan.
     With y and log |det J| come J = (B + 2 q x^T - y grad lam^T) / lam, B and q
     the blocks M[1:n+1, 1:n+1] and M[1:n+1, n+1], and grad log |det J| =
-    -n grad lam / lam: what `_pullback` needs."""
+    -n grad lam / lam: what `_pullback` needs. A point whose |x|^2 overflows is
+    a FloatRangeError naming it, not a false pole (inf 0 in the lift is nan)."""
     n = X.shape[1]
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->i", X, X)
+    _require_finite(X, ~np.isinf(sq), "|x|^2 of the point")  # a nan point's lam is nan
     y = _lifted(Ms[:, 1:n + 1], X)
     lam, grad_lam = np.empty(y.shape[:2]), np.empty(y.shape)
     for w, M in enumerate(Ms):

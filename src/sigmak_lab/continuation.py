@@ -32,9 +32,8 @@ is checked at every step, never assumed.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .radial import RadialProfile, _coeffs, _pair_sigma, _powers_e, _schouten_pa
 __all__ = [
     "BvpSpec",
     "TRecord",
-    "ContinuationTrace",
     "assemble_residual",
     "assemble_jacobian",
     "newton_solve",
@@ -112,16 +110,6 @@ class TRecord:
     residual: float
     cone_margin: float
     ellipticity: float
-
-
-@dataclass
-class ContinuationTrace:
-    """Ordered records of every attempted solve along the t-path."""
-
-    records: list[TRecord] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps([vars(r) for r in self.records], indent=2) + "\n"
 
 
 class _Iterate:
@@ -400,7 +388,7 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
         return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
 
 
-def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
+def continue_path(spec: BvpSpec) -> tuple[RadialProfile, list[TRecord]]:
     """Walk t from the sigma_1-type endpoint to pure sigma_k with step control.
 
     Each converged solution seeds the next solve. The first step is
@@ -408,11 +396,12 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
     Newton iterations the step doubles, capped at the distance to t = 1, so
     a first step of 1/40 visits t = 0, 1/40, 3/40, 7/40, 15/40, 31/40, 1. A
     failed solve halves the step towards the last good t, up to _MAX_BISECT
-    times in a row; exhaustion raises PathError carrying the last good t.
-    Returns the t = 1 profile and the full trace (failed attempts included).
+    times in a row; exhaustion raises PathError carrying the last good t and,
+    as its trace, the records so far. Returns the t = 1 profile and the
+    TRecord of every attempted solve in order, failed attempts included.
     """
     with _FloatTraps():
-        trace = ContinuationTrace()
+        records = []
         x = _Iterate(initial_guess(spec), spec)
         # Python floats, so "last good t" prints plainly; no solve has converged yet
         cur_t, tgt, step, depth = None, 0.0, float(spec.t_step), 0
@@ -420,23 +409,22 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
             try:
                 x_new, rec = newton_solve(x, spec, tgt)
             except NewtonError as exc:
-                trace.records.append(TRecord(tgt, False, exc.iterations or 0,
-                                             exc.residual if exc.residual is not None
-                                             else float("nan"),
-                                             float("nan"), float("nan")))
+                records.append(TRecord(tgt, False, exc.iterations or 0,
+                                       exc.residual if exc.residual is not None else float("nan"),
+                                       float("nan"), float("nan")))
                 if cur_t is None:
                     raise PathError(f"no solution at the starting parameter t={tgt}",
-                                    last_good_t=None, trace=trace) from exc
+                                    last_good_t=None, trace=records) from exc
                 depth += 1
                 if depth > _MAX_BISECT:
                     raise PathError(
                         f"continuation stalled between t={cur_t} and t={tgt} "
                         f"after {_MAX_BISECT} bisections",
-                        last_good_t=cur_t, trace=trace) from exc
+                        last_good_t=cur_t, trace=records) from exc
                 step = 0.5 * (tgt - cur_t)
                 tgt = cur_t + step
                 continue
-            trace.records.append(rec)
+            records.append(rec)
             if cur_t is not None and rec.iters <= _FAST_ITERS:
                 step *= 2.0
             x, cur_t, depth = x_new, tgt, 0
@@ -447,4 +435,4 @@ def continue_path(spec: BvpSpec) -> tuple[RadialProfile, ContinuationTrace]:
         du[1:-1] = x.nodes[2]  # the central difference the last solve used
         du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spec.h)
         profile = RadialProfile(spec.mesh, u, du, spec.n, spec.k)
-        return profile, trace
+        return profile, records

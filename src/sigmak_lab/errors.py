@@ -163,6 +163,6 @@ class NewtonError(SigmakLabError, RuntimeError):
 
 
 class PathError(SigmakLabError, RuntimeError):
-    """Homotopy path could not be continued to t = 1."""
+    """Homotopy path could not be continued to t = 1; trace lists each solve's TRecord."""
 
     _context = ("last_good_t", "trace")

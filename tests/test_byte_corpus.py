@@ -48,6 +48,7 @@ ARGVS = [
     "homotopy --n 7 --k 3 --m 128 --trace trace7.json",
     "homotopy --n 3 --k 2 --m 32 --ub 0.05 --profile pathub.csv",
     "homotopy --n 3 --k 1 --m 32 --a 1e100",
+    "verify-bubble --n 3 --k 1 --box 1e200 --images 2 --samples 4 --seed 1",
 ]
 
 

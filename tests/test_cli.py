@@ -379,6 +379,8 @@ _PAST_CAPS = [
     (["harnack-sweep", "--n", "3", "--k", "1", "--a", f"1:2:{2 ** 70}log"], cli.MAX_GRID),
     (["homotopy", "--n", str(cli.MAX_HOMOTOPY_N + 1), "--k", "1"], cli.MAX_HOMOTOPY_N),
     (["homotopy", "--n", str(2 ** 70), "--k", "1"], cli.MAX_HOMOTOPY_N),
+    (["verify-bubble", "--n", str(cli.MAX_VERIFY_N + 1), "--k", "1"], cli.MAX_VERIFY_N),
+    (["verify-bubble", "--n", str(2 ** 70), "--k", "1"], cli.MAX_VERIFY_N),
 ]
 
 
@@ -397,7 +399,7 @@ def test_counts_past_their_caps_fail_before_any_work(argv, cap, monkeypatch, cap
 
 
 @pytest.mark.parametrize("command, caps", [
-    ("verify-bubble", (cli.MAX_SAMPLES, cli.MAX_IMAGES)),
+    ("verify-bubble", (cli.MAX_SAMPLES, cli.MAX_IMAGES, cli.MAX_VERIFY_N)),
     ("homotopy", (cli.MAX_MESH, cli.MAX_STEPS, cli.MAX_HOMOTOPY_N)),
     ("harnack-sweep", (cli.MAX_GRID, cli.MAX_IMAGES)),
 ])

@@ -402,6 +402,20 @@ def test_stacked_walk_of_no_words_and_at_a_pole():
         _walk_words(Ms, np.vstack([X, np.zeros(4)]))
 
 
+def test_a_point_whose_square_overflows_is_no_false_pole():
+    # |x|^2 = inf made inf 0 = nan in the lift of a pole-free word, read as its
+    # pole; the point is named instead, whatever numpy's error state
+    X = np.array([[1.0, 2.0, 3.0], [-6.875e199, 4.8e199, -6.8e199]])
+    message = r"\|x\|\^2 of the point is not finite"
+    for word in [(), (sl.Translation(np.ones(3)),), (sl.Inversion(),)]:
+        for state in ("warn", "ignore"):
+            with np.errstate(all=state), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatRangeError, match=message) as err:
+                    sl.MobiusMap(word)._walk(X)
+            np.testing.assert_array_equal(err.value.where, X[1])
+
+
 def test_constant_field_value_checks():
     # a value that is not positive (nan included) is a PositivityError, one past
     # the float range a ConfigError

@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse
 
 import sigmak_lab as sl
-from sigmak_lab import continuation
+from sigmak_lab import cli, continuation
 from sigmak_lab.continuation import initial_guess
 from sigmak_lab.errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError
@@ -501,21 +501,21 @@ def test_band_solve_matches_lapack_on_every_bench_newton_iterate(monkeypatch):
 def test_continue_path_reaches_target_and_matches_family():
     n, k = 3, 2
     spec = _spec(n, k, m=256)
-    profile, trace = sl.continue_path(spec)
-    assert all(r.converged for r in trace.records)
-    assert trace.records[-1].t == 1.0
+    profile, records = sl.continue_path(spec)
+    assert all(r.converged for r in records)
+    assert records[-1].t == 1.0
     model = _family_values(n, k, 1.0, profile.r)
     err = float(np.max(np.abs(profile.u - model)))
     assert err <= 5.0 * spec.h ** 2
     # admissibility certificates are recorded at every accepted t
-    assert min(r.cone_margin for r in trace.records) > 0.0
-    assert min(r.ellipticity for r in trace.records) > 0.0
+    assert min(r.cone_margin for r in records) > 0.0
+    assert min(r.ellipticity for r in records) > 0.0
 
 
 def test_continue_path_k1_is_uniform_in_t():
     spec = _spec(3, 1, m=64)
-    profile, trace = sl.continue_path(spec)
-    iters = [r.iters for r in trace.records]
+    profile, records = sl.continue_path(spec)
+    iters = [r.iters for r in records]
     assert max(iters[1:]) <= 1  # every later t sees the same equation
 
 
@@ -534,7 +534,7 @@ def test_single_jump_path_is_deterministic():
     p1, t1 = sl.continue_path(spec)
     p2, t2 = sl.continue_path(spec)
     np.testing.assert_array_equal(p1.u, p2.u)
-    assert [r.t for r in t1.records] == [r.t for r in t2.records]
+    assert [r.t for r in t1] == [r.t for r in t2]
 
 
 def test_endpoint_equivalence_with_rescaled_first_order_problem():
@@ -570,11 +570,11 @@ def test_failed_solve_bisects_and_keeps_its_record(monkeypatch):
     solve, seen = _newton_failing_past(0.5, fail_once=True)
     monkeypatch.setattr(continuation, "newton_solve", solve)
     spec = _spec(3, 2, m=32, t_step=0.25)
-    _, trace = sl.continue_path(spec)
+    _, records = sl.continue_path(spec)
     assert seen == [0.0, 0.25, 0.75, 0.5, 1.0]
-    assert [(r.t, r.converged) for r in trace.records] == [
+    assert [(r.t, r.converged) for r in records] == [
         (0.0, True), (0.25, True), (0.75, False), (0.5, True), (1.0, True)]
-    failed = trace.records[2]
+    failed = records[2]
     assert failed.iters == 3 and failed.residual == 0.5 and math.isnan(failed.cone_margin)
 
 
@@ -585,7 +585,7 @@ def test_stalled_path_names_the_last_good_t(monkeypatch):
     with pytest.raises(PathError) as info:
         sl.continue_path(spec)
     assert info.value.last_good_t == 0.5
-    records = info.value.trace.records
+    records = info.value.trace
     assert len(records) == 2 + continuation._MAX_BISECT + 1
     assert not any(r.converged for r in records[2:])
     assert all(0.5 < r.t <= 1.0 for r in records[2:])
@@ -604,11 +604,11 @@ def test_step_control_shrinks_and_grows_again(monkeypatch):
         good.append(t)
         return x, rec
     monkeypatch.setattr(continuation, "newton_solve", solve)
-    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
-    assert [r.t for r in trace.records] == seen  # failed attempts keep their record
-    assert not all(r.converged for r in trace.records)
-    assert trace.records[-1].t == 1.0 and trace.records[-1].converged
-    steps = np.diff([r.t for r in trace.records if r.converged])
+    _, records = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
+    assert [r.t for r in records] == seen  # failed attempts keep their record
+    assert not all(r.converged for r in records)
+    assert records[-1].t == 1.0 and records[-1].converged
+    steps = np.diff([r.t for r in records if r.converged])
     shortest = int(np.argmin(steps))
     assert steps[shortest] <= 0.04 and steps[0] == 0.1
     assert steps[-1] > 2.0 * steps[shortest]  # grown again past the stretch
@@ -624,8 +624,8 @@ def test_slow_solves_keep_the_step_and_land_on_one(monkeypatch):
         rec.iters = continuation._FAST_ITERS + 1
         return x, rec
     monkeypatch.setattr(continuation, "newton_solve", solve)
-    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
-    ts = [r.t for r in trace.records]
+    _, records = sl.continue_path(_spec(3, 2, m=32, t_step=0.1))
+    ts = [r.t for r in records]
     assert len(ts) == 11 and ts[-1] == 1.0
     np.testing.assert_allclose(ts, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
 
@@ -642,9 +642,9 @@ def test_first_step_of_one_fortieth_takes_at_most_seven_solves(n, monkeypatch):
     monkeypatch.setattr(continuation, "newton_solve", solve)
     for k in range(1, n + 1):
         calls.clear()
-        _, trace = sl.continue_path(_spec(n, k, m=256, t_step=1.0 / 40.0))
+        _, records = sl.continue_path(_spec(n, k, m=256, t_step=1.0 / 40.0))
         assert len(calls) <= 7, (n, k, calls)
-        assert trace.records[-1].t == 1.0 and trace.records[-1].converged
+        assert records[-1].t == 1.0 and records[-1].converged
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 6)])
@@ -653,16 +653,16 @@ def test_carried_iterates_give_the_path_of_rebuilt_ones(n, k, monkeypatch):
     # profile or the trace against a path that rebuilds every start state
     # from its vector
     spec = _spec(n, k, m=256, t_step=1.0 / 40.0)
-    carried, carried_trace = sl.continue_path(spec)
+    carried, carried_records = sl.continue_path(spec)
     real = continuation.newton_solve
 
     def rebuilt(x, spec, t):
         return real(continuation._Iterate(x.u.copy(), spec), spec, t)
     monkeypatch.setattr(continuation, "newton_solve", rebuilt)
-    fresh, fresh_trace = sl.continue_path(spec)
+    fresh, fresh_records = sl.continue_path(spec)
     for name in ("r", "u", "du"):
         np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
-    assert carried_trace.to_json() == fresh_trace.to_json()
+    assert cli._trace_json(carried_records) == cli._trace_json(fresh_records)
 
 
 def test_a_path_forms_each_pair_once_per_iterate(monkeypatch):
@@ -674,19 +674,19 @@ def test_a_path_forms_each_pair_once_per_iterate(monkeypatch):
         seen.append(q1.tobytes() + du.tobytes() + d2u.tobytes())
         return real(q1, q2, du, d2u, r, n)
     monkeypatch.setattr(continuation, "_schouten_pair", counted)
-    _, trace = sl.continue_path(_spec(5, 3, m=256, t_step=1.0 / 40.0))
-    solves = len(trace.records)
-    assert solves >= 5 and all(r.converged for r in trace.records)
+    _, records = sl.continue_path(_spec(5, 3, m=256, t_step=1.0 / 40.0))
+    solves = len(records)
+    assert solves >= 5 and all(r.converged for r in records)
     assert len(seen) == len(set(seen))
     # one start and at least one accepted step per solve that iterates
-    assert len(seen) >= 1 + sum(r.iters for r in trace.records)
+    assert len(seen) >= 1 + sum(r.iters for r in records)
 
 
 def test_trace_serializes_to_json():
     spec = _spec(3, 2, m=32, t_step=1.0 / 3.0)
-    _, trace = sl.continue_path(spec)
-    payload = json.loads(trace.to_json())
-    assert len(payload) == len(trace.records)
+    _, records = sl.continue_path(spec)
+    payload = json.loads(cli._trace_json(records))
+    assert len(payload) == len(records)
     assert set(payload[0]) == {"t", "converged", "iters", "residual",
                                "cone_margin", "ellipticity"}
 
@@ -694,10 +694,10 @@ def test_trace_serializes_to_json():
 def test_trace_json_is_each_records_fields_in_order():
     # a converged path, and the one failed solve of a path that cannot start
     # (n = 6 at m = 64 fails at t = 0) with its nan certificates
-    _, trace = sl.continue_path(_spec(3, 2, m=32, t_step=1.0 / 3.0))
+    _, records = sl.continue_path(_spec(3, 2, m=32, t_step=1.0 / 3.0))
     with pytest.raises(PathError) as info:
         sl.continue_path(_spec(6, 3, m=64, t_step=0.1))
     failed = info.value.trace
-    assert math.isnan(failed.records[-1].cone_margin)
-    for tr in (trace, failed):
-        assert tr.to_json() == json.dumps([asdict(r) for r in tr.records], indent=2) + "\n"
+    assert math.isnan(failed[-1].cone_margin)
+    for path in (records, failed):
+        assert cli._trace_json(path) == json.dumps([asdict(r) for r in path], indent=2) + "\n"

@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MAX_OPTIONS = 17
+MAX_OPTIONS = 16
 
 
 def _options(tree: ast.AST) -> int:

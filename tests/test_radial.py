@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigmak_lab as sl
-from sigmak_lab import bubbles, radial
+from sigmak_lab import bubbles, cli, radial
 from sigmak_lab.conformal import _checked_jets, _checked_schouten
 from sigmak_lab.errors import ConeBoundaryError, ConeDomainError, ConfigError, \
     PositivityError, StepUnderflowError
@@ -663,13 +663,13 @@ def test_shot_just_past_the_series_start_takes_no_sliver_step(n, k, gap):
 
 def test_writing_to_a_directory_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigError, match=f"cannot write {re.escape(str(tmp_path))}: "):
-        radial.write_text(tmp_path, "text\n")
+        cli._write_text(tmp_path, "text\n")
 
 
 def test_profile_csv_schema(tmp_path):
     profile = sl.shoot(sl.c_constant(3, 1), 3, 1, 3.0)
     path = tmp_path / "profile.csv"
-    sl.write_profile_csv(profile, path)
+    cli._write_profile_csv(profile, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# sigmak-lab v1"
     assert lines[1] == "r,u,du,sigma_residual,cone_margin"
@@ -704,7 +704,7 @@ def _homotopy_profile():
 def test_profile_csv_is_the_repr_of_every_field(make, tmp_path):
     profile = make()
     path = tmp_path / "profile.csv"
-    sl.write_profile_csv(profile, path)
+    cli._write_profile_csv(profile, path)
     assert path.read_bytes() == _reference_profile_csv(profile)
 
 
@@ -728,8 +728,8 @@ _FLOAT_BITS = st.one_of(
     lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
 def test_reprs_is_the_repr_of_every_entry(bits):
     a = np.array(bits, dtype=np.int64).view(np.float64)
-    assert radial._reprs(a) == [repr(v) for v in a.tolist()]
-    assert radial._reprs(a[::2]) == [repr(v) for v in a[::2].tolist()]
+    assert cli._reprs(a) == [repr(v) for v in a.tolist()]
+    assert cli._reprs(a[::2]) == [repr(v) for v in a[::2].tolist()]
 
 
 def test_node_solves_match_the_per_node_solve():
@@ -774,7 +774,7 @@ _NODE5_MARGIN = -2.0010226713131068
 def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
     profile = sl.RadialProfile(*_pinned_rows(), 4, 2)
     path = tmp_path / "profile.csv"
-    sl.write_profile_csv(profile, path)
+    cli._write_profile_csv(profile, path)
     rows = np.array([[float(v) for v in line.split(",")]
                      for line in path.read_text().splitlines()[2:]])
     np.testing.assert_array_equal(rows[:, 0], profile.r)
