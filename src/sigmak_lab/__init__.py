@@ -23,9 +23,8 @@ from .conformal import (Dilation, Inversion, Jet2, MobiusMap, Rotation,
 from .continuation import (BvpSpec, TRecord, assemble_jacobian, assemble_residual,
                            continue_path, initial_guess, newton_solve)
 from .errors import (ConeBoundaryError, ConeDomainError, ConfigError,
-                     DomainError, FloatRangeError, NewtonError, PathError,
-                     PoleError, PositivityError, SigmakLabError,
-                     StepUnderflowError)
+                     FloatRangeError, NewtonError, PathError, PoleError,
+                     PositivityError, SigmakLabError, StepUnderflowError)
 from .radial import (EigenPair, LiouvilleReport, RadialProfile, TailEvidence,
                      liouville_report, radial_eigenvalues, shoot)
 from .symfun import (ConeMembership, OperatorSpec, f_homotopy,

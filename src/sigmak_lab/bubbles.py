@@ -2,11 +2,13 @@
 
 For every dimension n >= 3 and cone index 1 <= k <= n the field
 
-    u(x) = c(n, k) (a / (1 + a^2 |x - center|^2))^{(n-2)/2},
+    u(x) = c(n, k) (a / (1 + a^2 |x|^2))^{(n-2)/2},
     c(n, k) = 2^{(n-2)/4} C(n, k)^{(n-2)/(4k)},
 
 solves sigma_k(lambda(A(u))) = 1 with eigenvalues inside Gamma_k; indeed
-A(u) is C(n,k)^{-1/k} times the identity at every point. This module
+A(u) is C(n,k)^{-1/k} times the identity at every point. A member centered
+at x0 is the image of u under the translation x -> x - x0, one of the Mobius
+words of `conformal`, so the family here is centered at the origin. This module
 provides the family, residual verification against the equation on
 deterministic sample sets, and the Harnack product functional
 
@@ -32,7 +34,7 @@ import numpy as np
 from .conformal import MobiusMap, ScalarField, _checked_jets, \
     _checked_schouten, _pullback, _walk_words, random_mobius_map_avoiding
 from .errors import ConfigError, FloatRangeError, _require_finite, _require_positive, \
-    check_center, check_count, check_nk, check_positive
+    check_count, check_nk, check_positive
 from .halton import sphere_directions
 from .symfun import _cone_margin, _esym_all_batch
 
@@ -68,17 +70,16 @@ def c_constant(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Parameters (n, k, scale a, center) of one member of the family."""
+    """Parameters (n, k, scale a) of one member of the family, centered at the
+    origin; translate its field for another center."""
 
     n: int
     k: int
     a: float
-    center: np.ndarray | None = None
 
     def __post_init__(self):
         check_nk(self.n, self.k)
         check_positive("scale a", self.a)
-        object.__setattr__(self, "center", check_center(self.center, self.n))
 
 
 def _power(a: float, p: float) -> float:
@@ -89,34 +90,33 @@ def _power(a: float, p: float) -> float:
         return math.inf
 
 
-def _bubble_jets(n: int, k: int, a, center, X, order: int):
-    """Jets of the family member of scale a and center at the rows of X
-    (..., n): the full 2-jet, or (u, None, None) at order 0 for the callers
-    that read values on (N, 1) radii. An amplitude c a^m past the float
-    range is a FloatRangeError that names a."""
+def _bubble(n: int, k: int, a, X):
+    """(u, w, c a^m) of the family member of scale a at the rows of X (N, d),
+    points (d = n) or radii (d = 1): u = c a^m w^-m, w = 1 + a^2 |x|^2. An
+    amplitude c a^m past the float range is a FloatRangeError that names a."""
     m = (n - 2.0) / 2.0
-    d = X - center
     amp = c_constant(n, k) * _power(a, m)
     if not amp < math.inf:
         raise FloatRangeError(f"amplitude c a^m of scale a={a!r} overflows at n={n}", where=a)
-    w = 1.0 + a * a * np.einsum("...j,...j->...", d, d)
-    val = amp * w ** (-m)
-    if not order:
-        return val, None, None
-    # u' factors: grad = -2 m a^2 amp w^{-m-1} d
-    f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
-    grad = f1[..., None] * d
-    f2 = 4.0 * m * (m + 1.0) * _power(a, 4) * amp * w ** (-m - 2.0)
-    hess = f1[..., None, None] * np.eye(n) \
-        + f2[..., None, None] * (d[..., :, None] * d[..., None, :])
-    return val, grad, hess
+    w = 1.0 + a * a * np.einsum("...j,...j->...", X, X)
+    return amp * w ** (-m), w, amp
 
 
 def bubble_field(spec: BubbleSpec) -> ScalarField:
     """The closed-form field with analytic first and second derivatives."""
-    jets = functools.partial(_bubble_jets, spec.n, spec.k, spec.a, spec.center, order=2)
-    tag = f"bubble(n={spec.n},k={spec.k},a={spec.a:g})"
-    return ScalarField(spec.n, tag=tag, jets=jets)
+    n, k, a = spec.n, spec.k, spec.a
+    m = (n - 2.0) / 2.0
+
+    def jets(X):
+        u, w, amp = _bubble(n, k, a, X)
+        # u' factors: grad = -2 m a^2 amp w^{-m-1} x
+        f1 = -2.0 * m * a * a * amp * w ** (-m - 1.0)
+        f2 = 4.0 * m * (m + 1.0) * _power(a, 4) * amp * w ** (-m - 2.0)
+        return u, f1[..., None] * X, f1[..., None, None] * np.eye(n) \
+            + f2[..., None, None] * (X[..., :, None] * X[..., None, :])
+
+    tag = f"bubble(n={n},k={k},a={a:g})"
+    return ScalarField(n, tag=tag, jets=jets)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +226,8 @@ def _grid_directions(n: int, n_angular: int) -> np.ndarray:
     return dirs
 
 
-def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int) -> np.ndarray:
-    """The grid points (2 n_radial D, n): B_R's shells, the radii
+def _harnack_grid(n: int, R: float, n_radial: int, n_angular: int) -> np.ndarray:
+    """The grid points (2 n_radial D, n) about the origin: B_R's shells, the radii
     rho = linspace(0, R, n_radial) times the D `_grid_directions`, then B_2R's,
     all of rho doubled."""
     check_positive("radius R", R)
@@ -235,9 +235,7 @@ def _harnack_grid(center: np.ndarray, R: float, n_radial: int, n_angular: int) -
     check_count("n_angular", n_angular, 0, math.inf)
     rho = np.linspace(0.0, R, n_radial)
     rho = np.concatenate([rho, 2.0 * rho])
-    shells = rho[:, None, None] * _grid_directions(center.size, n_angular)
-    shells += center
-    return shells.reshape(-1, center.size)
+    return (rho[:, None, None] * _grid_directions(n, n_angular)).reshape(-1, n)
 
 
 def _grid_extrema(values, pts) -> np.ndarray:
@@ -247,9 +245,10 @@ def _grid_extrema(values, pts) -> np.ndarray:
     return pts[[values[:half].argmax(), values[half:].argmin() + half]]
 
 
-def harnack_product(u: ScalarField, R: float, center=None, *,
+def harnack_product(u: ScalarField, R: float, *,
                     n_radial: int = 64, n_angular: int = 64) -> HarnackReport:
-    """Scaled Harnack product of u around a center (the origin if None).
+    """Scaled Harnack product of u around the origin; translate the field for
+    another center.
 
     One batch evaluation of u on the grid over B_R and all of B_2R's doubled
     shells (`_harnack_grid`) picks the grid maximum over B_R and minimum over
@@ -261,8 +260,7 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
     one is for `verify_solution` to say. No workflow calls it; it waits on
     the bench probes moving to `harnack_sweep`.
     """
-    center = check_center(center, u.n)
-    pts = _harnack_grid(center, R, n_radial, n_angular)
+    pts = _harnack_grid(u.n, R, n_radial, n_angular)
     x = _grid_extrema(u.values(pts), pts)
     v, grad, hess = u.jets(x)
     v = v.copy()
@@ -272,10 +270,10 @@ def harnack_product(u: ScalarField, R: float, center=None, *,
         step = np.full_like(x, np.nan)
     rows = np.flatnonzero(np.isfinite(step).all(axis=1))
     x_try = x[rows] + step[rows]
-    offset, limit = x_try - center, np.array([R, 2.0 * R])[rows]
-    dist = np.linalg.norm(offset, axis=1)
+    limit = np.array([R, 2.0 * R])[rows]
+    dist = np.linalg.norm(x_try, axis=1)
     out = dist > limit
-    x_try[out] = center + offset[out] * (limit[out] / dist[out])[:, None]
+    x_try[out] *= (limit[out] / dist[out])[:, None]
     if rows.size:
         v_try, sign = u.values(x_try), np.array([1.0, -1.0])[rows]
         better = sign * v_try > sign * v[rows]

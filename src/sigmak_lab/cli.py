@@ -28,8 +28,8 @@ import numpy as np
 
 from . import bubbles, continuation, radial
 from .conformal import random_mobius_map_avoiding
-from .errors import ConfigError, PathError, SigmakLabError, _FloatTraps, check_count, \
-    check_positive
+from .errors import ConfigError, FloatRangeError, PathError, SigmakLabError, _FloatTraps, \
+    check_count, check_positive
 from .halton import _PRIMES, box_points
 
 # Size caps. verify-bubble holds (1 + images) * samples rows at once, about
@@ -197,8 +197,14 @@ def cmd_homotopy(args) -> int:
     check_count("--m", args.m, 16, MAX_MESH)
     check_count("--steps", args.steps, 1, MAX_STEPS)
     check_positive("--a", args.a)
-    u_b = args.ub if args.ub is not None else float(
-        bubbles._bubble_jets(args.n, args.k, args.a, 0.0, np.array([[args.rb]]), 0)[0][0])
+    check_positive("--rb", args.rb)
+    u_b = args.ub
+    if u_b is None:
+        u_b = float(bubbles._bubble(args.n, args.k, args.a, np.array([[args.rb]]))[0][0])
+        if not u_b > 0.0:
+            raise FloatRangeError(f"the family's boundary value at --a={args.a!r}, "
+                                  f"--rb={args.rb!r} underflows to {u_b!r}",
+                                  where=(args.a, args.rb))
     spec = continuation.BvpSpec(
         args.n, args.k, args.rb, u_b, m=args.m,
         t_step=1.0 / args.steps, a_init=args.a if args.ub is None else None)

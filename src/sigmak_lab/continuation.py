@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import _bubble_jets, c_constant
+from .bubbles import _bubble, c_constant
 from .errors import ConeDomainError, ConfigError, NewtonError, PathError, \
     PositivityError, _FloatTraps, _require_positive, check_count, check_nk, check_positive
 from .radial import RadialProfile, _coeffs, _pair_sigma, _powers_e, _schouten_pair
@@ -385,7 +385,7 @@ def initial_guess(spec: BvpSpec) -> np.ndarray:
                     f"boundary value u_b={spec.u_b} exceeds every family member "
                     f"on a domain of radius {spec.r_b}")
             a = float(2.0 * q / (1.0 + math.sqrt(disc)))  # the small root, free of cancellation
-        return _bubble_jets(n, k, a, 0.0, spec.mesh[:, None], 0)[0]
+        return _bubble(n, k, a, spec.mesh[:, None])[0]
 
 
 def continue_path(spec: BvpSpec) -> tuple[RadialProfile, list[TRecord]]:

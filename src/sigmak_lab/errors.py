@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one home of each input check
-(`check_positive`, `check_positive_value`, `check_nk`, `check_count`, `check_center`,
+(`check_positive`, `check_positive_value`, `check_nk`, `check_count`,
 `_require_positive` and `_require_finite`) and of the float traps (`_FloatTraps`).
 All errors derive from SigmakLabError; the numeric ones double as
 ValueError/RuntimeError/ArithmeticError so generic callers can catch the builtin
@@ -14,9 +14,9 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["SigmakLabError", "ConfigError", "PositivityError", "DomainError", "PoleError",
-           "FloatRangeError", "ConeDomainError", "ConeBoundaryError", "StepUnderflowError",
-           "NewtonError", "PathError"]
+__all__ = ["SigmakLabError", "ConfigError", "PositivityError", "PoleError", "FloatRangeError",
+           "ConeDomainError", "ConeBoundaryError", "StepUnderflowError", "NewtonError",
+           "PathError"]
 
 
 class SigmakLabError(Exception):
@@ -61,19 +61,6 @@ def check_count(name: str, value, low: int, cap) -> None:
         raise ConfigError(f"{name}={value} exceeds its cap of {cap}")
 
 
-def check_center(center, n: int) -> np.ndarray:
-    """The origin of R^n if center is None, else center as a float array once it
-    is checked a finite vector of shape (n,); a ConfigError otherwise, also where
-    it is no array of numbers."""
-    try:
-        c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    except (TypeError, ValueError):
-        c = None
-    if c is None or c.shape != (n,) or not np.all(np.isfinite(c)):
-        raise ConfigError(f"center must be a finite vector of shape ({n},)")
-    return c
-
-
 class PositivityError(SigmakLabError, ValueError):
     """A quantity that must stay strictly positive failed to."""
 
@@ -99,12 +86,9 @@ def check_positive_value(name: str, value) -> None:
     check_positive(name, value)
 
 
-class DomainError(SigmakLabError, ValueError):
-    """Evaluation where a field is not defined; PoleError is the only subtype raised."""
-
-
-class PoleError(DomainError):
-    """Evaluation at the pole of an inversion."""
+class PoleError(SigmakLabError, ValueError):
+    """Evaluation at the pole of an inversion, where no field is defined: a
+    SigmakLabError and, as an input the field cannot take, a ValueError."""
 
 
 class FloatRangeError(SigmakLabError, ArithmeticError):

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bubbles import _bubble_jets, c_constant
+from .bubbles import _bubble, c_constant
 from .errors import ConeBoundaryError, ConeDomainError, ConfigError, StepUnderflowError, \
     _require_positive, check_nk, check_positive, check_positive_value
 
@@ -542,7 +542,7 @@ def liouville_report(profile: RadialProfile) -> LiouvilleReport:
     """
     n, k = profile.n, profile.k
     a = float((profile.u[0] / c_constant(n, k)) ** (2.0 / (n - 2.0)))
-    model = _bubble_jets(n, k, a, 0.0, profile.r[:, None], 0)[0]
+    model = _bubble(n, k, a, profile.r[:, None])[0]
     rel = np.abs(profile.u - model) / model
     worst = int(np.argmax(rel))
     return LiouvilleReport(a, float(rel[worst]), float(profile.r[worst]),

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from sigmak_lab import ScalarField
+from sigmak_lab import BubbleSpec, MobiusMap, ScalarField, Translation, bubble_field, \
+    transform_field
+
+
+def centered_bubble(spec: BubbleSpec, center) -> ScalarField:
+    """The family member of spec centered at center: the image of its field
+    under the translation x -> x - center."""
+    shift = MobiusMap((Translation(-np.asarray(center, dtype=float)),))
+    return transform_field(bubble_field(spec), shift)
 
 
 def random_test_field(n: int, rng: np.random.Generator, n_bumps: int = 3,

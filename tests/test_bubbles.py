@@ -14,6 +14,7 @@ from sigmak_lab.errors import ConfigError, FloatRangeError, PoleError, \
 from sigmak_lab.halton import box_points, sphere_directions
 
 from fd_oracles import fd_jet_of_field, sweep_rows_mp
+from field_factories import centered_bubble
 
 
 def _bubble_value(n, k, a, r):
@@ -65,7 +66,7 @@ def test_c_constant_closes_the_isotropic_equation():
 def test_bubble_center_value_and_decay():
     for n, k, a in [(3, 1, 1.0), (4, 2, 2.5), (6, 3, 0.3)]:
         center = np.linspace(-0.4, 0.4, n)
-        u = sl.bubble_field(sl.BubbleSpec(n, k, a, center=center))
+        u = centered_bubble(sl.BubbleSpec(n, k, a), center)
         m = (n - 2.0) / 2.0
         assert u.values(center[None])[0] == pytest.approx(sl.c_constant(n, k) * a ** m,
                                                           rel=1e-14)
@@ -76,7 +77,7 @@ def test_bubble_center_value_and_decay():
 
 
 def test_bubble_jets_match_finite_differences():
-    u = sl.bubble_field(sl.BubbleSpec(4, 2, 1.3, center=[0.1, -0.2, 0.0, 0.4]))
+    u = centered_bubble(sl.BubbleSpec(4, 2, 1.3), [0.1, -0.2, 0.0, 0.4])
     rng = np.random.default_rng(41)
     for _ in range(5):
         x = rng.normal(size=4)
@@ -94,9 +95,6 @@ def test_bubble_spec_validation():
         sl.BubbleSpec(3, 1, -1.0)
     with pytest.raises(ConfigError):
         sl.BubbleSpec(3, 4, 1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError):
-            sl.BubbleSpec(3, 1, 1.0, center=[0.0, bad, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +274,8 @@ def test_bubble_amplitude_past_the_float_range_names_the_scale():
             field.values(np.zeros((1, 8)))
         assert not isinstance(info.value, ConfigError) and info.value.where == a
     with pytest.raises(FloatRangeError):
-        bubbles._bubble_jets(8, 2, 1e103, 0.0, np.zeros((1, 8)), 0)  # c a^3 alone overflows
-    assert np.isfinite(bubbles._bubble_jets(8, 2, 1e100, 0.0, np.zeros((1, 8)), 0)[0]).all()
+        bubbles._bubble(8, 2, 1e103, np.zeros((1, 8)))  # c a^3 alone overflows
+    assert np.isfinite(bubbles._bubble(8, 2, 1e100, np.zeros((1, 8)))[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +340,8 @@ def test_harnack_report_names_the_entry_that_is_not_positive(field):
 
 def test_harnack_off_center_bubble():
     n, k, a = 3, 1, 1.0
-    center = np.zeros(n)
-    far = np.array([4.0, 0.0, 0.0])  # family member centered outside B_2R
-    u = sl.bubble_field(sl.BubbleSpec(n, k, a, center=far))
-    rep = sl.harnack_product(u, 1.0, center=center)
+    u = centered_bubble(sl.BubbleSpec(n, k, a), [4.0, 0.0, 0.0])  # outside B_2R
+    rep = sl.harnack_product(u, 1.0)
     # extrema sit on the segment through the off-center peak
     assert rep.max_br == pytest.approx(_bubble_value(n, k, a, 3.0), rel=1e-10)
     assert rep.min_2br == pytest.approx(_bubble_value(n, k, a, 6.0), rel=1e-10)
@@ -432,12 +428,12 @@ def test_sweep_rows_do_not_depend_on_the_block_size(n, k):
                      for row in part[j * len(r_grid):(j + 1) * len(r_grid)]]
 
 
-def _full_grid(center, R, n_radial, n_angular):
-    # the reference grid points: B_R's shells, then every one of them doubled
-    n = center.size
+def _full_grid(n, R, n_radial, n_angular):
+    # the reference grid points about the origin: B_R's shells, then every one
+    # of them doubled
     shell = (np.linspace(0.0, R, n_radial)[:, None, None]
              * bubbles._grid_directions(n, n_angular)).reshape(-1, n)
-    return (center + np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
+    return (np.array([1.0, 2.0])[:, None, None] * shell).reshape(-1, n)
 
 
 def _full_scan(values, pts):
@@ -470,13 +466,13 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
     clearance = 3.0 * max(r_grid) + 0.5
     psis = [None] + [sl.random_mobius_map_avoiding(rng, n, np.zeros(n), clearance)
                      for _ in range(words)]
-    grids = [_full_grid(np.zeros(n), R, n_radial, 16) for R in r_grid]
+    grids = [_full_grid(n, R, n_radial, 16) for R in r_grid]
     for psi in psis:
         images = [(pts, 1.0) for pts in grids] if psi is None else [
             (st.y, np.exp((n - 2.0) / (2.0 * n) * st.log_det)) for st in map(psi._walk, grids)]
         for a in a_grid:
             for R, pts, (y, c) in zip(r_grid, grids, images):
-                row, vals = next(rows), c * bubbles._bubble_jets(n, k, a, 0.0, y, 0)[0]
+                row, vals = next(rows), c * bubbles._bubble(n, k, a, y)[0]
                 half = len(pts) // 2
                 grid_max, grid_min = vals[:half].max(), vals[half:].min()
                 assert (row.a, row.R) == (a, R)
@@ -492,14 +488,14 @@ def test_sweep_rows_equal_the_full_grid_scan(n, k, n_radial):
 @pytest.mark.parametrize("target", [1.0, np.linspace(0.0, 1.0, 99)[40], None],
                          ids=["edge", "shared", "constant"])
 def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
-    # u = 1e-300 + (x_0 - target)^2 (constant 2 for None) around c, R = 1,
-    # 99 radii: the least grid value on B_2(c) sits on
+    # u = 1e-300 + (x_0 - target)^2 (constant 2 for None) around the origin,
+    # R = 1, 99 radii: the least grid value on B_2 sits on
     # B_2R's shell 49 along e_0 (radius 2 rho_49 = 1 - 2^-53, not B_R's
     # radius 1), on its shell 20 (B_R's shell 40), or everywhere (the first
     # point wins). harnack_product keys every doubled shell with u's values,
     # so its grid extrema are the reference's. The hessian is singular, so
     # the polish keeps the grid extrema and the reports must agree to the bit.
-    n, center = 3, np.array([0.0, 0.5, -0.25])
+    n = 3
 
     def jets(X):
         val = np.full(len(X), 2.0) if target is None else 1e-300 + (X[:, 0] - target) ** 2
@@ -511,10 +507,10 @@ def test_harnack_product_equals_the_full_grid_scan(monkeypatch, target):
     field = sl.ScalarField(n, jets=jets)
 
     def product():
-        return sl.harnack_product(field, 1.0, center=center, n_radial=99, n_angular=16)
+        return sl.harnack_product(field, 1.0, n_radial=99, n_angular=16)
 
     rep, ref = product(), _with_full_scan(monkeypatch, product)
-    grid_min = {1.0: [1.0 - 2.0 ** -53, 0.5, -0.25], None: center}.get(target, [target, 0.5, -0.25])
+    grid_min = {1.0: [1.0 - 2.0 ** -53, 0.0, 0.0], None: np.zeros(n)}.get(target, [target, 0.0, 0.0])
     np.testing.assert_array_equal(rep.argmin, grid_min)
     assert (rep.R, rep.max_br, rep.min_2br, rep.product_scaled) \
         == (ref.R, ref.max_br, ref.min_2br, ref.product_scaled)
@@ -738,18 +734,6 @@ def test_sweep_word_count_and_seed_must_be_nonnegative_integers():
         check_count("--seed", value, 0, math.inf)
     with pytest.raises(ConfigError, match="--images=-2 must be an integer >= 0"):
         check_count("--images", -2, 0, math.inf)
-
-
-@pytest.mark.parametrize("center", [[0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0],
-                                    [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], ["x", 0.0, 0.0],
-                                    [[0.0, 0.0], [0.0]]],
-                         ids=["nan", "inf", "short", "long", "2-d", "text", "ragged"])
-def test_a_center_that_is_not_a_finite_vector_is_a_configuration_error(center):
-    u = sl.bubble_field(sl.BubbleSpec(3, 1, 1.0))
-    for build in (lambda: sl.harnack_product(u, 1.0, center=center),
-                  lambda: sl.BubbleSpec(3, 1, 1.0, center=center)):
-        with pytest.raises(ConfigError, match=re.escape("finite vector of shape (3,)")):
-            build()
 
 
 def test_verify_rejects_empty_sample_set():

@@ -458,11 +458,27 @@ def test_an_output_path_that_is_a_directory_fails_before_the_work(argv, tmp_path
     ["harnack-sweep", "--n", "5", "--k", "4", "--R", "1.7e308"],
     ["harnack-sweep", "--n", "6", "--k", "3", "--a", "1e-200"],
     ["solve-radial", "--n", "3", "--k", "1", "--u0", "1e40"],
+    ["homotopy", "--n", "3", "--k", "1", "--rb", "1e160"],
+    ["homotopy", "--n", "3", "--k", "1", "--a", "1e300"],
 ])
 def test_results_past_the_float_range_are_numerical_failures(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "numerical failure:" in err and "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("flag, value, a, rb", [("--rb", "1e160", "1.0", "1e+160"),
+                                                ("--a", "1e300", "1e+300", "5.0")])
+def test_a_boundary_value_that_underflows_names_a_and_rb(flag, value, a, rb, capsys):
+    # c (a / (1 + a^2 r_b^2))^m is 0.0 in floats: the flags that made it, not a
+    # boundary value the user never gave; a radius that is no number stays a
+    # configuration error
+    assert main(["homotopy", "--n", "3", "--k", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"numerical failure: the family's boundary value at --a={a}, "
+                   f"--rb={rb} underflows to 0.0\n")
+    assert main(["homotopy", "--n", "3", "--k", "1", "--rb", "nan"]) == 1
+    assert capsys.readouterr().err == "configuration error: --rb=nan must be positive and finite\n"
 
 
 @pytest.mark.parametrize("argv", [

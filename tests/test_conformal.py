@@ -13,7 +13,7 @@ from sigmak_lab.errors import ConfigError, FloatRangeError, PoleError, Positivit
     _require_positive
 
 from fd_oracles import fd_jet_of_field, mobius_walk_mp
-from field_factories import random_test_field
+from field_factories import centered_bubble, random_test_field
 
 
 def _safe_point(rng, psi, n, lo=0.5, hi=2.5, far=40.0):
@@ -75,7 +75,7 @@ def test_schouten_output_exactly_symmetric():
 def test_bubble_jet_isotropic_spectrum():
     rng = np.random.default_rng(3)
     for n, k in [(3, 1), (4, 2), (5, 3), (6, 6)]:
-        field = sl.bubble_field(sl.BubbleSpec(n, k, 1.4, center=rng.normal(size=n)))
+        field = centered_bubble(sl.BubbleSpec(n, k, 1.4), rng.normal(size=n))
         expected = math.comb(n, k) ** (-1.0 / k)
         for _ in range(10):
             lam = sl.schouten_spectrum(field.jet(rng.normal(scale=2.0, size=n)))

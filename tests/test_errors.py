@@ -23,7 +23,6 @@ CONTEXT = {
     errors.PathError: ("last_good_t", "trace"),
     errors.SigmakLabError: (),
     errors.ConfigError: (),
-    errors.DomainError: (),
     errors.PoleError: (),
 }
 
@@ -87,7 +86,7 @@ def test_solvers_and_word_draws_keep_the_float_contract_without_the_cli():
     # under numpy's default error state: where the CLI's traps fire, each solver
     # raises FloatRangeError with numpy's message, not a RuntimeWarning; a point
     # past the float range is clear of every pole, and a nan point is refused
-    u_b = float(bubbles._bubble_jets(3, 1, 1e100, 0.0, np.array([[5.0]]), 0)[0][0])
+    u_b = float(bubbles._bubble(3, 1, 1e100, np.array([[5.0]]))[0][0])
     cases = [(sl.BvpSpec(3, 1, 5.0, u_b, m=32, a_init=1e100), "overflow encountered in multiply"),
              (sl.BvpSpec(3, 1, 1e-300, 1.0, m=32, a_init=1.0),
               "invalid value encountered in divide")]

@@ -600,9 +600,10 @@ def _bubble_tail_profile(wobble):
     """The (4, 2) family member of scale 1 times wobble(r) = (w, w'), with
     exact derivatives, on nodes reaching r = 1e6 (Kelvin radius 1e-6)."""
     r = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
-    u, grad, _ = bubbles._bubble_jets(4, 2, 1.0, 0.0, r[:, None], 2)
+    u, w2, amp = bubbles._bubble(4, 2, 1.0, r[:, None])
+    du = -2.0 * amp * w2 ** -2.0 * r  # u' = -2 m a^2 c a^m w^(-m-1) r at m = a = 1
     w, dw = wobble(r)
-    return sl.RadialProfile(r, u * w, grad[:, 0] * w + u * dw, 4, 2)
+    return sl.RadialProfile(r, u * w, du * w + u * dw, 4, 2)
 
 
 def test_tail_evidence_of_the_family_member_is_a_constant_image():
