@@ -49,6 +49,7 @@ ARGVS = [
     "homotopy --n 3 --k 2 --m 32 --ub 0.05 --profile pathub.csv",
     "homotopy --n 3 --k 1 --m 32 --a 1e100",
     "verify-bubble --n 3 --k 1 --box 1e200 --images 2 --samples 4 --seed 1",
+    "verify-bubble --n 4 --k 2 --samples 20 --images 1 --tol 1e-18 --seed 2 --out failed.csv",
 ]
 
 
