@@ -15,7 +15,7 @@ Modules:
 
 from .bubbles import (BubbleSpec, HarnackReport, SolutionReport, SweepRow,
                       bubble_field, c_constant, harnack_product, harnack_sweep,
-                      sweep_supremum, verify_images, verify_solution)
+                      verify_images, verify_solution)
 from .conformal import (Dilation, Inversion, Jet2, MobiusMap, Rotation,
                         ScalarField, Translation, constant_field,
                         random_mobius_map, random_mobius_map_avoiding,

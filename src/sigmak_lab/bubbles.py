@@ -49,7 +49,6 @@ __all__ = [
     "verify_images",
     "harnack_product",
     "harnack_sweep",
-    "sweep_supremum",
 ]
 
 
@@ -318,8 +317,10 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     A value that is not positive and finite raises PositivityError at its
     point, and no floating-point warning escapes. Rows come back in fixed
     order (label-major, then a-major, then R); their supremum is a lower
-    bound for the sharp constant. Empty grids give an empty list.
+    bound for the sharp constant. Empty grids give an empty list, a bool grid a ConfigError.
     """
+    if bool in (np.asarray(a_grid).dtype, np.asarray(R_grid).dtype):  # dtype=float would hide it
+        raise ConfigError("the scale and radius grids must be numbers, not bools")
     a_vals = np.atleast_1d(np.asarray(a_grid, dtype=float))
     r_vals = np.atleast_1d(np.asarray(R_grid, dtype=float))
     if not a_vals.size or not r_vals.size:
@@ -352,10 +353,3 @@ def harnack_sweep(n: int, k: int, a_grid, R_grid, *,
     cells = itertools.product([label for label, _ in words], a_vals.tolist(), r_vals.tolist())
     return [SweepRow(label, n, k, a, R, *row) for (label, a, R), row
             in zip(cells, zip(*(v.ravel().tolist() for v in vals)))]
-
-
-def sweep_supremum(rows: list[SweepRow]) -> float:
-    """Largest scaled product in the sweep (the empirical lower bound)."""
-    if not rows:
-        raise ConfigError("cannot take the supremum of an empty sweep")
-    return max(row.product_scaled for row in rows)

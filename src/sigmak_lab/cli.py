@@ -1,18 +1,18 @@
 """Command-line front end, and the one module that writes files.
 
-Four workflows: closed-form solution verification, radial shooting with
-the desk-scale classification check, homotopy continuation, and the
-Harnack product sweep. Exit codes follow one contract everywhere:
-0 success, 1 configuration error (a bad flag value, or an output path that
-cannot be written), 2 numerical or verification failure.
-Commands run with numpy's float traps on: an overflow, a division by zero
-or an invalid operation is a numerical failure (2), not a warning and a nan.
-All randomness (word generation) hangs off a single --seed flag, so a
-fixed command line produces byte-identical output files. Each size a command
-allocates by has a cap, named in --help and checked before any work; so has
-each dimension --n: verify-bubble's by its Halton bases, homotopy's by the
-time of its largest run. The file formats are defined here: every CSV starts
-`# sigmak-lab v1` and writes floats by `repr`; every JSON is a list of records.
+Four workflows: closed-form solution verification, radial shooting with the desk-scale
+classification check, homotopy continuation, and the Harnack product sweep. Each command
+returns its exit code, its stdout lines (one at least) and its files ({path: text});
+`main` alone prints and writes, every file before the first line. Exit codes follow one
+contract everywhere: 0 success, 1 configuration error (a bad flag value, or an output
+path that cannot be written), 2 numerical or verification failure. Commands run with
+numpy's float traps on: an overflow, a division by zero or an invalid operation is a
+numerical failure (2), not a warning and a nan. All randomness (word generation) hangs
+off a single --seed flag, so a fixed command line produces byte-identical output files.
+Each size a command allocates by has a cap, named in --help and checked before any work;
+so has each dimension --n: verify-bubble's by its Halton bases, homotopy's by the time of
+its largest run. The file formats are defined here: every CSV starts `# sigmak-lab v1`
+and writes floats by `repr`; every JSON is a list of records.
 """
 
 from __future__ import annotations
@@ -84,9 +84,14 @@ def _write_text(path, text: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path, lines: list[str]):
-    """Write CSV lines under the versioned header line every CSV of the lab starts with."""
-    _write_text(path, "\n".join(["# sigmak-lab v1"] + lines) + "\n")
+def _csv(lines: list[str]) -> str:
+    """CSV lines under the versioned header line every CSV of the lab starts with."""
+    return "\n".join(["# sigmak-lab v1"] + lines) + "\n"
+
+
+def _json(records: list[dict]) -> str:
+    """A JSON file: the list of records, each a dict of its fields in order."""
+    return json.dumps(records, indent=2) + "\n"
 
 
 def _reprs(a: np.ndarray) -> list[str]:
@@ -99,8 +104,8 @@ def _reprs(a: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
-def _write_profile_csv(profile: radial.RadialProfile, path):
-    """Write a profile with per-node certificate columns (`radial._node_solves`).
+def _profile_csv(profile: radial.RadialProfile) -> str:
+    """A profile's CSV, with per-node certificate columns (`radial._node_solves`).
 
     sigma_residual is |sigma_k - 1| at the node's curvature solve (machine-level
     along shot profiles), cone_margin the Gamma_k margin of its eigenpair; a
@@ -112,21 +117,15 @@ def _write_profile_csv(profile: radial.RadialProfile, path):
     du = [0.0] + profile.du.tolist()[1:]  # the origin row as +0.0
     text = _reprs(np.concatenate([res, margin]))
     rows = zip(profile.r.tolist(), profile.u.tolist(), du, text[:res.size], text[res.size:])
-    lines = ["r,u,du,sigma_residual,cone_margin"]
-    lines += [f"{r!r},{u!r},{du!r},{res},{margin}" for r, u, du, res, margin in rows]
-    _write_csv(path, lines)
-
-
-def _trace_json(records: list[continuation.TRecord]) -> str:
-    """The homotopy trace: every attempted solve's record, fields in their order."""
-    return json.dumps([vars(r) for r in records], indent=2) + "\n"
+    return _csv(["r,u,du,sigma_residual,cone_margin"] + [
+        f"{r!r},{u!r},{du!r},{res},{margin}" for r, u, du, res, margin in rows])
 
 
 # ---------------------------------------------------------------------------
 # verify-bubble
 # ---------------------------------------------------------------------------
 
-def cmd_verify_bubble(args) -> int:
+def cmd_verify_bubble(args):
     check_count("--n", args.n, 3, MAX_VERIFY_N)
     check_positive("--tol", args.tol)
     check_count("--samples", args.samples, 1, MAX_SAMPLES)
@@ -141,58 +140,49 @@ def cmd_verify_bubble(args) -> int:
     words = [random_mobius_map_avoiding(rng, args.n, pts, 1e-2) for _ in range(args.images)]
     reports = bubbles.verify_images(base, words, args.n, args.k, pts)
     labels = ["bubble"] + [f"mobius{j}" for j in range(args.images)]
-    records = []
-    ok = True
-    for label, rep in zip(labels, reports):
-        records.append({"label": label, "n": args.n, "k": args.k, "a": args.a,
-                        "points": rep.n_samples, "max_residual": rep.max_residual,
-                        "min_margin": rep.min_margin,
-                        "cone_violations": rep.cone_violations})
-        if rep.max_residual > args.tol or rep.min_margin <= 0.0:
-            ok = False
-        print(f"{label}: residual {rep.max_residual:.3e}  "
-              f"margin {rep.min_margin:.3e}  ({rep.n_samples} points)")
-    if args.out and args.format == "json":
-        _write_text(args.out, json.dumps(records, indent=2) + "\n")
-    elif args.out:  # the same records, strings bare and numbers by repr
-        _write_csv(args.out, [",".join(records[0])] + [
-            ",".join(v if isinstance(v, str) else repr(v) for v in rec.values())
-            for rec in records])
-    if not ok:
-        print(f"verification failed at tolerance {args.tol:g}")
-        return 2
-    return 0
+    records = [{"label": label, "n": args.n, "k": args.k, "a": args.a,
+                "points": rep.n_samples, "max_residual": rep.max_residual,
+                "min_margin": rep.min_margin, "cone_violations": rep.cone_violations}
+               for label, rep in zip(labels, reports)]
+    lines = [f"{label}: residual {rep.max_residual:.3e}  margin {rep.min_margin:.3e}  "
+             f"({rep.n_samples} points)" for label, rep in zip(labels, reports)]
+    files = {}
+    if args.out:  # JSON, or the same records as CSV: strings bare and numbers by repr
+        files[args.out] = _json(records) if args.format == "json" else _csv(
+            [",".join(records[0])] + [",".join(v if isinstance(v, str) else repr(v)
+                                               for v in rec.values()) for rec in records])
+    if any(rep.max_residual > args.tol or rep.min_margin <= 0.0 for rep in reports):
+        return 2, lines + [f"verification failed at tolerance {args.tol:g}"], files
+    return 0, lines, files
 
 
 # ---------------------------------------------------------------------------
 # solve-radial
 # ---------------------------------------------------------------------------
 
-def cmd_solve_radial(args) -> int:
+def cmd_solve_radial(args):
     if args.u0 is not None:
         check_positive("--u0", args.u0)
     u0 = args.u0 if args.u0 is not None else bubbles.c_constant(args.n, args.k)
     profile = radial.shoot(u0, args.n, args.k, args.rmax, tol=args.tol)
     report = radial.liouville_report(profile)
-    print(f"fitted a = {report.fitted_a!r}")
-    print(f"max relative deviation = {report.max_rel_deviation:.3e} "
-          f"(at r = {report.worst_r:.4g})")
-    if not report.tail.sufficient:
-        print("kelvin probe: insufficient tail (fewer than 4 nodes with (n-2) + r u'/u <= 1/2)")
+    tail = report.tail
+    if tail.sufficient:
+        status = "monotone decay" if tail.monotone else "NOT monotone"
+        probe = f"{status}, scaled gradient {tail.scaled_grad[-1]:.3e} at rho = {tail.rho[-1]:.3g}"
     else:
-        status = "monotone decay" if report.tail.monotone else "NOT monotone"
-        print(f"kelvin probe: {status}, scaled gradient "
-              f"{report.tail.scaled_grad[-1]:.3e} at rho = {report.tail.rho[-1]:.3g}")
-    if args.out:
-        _write_profile_csv(profile, args.out)
-    return 0
+        probe = "insufficient tail (fewer than 4 nodes with (n-2) + r u'/u <= 1/2)"
+    return 0, [f"fitted a = {report.fitted_a!r}",
+               f"max relative deviation = {report.max_rel_deviation:.3e} "
+               f"(at r = {report.worst_r:.4g})",
+               f"kelvin probe: {probe}"], {args.out: _profile_csv(profile)} if args.out else {}
 
 
 # ---------------------------------------------------------------------------
 # homotopy
 # ---------------------------------------------------------------------------
 
-def cmd_homotopy(args) -> int:
+def cmd_homotopy(args):
     check_count("--n", args.n, 3, MAX_HOMOTOPY_N)
     check_count("--m", args.m, 16, MAX_MESH)
     check_count("--steps", args.steps, 1, MAX_STEPS)
@@ -211,34 +201,31 @@ def cmd_homotopy(args) -> int:
     try:
         profile, records = continuation.continue_path(spec)
     except PathError as exc:
-        print(f"homotopy failed: {exc}")
+        lines = [f"homotopy failed: {exc}"]
         if exc.last_good_t is not None:
-            print(f"last good t = {exc.last_good_t!r}")
-        if args.trace:
-            _write_text(args.trace, _trace_json(exc.trace))
-        return 2
+            lines.append(f"last good t = {exc.last_good_t!r}")
+        return 2, lines, {args.trace: _json([vars(r) for r in exc.trace])} if args.trace else {}
     solved = [r for r in records if r.converged]
-    print(f"reached t = 1 in {len(solved)} solves "
-          f"({len(records) - len(solved)} failed attempts)")
-    print(f"final residual = {solved[-1].residual:.3e}, "
-          f"cone margin = {solved[-1].cone_margin:.3e}, "
-          f"ellipticity = {solved[-1].ellipticity:.3e}")
+    lines = [f"reached t = 1 in {len(solved)} solves "
+             f"({len(records) - len(solved)} failed attempts)",
+             f"final residual = {solved[-1].residual:.3e}, "
+             f"cone margin = {solved[-1].cone_margin:.3e}, "
+             f"ellipticity = {solved[-1].ellipticity:.3e}"]
     if args.ub is None:
         model = continuation.initial_guess(spec)  # the --a member on the mesh
         dev = float(np.max(np.abs(profile.u - model) / model))
-        print(f"max relative deviation from the target profile = {dev:.3e}")
-    if args.trace:
-        _write_text(args.trace, _trace_json(records))
-    if args.profile:
-        _write_profile_csv(profile, args.profile)
-    return 0
+        lines.append(f"max relative deviation from the target profile = {dev:.3e}")
+    files = {args.trace: _json([vars(r) for r in records])} if args.trace else {}
+    if args.profile:  # a profile on the --trace path replaces the trace
+        files[args.profile] = _profile_csv(profile)
+    return 0, lines, files
 
 
 # ---------------------------------------------------------------------------
 # harnack-sweep
 # ---------------------------------------------------------------------------
 
-def cmd_harnack_sweep(args) -> int:
+def cmd_harnack_sweep(args):
     check_count("--nrad", args.nrad, 1, math.inf)
     check_count("--nang", args.nang, 0, math.inf)
     check_count("--images", args.images, 0, MAX_IMAGES)
@@ -246,16 +233,15 @@ def cmd_harnack_sweep(args) -> int:
     r_grid = _parse_grid(args.R)
     rows = bubbles.harnack_sweep(args.n, args.k, a_grid, r_grid,
                                  mobius_words=args.images, seed=args.seed)
-    sup = bubbles.sweep_supremum(rows)
+    if not rows:
+        raise ConfigError("cannot take the supremum of an empty sweep")
+    sup = max(row.product_scaled for row in rows)
     limit = bubbles.c_constant(args.n, args.k) ** 2 * 2.0 ** (2.0 - args.n)
-    print(f"empirical sup of scaled product = {sup!r} "
-          f"({len(rows)} cells; centered-family limit {limit!r})")
-    if args.out:
-        lines = ["n,k,a,R,maxBR,min2BR,product_scaled"]
-        lines += [f"{row.n},{row.k},{row.a!r},{row.R!r},{row.max_br!r},"
-                  f"{row.min_2br!r},{row.product_scaled!r}" for row in rows]
-        _write_csv(args.out, lines)
-    return 0
+    line = (f"empirical sup of scaled product = {sup!r} "
+            f"({len(rows)} cells; centered-family limit {limit!r})")
+    return 0, [line], {args.out: _csv(["n,k,a,R,maxBR,min2BR,product_scaled"] + [
+        f"{row.n},{row.k},{row.a!r},{row.R!r},{row.max_br!r},"
+        f"{row.min_2br!r},{row.product_scaled!r}" for row in rows])} if args.out else {}
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +334,11 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         with _FloatTraps():
-            return args.func(args)
+            code, lines, files = args.func(args)
+        for path, text in files.items():
+            _write_text(path, text)
+        print("\n".join(lines))
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -39,8 +39,11 @@ class ConfigError(SigmakLabError, ValueError):
 
 
 def check_positive(name: str, value) -> None:
-    """ConfigError unless 0 < value <= the largest float (nan fails both
-    comparisons; an int too large to convert to a float fails the second)."""
+    """ConfigError for a bool (Python's or numpy's) before any comparison, then
+    unless 0 < value <= the largest float (nan fails both comparisons; an int
+    too large to convert to a float fails the second)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name}={value!r} must be a number, not a bool")
     if not 0.0 < value <= sys.float_info.max:
         raise ConfigError(f"{name}={value!r} must be positive and finite")
 
@@ -80,8 +83,8 @@ def _require_positive(X, u):
 
 def check_positive_value(name: str, value) -> None:
     """PositivityError unless value > 0 (nan fails), then `check_positive`: a
-    value past the float range is a ConfigError."""
-    if not value > 0.0:
+    bool, checked first, or a value past the float range is a ConfigError."""
+    if not isinstance(value, (bool, np.bool_)) and not value > 0.0:
         raise PositivityError(f"{name}={value!r} must be positive", value=value)
     check_positive(name, value)
 

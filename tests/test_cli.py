@@ -253,8 +253,11 @@ def test_harnack_sweep_past_the_halton_dimensions(tmp_path):
     np.testing.assert_allclose(got, sweep_rows_mp(16, 3, [1.0], [1.0], 2, 0), rtol=1e-12, atol=0.0)
 
 
-def test_harnack_sweep_empty_grid():
+def test_harnack_sweep_empty_grid(capsys):
     assert main(["harnack-sweep", "--n", "3", "--k", "1", "--a", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "configuration error: cannot take the supremum of an empty sweep\n"
 
 
 def test_harnack_sweep_deterministic_bytes(tmp_path):

@@ -662,7 +662,8 @@ def test_carried_iterates_give_the_path_of_rebuilt_ones(n, k, monkeypatch):
     fresh, fresh_records = sl.continue_path(spec)
     for name in ("r", "u", "du"):
         np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
-    assert cli._trace_json(carried_records) == cli._trace_json(fresh_records)
+    assert cli._json([vars(r) for r in carried_records]) \
+        == cli._json([vars(r) for r in fresh_records])
 
 
 def test_a_path_forms_each_pair_once_per_iterate(monkeypatch):
@@ -685,7 +686,7 @@ def test_a_path_forms_each_pair_once_per_iterate(monkeypatch):
 def test_trace_serializes_to_json():
     spec = _spec(3, 2, m=32, t_step=1.0 / 3.0)
     _, records = sl.continue_path(spec)
-    payload = json.loads(cli._trace_json(records))
+    payload = json.loads(cli._json([vars(r) for r in records]))
     assert len(payload) == len(records)
     assert set(payload[0]) == {"t", "converged", "iters", "residual",
                                "cone_margin", "ellipticity"}
@@ -700,4 +701,5 @@ def test_trace_json_is_each_records_fields_in_order():
     failed = info.value.trace
     assert math.isnan(failed[-1].cone_margin)
     for path in (records, failed):
-        assert cli._trace_json(path) == json.dumps([asdict(r) for r in path], indent=2) + "\n"
+        assert cli._json([vars(r) for r in path]) \
+            == json.dumps([asdict(r) for r in path], indent=2) + "\n"

@@ -30,3 +30,23 @@ def test_only_the_cli_imports_json_or_opens_a_file():
     found = {path.name: _file_io(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
     assert found.pop("cli.py"), "the detector finds the cli's own json import and open call"
     assert {name: io for name, io in found.items() if io} == {}
+
+
+def _callers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
+    """Each name in names that is called in tree, mapped to the top-level
+    functions that call it ("<module>" for a call outside any function)."""
+    found = {}
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
+                found.setdefault(node.func.id, set()).add(where)
+    return found
+
+
+def test_in_the_cli_only_main_prints_and_writes():
+    # each command returns its exit code, lines and files; main prints the
+    # lines and writes the files, through the one writer
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _callers(tree, {"print", "open", "_write_text"}) \
+        == {"print": {"main"}, "open": {"_write_text"}, "_write_text": {"main"}}

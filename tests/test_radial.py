@@ -667,11 +667,9 @@ def test_writing_to_a_directory_is_a_configuration_error(tmp_path):
         cli._write_text(tmp_path, "text\n")
 
 
-def test_profile_csv_schema(tmp_path):
+def test_profile_csv_schema():
     profile = sl.shoot(sl.c_constant(3, 1), 3, 1, 3.0)
-    path = tmp_path / "profile.csv"
-    cli._write_profile_csv(profile, path)
-    lines = path.read_text().splitlines()
+    lines = cli._profile_csv(profile).splitlines()
     assert lines[0] == "# sigmak-lab v1"
     assert lines[1] == "r,u,du,sigma_residual,cone_margin"
     assert len(lines) == 2 + profile.r.size
@@ -702,11 +700,9 @@ def _homotopy_profile():
     lambda: sl.shoot(sl.c_constant(5, 3), 5, 3, 10.0),
     _homotopy_profile,
 ], ids=["pinned", "shot", "homotopy"])
-def test_profile_csv_is_the_repr_of_every_field(make, tmp_path):
+def test_profile_csv_is_the_repr_of_every_field(make):
     profile = make()
-    path = tmp_path / "profile.csv"
-    cli._write_profile_csv(profile, path)
-    assert path.read_bytes() == _reference_profile_csv(profile)
+    assert cli._profile_csv(profile).encode() == _reference_profile_csv(profile)
 
 
 # bit patterns at repr's edges: signed zeros and infinities, subnormals,
@@ -772,12 +768,10 @@ def _pinned_rows():
 _NODE5_MARGIN = -2.0010226713131068
 
 
-def test_profile_csv_pins_the_rows_with_no_admissible_solve(tmp_path):
+def test_profile_csv_pins_the_rows_with_no_admissible_solve():
     profile = sl.RadialProfile(*_pinned_rows(), 4, 2)
-    path = tmp_path / "profile.csv"
-    cli._write_profile_csv(profile, path)
     rows = np.array([[float(v) for v in line.split(",")]
-                     for line in path.read_text().splitlines()[2:]])
+                     for line in cli._profile_csv(profile).splitlines()[2:]])
     np.testing.assert_array_equal(rows[:, 0], profile.r)
     np.testing.assert_array_equal(rows[:, 1], profile.u)
     np.testing.assert_array_equal(rows[:, 2], profile.du)

@@ -69,3 +69,21 @@ def test_bool_dimension_or_cone_index_is_a_configuration_error(build):
     for n, k in [(True, 1), (3, True), (4, False)]:
         with pytest.raises(ConfigError, match="must be an integer"):
             build(n, k)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sl.BubbleSpec(3, 1, True),
+    lambda: sl.BvpSpec(3, 1, True, 1.0),
+    lambda: sl.shoot(sl.c_constant(3, 1), 3, 1, True),
+    lambda: sl.shoot(np.True_, 3, 1, 2.0),
+    lambda: sl.Dilation(True),
+    lambda: sl.constant_field(np.False_, 3),
+    lambda: sl.harnack_sweep(3, 1, [1.0], [True]),
+    lambda: sl.harnack_sweep(3, 1, np.array([True]), [1.0]),
+], ids=["BubbleSpec.a", "BvpSpec.r_b", "shoot.r_max", "shoot.u0", "Dilation",
+        "constant_field", "harnack_sweep.R", "harnack_sweep.a"])
+def test_a_bool_is_no_positive_float(build):
+    # a bool compares as 0 or 1, so it once passed the positivity checks; a list
+    # mixing bools with floats converts to floats before any check sees it
+    with pytest.raises(ConfigError, match="not (a bool|bools)$"):
+        build()
